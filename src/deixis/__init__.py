@@ -15,7 +15,7 @@ from .resolver import (AMBIGUOUS, CORRECT, FARTHER, INCORRECT, LOCATING,
 from .sampling import (ClutteredPair, SampleConfig, augment_dispersion,
                        cluttered_pair, quadrant_of, sample_positions,
                        substream_seed)
-from .scene import (SUPPORT_MARGIN, PickAndPlaceTask, Pose2D, Scene,
+from .scene import (SUPPORT_MARGIN, Pose2D, Scene,
                     SceneObject, Shape, StableRegion, is_stable,
                     nearest_stable, stable_region)
 from .stats import (ContingencyTable, EquivalenceResult, TestResult,
@@ -30,7 +30,7 @@ __all__ = [
     "CandidateSet", "ClutteredPair", "ContingencyTable", "DegenerateTable",
     "DeixisError", "Ellipse", "EmptyInput", "EmptyScene", "EquivalenceResult",
     "InvalidCount", "InvalidCounts", "NoStablePlacement", "OffPlane",
-    "PickAndPlaceTask", "Plane", "Point3", "PointingAct", "Pose2D", "Ray",
+    "Plane", "Point3", "PointingAct", "Pose2D", "Ray",
     "Resolution", "ResolverConfig", "SampleConfig", "Scene", "SceneObject",
     "SchemaError", "Shape", "StableRegion", "SurfacePoint", "TestResult",
     "TypeMismatch", "UnboundedSection", "UnknownSupport",

@@ -83,19 +83,22 @@ def cmd_run(in_path: str, epsilon: float, ambiguity_band: float, out: str) -> No
         cfg = ResolverConfig(epsilon=epsilon, ambiguity_band=ambiguity_band)
         records = harness.run(trials, cfg)
         corpus.save_responses(records, out)
+        counts = harness.aggregate(records, group_by="condition")
     except (DeixisError, ValueError, OSError) as exc:
         _fail(str(exc))
-    counts = harness.aggregate(records, group_by="condition")
     for key, row in counts.rows:
         summary = " ".join(f"{lbl}={c}" for lbl, c in zip(counts.labels, row) if c)
         click.echo(f"{key}: {len(records)} responses ({summary})")
 
 
 def _parse_counts(text: str, cols: int | None) -> stats.ContingencyTable:
-    values = [int(v) for v in text.split(",")]
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        values = []
     cols = cols or len(values) // 2
     if cols < 2 or len(values) % cols != 0 or len(values) // cols < 2:
-        raise click.UsageError("--table needs an r x c grid with r, c >= 2")
+        raise click.UsageError("--table needs an r x c grid of integers with r, c >= 2")
     rows = tuple(tuple(values[i:i + cols]) for i in range(0, len(values), cols))
     return stats.ContingencyTable(rows)
 
@@ -161,10 +164,11 @@ def cmd_stats(test_name: str, fixture: str | None, rows: str | None,
     """Run a chi-squared, Fisher exact, or TOST equivalence test."""
     try:
         if test_name == "tost":
-            if not group_a or not group_b:
-                raise click.UsageError("tost requires --a and --b as x/n")
-            x1, n1 = (int(v) for v in group_a.split("/"))
-            x2, n2 = (int(v) for v in group_b.split("/"))
+            try:
+                (x1, n1), (x2, n2) = ([int(v) for v in (g or "").split("/")]
+                                      for g in (group_a, group_b))
+            except ValueError:
+                raise click.UsageError("tost requires --a and --b as x/n") from None
             res = stats.tost_equivalence(x1, n1, x2, n2, margin, alpha)
             if as_csv:
                 click.echo(f"tost,{res.z_lower:.6g},{res.z_upper:.6g},"

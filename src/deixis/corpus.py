@@ -16,17 +16,13 @@ from typing import Any
 from .errors import SchemaError
 from .geometry import Plane, Point3, Ray, SurfacePoint
 from .harness import (AggregateTable, Condition, ResponseRecord, ShownConfig,
-                      Trial)
+                      Trial, _q)
 from .resolver import PointingAct
 from .scene import Pose2D, Scene, SceneObject, Shape, TABLE
 from .stats import ContingencyTable
 
 TRIALS_SCHEMA = "deixis-trials-1"
 RESPONSES_SCHEMA = "deixis-responses-1"
-
-
-def _q(x: float) -> float:
-    return float(f"{x:.9g}")
 
 
 def _quantize(obj: Any) -> Any:
@@ -193,6 +189,13 @@ def save_responses(records: list[ResponseRecord], path: str) -> None:
                              "human": r.human, "meta": r.meta}) + "\n")
 
 
+def _point(value: Any) -> tuple[float, float]:
+    if (isinstance(value, list) and len(value) == 2
+            and all(type(c) in (int, float) and math.isfinite(c) for c in value)):
+        return tuple(value)
+    raise ValueError(f"expected two finite numbers, got {value!r}")
+
+
 def load_responses(path: str) -> list[ResponseRecord]:
     _, records = _read_lines(path, RESPONSES_SCHEMA)
     out = []
@@ -201,11 +204,11 @@ def load_responses(path: str) -> list[ResponseRecord]:
             meta = rec["meta"]
             for key in ("probe", "x_star"):
                 if key in meta:
-                    meta[key] = tuple(meta[key])
+                    meta[key] = _point(meta[key])
             out.append(ResponseRecord(trial_id=rec["trial_id"],
                                       predicted=rec["predicted"],
                                       human=rec["human"], meta=meta))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}:{i}: bad response record: {exc}") from exc
     return out
 

@@ -1,8 +1,11 @@
 """Seeded position generation inside a cone's elliptical section.
 
-RNG contract: PCG64 seeded through numpy's SeedSequence.  Substreams are
-derived as SeedSequence(entropy=seed, spawn_key=(index,)), one per trial
-index, so trial sets are reproducible and schedule-independent.
+RNG contract: PCG64 seeded through numpy's SeedSequence(entropy=seed).
+`sample_positions` and `augment_dispersion` draw everything from that one
+stream, so position i of an n-trial set depends on n.  Only cluttered pairs
+have one substream per trial index: the harness seeds `cluttered_pair` for
+trial i with `substream_seed(seed, i)`, derived from
+SeedSequence(entropy=seed, spawn_key=(i,)), so pair i does not depend on n.
 """
 from __future__ import annotations
 

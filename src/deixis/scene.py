@@ -4,12 +4,21 @@ Stability criterion: the vertical projection of a placed shape's center of
 mass must fall inside its supporting face (the table, or the top face of the
 object directly beneath) shrunk by a 5 mm margin.  Shapes are symmetric with
 uniform density, so the center of mass projects onto the placement position.
+
+Geometry: every footprint is a convex polygon core swept by a disk (one
+vertex for round shapes, four corners for boxes), and every question is a
+level set of its exact signed distance.  Support coverage is sd <= 0, a
+top-face island is sd <= -SUPPORT_MARGIN, and two footprints A, B overlap
+when their Minkowski difference A - B = A + (-B) has sd < -COLLISION_TOL at
+the origin (Ericson, Real-Time Collision Detection, 2004, ch. 4-5).
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import NoStablePlacement, UnknownSupport
 from .geometry import Plane, SurfacePoint, surface_distance
@@ -17,13 +26,146 @@ from .geometry import Plane, SurfacePoint, surface_distance
 SUPPORT_MARGIN = 0.005
 COLLISION_TOL = 0.001
 HEIGHT_TIE_TOL = 1e-6
-_NUDGE = 1e-9
-_CONTAIN_EPS = 1e-12  # absorbs rounding so clamp results stay contained
+# absorbs rounding so boundary points found by `nearest` stay stable
+_CONTAIN_EPS = 1e-12
 
 TABLE = "table"
 
 _ROUND_KINDS = ("mug", "saucer")
 _BOX_KINDS = ("cuboid", "cube")
+_ORIGIN = SurfacePoint(0.0, 0.0)
+
+Vertex = tuple[float, float]
+Line = tuple[float, float, float, float]  # point (u, v), unit direction (u, v)
+Circle = tuple[float, float, float]  # center (u, v), radius
+
+
+def _cross(o: Vertex, a: Vertex, b: Vertex) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _hull(points: list[Vertex]) -> tuple[Vertex, ...]:
+    """Convex hull, counter-clockwise, without collinear vertices."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return tuple(pts)
+    chain: list[Vertex] = []
+    for seq in (pts, pts[::-1]):
+        start = len(chain)
+        for p in seq:
+            while len(chain) >= start + 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
+                chain.pop()
+            chain.append(p)
+        chain.pop()
+    return tuple(chain)
+
+
+class Footprint(NamedTuple):
+    """A convex polygon `core` (counter-clockwise vertices) swept by a disk
+    of `radius`: one vertex for mugs and saucers, four corners for boxes,
+    the hull of the vertex sums for a Minkowski sum."""
+
+    core: tuple[Vertex, ...]
+    radius: float = 0.0
+
+    @classmethod
+    def box(cls, center: SurfacePoint, half_u: float, half_v: float,
+            yaw: float = 0.0) -> "Footprint":
+        c, s = math.cos(yaw), math.sin(yaw)
+        cu, cv = center.u, center.v
+        xu, xv, yu, yv = c * half_u, s * half_u, -s * half_v, c * half_v
+        return cls(((cu + xu + yu, cv + xv + yv), (cu - xu + yu, cv - xv + yv),
+                    (cu - xu - yu, cv - xv - yv), (cu + xu - yu, cv + xv - yv)))
+
+    def sd(self, p: SurfacePoint) -> float:
+        """Signed distance from `p` to the boundary, negative inside."""
+        core, pu, pv = self.core, p.u, p.v
+        if len(core) == 1:
+            (cu, cv), = core
+            return math.hypot(pu - cu, pv - cv) - self.radius
+        inside, best = len(core) > 2, math.inf
+        au, av = core[-1]
+        for bu, bv in core:
+            eu, ev, wu, wv = bu - au, bv - av, pu - au, pv - av
+            if eu * wv < ev * wu:
+                inside = False
+            t = (wu * eu + wv * ev) / (eu * eu + ev * ev)
+            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+            d = math.hypot(wu - t * eu, wv - t * ev)
+            if d < best:
+                best = d
+            au, av = bu, bv
+        return (-best if inside else best) - self.radius
+
+    def __sub__(self, other: "Footprint") -> "Footprint":
+        """Minkowski difference self + (-other): where other's reference
+        point may sit so that the two sets meet.  Shifting a polygon by one
+        vertex keeps it convex and counter-clockwise."""
+        diffs = [(au - bu, av - bv) for au, av in self.core for bu, bv in other.core]
+        one_vertex = len(self.core) == 1 or len(other.core) == 1
+        return Footprint(tuple(diffs) if one_vertex else _hull(diffs),
+                         self.radius + other.radius)
+
+    def boundary(self, level: float) -> tuple[list[Line], list[Circle]]:
+        """Lines and circles that contain the boundary of {sd <= level}: each
+        core edge moved along its outward normal by radius + level and, when
+        that offset is positive, the circle of that radius around each
+        vertex."""
+        r = self.radius + level
+        lines: list[Line] = []
+        if len(self.core) > 1:
+            for (au, av), (bu, bv) in zip(self.core[-1:] + self.core, self.core):
+                length = math.hypot(bu - au, bv - av)
+                eu, ev = (bu - au) / length, (bv - av) / length
+                lines.append((au + r * ev, av - r * eu, eu, ev))
+        circles = [(u, v, r) for u, v in self.core] if r > 0.0 else []
+        return lines, circles
+
+
+def _overlaps(a: Footprint, b: Footprint) -> bool:
+    return (a - b).sd(_ORIGIN) < -COLLISION_TOL - _CONTAIN_EPS
+
+
+def _projections(x: SurfacePoint, lines: list[Line],
+                 circles: list[Circle]) -> list[Vertex]:
+    """The point of each line and circle closest to `x` (the leftmost point
+    of a circle centered on `x`)."""
+    out = []
+    for au, av, eu, ev in lines:
+        t = (x.u - au) * eu + (x.v - av) * ev
+        out.append((au + t * eu, av + t * ev))
+    for cu, cv, r in circles:
+        d = math.hypot(x.u - cu, x.v - cv)
+        out.append((cu + r * (x.u - cu) / d, cv + r * (x.v - cv) / d) if d
+                   else (cu - r, cv))
+    return out
+
+
+def _crossings(lines: list[Line], circles: list[Circle]) -> list[Vertex]:
+    """Every intersection point of two of the given lines and circles."""
+    out = []
+    for (au, av, eu, ev), (bu, bv, fu, fv) in itertools.combinations(lines, 2):
+        den = eu * fv - ev * fu
+        if den:
+            t = ((bu - au) * fv - (bv - av) * fu) / den
+            out.append((au + t * eu, av + t * ev))
+    for au, av, eu, ev in lines:
+        for cu, cv, r in circles:
+            t = (cu - au) * eu + (cv - av) * ev
+            h = (cu - au) * ev - (cv - av) * eu  # signed distance center-line
+            if abs(h) <= r:
+                s = math.sqrt(r * r - h * h)
+                out += [(au + (t - s) * eu, av + (t - s) * ev),
+                        (au + (t + s) * eu, av + (t + s) * ev)]
+    for (au, av, ra), (bu, bv, rb) in itertools.combinations(circles, 2):
+        d = math.hypot(bu - au, bv - av)
+        if d and abs(ra - rb) <= d <= ra + rb:
+            a = (d * d + ra * ra - rb * rb) / (2.0 * d)
+            h = math.sqrt(max(ra * ra - a * a, 0.0))
+            eu, ev = (bu - au) / d, (bv - av) / d
+            out += [(au + a * eu - h * ev, av + a * ev + h * eu),
+                    (au + a * eu + h * ev, av + a * ev - h * eu)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -68,16 +210,11 @@ class Shape:
     def cuboid(cls, half_extents: tuple[float, float], height: float) -> "Shape":
         return cls("cuboid", height, half_extents=half_extents)
 
-    def footprint(self, pose: "Pose2D") -> "Disk | Rect":
+    def footprint(self, pose: "Pose2D") -> Footprint:
+        p = pose.position
         if self.radius is not None:
-            return Disk(pose.position.u, pose.position.v, self.radius)
-        hu, hv = self.half_extents  # type: ignore[misc]
-        return Rect(pose.position.u, pose.position.v, hu, hv, pose.yaw)
-
-    def circumradius(self) -> float:
-        if self.radius is not None:
-            return self.radius
-        return math.hypot(*self.half_extents)  # type: ignore[misc]
+            return Footprint(((p.u, p.v),), self.radius)
+        return Footprint.box(p, *self.half_extents, pose.yaw)  # type: ignore[misc]
 
 
 @dataclass(frozen=True)
@@ -96,98 +233,15 @@ class Pose2D:
 
 
 @dataclass(frozen=True)
-class Disk:
-    cu: float
-    cv: float
-    radius: float
-
-    def contains(self, p: SurfacePoint, shrink: float = 0.0) -> bool:
-        return math.hypot(p.u - self.cu, p.v - self.cv) <= self.radius - shrink + _CONTAIN_EPS
-
-    def clamp(self, p: SurfacePoint, shrink: float = 0.0) -> SurfacePoint:
-        r = self.radius - shrink
-        d = math.hypot(p.u - self.cu, p.v - self.cv)
-        if d <= r:
-            return p
-        s = r / d
-        return SurfacePoint(self.cu + (p.u - self.cu) * s, self.cv + (p.v - self.cv) * s)
-
-    def push_out(self, p: SurfacePoint) -> SurfacePoint:
-        d = math.hypot(p.u - self.cu, p.v - self.cv)
-        if d == 0.0:
-            return SurfacePoint(self.cu + self.radius + _NUDGE, self.cv)
-        s = (self.radius + _NUDGE) / d
-        return SurfacePoint(self.cu + (p.u - self.cu) * s, self.cv + (p.v - self.cv) * s)
-
-
-@dataclass(frozen=True)
-class Rect:
-    cu: float
-    cv: float
-    half_u: float
-    half_v: float
-    yaw: float = 0.0
-
-    def _local(self, p: SurfacePoint) -> tuple[float, float]:
-        du, dv = p.u - self.cu, p.v - self.cv
-        if self.yaw == 0.0:
-            return du, dv
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        return c * du + s * dv, -s * du + c * dv
-
-    def _world(self, x: float, y: float) -> SurfacePoint:
-        if self.yaw == 0.0:
-            return SurfacePoint(self.cu + x, self.cv + y)
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        return SurfacePoint(self.cu + c * x - s * y, self.cv + s * x + c * y)
-
-    def contains(self, p: SurfacePoint, shrink: float = 0.0) -> bool:
-        x, y = self._local(p)
-        return (abs(x) <= self.half_u - shrink + _CONTAIN_EPS
-                and abs(y) <= self.half_v - shrink + _CONTAIN_EPS)
-
-    def clamp(self, p: SurfacePoint, shrink: float = 0.0) -> SurfacePoint:
-        x, y = self._local(p)
-        x = min(max(x, -(self.half_u - shrink)), self.half_u - shrink)
-        y = min(max(y, -(self.half_v - shrink)), self.half_v - shrink)
-        return self._world(x, y)
-
-    def push_out(self, p: SurfacePoint) -> SurfacePoint:
-        x, y = self._local(p)
-        gaps = (self.half_u - x, self.half_u + x, self.half_v - y, self.half_v + y)
-        side = gaps.index(min(gaps))
-        if side == 0:
-            x = self.half_u + _NUDGE
-        elif side == 1:
-            x = -self.half_u - _NUDGE
-        elif side == 2:
-            y = self.half_v + _NUDGE
-        else:
-            y = -self.half_v - _NUDGE
-        return self._world(x, y)
-
-
-def _penetration(a: Disk | Rect, b: Disk | Rect) -> float:
-    """Approximate overlap depth between two footprints (meters)."""
-    if isinstance(a, Disk) and isinstance(b, Disk):
-        return (a.radius + b.radius) - math.hypot(a.cu - b.cu, a.cv - b.cv)
-    if isinstance(a, Rect) and isinstance(b, Rect) and a.yaw == 0.0 and b.yaw == 0.0:
-        du = (a.half_u + b.half_u) - abs(a.cu - b.cu)
-        dv = (a.half_v + b.half_v) - abs(a.cv - b.cv)
-        return min(du, dv)
-    if isinstance(a, Rect):
-        a, b = b, a
-    # disk vs rect: distance from disk center to the clamped rect point
-    q = b.clamp(SurfacePoint(a.cu, a.cv))  # type: ignore[union-attr]
-    return a.radius - math.hypot(q.u - a.cu, q.v - a.cv)  # type: ignore[union-attr]
-
-
-@dataclass(frozen=True)
 class SceneObject:
     id: str
     shape: Shape
     pose: Pose2D
     support: str = TABLE  # TABLE or the id of the object beneath
+
+    @property
+    def footprint(self) -> Footprint:
+        return self.shape.footprint(self.pose)
 
 
 @dataclass(frozen=True)
@@ -221,7 +275,7 @@ class Scene:
             lo_b, hi_b = self._z_span(b, by_id)
             if min(hi_a, hi_b) - max(lo_a, lo_b) <= 0.0:
                 continue
-            if _penetration(a.shape.footprint(a.pose), b.shape.footprint(b.pose)) > COLLISION_TOL:
+            if _overlaps(a.footprint, b.footprint):
                 raise ValueError(f"objects {a.id} and {b.id} overlap")
 
     def _z_span(self, obj: SceneObject, by_id: dict[str, SceneObject] | None = None) -> tuple[float, float]:
@@ -247,7 +301,7 @@ class Scene:
         None for the bare table.  Raises UnknownSupport on a height tie
         between distinct covering objects."""
         covering = [o for o in self.objects
-                    if o.shape.footprint(o.pose).contains(position)]
+                    if o.footprint.sd(position) <= _CONTAIN_EPS]
         if not covering:
             return None
         covering.sort(key=lambda o: self.z_top(o.id), reverse=True)
@@ -257,21 +311,6 @@ class Scene:
                 f"position ({position.u:.3f}, {position.v:.3f}) is covered by "
                 f"{covering[0].id} and {covering[1].id} at the same height")
         return covering[0]
-
-
-@dataclass(frozen=True)
-class PickAndPlaceTask:
-    """The task tuple: which object moves, from where, to where."""
-
-    object_id: str
-    x_init: SurfacePoint
-    x_final: SurfacePoint
-
-    def check_against(self, scene: Scene) -> None:
-        if not scene.surface.contains_surface_point(self.x_init):
-            raise ValueError("x_init outside the surface extent")
-        if not scene.surface.contains_surface_point(self.x_final):
-            raise ValueError("x_final outside the surface extent")
 
 
 def is_stable(scene: Scene, shape: Shape, position: SurfacePoint) -> bool:
@@ -285,29 +324,46 @@ def is_stable(scene: Scene, shape: Shape, position: SurfacePoint) -> bool:
         return True
     support = scene.support_at(position)
     if support is not None:
-        return support.shape.footprint(support.pose).contains(position,
-                                                              shrink=SUPPORT_MARGIN)
+        return support.footprint.sd(position) <= -SUPPORT_MARGIN + _CONTAIN_EPS
     if not scene.surface.contains_surface_point(position, shrink=SUPPORT_MARGIN):
         return False
     fp = shape.footprint(Pose2D(position))
-    return all(_penetration(fp, o.shape.footprint(o.pose)) <= COLLISION_TOL
-               for o in scene.objects)
+    return not any(_overlaps(fp, o.footprint) for o in scene.objects)
 
 
 @dataclass(frozen=True)
 class StableRegion:
     """Set of stable placement positions for a shape in a scene.
 
-    Membership delegates to `is_stable`; the primitive decomposition
-    (table rectangle, footprint holes, shrunk top-face islands) only guides
-    the analytic nearest-point search.
+    Membership delegates to `is_stable`.  The footprints below only feed
+    `nearest`; under gravity the region is the base outside every hole,
+    plus the islands.
     """
 
     scene: Scene
     shape: Shape
-    base: Rect | None
-    holes: tuple[Disk | Rect, ...] = ()
-    islands: tuple[Disk | Rect, ...] = ()
+
+    @cached_property
+    def base(self) -> Footprint | None:
+        """The table shrunk by the support margin (the full extent with
+        gravity off); None when nothing is left."""
+        m = SUPPORT_MARGIN if self.scene.gravity else 0.0
+        hu, hv = (e / 2.0 - m for e in self.scene.surface.extent)
+        return Footprint.box(_ORIGIN, hu, hv) if hu > 0.0 and hv > 0.0 else None
+
+    @cached_property
+    def holes(self) -> tuple[Footprint, ...]:
+        """Minkowski differences object - shape: placements there overlap
+        the object when sd < -COLLISION_TOL."""
+        placed = self.shape.footprint(Pose2D(_ORIGIN))
+        return tuple(o.footprint - placed for o in self.scene.objects)
+
+    @cached_property
+    def islands(self) -> tuple[Footprint, ...]:
+        """Footprints of the top faces wider than the margin: stable where
+        sd <= -SUPPORT_MARGIN and no higher object covers the point."""
+        return tuple(o.footprint for o in self.scene.objects
+                     if o.footprint.sd(o.pose.position) < -SUPPORT_MARGIN)
 
     def contains(self, p: SurfacePoint) -> bool:
         if not self.scene.surface.contains_surface_point(p):
@@ -317,111 +373,44 @@ class StableRegion:
     def is_empty(self) -> bool:
         return self.base is None and not self.islands
 
-    def primitives(self) -> tuple[Disk | Rect, ...]:
-        parts = tuple(self.islands)
-        if self.base is not None:
-            parts += (self.base,)
-        return parts
-
     def nearest(self, x: SurfacePoint) -> SurfacePoint:
-        """Closest stable position to `x`; ties broken by lower u, then lower v."""
+        """Closest stable position to `x`; ties broken by lower u, then lower v.
+
+        The region's boundary lies on the lines and circles bounding the
+        surface, the base, the holes and the islands.  (A footprint's own
+        edge adds nothing: it is covered, so unstable, and its island lies
+        inside it.)  The closest point is therefore x, the projection of x
+        onto one of those curves, or a crossing of two of them; the
+        candidates are tried in order of distance.
+        """
         if self.contains(x):
             return x
-        candidates: list[SurfacePoint] = []
-        for prim in self.islands:
-            candidates.append(prim.clamp(x))
+        hu, hv = (e / 2.0 for e in self.scene.surface.extent)
+        levels = [(Footprint.box(_ORIGIN, hu, hv), 0.0)]
+        levels += [(h, -COLLISION_TOL) for h in self.holes]
+        levels += [(i, -SUPPORT_MARGIN) for i in self.islands]
         if self.base is not None:
-            q = self.base.clamp(x)
-            candidates.append(q)
-            for h in self.holes:
-                if h.contains(q):
-                    candidates.append(h.push_out(q))
-                if h.contains(x):
-                    candidates.append(h.push_out(x))
-        viable = [c for c in candidates if self.contains(c)]
-        if not viable:
-            viable = self._grid_candidates(x)
-        if not viable:
-            raise NoStablePlacement("no stable placement exists for this shape")
-        best = min(surface_distance(c, x) for c in viable)
-        tied = [c for c in viable if surface_distance(c, x) <= best + 1e-9]
-        tied.sort(key=lambda c: (c.u, c.v))
-        return tied[0]
+            levels.append((self.base, 0.0))
+        curves = [fp.boundary(level) for fp, level in levels]
+        lines = [line for ls, _ in curves for line in ls]
+        circles = [circle for _, cs in curves for circle in cs]
+        ranked = sorted((math.hypot(u - x.u, v - x.v), u, v)
+                        for u, v in _projections(x, lines, circles)
+                        + _crossings(lines, circles))
+        for i, (d, u, v) in enumerate(ranked):
+            if self.contains(SurfacePoint(u, v)):
+                u, v = min((cu, cv) for cd, cu, cv in ranked[i:]
+                           if cd <= d + 1e-9 and self.contains(SurfacePoint(cu, cv)))
+                return SurfacePoint(u, v)
+        raise NoStablePlacement("no stable placement exists for this shape")
 
     def distance(self, x: SurfacePoint) -> float:
-        if self.contains(x):
-            return 0.0
         return surface_distance(self.nearest(x), x)
-
-    def _grid_candidates(self, x: SurfacePoint, coarse: float = 0.01,
-                         fine: float = 0.001) -> list[SurfacePoint]:
-        hu = self.scene.surface.extent[0] / 2.0
-        hv = self.scene.surface.extent[1] / 2.0
-        best: SurfacePoint | None = None
-        best_d = math.inf
-        nu, nv = int(2 * hu / coarse) + 1, int(2 * hv / coarse) + 1
-        for i in range(nu):
-            for j in range(nv):
-                p = SurfacePoint(-hu + i * coarse, -hv + j * coarse)
-                if not self.contains(p):
-                    continue
-                d = surface_distance(p, x)
-                if d < best_d:
-                    best, best_d = p, d
-        if best is None:
-            return []
-        out = [best]
-        steps = int(2 * coarse / fine)
-        for i in range(-steps, steps + 1):
-            for j in range(-steps, steps + 1):
-                p = SurfacePoint(best.u + i * fine, best.v + j * fine)
-                if self.contains(p):
-                    out.append(p)
-        return out
-
-
-def _dilate(fp: Disk | Rect, shape: Shape) -> Disk | Rect:
-    """Footprint grown by the placed shape, minus the collision tolerance.
-
-    Exact for disk/disk and axis-aligned rect/rect; rotated or mixed pairs
-    fall back to the circumradius (an over-approximation, harmless because
-    region membership always re-checks `is_stable`).
-    """
-    if isinstance(fp, Disk):
-        grow = shape.radius if shape.radius is not None else shape.circumradius()
-        return Disk(fp.cu, fp.cv, fp.radius + grow - COLLISION_TOL)
-    if shape.radius is not None:
-        grow_u = grow_v = shape.radius
-    elif fp.yaw == 0.0:
-        grow_u, grow_v = shape.half_extents  # type: ignore[misc]
-    else:
-        grow_u = grow_v = shape.circumradius()
-    return Rect(fp.cu, fp.cv, fp.half_u + grow_u - COLLISION_TOL,
-                fp.half_v + grow_v - COLLISION_TOL, fp.yaw)
 
 
 def stable_region(scene: Scene, shape: Shape) -> StableRegion:
     """All positions where `is_stable` holds; the full extent with gravity off."""
-    hu, hv = scene.surface.extent[0] / 2.0, scene.surface.extent[1] / 2.0
-    if not scene.gravity:
-        return StableRegion(scene, shape, base=Rect(0.0, 0.0, hu, hv))
-    base = None
-    if hu > SUPPORT_MARGIN and hv > SUPPORT_MARGIN:
-        base = Rect(0.0, 0.0, hu - SUPPORT_MARGIN, hv - SUPPORT_MARGIN)
-    holes: list[Disk | Rect] = []
-    islands: list[Disk | Rect] = []
-    for o in scene.objects:
-        fp = o.shape.footprint(o.pose)
-        holes.append(_dilate(fp, shape))
-        if isinstance(fp, Disk):
-            if fp.radius > SUPPORT_MARGIN:
-                islands.append(Disk(fp.cu, fp.cv, fp.radius - SUPPORT_MARGIN))
-        else:
-            if min(fp.half_u, fp.half_v) > SUPPORT_MARGIN:
-                islands.append(Rect(fp.cu, fp.cv, fp.half_u - SUPPORT_MARGIN,
-                                    fp.half_v - SUPPORT_MARGIN, fp.yaw))
-    return StableRegion(scene, shape, base=base, holes=tuple(holes),
-                        islands=tuple(islands))
+    return StableRegion(scene, shape)
 
 
 def nearest_stable(scene: Scene, shape: Shape, x: SurfacePoint) -> SurfacePoint:

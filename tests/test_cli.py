@@ -68,6 +68,22 @@ class TestRun:
         assert res.exit_code == 1
         assert "schema" in res.output.lower()
 
+    def test_yawed_box_beside_stack(self, runner, tmp_path):
+        trials = tmp_path / "nat.jsonl"
+        assert runner.invoke(main, ["gen", "--condition", "natural",
+                                    "--out", str(trials)]).exit_code == 0
+        lines = trials.read_text().splitlines()
+        for i, line in enumerate(lines[1:], start=1):
+            rec = json.loads(line)
+            top = rec["scene"]["objects"][1]
+            assert top["id"] == "stack_top"
+            top.update(support="table", position=[0.4, 0], yaw_deg=30)
+            lines[i] = json.dumps(rec)
+        trials.write_text("\n".join(lines) + "\n")
+        res = runner.invoke(main, ["run", "--in", str(trials),
+                                   "--out", str(tmp_path / "o.jsonl")])
+        assert res.exit_code == 0, res.output
+
 
 class TestStats:
     def test_fisher_table(self, runner):
@@ -120,6 +136,10 @@ class TestStats:
         assert runner.invoke(main, ["stats", "--test", "tost"]).exit_code == 2
         assert runner.invoke(main, ["stats", "--test", "fisher",
                                     "--table", "1,2,3"]).exit_code == 2
+        assert runner.invoke(main, ["stats", "--test", "fisher",
+                                    "--table", "3,x,1,3"]).exit_code == 2
+        assert runner.invoke(main, ["stats", "--test", "tost",
+                                    "--a", "3/x", "--b", "1/2"]).exit_code == 2
 
 
 class TestPlot:
@@ -140,3 +160,25 @@ class TestPlot:
         res = runner.invoke(main, ["plot", "--in", str(empty),
                                    "--out", str(tmp_path / "p.svg")])
         assert res.exit_code == 1
+
+    def test_empty_trials_run_exit_1(self, runner, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text('{"schema":"deixis-trials-1","count":0}\n')
+        res = runner.invoke(main, ["run", "--in", str(empty),
+                                   "--out", str(tmp_path / "o.jsonl")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("Error:") and res.output.count("\n") == 1
+
+    @pytest.mark.parametrize("probe", ['"ab"', "[1e400,0]"])
+    def test_bad_probe_exit_1(self, runner, tmp_path, probe):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"schema":"deixis-responses-1","count":1}\n'
+                       '{"trial_id":"t","predicted":"correct","human":null,'
+                       f'"meta":{{"condition":"c","probe":{probe}}}}}\n')
+        svg = tmp_path / "p.svg"
+        res = runner.invoke(main, ["plot", "--in", str(bad), "--out", str(svg)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert f"{bad}:2:" in res.output
+        assert not svg.exists()

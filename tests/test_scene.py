@@ -1,11 +1,15 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from scipy.spatial import ConvexHull
 
 from deixis.errors import NoStablePlacement, UnknownSupport
 from deixis.geometry import Plane, SurfacePoint, surface_distance
-from deixis.scene import (SUPPORT_MARGIN, Pose2D, Scene, SceneObject, Shape,
-                          is_stable, nearest_stable, stable_region)
+from deixis.scene import (COLLISION_TOL, SUPPORT_MARGIN, Pose2D, Scene,
+                          SceneObject, Shape, is_stable, nearest_stable,
+                          stable_region)
 
 PLANE = Plane.horizontal((1.2, 0.8))
 CUBE = Shape.cube(half=0.03, height=0.06)
@@ -36,11 +40,6 @@ class TestShape:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             Shape("sphere", height=0.1, radius=0.05)
-
-    def test_circumradius(self):
-        assert Shape.mug(0.04, 0.1).circumradius() == 0.04
-        assert math.isclose(Shape.cube(0.03, 0.06).circumradius(),
-                            math.hypot(0.03, 0.03))
 
 
 class TestPose:
@@ -116,13 +115,13 @@ class TestStableRegion:
     def test_empty_table_shrunk_rect(self):
         region = stable_region(Scene(PLANE), CUBE)
         assert region.base is not None
-        assert region.base.half_u == pytest.approx(0.6 - SUPPORT_MARGIN)
-        assert region.base.half_v == pytest.approx(0.4 - SUPPORT_MARGIN)
+        assert region.base.sd(SurfacePoint(0.6 - SUPPORT_MARGIN, 0.0)) == pytest.approx(0.0)
+        assert region.base.sd(SurfacePoint(0.0, 0.4 - SUPPORT_MARGIN)) == pytest.approx(0.0)
         assert not region.holes and not region.islands
 
     def test_gravity_off_full_extent(self):
         region = stable_region(stack_scene(gravity=False), CUBE)
-        assert region.base.half_u == pytest.approx(0.6)
+        assert region.base.sd(SurfacePoint(0.6, 0.0)) == pytest.approx(0.0)
         assert region.contains(SurfacePoint(0.6, 0.4))
 
     def test_grid_agreement_with_is_stable(self):
@@ -130,11 +129,11 @@ class TestStableRegion:
         region = stable_region(scene, CUBE)
 
         def primitive_member(p):
-            if any(i.contains(p) for i in region.islands):
+            if any(i.sd(p) <= -SUPPORT_MARGIN for i in region.islands):
                 return True
-            if region.base is None or not region.base.contains(p):
+            if region.base is None or region.base.sd(p) > 0.0:
                 return False
-            return not any(h.contains(p) for h in region.holes)
+            return not any(h.sd(p) < -COLLISION_TOL for h in region.holes)
 
         n = 0
         for i in range(-60, 61, 2):
@@ -153,7 +152,7 @@ class TestStableRegion:
                 p = SurfacePoint(i / 100.0, j / 100.0)
                 # removing the stack never shrinks the table-level region
                 if with_stack.contains(p) and not any(
-                        h.contains(p) for h in with_stack.holes):
+                        h.sd(p) < -COLLISION_TOL for h in with_stack.holes):
                     assert bare.contains(p)
 
     def test_gravity_off_superset(self):
@@ -216,3 +215,144 @@ class TestNearestStable:
         assert region.is_empty()
         with pytest.raises(NoStablePlacement):
             nearest_stable(Scene(tiny), CUBE, SurfacePoint(0, 0))
+
+    def test_round_shape_beside_box_corner(self):
+        # the exact distance from x to the mug's hole around the cube corner:
+        # the rounded corner has radius 0.04 - COLLISION_TOL
+        scene = Scene(PLANE, (SceneObject("cube", CUBE, Pose2D(SurfacePoint(0, 0))),))
+        x = SurfacePoint(0.055, 0.055)
+        got = nearest_stable(scene, Shape.mug(0.04, 0.10), x)
+        assert surface_distance(got, x) == pytest.approx(
+            0.039 - 0.025 * math.sqrt(2), abs=1e-6)
+
+
+class TestYawedBoxes:
+    CUBOID = Shape.cuboid(half_extents=(0.06, 0.03), height=0.06)
+
+    def scene(self, u):
+        return Scene(PLANE, (SceneObject("cube", CUBE, Pose2D(SurfacePoint(0, 0))),
+                             SceneObject("box", self.CUBOID,
+                                         Pose2D(SurfacePoint(u, 0), yaw=math.radians(30)))))
+
+    def test_apart_constructs(self):
+        assert len(self.scene(0.12).objects) == 2
+
+    def test_overlap_rejected(self):
+        with pytest.raises(ValueError, match="objects cube and box overlap"):
+            self.scene(0.07)
+
+
+# Exactness against oracles that never call the footprint kernel.
+
+TABLE = Plane.horizontal((0.5, 0.4))
+size = st.floats(0.01, 0.06)
+round_or_box = st.one_of(
+    st.builds(lambda r: ("mug", r, None), size),
+    st.builds(lambda r: ("saucer", r, None), size),
+    st.builds(lambda h: ("cube", None, (h, h)), size),
+    st.builds(lambda hu, hv: ("cuboid", None, (hu, hv)), size, size))
+placement = st.tuples(round_or_box, st.floats(-0.16, 0.16), st.floats(-0.11, 0.11),
+                      st.floats(-math.pi, math.pi, exclude_max=True))
+
+
+def make_object(i, spec):
+    (kind, radius, half_extents), u, v, yaw = spec
+    # distinct heights: no two covering objects tie
+    shape = Shape(kind, 0.05 + 0.01 * i, radius=radius, half_extents=half_extents)
+    return SceneObject(f"o{i}", shape, Pose2D(SurfacePoint(u, v), yaw=yaw))
+
+
+def boundary_samples(obj, n=20000):
+    """Points on the footprint outline, in world coordinates."""
+    p, s = obj.pose.position, obj.shape
+    if s.radius is not None:
+        phi = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        return np.column_stack([p.u + s.radius * np.cos(phi), p.v + s.radius * np.sin(phi)])
+    hu, hv = s.half_extents
+    t = np.linspace(-1.0, 1.0, n // 4, endpoint=False)
+    local = np.concatenate([np.column_stack([hu * t, np.full_like(t, hv)]),
+                            np.column_stack([hu * -t, np.full_like(t, -hv)]),
+                            np.column_stack([np.full_like(t, hu), hv * -t]),
+                            np.column_stack([np.full_like(t, -hu), hv * t])])
+    return world(obj, local)
+
+
+def world(obj, local):
+    c, s = math.cos(obj.pose.yaw), math.sin(obj.pose.yaw)
+    p = obj.pose.position
+    return local @ np.array([[c, s], [-s, c]]) + np.array([p.u, p.v])
+
+
+def inside(obj, q):
+    p, s = obj.pose.position, obj.shape
+    if s.radius is not None:
+        return math.hypot(q[0] - p.u, q[1] - p.v) <= s.radius
+    c, sn = math.cos(obj.pose.yaw), math.sin(obj.pose.yaw)
+    du, dv = q[0] - p.u, q[1] - p.v
+    return (abs(c * du + sn * dv) <= s.half_extents[0]
+            and abs(-sn * du + c * dv) <= s.half_extents[1])
+
+
+def oracle_depth(a, b):
+    """How deep the footprints of `a` and `b` overlap (negative when apart)."""
+    if a.shape.radius is None and b.shape.radius is None:
+        hulls = []
+        for o in (a, b):
+            hu, hv = o.shape.half_extents
+            hulls.append(world(o, np.array([[hu, hv], [-hu, hv], [-hu, -hv], [hu, -hv]])))
+        diffs = (hulls[0][:, None, :] - hulls[1][None, :, :]).reshape(-1, 2)
+        # facets satisfy normal . x + offset <= 0 inside; the origin's depth
+        # is the smallest distance to a facet
+        return -ConvexHull(diffs).equations[:, 2].max()
+    if a.shape.radius is None:
+        a, b = b, a
+    c = (a.pose.position.u, a.pose.position.v)
+    dist = np.hypot(*(boundary_samples(b) - np.array(c)).T).min()
+    return a.shape.radius - (-dist if inside(b, c) else dist)
+
+
+class TestExactness:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(placement, placement)
+    def test_overlap_matches_oracle(self, spec_a, spec_b):
+        a, b = make_object(0, spec_a), make_object(1, spec_b)
+        depth = oracle_depth(a, b)
+        assume(abs(depth - COLLISION_TOL) > 1e-6)
+        if depth > COLLISION_TOL:
+            with pytest.raises(ValueError, match="overlap"):
+                Scene(TABLE, (a, b))
+        else:
+            Scene(TABLE, (a, b))
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(st.lists(placement, min_size=1, max_size=4), round_or_box,
+           st.floats(-0.08, 0.08), st.floats(-0.08, 0.08))
+    def test_nearest_is_exact_on_grid(self, specs, placed, du, dv):
+        try:
+            scene = Scene(TABLE, tuple(make_object(i, s) for i, s in enumerate(specs)))
+        except ValueError:
+            assume(False)
+        kind, radius, half_extents = placed
+        shape = Shape(kind, 0.05, radius=radius, half_extents=half_extents)
+        region = stable_region(scene, shape)
+        x = SurfacePoint(specs[0][1] + du, specs[0][2] + dv)  # near an object
+        got = region.nearest(x)
+        assert region.contains(got)
+        d = surface_distance(got, x)
+        step = 0.001
+        reach = int(d / step) + 2
+        iu, iv = round(x.u / step), round(x.v / step)
+        for i in range(iu - reach, iu + reach + 1):
+            for j in range(iv - reach, iv + reach + 1):
+                p = SurfacePoint(i * step, j * step)
+                if surface_distance(p, x) < d - 1e-9:
+                    assert not region.contains(p), (p, got)
+        # stable points lie within one grid diagonal of the answer; a finer
+        # grid finds them in the wedge left where two hole boundaries cross
+        fine = step / 10.0
+        gu, gv = round(got.u / fine), round(got.v / fine)
+        near = [SurfacePoint((gu + i) * fine, (gv + j) * fine)
+                for i in range(-15, 16) for j in range(-15, 16)]
+        assert any(region.contains(p) for p in near
+                   if surface_distance(p, got) <= step * math.sqrt(2))
