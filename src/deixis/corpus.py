@@ -1,10 +1,20 @@
 """Line-delimited corpus files, embedded fixtures, and CSV export.
 
-File layout: one JSON header line (schema version, seed, condition
-descriptor, record count) followed by one JSON record per line.  Distances
-are stored in meters and angles in degrees; every float is written with at
-most 9 significant digits, so identical content always produces identical
-bytes.
+File layout: one JSON header line followed by one JSON record per line.
+Distances are stored in meters and angles in degrees; every float is written
+with at most 9 significant digits, so identical content always produces
+identical bytes.
+
+Trials (schema `deixis-trials-2`): the header holds `schema`, `count`,
+`seed`, the condition descriptor and a `context` object: the first trial's
+`condition`, `act`, `surface`, `gravity` and `objects`.  Each record holds
+`id` and `shown` plus only what differs from the context: the differing
+fields of `condition`, `act` and `surface`, `gravity`, and `objects`
+matched by index, each holding only its differing fields (`{}` when
+unchanged; an object past the context's list is written whole).  A locating
+record carries no scene; referential and cluttered records carry only the
+mug positions.  Files of the earlier `deixis-trials-1` schema, with every
+part repeated in every record, still load.
 """
 from __future__ import annotations
 
@@ -21,7 +31,8 @@ from .resolver import PointingAct
 from .scene import Pose2D, Scene, SceneObject, Shape, TABLE
 from .stats import ContingencyTable
 
-TRIALS_SCHEMA = "deixis-trials-1"
+TRIALS_SCHEMA = "deixis-trials-2"
+TRIALS_SCHEMA_V1 = "deixis-trials-1"
 RESPONSES_SCHEMA = "deixis-responses-1"
 
 
@@ -35,8 +46,11 @@ def _quantize(obj: Any) -> Any:
     return obj
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dumps(obj: Any) -> str:
-    return json.dumps(_quantize(obj), sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(_quantize(obj))
 
 
 def _condition_to_json(c: Condition) -> dict:
@@ -55,38 +69,51 @@ def _condition_from_json(d: dict) -> Condition:
                      gravity=d["gravity"], verb=d["verb"])
 
 
-def _scene_to_json(s: Scene) -> dict:
-    p = s.surface
-    return {"surface": {"anchor": [p.anchor.x, p.anchor.y, p.anchor.z],
-                        "normal": list(p.normal), "axis_u": list(p.axis_u),
-                        "axis_v": list(p.axis_v), "extent": list(p.extent)},
-            "gravity": s.gravity,
-            "objects": [{"id": o.id, "kind": o.shape.kind,
-                         "height": o.shape.height, "radius": o.shape.radius,
-                         "half_extents": None if o.shape.half_extents is None
-                         else list(o.shape.half_extents),
-                         "position": [o.pose.position.u, o.pose.position.v],
-                         "yaw_deg": math.degrees(o.pose.yaw),
-                         "support": o.support}
-                        for o in s.objects]}
+def _surface_to_json(p: Plane) -> dict:
+    return {"anchor": [p.anchor.x, p.anchor.y, p.anchor.z],
+            "normal": list(p.normal), "axis_u": list(p.axis_u),
+            "axis_v": list(p.axis_v), "extent": list(p.extent)}
 
 
-def _scene_from_json(d: dict) -> Scene:
-    sd = d["surface"]
-    plane = Plane(anchor=Point3(*sd["anchor"]), normal=tuple(sd["normal"]),
-                  axis_u=tuple(sd["axis_u"]), axis_v=tuple(sd["axis_v"]),
-                  extent=tuple(sd["extent"]))
-    objects = tuple(
-        SceneObject(id=od["id"],
-                    shape=Shape(kind=od["kind"], height=od["height"],
-                                radius=od["radius"],
-                                half_extents=None if od["half_extents"] is None
-                                else tuple(od["half_extents"])),
-                    pose=Pose2D(SurfacePoint(*od["position"]),
-                                yaw=math.radians(od["yaw_deg"])),
-                    support=od.get("support", TABLE))
-        for od in d["objects"])
-    return Scene(plane, objects, gravity=d["gravity"])
+def _surface_from_json(d: dict) -> Plane:
+    return Plane(anchor=Point3(*d["anchor"]), normal=tuple(d["normal"]),
+                 axis_u=tuple(d["axis_u"]), axis_v=tuple(d["axis_v"]),
+                 extent=tuple(d["extent"]))
+
+
+def _object_to_json(o: SceneObject) -> dict:
+    return {"id": o.id, "kind": o.shape.kind, "height": o.shape.height,
+            "radius": o.shape.radius,
+            "half_extents": None if o.shape.half_extents is None
+            else list(o.shape.half_extents),
+            "position": [o.pose.position.u, o.pose.position.v],
+            "yaw_deg": math.degrees(o.pose.yaw), "support": o.support}
+
+
+def _object_from_json(d: dict) -> SceneObject:
+    return SceneObject(id=d["id"],
+                       shape=Shape(kind=d["kind"], height=d["height"],
+                                   radius=d["radius"],
+                                   half_extents=None if d["half_extents"] is None
+                                   else tuple(d["half_extents"])),
+                       pose=Pose2D(SurfacePoint(*d["position"]),
+                                   yaw=math.radians(d["yaw_deg"])),
+                       support=d.get("support", TABLE))
+
+
+def _act_to_json(act: PointingAct) -> dict:
+    return {"origin": [act.ray.origin.x, act.ray.origin.y, act.ray.origin.z],
+            "direction": list(act.ray.direction), "intent": act.intent,
+            "target": [act.target.u, act.target.v]}
+
+
+def _act_from_json(d: dict) -> PointingAct:
+    # directions are quantized on disk; renormalize exactly as the generator
+    # does so loaded trials compare equal to freshly generated ones
+    raw = d["direction"]
+    norm = math.sqrt(sum(c * c for c in raw))
+    ray = Ray(Point3(*d["origin"]), tuple(c / norm for c in raw))
+    return PointingAct(ray, d["intent"], SurfacePoint(*d["target"]))
 
 
 def _shown_to_json(shown: str | SurfacePoint | ShownConfig) -> dict:
@@ -108,32 +135,86 @@ def _shown_from_json(d: dict) -> str | SurfacePoint | ShownConfig:
     raise SchemaError(f"unknown shown type {d['type']!r}")
 
 
-def _trial_to_json(t: Trial) -> dict:
-    act = t.point_act
-    return {"id": t.id, "condition": _condition_to_json(t.condition),
-            "scene": _scene_to_json(t.scene),
-            "act": {"origin": [act.ray.origin.x, act.ray.origin.y, act.ray.origin.z],
-                    "direction": list(act.ray.direction),
-                    "intent": act.intent,
-                    "target": [act.target.u, act.target.v]},
-            "shown": _shown_to_json(t.shown)}
+def _context(t: Trial) -> dict:
+    """The quantized JSON of every part of `t` but its id and shown."""
+    return _quantize({"condition": _condition_to_json(t.condition),
+                      "act": _act_to_json(t.point_act),
+                      "surface": _surface_to_json(t.scene.surface),
+                      "gravity": t.scene.gravity,
+                      "objects": [_object_to_json(o) for o in t.scene.objects]})
 
 
-def _trial_from_json(d: dict) -> Trial:
-    act = d["act"]
-    # directions are quantized on disk; renormalize exactly as the generator
-    # does so loaded trials compare equal to freshly generated ones
-    raw = act["direction"]
-    norm = math.sqrt(sum(c * c for c in raw))
-    ray = Ray(Point3(*act["origin"]), tuple(c / norm for c in raw))
-    return Trial(id=d["id"], condition=_condition_from_json(d["condition"]),
-                 scene=_scene_from_json(d["scene"]),
-                 point_act=PointingAct(ray, act["intent"],
-                                       SurfacePoint(*act["target"])),
-                 shown=_shown_from_json(d["shown"]))
+def _diff(new: dict, old: dict) -> dict:
+    return {k: v for k, v in new.items() if old[k] != v}
 
 
-def _read_lines(path: str, expected_schema: str) -> tuple[dict, list[dict]]:
+def _record(t: Trial, first: Trial, ctx: dict) -> dict:
+    """`t` as id, shown and the fields that differ from the context, already
+    quantized; a part that is the first trial's own object is skipped
+    without a comparison."""
+    rec: dict = {"id": t.id, "shown": _quantize(_shown_to_json(t.shown))}
+    s, s0 = t.scene, first.scene
+    parts = [("condition", t.condition, first.condition, _condition_to_json),
+             ("act", t.point_act, first.point_act, _act_to_json)]
+    if s is not s0:
+        parts.append(("surface", s.surface, s0.surface, _surface_to_json))
+    for key, part, part0, to_json in parts:
+        if part is not part0:
+            diff = _diff(_quantize(to_json(part)), ctx[key])
+            if diff:
+                rec[key] = diff
+    if s is s0:
+        return rec
+    if s.gravity != s0.gravity:
+        rec["gravity"] = s.gravity
+    if s.objects is not s0.objects:
+        base = ctx["objects"]
+        objects = []
+        for i, o in enumerate(s.objects):
+            if i < len(base) and o is s0.objects[i]:
+                objects.append({})
+                continue
+            od = _quantize(_object_to_json(o))
+            objects.append(_diff(od, base[i]) if i < len(base) else od)
+        if len(objects) != len(base) or any(objects):
+            rec["objects"] = objects
+    return rec
+
+
+def _parts(d: dict) -> tuple[Condition, Scene, PointingAct]:
+    """Condition, scene and act of a record holding every part."""
+    return (_condition_from_json(d["condition"]),
+            Scene(_surface_from_json(d["surface"]),
+                  tuple(_object_from_json(od) for od in d["objects"]),
+                  gravity=d["gravity"]),
+            _act_from_json(d["act"]))
+
+
+def _trial_from_record(rec: dict, ctx: dict,
+                       shared: tuple[Condition, Scene, PointingAct]) -> Trial:
+    """A v2 record applied to the context; a part without overrides is the
+    context's own object, shared by every such record."""
+    condition, scene, act = shared
+    if "condition" in rec:
+        condition = _condition_from_json({**ctx["condition"], **rec["condition"]})
+    if "act" in rec:
+        act = _act_from_json({**ctx["act"], **rec["act"]})
+    if "surface" in rec or "gravity" in rec or "objects" in rec:
+        surface = scene.surface
+        if "surface" in rec:
+            surface = _surface_from_json({**ctx["surface"], **rec["surface"]})
+        objects = scene.objects
+        if "objects" in rec:
+            base = ctx["objects"]
+            objects = tuple(
+                objects[i] if i < len(base) and od == {}
+                else _object_from_json({**base[i], **od} if i < len(base) else od)
+                for i, od in enumerate(rec["objects"]))
+        scene = Scene(surface, objects, gravity=rec.get("gravity", scene.gravity))
+    return Trial(rec["id"], condition, scene, act, _shown_from_json(rec["shown"]))
+
+
+def _read_lines(path: str, *schemas: str) -> tuple[dict, list[dict]]:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -142,7 +223,7 @@ def _read_lines(path: str, expected_schema: str) -> tuple[dict, list[dict]]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:1: malformed header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("schema") != expected_schema:
+    if not isinstance(header, dict) or header.get("schema") not in schemas:
         raise SchemaError(f"{path}:1: unknown schema "
                           f"{header.get('schema') if isinstance(header, dict) else header!r}")
     records = []
@@ -150,9 +231,12 @@ def _read_lines(path: str, expected_schema: str) -> tuple[dict, list[dict]]:
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}:{lineno}: malformed record: {exc}") from exc
+        if not isinstance(record, dict):
+            raise SchemaError(f"{path}:{lineno}: record is not an object")
+        records.append(record)
     declared = header.get("count")
     if declared is not None and declared != len(records):
         raise SchemaError(f"{path}: header declares {declared} records, "
@@ -161,20 +245,38 @@ def _read_lines(path: str, expected_schema: str) -> tuple[dict, list[dict]]:
 
 
 def save_trials(trials: list[Trial], path: str, seed: int | None = None) -> None:
+    ctx = _context(trials[0]) if trials else {}
     header = {"schema": TRIALS_SCHEMA, "count": len(trials), "seed": seed,
-              "condition": trials[0].condition.descriptor() if trials else None}
+              "condition": trials[0].condition.descriptor() if trials else None,
+              "context": ctx}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dumps(header) + "\n")
         for t in trials:
-            fh.write(_dumps(_trial_to_json(t)) + "\n")
+            fh.write(_ENCODER.encode(_record(t, trials[0], ctx)) + "\n")
 
 
 def load_trials(path: str) -> list[Trial]:
-    _, records = _read_lines(path, TRIALS_SCHEMA)
+    header, records = _read_lines(path, TRIALS_SCHEMA, TRIALS_SCHEMA_V1)
+    if header["schema"] == TRIALS_SCHEMA_V1:
+        def build(rec: dict) -> Trial:
+            return Trial(rec["id"], *_parts({**rec, **rec["scene"]}),
+                         _shown_from_json(rec["shown"]))
+    else:
+        ctx = header.get("context")
+        if not isinstance(ctx, dict):
+            raise SchemaError(f"{path}:1: header context must be an object, "
+                              f"got {ctx!r}")
+        try:
+            shared = _parts(ctx) if records else None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}:1: bad context: {exc}") from exc
+
+        def build(rec: dict) -> Trial:
+            return _trial_from_record(rec, ctx, shared)
     out = []
     for i, rec in enumerate(records, start=2):
         try:
-            out.append(_trial_from_json(rec))
+            out.append(build(rec))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}:{i}: bad trial record: {exc}") from exc
     return out

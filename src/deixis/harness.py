@@ -242,17 +242,16 @@ def _ref_vs_loc_trials(cond: Condition, n: int, seed: int) -> list[Trial]:
     act = PointingAct(ray, intent, x_star)
     cube = SceneObject("red_cube", RED_CUBE, Pose2D(cube_pos))
     slug = cond.descriptor().replace("/", "-")
-    trials = []
-    for i, pos in enumerate(positions):
-        if intent == REFERENTIAL:
-            scene = Scene(plane, (SceneObject("mug", MUG, Pose2D(pos)), cube))
-            shown: str | SurfacePoint = "mug"
-        else:
-            scene = Scene(plane, (SceneObject("mug", MUG, Pose2D(x_init)), cube))
-            shown = pos
-        trials.append(Trial(id=f"{slug}-{i:03d}", condition=cond, scene=scene,
-                            point_act=act, shown=shown))
-    return trials
+    if intent == REFERENTIAL:
+        return [Trial(id=f"{slug}-{i:03d}", condition=cond,
+                      scene=Scene(plane, (SceneObject("mug", MUG, Pose2D(pos)), cube)),
+                      point_act=act, shown="mug")
+                for i, pos in enumerate(positions)]
+    # the locating scene is the same for every trial: build it once
+    scene = Scene(plane, (SceneObject("mug", MUG, Pose2D(x_init)), cube))
+    return [Trial(id=f"{slug}-{i:03d}", condition=cond, scene=scene,
+                  point_act=act, shown=pos)
+            for i, pos in enumerate(positions)]
 
 
 def _cluttered_trials(cond: Condition, n: int, seed: int) -> list[Trial]:

@@ -136,7 +136,7 @@ def resolve(cands: CandidateSet, x_star: SurfacePoint,
                           ambiguous=len(selected) > 1)
     region = cands.region
     assert region is not None
-    theta = 0.0 if region.contains(x_star) else region.distance(x_star)
+    theta = region.distance(x_star)  # 0.0 when x* is stable
     return Resolution(theta=theta,
                       selection=ContinuousSelection(region, x_star, theta + cfg.epsilon))
 

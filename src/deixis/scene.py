@@ -126,6 +126,11 @@ def _overlaps(a: Footprint, b: Footprint) -> bool:
     return (a - b).sd(_ORIGIN) < -COLLISION_TOL - _CONTAIN_EPS
 
 
+def _z_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
+    """Whether two height spans (low, high) share more than a face."""
+    return min(a[1], b[1]) - max(a[0], b[0]) > 0.0
+
+
 def _projections(x: SurfacePoint, lines: list[Line],
                  circles: list[Circle]) -> list[Vertex]:
     """The point of each line and circle closest to `x` (the leftmost point
@@ -271,11 +276,8 @@ class Scene:
                 seen.add(cur.support)
                 cur = by_id[cur.support]
         for a, b in itertools.combinations(self.objects, 2):
-            lo_a, hi_a = self._z_span(a, by_id)
-            lo_b, hi_b = self._z_span(b, by_id)
-            if min(hi_a, hi_b) - max(lo_a, lo_b) <= 0.0:
-                continue
-            if _overlaps(a.footprint, b.footprint):
+            if (_z_overlap(self._z_span(a, by_id), self._z_span(b, by_id))
+                    and _overlaps(a.footprint, b.footprint)):
                 raise ValueError(f"objects {a.id} and {b.id} overlap")
 
     def _z_span(self, obj: SceneObject, by_id: dict[str, SceneObject] | None = None) -> tuple[float, float]:
@@ -316,19 +318,27 @@ class Scene:
 def is_stable(scene: Scene, shape: Shape, position: SurfacePoint) -> bool:
     """True iff gravity is off or the center of mass is over its support face.
 
-    A table placement must also clear every object footprint: a shape whose
-    center is off a stack but whose footprint still overlaps it cannot rest
-    flat and is unstable.
+    The placed footprint must also clear the objects it would meet: on the
+    table every object footprint (a shape whose center is off a stack but
+    whose footprint still overlaps it cannot rest flat), on a top face every
+    object whose height span overlaps the placed shape's, the rule the
+    `Scene` invariant applies to its own objects.
     """
     if not scene.gravity:
         return True
     support = scene.support_at(position)
-    if support is not None:
-        return support.footprint.sd(position) <= -SUPPORT_MARGIN + _CONTAIN_EPS
-    if not scene.surface.contains_surface_point(position, shrink=SUPPORT_MARGIN):
-        return False
+    if support is None:
+        if not scene.surface.contains_surface_point(position, shrink=SUPPORT_MARGIN):
+            return False
+        others = scene.objects
+    else:
+        if support.footprint.sd(position) > -SUPPORT_MARGIN + _CONTAIN_EPS:
+            return False
+        lo = scene.z_top(support.id)
+        others = tuple(o for o in scene.objects
+                       if _z_overlap(scene._z_span(o), (lo, lo + shape.height)))
     fp = shape.footprint(Pose2D(position))
-    return not any(_overlaps(fp, o.footprint) for o in scene.objects)
+    return not any(_overlaps(fp, o.footprint) for o in others)
 
 
 @dataclass(frozen=True)
@@ -361,7 +371,8 @@ class StableRegion:
     @cached_property
     def islands(self) -> tuple[Footprint, ...]:
         """Footprints of the top faces wider than the margin: stable where
-        sd <= -SUPPORT_MARGIN and no higher object covers the point."""
+        sd <= -SUPPORT_MARGIN, no higher object covers the point and the
+        placed shape clears the holes of the objects at its height."""
         return tuple(o.footprint for o in self.scene.objects
                      if o.footprint.sd(o.pose.position) < -SUPPORT_MARGIN)
 
@@ -383,8 +394,10 @@ class StableRegion:
         onto one of those curves, or a crossing of two of them; the
         candidates are tried in order of distance.
         """
-        if self.contains(x):
-            return x
+        return x if self.contains(x) else self._nearest_from_outside(x)
+
+    def _nearest_from_outside(self, x: SurfacePoint) -> SurfacePoint:
+        """`nearest` for an `x` already known to be unstable."""
         hu, hv = (e / 2.0 for e in self.scene.surface.extent)
         levels = [(Footprint.box(_ORIGIN, hu, hv), 0.0)]
         levels += [(h, -COLLISION_TOL) for h in self.holes]
@@ -405,7 +418,10 @@ class StableRegion:
         raise NoStablePlacement("no stable placement exists for this shape")
 
     def distance(self, x: SurfacePoint) -> float:
-        return surface_distance(self.nearest(x), x)
+        """Distance from `x` to the region, 0.0 when `x` is stable; one
+        membership test either way."""
+        return 0.0 if self.contains(x) else surface_distance(
+            self._nearest_from_outside(x), x)
 
 
 def stable_region(scene: Scene, shape: Shape) -> StableRegion:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .errors import EmptyInput
 from .harness import ResponseRecord
@@ -35,6 +34,11 @@ class PlotSpec:
             raise ValueError(f"unknown plot kind {self.kind!r}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("plot dimensions must be positive")
+
+
+def _escape(text: str) -> str:
+    """XML character data: `&`, `<` and `>` as entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(x: float) -> str:
@@ -80,7 +84,7 @@ def _frame(spec: PlotSpec, body: list[str], title: str) -> str:
             f'viewBox="0 0 {spec.width} {spec.height}">',
             f'<rect width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
             f'<text x="{spec.width // 2}" y="18" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>']
+            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>']
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
@@ -91,7 +95,7 @@ def _legend(spec: PlotSpec, colors: dict[str, str]) -> list[str]:
         out.append(f'<rect x="{x}" y="{spec.height - 22}" width="10" height="10" '
                    f'fill="{color}" stroke="#404040"/>')
         out.append(f'<text x="{x + 14}" y="{spec.height - 13}" '
-                   f'font-family="sans-serif" font-size="11">{escape(label)}</text>')
+                   f'font-family="sans-serif" font-size="11">{_escape(label)}</text>')
         x += 100
     return out
 

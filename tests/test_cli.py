@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from deixis import corpus
 from deixis.cli import main
 
 
@@ -60,6 +62,18 @@ class TestRun:
         records = [json.loads(l) for l in out.read_text().splitlines()[1:]]
         assert all(r["predicted"] == "correct" for r in records)
 
+    def test_v1_fixture_runs_like_v2(self, runner, tmp_path):
+        # written by the v1 writer from the same flags as `gen` below
+        v1 = Path(__file__).parent / "fixtures" / "locating-45-n8-seed7.v1.jsonl"
+        v2 = gen(runner, tmp_path, "--variant", "locating")
+        assert corpus.load_trials(str(v1)) == corpus.load_trials(str(v2))
+        outputs = []
+        for trials, out in ((v1, tmp_path / "r1.jsonl"), (v2, tmp_path / "r2.jsonl")):
+            res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            outputs.append((res.output, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_corrupt_input_exits_1(self, runner, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"schema":"nope"}\n')
@@ -73,12 +87,12 @@ class TestRun:
         assert runner.invoke(main, ["gen", "--condition", "natural",
                                     "--out", str(trials)]).exit_code == 0
         lines = trials.read_text().splitlines()
-        for i, line in enumerate(lines[1:], start=1):
-            rec = json.loads(line)
-            top = rec["scene"]["objects"][1]
-            assert top["id"] == "stack_top"
-            top.update(support="table", position=[0.4, 0], yaw_deg=30)
-            lines[i] = json.dumps(rec)
+        header = json.loads(lines[0])
+        top = header["context"]["objects"][1]
+        assert top["id"] == "stack_top"
+        top.update(support="table", position=[0.4, 0], yaw_deg=30)
+        assert all("objects" not in json.loads(line) for line in lines[1:])
+        lines[0] = json.dumps(header)
         trials.write_text("\n".join(lines) + "\n")
         res = runner.invoke(main, ["run", "--in", str(trials),
                                    "--out", str(tmp_path / "o.jsonl")])

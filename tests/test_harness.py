@@ -17,7 +17,9 @@ def cond(kind=REF_VS_LOC, deg=45.0, **kw):
 
 
 def dump(trials):
-    return "".join(corpus._dumps(corpus._trial_to_json(t)) for t in trials)
+    return "".join(corpus._dumps({**corpus._context(t), "id": t.id,
+                                  "shown": corpus._shown_to_json(t.shown)})
+                   for t in trials)
 
 
 class TestCondition:

@@ -24,6 +24,16 @@ def stack_scene(gravity: bool = True) -> Scene:
                  gravity=gravity)
 
 
+MUG = Shape.mug(radius=0.04, height=0.10)
+
+
+def small_cube_on_box() -> Scene:
+    return Scene(PLANE,
+                 (SceneObject("box", Shape.cube(0.1, 0.1), Pose2D(SurfacePoint(0, 0))),
+                  SceneObject("cube", Shape.cube(0.03, 0.03), Pose2D(SurfacePoint(0, 0)),
+                              support="box")))
+
+
 class TestShape:
     def test_round_kinds_need_radius(self):
         with pytest.raises(ValueError):
@@ -109,6 +119,22 @@ class TestIsStable:
         scene = Scene(PLANE)
         assert is_stable(scene, CUBE, SurfacePoint(0, 0))
         assert not is_stable(scene, CUBE, SurfacePoint(0.598, 0.0))
+
+    def test_top_face_placement_clears_objects_standing_on_it(self):
+        # the mug's center is over the box top, off the small cube standing
+        # on it, but its footprint would overlap the cube
+        scene = small_cube_on_box()
+        assert not is_stable(scene, MUG, SurfacePoint(0.0301, 0.0))
+        assert is_stable(scene, MUG, SurfacePoint(0.075, 0.0))
+        assert is_stable(scene, MUG, SurfacePoint(0.0, 0.0))  # on the cube
+
+    def test_nearest_beside_a_stacked_cube_is_stable(self):
+        region = stable_region(small_cube_on_box(), MUG)
+        x = SurfacePoint(0.028, 0.0)
+        got = region.nearest(x)
+        assert region.contains(got)
+        assert surface_distance(got, x) == pytest.approx(0.003, abs=1e-9)
+        assert region.distance(x) == pytest.approx(0.003, abs=1e-9)
 
 
 class TestStableRegion:
