@@ -53,6 +53,33 @@ def _dumps(obj: Any) -> str:
     return _ENCODER.encode(_quantize(obj))
 
 
+def _bool(value: Any) -> bool:
+    if type(value) is bool:
+        return value
+    raise TypeError(f"expected true or false, got {value!r}")
+
+
+def _str(value: Any) -> str:
+    if type(value) is str:
+        return value
+    raise TypeError(f"expected a string, got {value!r}")
+
+
+def _num(value: Any) -> float:
+    """A finite JSON number (not a boolean)."""
+    if type(value) in (int, float) and math.isfinite(value):
+        return value
+    raise ValueError(f"expected a finite number, got {value!r}")
+
+
+def _nums(value: Any, n: int) -> tuple[float, ...]:
+    """A list of `n` finite JSON numbers, as a tuple."""
+    if (type(value) is list and len(value) == n
+            and all(type(c) in (int, float) and math.isfinite(c) for c in value)):
+        return tuple(value)
+    raise ValueError(f"expected {n} finite numbers, got {value!r}")
+
+
 def _condition_to_json(c: Condition) -> dict:
     return {"kind": c.kind, "variant": c.variant, "robot": c.robot,
             "speech": c.speech, "reverse": c.reverse,
@@ -62,11 +89,12 @@ def _condition_to_json(c: Condition) -> dict:
 
 
 def _condition_from_json(d: dict) -> Condition:
-    return Condition(kind=d["kind"], variant=d["variant"], robot=d["robot"],
-                     speech=d["speech"], reverse=d["reverse"],
+    return Condition(kind=_str(d["kind"]), variant=_str(d["variant"]),
+                     robot=_str(d["robot"]), speech=_bool(d["speech"]),
+                     reverse=_bool(d["reverse"]),
                      cone_vertex_angle=None if d["cone_deg"] is None
-                     else math.radians(d["cone_deg"]),
-                     gravity=d["gravity"], verb=d["verb"])
+                     else math.radians(_num(d["cone_deg"])),
+                     gravity=_bool(d["gravity"]), verb=_str(d["verb"]))
 
 
 def _surface_to_json(p: Plane) -> dict:
@@ -76,9 +104,9 @@ def _surface_to_json(p: Plane) -> dict:
 
 
 def _surface_from_json(d: dict) -> Plane:
-    return Plane(anchor=Point3(*d["anchor"]), normal=tuple(d["normal"]),
-                 axis_u=tuple(d["axis_u"]), axis_v=tuple(d["axis_v"]),
-                 extent=tuple(d["extent"]))
+    return Plane(anchor=Point3(*_nums(d["anchor"], 3)),
+                 normal=_nums(d["normal"], 3), axis_u=_nums(d["axis_u"], 3),
+                 axis_v=_nums(d["axis_v"], 3), extent=_nums(d["extent"], 2))
 
 
 def _object_to_json(o: SceneObject) -> dict:
@@ -91,14 +119,15 @@ def _object_to_json(o: SceneObject) -> dict:
 
 
 def _object_from_json(d: dict) -> SceneObject:
-    return SceneObject(id=d["id"],
-                       shape=Shape(kind=d["kind"], height=d["height"],
-                                   radius=d["radius"],
-                                   half_extents=None if d["half_extents"] is None
-                                   else tuple(d["half_extents"])),
-                       pose=Pose2D(SurfacePoint(*d["position"]),
-                                   yaw=math.radians(d["yaw_deg"])),
-                       support=d.get("support", TABLE))
+    radius, half = d["radius"], d["half_extents"]
+    return SceneObject(id=_str(d["id"]),
+                       shape=Shape(kind=_str(d["kind"]), height=_num(d["height"]),
+                                   radius=None if radius is None else _num(radius),
+                                   half_extents=None if half is None
+                                   else _nums(half, 2)),
+                       pose=Pose2D(SurfacePoint(*_nums(d["position"], 2)),
+                                   yaw=math.radians(_num(d["yaw_deg"]))),
+                       support=_str(d.get("support", TABLE)))
 
 
 def _act_to_json(act: PointingAct) -> dict:
@@ -110,10 +139,10 @@ def _act_to_json(act: PointingAct) -> dict:
 def _act_from_json(d: dict) -> PointingAct:
     # directions are quantized on disk; renormalize exactly as the generator
     # does so loaded trials compare equal to freshly generated ones
-    raw = d["direction"]
+    raw = _nums(d["direction"], 3)
     norm = math.sqrt(sum(c * c for c in raw))
-    ray = Ray(Point3(*d["origin"]), tuple(c / norm for c in raw))
-    return PointingAct(ray, d["intent"], SurfacePoint(*d["target"]))
+    ray = Ray(Point3(*_nums(d["origin"], 3)), tuple(c / norm for c in raw))
+    return PointingAct(ray, _str(d["intent"]), SurfacePoint(*_nums(d["target"], 2)))
 
 
 def _shown_to_json(shown: str | SurfacePoint | ShownConfig) -> dict:
@@ -126,13 +155,14 @@ def _shown_to_json(shown: str | SurfacePoint | ShownConfig) -> dict:
 
 
 def _shown_from_json(d: dict) -> str | SurfacePoint | ShownConfig:
-    if d["type"] == "object":
-        return d["id"]
-    if d["type"] == "point":
-        return SurfacePoint(*d["position"])
-    if d["type"] == "config":
-        return ShownConfig(d["label"], SurfacePoint(*d["position"]))
-    raise SchemaError(f"unknown shown type {d['type']!r}")
+    kind = _str(d["type"])
+    if kind == "object":
+        return _str(d["id"])
+    if kind == "point":
+        return SurfacePoint(*_nums(d["position"], 2))
+    if kind == "config":
+        return ShownConfig(_str(d["label"]), SurfacePoint(*_nums(d["position"], 2)))
+    raise ValueError(f"unknown shown type {kind!r}")
 
 
 def _context(t: Trial) -> dict:
@@ -186,7 +216,7 @@ def _parts(d: dict) -> tuple[Condition, Scene, PointingAct]:
     return (_condition_from_json(d["condition"]),
             Scene(_surface_from_json(d["surface"]),
                   tuple(_object_from_json(od) for od in d["objects"]),
-                  gravity=d["gravity"]),
+                  gravity=_bool(d["gravity"])),
             _act_from_json(d["act"]))
 
 
@@ -210,8 +240,8 @@ def _trial_from_record(rec: dict, ctx: dict,
                 objects[i] if i < len(base) and od == {}
                 else _object_from_json({**base[i], **od} if i < len(base) else od)
                 for i, od in enumerate(rec["objects"]))
-        scene = Scene(surface, objects, gravity=rec.get("gravity", scene.gravity))
-    return Trial(rec["id"], condition, scene, act, _shown_from_json(rec["shown"]))
+        scene = Scene(surface, objects, gravity=_bool(rec.get("gravity", scene.gravity)))
+    return Trial(_str(rec["id"]), condition, scene, act, _shown_from_json(rec["shown"]))
 
 
 def _read_lines(path: str, *schemas: str) -> tuple[dict, list[dict]]:
@@ -259,7 +289,7 @@ def load_trials(path: str) -> list[Trial]:
     header, records = _read_lines(path, TRIALS_SCHEMA, TRIALS_SCHEMA_V1)
     if header["schema"] == TRIALS_SCHEMA_V1:
         def build(rec: dict) -> Trial:
-            return Trial(rec["id"], *_parts({**rec, **rec["scene"]}),
+            return Trial(_str(rec["id"]), *_parts({**rec, **rec["scene"]}),
                          _shown_from_json(rec["shown"]))
     else:
         ctx = header.get("context")
@@ -291,13 +321,6 @@ def save_responses(records: list[ResponseRecord], path: str) -> None:
                              "human": r.human, "meta": r.meta}) + "\n")
 
 
-def _point(value: Any) -> tuple[float, float]:
-    if (isinstance(value, list) and len(value) == 2
-            and all(type(c) in (int, float) and math.isfinite(c) for c in value)):
-        return tuple(value)
-    raise ValueError(f"expected two finite numbers, got {value!r}")
-
-
 def load_responses(path: str) -> list[ResponseRecord]:
     _, records = _read_lines(path, RESPONSES_SCHEMA)
     out = []
@@ -306,7 +329,7 @@ def load_responses(path: str) -> list[ResponseRecord]:
             meta = rec["meta"]
             for key in ("probe", "x_star"):
                 if key in meta:
-                    meta[key] = _point(meta[key])
+                    meta[key] = _nums(meta[key], 2)
             out.append(ResponseRecord(trial_id=rec["trial_id"],
                                       predicted=rec["predicted"],
                                       human=rec["human"], meta=meta))

@@ -299,10 +299,11 @@ def _natural_trials(cond: Condition, seed: int) -> list[Trial]:
             for label, position in NATURAL_CONFIGS]
 
 
-def _predict(trial: Trial, cfg: ResolverConfig) -> tuple[str, dict]:
+def _predict(trial: Trial, descriptor: str,
+             cfg: ResolverConfig) -> tuple[str, dict]:
     cond = trial.condition
     x_star = trial.point_act.target
-    meta: dict = {"condition": cond.descriptor(),
+    meta: dict = {"condition": descriptor,
                   "x_star": (x_star.u, x_star.v)}
     if cond.kind == CLUTTERED:
         obj = trial.scene.object_by_id("mug_object").pose.position
@@ -344,10 +345,14 @@ def _predict(trial: Trial, cfg: ResolverConfig) -> tuple[str, dict]:
 def run(trials: list[Trial],
         cfg: ResolverConfig = ResolverConfig()) -> list[ResponseRecord]:
     """One predicted judgment per trial, preserving order."""
+    descriptors: dict[Condition, str] = {}
     records = []
     for trial in trials:
+        descriptor = descriptors.get(trial.condition)
+        if descriptor is None:
+            descriptor = descriptors[trial.condition] = trial.condition.descriptor()
         try:
-            predicted, meta = _predict(trial, cfg)
+            predicted, meta = _predict(trial, descriptor, cfg)
         except DeixisError as exc:
             raise type(exc)(f"trial {trial.id}: {exc}") from exc
         records.append(ResponseRecord(trial_id=trial.id, predicted=predicted,

@@ -298,56 +298,61 @@ class Scene:
     def z_top(self, oid: str) -> float:
         return self._z_span(self.object_by_id(oid))[1]
 
-    def support_at(self, position: SurfacePoint) -> SceneObject | None:
-        """The object whose top face lies directly beneath `position`, or
-        None for the bare table.  Raises UnknownSupport on a height tie
-        between distinct covering objects."""
-        covering = [o for o in self.objects
-                    if o.footprint.sd(position) <= _CONTAIN_EPS]
+    @cached_property
+    def footprints(self) -> tuple[Footprint, ...]:
+        """Each object's footprint, in `objects` order, built on first use."""
+        return tuple(o.footprint for o in self.objects)
+
+    @cached_property
+    def z_spans(self) -> tuple[tuple[float, float], ...]:
+        """Each object's height span (low, high), in `objects` order."""
+        by_id = {o.id: o for o in self.objects}
+        return tuple(self._z_span(o, by_id) for o in self.objects)
+
+    @cached_property
+    def _regions(self) -> dict[Shape, StableRegion]:
+        """The stable regions built on this scene, by placed shape."""
+        return {}
+
+    def support_index(self, position: SurfacePoint) -> int | None:
+        """Index of the object whose top face lies directly beneath
+        `position` (the highest covering footprint), or None for the bare
+        table.  Raises UnknownSupport on a height tie between distinct
+        covering objects."""
+        spans = self.z_spans
+        covering = [i for i, fp in enumerate(self.footprints)
+                    if fp.sd(position) <= _CONTAIN_EPS]
         if not covering:
             return None
-        covering.sort(key=lambda o: self.z_top(o.id), reverse=True)
+        covering.sort(key=lambda i: spans[i][1], reverse=True)
         if (len(covering) > 1
-                and self.z_top(covering[0].id) - self.z_top(covering[1].id) < HEIGHT_TIE_TOL):
+                and spans[covering[0]][1] - spans[covering[1]][1] < HEIGHT_TIE_TOL):
             raise UnknownSupport(
                 f"position ({position.u:.3f}, {position.v:.3f}) is covered by "
-                f"{covering[0].id} and {covering[1].id} at the same height")
+                f"{self.objects[covering[0]].id} and "
+                f"{self.objects[covering[1]].id} at the same height")
         return covering[0]
+
+    def support_at(self, position: SurfacePoint) -> SceneObject | None:
+        """The object of `support_index`, or None for the bare table."""
+        i = self.support_index(position)
+        return None if i is None else self.objects[i]
 
 
 def is_stable(scene: Scene, shape: Shape, position: SurfacePoint) -> bool:
-    """True iff gravity is off or the center of mass is over its support face.
-
-    The placed footprint must also clear the objects it would meet: on the
-    table every object footprint (a shape whose center is off a stack but
-    whose footprint still overlaps it cannot rest flat), on a top face every
-    object whose height span overlaps the placed shape's, the rule the
-    `Scene` invariant applies to its own objects.
-    """
-    if not scene.gravity:
-        return True
-    support = scene.support_at(position)
-    if support is None:
-        if not scene.surface.contains_surface_point(position, shrink=SUPPORT_MARGIN):
-            return False
-        others = scene.objects
-    else:
-        if support.footprint.sd(position) > -SUPPORT_MARGIN + _CONTAIN_EPS:
-            return False
-        lo = scene.z_top(support.id)
-        others = tuple(o for o in scene.objects
-                       if _z_overlap(scene._z_span(o), (lo, lo + shape.height)))
-    fp = shape.footprint(Pose2D(position))
-    return not any(_overlaps(fp, o.footprint) for o in others)
+    """True iff gravity is off or the center of mass is over its support
+    face and the placed footprint clears what it would meet (see
+    `StableRegion.is_stable`)."""
+    return stable_region(scene, shape).is_stable(position)
 
 
 @dataclass(frozen=True)
 class StableRegion:
     """Set of stable placement positions for a shape in a scene.
 
-    Membership delegates to `is_stable`.  The footprints below only feed
-    `nearest`; under gravity the region is the base outside every hole,
-    plus the islands.
+    Built once per scene and shape (`stable_region`).  Membership reads the
+    scene's cached footprints and the holes below, built once; under
+    gravity the region is the base outside every hole, plus the islands.
     """
 
     scene: Scene
@@ -366,20 +371,45 @@ class StableRegion:
         """Minkowski differences object - shape: placements there overlap
         the object when sd < -COLLISION_TOL."""
         placed = self.shape.footprint(Pose2D(_ORIGIN))
-        return tuple(o.footprint - placed for o in self.scene.objects)
+        return tuple(fp - placed for fp in self.scene.footprints)
 
     @cached_property
     def islands(self) -> tuple[Footprint, ...]:
         """Footprints of the top faces wider than the margin: stable where
         sd <= -SUPPORT_MARGIN, no higher object covers the point and the
         placed shape clears the holes of the objects at its height."""
-        return tuple(o.footprint for o in self.scene.objects
-                     if o.footprint.sd(o.pose.position) < -SUPPORT_MARGIN)
+        return tuple(fp for o, fp in zip(self.scene.objects, self.scene.footprints)
+                     if fp.sd(o.pose.position) < -SUPPORT_MARGIN)
 
     def contains(self, p: SurfacePoint) -> bool:
-        if not self.scene.surface.contains_surface_point(p):
-            return False
-        return is_stable(self.scene, self.shape, p)
+        return (self.scene.surface.contains_surface_point(p)
+                and self.is_stable(p))
+
+    def is_stable(self, p: SurfacePoint) -> bool:
+        """True iff gravity is off or the center of mass is over its support
+        face, whatever the surface extent.
+
+        The placed footprint must also clear the objects it would meet: on
+        the table every object footprint (a shape whose center is off a
+        stack but whose footprint still overlaps it cannot rest flat), on a
+        top face every object whose height span overlaps the placed shape's,
+        the rule the `Scene` invariant applies to its own objects.
+        """
+        scene = self.scene
+        if not scene.gravity:
+            return True
+        i = scene.support_index(p)
+        if i is None:
+            if not scene.surface.contains_surface_point(p, shrink=SUPPORT_MARGIN):
+                return False
+            holes = self.holes
+        else:
+            if scene.footprints[i].sd(p) > -SUPPORT_MARGIN + _CONTAIN_EPS:
+                return False
+            lo = scene.z_spans[i][1]
+            holes = [h for h, span in zip(self.holes, scene.z_spans)
+                     if _z_overlap(span, (lo, lo + self.shape.height))]
+        return not any(h.sd(p) < -COLLISION_TOL - _CONTAIN_EPS for h in holes)
 
     def is_empty(self) -> bool:
         return self.base is None and not self.islands
@@ -425,8 +455,13 @@ class StableRegion:
 
 
 def stable_region(scene: Scene, shape: Shape) -> StableRegion:
-    """All positions where `is_stable` holds; the full extent with gravity off."""
-    return StableRegion(scene, shape)
+    """All positions where `is_stable` holds; the full extent with gravity
+    off.  Built once per scene object and shape and kept on the scene."""
+    regions = scene._regions
+    region = regions.get(shape)
+    if region is None:
+        region = regions[shape] = StableRegion(scene, shape)
+    return region
 
 
 def nearest_stable(scene: Scene, shape: Shape, x: SurfacePoint) -> SurfacePoint:

@@ -99,6 +99,31 @@ class TestRun:
         assert res.exit_code == 0, res.output
 
 
+    @pytest.mark.parametrize("part, field, value", [
+        ((), "gravity", "no"), (("condition",), "speech", "yes")])
+    def test_wrongly_typed_flag_exits_1(self, runner, tmp_path, part, field, value):
+        # a truthy string must not pass for a boolean: "no" would turn
+        # gravity on and change the labels
+        trials = tmp_path / "nat.jsonl"
+        assert runner.invoke(main, ["gen", "--condition", "natural", "--gravity",
+                                    "off", "--out", str(trials)]).exit_code == 0
+        lines = trials.read_text().splitlines()
+        header = json.loads(lines[0])
+        target = header["context"]
+        for key in part:
+            target = target[key]
+        assert type(target[field]) is bool
+        target[field] = value
+        lines[0] = json.dumps(header)
+        trials.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o.jsonl"
+        res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert f"{trials}:1: bad context" in res.output
+        assert res.output.count("\n") == 1
+        assert not out.exists()
+
 class TestStats:
     def test_fisher_table(self, runner):
         res = runner.invoke(main, ["stats", "--test", "fisher",

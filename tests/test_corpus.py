@@ -148,6 +148,16 @@ class TestResponsesRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+
+def _set(d, path, value):
+    for key in path[:-1]:
+        d = d[key]
+    d[path[-1]] = value
+
+
+def _path_id(param):
+    return "/".join(map(str, param)) if isinstance(param, tuple) else repr(param)
+
 class TestSchemaErrors:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.jsonl"
@@ -223,6 +233,45 @@ class TestSchemaErrors:
         lines[3] = line
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match=r"n\.jsonl:4: "):
+            corpus.load_trials(str(p))
+
+    @pytest.mark.parametrize("path, value", [
+        (("gravity",), "no"), (("condition", "speech"), "yes"),
+        (("condition", "reverse"), 0), (("condition", "robot"), ["baxter"]),
+        (("condition", "cone_deg"), True), (("act", "intent"), 1),
+        (("act", "target"), [0.1, None]),
+        (("surface", "extent"), [1.2, float("inf")]),
+        (("objects", 1, "kind"), 7), (("objects", 1, "height"), "0.16"),
+        (("objects", 1, "support"), None),
+        (("objects", 1, "half_extents"), [0.08, False])], ids=_path_id)
+    def test_wrongly_typed_context_field(self, tmp_path, path, value):
+        p = tmp_path / "c.jsonl"
+        corpus.save_trials(make_trials(n=4), str(p), seed=7)
+        lines = p.read_text().splitlines()
+        header = json.loads(lines[0])
+        _set(header["context"], path, value)
+        lines[0] = json.dumps(header)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=r"c\.jsonl:1: bad context"):
+            corpus.load_trials(str(p))
+
+    @pytest.mark.parametrize("path, value", [
+        (("id",), 3), (("gravity",), 1), (("shown", "type"), ["object"]),
+        (("shown", "id"), False), (("shown", "type"), "nowhere"),
+        (("objects", 0, "position"), [True, 0.0]),
+        (("objects", 0, "position"), [float("nan"), 0.0]),
+        (("objects", 0, "position"), [0.1, 0.0, 0.0]),
+        (("objects", 0, "id"), None), (("objects", 0, "yaw_deg"), "0")],
+        ids=_path_id)
+    def test_wrongly_typed_record_field(self, tmp_path, path, value):
+        p = tmp_path / "r.jsonl"
+        corpus.save_trials(make_trials(n=4), str(p), seed=7)
+        lines = p.read_text().splitlines()
+        rec = json.loads(lines[2])
+        _set(rec, path, value)
+        lines[2] = json.dumps(rec)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=r"r\.jsonl:3: bad trial record"):
             corpus.load_trials(str(p))
 
     def test_responses_wrong_schema(self, tmp_path):

@@ -7,9 +7,9 @@ from scipy.spatial import ConvexHull
 
 from deixis.errors import NoStablePlacement, UnknownSupport
 from deixis.geometry import Plane, SurfacePoint, surface_distance
-from deixis.scene import (COLLISION_TOL, SUPPORT_MARGIN, Pose2D, Scene,
-                          SceneObject, Shape, is_stable, nearest_stable,
-                          stable_region)
+from deixis.scene import (COLLISION_TOL, HEIGHT_TIE_TOL, SUPPORT_MARGIN,
+                          TABLE as ON_TABLE, Pose2D, Scene, SceneObject, Shape,
+                          is_stable, nearest_stable, stable_region)
 
 PLANE = Plane.horizontal((1.2, 0.8))
 CUBE = Shape.cube(half=0.03, height=0.06)
@@ -180,6 +180,13 @@ class TestStableRegion:
                 if with_stack.contains(p) and not any(
                         h.sd(p) < -COLLISION_TOL for h in with_stack.holes):
                     assert bare.contains(p)
+
+    def test_one_region_per_scene_and_shape(self):
+        scene = stack_scene()
+        region = stable_region(scene, MUG)
+        assert stable_region(scene, Shape.mug(radius=0.04, height=0.10)) is region
+        assert stable_region(scene, CUBE) is not region
+        assert stable_region(stack_scene(), MUG) is not region
 
     def test_gravity_off_superset(self):
         on = stable_region(stack_scene(True), CUBE)
@@ -382,3 +389,98 @@ class TestExactness:
                 for i in range(-15, 16) for j in range(-15, 16)]
         assert any(region.contains(p) for p in near
                    if surface_distance(p, got) <= step * math.sqrt(2))
+
+
+# Membership against the rule as first written, evaluated per call: every
+# footprint rebuilt at p, overlap as the Minkowski difference placed - object
+# at the origin, support by the highest covering footprint.
+
+def per_call_z_span(scene, obj):
+    by_id = {o.id: o for o in scene.objects}
+    z, cur = 0.0, obj
+    while cur.support != ON_TABLE:
+        cur = by_id[cur.support]
+        z += cur.shape.height
+    return z, z + obj.shape.height
+
+
+def per_call_is_stable(scene, shape, p, eps=1e-12):
+    if not scene.gravity:
+        return True
+    covering = [o for o in scene.objects if o.footprint.sd(p) <= eps]
+    covering.sort(key=lambda o: per_call_z_span(scene, o)[1], reverse=True)
+    if (len(covering) > 1 and per_call_z_span(scene, covering[0])[1]
+            - per_call_z_span(scene, covering[1])[1] < HEIGHT_TIE_TOL):
+        raise UnknownSupport(
+            f"position ({p.u:.3f}, {p.v:.3f}) is covered by "
+            f"{covering[0].id} and {covering[1].id} at the same height")
+    if not covering:
+        if not scene.surface.contains_surface_point(p, shrink=SUPPORT_MARGIN):
+            return False
+        others = scene.objects
+    else:
+        support = covering[0]
+        if support.footprint.sd(p) > -SUPPORT_MARGIN + eps:
+            return False
+        lo = per_call_z_span(scene, support)[1]
+        others = [o for o in scene.objects
+                  if min(per_call_z_span(scene, o)[1], lo + shape.height)
+                  - max(per_call_z_span(scene, o)[0], lo) > 0.0]
+    placed = shape.footprint(Pose2D(p))
+    return not any((placed - o.footprint).sd(SurfacePoint(0.0, 0.0))
+                   < -COLLISION_TOL - eps for o in others)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UnknownSupport as exc:
+        return str(exc)
+
+
+class TestMembership:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(st.lists(st.tuples(placement, st.integers(-1, 3)), min_size=1, max_size=5),
+           round_or_box, st.sampled_from([True, True, False]),
+           st.lists(st.tuples(st.floats(-0.27, 0.27), st.floats(-0.22, 0.22)),
+                    min_size=20, max_size=40))
+    def test_contains_matches_per_call_rule(self, specs, placed, gravity, points):
+        objects = []
+        for i, (spec, below) in enumerate(specs):
+            obj = make_object(i, spec)
+            if 0 <= below < i:  # stacked near the center of an earlier object
+                c, p = objects[below].pose.position, obj.pose.position
+                obj = SceneObject(obj.id, obj.shape,
+                                  Pose2D(SurfacePoint(c.u + 0.2 * p.u, c.v + 0.2 * p.v),
+                                         obj.pose.yaw),
+                                  support=objects[below].id)
+            objects.append(obj)
+        try:
+            scene = Scene(TABLE, tuple(objects), gravity=gravity)
+        except ValueError:
+            assume(False)
+        kind, radius, half_extents = placed
+        shape = Shape(kind, 0.05, radius=radius, half_extents=half_extents)
+        region = stable_region(scene, shape)
+        # points anywhere, plus points at each object's center and just past
+        # its corners or rim, where support and overlap change
+        probes = [SurfacePoint(u, v) for u, v in points]
+        for o in objects:
+            c, r = o.pose.position, o.shape.radius or max(o.shape.half_extents)
+            probes += [c] + [SurfacePoint(c.u + k * r * math.cos(a), c.v + k * r * math.sin(a))
+                             for k in (0.9, 1.02, 1.5) for a in (0.3, 2.0, 4.1)]
+        for p in probes:
+            expected = outcome(per_call_is_stable, scene, shape, p)
+            assert outcome(is_stable, scene, shape, p) == expected
+            assert outcome(region.contains, p) == (
+                expected if scene.surface.contains_surface_point(p) else False)
+
+    def test_support_tie_matches_per_call_rule(self):
+        scene = Scene(PLANE,
+                      (SceneObject("a", BOX, Pose2D(SurfacePoint(-0.1, 0))),
+                       SceneObject("b", BOX, Pose2D(SurfacePoint(0.0995, 0)))))
+        p = SurfacePoint(-0.0003, 0.0)
+        expected = outcome(per_call_is_stable, scene, MUG, p)
+        assert "covered by a and b" in expected
+        assert outcome(stable_region(scene, MUG).contains, p) == expected
