@@ -46,22 +46,21 @@ def main() -> None:
 @click.option("--verb", type=click.Choice(harness.VERBS), default="put",
               show_default=True)
 @click.option("--n", type=int, default=8, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_gen(condition_name: str, variant: str, cone: float | None, robot: str,
             speech: bool, reverse: bool, gravity: str, verb: str, n: int,
             seed: int, out: str) -> None:
     """Generate a seeded trial corpus for one experimental condition."""
-    kind = _CONDITIONS[condition_name]
-    if kind in (harness.REF_VS_LOC, harness.CLUTTERED, harness.VERB_VARIANT):
-        if cone is None:
-            raise click.UsageError("--cone is required for sampled conditions")
     try:
         cond = harness.Condition(
-            kind=kind, variant=variant, robot=robot, speech=speech,
-            reverse=reverse,
+            kind=_CONDITIONS[condition_name], variant=variant, robot=robot,
+            speech=speech, reverse=reverse,
             cone_vertex_angle=None if cone is None else math.radians(cone),
             gravity=(gravity == "on"), verb=verb)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
+    try:
         trials = harness.generate_trials(cond, n, seed)
         corpus.save_trials(trials, out, seed=seed)
     except (DeixisError, ValueError, OSError) as exc:
@@ -206,17 +205,12 @@ def cmd_stats(test_name: str, fixture: str | None, rows: str | None,
 
 def _fisher_collapse_report(as_csv: bool) -> None:
     """Fisher p for every natural-vs-unnatural 2x2 collapse of the fixture."""
-    natural, unnatural = corpus.load_table1_fixture()
+    natural, _ = corpus.load_table1_fixture()
     for config in natural.row_labels:
-        i = natural.row_labels.index(config)
-        for j, label in enumerate(natural.col_labels):
-            a = natural.counts[i][j]
-            b = sum(natural.counts[i]) - a
-            c = unnatural.counts[i][j]
-            d = sum(unnatural.counts[i]) - c
-            table = stats.ContingencyTable(((a, b), (c, d)))
+        table = _fixture_rows(f"natural-{config},unnatural-{config}")
+        for label in natural.col_labels:
             _emit(f"fisher[{config}:{label}-vs-rest]",
-                  stats.fisher_exact_2x2(table), as_csv)
+                  stats.fisher_exact_2x2(_collapse(table, label)), as_csv)
 
 
 @main.command("plot")

@@ -1,4 +1,4 @@
-"""Line-delimited corpus files, embedded fixtures, and CSV export.
+"""Line-delimited corpus files and the embedded judgment fixture.
 
 File layout: one JSON header line followed by one JSON record per line.
 Distances are stored in meters and angles in degrees; every float is written
@@ -18,15 +18,13 @@ part repeated in every record, still load.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from typing import Any
 
 from .errors import SchemaError
 from .geometry import Plane, Point3, Ray, SurfacePoint
-from .harness import (AggregateTable, Condition, ResponseRecord, ShownConfig,
-                      Trial, _q)
+from .harness import Condition, ResponseRecord, ShownConfig, Trial, _q
 from .resolver import PointingAct
 from .scene import Pose2D, Scene, SceneObject, Shape, TABLE
 from .stats import ContingencyTable
@@ -353,19 +351,3 @@ def load_table1_fixture() -> tuple[ContingencyTable, ContingencyTable]:
     unnatural = ContingencyTable(_TABLE1_UNNATURAL, row_labels=_TABLE1_ROWS,
                                  col_labels=_TABLE1_LABELS)
     return natural, unnatural
-
-
-def export_csv(aggregate: AggregateTable, path: str) -> None:
-    """One row per group, stable column order, RFC-4180 quoting."""
-    if not aggregate.rows:
-        raise ValueError("aggregate has no groups")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "n", *aggregate.labels])
-        for key, counts in aggregate.rows:
-            if isinstance(key, tuple):
-                group = ",".join(f"{k:.9g}" if isinstance(k, float) else str(k)
-                                 for k in key)
-            else:
-                group = str(key)
-            writer.writerow([group, sum(counts), *counts])

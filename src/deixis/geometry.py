@@ -25,13 +25,6 @@ def _norm(a: Vec3) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def _normalize(a: Vec3) -> Vec3:
-    n = _norm(a)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return (a[0] / n, a[1] / n, a[2] / n)
-
-
 def _sub(a: Vec3, b: Vec3) -> Vec3:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
@@ -62,11 +55,6 @@ class Ray:
     def __post_init__(self) -> None:
         if abs(_norm(self.direction) - 1.0) > UNIT_TOL:
             raise ValueError("ray direction must be a unit vector")
-
-    @classmethod
-    def through(cls, origin: Point3, target: Point3) -> "Ray":
-        """Ray from `origin` aimed at `target`."""
-        return cls(origin, _normalize(_sub(target.as_tuple(), origin.as_tuple())))
 
     def at(self, t: float) -> Point3:
         o, d = self.origin, self.direction

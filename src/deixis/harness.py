@@ -19,14 +19,13 @@ from .resolver import (AMBIGUOUS, CORRECT, INCORRECT, LOCATING, NEARER,
                        classify_outcome, predict_cluttered, resolve)
 from .sampling import SampleConfig, cluttered_pair, sample_positions, substream_seed
 from .scene import Scene, SceneObject, Shape, Pose2D
-from .stats import ContingencyTable
 
 REF_VS_LOC = "ref_vs_loc"
 CLUTTERED = "cluttered"
 NATURAL = "natural_vs_unnatural"
 VERB_VARIANT = "verb_variant"
 
-LABELS = (CORRECT, INCORRECT, AMBIGUOUS, NEARER, "farther")
+LABELS = (CORRECT, INCORRECT, AMBIGUOUS, NEARER)
 
 CONE_ANGLES_DEG = (45.0, 67.5, 90.0)
 VERBS = ("put", "place", "move", "push")
@@ -93,12 +92,14 @@ class Condition:
             raise ValueError(f"unknown verb {self.verb!r}")
         if self.variant not in (REFERENTIAL, LOCATING):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.kind in (REF_VS_LOC, CLUTTERED, VERB_VARIANT):
-            if self.cone_vertex_angle is None:
-                raise ValueError(f"{self.kind} requires a cone vertex angle")
-            deg = math.degrees(self.cone_vertex_angle)
-            if not any(abs(deg - d) < 1e-9 for d in CONE_ANGLES_DEG):
-                raise ValueError("cone vertex angle must be 45, 67.5 or 90 degrees")
+        if self.kind == NATURAL:
+            if self.cone_vertex_angle is not None:
+                raise ValueError(f"{self.kind} takes no cone vertex angle")
+        elif self.cone_vertex_angle is None:
+            raise ValueError(f"{self.kind} requires a cone vertex angle")
+        elif not any(abs(math.degrees(self.cone_vertex_angle) - d) < 1e-9
+                     for d in CONE_ANGLES_DEG):
+            raise ValueError("cone vertex angle must be 45, 67.5 or 90 degrees")
 
     def descriptor(self) -> str:
         parts = [self.kind]
@@ -148,17 +149,6 @@ class AggregateTable:
     group_by: str
     labels: tuple[str, ...]
     rows: tuple[tuple[object, tuple[int, ...]], ...]
-
-    def fractions(self) -> tuple[tuple[object, tuple[float, ...]], ...]:
-        out = []
-        for key, counts in self.rows:
-            n = sum(counts)
-            out.append((key, tuple(c / n for c in counts)))
-        return tuple(out)
-
-    @property
-    def total(self) -> int:
-        return sum(sum(counts) for _, counts in self.rows)
 
 
 def pointer_ray(target: SurfacePoint, plane: Plane, robot: str) -> Ray:
@@ -381,16 +371,3 @@ def aggregate(records: list[ResponseRecord], group_by: str = "condition") -> Agg
     rows = tuple((key, tuple(counter.get(lbl, 0) for lbl in LABELS))
                  for key, counter in groups.items())
     return AggregateTable(group_by=group_by, labels=LABELS, rows=rows)
-
-
-def to_contingency(records_a: list[ResponseRecord], records_b: list[ResponseRecord],
-                   labels: tuple[str, ...] = (CORRECT, INCORRECT, AMBIGUOUS),
-                   row_labels: tuple[str, str] = ("a", "b")) -> ContingencyTable:
-    """2 x len(labels) table of predicted-label counts for two record sets."""
-    if not records_a or not records_b:
-        raise EmptyInput("both record sets must be nonempty")
-    rows = []
-    for recs in (records_a, records_b):
-        counter = Counter(r.predicted for r in recs)
-        rows.append(tuple(counter.get(lbl, 0) for lbl in labels))
-    return ContingencyTable(tuple(rows), row_labels=row_labels, col_labels=labels)

@@ -20,7 +20,6 @@ CORRECT = "correct"
 INCORRECT = "incorrect"
 AMBIGUOUS = "ambiguous"
 NEARER = "nearer"
-FARTHER = "farther"
 
 
 @dataclass(frozen=True)
@@ -47,12 +46,10 @@ class PointingAct:
 class ResolverConfig:
     """epsilon: tolerance added to theta (10 cm per the simulation scale).
     ambiguity_band: extra slack separating ambiguous from incorrect for
-    locating outcomes.  max_range: optional hard selection cap, off by
-    default (referential selection otherwise has no maximum range)."""
+    locating outcomes."""
 
     epsilon: float = 0.10
     ambiguity_band: float = 0.10
-    max_range: float | None = None
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0.0:
@@ -129,8 +126,6 @@ def resolve(cands: CandidateSet, x_star: SurfacePoint,
         dists = {oid: surface_distance(pos, x_star) for oid, pos in cands.items}
         theta = min(dists.values())
         cutoff = theta + cfg.epsilon
-        if cfg.max_range is not None:
-            cutoff = min(cutoff, cfg.max_range)
         selected = frozenset(oid for oid, d in dists.items() if d <= cutoff)
         return Resolution(theta=theta, selected_ids=selected,
                           ambiguous=len(selected) > 1)

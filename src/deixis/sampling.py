@@ -1,23 +1,20 @@
 """Seeded position generation inside a cone's elliptical section.
 
 RNG contract: PCG64 seeded through numpy's SeedSequence(entropy=seed).
-`sample_positions` and `augment_dispersion` draw everything from that one
-stream, so position i of an n-trial set depends on n.  Only cluttered pairs
-have one substream per trial index: the harness seeds `cluttered_pair` for
-trial i with `substream_seed(seed, i)`, derived from
-SeedSequence(entropy=seed, spawn_key=(i,)), so pair i does not depend on n.
+`sample_positions` draws everything from that one stream, so position i of
+an n-trial set depends on n.  Only cluttered pairs have one substream per
+trial index: the harness seeds `cluttered_pair` for trial i with
+`substream_seed(seed, i)`, derived from SeedSequence(entropy=seed,
+spawn_key=(i,)), so pair i does not depend on n.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidCount
 from .geometry import Ellipse, SurfacePoint
-
-POOL_SIZE = 512
 
 # local-frame sign pattern of quadrants q1..q4 (counter-clockwise)
 _QUADRANT_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
@@ -55,15 +52,6 @@ class ClutteredPair:
     offset: float
 
 
-def quadrant_of(ellipse: Ellipse, p: SurfacePoint) -> int:
-    """Quadrant index 0..3 in the ellipse's axis frame."""
-    x, y = ellipse.to_local(p)
-    for k, (sx, sy) in enumerate(_QUADRANT_SIGNS):
-        if x * sx >= 0.0 and y * sy >= 0.0:
-            return k
-    raise AssertionError("unreachable")
-
-
 def _fill_quadrant(rng: np.random.Generator, ellipse: Ellipse, quadrant: int,
                    count: int) -> list[SurfacePoint]:
     # Rejection sampling from the quadrant's bounding box; acceptance pi/4.
@@ -90,46 +78,6 @@ def sample_positions(ellipse: Ellipse, config: SampleConfig) -> list[SurfacePoin
     for q in range(4):
         points.extend(_fill_quadrant(rng, ellipse, q, per))
     return points
-
-
-def _uniform_pool(rng: np.random.Generator, ellipse: Ellipse, count: int) -> np.ndarray:
-    a, b = ellipse.semi_major, ellipse.semi_minor
-    pts = np.empty((0, 2))
-    while len(pts) < count:
-        m = max(2 * (count - len(pts)), 8)
-        xy = rng.random((m, 2)) * (2.0, 2.0) - 1.0
-        keep = (xy[:, 0] ** 2 + xy[:, 1] ** 2) < 1.0
-        pts = np.vstack([pts, xy[keep]])
-    pts = pts[:count] * (a, b)
-    c, s = math.cos(ellipse.orientation), math.sin(ellipse.orientation)
-    rot = np.array([[c, s], [-s, c]])
-    return pts @ rot + (ellipse.center.u, ellipse.center.v)
-
-
-def augment_dispersion(existing: list[SurfacePoint], ellipse: Ellipse, k: int,
-                       seed: int) -> list[SurfacePoint]:
-    """Append k greedy maximin points drawn from 512-candidate pools.
-
-    Each step picks, from a fresh uniform pool, the candidate maximizing the
-    minimum distance to everything chosen so far.  With nothing chosen yet
-    the first pick is the pool candidate farthest from the section center.
-    """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    rng = _rng(seed)
-    out = list(existing)
-    chosen = np.array([[p.u, p.v] for p in out]).reshape(len(out), 2)
-    for _ in range(k):
-        pool = _uniform_pool(rng, ellipse, POOL_SIZE)
-        if len(chosen) == 0:
-            ref = np.array([[ellipse.center.u, ellipse.center.v]])
-        else:
-            ref = chosen
-        dmin = np.min(np.linalg.norm(pool[:, None, :] - ref[None, :, :], axis=2), axis=1)
-        pick = pool[int(np.argmax(dmin))]
-        chosen = np.vstack([chosen, pick])
-        out.append(SurfacePoint(float(pick[0]), float(pick[1])))
-    return out
 
 
 def cluttered_pair(ellipse: Ellipse, seed: int) -> ClutteredPair:

@@ -204,10 +204,6 @@ class Shape:
         return cls("mug", height, radius=radius)
 
     @classmethod
-    def saucer(cls, radius: float, height: float) -> "Shape":
-        return cls("saucer", height, radius=radius)
-
-    @classmethod
     def cube(cls, half: float, height: float) -> "Shape":
         return cls("cube", height, half_extents=(half, half))
 
@@ -280,8 +276,8 @@ class Scene:
                     and _overlaps(a.footprint, b.footprint)):
                 raise ValueError(f"objects {a.id} and {b.id} overlap")
 
-    def _z_span(self, obj: SceneObject, by_id: dict[str, SceneObject] | None = None) -> tuple[float, float]:
-        by_id = by_id or {o.id: o for o in self.objects}
+    def _z_span(self, obj: SceneObject,
+                by_id: dict[str, SceneObject]) -> tuple[float, float]:
         z = 0.0
         cur = obj
         while cur.support != TABLE:
@@ -294,9 +290,6 @@ class Scene:
             if o.id == oid:
                 return o
         raise KeyError(oid)
-
-    def z_top(self, oid: str) -> float:
-        return self._z_span(self.object_by_id(oid))[1]
 
     @cached_property
     def footprints(self) -> tuple[Footprint, ...]:
@@ -332,18 +325,6 @@ class Scene:
                 f"{self.objects[covering[0]].id} and "
                 f"{self.objects[covering[1]].id} at the same height")
         return covering[0]
-
-    def support_at(self, position: SurfacePoint) -> SceneObject | None:
-        """The object of `support_index`, or None for the bare table."""
-        i = self.support_index(position)
-        return None if i is None else self.objects[i]
-
-
-def is_stable(scene: Scene, shape: Shape, position: SurfacePoint) -> bool:
-    """True iff gravity is off or the center of mass is over its support
-    face and the placed footprint clears what it would meet (see
-    `StableRegion.is_stable`)."""
-    return stable_region(scene, shape).is_stable(position)
 
 
 @dataclass(frozen=True)
@@ -455,18 +436,11 @@ class StableRegion:
 
 
 def stable_region(scene: Scene, shape: Shape) -> StableRegion:
-    """All positions where `is_stable` holds; the full extent with gravity
-    off.  Built once per scene object and shape and kept on the scene."""
+    """All positions where `StableRegion.is_stable` holds; the full extent
+    with gravity off.  Built once per scene object and shape and kept on the
+    scene."""
     regions = scene._regions
     region = regions.get(shape)
     if region is None:
         region = regions[shape] = StableRegion(scene, shape)
     return region
-
-
-def nearest_stable(scene: Scene, shape: Shape, x: SurfacePoint) -> SurfacePoint:
-    """Closest stable placement to `x` (x itself when already stable)."""
-    region = stable_region(scene, shape)
-    if region.is_empty():
-        raise NoStablePlacement("stable region is empty")
-    return region.nearest(x)

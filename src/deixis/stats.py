@@ -38,11 +38,6 @@ class ContingencyTable:
         if self.col_labels and len(self.col_labels) != len(self.counts[0]):
             raise ValueError("column label count mismatch")
 
-    @classmethod
-    def from_rows(cls, *rows: tuple[int, ...], row_labels: tuple[str, ...] = (),
-                  col_labels: tuple[str, ...] = ()) -> "ContingencyTable":
-        return cls(tuple(tuple(r) for r in rows), row_labels, col_labels)
-
     @property
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.counts)

@@ -2,9 +2,9 @@
 
 Each flag set below is regenerated through the CLI and every output file is
 compared by sha256 with the digest recorded for it: the paper's 11 trial
-sets at n=8 (trials, responses and SVG) and the locating sweep at n=4000
-(responses).  A change that alters any byte of these outputs fails here.
-To record new digests after a deliberate output change, run
+sets and one verbs set at n=8 (trials, responses and SVG) and the locating
+sweep at n=4000 (responses).  A change that alters any byte of these
+outputs fails here.  To record new digests after a deliberate output change, run
 
     PYTHONPATH=src python tests/test_byte_stability.py
 
@@ -32,6 +32,11 @@ PAPER_SETS = {
     **{f"nat-{g}": (("--condition", "natural", "--gravity", g), "scatter-pies")
        for g in ("on", "off")},
 }
+# the one set that sets --verb, --robot, --no-speech and --reverse
+SETS = {**PAPER_SETS,
+        "verb-push": (("--condition", "verbs", "--variant", "locating",
+                       "--cone", "67.5", "--verb", "push", "--no-speech",
+                       "--reverse", "--robot", "kuka"), "scatter-pies")}
 SWEEP_FLAGS = ("--condition", "ref-vs-loc", "--variant", "locating",
                "--cone", "90", "--n", "4000")
 
@@ -69,6 +74,9 @@ DIGESTS = {
     "ref-90": ("34483fe3fd6874a8bafe9db0799bc3d06be40c9fe77dcfc0bd722b4564fd5c20",
                "60ccd89338f744c3d34ba1408682e0c08fb16958d4d6bf4868ece065e2f35f2a",
                "70603e1061e5a77cef9d45a21baca80da16055694a8ec4591332022567b044b8"),
+    "verb-push": ("e5c030fa2c2f8bdbd091d37e2567baec0fc2e587b510a6fa7745c2d769f9d15a",
+                  "9448b0bd860cfc000d9e995d4b2036ab0144d89e7e3802ce8c6645e924f0c46c",
+                  "8737ab89bfdb1300b3b62b9640318aa304e4e99c2cc85c258d4904f4318084d4"),
     "loc-90-n4000": "caea1f96134eac2ab72accdc9776d1a3fc230ee679e78942dc8774cd859daf42",
 }
 
@@ -83,8 +91,8 @@ def _sha(path: Path) -> str:
 
 
 def paper_digests(name: str, tmp: Path) -> tuple[str, str, str]:
-    """sha256 of the trials, responses and SVG of one paper-grid set."""
-    flags, kind = PAPER_SETS[name]
+    """sha256 of the trials, responses and SVG of one set of `SETS`."""
+    flags, kind = SETS[name]
     trials, resp, svg = (tmp / f"{name}.{ext}" for ext in ("t.jsonl", "r.jsonl", "svg"))
     _invoke("gen", *flags, "--seed", SEED, "--out", str(trials))
     _invoke("run", "--in", str(trials), "--out", str(resp))
@@ -105,6 +113,10 @@ def test_paper_set_bytes(name, tmp_path):
     assert paper_digests(name, tmp_path) == DIGESTS[name]
 
 
+def test_verb_set_bytes(tmp_path):
+    assert paper_digests("verb-push", tmp_path) == DIGESTS["verb-push"]
+
+
 def test_locating_sweep_response_bytes(tmp_path):
     assert sweep_digest(tmp_path) == DIGESTS["loc-90-n4000"]
 
@@ -115,7 +127,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         print("DIGESTS = {")
-        for name in sorted(PAPER_SETS):
+        for name in sorted(SETS):
             trials, responses, svg = paper_digests(name, tmp)
             pad = " " * (len(name) + 9)
             print(f'    "{name}": ("{trials}",\n{pad}"{responses}",\n{pad}"{svg}"),')

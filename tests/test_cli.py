@@ -45,6 +45,21 @@ class TestGen:
                                    "--out", str(tmp_path / "x.jsonl")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--condition", "natural", "--seed", "-1"), "x>=0"),
+        (("--condition", "cluttered", "--cone", "45", "--seed", "-1"), "x>=0"),
+        (("--condition", "natural", "--cone", "30"), "takes no cone"),
+        (("--condition", "natural", "--cone", "45"), "takes no cone"),
+        (("--condition", "ref-vs-loc", "--cone", "30"), "45, 67.5 or 90"),
+    ], ids=["natural-seed", "cluttered-seed", "natural-cone-30",
+            "natural-cone-45", "cone-30"])
+    def test_bad_flags_exit_2(self, runner, tmp_path, flags, message):
+        out = tmp_path / "x.jsonl"
+        res = runner.invoke(main, ["gen", *flags, "--out", str(out)])
+        assert res.exit_code == 2
+        assert message in res.output
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, runner, tmp_path):
         a = gen(runner, tmp_path)
         data = a.read_bytes()

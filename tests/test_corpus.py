@@ -1,4 +1,3 @@
-import csv
 import json
 import math
 from dataclasses import replace
@@ -294,32 +293,3 @@ class TestTable1Fixture:
         # the published natural "table" row sums to 32 despite the table's
         # out-of-30 caption; the fixture keeps the printed counts
         assert natural.row_sums == (30, 30, 32)
-
-
-class TestExportCsv:
-    def test_single_group(self, tmp_path):
-        p = tmp_path / "a.csv"
-        records = harness.run(make_trials())
-        corpus.export_csv(harness.aggregate(records, "condition"), str(p))
-        lines = p.read_text().splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("group,n,")
-
-    def test_comma_keys_quoted_and_reparse(self, tmp_path):
-        p = tmp_path / "b.csv"
-        records = harness.run(make_trials())
-        agg = harness.aggregate(records, "position")
-        corpus.export_csv(agg, str(p))
-        with open(p, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header, body = rows[0], rows[1:]
-        assert len(body) == len(agg.rows)
-        for (key, counts), row in zip(agg.rows, body):
-            assert "," in row[0]  # (u, v) keys keep their comma when quoted
-            assert tuple(int(c) for c in row[2:]) == counts
-            assert int(row[1]) == sum(counts)
-
-    def test_empty_aggregate(self, tmp_path):
-        agg = harness.AggregateTable("condition", harness.LABELS, ())
-        with pytest.raises(ValueError):
-            corpus.export_csv(agg, str(tmp_path / "x.csv"))

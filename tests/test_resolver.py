@@ -100,11 +100,6 @@ class TestResolve:
         res = resolve(cs, SurfacePoint(0.098, 0.0), CFG)
         assert res.theta == pytest.approx(0.003, abs=1e-9)
 
-    def test_max_range_caps_selection(self):
-        cs = discrete((0.5, 0.0), (0.58, 0.0))
-        res = resolve(cs, SurfacePoint(0, 0), ResolverConfig(max_range=0.55))
-        assert res.selected_ids == frozenset({"o0"})
-
 
 class TestClassify:
     def test_single_mug_always_correct(self):

@@ -1,17 +1,25 @@
 import math
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from deixis.errors import InvalidCount
 from deixis.geometry import Ellipse, SurfacePoint, surface_distance
-from deixis.sampling import (POOL_SIZE, SampleConfig, augment_dispersion,
-                             cluttered_pair, quadrant_of, sample_positions,
+from deixis.sampling import (SampleConfig, cluttered_pair, sample_positions,
                              substream_seed)
 
 CIRCLE = Ellipse(SurfacePoint(0.0, 0.0), 1.0, 1.0, 0.0)
 TILTED = Ellipse(SurfacePoint(0.3, -0.1), 0.8, 0.5, 0.6)
+
+
+def quadrant_of(ellipse, p):
+    """Quadrant index 0..3, counter-clockwise from (+, +), in the ellipse's
+    axis frame."""
+    x, y = ellipse.to_local(p)
+    for k, (sx, sy) in enumerate(((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))):
+        if x * sx >= 0.0 and y * sy >= 0.0:
+            return k
+    raise AssertionError("unreachable")
 
 
 class TestSamplePositions:
@@ -63,44 +71,6 @@ class TestSamplePositions:
             stat = sum((bins.get((i, j), 0) - exp) ** 2 / exp
                        for i in range(4) for j in range(4))
             assert stat < crit
-
-
-class TestDispersion:
-    def test_center_seed_pushes_to_boundary(self):
-        for seed in range(5):
-            out = augment_dispersion([SurfacePoint(0, 0)], CIRCLE, 1, seed)
-            assert len(out) == 2
-            assert surface_distance(out[0], out[1]) >= 0.9
-
-    def test_output_size(self):
-        existing = [SurfacePoint(0.1, 0.1), SurfacePoint(-0.2, 0.3)]
-        out = augment_dispersion(existing, CIRCLE, 5, 2)
-        assert len(out) == 7
-        assert out[:2] == existing
-
-    def test_beats_random_subsets(self):
-        def pairwise_min(pts):
-            return min(math.dist(a, b)
-                       for i, a in enumerate(pts) for b in pts[i + 1:])
-
-        rng = np.random.default_rng(123)
-        best = 0.0
-        for _ in range(10_000):
-            pts = []
-            while len(pts) < 4:
-                x, y = rng.uniform(-1, 1, 2)
-                if x * x + y * y < 1.0:
-                    pts.append((x, y))
-            best = max(best, pairwise_min(pts))
-        got = augment_dispersion([], CIRCLE, 4, 7)
-        assert pairwise_min([(p.u, p.v) for p in got]) >= best
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            augment_dispersion([], CIRCLE, 0, 1)
-
-    def test_pool_size_constant(self):
-        assert POOL_SIZE == 512
 
 
 class TestClutteredPair:

@@ -9,7 +9,7 @@ from deixis.errors import NoStablePlacement, UnknownSupport
 from deixis.geometry import Plane, SurfacePoint, surface_distance
 from deixis.scene import (COLLISION_TOL, HEIGHT_TIE_TOL, SUPPORT_MARGIN,
                           TABLE as ON_TABLE, Pose2D, Scene, SceneObject, Shape,
-                          is_stable, nearest_stable, stable_region)
+                          stable_region)
 
 PLANE = Plane.horizontal((1.2, 0.8))
 CUBE = Shape.cube(half=0.03, height=0.06)
@@ -87,7 +87,7 @@ class TestSceneValidation:
 
     def test_stacked_objects_allowed(self):
         scene = stack_scene()
-        assert scene.z_top("top") == pytest.approx(0.20)
+        assert scene.z_spans[1] == pytest.approx((0.10, 0.20))
 
     def test_support_tie_is_ambiguous(self):
         # footprints overlap by 0.5 mm, under the collision tolerance
@@ -95,38 +95,40 @@ class TestSceneValidation:
                       (SceneObject("a", BOX, Pose2D(SurfacePoint(-0.1, 0))),
                        SceneObject("b", BOX, Pose2D(SurfacePoint(0.0995, 0)))))
         with pytest.raises(UnknownSupport):
-            scene.support_at(SurfacePoint(-0.0003, 0.0))
+            scene.support_index(SurfacePoint(-0.0003, 0.0))
 
 
 class TestIsStable:
     def test_centered_on_stack_top(self):
-        assert is_stable(stack_scene(), CUBE, SurfacePoint(0.2, 0.0))
+        assert stable_region(stack_scene(), CUBE).is_stable(SurfacePoint(0.2, 0.0))
 
     def test_com_beyond_top_face(self):
         # 1 cm past the face edge at u = 0.3
-        assert not is_stable(stack_scene(), CUBE, SurfacePoint(0.31, 0.0))
+        region = stable_region(stack_scene(), CUBE)
+        assert not region.is_stable(SurfacePoint(0.31, 0.0))
 
     def test_inside_margin_ring_unstable(self):
         # inside the face but within the 5 mm shrink margin
-        assert not is_stable(stack_scene(), CUBE, SurfacePoint(0.297, 0.0))
+        region = stable_region(stack_scene(), CUBE)
+        assert not region.is_stable(SurfacePoint(0.297, 0.0))
 
     def test_gravity_off_everything_stable(self):
-        scene = stack_scene(gravity=False)
-        assert is_stable(scene, CUBE, SurfacePoint(0.31, 0.0))
-        assert is_stable(scene, CUBE, SurfacePoint(-0.59, 0.39))
+        region = stable_region(stack_scene(gravity=False), CUBE)
+        assert region.is_stable(SurfacePoint(0.31, 0.0))
+        assert region.is_stable(SurfacePoint(-0.59, 0.39))
 
     def test_bare_table(self):
-        scene = Scene(PLANE)
-        assert is_stable(scene, CUBE, SurfacePoint(0, 0))
-        assert not is_stable(scene, CUBE, SurfacePoint(0.598, 0.0))
+        region = stable_region(Scene(PLANE), CUBE)
+        assert region.is_stable(SurfacePoint(0, 0))
+        assert not region.is_stable(SurfacePoint(0.598, 0.0))
 
     def test_top_face_placement_clears_objects_standing_on_it(self):
         # the mug's center is over the box top, off the small cube standing
         # on it, but its footprint would overlap the cube
-        scene = small_cube_on_box()
-        assert not is_stable(scene, MUG, SurfacePoint(0.0301, 0.0))
-        assert is_stable(scene, MUG, SurfacePoint(0.075, 0.0))
-        assert is_stable(scene, MUG, SurfacePoint(0.0, 0.0))  # on the cube
+        region = stable_region(small_cube_on_box(), MUG)
+        assert not region.is_stable(SurfacePoint(0.0301, 0.0))
+        assert region.is_stable(SurfacePoint(0.075, 0.0))
+        assert region.is_stable(SurfacePoint(0.0, 0.0))  # on the cube
 
     def test_nearest_beside_a_stacked_cube_is_stable(self):
         region = stable_region(small_cube_on_box(), MUG)
@@ -151,8 +153,7 @@ class TestStableRegion:
         assert region.contains(SurfacePoint(0.6, 0.4))
 
     def test_grid_agreement_with_is_stable(self):
-        scene = stack_scene()
-        region = stable_region(scene, CUBE)
+        region = stable_region(stack_scene(), CUBE)
 
         def primitive_member(p):
             if any(i.sd(p) <= -SUPPORT_MARGIN for i in region.islands):
@@ -165,8 +166,8 @@ class TestStableRegion:
         for i in range(-60, 61, 2):
             for j in range(-40, 41, 2):
                 p = SurfacePoint(i / 100.0, j / 100.0)
-                assert primitive_member(p) == is_stable(scene, CUBE, p)
-                assert region.contains(p) == is_stable(scene, CUBE, p)
+                assert primitive_member(p) == region.is_stable(p)
+                assert region.contains(p) == region.is_stable(p)
                 n += 1
         assert n > 1000
 
@@ -202,21 +203,22 @@ class TestNearestStable:
     def test_identity_when_stable(self):
         scene = stack_scene()
         p = SurfacePoint(0.2, 0.0)
-        assert nearest_stable(scene, CUBE, p) == p
+        assert stable_region(scene, CUBE).nearest(p) == p
 
     def test_gravity_off_identity(self):
         scene = stack_scene(gravity=False)
         p = SurfacePoint(0.31, 0.0)
-        assert nearest_stable(scene, CUBE, p) == p
+        assert stable_region(scene, CUBE).nearest(p) == p
 
     def grid_oracle(self, scene, shape, x, step=0.001):
+        region = stable_region(scene, shape)
         best, best_d = None, math.inf
         for i in range(-80, 81):
             for j in range(-80, 81):
                 p = SurfacePoint(x.u + i * step, x.v + j * step)
                 if abs(p.u) > 0.6 or abs(p.v) > 0.4:
                     continue
-                if not is_stable(scene, shape, p):
+                if not region.is_stable(p):
                     continue
                 d = surface_distance(p, x)
                 if d < best_d:
@@ -226,7 +228,7 @@ class TestNearestStable:
     def test_stack_edge_matches_grid_oracle(self):
         scene = stack_scene()
         x = SurfacePoint(0.302, 0.0)  # just past the top face edge
-        got = nearest_stable(scene, CUBE, x)
+        got = stable_region(scene, CUBE).nearest(x)
         oracle, oracle_d = self.grid_oracle(scene, CUBE, x)
         assert oracle is not None
         assert surface_distance(got, oracle) <= 0.002
@@ -235,11 +237,12 @@ class TestNearestStable:
     def test_nearest_never_beaten_on_probe_grid(self):
         scene = stack_scene()
         x = SurfacePoint(0.305, 0.02)
-        d_got = surface_distance(nearest_stable(scene, CUBE, x), x)
+        region = stable_region(scene, CUBE)
+        d_got = surface_distance(region.nearest(x), x)
         for i in range(-60, 61):
             for j in range(-40, 41):
                 p = SurfacePoint(i / 100.0, j / 100.0)
-                if is_stable(scene, CUBE, p):
+                if region.is_stable(p):
                     assert d_got <= surface_distance(p, x) + 1e-9
 
     def test_no_stable_placement(self):
@@ -247,14 +250,14 @@ class TestNearestStable:
         region = stable_region(Scene(tiny), CUBE)
         assert region.is_empty()
         with pytest.raises(NoStablePlacement):
-            nearest_stable(Scene(tiny), CUBE, SurfacePoint(0, 0))
+            region.nearest(SurfacePoint(0, 0))
 
     def test_round_shape_beside_box_corner(self):
         # the exact distance from x to the mug's hole around the cube corner:
         # the rounded corner has radius 0.04 - COLLISION_TOL
         scene = Scene(PLANE, (SceneObject("cube", CUBE, Pose2D(SurfacePoint(0, 0))),))
         x = SurfacePoint(0.055, 0.055)
-        got = nearest_stable(scene, Shape.mug(0.04, 0.10), x)
+        got = stable_region(scene, Shape.mug(0.04, 0.10)).nearest(x)
         assert surface_distance(got, x) == pytest.approx(
             0.039 - 0.025 * math.sqrt(2), abs=1e-6)
 
@@ -472,7 +475,7 @@ class TestMembership:
                              for k in (0.9, 1.02, 1.5) for a in (0.3, 2.0, 4.1)]
         for p in probes:
             expected = outcome(per_call_is_stable, scene, shape, p)
-            assert outcome(is_stable, scene, shape, p) == expected
+            assert outcome(region.is_stable, p) == expected
             assert outcome(region.contains, p) == (
                 expected if scene.surface.contains_surface_point(p) else False)
 
