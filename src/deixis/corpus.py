@@ -13,8 +13,15 @@ fields of `condition`, `act` and `surface`, `gravity`, and `objects`
 matched by index, each holding only its differing fields (`{}` when
 unchanged; an object past the context's list is written whole).  A locating
 record carries no scene; referential and cluttered records carry only the
-mug positions.  Files of the earlier `deixis-trials-1` schema, with every
-part repeated in every record, still load.
+mug positions.  Such a record (no surface or gravity override, the context's
+object count, each override holding only `position`) loads as the context
+scene with those objects moved (`Scene.moved`): only the moved objects and
+the overlap pairs that include one are checked, with the errors a freshly
+built scene raises.  Files of the earlier `deixis-trials-1` schema, with
+every part repeated in every record, still load.
+
+Responses are written as `harness.run` makes them: every float in `meta` is
+already quantized, so records are encoded without another pass.
 """
 from __future__ import annotations
 
@@ -24,7 +31,7 @@ from typing import Any
 
 from .errors import SchemaError
 from .geometry import Plane, Point3, Ray, SurfacePoint
-from .harness import Condition, ResponseRecord, ShownConfig, Trial, _q
+from .harness import LABELS, Condition, ResponseRecord, ShownConfig, Trial, _q
 from .resolver import PointingAct
 from .scene import Pose2D, Scene, SceneObject, Shape, TABLE
 from .stats import ContingencyTable
@@ -173,7 +180,15 @@ def _context(t: Trial) -> dict:
 
 
 def _diff(new: dict, old: dict) -> dict:
-    return {k: v for k, v in new.items() if old[k] != v}
+    """The fields of raw `new` whose quantized values differ from the
+    quantized `old`; only fields whose raw values differ are quantized."""
+    out = {}
+    for k, v in new.items():
+        if v != old[k]:
+            v = _quantize(v)
+            if v != old[k]:
+                out[k] = v
+    return out
 
 
 def _record(t: Trial, first: Trial, ctx: dict) -> dict:
@@ -188,7 +203,7 @@ def _record(t: Trial, first: Trial, ctx: dict) -> dict:
         parts.append(("surface", s.surface, s0.surface, _surface_to_json))
     for key, part, part0, to_json in parts:
         if part is not part0:
-            diff = _diff(_quantize(to_json(part)), ctx[key])
+            diff = _diff(to_json(part), ctx[key])
             if diff:
                 rec[key] = diff
     if s is s0:
@@ -202,8 +217,8 @@ def _record(t: Trial, first: Trial, ctx: dict) -> dict:
             if i < len(base) and o is s0.objects[i]:
                 objects.append({})
                 continue
-            od = _quantize(_object_to_json(o))
-            objects.append(_diff(od, base[i]) if i < len(base) else od)
+            od = _object_to_json(o)
+            objects.append(_diff(od, base[i]) if i < len(base) else _quantize(od))
         if len(objects) != len(base) or any(objects):
             rec["objects"] = objects
     return rec
@@ -218,16 +233,36 @@ def _parts(d: dict) -> tuple[Condition, Scene, PointingAct]:
             _act_from_json(d["act"]))
 
 
+def _moved_positions(rec: dict, count: int) -> dict[int, SurfacePoint] | None:
+    """The new positions, by object index, of a record whose scene differs
+    from the context only in object positions (no surface or gravity
+    override, `count` objects, each override holding only `position`);
+    None for every other record."""
+    objects = rec.get("objects")
+    if ("surface" in rec or "gravity" in rec or type(objects) is not list
+            or len(objects) != count
+            or not all(type(od) is dict and od.keys() <= {"position"}
+                       for od in objects)):
+        return None
+    return {i: SurfacePoint(*_nums(od["position"], 2))
+            for i, od in enumerate(objects) if od}
+
+
 def _trial_from_record(rec: dict, ctx: dict,
                        shared: tuple[Condition, Scene, PointingAct]) -> Trial:
     """A v2 record applied to the context; a part without overrides is the
-    context's own object, shared by every such record."""
+    context's own object, shared by every such record.  A record that only
+    moves objects gets the context scene with those objects moved, checked
+    only where the move can change the answer."""
     condition, scene, act = shared
     if "condition" in rec:
         condition = _condition_from_json({**ctx["condition"], **rec["condition"]})
     if "act" in rec:
         act = _act_from_json({**ctx["act"], **rec["act"]})
-    if "surface" in rec or "gravity" in rec or "objects" in rec:
+    positions = _moved_positions(rec, len(scene.objects))
+    if positions is not None:
+        scene = scene.moved(positions)
+    elif "surface" in rec or "gravity" in rec or "objects" in rec:
         surface = scene.surface
         if "surface" in rec:
             surface = _surface_from_json({**ctx["surface"], **rec["surface"]})
@@ -311,12 +346,14 @@ def load_trials(path: str) -> list[Trial]:
 
 
 def save_responses(records: list[ResponseRecord], path: str) -> None:
+    """Write records as given: `harness.run` already quantizes every float
+    in `meta` to 9 significant digits."""
     header = {"schema": RESPONSES_SCHEMA, "count": len(records)}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(header) + "\n")
+        fh.write(_ENCODER.encode(header) + "\n")
         for r in records:
-            fh.write(_dumps({"trial_id": r.trial_id, "predicted": r.predicted,
-                             "human": r.human, "meta": r.meta}) + "\n")
+            fh.write(_ENCODER.encode({"trial_id": r.trial_id, "predicted": r.predicted,
+                                      "human": r.human, "meta": r.meta}) + "\n")
 
 
 def load_responses(path: str) -> list[ResponseRecord]:
@@ -324,13 +361,18 @@ def load_responses(path: str) -> list[ResponseRecord]:
     out = []
     for i, rec in enumerate(records, start=2):
         try:
-            meta = rec["meta"]
+            meta, predicted, human = rec["meta"], rec["predicted"], rec["human"]
+            if type(meta) is not dict:
+                raise TypeError(f"meta must be an object, got {meta!r}")
+            if predicted not in LABELS:
+                raise ValueError(f"unknown label {predicted!r}")
+            if human is not None and type(human) is not str:
+                raise TypeError(f"human must be a string or null, got {human!r}")
             for key in ("probe", "x_star"):
                 if key in meta:
                     meta[key] = _nums(meta[key], 2)
-            out.append(ResponseRecord(trial_id=rec["trial_id"],
-                                      predicted=rec["predicted"],
-                                      human=rec["human"], meta=meta))
+            out.append(ResponseRecord(trial_id=_str(rec["trial_id"]),
+                                      predicted=predicted, human=human, meta=meta))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}:{i}: bad response record: {exc}") from exc
     return out

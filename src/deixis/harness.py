@@ -100,6 +100,14 @@ class Condition:
         elif not any(abs(math.degrees(self.cone_vertex_angle) - d) < 1e-9
                      for d in CONE_ANGLES_DEG):
             raise ValueError("cone vertex angle must be 45, 67.5 or 90 degrees")
+        # fields the kind never reads must keep their defaults: the
+        # descriptor and trial ids omit them
+        if self.kind in (CLUTTERED, NATURAL) and self.variant != REFERENTIAL:
+            raise ValueError(f"{self.kind} takes no variant other than {REFERENTIAL}")
+        if self.kind != VERB_VARIANT and self.verb != "put":
+            raise ValueError(f"{self.kind} takes no verb other than put")
+        if self.kind != NATURAL and not self.gravity:
+            raise ValueError(f"{self.kind} takes no gravity off")
 
     def descriptor(self) -> str:
         parts = [self.kind]
@@ -198,11 +206,13 @@ def _normalize_condition(cond: Condition) -> Condition:
 def generate_trials(cond: Condition, n: int, seed: int) -> list[Trial]:
     """Deterministic trial set for a condition.
 
-    Sampled kinds require n divisible by 4; the natural condition always
-    yields its three fixed configurations.
+    n must be positive; sampled kinds also require n divisible by 4, and
+    the natural condition always yields its three fixed configurations.
     """
     cond = _normalize_condition(cond)
     if cond.kind == NATURAL:
+        if n <= 0:
+            raise InvalidCount(f"n must be positive, got {n}")
         return _natural_trials(cond, seed)
     if n <= 0 or n % 4 != 0:
         raise InvalidCount(f"n must be a positive multiple of 4, got {n}")
@@ -233,9 +243,10 @@ def _ref_vs_loc_trials(cond: Condition, n: int, seed: int) -> list[Trial]:
     cube = SceneObject("red_cube", RED_CUBE, Pose2D(cube_pos))
     slug = cond.descriptor().replace("/", "-")
     if intent == REFERENTIAL:
+        # one scene with the mug moved per trial
+        template = Scene(plane, (SceneObject("mug", MUG, Pose2D(positions[0])), cube))
         return [Trial(id=f"{slug}-{i:03d}", condition=cond,
-                      scene=Scene(plane, (SceneObject("mug", MUG, Pose2D(pos)), cube)),
-                      point_act=act, shown="mug")
+                      scene=template.moved({0: pos}), point_act=act, shown="mug")
                 for i, pos in enumerate(positions)]
     # the locating scene is the same for every trial: build it once
     scene = Scene(plane, (SceneObject("mug", MUG, Pose2D(x_init)), cube))
@@ -261,11 +272,14 @@ def _cluttered_trials(cond: Condition, n: int, seed: int) -> list[Trial]:
     plane = Plane.horizontal(extent)
     act = PointingAct(ray, REFERENTIAL, x_star)
     slug = cond.descriptor().replace("/", "-")
+    # one scene with both mugs moved per trial
+    template = Scene(plane, (SceneObject("mug_object", MUG, Pose2D(_qp(pairs[0].x_object))),
+                             SceneObject("mug_distractor", MUG,
+                                         Pose2D(_qp(pairs[0].x_distractor)))))
     trials = []
     for i, pair in enumerate(pairs):
-        obj = SceneObject("mug_object", MUG, Pose2D(_qp(pair.x_object)))
-        distractor = SceneObject("mug_distractor", MUG, Pose2D(_qp(pair.x_distractor)))
-        scene = Scene(plane, (obj, distractor))
+        scene = template.moved({0: _qp(pair.x_object), 1: _qp(pair.x_distractor)})
+        obj, distractor = scene.objects
         d_obj = surface_distance(obj.pose.position, x_star)
         d_dis = surface_distance(distractor.pose.position, x_star)
         shown = obj.id if d_obj <= d_dis else distractor.id
@@ -289,12 +303,11 @@ def _natural_trials(cond: Condition, seed: int) -> list[Trial]:
             for label, position in NATURAL_CONFIGS]
 
 
-def _predict(trial: Trial, descriptor: str,
+def _predict(trial: Trial, descriptor: str, x_star_q: tuple[float, float],
              cfg: ResolverConfig) -> tuple[str, dict]:
     cond = trial.condition
     x_star = trial.point_act.target
-    meta: dict = {"condition": descriptor,
-                  "x_star": (x_star.u, x_star.v)}
+    meta: dict = {"condition": descriptor, "x_star": x_star_q}
     if cond.kind == CLUTTERED:
         obj = trial.scene.object_by_id("mug_object").pose.position
         dis = trial.scene.object_by_id("mug_distractor").pose.position
@@ -303,7 +316,7 @@ def _predict(trial: Trial, descriptor: str,
         meta.update(d_near=_q(min(d1, d2)), d_far=_q(max(d1, d2)),
                     delta=_q(abs(d1 - d2)),
                     separation=_q(surface_distance(obj, dis)))
-        meta["probe"] = (obj.u, obj.v)
+        meta["probe"] = (_q(obj.u), _q(obj.v))
         return predicted, meta
     if cond.kind == NATURAL:
         assert isinstance(trial.shown, ShownConfig)
@@ -311,7 +324,7 @@ def _predict(trial: Trial, descriptor: str,
         res = resolve(cands, x_star, cfg)
         predicted = classify_outcome(res, trial.shown.position, x_star, cfg)
         meta.update(config=trial.shown.label,
-                    probe=(trial.shown.position.u, trial.shown.position.v),
+                    probe=(_q(trial.shown.position.u), _q(trial.shown.position.v)),
                     theta=_q(res.theta))
         return predicted, meta
     # referential-vs-locating (and verb variants)
@@ -327,22 +340,28 @@ def _predict(trial: Trial, descriptor: str,
         res = resolve(cands, x_star, cfg)
         predicted = classify_outcome(res, trial.shown, x_star, cfg)
         probe = trial.shown
-    meta.update(probe=(probe.u, probe.v), theta=_q(res.theta),
+    meta.update(probe=(_q(probe.u), _q(probe.v)), theta=_q(res.theta),
                 distance=_q(surface_distance(probe, x_star)))
     return predicted, meta
 
 
 def run(trials: list[Trial],
         cfg: ResolverConfig = ResolverConfig()) -> list[ResponseRecord]:
-    """One predicted judgment per trial, preserving order."""
+    """One predicted judgment per trial, preserving order.  Every float in
+    `meta` is quantized to 9 significant digits, as the corpus writes it."""
     descriptors: dict[Condition, str] = {}
+    x_star = x_star_q = None
     records = []
     for trial in trials:
         descriptor = descriptors.get(trial.condition)
         if descriptor is None:
             descriptor = descriptors[trial.condition] = trial.condition.descriptor()
+        # the trials of a set share one act: quantize its x* once
+        if trial.point_act.target is not x_star:
+            x_star = trial.point_act.target
+            x_star_q = (_q(x_star.u), _q(x_star.v))
         try:
-            predicted, meta = _predict(trial, descriptor, cfg)
+            predicted, meta = _predict(trial, descriptor, x_star_q, cfg)
         except DeixisError as exc:
             raise type(exc)(f"trial {trial.id}: {exc}") from exc
         records.append(ResponseRecord(trial_id=trial.id, predicted=predicted,

@@ -51,13 +51,38 @@ class TestGen:
         (("--condition", "natural", "--cone", "30"), "takes no cone"),
         (("--condition", "natural", "--cone", "45"), "takes no cone"),
         (("--condition", "ref-vs-loc", "--cone", "30"), "45, 67.5 or 90"),
+        (("--condition", "cluttered", "--cone", "45", "--variant", "locating"),
+         "takes no variant"),
+        (("--condition", "natural", "--variant", "locating"), "takes no variant"),
+        (("--condition", "ref-vs-loc", "--cone", "45", "--verb", "push"),
+         "takes no verb"),
+        (("--condition", "ref-vs-loc", "--cone", "45", "--gravity", "off"),
+         "takes no gravity off"),
     ], ids=["natural-seed", "cluttered-seed", "natural-cone-30",
-            "natural-cone-45", "cone-30"])
+            "natural-cone-45", "cone-30", "cluttered-variant", "natural-variant",
+            "ref-vs-loc-verb", "ref-vs-loc-gravity"])
     def test_bad_flags_exit_2(self, runner, tmp_path, flags, message):
         out = tmp_path / "x.jsonl"
         res = runner.invoke(main, ["gen", *flags, "--out", str(out)])
         assert res.exit_code == 2
         assert message in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--condition", "cluttered", "--cone", "45", "--gravity", "on"),
+        ("--condition", "natural", "--gravity", "off")])
+    def test_paper_grid_flags_still_work(self, runner, tmp_path, flags):
+        res = runner.invoke(main, ["gen", *flags, "--variant", "referential",
+                                   "--out", str(tmp_path / "x.jsonl")])
+        assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("n", ["-5", "0"])
+    def test_natural_non_positive_n_exits_1(self, runner, tmp_path, n):
+        out = tmp_path / "x.jsonl"
+        res = runner.invoke(main, ["gen", "--condition", "natural", "--n", n,
+                                   "--out", str(out)])
+        assert res.exit_code == 1
+        assert "n must be positive" in res.output
         assert not out.exists()
 
     def test_byte_identical_reruns(self, runner, tmp_path):
@@ -138,6 +163,30 @@ class TestRun:
         assert f"{trials}:1: bad context" in res.output
         assert res.output.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("where, field, value", [
+        ("context", "variant", "locating"), ("context", "gravity", False),
+        ("context", "verb", "push"), ("record", "verb", "place")])
+    def test_recorded_flag_the_kind_ignores_exits_1(self, runner, tmp_path,
+                                                    where, field, value):
+        trials = tmp_path / "clut.jsonl"
+        assert runner.invoke(main, ["gen", "--condition", "cluttered", "--cone", "45",
+                                    "--out", str(trials)]).exit_code == 0
+        lines = trials.read_text().splitlines()
+        line = 0 if where == "context" else 2
+        obj = json.loads(lines[line])
+        if where == "context":
+            obj["context"]["condition"][field] = value
+        else:
+            obj["condition"] = {field: value}
+        lines[line] = json.dumps(obj)
+        trials.write_text("\n".join(lines) + "\n")
+        res = runner.invoke(main, ["run", "--in", str(trials),
+                                   "--out", str(tmp_path / "o.jsonl")])
+        assert res.exit_code == 1
+        assert f"{trials}:{line + 1}: " in res.output
+        assert "takes no" in res.output
+
 
 class TestStats:
     def test_fisher_table(self, runner):
@@ -223,6 +272,23 @@ class TestPlot:
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
         assert res.output.startswith("Error:") and res.output.count("\n") == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("trial_id", "[1]"), ("predicted", '"bogus"'), ("human", "3"), ("meta", "[]")])
+    def test_wrongly_typed_response_exit_1(self, runner, tmp_path, field, value):
+        record = {"trial_id": '"t"', "predicted": '"correct"', "human": "null",
+                  "meta": '{"condition":"c","probe":[0.1,0.2]}'}
+        record[field] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"schema":"deixis-responses-1","count":1}\n{'
+                       + ",".join(f'"{k}":{v}' for k, v in record.items()) + "}\n")
+        svg = tmp_path / "p.svg"
+        res = runner.invoke(main, ["plot", "--in", str(bad), "--out", str(svg)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert f"{bad}:2: bad response record" in res.output
+        assert res.output.count("\n") == 1
+        assert not svg.exists()
 
     @pytest.mark.parametrize("probe", ['"ab"', "[1e400,0]"])
     def test_bad_probe_exit_1(self, runner, tmp_path, probe):

@@ -7,6 +7,7 @@ import pytest
 
 from deixis import corpus, harness
 from deixis.errors import SchemaError
+from deixis.geometry import SurfacePoint
 from deixis.harness import Condition, ResponseRecord
 from deixis.resolver import LOCATING
 from deixis.scene import Pose2D, Scene, SceneObject
@@ -146,6 +147,36 @@ class TestResponsesRoundTrip:
         corpus.save_responses(corpus.load_responses(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_long_positions_are_written_quantized(self, tmp_path):
+        # every position and x* carries more than 9 significant digits
+        def nudge(p):
+            return SurfacePoint(p.u + 1.23456789012e-4, p.v - 9.87654321098e-5)
+
+        trials = []
+        for t in (make_trials(n=4) + make_trials(n=4, variant=LOCATING)
+                  + cluttered_trials(n=4)
+                  + harness.generate_trials(Condition(kind=harness.NATURAL), 3, 0)):
+            shown = t.shown
+            if isinstance(shown, SurfacePoint):
+                shown = nudge(shown)
+            elif isinstance(shown, harness.ShownConfig):
+                shown = replace(shown, position=nudge(shown.position))
+            scene = t.scene
+            if t.condition.kind in (harness.REF_VS_LOC, harness.CLUTTERED):
+                scene = scene.moved({i: nudge(o.pose.position)
+                                     for i, o in enumerate(scene.objects)})
+            act = replace(t.point_act, target=nudge(t.point_act.target))
+            trials.append(replace(t, scene=scene, point_act=act, shown=shown))
+        assert all(harness._q(t.point_act.target.u) != t.point_act.target.u
+                   for t in trials)
+        records = harness.run(trials)
+        p = tmp_path / "r.jsonl"
+        corpus.save_responses(records, str(p))
+        expected = [corpus._ENCODER.encode(corpus._quantize(
+            {"trial_id": r.trial_id, "predicted": r.predicted, "human": r.human,
+             "meta": r.meta})) for r in records]
+        assert p.read_text().splitlines()[1:] == expected
+
 
 
 def _set(d, path, value):
@@ -272,6 +303,43 @@ class TestSchemaErrors:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match=r"r\.jsonl:3: bad trial record"):
             corpus.load_trials(str(p))
+
+    @pytest.mark.parametrize("position, message", [
+        ([0.0, 5.0], "mug lies outside the surface extent"),
+        (None, "objects mug and red_cube overlap")])
+    def test_moved_mug_off_the_table_or_on_the_cube(self, tmp_path, position, message):
+        p = tmp_path / "r.jsonl"
+        corpus.save_trials(make_trials(n=4), str(p), seed=7)
+        lines = p.read_text().splitlines()
+        header, rec = json.loads(lines[0]), json.loads(lines[2])
+        assert rec["objects"][1] == {}
+        rec["objects"][0]["position"] = (position or
+                                         header["context"]["objects"][1]["position"])
+        lines[2] = json.dumps(rec)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=rf"r\.jsonl:3: bad trial record: {message}"):
+            corpus.load_trials(str(p))
+
+    @pytest.mark.parametrize("field, value", [
+        ("trial_id", [1]), ("trial_id", None), ("predicted", "farther"),
+        ("predicted", None), ("human", 3), ("human", ["a"]), ("meta", []),
+        ("meta", "probe")], ids=_path_id)
+    def test_wrongly_typed_response_field(self, tmp_path, field, value):
+        p = tmp_path / "w.jsonl"
+        corpus.save_responses(harness.run(make_trials(n=4)), str(p))
+        lines = p.read_text().splitlines()
+        rec = json.loads(lines[3])
+        rec[field] = value
+        lines[3] = json.dumps(rec)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=r"w\.jsonl:4: bad response record"):
+            corpus.load_responses(str(p))
+
+    def test_human_label_may_be_a_string(self, tmp_path):
+        p = tmp_path / "h.jsonl"
+        corpus.save_responses([ResponseRecord("t", "correct", human="ambiguous",
+                                              meta={"condition": "c"})], str(p))
+        assert corpus.load_responses(str(p))[0].human == "ambiguous"
 
     def test_responses_wrong_schema(self, tmp_path):
         p = tmp_path / "w.jsonl"

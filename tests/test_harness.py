@@ -40,6 +40,25 @@ class TestCondition:
         with pytest.raises(ValueError):
             cond(kind=VERB_VARIANT, verb="yeet")
 
+    @pytest.mark.parametrize("kind, field, value, message", [
+        (CLUTTERED, "variant", LOCATING, "takes no variant"),
+        (NATURAL, "variant", LOCATING, "takes no variant"),
+        (REF_VS_LOC, "verb", "push", "takes no verb"),
+        (CLUTTERED, "verb", "move", "takes no verb"),
+        (NATURAL, "verb", "place", "takes no verb"),
+        (REF_VS_LOC, "gravity", False, "takes no gravity off"),
+        (CLUTTERED, "gravity", False, "takes no gravity off"),
+        (VERB_VARIANT, "gravity", False, "takes no gravity off")])
+    def test_fields_the_kind_ignores_keep_defaults(self, kind, field, value, message):
+        # the descriptor and trial ids leave these fields out
+        with pytest.raises(ValueError, match=message):
+            cond(kind=kind, **{field: value})
+
+    def test_fields_the_kind_reads(self):
+        cond(kind=REF_VS_LOC, variant=LOCATING)
+        cond(kind=VERB_VARIANT, variant=LOCATING, verb="push")
+        cond(kind=NATURAL, gravity=False)
+
     def test_descriptor_round_trips_flags(self):
         c = cond(kind=VERB_VARIANT, deg=67.5, variant=LOCATING, verb="push",
                  reverse=True, speech=False)
@@ -61,6 +80,15 @@ class TestGenerate:
     def test_invalid_count(self):
         with pytest.raises(InvalidCount):
             generate_trials(cond(), 6, 0)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_natural_rejects_non_positive_count(self, n):
+        with pytest.raises(InvalidCount, match="positive"):
+            generate_trials(cond(kind=NATURAL), n, 0)
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_natural_ignores_positive_count(self, n):
+        assert len(generate_trials(cond(kind=NATURAL), n, 0)) == 3
 
     def test_mug_positions_inside_section(self):
         for deg in (45.0, 67.5, 90.0):

@@ -487,3 +487,59 @@ class TestMembership:
         expected = outcome(per_call_is_stable, scene, MUG, p)
         assert "covered by a and b" in expected
         assert outcome(stable_region(scene, MUG).contains, p) == expected
+
+
+# `Scene.moved` against a freshly built scene of the same objects.
+
+MOVABLE = Scene(PLANE, (
+    SceneObject("mug", MUG, Pose2D(SurfacePoint(-0.3, 0.1))),
+    SceneObject("red_cube", Shape.cube(0.08, 0.16), Pose2D(SurfacePoint(0.0, 0.2))),
+    SceneObject("box", BOX, Pose2D(SurfacePoint(0.3, -0.15), yaw=0.4)),
+    SceneObject("cube_on_box", CUBE, Pose2D(SurfacePoint(0.3, -0.15), yaw=-1.0),
+                support="box"),
+    SceneObject("saucer", Shape("saucer", 0.02, radius=0.06),
+                Pose2D(SurfacePoint(-0.3, -0.2)))))
+# a little past the 1.2 m x 0.8 m surface, so some moves leave it
+surface_point = st.builds(SurfacePoint, st.floats(-0.65, 0.65), st.floats(-0.45, 0.45))
+
+
+def moved_by_hand(scene, positions):
+    return Scene(scene.surface,
+                 tuple(SceneObject(o.id, o.shape, Pose2D(positions[i], o.pose.yaw),
+                                   o.support) if i in positions else o
+                       for i, o in enumerate(scene.objects)),
+                 gravity=scene.gravity)
+
+
+class TestMoved:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.dictionaries(st.integers(0, len(MOVABLE.objects) - 1), surface_point,
+                           max_size=3))
+    def test_equals_a_fresh_scene(self, positions):
+        try:
+            fresh = moved_by_hand(MOVABLE, positions)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                MOVABLE.moved(positions)
+            assert str(got.value) == str(exc)
+        else:
+            scene = MOVABLE.moved(positions)
+            assert scene == fresh
+            assert all(o is MOVABLE.objects[i] for i, o in enumerate(scene.objects)
+                       if i not in positions)
+
+    @pytest.mark.parametrize("position, message", [
+        (SurfacePoint(0.7, 0.1), "mug lies outside the surface extent"),
+        (SurfacePoint(0.05, 0.2), "objects mug and red_cube overlap"),
+        (SurfacePoint(0.3, -0.2), "objects mug and box overlap")])
+    def test_same_error_as_a_fresh_scene(self, position, message):
+        for build in (moved_by_hand, Scene.moved):
+            with pytest.raises(ValueError) as got:
+                build(MOVABLE, {0: position})
+            assert str(got.value) == message
+
+    def test_stacked_object_moves_over_a_lower_one(self):
+        # height spans of the cube on the box and the mug do not meet
+        scene = MOVABLE.moved({3: SurfacePoint(-0.3, 0.1)})
+        assert scene == moved_by_hand(MOVABLE, {3: SurfacePoint(-0.3, 0.1)})
+        assert scene.objects[3].support == "box"
