@@ -30,7 +30,7 @@ import math
 from typing import Any
 
 from .errors import SchemaError
-from .geometry import Plane, Point3, Ray, SurfacePoint
+from .geometry import Plane, Point3, Ray, SurfacePoint, unit
 from .harness import LABELS, Condition, ResponseRecord, ShownConfig, Trial, _q
 from .resolver import PointingAct
 from .scene import Pose2D, Scene, SceneObject, Shape, TABLE
@@ -142,11 +142,9 @@ def _act_to_json(act: PointingAct) -> dict:
 
 
 def _act_from_json(d: dict) -> PointingAct:
-    # directions are quantized on disk; renormalize exactly as the generator
-    # does so loaded trials compare equal to freshly generated ones
-    raw = _nums(d["direction"], 3)
-    norm = math.sqrt(sum(c * c for c in raw))
-    ray = Ray(Point3(*_nums(d["origin"], 3)), tuple(c / norm for c in raw))
+    # directions are quantized on disk; `unit` renormalizes them as the
+    # generator does, so loaded trials equal freshly generated ones
+    ray = Ray(Point3(*_nums(d["origin"], 3)), unit(_nums(d["direction"], 3)))
     return PointingAct(ray, _str(d["intent"]), SurfacePoint(*_nums(d["target"], 2)))
 
 
@@ -371,6 +369,9 @@ def load_responses(path: str) -> list[ResponseRecord]:
             for key in ("probe", "x_star"):
                 if key in meta:
                     meta[key] = _nums(meta[key], 2)
+            for key in ("theta", "distance", "d_near", "d_far", "delta", "separation"):
+                if key in meta:
+                    _num(meta[key])
             out.append(ResponseRecord(trial_id=_str(rec["trial_id"]),
                                       predicted=predicted, human=human, meta=meta))
         except (KeyError, TypeError, ValueError) as exc:

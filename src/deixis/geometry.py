@@ -25,6 +25,12 @@ def _norm(a: Vec3) -> float:
     return math.sqrt(_dot(a, a))
 
 
+def unit(a: Vec3) -> Vec3:
+    """`a` divided by its length."""
+    n = _norm(a)
+    return (a[0] / n, a[1] / n, a[2] / n)
+
+
 def _sub(a: Vec3, b: Vec3) -> Vec3:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 

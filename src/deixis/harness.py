@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, replace
 
 from .errors import DeixisError, EmptyInput, InvalidCount
 from .geometry import (Ellipse, Plane, Point3, Ray, SurfacePoint,
-                       cone_plane_section, from_surface_frame, surface_distance)
+                       cone_plane_section, from_surface_frame, surface_distance,
+                       unit)
 from .resolver import (AMBIGUOUS, CORRECT, INCORRECT, LOCATING, NEARER,
                        REFERENTIAL, PointingAct, ResolverConfig, candidates,
                        classify_outcome, predict_cluttered, resolve)
@@ -167,12 +168,9 @@ def pointer_ray(target: SurfacePoint, plane: Plane, robot: str) -> Ray:
     origin = Point3(_q(t3.x - cfg.standoff * eu[0] + cfg.height * n[0]),
                     _q(t3.y - cfg.standoff * eu[1] + cfg.height * n[1]),
                     _q(t3.z - cfg.standoff * eu[2] + cfg.height * n[2]))
-    direction = ((t3.x - origin.x), (t3.y - origin.y), (t3.z - origin.z))
-    norm = math.sqrt(sum(c * c for c in direction))
-    direction = tuple(_q(c / norm) for c in direction)
+    direction = unit((t3.x - origin.x, t3.y - origin.y, t3.z - origin.z))
     # re-normalize after quantization so the Ray invariant holds exactly
-    norm = math.sqrt(sum(c * c for c in direction))
-    return Ray(origin, tuple(c / norm for c in direction))
+    return Ray(origin, unit(tuple(_q(c) for c in direction)))
 
 
 def _ellipse_reach(ellipse: Ellipse, x_star: SurfacePoint, samples: int = 1024) -> float:

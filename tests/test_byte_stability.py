@@ -1,16 +1,19 @@
-"""Byte stability: `gen`, `run` and `plot` reproduce recorded bytes.
+"""Byte stability: `gen`, `run`, `plot` and `stats` reproduce recorded bytes.
 
 Each flag set below is regenerated through the CLI and every output file is
 compared by sha256 with the digest recorded for it: the paper's 11 trial
 sets and one verbs set at n=8 (trials, responses and SVG) and the locating
-sweep at n=4000 (responses).  A change that alters any byte of these
-outputs fails here.  To record new digests after a deliberate output change, run
+sweep at n=4000 (responses).  The stdout of the `stats` commands in
+`STATS_COMMANDS` and of a seeded list of r x c chi-squared tables is pinned
+the same way.  A change that alters any byte of these outputs fails here.
+To record new digests after a deliberate output change, run
 
     PYTHONPATH=src python tests/test_byte_stability.py
 
-and replace `DIGESTS` with its output.
+and replace `DIGESTS` and `STATS_DIGESTS` with its output.
 """
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -39,6 +42,23 @@ SETS = {**PAPER_SETS,
                        "--reverse", "--robot", "kuka"), "scatter-pies")}
 SWEEP_FLAGS = ("--condition", "ref-vs-loc", "--variant", "locating",
                "--cone", "90", "--n", "4000")
+
+TABLE1_CHI2 = ("--test", "chi2", "--fixture", "table1")
+ALL_ROWS = ",".join(f"{scene}-{config}" for scene in ("natural", "unnatural")
+                    for config in ("top", "edge", "table"))
+# name -> `stats` flags: the benchmark's three Table-1 commands, chi-squared
+# over all six fixture rows and the Fisher report, also as CSV
+STATS_COMMANDS = {
+    "chi2-table1": (*TABLE1_CHI2, "--rows", "natural-top,unnatural-top"),
+    "fisher-table1": ("--test", "fisher", "--fixture", "table1"),
+    "tost-table1": ("--test", "tost", "--a", "26/30", "--b", "24/30"),
+    "chi2-all-rows": (*TABLE1_CHI2, "--rows", ALL_ROWS),
+    "chi2-all-rows-csv": (*TABLE1_CHI2, "--rows", ALL_ROWS, "--csv"),
+    "fisher-table1-csv": ("--test", "fisher", "--fixture", "table1", "--csv"),
+}
+# a 4 x 6 table whose chi-squared p is subnormal (1.5316e-322)
+SUBNORMAL_TABLE = ("--cols", "6", "--table",
+                   "1,238,6,373,5,33,2,2,9,355,1,7,235,2,2,44,30,216,41,4,4,3,1,47")
 
 DIGESTS = {
     "clut-45": ("72c4d2a8c07894d35ba47b2c49cfd678510285f5b4bd86337cccbc9b228fa6b2",
@@ -79,11 +99,21 @@ DIGESTS = {
                   "8737ab89bfdb1300b3b62b9640318aa304e4e99c2cc85c258d4904f4318084d4"),
     "loc-90-n4000": "caea1f96134eac2ab72accdc9776d1a3fc230ee679e78942dc8774cd859daf42",
 }
+STATS_DIGESTS = {
+    "chi2-table1": "a02128eeb4f4c3e22e260b0a5cf748e8835ff9aaced0c61da7700182b124aeb0",
+    "fisher-table1": "26540287727cb60244aa257187e7532ab810d7bfa19d9ff5294536a5071c4491",
+    "tost-table1": "5a8bc1a6fd9ba6866a8badde0010e24747fb01283e34a0ba9c141c27eb753a5d",
+    "chi2-all-rows": "721f61f801f49a0c3557d65d8bc46605992a3173d867949c3ee5ed4bbdd61ef5",
+    "chi2-all-rows-csv": "ef4c4ddde9a31e21c2ca09b504a98cdd59799d2bfa2420d4fd9a0a6fe153c3e2",
+    "fisher-table1-csv": "258745dddb2568c197d3a15656fbe840479dba37ef5df55b7c42e178d252ede7",
+    "random-tables": "0de331c2f85375d4c8fcebbf066382795d82de2d31cbf5bf619ad79c7861f835",
+}
 
 
-def _invoke(*args: str) -> None:
+def _invoke(*args: str) -> str:
     res = CliRunner().invoke(main, list(args))
     assert res.exit_code == 0, res.output
+    return res.stdout
 
 
 def _sha(path: Path) -> str:
@@ -108,6 +138,35 @@ def sweep_digest(tmp: Path) -> str:
     return _sha(resp)
 
 
+def random_tables() -> list[tuple[str, ...]]:
+    """`--cols`/`--table` flags of the subnormal table and 199 seeded r x c
+    tables (r, c from 2 to 8) without a zero marginal.  Cells are drawn from
+    [lo, hi] with hi 3, 40 or 400 and lo in [0, hi], so p spans 1 down to
+    the deep tail."""
+    rng = random.Random(8)
+    tables = [SUBNORMAL_TABLE]
+    while len(tables) < 200:
+        r, c = rng.randint(2, 8), rng.randint(2, 8)
+        hi = rng.choice((3, 40, 400))
+        lo = rng.randint(0, hi)
+        rows = [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)]
+        if all(map(any, rows)) and all(map(any, zip(*rows))):
+            tables.append(("--cols", str(c), "--table",
+                           ",".join(str(v) for row in rows for v in row)))
+    return tables
+
+
+def stats_digest(name: str) -> str:
+    """sha256 of the stdout of one `STATS_COMMANDS` entry or, for
+    `random-tables`, of `stats --test chi2` over every `random_tables()`."""
+    if name == "random-tables":
+        out = "".join(_invoke("stats", "--test", "chi2", *flags)
+                      for flags in random_tables())
+    else:
+        out = _invoke("stats", *STATS_COMMANDS[name])
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(PAPER_SETS))
 def test_paper_set_bytes(name, tmp_path):
     assert paper_digests(name, tmp_path) == DIGESTS[name]
@@ -121,6 +180,11 @@ def test_locating_sweep_response_bytes(tmp_path):
     assert sweep_digest(tmp_path) == DIGESTS["loc-90-n4000"]
 
 
+@pytest.mark.parametrize("name", sorted(STATS_DIGESTS))
+def test_stats_stdout_bytes(name):
+    assert stats_digest(name) == STATS_DIGESTS[name]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -132,3 +196,7 @@ if __name__ == "__main__":
             pad = " " * (len(name) + 9)
             print(f'    "{name}": ("{trials}",\n{pad}"{responses}",\n{pad}"{svg}"),')
         print(f'    "loc-90-n4000": "{sweep_digest(tmp)}",\n}}')
+    print("STATS_DIGESTS = {")
+    for name in [*STATS_COMMANDS, "random-tables"]:
+        print(f'    "{name}": "{stats_digest(name)}",')
+    print("}")

@@ -290,6 +290,21 @@ class TestPlot:
         assert res.output.count("\n") == 1
         assert not svg.exists()
 
+    def test_non_numeric_delta_exit_1(self, runner, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"schema":"deixis-responses-1","count":2}\n' + "".join(
+            '{"trial_id":"t%d","predicted":"correct","human":null,"meta":'
+            '{"condition":"c","probe":[0.1,0.2],"delta":%s,"separation":0.3}}\n'
+            % (i, delta) for i, delta in enumerate(("0.05", '"x"'))))
+        svg = tmp_path / "p.svg"
+        res = runner.invoke(main, ["plot", "--in", str(bad), "--kind",
+                                   "distance-pies", "--out", str(svg)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert f"{bad}:3: bad response record" in res.output
+        assert res.output.count("\n") == 1
+        assert not svg.exists()
+
     @pytest.mark.parametrize("probe", ['"ab"', "[1e400,0]"])
     def test_bad_probe_exit_1(self, runner, tmp_path, probe):
         bad = tmp_path / "bad.jsonl"

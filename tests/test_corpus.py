@@ -323,7 +323,10 @@ class TestSchemaErrors:
     @pytest.mark.parametrize("field, value", [
         ("trial_id", [1]), ("trial_id", None), ("predicted", "farther"),
         ("predicted", None), ("human", 3), ("human", ["a"]), ("meta", []),
-        ("meta", "probe")], ids=_path_id)
+        ("meta", "probe")] + [
+        ("meta", {key: value}) for key in ("theta", "distance", "d_near", "d_far",
+                                           "delta", "separation")
+        for value in ("0.1", True, math.nan)], ids=_path_id)
     def test_wrongly_typed_response_field(self, tmp_path, field, value):
         p = tmp_path / "w.jsonl"
         corpus.save_responses(harness.run(make_trials(n=4)), str(p))

@@ -8,8 +8,8 @@ import scipy.stats
 
 from deixis.errors import DegenerateTable, InvalidCounts
 from deixis.stats import (ContingencyTable, chi_squared_test,
-                          chi_squared_upper_tail, fisher_exact_2x2, gamma_q,
-                          norm_cdf, tost_equivalence)
+                          chi_squared_upper_tail, fisher_exact_2x2, norm_cdf,
+                          tost_equivalence)
 
 
 def table(*rows):
@@ -37,16 +37,28 @@ class TestContingencyTable:
 
 
 class TestGammaQ:
+    """The chi-squared tail at (2x, 2s) is the regularized upper incomplete
+    gamma Q(s, x), which scipy computes independently."""
+
     def test_against_scipy_grid(self):
         for s in (0.5, 1.0, 2.5, 7.5, 20.0, 100.0):
             for x in (0.0, 0.3, 1.0, 5.0, 25.0, 150.0):
-                assert abs(gamma_q(s, x) - scipy.special.gammaincc(s, x)) < 1e-12
+                assert abs(chi_squared_upper_tail(2.0 * x, int(2.0 * s))
+                           - scipy.special.gammaincc(s, x)) < 1e-12
+
+    def test_large_dof_against_scipy(self):
+        # the bulk (z standard deviations from the mean) and both flanks
+        for dof in (1, 3, 40, 1000, 5000, 14000, 20000, 50000):
+            sd = math.sqrt(2.0 * dof)
+            for stat in [max(0.0, dof + z * sd) for z in (-3, -1, 0, 1, 3)] + [
+                    0.5 * dof, 2.0 * dof]:
+                assert abs(chi_squared_upper_tail(stat, dof)
+                           - scipy.stats.chi2.sf(stat, dof)) < 1e-10, (stat, dof)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            gamma_q(0.0, 1.0)
-        with pytest.raises(ValueError):
-            gamma_q(1.0, -1.0)
+        for stat, dof in ((-1.0, 1), (1.0, 0), (1.0, 2.5), (1.0, True)):
+            with pytest.raises(ValueError):
+                chi_squared_upper_tail(stat, dof)
 
 
 class TestChiSquared:
