@@ -2,11 +2,12 @@
 
 Each flag set below is regenerated through the CLI and every output file is
 compared by sha256 with the digest recorded for it: the paper's 11 trial
-sets and one verbs set at n=8 (trials, responses and SVG) and the locating
-sweep at n=4000 (responses).  The stdout of the `stats` commands in
-`STATS_COMMANDS` and of a seeded list of r x c chi-squared tables is pinned
-the same way.  A change that alters any byte of these outputs fails here.
-To record new digests after a deliberate output change, run
+sets and one verbs set at n=8 (trials, responses and SVG) and the three
+sets of the benchmark's sweeps at n=4000 (responses).  The stdout of the
+`stats` commands in `STATS_COMMANDS` and of a seeded list of r x c
+chi-squared tables is pinned the same way.  A change that alters any byte
+of these outputs fails here.  To record new digests after a deliberate
+output change, run
 
     PYTHONPATH=src python tests/test_byte_stability.py
 
@@ -40,8 +41,14 @@ SETS = {**PAPER_SETS,
         "verb-push": (("--condition", "verbs", "--variant", "locating",
                        "--cone", "67.5", "--verb", "push", "--no-speech",
                        "--reverse", "--robot", "kuka"), "scatter-pies")}
-SWEEP_FLAGS = ("--condition", "ref-vs-loc", "--variant", "locating",
-               "--cone", "90", "--n", "4000")
+# name -> `gen` flags; the sets of the benchmark's sweep workloads
+SWEEPS = {
+    "loc-90-n4000": ("--condition", "ref-vs-loc", "--variant", "locating",
+                     "--cone", "90", "--n", "4000"),
+    "ref-67.5-n4000": ("--condition", "ref-vs-loc", "--variant", "referential",
+                       "--cone", "67.5", "--n", "4000"),
+    "clut-67.5-n4000": ("--condition", "cluttered", "--cone", "67.5", "--n", "4000"),
+}
 
 TABLE1_CHI2 = ("--test", "chi2", "--fixture", "table1")
 ALL_ROWS = ",".join(f"{scene}-{config}" for scene in ("natural", "unnatural")
@@ -98,6 +105,8 @@ DIGESTS = {
                   "9448b0bd860cfc000d9e995d4b2036ab0144d89e7e3802ce8c6645e924f0c46c",
                   "8737ab89bfdb1300b3b62b9640318aa304e4e99c2cc85c258d4904f4318084d4"),
     "loc-90-n4000": "caea1f96134eac2ab72accdc9776d1a3fc230ee679e78942dc8774cd859daf42",
+    "ref-67.5-n4000": "aee2cc6c75c5e645638ca775f028c3b4a1ecdfad3a8762cbf9a49767ce0e1288",
+    "clut-67.5-n4000": "040fdf1ccb8b729388fb11def0083110289a1911f70f6bc81d99f76d91890b0d",
 }
 STATS_DIGESTS = {
     "chi2-table1": "a02128eeb4f4c3e22e260b0a5cf748e8835ff9aaced0c61da7700182b124aeb0",
@@ -130,10 +139,10 @@ def paper_digests(name: str, tmp: Path) -> tuple[str, str, str]:
     return _sha(trials), _sha(resp), _sha(svg)
 
 
-def sweep_digest(tmp: Path) -> str:
-    """sha256 of the responses of the locating sweep."""
-    trials, resp = tmp / "sweep.t.jsonl", tmp / "sweep.r.jsonl"
-    _invoke("gen", *SWEEP_FLAGS, "--seed", SEED, "--out", str(trials))
+def sweep_digest(name: str, tmp: Path) -> str:
+    """sha256 of the responses of one set of `SWEEPS`."""
+    trials, resp = tmp / f"{name}.t.jsonl", tmp / f"{name}.r.jsonl"
+    _invoke("gen", *SWEEPS[name], "--seed", SEED, "--out", str(trials))
     _invoke("run", "--in", str(trials), "--out", str(resp))
     return _sha(resp)
 
@@ -177,7 +186,12 @@ def test_verb_set_bytes(tmp_path):
 
 
 def test_locating_sweep_response_bytes(tmp_path):
-    assert sweep_digest(tmp_path) == DIGESTS["loc-90-n4000"]
+    assert sweep_digest("loc-90-n4000", tmp_path) == DIGESTS["loc-90-n4000"]
+
+
+@pytest.mark.parametrize("name", ["ref-67.5-n4000", "clut-67.5-n4000"])
+def test_discrete_sweep_response_bytes(name, tmp_path):
+    assert sweep_digest(name, tmp_path) == DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(STATS_DIGESTS))
@@ -195,7 +209,9 @@ if __name__ == "__main__":
             trials, responses, svg = paper_digests(name, tmp)
             pad = " " * (len(name) + 9)
             print(f'    "{name}": ("{trials}",\n{pad}"{responses}",\n{pad}"{svg}"),')
-        print(f'    "loc-90-n4000": "{sweep_digest(tmp)}",\n}}')
+        for name in SWEEPS:
+            print(f'    "{name}": "{sweep_digest(name, tmp)}",')
+        print("}")
     print("STATS_DIGESTS = {")
     for name in [*STATS_COMMANDS, "random-tables"]:
         print(f'    "{name}": "{stats_digest(name)}",')
