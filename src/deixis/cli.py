@@ -199,6 +199,8 @@ def cmd_stats(test_name: str, fixture: str | None, rows: str | None,
             _emit("fisher", stats.fisher_exact_2x2(table), as_csv)
     except click.UsageError:
         raise
+    except OverflowError as exc:
+        _fail(f"a count is too large for float arithmetic: {exc}")
     except (DeixisError, ValueError) as exc:
         _fail(str(exc))
 

@@ -25,6 +25,10 @@ class EmptyScene(DeixisError):
     """A referential query requires at least one object."""
 
 
+class UnknownObject(DeixisError):
+    """No object in the scene has the requested id."""
+
+
 class TypeMismatch(DeixisError):
     """A shown outcome does not match the resolution kind."""
 

@@ -303,10 +303,10 @@ def _natural_trials(cond: Condition, seed: int) -> list[Trial]:
 
 def _predict(trial: Trial, descriptor: str, x_star_q: tuple[float, float],
              cfg: ResolverConfig) -> tuple[str, dict]:
-    cond = trial.condition
+    kind = trial.condition.kind
     x_star = trial.point_act.target
     meta: dict = {"condition": descriptor, "x_star": x_star_q}
-    if cond.kind == CLUTTERED:
+    if kind == CLUTTERED:
         obj = trial.scene.object_by_id("mug_object").pose.position
         dis = trial.scene.object_by_id("mug_distractor").pose.position
         predicted = predict_cluttered(x_star, obj, dis, cfg)
@@ -316,30 +316,20 @@ def _predict(trial: Trial, descriptor: str, x_star_q: tuple[float, float],
                     separation=_q(surface_distance(obj, dis)))
         meta["probe"] = (_q(obj.u), _q(obj.v))
         return predicted, meta
-    if cond.kind == NATURAL:
-        assert isinstance(trial.shown, ShownConfig)
-        cands = candidates(trial.scene, LOCATING, shape_for_placement=STACK_CUBOID)
-        res = resolve(cands, x_star, cfg)
-        predicted = classify_outcome(res, trial.shown.position, x_star, cfg)
-        meta.update(config=trial.shown.label,
-                    probe=(_q(trial.shown.position.u), _q(trial.shown.position.v)),
-                    theta=_q(res.theta))
-        return predicted, meta
-    # referential-vs-locating (and verb variants)
-    if cond.variant == REFERENTIAL:
-        assert isinstance(trial.shown, str)
-        cands = candidates(trial.scene, REFERENTIAL)
-        res = resolve(cands, x_star, cfg)
-        predicted = classify_outcome(res, trial.shown, x_star, cfg)
-        probe = trial.scene.object_by_id(trial.shown).pose.position
-    else:
-        assert isinstance(trial.shown, SurfacePoint)
-        cands = candidates(trial.scene, LOCATING, shape_for_placement=MUG)
-        res = resolve(cands, x_star, cfg)
-        predicted = classify_outcome(res, trial.shown, x_star, cfg)
-        probe = trial.shown
-    meta.update(probe=(_q(probe.u), _q(probe.v)), theta=_q(res.theta),
-                distance=_q(surface_distance(probe, x_star)))
+    # referential, locating (verb variants included) and natural trials
+    shown = trial.shown
+    if isinstance(shown, ShownConfig):
+        meta["config"] = shown.label
+        shown = shown.position
+    cands = candidates(trial.scene, trial.point_act.intent,
+                       STACK_CUBOID if kind == NATURAL else MUG)
+    res = resolve(cands, x_star, cfg)
+    predicted = classify_outcome(res, shown, x_star, cfg)
+    probe = (trial.scene.object_by_id(shown).pose.position
+             if isinstance(shown, str) else shown)
+    meta.update(probe=(_q(probe.u), _q(probe.v)), theta=_q(res.theta))
+    if kind != NATURAL:
+        meta["distance"] = _q(surface_distance(probe, x_star))
     return predicted, meta
 
 

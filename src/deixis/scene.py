@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import NoStablePlacement, UnknownSupport
+from .errors import NoStablePlacement, UnknownObject, UnknownSupport
 from .geometry import Plane, SurfacePoint, surface_distance
 
 SUPPORT_MARGIN = 0.005
@@ -323,7 +323,7 @@ class Scene:
         for o in self.objects:
             if o.id == oid:
                 return o
-        raise KeyError(oid)
+        raise UnknownObject(f"no object {oid!r} in the scene")
 
     @cached_property
     def footprints(self) -> tuple[Footprint, ...]:

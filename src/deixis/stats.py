@@ -159,8 +159,10 @@ def tost_equivalence(x1: int, n1: int, x2: int, n2: int, margin: float,
     """
     if n1 <= 0 or n2 <= 0 or not (0 <= x1 <= n1) or not (0 <= x2 <= n2):
         raise InvalidCounts("require 0 <= x_i <= n_i and n_i > 0")
-    if margin <= 0.0:
-        raise ValueError("margin must be positive")
+    if not 0.0 < margin < math.inf:  # NaN fails too
+        raise ValueError("margin must be positive and finite")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
     p1, p2 = x1 / n1, x2 / n2
     pooled = (x1 + x2) / (n1 + n2)
     se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))

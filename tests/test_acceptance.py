@@ -24,9 +24,8 @@ from deixis.geometry import (Ellipse, Plane, Point3, Ray, SurfacePoint,
                              cone_plane_section, surface_distance)
 from deixis.harness import Condition
 from deixis.resolver import (AMBIGUOUS, CORRECT, INCORRECT, LOCATING, NEARER,
-                             REFERENTIAL, CandidateSet, ResolverConfig,
-                             candidates, classify_outcome, predict_cluttered,
-                             resolve)
+                             REFERENTIAL, ResolverConfig, candidates,
+                             classify_outcome, predict_cluttered, resolve)
 from deixis.sampling import SampleConfig, sample_positions
 from deixis.scene import Pose2D, Scene, SceneObject, Shape
 from deixis.stats import (ContingencyTable, chi_squared_test,
@@ -107,30 +106,27 @@ def test_criterion_3_resolver_properties():
     t0 = time.perf_counter()
     rng = random.Random(777)
     region = candidates(Scene(Plane.horizontal((1.2, 0.8))), LOCATING,
-                        Shape.mug(0.04, 0.1)).region
+                        Shape.mug(0.04, 0.1))
     small_cfg = ResolverConfig(epsilon=0.05)
     for _ in range(100_000):
         n = rng.randint(1, 5)
         items = tuple((f"o{i}", SurfacePoint(rng.uniform(-0.5, 0.5),
                                              rng.uniform(-0.35, 0.35)))
                       for i in range(n))
-        cs = CandidateSet("discrete", items=items)
         x = SurfacePoint(rng.uniform(-0.5, 0.5), rng.uniform(-0.35, 0.35))
-        res = resolve(cs, x, CFG)
+        res = resolve(items, x, CFG)
         dists = [surface_distance(p, x) for _, p in items]
         k = dists.index(min(dists))
         assert items[k][0] in res.selected_ids      # theta attained
         assert abs(res.theta - dists[k]) <= 1e-12
-        assert resolve(cs, x, small_cfg).selected_ids <= res.selected_ids
+        assert resolve(items, x, small_cfg).selected_ids <= res.selected_ids
         du, dv = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        moved = CandidateSet("discrete", items=tuple(
-            (oid, SurfacePoint(p.u + du, p.v + dv)) for oid, p in items))
+        moved = tuple((oid, SurfacePoint(p.u + du, p.v + dv)) for oid, p in items)
         assert resolve(moved, SurfacePoint(x.u + du, x.v + dv),
                        CFG).selected_ids == res.selected_ids
         xs = SurfacePoint(rng.uniform(-0.55, 0.55), rng.uniform(-0.35, 0.35))
         if region.contains(xs):
-            assert resolve(CandidateSet("continuous", region=region),
-                           xs, CFG).theta == 0.0
+            assert resolve(region, xs, CFG).theta == 0.0
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     report(3, "resolver properties on 1e5 randomized scenes", t0)
@@ -151,9 +147,9 @@ def test_criterion_4_referential_robustness_and_locating_bins():
             assert classify_outcome(res, "mug", x_star, CFG) == CORRECT
     # locating: predicted-correct fraction over distance bins
     scene = Scene(table)
-    region = candidates(scene, LOCATING, Shape.mug(0.04, 0.1)).region
+    region = candidates(scene, LOCATING, Shape.mug(0.04, 0.1))
     x_star = SurfacePoint(0.0, 0.0)
-    res = resolve(CandidateSet("continuous", region=region), x_star, CFG)
+    res = resolve(region, x_star, CFG)
     assert res.theta == 0.0
     eps = CFG.epsilon
     bins = {1: [], 2: [], 3: []}

@@ -7,6 +7,8 @@ from click.testing import CliRunner
 from deixis import corpus
 from deixis.cli import main
 
+HUGE = "1" + "0" * 400  # a count no float can hold
+
 
 @pytest.fixture
 def runner():
@@ -122,6 +124,46 @@ class TestRun:
         assert res.exit_code == 1
         assert "schema" in res.output.lower()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--epsilon", "-1"), ("--epsilon", "nan"), ("--epsilon", "inf"),
+        ("--ambiguity-band", "nan"), ("--ambiguity-band", "inf")])
+    def test_bad_resolver_parameter_exits_1(self, runner, tmp_path, flag, value):
+        # NaN must not pass: `d <= theta + nan` is never true, which would
+        # label every trial incorrect
+        trials = gen(runner, tmp_path)
+        out = tmp_path / "o.jsonl"
+        res = runner.invoke(main, ["run", "--in", str(trials), flag, value,
+                                   "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "finite" in res.output and res.output.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, edit", [
+        (("ref-vs-loc", "--cone", "45"),
+         {"shown": {"type": "point", "position": [0.1, 0.2]}}),
+        (("natural",), {"shown": {"type": "object", "id": "stack_top"}}),
+        (("cluttered", "--cone", "45"), {"objects": [{"id": "cup"}, {}]}),
+        (("ref-vs-loc", "--cone", "45"), {"shown": {"type": "object", "id": "cup"}}),
+    ], ids=["referential-point", "natural-object", "cluttered-renamed-mug",
+            "referential-absent-id"])
+    def test_shown_that_does_not_fit_exits_1(self, runner, tmp_path, flags, edit):
+        trials = tmp_path / "t.jsonl"
+        assert runner.invoke(main, ["gen", "--condition", *flags,
+                                    "--out", str(trials)]).exit_code == 0
+        lines = trials.read_text().splitlines()
+        record = json.loads(lines[1])
+        record.update(edit)
+        lines[1] = json.dumps(record)
+        trials.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o.jsonl"
+        res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith(f"Error: trial {record['id']}: ")
+        assert res.output.count("\n") == 1
+        assert not out.exists()
+
     def test_yawed_box_beside_stack(self, runner, tmp_path):
         trials = tmp_path / "nat.jsonl"
         assert runner.invoke(main, ["gen", "--condition", "natural",
@@ -233,6 +275,24 @@ class TestStats:
         res = runner.invoke(main, ["stats", "--test", "chi2",
                                    "--table", "0,0,3,4"])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("flags", [
+        ("--test", "chi2", "--table", f"{HUGE},1,1,1"),
+        ("--test", "fisher", "--table", f"{HUGE},1,1,1"),
+        ("--test", "tost", "--a", f"{HUGE}/{HUGE}", "--b", "1/2"),
+        ("--test", "tost", "--a", "3/4", "--b", "1/2", "--margin", "nan"),
+        ("--test", "tost", "--a", "3/4", "--b", "1/2", "--margin", "inf"),
+        ("--test", "tost", "--a", "3/4", "--b", "1/2", "--alpha", "nan"),
+        ("--test", "tost", "--a", "3/4", "--b", "1/2", "--alpha", "0"),
+        ("--test", "tost", "--a", "3/4", "--b", "1/2", "--alpha", "1"),
+    ], ids=["chi2-huge-count", "fisher-huge-count", "tost-huge-count",
+            "margin-nan", "margin-inf", "alpha-nan", "alpha-0", "alpha-1"])
+    def test_unusable_count_or_parameter_exits_1(self, runner, flags):
+        # a count too large for a float, or a non-finite parameter
+        res = runner.invoke(main, ["stats", *flags])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("Error:") and res.output.count("\n") == 1
 
     def test_bad_flags_exit_2(self, runner):
         assert runner.invoke(main, ["stats", "--test", "chi2"]).exit_code == 2

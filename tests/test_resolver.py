@@ -6,10 +6,10 @@ import pytest
 from deixis.errors import EmptyScene, NoStablePlacement, TypeMismatch
 from deixis.geometry import Plane, Point3, Ray, SurfacePoint, surface_distance
 from deixis.resolver import (AMBIGUOUS, CORRECT, INCORRECT, LOCATING, NEARER,
-                             REFERENTIAL, CandidateSet, PointingAct,
-                             ResolverConfig, candidates, classify_outcome,
-                             predict_cluttered, resolve)
-from deixis.scene import Pose2D, Scene, SceneObject, Shape
+                             REFERENTIAL, PointingAct, ResolverConfig,
+                             candidates, classify_outcome, predict_cluttered,
+                             resolve)
+from deixis.scene import Pose2D, Scene, SceneObject, Shape, StableRegion
 
 PLANE = Plane.horizontal((1.2, 0.8))
 MUG = Shape.mug(radius=0.04, height=0.10)
@@ -18,8 +18,7 @@ CFG = ResolverConfig()
 
 
 def discrete(*positions):
-    items = tuple((f"o{i}", SurfacePoint(*p)) for i, p in enumerate(positions))
-    return CandidateSet("discrete", items=items)
+    return tuple((f"o{i}", SurfacePoint(*p)) for i, p in enumerate(positions))
 
 
 def stack_scene(gravity=True):
@@ -51,8 +50,7 @@ class TestCandidates:
     def test_referential_lists_objects(self):
         scene = Scene(PLANE, (SceneObject("mug", MUG, Pose2D(SurfacePoint(0.1, 0))),))
         cs = candidates(scene, REFERENTIAL)
-        assert cs.kind == "discrete"
-        assert cs.items == (("mug", SurfacePoint(0.1, 0)),)
+        assert cs == (("mug", SurfacePoint(0.1, 0)),)
 
     def test_referential_empty_scene(self):
         with pytest.raises(EmptyScene):
@@ -60,8 +58,8 @@ class TestCandidates:
 
     def test_locating_gravity_off_full_surface(self):
         cs = candidates(stack_scene(gravity=False), LOCATING, MUG)
-        assert cs.kind == "continuous"
-        assert cs.region.contains(SurfacePoint(0.6, 0.4))
+        assert isinstance(cs, StableRegion)
+        assert cs.contains(SurfacePoint(0.6, 0.4))
 
     def test_locating_requires_shape(self):
         with pytest.raises(ValueError):
@@ -79,19 +77,21 @@ class TestResolve:
         res = resolve(cs, SurfacePoint(0, 0), CFG)
         assert res.theta == pytest.approx(0.05)
         assert res.selected_ids == frozenset({"o0"})
-        assert not res.ambiguous
+        assert len(res.selected_ids) == 1
 
     def test_near_second_object_ambiguous(self):
         cs = discrete((0.05, 0.0), (0.12, 0.0))
         res = resolve(cs, SurfacePoint(0, 0), CFG)
         assert res.selected_ids == frozenset({"o0", "o1"})
-        assert res.ambiguous
+        assert len(res.selected_ids) > 1
 
     def test_continuous_theta_zero_inside(self):
         cs = candidates(stack_scene(gravity=False), LOCATING, MUG)
-        res = resolve(cs, SurfacePoint(0.3, 0.1), CFG)
+        x = SurfacePoint(0.3, 0.1)
+        res = resolve(cs, x, CFG)
         assert res.theta == 0.0
-        assert res.selection.contains(SurfacePoint(0.3, 0.1))
+        # x* itself lies in the region and within theta + epsilon of x*
+        assert classify_outcome(res, x, x, CFG) == CORRECT
 
     def test_continuous_theta_outside(self):
         # x* on the stack but off the shrunk top face: nearest stable is the
@@ -176,7 +176,7 @@ class TestProperties:
             cs = discrete(*pts)
             x = SurfacePoint(rng.uniform(-0.5, 0.5), rng.uniform(-0.35, 0.35))
             res = resolve(cs, x, CFG)
-            dists = {oid: surface_distance(p, x) for oid, p in cs.items}
+            dists = {oid: surface_distance(p, x) for oid, p in cs}
             nearest = min(dists, key=dists.get)
             assert nearest in res.selected_ids
             assert res.theta == pytest.approx(dists[nearest])
@@ -191,7 +191,6 @@ class TestProperties:
                 return SurfacePoint(c * p[0] - s * p[1] + du,
                                     s * p[0] + c * p[1] + dv)
 
-            moved = CandidateSet("discrete", items=tuple(
-                (oid, move((p.u, p.v))) for oid, p in cs.items))
+            moved = tuple((oid, move((p.u, p.v))) for oid, p in cs)
             res_moved = resolve(moved, move((x.u, x.v)), CFG)
             assert res_moved.selected_ids == res.selected_ids
