@@ -10,6 +10,7 @@ import math
 import sys
 
 import click
+from click.core import ParameterSource
 
 from . import corpus, harness, stats, svgplot
 from .errors import DeixisError
@@ -129,6 +130,12 @@ def _collapse(table: stats.ContingencyTable, label: str) -> stats.ContingencyTab
                                   col_labels=(label, "rest"))
 
 
+# the `stats` parameters each test reads besides --test and --csv
+_STATS_READS = {"chi2": ("fixture", "rows", "table_text", "cols"),
+                "fisher": ("fixture", "rows", "collapse_label", "table_text", "cols"),
+                "tost": ("group_a", "group_b", "margin", "alpha")}
+
+
 def _emit(name: str, result: stats.TestResult, as_csv: bool) -> None:
     dof = "" if result.dof is None else result.dof
     if as_csv:
@@ -156,11 +163,17 @@ def _emit(name: str, result: stats.TestResult, as_csv: bool) -> None:
 @click.option("--margin", type=float, default=0.05, show_default=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--csv", "as_csv", is_flag=True, default=False)
-def cmd_stats(test_name: str, fixture: str | None, rows: str | None,
+@click.pass_context
+def cmd_stats(ctx: click.Context, test_name: str, fixture: str | None, rows: str | None,
               collapse_label: str | None, table_text: str | None,
               cols: int | None, group_a: str | None, group_b: str | None,
               margin: float, alpha: float, as_csv: bool) -> None:
     """Run a chi-squared, Fisher exact, or TOST equivalence test."""
+    reads = ("test_name", "as_csv", *_STATS_READS[test_name])
+    unread = [p.opts[0] for p in ctx.command.params if p.name not in reads
+              and ctx.get_parameter_source(p.name) is ParameterSource.COMMANDLINE]
+    if unread:
+        raise click.UsageError(f"--test {test_name} does not read {', '.join(unread)}")
     try:
         if test_name == "tost":
             try:

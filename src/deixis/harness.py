@@ -18,7 +18,7 @@ from .geometry import (Ellipse, Plane, Point3, Ray, SurfacePoint,
 from .resolver import (AMBIGUOUS, CORRECT, INCORRECT, LOCATING, NEARER,
                        REFERENTIAL, PointingAct, ResolverConfig, candidates,
                        classify_outcome, predict_cluttered, resolve)
-from .sampling import SampleConfig, cluttered_pair, sample_positions, substream_seed
+from .sampling import cluttered_pair, sample_positions, substream_seed
 from .scene import Scene, SceneObject, Shape, Pose2D
 
 REF_VS_LOC = "ref_vs_loc"
@@ -41,15 +41,24 @@ RED_CUBE = Shape.cube(half=0.08, height=0.16)  # visual guide, ~2x the mug
 X_INIT = SurfacePoint(-0.2, 0.15)
 X_FINAL = SurfacePoint(-0.2, -0.15)
 
+
+@dataclass(frozen=True)
+class ShownConfig:
+    """A named stack configuration shown as the trial outcome."""
+
+    label: str
+    position: SurfacePoint
+
+
 # Natural-vs-unnatural stack: two stacked cuboids; the gesture aims just
 # inside the top face's footprint but outside its 5 mm support margin, so the
 # target placement is unstable under gravity.
 STACK_CUBOID = Shape.cuboid(half_extents=(0.1045, 0.1045), height=0.10)
 STACK_POSITION = SurfacePoint(0.0, 0.0)
 NATURAL_X_STAR = SurfacePoint(0.102, 0.0)
-NATURAL_CONFIGS = (("top", SurfacePoint(0.0, 0.0)),
-                   ("edge", SurfacePoint(0.102, 0.0)),
-                   ("table", SurfacePoint(0.45, 0.0)))
+NATURAL_CONFIGS = (ShownConfig("top", SurfacePoint(0.0, 0.0)),
+                   ShownConfig("edge", SurfacePoint(0.102, 0.0)),
+                   ShownConfig("table", SurfacePoint(0.45, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -129,14 +138,6 @@ class Condition:
 
 
 @dataclass(frozen=True)
-class ShownConfig:
-    """A named stack configuration shown as the trial outcome."""
-
-    label: str
-    position: SurfacePoint
-
-
-@dataclass(frozen=True)
 class Trial:
     id: str
     condition: Condition
@@ -194,11 +195,11 @@ def _ellipse_bbox(e: Ellipse) -> list[SurfacePoint]:
             SurfacePoint(e.center.u + du, e.center.v + dv)]
 
 
-def _normalize_condition(cond: Condition) -> Condition:
-    if cond.cone_vertex_angle is None:
-        return cond
-    return replace(cond,
-                   cone_vertex_angle=math.radians(_q(math.degrees(cond.cone_vertex_angle))))
+def _aim(cond: Condition, target: SurfacePoint, intent: str,
+         plane: Plane) -> tuple[Ray, SurfacePoint]:
+    """The robot's ray through `target` and its quantized surface hit x*."""
+    ray = pointer_ray(target, plane, cond.robot)
+    return ray, _qp(PointingAct.aim(ray, plane, intent).target)
 
 
 def generate_trials(cond: Condition, n: int, seed: int) -> list[Trial]:
@@ -206,99 +207,86 @@ def generate_trials(cond: Condition, n: int, seed: int) -> list[Trial]:
 
     n must be positive; sampled kinds also require n divisible by 4, and
     the natural condition always yields its three fixed configurations.
+    Each kind's generator returns the ray, intent, x* and scene its trials
+    share and one (id suffix, moves or None, shown) case per trial.
     """
-    cond = _normalize_condition(cond)
+    if cond.cone_vertex_angle is not None:
+        degrees = _q(math.degrees(cond.cone_vertex_angle))
+        cond = replace(cond, cone_vertex_angle=math.radians(degrees))
     if cond.kind == NATURAL:
         if n <= 0:
             raise InvalidCount(f"n must be positive, got {n}")
-        return _natural_trials(cond, seed)
-    if n <= 0 or n % 4 != 0:
+        built = _natural_trials(cond)
+    elif n <= 0 or n % 4 != 0:
         raise InvalidCount(f"n must be a positive multiple of 4, got {n}")
-    if cond.kind in (REF_VS_LOC, VERB_VARIANT):
-        return _ref_vs_loc_trials(cond, n, seed)
-    return _cluttered_trials(cond, n, seed)
+    elif cond.kind == CLUTTERED:
+        built = _cluttered_trials(cond, n, seed)
+    else:
+        built = _ref_vs_loc_trials(cond, n, seed)
+    ray, intent, x_star, scene, cases = built
+    act = PointingAct(ray, intent, x_star)
+    slug = cond.descriptor().replace("/", "-")
+    return [Trial(id=f"{slug}-{suffix}", condition=cond,
+                  scene=scene if moves is None else scene.moved(moves),
+                  point_act=act, shown=shown)
+            for suffix, moves, shown in cases]
 
 
-def _ref_vs_loc_trials(cond: Condition, n: int, seed: int) -> list[Trial]:
+def _ref_vs_loc_trials(cond: Condition, n: int, seed: int) -> tuple:
     x_init, x_final = (X_FINAL, X_INIT) if cond.reverse else (X_INIT, X_FINAL)
     intent = cond.variant
-    target = x_init if intent == REFERENTIAL else x_final
     probe_plane = Plane.horizontal(TABLE_EXTENT)
-    ray = pointer_ray(target, probe_plane, cond.robot)
-    angle = cond.cone_vertex_angle
-    assert angle is not None
-    ellipse = cone_plane_section(ray, angle, probe_plane)
-    positions = [_qp(p) for p in
-                 sample_positions(ellipse, SampleConfig(n, seed, angle))]
-    act = PointingAct.aim(ray, probe_plane, intent)
-    x_star = _qp(act.target)
+    ray, x_star = _aim(cond, x_init if intent == REFERENTIAL else x_final,
+                       intent, probe_plane)
+    ellipse = cone_plane_section(ray, cond.cone_vertex_angle, probe_plane)
+    positions = [_qp(p) for p in sample_positions(ellipse, n, seed)]
     cube_pos = _qp(SurfacePoint(x_star.u,
                                 x_star.v + _ellipse_reach(ellipse, x_star) + 0.25))
     extent = _fit_extent(_ellipse_bbox(ellipse)
                          + positions + [x_init, x_final, cube_pos, x_star])
-    plane = Plane.horizontal(extent)
-    act = PointingAct(ray, intent, x_star)
-    cube = SceneObject("red_cube", RED_CUBE, Pose2D(cube_pos))
-    slug = cond.descriptor().replace("/", "-")
+    mug = positions[0] if intent == REFERENTIAL else x_init
+    scene = Scene(Plane.horizontal(extent),
+                  (SceneObject("mug", MUG, Pose2D(mug)),
+                   SceneObject("red_cube", RED_CUBE, Pose2D(cube_pos))))
     if intent == REFERENTIAL:
-        # one scene with the mug moved per trial
-        template = Scene(plane, (SceneObject("mug", MUG, Pose2D(positions[0])), cube))
-        return [Trial(id=f"{slug}-{i:03d}", condition=cond,
-                      scene=template.moved({0: pos}), point_act=act, shown="mug")
-                for i, pos in enumerate(positions)]
-    # the locating scene is the same for every trial: build it once
-    scene = Scene(plane, (SceneObject("mug", MUG, Pose2D(x_init)), cube))
-    return [Trial(id=f"{slug}-{i:03d}", condition=cond, scene=scene,
-                  point_act=act, shown=pos)
-            for i, pos in enumerate(positions)]
+        # the mug moves to each probe
+        cases = ((f"{i:03d}", {0: pos}, "mug") for i, pos in enumerate(positions))
+    else:
+        # the probe is the shown point; every trial keeps the scene
+        cases = ((f"{i:03d}", None, pos) for i, pos in enumerate(positions))
+    return ray, intent, x_star, scene, cases
 
 
-def _cluttered_trials(cond: Condition, n: int, seed: int) -> list[Trial]:
+def _cluttered_trials(cond: Condition, n: int, seed: int) -> tuple:
     probe_plane = Plane.horizontal(TABLE_EXTENT)
-    ray = pointer_ray(SurfacePoint(0.0, 0.0), probe_plane, cond.robot)
-    angle = cond.cone_vertex_angle
-    assert angle is not None
-    ellipse = cone_plane_section(ray, angle, probe_plane)
-    act = PointingAct.aim(ray, probe_plane, REFERENTIAL)
-    x_star = _qp(act.target)
+    ray, x_star = _aim(cond, SurfacePoint(0.0, 0.0), REFERENTIAL, probe_plane)
+    ellipse = cone_plane_section(ray, cond.cone_vertex_angle, probe_plane)
     # bound the extent by the farthest possible pair point (offset +- D/2)
     d_full = 2.0 * ellipse.semi_major
     far = [ellipse.from_local(s * 1.5 * d_full, 0.0) for s in (-1.0, 1.0)]
     pairs = [cluttered_pair(ellipse, substream_seed(seed, i)) for i in range(n)]
     points = [p for pair in pairs for p in (pair.x_object, pair.x_distractor)]
     extent = _fit_extent(_ellipse_bbox(ellipse) + far + points + [x_star])
-    plane = Plane.horizontal(extent)
-    act = PointingAct(ray, REFERENTIAL, x_star)
-    slug = cond.descriptor().replace("/", "-")
-    # one scene with both mugs moved per trial
-    template = Scene(plane, (SceneObject("mug_object", MUG, Pose2D(_qp(pairs[0].x_object))),
-                             SceneObject("mug_distractor", MUG,
-                                         Pose2D(_qp(pairs[0].x_distractor)))))
-    trials = []
-    for i, pair in enumerate(pairs):
-        scene = template.moved({0: _qp(pair.x_object), 1: _qp(pair.x_distractor)})
-        obj, distractor = scene.objects
-        d_obj = surface_distance(obj.pose.position, x_star)
-        d_dis = surface_distance(distractor.pose.position, x_star)
-        shown = obj.id if d_obj <= d_dis else distractor.id
-        trials.append(Trial(id=f"{slug}-{i:03d}", condition=cond, scene=scene,
-                            point_act=act, shown=shown))
-    return trials
+    # object, distractor, object, ...: both mugs move per trial
+    mugs = [_qp(p) for p in points]
+    scene = Scene(Plane.horizontal(extent),
+                  (SceneObject("mug_object", MUG, Pose2D(mugs[0])),
+                   SceneObject("mug_distractor", MUG, Pose2D(mugs[1]))))
+    cases = ((f"{i:03d}", {0: obj, 1: dis},
+              "mug_object" if surface_distance(obj, x_star) <= surface_distance(dis, x_star)
+              else "mug_distractor")
+             for i, (obj, dis) in enumerate(zip(mugs[::2], mugs[1::2])))
+    return ray, REFERENTIAL, x_star, scene, cases
 
 
-def _natural_trials(cond: Condition, seed: int) -> list[Trial]:
+def _natural_trials(cond: Condition) -> tuple:
     plane = Plane.horizontal(TABLE_EXTENT)
     stack = (SceneObject("stack_base", STACK_CUBOID, Pose2D(STACK_POSITION)),
              SceneObject("stack_top", STACK_CUBOID, Pose2D(STACK_POSITION),
                          support="stack_base"))
-    scene = Scene(plane, stack, gravity=cond.gravity)
-    ray = pointer_ray(NATURAL_X_STAR, plane, cond.robot)
-    act = PointingAct.aim(ray, plane, LOCATING)
-    act = PointingAct(ray, LOCATING, _qp(act.target))
-    slug = cond.descriptor().replace("/", "-")
-    return [Trial(id=f"{slug}-{label}", condition=cond, scene=scene,
-                  point_act=act, shown=ShownConfig(label, position))
-            for label, position in NATURAL_CONFIGS]
+    ray, x_star = _aim(cond, NATURAL_X_STAR, LOCATING, plane)
+    cases = ((shown.label, None, shown) for shown in NATURAL_CONFIGS)
+    return ray, LOCATING, x_star, Scene(plane, stack, gravity=cond.gravity), cases
 
 
 def _predict(trial: Trial, descriptor: str, x_star_q: tuple[float, float],

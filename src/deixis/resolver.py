@@ -76,8 +76,6 @@ def candidates(scene: Scene, intent: str, shape_for_placement: Shape | None = No
     (referential), or the stable region of the placed shape (locating; the
     full surface with gravity off)."""
     if intent == REFERENTIAL:
-        if not scene.objects:
-            raise EmptyScene("referential pointing needs at least one object")
         return tuple((o.id, o.pose.position) for o in scene.objects)
     if intent == LOCATING:
         if shape_for_placement is None:
@@ -95,6 +93,8 @@ def resolve(cands: tuple[tuple[str, SurfacePoint], ...] | StableRegion,
     if isinstance(cands, StableRegion):
         # theta is 0.0 when x* is stable
         return Resolution(theta=cands.distance(x_star), region=cands)
+    if not cands:
+        raise EmptyScene("referential pointing needs at least one object")
     dists = {oid: surface_distance(pos, x_star) for oid, pos in cands}
     theta = min(dists.values())
     cutoff = theta + cfg.epsilon

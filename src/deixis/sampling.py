@@ -1,11 +1,11 @@
 """Seeded position generation inside a cone's elliptical section.
 
 RNG contract: PCG64 seeded through numpy's SeedSequence(entropy=seed).
-`sample_positions` draws everything from that one stream, so position i of
-an n-trial set depends on n.  Only cluttered pairs have one substream per
-trial index: the harness seeds `cluttered_pair` for trial i with
-`substream_seed(seed, i)`, derived from SeedSequence(entropy=seed,
-spawn_key=(i,)), so pair i does not depend on n.
+`sample_positions(ellipse, n, seed)` draws all n positions from that one
+stream, so position i of an n-trial set depends on n.  Only cluttered pairs
+have one substream per trial index: the harness seeds `cluttered_pair` for
+trial i with `substream_seed(seed, i)`, derived from
+SeedSequence(entropy=seed, spawn_key=(i,)), so pair i does not depend on n.
 """
 from __future__ import annotations
 
@@ -29,17 +29,6 @@ def substream_seed(seed: int, index: int) -> int:
 def _rng(seed: int, *spawn_key: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)))
-
-
-@dataclass(frozen=True)
-class SampleConfig:
-    n: int
-    seed: int
-    cone_vertex_angle: float
-
-    def __post_init__(self) -> None:
-        if self.n <= 0 or self.n % 4 != 0:
-            raise InvalidCount(f"n must be a positive multiple of 4, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -70,13 +59,14 @@ def _fill_quadrant(rng: np.random.Generator, ellipse: Ellipse, quadrant: int,
     return out
 
 
-def sample_positions(ellipse: Ellipse, config: SampleConfig) -> list[SurfacePoint]:
+def sample_positions(ellipse: Ellipse, n: int, seed: int) -> list[SurfacePoint]:
     """n positions uniform within the section, exactly n/4 per quadrant."""
-    rng = _rng(config.seed)
-    per = config.n // 4
+    if n <= 0 or n % 4 != 0:
+        raise InvalidCount(f"n must be a positive multiple of 4, got {n}")
+    rng = _rng(seed)
     points: list[SurfacePoint] = []
     for q in range(4):
-        points.extend(_fill_quadrant(rng, ellipse, q, per))
+        points.extend(_fill_quadrant(rng, ellipse, q, n // 4))
     return points
 
 

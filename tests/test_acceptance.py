@@ -26,7 +26,7 @@ from deixis.harness import Condition
 from deixis.resolver import (AMBIGUOUS, CORRECT, INCORRECT, LOCATING, NEARER,
                              REFERENTIAL, ResolverConfig, candidates,
                              classify_outcome, predict_cluttered, resolve)
-from deixis.sampling import SampleConfig, sample_positions
+from deixis.sampling import sample_positions
 from deixis.scene import Pose2D, Scene, SceneObject, Shape
 from deixis.stats import (ContingencyTable, chi_squared_test,
                           chi_squared_upper_tail, fisher_exact_2x2,
@@ -76,9 +76,8 @@ def test_criterion_2_sampler():
                    if deg < 90.0 else
                    cone_plane_section(Ray(Point3(0, 0, 1), (0, 0, -1)),
                                       math.radians(deg), PLANE))
-        cfg = SampleConfig(4000, 21, math.radians(deg))
-        pts = sample_positions(ellipse, cfg)
-        assert pts == sample_positions(ellipse, cfg)  # byte-identical regen
+        pts = sample_positions(ellipse, 4000, 21)
+        assert pts == sample_positions(ellipse, 4000, 21)  # byte-identical regen
         quadrants = Counter()
         bins = {q: Counter() for q in range(4)}
         for p in pts:
@@ -138,7 +137,7 @@ def test_criterion_4_referential_robustness_and_locating_bins():
     apex = Ray(Point3(0, 0, 1.0), (0, 0, -1))
     for deg in (45.0, 67.5, 90.0):
         ellipse = cone_plane_section(apex, math.radians(deg), table)
-        pts = sample_positions(ellipse, SampleConfig(400, 17, math.radians(deg)))
+        pts = sample_positions(ellipse, 400, 17)
         x_star = SurfacePoint(0.0, 0.0)
         for p in pts:
             scene = Scene(table, (SceneObject("mug", Shape.mug(0.04, 0.1),

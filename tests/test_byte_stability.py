@@ -2,12 +2,12 @@
 
 Each flag set below is regenerated through the CLI and every output file is
 compared by sha256 with the digest recorded for it: the paper's 11 trial
-sets and one verbs set at n=8 (trials, responses and SVG) and the three
-sets of the benchmark's sweeps at n=4000 (responses).  The stdout of the
-`stats` commands in `STATS_COMMANDS` and of a seeded list of r x c
-chi-squared tables is pinned the same way.  A change that alters any byte
-of these outputs fails here.  To record new digests after a deliberate
-output change, run
+sets, one verbs set and two kuka sets at n=8 (trials, responses and SVG)
+and the three sets of the benchmark's sweeps at n=4000 (trials and
+responses).  The stdout of the `stats` commands in `STATS_COMMANDS` and of
+a seeded list of r x c chi-squared tables is pinned the same way.  A
+change that alters any byte of these outputs fails here.  To record new
+digests after a deliberate output change, run
 
     PYTHONPATH=src python tests/test_byte_stability.py
 
@@ -36,8 +36,16 @@ PAPER_SETS = {
     **{f"nat-{g}": (("--condition", "natural", "--gravity", g), "scatter-pies")
        for g in ("on", "off")},
 }
-# the one set that sets --verb, --robot, --no-speech and --reverse
-SETS = {**PAPER_SETS,
+# a reversed referential and a cluttered set on the kuka pointer
+KUKA_SETS = {
+    "ref-45-kuka-reverse": (("--condition", "ref-vs-loc", "--variant", "referential",
+                             "--cone", "45", "--robot", "kuka", "--reverse"),
+                            "scatter-pies"),
+    "clut-90-kuka": (("--condition", "cluttered", "--cone", "90", "--robot", "kuka"),
+                     "distance-pies"),
+}
+# plus the one set that sets --verb, --robot, --no-speech and --reverse
+SETS = {**PAPER_SETS, **KUKA_SETS,
         "verb-push": (("--condition", "verbs", "--variant", "locating",
                        "--cone", "67.5", "--verb", "push", "--no-speech",
                        "--reverse", "--robot", "kuka"), "scatter-pies")}
@@ -77,6 +85,9 @@ DIGESTS = {
     "clut-90": ("a7f391991808a748451a2d737a27b8beadaefd4501fff6791f743115a2a15aa6",
                 "c13dd893d0b1a6abcdc7469d803d611fd525830b5fc192bf263b5aaffc1ec7f2",
                 "20fefb939b37e67d42ac71cf67093aaf864317985691a9438c14db5fd7a37ba7"),
+    "clut-90-kuka": ("b8c2000709001c418090833a47af294da64e9b91b35a111bfe3020066dd089a0",
+                     "70fbd79ca62c5edfa3ba042aa62a2f5347d6a5c0f8be1f4e6ea0c292e9f163ee",
+                     "e04cfc9d81c462347b65405629001ca11eafdbf71f8713448d9f937bda22c99e"),
     "loc-45": ("d41f984a753b2947d80a89a1630229c1e519b0630606f9fd634ba53908163bdf",
                "be936510a4b3afe0f9b199b27375e42b09cb85bdb9914f42c14960e1a2142572",
                "8f1a3325be1c190947c605564131f3ca818f46f29444b7bf5aa575c47316f4dd"),
@@ -95,6 +106,9 @@ DIGESTS = {
     "ref-45": ("c2fe0feb0d65f665f13805f96bc255babaf31afaa51db4557f401808885c9dfd",
                "2441ce11196422dd6d07295de7ae9ca7302e6eedd0386f56c69fcafdaa2b3eda",
                "91d22c4a66f0065b26d4f15322fd9aa4566ca360b73c540a79bc0ee82e1cb444"),
+    "ref-45-kuka-reverse": ("17d6b8926f1b16ff82a46c744abc78150fc17aa2e0efbf6bdfed87d1dce60b46",
+                            "a06f7c9f248404e9abaca9fe4edee199f3eccf84948c93c1b1c9ca2667ac75cb",
+                            "fa2b466f7e5cd276f755485a8f6f19603ac6955f1f9e4c8181d3938161bd8d82"),
     "ref-67.5": ("20c794492d05c07a606b44b2cd4054ed9abb817e0dfec4e8b740c7f1a5fee5c1",
                  "97e4e0e86b607cc9818b01f83b848e453f6dfbf15f296eb4f6cd86bfed7418ce",
                  "8232a08ef0cc55fd1bcf9a2583c67448e39cf4b81918eb633414c8ac8375f2ff"),
@@ -104,9 +118,12 @@ DIGESTS = {
     "verb-push": ("e5c030fa2c2f8bdbd091d37e2567baec0fc2e587b510a6fa7745c2d769f9d15a",
                   "9448b0bd860cfc000d9e995d4b2036ab0144d89e7e3802ce8c6645e924f0c46c",
                   "8737ab89bfdb1300b3b62b9640318aa304e4e99c2cc85c258d4904f4318084d4"),
-    "loc-90-n4000": "caea1f96134eac2ab72accdc9776d1a3fc230ee679e78942dc8774cd859daf42",
-    "ref-67.5-n4000": "aee2cc6c75c5e645638ca775f028c3b4a1ecdfad3a8762cbf9a49767ce0e1288",
-    "clut-67.5-n4000": "040fdf1ccb8b729388fb11def0083110289a1911f70f6bc81d99f76d91890b0d",
+    "loc-90-n4000": ("30dd48daa78dc16468db3a9ea6987658b9103bcb7493d395d6c45cc5047df2cd",
+                     "caea1f96134eac2ab72accdc9776d1a3fc230ee679e78942dc8774cd859daf42"),
+    "ref-67.5-n4000": ("8a28551f714b131a25ff28e1a7b0b8df61ca8e01c3d1a90746542f2438efe889",
+                       "aee2cc6c75c5e645638ca775f028c3b4a1ecdfad3a8762cbf9a49767ce0e1288"),
+    "clut-67.5-n4000": ("357104e9d9bf38257ba8719a11740afcec0b02ea168ecb3c100d8d03da16ee5f",
+                        "040fdf1ccb8b729388fb11def0083110289a1911f70f6bc81d99f76d91890b0d"),
 }
 STATS_DIGESTS = {
     "chi2-table1": "a02128eeb4f4c3e22e260b0a5cf748e8835ff9aaced0c61da7700182b124aeb0",
@@ -139,12 +156,12 @@ def paper_digests(name: str, tmp: Path) -> tuple[str, str, str]:
     return _sha(trials), _sha(resp), _sha(svg)
 
 
-def sweep_digest(name: str, tmp: Path) -> str:
-    """sha256 of the responses of one set of `SWEEPS`."""
+def sweep_digests(name: str, tmp: Path) -> tuple[str, str]:
+    """sha256 of the trials and responses of one set of `SWEEPS`."""
     trials, resp = tmp / f"{name}.t.jsonl", tmp / f"{name}.r.jsonl"
     _invoke("gen", *SWEEPS[name], "--seed", SEED, "--out", str(trials))
     _invoke("run", "--in", str(trials), "--out", str(resp))
-    return _sha(resp)
+    return _sha(trials), _sha(resp)
 
 
 def random_tables() -> list[tuple[str, ...]]:
@@ -185,13 +202,23 @@ def test_verb_set_bytes(tmp_path):
     assert paper_digests("verb-push", tmp_path) == DIGESTS["verb-push"]
 
 
+@pytest.mark.parametrize("name", sorted(KUKA_SETS))
+def test_kuka_set_bytes(name, tmp_path):
+    assert paper_digests(name, tmp_path) == DIGESTS[name]
+
+
 def test_locating_sweep_response_bytes(tmp_path):
-    assert sweep_digest("loc-90-n4000", tmp_path) == DIGESTS["loc-90-n4000"]
+    assert sweep_digests("loc-90-n4000", tmp_path)[1] == DIGESTS["loc-90-n4000"][1]
 
 
 @pytest.mark.parametrize("name", ["ref-67.5-n4000", "clut-67.5-n4000"])
 def test_discrete_sweep_response_bytes(name, tmp_path):
-    assert sweep_digest(name, tmp_path) == DIGESTS[name]
+    assert sweep_digests(name, tmp_path)[1] == DIGESTS[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_trials_bytes(name, tmp_path):
+    assert sweep_digests(name, tmp_path)[0] == DIGESTS[name][0]
 
 
 @pytest.mark.parametrize("name", sorted(STATS_DIGESTS))
@@ -210,7 +237,9 @@ if __name__ == "__main__":
             pad = " " * (len(name) + 9)
             print(f'    "{name}": ("{trials}",\n{pad}"{responses}",\n{pad}"{svg}"),')
         for name in SWEEPS:
-            print(f'    "{name}": "{sweep_digest(name, tmp)}",')
+            trials, responses = sweep_digests(name, tmp)
+            pad = " " * (len(name) + 9)
+            print(f'    "{name}": ("{trials}",\n{pad}"{responses}"),')
         print("}")
     print("STATS_DIGESTS = {")
     for name in [*STATS_COMMANDS, "random-tables"]:

@@ -304,6 +304,19 @@ class TestStats:
         assert runner.invoke(main, ["stats", "--test", "tost",
                                     "--a", "3/x", "--b", "1/2"]).exit_code == 2
 
+    @pytest.mark.parametrize("flags, unread", [
+        (("--test", "chi2", "--table", "3,1,1,3", "--margin", "nan"), "--margin"),
+        (("--test", "fisher", "--table", "3,1,1,3", "--alpha", "7"), "--alpha"),
+        (("--test", "chi2", "--table", "3,1,1,3", "--collapse", "correct"), "--collapse"),
+        (("--test", "tost", "--a", "3/4", "--b", "1/2", "--fixture", "table1"),
+         "--fixture"),
+    ], ids=["chi2-margin", "fisher-alpha", "chi2-collapse", "tost-fixture"])
+    def test_flag_the_test_does_not_read_exits_2(self, runner, flags, unread):
+        res = runner.invoke(main, ["stats", *flags])
+        assert res.exit_code == 2
+        errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert errors == [f"Error: --test {flags[1]} does not read {unread}"]
+
 
 class TestPlot:
     def test_pipeline_and_epsilon_monotonicity(self, runner, tmp_path):

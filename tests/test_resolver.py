@@ -54,7 +54,7 @@ class TestCandidates:
 
     def test_referential_empty_scene(self):
         with pytest.raises(EmptyScene):
-            candidates(Scene(PLANE), REFERENTIAL)
+            resolve(candidates(Scene(PLANE), REFERENTIAL), SurfacePoint(0, 0))
 
     def test_locating_gravity_off_full_surface(self):
         cs = candidates(stack_scene(gravity=False), LOCATING, MUG)

@@ -5,8 +5,7 @@ import pytest
 
 from deixis.errors import InvalidCount
 from deixis.geometry import Ellipse, SurfacePoint, surface_distance
-from deixis.sampling import (SampleConfig, cluttered_pair, sample_positions,
-                             substream_seed)
+from deixis.sampling import cluttered_pair, sample_positions, substream_seed
 
 CIRCLE = Ellipse(SurfacePoint(0.0, 0.0), 1.0, 1.0, 0.0)
 TILTED = Ellipse(SurfacePoint(0.3, -0.1), 0.8, 0.5, 0.6)
@@ -24,33 +23,32 @@ def quadrant_of(ellipse, p):
 
 class TestSamplePositions:
     def test_two_per_quadrant(self):
-        pts = sample_positions(TILTED, SampleConfig(8, 0, math.radians(45)))
+        pts = sample_positions(TILTED, 8, 0)
         assert len(pts) == 8
         counts = Counter(quadrant_of(TILTED, p) for p in pts)
         assert counts == {0: 2, 1: 2, 2: 2, 3: 2}
 
     def test_containment(self):
-        pts = sample_positions(TILTED, SampleConfig(400, 5, math.radians(67.5)))
+        pts = sample_positions(TILTED, 400, 5)
         for p in pts:
             assert TILTED.contains(p)
 
     def test_determinism_and_seed_sensitivity(self):
-        cfg = SampleConfig(16, 9, math.radians(45))
-        a = sample_positions(TILTED, cfg)
-        b = sample_positions(TILTED, cfg)
-        c = sample_positions(TILTED, SampleConfig(16, 10, math.radians(45)))
+        a = sample_positions(TILTED, 16, 9)
+        b = sample_positions(TILTED, 16, 9)
+        c = sample_positions(TILTED, 16, 10)
         assert a == b
         assert a != c
 
     def test_invalid_count(self):
         with pytest.raises(InvalidCount):
-            SampleConfig(7, 0, math.radians(45))
+            sample_positions(TILTED, 7, 0)
         with pytest.raises(InvalidCount):
-            SampleConfig(0, 0, math.radians(45))
+            sample_positions(TILTED, 0, 0)
 
     def test_quadrant_uniformity(self):
         # 16 equal-area bins per quadrant: 4 angular x 4 radial-area slices
-        pts = sample_positions(TILTED, SampleConfig(4000, 3, math.radians(90)))
+        pts = sample_positions(TILTED, 4000, 3)
         crit = 37.697  # chi-squared 0.999 quantile, df = 15
         for q in range(4):
             bins = Counter()
