@@ -134,6 +134,10 @@ def _collapse(table: stats.ContingencyTable, label: str) -> stats.ContingencyTab
 _STATS_READS = {"chi2": ("fixture", "rows", "table_text", "cols"),
                 "fisher": ("fixture", "rows", "collapse_label", "table_text", "cols"),
                 "tost": ("group_a", "group_b", "margin", "alpha")}
+# (flag, parameter, flag it is read with, that flag's parameter)
+_STATS_NEEDS = (("--cols", "cols", "--table", "table_text"),
+                ("--rows", "rows", "--fixture", "fixture"),
+                ("--collapse", "collapse_label", "--rows", "rows"))
 
 
 def _emit(name: str, result: stats.TestResult, as_csv: bool) -> None:
@@ -174,6 +178,11 @@ def cmd_stats(ctx: click.Context, test_name: str, fixture: str | None, rows: str
               and ctx.get_parameter_source(p.name) is ParameterSource.COMMANDLINE]
     if unread:
         raise click.UsageError(f"--test {test_name} does not read {', '.join(unread)}")
+    if table_text is not None and fixture is not None:
+        raise click.UsageError("--table and --fixture exclude each other")
+    for flag, name, needs, needed in _STATS_NEEDS:
+        if ctx.params[name] is not None and ctx.params[needed] is None:
+            raise click.UsageError(f"{flag} is read only with {needs}")
     try:
         if test_name == "tost":
             try:

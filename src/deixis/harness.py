@@ -302,7 +302,7 @@ def _predict(trial: Trial, descriptor: str, x_star_q: tuple[float, float],
         meta.update(d_near=_q(min(d1, d2)), d_far=_q(max(d1, d2)),
                     delta=_q(abs(d1 - d2)),
                     separation=_q(surface_distance(obj, dis)))
-        meta["probe"] = (_q(obj.u), _q(obj.v))
+        meta.update(probe=(_q(obj.u), _q(obj.v)), path=CLUTTERED)
         return predicted, meta
     # referential, locating (verb variants included) and natural trials
     shown = trial.shown
@@ -315,7 +315,7 @@ def _predict(trial: Trial, descriptor: str, x_star_q: tuple[float, float],
     predicted = classify_outcome(res, shown, x_star, cfg)
     probe = (trial.scene.object_by_id(shown).pose.position
              if isinstance(shown, str) else shown)
-    meta.update(probe=(_q(probe.u), _q(probe.v)), theta=_q(res.theta))
+    meta.update(probe=(_q(probe.u), _q(probe.v)), theta=_q(res.theta), path=res.path)
     if kind != NATURAL:
         meta["distance"] = _q(surface_distance(probe, x_star))
     return predicted, meta
@@ -324,7 +324,11 @@ def _predict(trial: Trial, descriptor: str, x_star_q: tuple[float, float],
 def run(trials: list[Trial],
         cfg: ResolverConfig = ResolverConfig()) -> list[ResponseRecord]:
     """One predicted judgment per trial, preserving order.  Every float in
-    `meta` is quantized to 9 significant digits, as the corpus writes it."""
+    `meta` is quantized to 9 significant digits, as the corpus writes it.
+    `meta.path` names the branch that answered: `stable` or `enumerated`
+    for locating and natural trials (x* in the stable region, or the
+    nearest stable point found by enumeration), `discrete` for referential
+    trials and `cluttered` for cluttered ones."""
     descriptors: dict[Condition, str] = {}
     x_star = x_star_q = None
     records = []

@@ -24,6 +24,11 @@ INCORRECT = "incorrect"
 AMBIGUOUS = "ambiguous"
 NEARER = "nearer"
 
+# the branch of `resolve` that found theta
+DISCRETE = "discrete"  # distances to the objects
+STABLE = "stable"  # x* lies in the stable region: theta is 0.0
+ENUMERATED = "enumerated"  # the nearest stable point, found by enumeration
+
 
 @dataclass(frozen=True)
 class PointingAct:
@@ -63,9 +68,11 @@ class ResolverConfig:
 
 @dataclass(frozen=True)
 class Resolution:
-    """theta plus the selected object ids (referential) or the region (locating)."""
+    """theta, the branch that found it (`path`) and the selected object ids
+    (referential) or the region (locating)."""
 
     theta: float
+    path: str
     selected_ids: frozenset[str] | None = None
     region: StableRegion | None = None
 
@@ -91,15 +98,18 @@ def resolve(cands: tuple[tuple[str, SurfacePoint], ...] | StableRegion,
             x_star: SurfacePoint, cfg: ResolverConfig = ResolverConfig()) -> Resolution:
     """Apply the theta + epsilon rule at target x*."""
     if isinstance(cands, StableRegion):
-        # theta is 0.0 when x* is stable
-        return Resolution(theta=cands.distance(x_star), region=cands)
+        if cands.contains(x_star):
+            return Resolution(theta=0.0, path=STABLE, region=cands)
+        nearest = cands.nearest_from_outside(x_star)
+        return Resolution(theta=surface_distance(nearest, x_star), path=ENUMERATED,
+                          region=cands)
     if not cands:
         raise EmptyScene("referential pointing needs at least one object")
     dists = {oid: surface_distance(pos, x_star) for oid, pos in cands}
     theta = min(dists.values())
     cutoff = theta + cfg.epsilon
     selected = frozenset(oid for oid, d in dists.items() if d <= cutoff)
-    return Resolution(theta=theta, selected_ids=selected)
+    return Resolution(theta=theta, path=DISCRETE, selected_ids=selected)
 
 
 def classify_outcome(res: Resolution, shown: str | SurfacePoint,

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import NoStablePlacement, UnknownObject, UnknownSupport
-from .geometry import Plane, SurfacePoint, surface_distance
+from .geometry import Plane, SurfacePoint
 
 SUPPORT_MARGIN = 0.005
 COLLISION_TOL = 0.001
@@ -439,9 +439,9 @@ class StableRegion:
         onto one of those curves, or a crossing of two of them; the
         candidates are tried in order of distance.
         """
-        return x if self.contains(x) else self._nearest_from_outside(x)
+        return x if self.contains(x) else self.nearest_from_outside(x)
 
-    def _nearest_from_outside(self, x: SurfacePoint) -> SurfacePoint:
+    def nearest_from_outside(self, x: SurfacePoint) -> SurfacePoint:
         """`nearest` for an `x` already known to be unstable."""
         hu, hv = (e / 2.0 for e in self.scene.surface.extent)
         levels = [(Footprint.box(_ORIGIN, hu, hv), 0.0)]
@@ -461,12 +461,6 @@ class StableRegion:
                            if cd <= d + 1e-9 and self.contains(SurfacePoint(cu, cv)))
                 return SurfacePoint(u, v)
         raise NoStablePlacement("no stable placement exists for this shape")
-
-    def distance(self, x: SurfacePoint) -> float:
-        """Distance from `x` to the region, 0.0 when `x` is stable; one
-        membership test either way."""
-        return 0.0 if self.contains(x) else surface_distance(
-            self._nearest_from_outside(x), x)
 
 
 def stable_region(scene: Scene, shape: Shape) -> StableRegion:

@@ -77,53 +77,53 @@ SUBNORMAL_TABLE = ("--cols", "6", "--table",
 
 DIGESTS = {
     "clut-45": ("72c4d2a8c07894d35ba47b2c49cfd678510285f5b4bd86337cccbc9b228fa6b2",
-                "7d57b1009f2221510f1cb65f68674b2aabf6ce38423ceaa7d7525cbb354bab8f",
+                "d8add6cf220cf4ce3da5c22a747c78575c88e2673bea6dedb376fa65098dce30",
                 "e46e0004926cd51792aa8a160bc6e01674a6942b4f43c7dd4f9a17bd011b60b2"),
     "clut-67.5": ("123b9e56b3504cf0b4efc6f39c6d2688a39305a5ff17e5d9a17243f51b6e1923",
-                  "345530827d29210cf25bb95b553b57d5a02770a0ddcd3a47028a3100db5a126b",
+                  "cee40564f106e75d061bd4d8272f90852351b1af6307b263d63e0d2f769f6e0e",
                   "5583821f8c887d3b7c0b91af3c0e221eb3c79b4f12165c045f8a5d16932ee636"),
     "clut-90": ("a7f391991808a748451a2d737a27b8beadaefd4501fff6791f743115a2a15aa6",
-                "c13dd893d0b1a6abcdc7469d803d611fd525830b5fc192bf263b5aaffc1ec7f2",
+                "6ab80f7c39f73bfcc074be85329763a1e31fe1eff35633fd5a87eded4a31834e",
                 "20fefb939b37e67d42ac71cf67093aaf864317985691a9438c14db5fd7a37ba7"),
     "clut-90-kuka": ("b8c2000709001c418090833a47af294da64e9b91b35a111bfe3020066dd089a0",
-                     "70fbd79ca62c5edfa3ba042aa62a2f5347d6a5c0f8be1f4e6ea0c292e9f163ee",
+                     "98e0743567e6193bd4da4b365db01e69972fc5994b4d6a2842b3ac179eeef070",
                      "e04cfc9d81c462347b65405629001ca11eafdbf71f8713448d9f937bda22c99e"),
     "loc-45": ("d41f984a753b2947d80a89a1630229c1e519b0630606f9fd634ba53908163bdf",
-               "be936510a4b3afe0f9b199b27375e42b09cb85bdb9914f42c14960e1a2142572",
+               "2e82b877ca6310de708b2ff7338702906af123f7647994c974f0ae50724f1848",
                "8f1a3325be1c190947c605564131f3ca818f46f29444b7bf5aa575c47316f4dd"),
     "loc-67.5": ("52b55753fdb7be20767a67c6547d148d82d00cd2979d45be4a520d1b955a834c",
-                 "1e68eb66a6bef4362b990a593573562fd3c3c07b587667a303cfe0f2897f9bf2",
+                 "59f73aa59fa5abd2a9e72daf95ce512ee4cdbc9f42f140ab218ca198fd64ef46",
                  "453ecffa55bfd28a14e4cfdd9369457599bcb7332bc4c0461751de5dcfe6ae1e"),
     "loc-90": ("3fa06967ea6a8deb95b8175a12439673b699e44b86afc8a071d6c42ecb069a8c",
-               "43ad765585ecf18c59069006d70eb306997fde5cf79a799658759487c10b9299",
+               "b4cba4d3c59379d4287e266bf33939ed02c341b47ec8dee5f64f398dbb11faad",
                "3556b4af54e1c2aae914b2247c67c0c053af8ce5b9f09fac52e73db902661cdf"),
     "nat-off": ("b1997cb0c2716bfcdd283f2cc854d77a4fdd2ca89fed7a09328e7f13b9f93117",
-                "4d8ef6d27c81df462dab1521a45576ef8a97ed5d9db2d6ef339a0d616a2bdc48",
+                "60f0c0bf28011c6c1ad1882bf641fcb86ce5d3d4ffb26f275eb5cb65b74d6148",
                 "45ef86569f72f5df5a3321f9f746dc12c1ad338dc85a9f5daa27a6df270ca75d"),
     "nat-on": ("f1c77fb3a157d40f8a81cb3497e393a1bfb0cf24b9e33101dcf9f51949e1cff4",
-               "c0134958114fd67e9cb929dfb015d45befef453b29a09ebd25db9545263ca533",
+               "18d0abf9a813aba7ba11e736c23fba2756404925e89d500ff318aa790d899e9d",
                "87a200ed13f2fb5270625be7c624964eea5079992c195bc18a0d1e6463fc716f"),
     "ref-45": ("c2fe0feb0d65f665f13805f96bc255babaf31afaa51db4557f401808885c9dfd",
-               "2441ce11196422dd6d07295de7ae9ca7302e6eedd0386f56c69fcafdaa2b3eda",
+               "e750c056098564848dbb77e7f8e7a3e4fb7e91e278611e00a02a2aeef894a6eb",
                "91d22c4a66f0065b26d4f15322fd9aa4566ca360b73c540a79bc0ee82e1cb444"),
     "ref-45-kuka-reverse": ("17d6b8926f1b16ff82a46c744abc78150fc17aa2e0efbf6bdfed87d1dce60b46",
-                            "a06f7c9f248404e9abaca9fe4edee199f3eccf84948c93c1b1c9ca2667ac75cb",
+                            "cbd828c0d32b10fda06f6800193d6781337258e3e169fcd2ebb735e04ad562cf",
                             "fa2b466f7e5cd276f755485a8f6f19603ac6955f1f9e4c8181d3938161bd8d82"),
     "ref-67.5": ("20c794492d05c07a606b44b2cd4054ed9abb817e0dfec4e8b740c7f1a5fee5c1",
-                 "97e4e0e86b607cc9818b01f83b848e453f6dfbf15f296eb4f6cd86bfed7418ce",
+                 "d83523940ab72134d00aa4da84ac0a703ad24df61f544770a99679c9eccf049d",
                  "8232a08ef0cc55fd1bcf9a2583c67448e39cf4b81918eb633414c8ac8375f2ff"),
     "ref-90": ("34483fe3fd6874a8bafe9db0799bc3d06be40c9fe77dcfc0bd722b4564fd5c20",
-               "60ccd89338f744c3d34ba1408682e0c08fb16958d4d6bf4868ece065e2f35f2a",
+               "bda153a4fd08b3f3b5950fed78249e5b539b183070b5511b461e32ee4fb0763b",
                "70603e1061e5a77cef9d45a21baca80da16055694a8ec4591332022567b044b8"),
     "verb-push": ("e5c030fa2c2f8bdbd091d37e2567baec0fc2e587b510a6fa7745c2d769f9d15a",
-                  "9448b0bd860cfc000d9e995d4b2036ab0144d89e7e3802ce8c6645e924f0c46c",
+                  "2871ad0a942bdf88b5c06958a72d7c0b69ea23beba3a7f78ae65c582e70eb223",
                   "8737ab89bfdb1300b3b62b9640318aa304e4e99c2cc85c258d4904f4318084d4"),
     "loc-90-n4000": ("30dd48daa78dc16468db3a9ea6987658b9103bcb7493d395d6c45cc5047df2cd",
-                     "caea1f96134eac2ab72accdc9776d1a3fc230ee679e78942dc8774cd859daf42"),
+                     "7d1a03bfb66b0112af4f42521501d5d6bf676fd660eae46f9a1f44af7bf68abe"),
     "ref-67.5-n4000": ("8a28551f714b131a25ff28e1a7b0b8df61ca8e01c3d1a90746542f2438efe889",
-                       "aee2cc6c75c5e645638ca775f028c3b4a1ecdfad3a8762cbf9a49767ce0e1288"),
+                       "20cc242741eff18cde061e6b70a438cdf5ccae300dfe48b163e420c18fafc1cc"),
     "clut-67.5-n4000": ("357104e9d9bf38257ba8719a11740afcec0b02ea168ecb3c100d8d03da16ee5f",
-                        "040fdf1ccb8b729388fb11def0083110289a1911f70f6bc81d99f76d91890b0d"),
+                        "b1eb0970a38bfee6bad685ae1cb96ad33f70eee7428a292ec4242378c34fb900"),
 }
 STATS_DIGESTS = {
     "chi2-table1": "a02128eeb4f4c3e22e260b0a5cf748e8835ff9aaced0c61da7700182b124aeb0",

@@ -1,10 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from deixis import corpus
+from deixis import corpus, harness
 from deixis.cli import main
 
 HUGE = "1" + "0" * 400  # a count no float can hold
@@ -101,8 +102,9 @@ class TestRun:
         res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
         assert res.exit_code == 0
         assert "correct=8" in res.output
-        records = [json.loads(l) for l in out.read_text().splitlines()[1:]]
-        assert all(r["predicted"] == "correct" for r in records)
+        # the label every record shares is written once, in the context
+        assert json.loads(out.read_text().splitlines()[0])["context"]["predicted"] == "correct"
+        assert [r.predicted for r in corpus.load_responses(str(out))] == ["correct"] * 8
 
     def test_v1_fixture_runs_like_v2(self, runner, tmp_path):
         # written by the v1 writer from the same flags as `gen` below
@@ -318,6 +320,24 @@ class TestStats:
         assert errors == [f"Error: --test {flags[1]} does not read {unread}"]
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--test", "fisher", "--fixture", "table1", "--collapse", "correct"),
+         "--collapse is read only with --rows"),
+        (("--test", "chi2", "--table", "3,1,1,3", "--fixture", "table1",
+          "--rows", "natural-top,unnatural-top"),
+         "--table and --fixture exclude each other"),
+        (("--test", "chi2", "--fixture", "table1", "--rows",
+          "natural-top,unnatural-top", "--cols", "5"),
+         "--cols is read only with --table"),
+    ], ids=["fisher-collapse-without-rows", "chi2-table-and-fixture",
+            "chi2-cols-without-table"])
+    def test_flag_read_only_with_another_exits_2(self, runner, flags, message):
+        res = runner.invoke(main, ["stats", *flags])
+        assert res.exit_code == 2
+        errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert errors == [f"Error: {message}"]
+
+
 class TestPlot:
     def test_pipeline_and_epsilon_monotonicity(self, runner, tmp_path):
         trials = gen(runner, tmp_path)
@@ -390,3 +410,55 @@ class TestPlot:
         assert isinstance(res.exception, SystemExit)
         assert f"{bad}:2:" in res.output
         assert not svg.exists()
+
+    @pytest.mark.parametrize("line, edit", [
+        (1, lambda h: h.update(context=[])),
+        (1, lambda h: h["context"].pop("meta")),
+        (1, lambda h: h["context"].update(meta="x")),
+        (1, lambda h: h["context"].update(predicted="bogus")),
+        (1, lambda h: h["context"].update(human=3)),
+        (1, lambda h: h.pop("id_prefix")),
+        (1, lambda h: h.update(id_prefix=3)),
+        (1, lambda h: h["context"]["meta"].update(theta=float("nan"))),
+        (1, lambda h: h["context"]["meta"].update(x_star=[float("inf"), 0.0])),
+        (3, lambda r: r.pop("trial_id")),
+        (3, lambda r: r.pop("predicted")),
+        (3, lambda r: r.update(meta=[])),
+        (3, lambda r: r["meta"].update(distance="0.1")),
+        (3, lambda r: r.clear() or r.update(trial_id="x")),
+    ], ids=["context-list", "context-no-meta", "context-meta-string",
+            "context-label", "context-human", "no-id-prefix", "id-prefix-int",
+            "context-theta-nan", "context-x-star-inf", "record-no-id",
+            "record-no-label", "record-meta-list", "record-distance-string",
+            "record-id-only"])
+    def test_malformed_v2_responses_exit_1(self, runner, tmp_path, line, edit):
+        bad = tmp_path / "bad.jsonl"
+        # locating 45, seed 7: the labels vary, so each record holds one
+        trials = harness.generate_trials(harness.Condition(
+            kind=harness.REF_VS_LOC, variant="locating",
+            cone_vertex_angle=math.radians(45)), 8, 7)
+        corpus.save_responses(harness.run(trials), str(bad))
+        lines = bad.read_text().splitlines()
+        obj = json.loads(lines[line - 1])
+        edit(obj)
+        lines[line - 1] = json.dumps(obj)
+        bad.write_text("\n".join(lines) + "\n")
+        svg = tmp_path / "p.svg"
+        res = runner.invoke(main, ["plot", "--in", str(bad), "--out", str(svg)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert f"{bad}:{line}: bad " in res.output
+        assert res.output.count("\n") == 1
+        assert not svg.exists()
+
+    def test_v1_fixture_plots_like_its_v2_resave(self, runner, tmp_path):
+        v1 = Path(__file__).parent / "fixtures" / "natural-and-locating-45-n8-seed7.responses.v1.jsonl"
+        v2 = tmp_path / "v2.jsonl"
+        corpus.save_responses(corpus.load_responses(str(v1)), str(v2))
+        svgs = []
+        for resp in (v1, v2):
+            svg = tmp_path / f"{resp.stem}.svg"
+            res = runner.invoke(main, ["plot", "--in", str(resp), "--out", str(svg)])
+            assert res.exit_code == 0, res.output
+            svgs.append(svg.read_bytes())
+        assert svgs[0] == svgs[1]

@@ -170,13 +170,155 @@ class TestResponsesRoundTrip:
         assert all(harness._q(t.point_act.target.u) != t.point_act.target.u
                    for t in trials)
         records = harness.run(trials)
-        p = tmp_path / "r.jsonl"
+        p, q = tmp_path / "r.jsonl", tmp_path / "q.jsonl"
         corpus.save_responses(records, str(p))
-        expected = [corpus._ENCODER.encode(corpus._quantize(
-            {"trial_id": r.trial_id, "predicted": r.predicted, "human": r.human,
-             "meta": r.meta})) for r in records]
-        assert p.read_text().splitlines()[1:] == expected
+        corpus.save_responses([replace(r, meta=corpus._quantize(r.meta))
+                               for r in records], str(q))
+        assert p.read_bytes() == q.read_bytes()
 
+
+def locating_records(n=8, seed=7):
+    return harness.run(make_trials(n=n, seed=seed, variant=LOCATING, cone=45.0))
+
+
+def natural_records():
+    return harness.run(harness.generate_trials(Condition(kind=harness.NATURAL), 3, 0))
+
+
+def with_human(records, labels):
+    return [replace(r, human=h) for r, h in zip(records, labels)]
+
+
+def same_records(a, b):
+    """Records equal in id, labels and meta; `ResponseRecord` equality
+    leaves `meta` out."""
+    return ([(r.trial_id, r.predicted, r.human, r.meta) for r in a]
+            == [(r.trial_id, r.predicted, r.human, r.meta) for r in b])
+
+
+class TestResponsesV2:
+    @pytest.mark.parametrize("records", [
+        [], locating_records()[:1], locating_records(n=4000, seed=1),
+        harness.run(make_trials(n=4)) + locating_records(n=4) + natural_records()
+        + harness.run(cluttered_trials(n=4)),
+        with_human(locating_records(), ["correct", None, "ambiguous", "correct",
+                                        "incorrect", None, None, "correct"]),
+        harness.run(make_trials())],
+        ids=["empty", "one", "n4000", "mixed-conditions", "varying-human",
+             "all-correct"])
+    def test_round_trip_is_equal_and_byte_stable(self, tmp_path, records):
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        corpus.save_responses(records, str(p1))
+        loaded = corpus.load_responses(str(p1))
+        assert same_records(loaded, records)
+        corpus.save_responses(loaded, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_context_holds_what_every_record_shares(self, tmp_path):
+        p = tmp_path / "l.jsonl"
+        records = locating_records()
+        corpus.save_responses(records, str(p))
+        header = json.loads(p.read_text().splitlines()[0])
+        assert header["schema"] == "deixis-responses-2"
+        assert header["id_prefix"] == "ref_vs_loc-locating-45deg-baxter-00"
+        assert header["context"] == {
+            "human": None, "meta": {"condition": "ref_vs_loc/locating/45deg/baxter",
+                                    "path": "stable", "theta": 0.0,
+                                    "x_star": [-0.2, -0.15]}}
+        recs = records_of(p)
+        assert [r["trial_id"] for r in recs] == [str(i) for i in range(8)]
+        assert all(set(r) == {"trial_id", "predicted", "meta"}
+                   and set(r["meta"]) == {"distance", "probe"} for r in recs)
+
+    def test_all_equal_label_and_varying_human(self, tmp_path):
+        p = tmp_path / "h.jsonl"
+        records = with_human(harness.run(make_trials(n=4)), ["a", None, "a", "a"])
+        assert {r.predicted for r in records} == {"correct"}
+        corpus.save_responses(records, str(p))
+        context = json.loads(p.read_text().splitlines()[0])["context"]
+        assert context["predicted"] == "correct" and "human" not in context
+        assert [r.get("human", "absent") for r in records_of(p)] == ["a", None, "a", "a"]
+
+    def test_loaded_records_share_the_context_values(self, tmp_path):
+        p = tmp_path / "s.jsonl"
+        corpus.save_responses(locating_records(), str(p))
+        loaded = corpus.load_responses(str(p))
+        assert all(r.meta["x_star"] is loaded[0].meta["x_star"] for r in loaded)
+        assert loaded[0].meta is not loaded[1].meta
+
+    def test_signed_zero_and_int_stay_out_of_the_context(self, tmp_path):
+        records = locating_records(n=4)
+        records[1].meta["theta"] = -0.0
+        records[2].meta["theta"] = 0
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        corpus.save_responses(records, str(p1))
+        assert "theta" not in json.loads(p1.read_text().splitlines()[0])["context"]["meta"]
+        loaded = corpus.load_responses(str(p1))
+        assert [corpus._ENCODER.encode(r.meta["theta"]) for r in loaded] == \
+               ["0.0", "-0.0", "0", "0.0"]
+        corpus.save_responses(loaded, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_v1_fixture_loads_equal_to_its_v2_resave(self, tmp_path):
+        v1 = corpus.load_responses(
+            str(FIXTURES / "natural-and-locating-45-n8-seed7.responses.v1.jsonl"))
+        p = tmp_path / "v2.jsonl"
+        corpus.save_responses(v1, str(p))
+        assert same_records(corpus.load_responses(str(p)), v1)
+        # the same trials run today give the same records plus `meta.path`
+        fresh = natural_records() + harness.run(corpus.load_trials(
+            str(FIXTURES / "locating-45-n8-seed7.v1.jsonl")))
+        assert [r.meta.pop("path") for r in fresh] == ["enumerated"] * 3 + ["stable"] * 8
+        assert same_records(fresh, v1)
+
+
+class TestSame:
+    @pytest.mark.parametrize("a, b", [
+        (0.0, -0.0), (1, 1.0), (True, 1), (False, 0), ([0.0, 1.0], [-0.0, 1.0]),
+        ({"u": 1}, {"u": 1.0}), ([1, 2], (1, 2)), (None, 0), ("1", 1)])
+    def test_values_written_differently(self, a, b):
+        assert not corpus._same(a, b) and not corpus._same(b, a)
+
+    @pytest.mark.parametrize("a, b", [
+        (0.0, 0.0), (-0.0, -0.0), (0.1, float("0.1")), (3, 3), (True, True),
+        (None, None), ("s", "s"), ([0.5, [1, None]], [0.5, [1, None]]),
+        ((0.25, -0.0), (0.25, -0.0)), ({"a": [1.5], "b": "x"}, {"b": "x", "a": [1.5]})])
+    def test_values_written_alike(self, a, b):
+        assert corpus._same(a, b)
+        assert corpus._ENCODER.encode(a) == corpus._ENCODER.encode(b)
+
+
+class TestTrialsExactValues:
+    """A field whose value equals the context's by `==` but is written
+    differently (-0.0 against 0.0, 1 against 1.0) survives the round trip."""
+
+    def mug_at(self, trial, u, v):
+        return replace(trial, scene=trial.scene.moved({0: SurfacePoint(u, v)}))
+
+    @pytest.mark.parametrize("u, v", [(-0.0, 0.0), (0, 0)], ids=["signed-zero", "int"])
+    def test_round_trip_keeps_the_value(self, tmp_path, u, v):
+        t = make_trials(n=4)
+        trials = [self.mug_at(t[0], 0.0, 0.0), self.mug_at(t[1], u, v)]
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        corpus.save_trials(trials, str(p1), seed=7)
+        loaded = corpus.load_trials(str(p1))
+        position = loaded[1].scene.objects[0].pose.position
+        assert corpus._ENCODER.encode([position.u, position.v]) == \
+               corpus._ENCODER.encode([u, v])
+        corpus.save_trials(loaded, str(p2), seed=7)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_signed_zero_probe_matches_a_direct_run(self, tmp_path):
+        t = make_trials(n=4)
+        trials = [self.mug_at(t[0], 0.0, 0.0), self.mug_at(t[1], -0.0, 0.0)]
+        p = tmp_path / "t.jsonl"
+        corpus.save_trials(trials, str(p), seed=7)
+        direct, from_file = tmp_path / "d.jsonl", tmp_path / "f.jsonl"
+        corpus.save_responses(harness.run(trials), str(direct))
+        corpus.save_responses(harness.run(corpus.load_trials(str(p))), str(from_file))
+        assert direct.read_bytes() == from_file.read_bytes()
+        probe = corpus.load_responses(str(direct))[1].meta["probe"]
+        assert corpus._ENCODER.encode(probe) == "[-0.0,0.0]"
 
 
 def _set(d, path, value):

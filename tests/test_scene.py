@@ -7,6 +7,7 @@ from scipy.spatial import ConvexHull
 
 from deixis.errors import NoStablePlacement, UnknownSupport
 from deixis.geometry import Plane, SurfacePoint, surface_distance
+from deixis.resolver import ENUMERATED, resolve
 from deixis.scene import (COLLISION_TOL, HEIGHT_TIE_TOL, SUPPORT_MARGIN,
                           TABLE as ON_TABLE, Pose2D, Scene, SceneObject, Shape,
                           stable_region)
@@ -136,7 +137,9 @@ class TestIsStable:
         got = region.nearest(x)
         assert region.contains(got)
         assert surface_distance(got, x) == pytest.approx(0.003, abs=1e-9)
-        assert region.distance(x) == pytest.approx(0.003, abs=1e-9)
+        res = resolve(region, x)  # theta from the same enumeration
+        assert res.path == ENUMERATED
+        assert res.theta == pytest.approx(0.003, abs=1e-9)
 
 
 class TestStableRegion:
