@@ -22,11 +22,21 @@ _CONDITIONS = {"ref-vs-loc": harness.REF_VS_LOC,
                "verbs": harness.VERB_VARIANT}
 
 
-def _fail(message: str) -> "NoReturn":  # noqa: F821 - doc only
-    raise click.ClickException(message)
+class _Main(click.Group):
+    """The one error boundary: a data, value or file error in any command
+    ends it with one `Error:` line and exit 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except OverflowError as exc:  # `stats` on counts a float cannot hold
+            raise click.ClickException(
+                f"a count is too large for float arithmetic: {exc}") from None
+        except (DeixisError, ValueError, OSError) as exc:
+            raise click.ClickException(str(exc)) from None
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Pointing-interpretation model for pick-and-place tasks."""
 
@@ -61,11 +71,8 @@ def cmd_gen(condition_name: str, variant: str, cone: float | None, robot: str,
             gravity=(gravity == "on"), verb=verb)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
-    try:
-        trials = harness.generate_trials(cond, n, seed)
-        corpus.save_trials(trials, out, seed=seed)
-    except (DeixisError, ValueError, OSError) as exc:
-        _fail(str(exc))
+    trials = harness.generate_trials(cond, n, seed)
+    corpus.save_trials(trials, out, seed=seed)
     click.echo(f"wrote {len(trials)} trials "
                f"(condition={cond.descriptor()} seed={seed}) to {out}")
 
@@ -78,14 +85,11 @@ def cmd_gen(condition_name: str, variant: str, cone: float | None, robot: str,
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_run(in_path: str, epsilon: float, ambiguity_band: float, out: str) -> None:
     """Predict a judgment for every trial in a corpus."""
-    try:
-        trials = corpus.load_trials(in_path)
-        cfg = ResolverConfig(epsilon=epsilon, ambiguity_band=ambiguity_band)
-        records = harness.run(trials, cfg)
-        corpus.save_responses(records, out)
-        counts = harness.aggregate(records, group_by="condition")
-    except (DeixisError, ValueError, OSError) as exc:
-        _fail(str(exc))
+    trials = corpus.load_trials(in_path)
+    cfg = ResolverConfig(epsilon=epsilon, ambiguity_band=ambiguity_band)
+    records = harness.run(trials, cfg)
+    corpus.save_responses(records, out)
+    counts = harness.aggregate(records, group_by="condition")
     for key, row in counts.rows:
         summary = " ".join(f"{lbl}={c}" for lbl, c in zip(counts.labels, row) if c)
         click.echo(f"{key}: {len(records)} responses ({summary})")
@@ -96,7 +100,8 @@ def _parse_counts(text: str, cols: int | None) -> stats.ContingencyTable:
         values = [int(v) for v in text.split(",")]
     except ValueError:
         values = []
-    cols = cols or len(values) // 2
+    if cols is None:
+        cols = len(values) // 2
     if cols < 2 or len(values) % cols != 0 or len(values) // cols < 2:
         raise click.UsageError("--table needs an r x c grid of integers with r, c >= 2")
     rows = tuple(tuple(values[i:i + cols]) for i in range(0, len(values), cols))
@@ -183,48 +188,41 @@ def cmd_stats(ctx: click.Context, test_name: str, fixture: str | None, rows: str
     for flag, name, needs, needed in _STATS_NEEDS:
         if ctx.params[name] is not None and ctx.params[needed] is None:
             raise click.UsageError(f"{flag} is read only with {needs}")
-    try:
-        if test_name == "tost":
-            try:
-                (x1, n1), (x2, n2) = ([int(v) for v in (g or "").split("/")]
-                                      for g in (group_a, group_b))
-            except ValueError:
-                raise click.UsageError("tost requires --a and --b as x/n") from None
-            res = stats.tost_equivalence(x1, n1, x2, n2, margin, alpha)
-            if as_csv:
-                click.echo(f"tost,{res.z_lower:.6g},{res.z_upper:.6g},"
-                           f"{res.p_lower:.6g},{res.p_upper:.6g},{res.equivalent}")
-            else:
-                click.echo(f"tost: z_lower={res.z_lower:.6g} z_upper={res.z_upper:.6g} "
-                           f"p_lower={res.p_lower:.6g} p_upper={res.p_upper:.6g} "
-                           f"equivalent={res.equivalent}")
+    if test_name == "tost":
+        try:
+            (x1, n1), (x2, n2) = ([int(v) for v in (g or "").split("/")]
+                                  for g in (group_a, group_b))
+        except ValueError:
+            raise click.UsageError("tost requires --a and --b as x/n") from None
+        res = stats.tost_equivalence(x1, n1, x2, n2, margin, alpha)
+        if as_csv:
+            click.echo(f"tost,{res.z_lower:.6g},{res.z_upper:.6g},"
+                       f"{res.p_lower:.6g},{res.p_upper:.6g},{res.equivalent}")
+        else:
+            click.echo(f"tost: z_lower={res.z_lower:.6g} z_upper={res.z_upper:.6g} "
+                       f"p_lower={res.p_lower:.6g} p_upper={res.p_upper:.6g} "
+                       f"equivalent={res.equivalent}")
+        return
+    if table_text is not None:
+        table = _parse_counts(table_text, cols)
+    elif fixture == "table1":
+        if rows is None and test_name == "fisher":
+            _fisher_collapse_report(as_csv)
             return
-        if table_text is not None:
-            table = _parse_counts(table_text, cols)
-        elif fixture == "table1":
-            if rows is None and test_name == "fisher":
-                _fisher_collapse_report(as_csv)
-                return
-            if rows is None:
-                raise click.UsageError("--rows is required with --fixture table1")
-            table = _fixture_rows(rows)
-        else:
-            raise click.UsageError("provide --table or --fixture table1")
-        if test_name == "chi2":
-            _emit("chi2", stats.chi_squared_test(table), as_csv)
-        else:
-            if collapse_label is not None:
-                table = _collapse(table, collapse_label)
-            if len(table.counts[0]) != 2 or len(table.counts) != 2:
-                raise click.UsageError(
-                    "fisher needs a 2x2 table; use --collapse with fixture rows")
-            _emit("fisher", stats.fisher_exact_2x2(table), as_csv)
-    except click.UsageError:
-        raise
-    except OverflowError as exc:
-        _fail(f"a count is too large for float arithmetic: {exc}")
-    except (DeixisError, ValueError) as exc:
-        _fail(str(exc))
+        if rows is None:
+            raise click.UsageError("--rows is required with --fixture table1")
+        table = _fixture_rows(rows)
+    else:
+        raise click.UsageError("provide --table or --fixture table1")
+    if test_name == "chi2":
+        _emit("chi2", stats.chi_squared_test(table), as_csv)
+    else:
+        if collapse_label is not None:
+            table = _collapse(table, collapse_label)
+        if len(table.counts[0]) != 2 or len(table.counts) != 2:
+            raise click.UsageError(
+                "fisher needs a 2x2 table; use --collapse with fixture rows")
+        _emit("fisher", stats.fisher_exact_2x2(table), as_csv)
 
 
 def _fisher_collapse_report(as_csv: bool) -> None:
@@ -240,7 +238,7 @@ def _fisher_collapse_report(as_csv: bool) -> None:
 @main.command("plot")
 @click.option("--in", "in_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--kind", type=click.Choice(["scatter-pies", "distance-pies"]),
+@click.option("--kind", type=click.Choice([k.replace("_", "-") for k in svgplot.KINDS]),
               default="scatter-pies", show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--width", type=int, default=640, show_default=True)
@@ -249,15 +247,12 @@ def _fisher_collapse_report(as_csv: bool) -> None:
 def cmd_plot(in_path: str, kind: str, out: str, width: int, height: int,
              legend: bool) -> None:
     """Render an SVG pie-scatter of a response corpus."""
-    try:
-        records = corpus.load_responses(in_path)
-        spec = svgplot.PlotSpec(kind=kind.replace("-", "_"), width=width,
-                                height=height, legend=legend)
-        svg = svgplot.render(records, spec)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    except (DeixisError, ValueError, OSError) as exc:
-        _fail(str(exc))
+    records = corpus.load_responses(in_path)
+    spec = svgplot.PlotSpec(kind=kind.replace("-", "_"), width=width,
+                            height=height, legend=legend)
+    svg = svgplot.render(records, spec)
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(svg)
     click.echo(f"wrote {out}")
 
 

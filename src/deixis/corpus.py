@@ -105,17 +105,24 @@ def _str(value: Any) -> str:
     raise TypeError(f"expected a string, got {value!r}")
 
 
+def _finite(value: Any) -> bool:
+    """A finite JSON number (not a boolean) that a float can hold."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _num(value: Any) -> float:
     """A finite JSON number (not a boolean)."""
-    if type(value) in (int, float) and math.isfinite(value):
+    if _finite(value):
         return value
     raise ValueError(f"expected a finite number, got {value!r}")
 
 
 def _nums(value: Any, n: int) -> tuple[float, ...]:
     """A list of `n` finite JSON numbers, as a tuple."""
-    if (type(value) is list and len(value) == n
-            and all(type(c) in (int, float) and math.isfinite(c) for c in value)):
+    if type(value) is list and len(value) == n and all(map(_finite, value)):
         return tuple(value)
     raise ValueError(f"expected {n} finite numbers, got {value!r}")
 
@@ -316,9 +323,11 @@ def _read_lines(path: str, *schemas: str) -> tuple[dict, list[dict]]:
         lines = fh.read().splitlines()
     if not lines:
         raise SchemaError(f"{path}: empty corpus file")
+    # json.loads raises ValueError for bad JSON or an integer past the digit
+    # limit, RecursionError for nesting deeper than the decoder follows
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}:1: malformed header: {exc}") from exc
     if not isinstance(header, dict) or header.get("schema") not in schemas:
         raise SchemaError(f"{path}:1: unknown schema "
@@ -329,7 +338,7 @@ def _read_lines(path: str, *schemas: str) -> tuple[dict, list[dict]]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"{path}:{lineno}: malformed record: {exc}") from exc
         if not isinstance(record, dict):
             raise SchemaError(f"{path}:{lineno}: record is not an object")

@@ -235,12 +235,10 @@ def cone_plane_section(axis: Ray, vertex_angle: float, plane: Plane) -> Ellipse:
     k2 = -f_center / lam2
     if k1 <= 0.0 or k2 <= 0.0:
         raise UnboundedSection("section is not an ellipse")
-    # |lam1| <= |lam2| here (both negative for an ellipse under our scaling),
-    # so lam1 carries the major axis.
+    # The form's matrix is a a^T - cos^2(half) I with a = (a1, a2): its
+    # eigenvalues are |a|^2 - c2 and -c2, so det > 0 makes both negative.
+    # Then |lam1| <= |lam2|, k1 >= k2, and lam1 carries the major axis.
     major, minor = math.sqrt(k1), math.sqrt(k2)
-    if major + UNIT_TOL < minor:
-        major, minor = minor, major
-        lam1, lam2 = lam2, lam1
     if major - minor <= UNIT_TOL:
         orientation = 0.0
         major = minor = (major + minor) / 2.0
@@ -248,9 +246,7 @@ def cone_plane_section(axis: Ray, vertex_angle: float, plane: Plane) -> Ellipse:
         orientation = 0.0 if qa == lam1 or abs(qa - lam1) < abs(qc - lam1) else math.pi / 2.0
     else:
         orientation = math.atan2(lam1 - qa, qb / 2.0)
-    orientation = math.remainder(orientation, math.pi)
+    orientation = math.remainder(orientation, math.pi)  # in [-pi/2, pi/2]
     if orientation >= math.pi / 2.0:
         orientation -= math.pi
-    elif orientation < -math.pi / 2.0:
-        orientation += math.pi
     return Ellipse(SurfacePoint(uc, vc), major, minor, orientation)

@@ -1,36 +1,55 @@
 """Deterministic SVG pie-scatter plots of predicted judgments.
 
-Two encodings: `scatter_pies` places one pie per probed position around the
-pointing target (marked with an x); `distance_pies` places one pie per
-cluttered-pair geometry at (|d1 - d2|, total separation).  Output is plain
-SVG 1.1 text, byte-stable for identical inputs.
+Two kinds share one renderer and differ only in their `KINDS` entry:
+`scatter_pies` places one pie per probed position and marks with an x each
+distinct pointing target x* in the file, so each trial set gets its own mark
+and a record without `meta.x_star` adds none; `distance_pies` places one pie
+per cluttered-pair geometry at (|d1 - d2|, total separation).  Output is
+plain SVG 1.1 text, byte-stable for identical inputs.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import EmptyInput
-from .harness import ResponseRecord
 
-SCATTER = "scatter_pies"
-DISTANCE = "distance_pies"
+if TYPE_CHECKING:
+    from .harness import ResponseRecord
 
-_SCATTER_COLORS = {"correct": "#b0b0b0", "incorrect": "#000000",
-                   "ambiguous": "#ffffff"}
-_DISTANCE_COLORS = {"nearer": "#2e8b57", "farther": "#b22222",
-                    "ambiguous": "#ffffff"}
+
+class _Kind(NamedTuple):
+    colors: dict[str, str]  # label -> fill, in legend order
+    place: tuple[str, ...]  # meta keys of a pie's position: one point or x, y
+    mark: str | None  # meta key of the points marked with an x
+    title: str
+    empty: str  # the error when no record can be drawn
+
+
+KINDS = {
+    "scatter_pies": _Kind(
+        {"correct": "#b0b0b0", "incorrect": "#000000", "ambiguous": "#ffffff"},
+        ("probe",), "x_star", "predicted judgments by probed position",
+        "no positional judgment records to plot"),
+    "distance_pies": _Kind(
+        {"nearer": "#2e8b57", "farther": "#b22222", "ambiguous": "#ffffff"},
+        ("delta", "separation"), None,
+        "predicted choices by distance gap and pair separation",
+        "no cluttered-pair records to plot"),
+}
 
 
 @dataclass(frozen=True)
 class PlotSpec:
-    kind: str = SCATTER
+    kind: str = "scatter_pies"
     width: int = 640
     height: int = 480
     legend: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in (SCATTER, DISTANCE):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown plot kind {self.kind!r}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("plot dimensions must be positive")
@@ -66,16 +85,6 @@ def _pie(cx: float, cy: float, r: float, parts: list[tuple[float, str]]) -> list
                    f'fill="{color}" stroke="#404040" stroke-width="1"/>')
         angle += span
     return out
-
-
-def _fractions(records: list[ResponseRecord],
-               key_fn, labels: tuple[str, ...]) -> list[tuple[tuple, list[float]]]:
-    groups: dict[tuple, list[int]] = {}
-    for rec in records:
-        counts = groups.setdefault(key_fn(rec), [0] * len(labels))
-        counts[labels.index(rec.predicted)] += 1
-    return [(key, [c / sum(counts) for c in counts])
-            for key, counts in groups.items()]
 
 
 def _frame(spec: PlotSpec, body: list[str], title: str) -> str:
@@ -118,46 +127,31 @@ def _axes_map(keys: list[tuple[float, float]], spec: PlotSpec,
 def render(records: list[ResponseRecord], spec: PlotSpec) -> str:
     if not records:
         raise EmptyInput("no responses to plot")
-    if spec.kind == SCATTER:
-        return _render_scatter(records, spec)
-    return _render_distance(records, spec)
-
-
-def _render_scatter(records: list[ResponseRecord], spec: PlotSpec) -> str:
-    labels = tuple(_SCATTER_COLORS)
-    usable = [r for r in records if r.predicted in labels and "probe" in r.meta]
+    kind = KINDS[spec.kind]
+    labels = tuple(kind.colors)
+    place = set(kind.place)
+    usable = [r for r in records
+              if r.predicted in kind.colors and r.meta.keys() >= place]
     if not usable:
-        raise EmptyInput("no positional judgment records to plot")
-    groups = _fractions(usable, lambda r: tuple(r.meta["probe"]), labels)
-    x_star = tuple(usable[0].meta.get("x_star", (0.0, 0.0)))
-    to_px = _axes_map([key for key, _ in groups] + [x_star], spec)
+        raise EmptyInput(kind.empty)
+    where = itemgetter(*kind.place)  # a point's value, or one value per axis
+    counts: dict[tuple, list[int]] = {}
+    for r in usable:
+        row = counts.setdefault(tuple(where(r.meta)), [0] * len(labels))
+        row[labels.index(r.predicted)] += 1
+    marks = list(dict.fromkeys(tuple(r.meta[kind.mark]) for r in usable
+                               if kind.mark in r.meta))
+    to_px = _axes_map([*counts, *marks], spec)
     body = []
-    for (u, v), fracs in groups:
-        cx, cy = to_px(u, v)
-        body.extend(_pie(cx, cy, 13.0, list(zip(fracs, _SCATTER_COLORS.values()))))
-    mx, my = to_px(*x_star)
-    body.append(f'<text x="{_fmt(mx)}" y="{_fmt(my + 5)}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="18" fill="#c02020">'
-                f'&#215;</text>')
+    for (x, y), row in counts.items():
+        cx, cy = to_px(x, y)
+        body.extend(_pie(cx, cy, 13.0, [(c / sum(row), color)
+                                        for c, color in zip(row, kind.colors.values())]))
+    for x, y in marks:
+        mx, my = to_px(x, y)
+        body.append(f'<text x="{_fmt(mx)}" y="{_fmt(my + 5)}" text-anchor="middle" '
+                    f'font-family="sans-serif" font-size="18" fill="#c02020">'
+                    f'&#215;</text>')
     if spec.legend:
-        body.extend(_legend(spec, _SCATTER_COLORS))
-    return _frame(spec, body, "predicted judgments by probed position")
-
-
-def _render_distance(records: list[ResponseRecord], spec: PlotSpec) -> str:
-    labels = tuple(_DISTANCE_COLORS)
-    usable = [r for r in records if r.predicted in labels
-              and "delta" in r.meta and "separation" in r.meta]
-    if not usable:
-        raise EmptyInput("no cluttered-pair records to plot")
-    groups = _fractions(usable,
-                        lambda r: (r.meta["delta"], r.meta["separation"]), labels)
-    to_px = _axes_map([key for key, _ in groups], spec)
-    body = []
-    for (dx, dy), fracs in groups:
-        cx, cy = to_px(dx, dy)
-        body.extend(_pie(cx, cy, 13.0, list(zip(fracs, _DISTANCE_COLORS.values()))))
-    if spec.legend:
-        body.extend(_legend(spec, _DISTANCE_COLORS))
-    return _frame(spec, body,
-                  "predicted choices by distance gap and pair separation")
+        body.extend(_legend(spec, kind.colors))
+    return _frame(spec, body, kind.title)

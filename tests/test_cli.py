@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,19 @@ HUGE = "1" + "0" * 400  # a count no float can hold
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def rewrite(path, line, edit):
+    """Rewrite line `line` (from 1) of `path`: a string replaces it, a
+    function edits its parsed JSON in place."""
+    lines = path.read_text().splitlines()
+    if isinstance(edit, str):
+        lines[line - 1] = edit
+    else:
+        obj = json.loads(lines[line - 1])
+        edit(obj)
+        lines[line - 1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def gen(runner, tmp_path, *extra):
@@ -125,6 +139,24 @@ class TestRun:
                                    "--out", str(tmp_path / "o.jsonl")])
         assert res.exit_code == 1
         assert "schema" in res.output.lower()
+
+    @pytest.mark.parametrize("line, edit, message", [
+        (2, lambda r: r["shown"].update(position=[int(HUGE), 0]), "bad trial record"),
+        (1, lambda h: h["context"]["condition"].update(cone_deg=int(HUGE)),
+         "bad context"),
+        (2, "[" * 100_000, "malformed record"),
+        (1, "[" * 100_000, "malformed header"),
+    ], ids=["huge-shown-position", "huge-cone", "deep-record", "deep-header"])
+    def test_malformed_trials_exit_1(self, runner, tmp_path, line, edit, message):
+        trials = gen(runner, tmp_path, "--variant", "locating")
+        rewrite(trials, line, edit)
+        out = tmp_path / "o.jsonl"
+        res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith(f"Error: {trials}:{line}: {message}")
+        assert res.output.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--epsilon", "-1"), ("--epsilon", "nan"), ("--epsilon", "inf"),
@@ -305,6 +337,8 @@ class TestStats:
                                     "--table", "3,x,1,3"]).exit_code == 2
         assert runner.invoke(main, ["stats", "--test", "tost",
                                     "--a", "3/x", "--b", "1/2"]).exit_code == 2
+        assert runner.invoke(main, ["stats", "--test", "chi2", "--table",
+                                    "1,2,3,4,5,6", "--cols", "0"]).exit_code == 2
 
     @pytest.mark.parametrize("flags, unread", [
         (("--test", "chi2", "--table", "3,1,1,3", "--margin", "nan"), "--margin"),
@@ -426,11 +460,13 @@ class TestPlot:
         (3, lambda r: r.update(meta=[])),
         (3, lambda r: r["meta"].update(distance="0.1")),
         (3, lambda r: r.clear() or r.update(trial_id="x")),
+        (3, lambda r: r["meta"].update(theta=int(HUGE))),
+        (3, '{"a":' * 100_000),
     ], ids=["context-list", "context-no-meta", "context-meta-string",
             "context-label", "context-human", "no-id-prefix", "id-prefix-int",
             "context-theta-nan", "context-x-star-inf", "record-no-id",
             "record-no-label", "record-meta-list", "record-distance-string",
-            "record-id-only"])
+            "record-id-only", "record-huge-theta", "record-deep"])
     def test_malformed_v2_responses_exit_1(self, runner, tmp_path, line, edit):
         bad = tmp_path / "bad.jsonl"
         # locating 45, seed 7: the labels vary, so each record holds one
@@ -438,16 +474,12 @@ class TestPlot:
             kind=harness.REF_VS_LOC, variant="locating",
             cone_vertex_angle=math.radians(45)), 8, 7)
         corpus.save_responses(harness.run(trials), str(bad))
-        lines = bad.read_text().splitlines()
-        obj = json.loads(lines[line - 1])
-        edit(obj)
-        lines[line - 1] = json.dumps(obj)
-        bad.write_text("\n".join(lines) + "\n")
+        rewrite(bad, line, edit)
         svg = tmp_path / "p.svg"
         res = runner.invoke(main, ["plot", "--in", str(bad), "--out", str(svg)])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
-        assert f"{bad}:{line}: bad " in res.output
+        assert re.search(f"{re.escape(str(bad))}:{line}: (bad|malformed) ", res.output)
         assert res.output.count("\n") == 1
         assert not svg.exists()
 

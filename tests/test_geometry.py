@@ -42,6 +42,28 @@ def boundary_oracle(axis: Ray, vertex_angle: float, plane: Plane,
     return np.array(pts)
 
 
+def leaning_plane(tilt: float, yaw: float) -> Plane:
+    """A plane whose normal leans `tilt` from +z about the x axis, with its
+    (u, v) frame turned `yaw` about that normal."""
+    ev0 = (0.0, math.cos(tilt), math.sin(tilt))
+    c, s = math.cos(yaw), math.sin(yaw)
+    return Plane(Point3(0.1, -0.2, 0.05), (0.0, -math.sin(tilt), math.cos(tilt)),
+                 (c, s * ev0[1], s * ev0[2]), (-s, c * ev0[1], c * ev0[2]),
+                 (10.0, 10.0))
+
+
+def assert_boundary_at_half_angle(axis: Ray, vertex_angle: float, plane: Plane,
+                                  e: Ellipse) -> None:
+    """Every boundary point of `e` lies on the cone: at half the aperture from
+    the axis, seen from the apex."""
+    o, d = axis.origin.as_tuple(), axis.direction
+    for phi in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
+        p = from_surface_frame(e.boundary_point(phi), plane).as_tuple()
+        w = np.subtract(p, o)
+        angle = math.acos(np.dot(w, d) / np.linalg.norm(w))
+        assert abs(angle - vertex_angle / 2.0) <= 1e-9
+
+
 def fit_ellipse_axes(points: np.ndarray) -> tuple[float, float]:
     """Least-squares conic fit, axes via the standard closed form."""
     u, v = points[:, 0], points[:, 1]
@@ -127,6 +149,31 @@ class TestConeSection:
         for u, v in pts[::100]:
             x, y = e.to_local(SurfacePoint(u, v))
             assert abs((x / e.semi_major) ** 2 + (y / e.semi_minor) ** 2 - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("tilt_deg,yaw_deg,lean_u,lean_v,vertex_deg", [
+        (0.0, 0.0, 0.3, 0.4, 45.0), (25.0, 30.0, -0.2, 0.5, 67.5),
+        (40.0, -70.0, 0.6, -0.3, 90.0), (15.0, 120.0, -0.4, -0.4, 45.0)])
+    def test_oblique_ray_on_leaning_plane(self, tilt_deg, yaw_deg, lean_u, lean_v,
+                                          vertex_deg):
+        # the ray leans along both surface axes, so the ellipse is rotated
+        # in the (u, v) frame
+        plane = leaning_plane(math.radians(tilt_deg), math.radians(yaw_deg))
+        n, eu, ev = (np.array(a) for a in (plane.normal, plane.axis_u, plane.axis_v))
+        d = -n + lean_u * eu + lean_v * ev
+        apex = Point3(*(np.array(plane.anchor.as_tuple()) + 1.2 * n))
+        ray = Ray(apex, tuple(d / np.linalg.norm(d)))
+        e = cone_plane_section(ray, math.radians(vertex_deg), plane)
+        assert e.semi_major > e.semi_minor
+        assert -math.pi / 2.0 < e.orientation < math.pi / 2.0 and e.orientation != 0.0
+        assert_boundary_at_half_angle(ray, math.radians(vertex_deg), plane, e)
+
+    def test_ray_in_v_normal_plane_points_major_axis_along_v(self):
+        t = math.radians(20.0)
+        ray = Ray(Point3(0, 0, 1), (0.0, math.sin(t), -math.cos(t)))
+        e = cone_plane_section(ray, math.radians(45.0), PLANE)
+        assert e.orientation == -math.pi / 2.0
+        assert e.semi_major - e.semi_minor > 1e-9
+        assert_boundary_at_half_angle(ray, math.radians(45.0), PLANE, e)
 
     def test_circle_iff_vertical(self):
         vertical = cone_plane_section(Ray(Point3(0, 0, 1), (0, 0, -1)),

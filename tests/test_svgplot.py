@@ -4,12 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from deixis import harness, svgplot
+from deixis import corpus, harness
 from deixis.errors import EmptyInput
 from deixis.harness import Condition, ResponseRecord
 from deixis.svgplot import PlotSpec, render
 
 GOLDEN = Path(__file__).parent / "golden"
+MIXED = (Path(__file__).parent / "fixtures"
+         / "natural-and-locating-45-n8-seed7.responses.v1.jsonl")
 
 
 def scatter_records(seed=7):
@@ -47,6 +49,32 @@ class TestScatterPies:
         svg = render(scatter_records(), PlotSpec(kind="scatter_pies"))
         ET.fromstring(svg)
         assert "&#215;" in svg
+
+    def test_one_mark_per_trial_set(self):
+        # a natural set and a locating set, each with its own x*
+        records = corpus.load_responses(str(MIXED))
+        x_stars = [(0.102, 0.0), (-0.2, -0.15)]
+        assert list(dict.fromkeys(r.meta["x_star"] for r in records)) == x_stars
+        svg = render(records, PlotSpec(legend=False))
+        marks = [(float(t.get("x")), float(t.get("y")))
+                 for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")
+                 if t.text == "\u00d7"]
+        # every probe and both x* span the axes: 60 px pad on a 640 x 480 plot
+        points = [r.meta["probe"] for r in records] + x_stars
+        u0, u1 = min(u for u, _ in points), max(u for u, _ in points)
+        v0, v1 = min(v for _, v in points), max(v for _, v in points)
+        expected = [(60 + (u - u0) * 520 / (u1 - u0), 420 - (v - v0) * 360 / (v1 - v0) + 5)
+                    for u, v in x_stars]
+        assert len(marks) == 2
+        for got, want in zip(marks, expected):
+            assert got == pytest.approx(want, abs=0.006)
+
+    def test_record_without_x_star_gets_no_mark(self):
+        records = [ResponseRecord("t0", "correct", meta={"probe": (0.0, 0.0)}),
+                   ResponseRecord("t1", "correct", meta={"probe": (0.3, 0.1),
+                                                         "x_star": (0.2, 0.0)})]
+        assert render(records[:1], PlotSpec()).count("&#215;") == 0
+        assert render(records, PlotSpec()).count("&#215;") == 1
 
     def test_legend_toggle(self):
         with_legend = render(scatter_records(), PlotSpec(legend=True))
