@@ -1,24 +1,23 @@
 """Line-delimited corpus files and the embedded judgment fixture.
 
-File layout: one JSON header line followed by one JSON record per line.
+File layout: one JSON header line followed by one JSON record per line; the
+header's `count` is a non-negative integer equal to the number of records.
 Distances are stored in meters and angles in degrees; every float is written
 with at most 9 significant digits, so identical content always produces
 identical bytes.
 
-Trials (schema `deixis-trials-2`): the header holds `schema`, `count`,
-`seed`, the condition descriptor and a `context` object: the first trial's
-`condition`, `act`, `surface`, `gravity` and `objects`.  Each record holds
-`id` and `shown` plus only what differs from the context: the differing
-fields of `condition`, `act` and `surface`, `gravity`, and `objects`
-matched by index, each holding only its differing fields (`{}` when
-unchanged; an object past the context's list is written whole).  A locating
-record carries no scene; referential and cluttered records carry only the
-mug positions.  Such a record (no surface or gravity override, the context's
-object count, each override holding only `position`) loads as the context
-scene with those objects moved (`Scene.moved`): only the moved objects and
-the overlap pairs that include one are checked, with the errors a freshly
-built scene raises.  Files of the earlier `deixis-trials-1` schema, with
-every part repeated in every record, still load.
+Trials (schema `deixis-trials-2`): a file holds one trial set, one condition
+and pointing act in one scene whose objects a trial may move.  The header
+holds `schema`, `count`, `seed`, the condition descriptor and a `context`
+object: the first trial's `condition`, `act`, `surface`, `gravity` and
+`objects`.  Each record holds `id` and `shown`, plus `objects` when the
+trial moves any: one entry per context object, `{}` or `{"position":
+[u, v]}`.  A record loads as the context scene, or as that scene with its
+objects moved (`Scene.moved`): only the moved objects and the overlap pairs
+that include one are checked, with the errors a freshly built scene raises.
+Any other record field is a data error, and `save_trials` refuses a trial
+of another set.  Files of the earlier `deixis-trials-1` schema, with every
+part repeated in every record, still load.
 
 Responses (schema `deixis-responses-2`) are written the same way: the
 header holds `schema`, `count`, an `id_prefix` (the longest common prefix
@@ -56,6 +55,7 @@ TRIALS_SCHEMA_V1 = "deixis-trials-1"
 RESPONSES_SCHEMA = "deixis-responses-2"
 RESPONSES_SCHEMA_V1 = "deixis-responses-1"
 _MISSING = object()  # a meta key a record lacks
+_RECORD_FIELDS = {"id", "shown", "objects"}  # of a deixis-trials-2 record
 
 
 def _quantize(obj: Any) -> Any:
@@ -233,35 +233,32 @@ def _diff(new: dict, old: dict) -> dict:
 
 
 def _record(t: Trial, first: Trial, ctx: dict) -> dict:
-    """`t` as id, shown and the fields that differ from the context, already
-    quantized; a part that is the first trial's own object is skipped
-    without a comparison."""
+    """`t` as id, shown and, when its scene is not the first trial's, one
+    entry per context object: `{}` or its new position, already quantized.
+    A part that is the first trial's own object is skipped without a
+    comparison; a trial of another set raises ValueError."""
     rec: dict = {"id": t.id, "shown": _quantize(_shown_to_json(t.shown))}
     s, s0 = t.scene, first.scene
     parts = [("condition", t.condition, first.condition, _condition_to_json),
              ("act", t.point_act, first.point_act, _act_to_json)]
     if s is not s0:
         parts.append(("surface", s.surface, s0.surface, _surface_to_json))
-    for key, part, part0, to_json in parts:
-        if part is not part0:
-            diff = _diff(to_json(part), ctx[key])
-            if diff:
-                rec[key] = diff
-    if s is s0:
-        return rec
-    if s.gravity != s0.gravity:
-        rec["gravity"] = s.gravity
-    if s.objects is not s0.objects:
-        base = ctx["objects"]
-        objects = []
-        for i, o in enumerate(s.objects):
-            if i < len(base) and o is s0.objects[i]:
-                objects.append({})
-                continue
-            od = _object_to_json(o)
-            objects.append(_diff(od, base[i]) if i < len(base) else _quantize(od))
-        if len(objects) != len(base) or any(objects):
+    differ = [f"{key}.{f}" for key, part, part0, to_json in parts
+              if part is not part0 for f in _diff(to_json(part), ctx[key])]
+    if s is not s0 and not _same(s.gravity, s0.gravity):
+        differ.append("gravity")
+    if len(s.objects) != len(s0.objects):
+        differ.append("object count")
+    elif s.objects is not s0.objects:
+        objects = [{} if o is o0 else _diff(_object_to_json(o), od0)
+                   for o, o0, od0 in zip(s.objects, s0.objects, ctx["objects"])]
+        differ += [f"objects[{i}].{f}" for i, od in enumerate(objects)
+                   for f in od if f != "position"]
+        if any(objects):
             rec["objects"] = objects
+    if differ:
+        raise ValueError(f"trial {t.id} differs from the first trial in "
+                         f"{', '.join(differ)}; a trials file holds one trial set")
     return rec
 
 
@@ -274,48 +271,23 @@ def _parts(d: dict) -> tuple[Condition, Scene, PointingAct]:
             _act_from_json(d["act"]))
 
 
-def _moved_positions(rec: dict, count: int) -> dict[int, SurfacePoint] | None:
-    """The new positions, by object index, of a record whose scene differs
-    from the context only in object positions (no surface or gravity
-    override, `count` objects, each override holding only `position`);
-    None for every other record."""
-    objects = rec.get("objects")
-    if ("surface" in rec or "gravity" in rec or type(objects) is not list
-            or len(objects) != count
-            or not all(type(od) is dict and od.keys() <= {"position"}
-                       for od in objects)):
-        return None
-    return {i: SurfacePoint(*_nums(od["position"], 2))
-            for i, od in enumerate(objects) if od}
-
-
-def _trial_from_record(rec: dict, ctx: dict,
-                       shared: tuple[Condition, Scene, PointingAct]) -> Trial:
-    """A v2 record applied to the context; a part without overrides is the
-    context's own object, shared by every such record.  A record that only
-    moves objects gets the context scene with those objects moved, checked
-    only where the move can change the answer."""
-    condition, scene, act = shared
-    if "condition" in rec:
-        condition = _condition_from_json({**ctx["condition"], **rec["condition"]})
-    if "act" in rec:
-        act = _act_from_json({**ctx["act"], **rec["act"]})
-    positions = _moved_positions(rec, len(scene.objects))
-    if positions is not None:
-        scene = scene.moved(positions)
-    elif "surface" in rec or "gravity" in rec or "objects" in rec:
-        surface = scene.surface
-        if "surface" in rec:
-            surface = _surface_from_json({**ctx["surface"], **rec["surface"]})
-        objects = scene.objects
-        if "objects" in rec:
-            base = ctx["objects"]
-            objects = tuple(
-                objects[i] if i < len(base) and od == {}
-                else _object_from_json({**base[i], **od} if i < len(base) else od)
-                for i, od in enumerate(rec["objects"]))
-        scene = Scene(surface, objects, gravity=_bool(rec.get("gravity", scene.gravity)))
-    return Trial(_str(rec["id"]), condition, scene, act, _shown_from_json(rec["shown"]))
+def _moved(rec: dict, scene: Scene) -> Scene:
+    """The context scene with a v2 record's objects moved; the scene itself
+    when the record moves none."""
+    if "objects" not in rec:
+        return scene
+    objects = rec["objects"]
+    if type(objects) is not list or len(objects) != len(scene.objects):
+        raise ValueError(f"objects must be a list of {len(scene.objects)} "
+                         f"entries, got {objects!r}")
+    positions = {}
+    for i, od in enumerate(objects):
+        if type(od) is not dict or od.keys() - {"position"}:
+            raise ValueError(f"objects[{i}] must be {{}} or hold only a "
+                             f"position, got {od!r}")
+        if od:
+            positions[i] = SurfacePoint(*_nums(od["position"], 2))
+    return scene.moved(positions) if positions else scene
 
 
 def _read_lines(path: str, *schemas: str) -> tuple[dict, list[dict]]:
@@ -332,6 +304,10 @@ def _read_lines(path: str, *schemas: str) -> tuple[dict, list[dict]]:
     if not isinstance(header, dict) or header.get("schema") not in schemas:
         raise SchemaError(f"{path}:1: unknown schema "
                           f"{header.get('schema') if isinstance(header, dict) else header!r}")
+    declared = header.get("count")
+    if type(declared) is not int or declared < 0:
+        raise SchemaError(f"{path}:1: header count must be a non-negative "
+                          f"integer, got {declared!r}")
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -343,9 +319,8 @@ def _read_lines(path: str, *schemas: str) -> tuple[dict, list[dict]]:
         if not isinstance(record, dict):
             raise SchemaError(f"{path}:{lineno}: record is not an object")
         records.append(record)
-    declared = header.get("count")
-    if declared is not None and declared != len(records):
-        raise SchemaError(f"{path}: header declares {declared} records, "
+    if declared != len(records):
+        raise SchemaError(f"{path}:1: header declares {declared} records, "
                           f"found {len(records)}")
     return header, records
 
@@ -373,12 +348,17 @@ def load_trials(path: str) -> list[Trial]:
             raise SchemaError(f"{path}:1: header context must be an object, "
                               f"got {ctx!r}")
         try:
-            shared = _parts(ctx) if records else None
+            condition, scene, act = _parts(ctx) if records else (None,) * 3
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}:1: bad context: {exc}") from exc
 
         def build(rec: dict) -> Trial:
-            return _trial_from_record(rec, ctx, shared)
+            if not rec.keys() <= _RECORD_FIELDS:
+                extra = ", ".join(map(repr, sorted(rec.keys() - _RECORD_FIELDS)))
+                raise ValueError(f"unexpected field {extra}; a record holds "
+                                 "only id, shown and objects")
+            return Trial(_str(rec["id"]), condition, _moved(rec, scene), act,
+                         _shown_from_json(rec["shown"]))
     out = []
     for i, rec in enumerate(records, start=2):
         try:

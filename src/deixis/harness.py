@@ -74,8 +74,11 @@ ROBOTS = {"baxter": PointerConfig(height=0.45, standoff=0.35),
 
 
 def _q(x: float) -> float:
-    """Quantize to 9 significant digits (the corpus float precision)."""
-    return float(f"{x:.9g}")
+    """Quantize to 9 significant digits (the corpus float precision).  A
+    float already at 9 digits is returned itself, so a quantized copy stays
+    `is`-identical to its source."""
+    q = float(f"{x:.9g}")
+    return x if type(x) is float and q == x else q
 
 
 def _qp(p: SurfacePoint) -> SurfacePoint:

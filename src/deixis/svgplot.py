@@ -10,6 +10,7 @@ plain SVG 1.1 text, byte-stable for identical inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
@@ -41,6 +42,9 @@ KINDS = {
 }
 
 
+PAD = 60.0  # px between the plot edge and the outermost pie centers
+
+
 @dataclass(frozen=True)
 class PlotSpec:
     kind: str = "scatter_pies"
@@ -51,8 +55,10 @@ class PlotSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown plot kind {self.kind!r}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("plot dimensions must be positive")
+        for name in ("width", "height"):
+            if not 2 * PAD < getattr(self, name) <= sys.float_info.max:
+                raise ValueError(f"plot {name} must exceed the {2 * PAD:g} px "
+                                 "of padding and fit a float")
 
 
 def _escape(text: str) -> str:
@@ -109,17 +115,16 @@ def _legend(spec: PlotSpec, colors: dict[str, str]) -> list[str]:
     return out
 
 
-def _axes_map(keys: list[tuple[float, float]], spec: PlotSpec,
-              pad: float = 60.0) -> tuple:
+def _axes_map(keys: list[tuple[float, float]], spec: PlotSpec) -> tuple:
     xs = [k[0] for k in keys]
     ys = [k[1] for k in keys]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    sx = (spec.width - 2 * pad) / ((x1 - x0) or 1.0)
-    sy = (spec.height - 2 * pad) / ((y1 - y0) or 1.0)
+    sx = (spec.width - 2 * PAD) / ((x1 - x0) or 1.0)
+    sy = (spec.height - 2 * PAD) / ((y1 - y0) or 1.0)
 
     def to_px(x: float, y: float) -> tuple[float, float]:
-        return (pad + (x - x0) * sx, spec.height - pad - (y - y0) * sy)
+        return (PAD + (x - x0) * sx, spec.height - PAD - (y - y0) * sy)
 
     return to_px
 

@@ -173,28 +173,28 @@ class TestRun:
         assert "finite" in res.output and res.output.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, edit", [
-        (("ref-vs-loc", "--cone", "45"),
-         {"shown": {"type": "point", "position": [0.1, 0.2]}}),
-        (("natural",), {"shown": {"type": "object", "id": "stack_top"}}),
-        (("cluttered", "--cone", "45"), {"objects": [{"id": "cup"}, {}]}),
-        (("ref-vs-loc", "--cone", "45"), {"shown": {"type": "object", "id": "cup"}}),
+    @pytest.mark.parametrize("flags, line, edit", [
+        (("ref-vs-loc", "--cone", "45"), 2,
+         lambda r: r.update(shown={"type": "point", "position": [0.1, 0.2]})),
+        (("natural",), 2,
+         lambda r: r.update(shown={"type": "object", "id": "stack_top"})),
+        (("cluttered", "--cone", "45"), 1,
+         lambda h: h["context"]["objects"][0].update(id="cup")),
+        (("ref-vs-loc", "--cone", "45"), 2,
+         lambda r: r.update(shown={"type": "object", "id": "cup"})),
     ], ids=["referential-point", "natural-object", "cluttered-renamed-mug",
             "referential-absent-id"])
-    def test_shown_that_does_not_fit_exits_1(self, runner, tmp_path, flags, edit):
+    def test_shown_that_does_not_fit_exits_1(self, runner, tmp_path, flags, line, edit):
         trials = tmp_path / "t.jsonl"
         assert runner.invoke(main, ["gen", "--condition", *flags,
                                     "--out", str(trials)]).exit_code == 0
-        lines = trials.read_text().splitlines()
-        record = json.loads(lines[1])
-        record.update(edit)
-        lines[1] = json.dumps(record)
-        trials.write_text("\n".join(lines) + "\n")
+        rewrite(trials, line, edit)
+        first = json.loads(trials.read_text().splitlines()[1])["id"]
         out = tmp_path / "o.jsonl"
         res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
-        assert res.output.startswith(f"Error: trial {record['id']}: ")
+        assert res.output.startswith(f"Error: trial {first}: ")
         assert res.output.count("\n") == 1
         assert not out.exists()
 
@@ -261,7 +261,9 @@ class TestRun:
                                    "--out", str(tmp_path / "o.jsonl")])
         assert res.exit_code == 1
         assert f"{trials}:{line + 1}: " in res.output
-        assert "takes no" in res.output
+        # a record holds no condition: the file's one condition is the context's
+        assert ("takes no" if where == "context" else
+                "bad trial record: unexpected field 'condition'") in res.output
 
 
 class TestStats:
@@ -480,6 +482,24 @@ class TestPlot:
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
         assert re.search(f"{re.escape(str(bad))}:{line}: (bad|malformed) ", res.output)
+        assert res.output.count("\n") == 1
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("flags, dimension", [
+        (("--width", HUGE), "width"), (("--height", HUGE), "height"),
+        (("--width", "1", "--height", "1"), "width"), (("--width", "0"), "width"),
+        (("--height", "120"), "height"), (("--width", "-640"), "width")],
+        ids=["huge-width", "huge-height", "one-by-one", "zero-width",
+             "height-of-the-padding", "negative-width"])
+    def test_size_with_no_drawing_area_exits_1(self, runner, tmp_path, flags, dimension):
+        resp = tmp_path / "resp.jsonl"
+        corpus.save_responses(harness.run(harness.generate_trials(
+            harness.Condition(kind=harness.NATURAL), 3, 0)), str(resp))
+        svg = tmp_path / "p.svg"
+        res = runner.invoke(main, ["plot", "--in", str(resp), *flags, "--out", str(svg)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith(f"Error: plot {dimension} ")
         assert res.output.count("\n") == 1
         assert not svg.exists()
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from deixis.errors import SchemaError
 from deixis.geometry import SurfacePoint
 from deixis.harness import Condition, ResponseRecord
 from deixis.resolver import LOCATING
-from deixis.scene import Pose2D, Scene, SceneObject
+from deixis.scene import Pose2D, Scene
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -106,28 +107,72 @@ class TestTrialsV2:
         assert ref[1].scene is not ref[0].scene
         assert ref[1].scene.objects[1] is ref[0].scene.objects[1]  # the cube
 
-    def test_every_part_may_differ_from_the_context(self, tmp_path):
-        loc = make_trials(n=4, variant=LOCATING)
-        natural = harness.generate_trials(
-            Condition(kind=harness.NATURAL, gravity=False), 3, 0)
-        first = loc[0]
-        extra = SceneObject("extra_mug", harness.MUG, Pose2D(harness.X_FINAL))
-        mixed = (loc + natural + cluttered_trials(n=4)
-                 + [replace(first, id="one-object",
-                            scene=Scene(first.scene.surface, first.scene.objects[:1])),
-                    replace(first, id="three-objects",
-                            scene=Scene(first.scene.surface,
-                                        first.scene.objects + (extra,)))])
-        p1, p2 = tmp_path / "m1.jsonl", tmp_path / "m2.jsonl"
-        corpus.save_trials(mixed, str(p1), seed=1)
-        loaded = corpus.load_trials(str(p1))
-        assert loaded == mixed
-        corpus.save_trials(loaded, str(p2), seed=1)
-        assert p1.read_bytes() == p2.read_bytes()
-        recs = {rec["id"]: rec for rec in records_of(p1)}
-        assert recs["one-object"]["objects"] == [{}]
-        assert recs["three-objects"]["objects"][:2] == [{}, {}]
-        assert recs["three-objects"]["objects"][2]["id"] == "extra_mug"
+    @staticmethod
+    def other_set(first):
+        """One trial per way a trial can leave the first trial's set."""
+        scene, act = first.scene, first.point_act
+        mug, cube = scene.objects
+
+        def with_objects(*objects):
+            return replace(first, scene=Scene(scene.surface, objects))
+
+        return {
+            "condition.robot": replace(first, condition=replace(first.condition,
+                                                                robot="kuka")),
+            "act.target": replace(first, point_act=replace(
+                act, target=SurfacePoint(0.1, -0.15))),
+            "surface.extent": replace(first, scene=Scene(
+                replace(scene.surface, extent=(2.0, 2.5)), scene.objects)),
+            "gravity": replace(first, scene=Scene(scene.surface, scene.objects,
+                                                  gravity=False)),
+            "object count": with_objects(mug),
+            "objects[0].id": with_objects(replace(mug, id="cup"), cube),
+            "objects[1].height": with_objects(
+                mug, replace(cube, shape=replace(cube.shape, height=0.2))),
+            # -0.0 equals the context's 0.0 but is written differently
+            "objects[0].yaw_deg": with_objects(
+                replace(mug, pose=Pose2D(SurfacePoint(0.3, 0.2), yaw=-0.0)), cube),
+        }
+
+    @pytest.mark.parametrize("part", [
+        "condition.robot", "act.target", "surface.extent", "gravity",
+        "object count", "objects[0].id", "objects[1].height", "objects[0].yaw_deg"])
+    def test_a_trial_of_another_set_is_refused(self, tmp_path, part):
+        trials = make_trials(n=4, variant=LOCATING)
+        odd = replace(self.other_set(trials[0])[part], id="odd")
+        with pytest.raises(ValueError, match=rf"^trial odd differs from the first "
+                                             rf"trial in {re.escape(part)}; "):
+            corpus.save_trials(trials[:2] + [odd], str(tmp_path / "m.jsonl"), seed=7)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.update(condition={"robot": "kuka"}), "unexpected field 'condition'"),
+        (lambda r: r.update(act={"intent": "referential"}), "unexpected field 'act'"),
+        (lambda r: r.update(surface={"extent": [2.0, 2.5]}), "unexpected field 'surface'"),
+        (lambda r: r.update(gravity=False), "unexpected field 'gravity'"),
+        (lambda r: r.update(gravty=True), "unexpected field 'gravty'"),
+        (lambda r: r.update(objects=[{}]), r"objects must be a list of 2 entries"),
+        (lambda r: r.update(objects=[{}, {}, {"position": [0.3, 0.2]}]),
+         r"objects must be a list of 2 entries"),
+        (lambda r: r.update(objects=None), r"objects must be a list of 2 entries"),
+        (lambda r: r.update(objects=[{"id": "cup"}, {}]),
+         r"objects\[0\] must be \{\} or hold only a position"),
+        (lambda r: r.update(objects=[{}, {"position": [0.3, 0.2], "yaw_deg": 30}]),
+         r"objects\[1\] must be \{\} or hold only a position"),
+        (lambda r: r.update(objects=[[0.3, 0.2], {}]),
+         r"objects\[0\] must be \{\} or hold only a position"),
+    ], ids=["condition", "act", "surface", "gravity", "misspelled", "one-object",
+            "three-objects", "null-objects", "renamed", "yawed", "bare-position"])
+    def test_a_record_holds_only_id_shown_and_positions(self, tmp_path, edit, message):
+        p = tmp_path / "o.jsonl"
+        corpus.save_trials(make_trials(n=4, variant=LOCATING), str(p), seed=7)
+        lines = p.read_text().splitlines()
+        rec = json.loads(lines[2])
+        edit(rec)
+        lines[2] = json.dumps(rec)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(p))}:3: "
+                                              rf"bad trial record: {message}"):
+            corpus.load_trials(str(p))
 
     def test_v1_fixture_loads_equal_to_v2(self, tmp_path):
         p = tmp_path / "v2.jsonl"
@@ -361,6 +406,34 @@ class TestSchemaErrors:
         p.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(SchemaError, match="count|declares"):
             corpus.load_trials(str(p))
+
+    @pytest.mark.parametrize("count, message", [
+        ("3", "header count must be a non-negative integer, got '3'"),
+        (3.0, "header count must be a non-negative integer, got 3.0"),
+        (None, "header count must be a non-negative integer, got None"),
+        (True, "header count must be a non-negative integer, got True"),
+        (-1, "header count must be a non-negative integer, got -1"),
+        (4, "header declares 4 records, found 3"),
+        ("missing", "header count must be a non-negative integer, got None")],
+        ids=["string", "float", "null", "true", "negative", "too-many", "missing"])
+    @pytest.mark.parametrize("kind", ["trials", "responses"])
+    def test_header_count_is_the_record_count(self, tmp_path, kind, count, message):
+        p = tmp_path / "c.jsonl"
+        trials = harness.generate_trials(Condition(kind=harness.NATURAL), 3, 0)
+        if kind == "trials":
+            corpus.save_trials(trials, str(p), seed=0)
+        else:
+            corpus.save_responses(harness.run(trials), str(p))
+        lines = p.read_text().splitlines()
+        header = json.loads(lines[0])
+        if count == "missing":
+            del header["count"]
+        else:
+            header["count"] = count
+        p.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        load = corpus.load_trials if kind == "trials" else corpus.load_responses
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(p))}:1: {message}$"):
+            load(str(p))
 
     @pytest.mark.parametrize("context", [None, [], "scene", 3])
     def test_missing_or_non_object_context(self, tmp_path, context):

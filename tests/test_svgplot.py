@@ -33,6 +33,16 @@ class TestPlotSpec:
         with pytest.raises(ValueError):
             PlotSpec(width=0)
 
+    @pytest.mark.parametrize("size, message", [
+        ({"width": 120}, "width must exceed the 120 px"),
+        ({"height": 1}, "height must exceed the 120 px"),
+        ({"width": 10 ** 400}, "width must exceed the 120 px of padding and fit a float")],
+        ids=["width-of-the-padding", "height-one", "huge-width"])
+    def test_size_must_leave_a_drawing_area(self, size, message):
+        with pytest.raises(ValueError, match=f"^plot {message}"):
+            PlotSpec(**size)
+        assert PlotSpec(**{next(iter(size)): 121})  # one pixel inside the padding
+
 
 class TestScatterPies:
     def test_eight_glyphs(self):
