@@ -291,10 +291,15 @@ def _moved(rec: dict, scene: Scene) -> Scene:
 
 
 def _read_lines(path: str, *schemas: str) -> tuple[dict, list[dict]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        try:
+            lines = fh.read().decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:  # the sentinel counts the bad byte's line
+            line = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
+            raise SchemaError(f"{path}:{line}: not UTF-8 text: {exc.reason} "
+                              f"0x{exc.object[exc.start]:02x}") from None
     if not lines:
-        raise SchemaError(f"{path}: empty corpus file")
+        raise SchemaError(f"{path}:1: empty corpus file")
     # json.loads raises ValueError for bad JSON or an integer past the digit
     # limit, RecursionError for nesting deeper than the decoder follows
     try:
@@ -331,9 +336,14 @@ def save_trials(trials: list[Trial], path: str, seed: int | None = None) -> None
               "condition": trials[0].condition.descriptor() if trials else None,
               "context": ctx}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(header) + "\n")
-        for t in trials:
-            fh.write(_ENCODER.encode(_record(t, trials[0], ctx)) + "\n")
+        try:
+            fh.write(_dumps(header) + "\n")
+            for t in trials:
+                fh.write(_ENCODER.encode(_record(t, trials[0], ctx)) + "\n")
+        except BaseException:  # a trial of another set leaves no partial file
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def load_trials(path: str) -> list[Trial]:

@@ -1,8 +1,10 @@
 """Rays, planes, cone sections and surface-frame coordinates.
 
 All geometry here works on the infinite plane; clipping to a table's
-rectangular extent is the caller's job.  Tolerances: 1e-9 for algebraic
-identities, 1e-6 for fitted geometry.
+rectangular extent is the caller's job.  The cone section is closed-form in
+the apex frame: the ends of its major axis are where the two generators in
+the plane of axis and normal meet the surface.  Tolerances: 1e-9 for
+algebraic identities, 1e-6 for fitted geometry.
 """
 from __future__ import annotations
 
@@ -188,65 +190,38 @@ def surface_distance(a: SurfacePoint, b: SurfacePoint) -> float:
 def cone_plane_section(axis: Ray, vertex_angle: float, plane: Plane) -> Ellipse:
     """Elliptical boundary of the cone/plane intersection, in surface coordinates.
 
-    `vertex_angle` is the full aperture of the cone; the half-angle between
-    the axis and any boundary generator is vertex_angle / 2.  Raises
-    UnboundedSection when some boundary generator is parallel to the plane
-    or diverges from it (parabolic/hyperbolic cut).
+    `vertex_angle` is the full aperture of the cone, twice the half-angle a
+    between the axis and any boundary generator.  Raises UnboundedSection
+    when some generator is parallel to the plane or diverges from it
+    (parabolic/hyperbolic cut), or when the apex does not face the plane.
+
+    Closed form in the apex frame: with h the apex's height above the
+    plane, F its foot, b the angle between axis and normal and t the axis's
+    in-plane direction, the two generators in the plane of axis and normal
+    meet the surface at F + h*tan(b -+ a)*t, the ends of the major axis.
+    With k = cos(b+a)*cos(b-a) = cos^2(b) - sin^2(a), the centre is
+    F + h*sin(b)*cos(b)/k*t, the semi-axes h*sin(a)*cos(a)/k along t and
+    h*sin(a)/sqrt(k) across it.
     """
     if not (0.0 < vertex_angle < math.pi):
         raise ValueError("vertex angle must be in (0, pi)")
     half = vertex_angle / 2.0
-    d, n = axis.direction, plane.normal
-    cos_axis = _dot(d, n)
+    sin_a, cos_a = math.sin(half), math.cos(half)
+    d, n, eu, ev = axis.direction, plane.normal, plane.axis_u, plane.axis_v
+    c = abs(_dot(d, n))
     # Every generator must cross the plane on the forward nappe: the angle
     # between the axis and the normal plus the half-aperture must stay acute.
-    if (math.cos(half) * abs(cos_axis)
-            - math.sin(half) * math.sqrt(max(0.0, 1.0 - cos_axis * cos_axis))) <= 1e-12:
+    if cos_a * c - sin_a * math.sqrt(max(0.0, 1.0 - c * c)) <= 1e-12:
         raise UnboundedSection("a boundary generator is parallel to or diverges from the plane")
     if ray_plane_intersect(axis, plane) is None:
         raise UnboundedSection("cone apex does not face the plane")
-
-    # Quadratic for the boundary in surface coordinates (u, v):
-    # (w.d)^2 = cos^2(half) |w|^2 with w = anchor + u*eu + v*ev - apex.
-    o = axis.origin.as_tuple()
-    eu, ev = plane.axis_u, plane.axis_v
-    w0 = _sub(plane.anchor.as_tuple(), o)
-    a0, a1, a2 = _dot(w0, d), _dot(eu, d), _dot(ev, d)
-    b0, b1, b2 = _dot(w0, w0), _dot(w0, eu), _dot(w0, ev)
-    c2 = math.cos(half) ** 2
-    qa = a1 * a1 - c2
-    qb = 2.0 * a1 * a2
-    qc = a2 * a2 - c2
-    qd = 2.0 * (a0 * a1 - c2 * b1)
-    qe = 2.0 * (a0 * a2 - c2 * b2)
-    qf = a0 * a0 - c2 * b0
-
-    det = qa * qc - (qb / 2.0) ** 2
-    if det <= 0.0:
-        raise UnboundedSection("section is not an ellipse")
-    uc = (-(qd / 2.0) * qc + (qe / 2.0) * (qb / 2.0)) / det
-    vc = (-(qe / 2.0) * qa + (qd / 2.0) * (qb / 2.0)) / det
-    f_center = qf + 0.5 * (qd * uc + qe * vc)
-
-    mean = (qa + qc) / 2.0
-    rad = math.hypot((qa - qc) / 2.0, qb / 2.0)
-    lam1, lam2 = mean + rad, mean - rad  # lam1 >= lam2
-    k1 = -f_center / lam1
-    k2 = -f_center / lam2
-    if k1 <= 0.0 or k2 <= 0.0:
-        raise UnboundedSection("section is not an ellipse")
-    # The form's matrix is a a^T - cos^2(half) I with a = (a1, a2): its
-    # eigenvalues are |a|^2 - c2 and -c2, so det > 0 makes both negative.
-    # Then |lam1| <= |lam2|, k1 >= k2, and lam1 carries the major axis.
-    major, minor = math.sqrt(k1), math.sqrt(k2)
-    if major - minor <= UNIT_TOL:
-        orientation = 0.0
-        major = minor = (major + minor) / 2.0
-    elif abs(qb) < 1e-15:
-        orientation = 0.0 if qa == lam1 or abs(qa - lam1) < abs(qc - lam1) else math.pi / 2.0
-    else:
-        orientation = math.atan2(lam1 - qa, qb / 2.0)
-    orientation = math.remainder(orientation, math.pi)  # in [-pi/2, pi/2]
+    w = _sub(axis.origin.as_tuple(), plane.anchor.as_tuple())
+    h, k = abs(_dot(w, n)), c * c - sin_a * sin_a  # k > 0 by the nappe check
+    du, dv, shift = _dot(d, eu), _dot(d, ev), h * c / k
+    # equal for a vertical axis, where floats may still differ by an ulp
+    a, b = h * sin_a * cos_a / k, h * sin_a / math.sqrt(k)
+    orientation = math.remainder(math.atan2(dv, du), math.pi)  # in [-pi/2, pi/2]
     if orientation >= math.pi / 2.0:
         orientation -= math.pi
-    return Ellipse(SurfacePoint(uc, vc), major, minor, orientation)
+    return Ellipse(SurfacePoint(_dot(w, eu) + shift * du, _dot(w, ev) + shift * dv),
+                   max(a, b), min(a, b), orientation)

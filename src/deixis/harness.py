@@ -177,12 +177,6 @@ def pointer_ray(target: SurfacePoint, plane: Plane, robot: str) -> Ray:
     return Ray(origin, unit(tuple(_q(c) for c in direction)))
 
 
-def _ellipse_reach(ellipse: Ellipse, x_star: SurfacePoint, samples: int = 1024) -> float:
-    """Max distance from x* to the section boundary."""
-    return max(surface_distance(ellipse.boundary_point(2 * math.pi * i / samples), x_star)
-               for i in range(samples))
-
-
 def _fit_extent(points: list[SurfacePoint], margin: float = 0.1) -> tuple[float, float]:
     hu = max(TABLE_EXTENT[0] / 2.0, max(abs(p.u) for p in points) + margin)
     hv = max(TABLE_EXTENT[1] / 2.0, max(abs(p.v) for p in points) + margin)
@@ -243,8 +237,9 @@ def _ref_vs_loc_trials(cond: Condition, n: int, seed: int) -> tuple:
                        intent, probe_plane)
     ellipse = cone_plane_section(ray, cond.cone_vertex_angle, probe_plane)
     positions = [_qp(p) for p in sample_positions(ellipse, n, seed)]
-    cube_pos = _qp(SurfacePoint(x_star.u,
-                                x_star.v + _ellipse_reach(ellipse, x_star) + 0.25))
+    # x* is on the major axis, so its far end is the farthest boundary point
+    reach = ellipse.semi_major + surface_distance(ellipse.center, x_star)
+    cube_pos = _qp(SurfacePoint(x_star.u, x_star.v + reach + 0.25))
     extent = _fit_extent(_ellipse_bbox(ellipse)
                          + positions + [x_init, x_final, cube_pos, x_star])
     mug = positions[0] if intent == REFERENTIAL else x_init

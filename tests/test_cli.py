@@ -158,6 +158,28 @@ class TestRun:
         assert res.output.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, line, bad, reason", [
+        ("trials", 2, b"\xff\xfe", "invalid start byte 0xff"),
+        ("responses", 3, b"\xe9", "invalid continuation byte 0xe9")],
+        ids=["trials", "responses"])
+    def test_non_utf8_corpus_exits_1(self, runner, tmp_path, kind, line, bad, reason):
+        path, out = tmp_path / f"{kind}.jsonl", tmp_path / "out"
+        trials = harness.generate_trials(harness.Condition(kind=harness.NATURAL), 3, 0)
+        if kind == "trials":
+            corpus.save_trials(trials, str(path), seed=0)
+            args = ["run", "--in", str(path), "--out", str(out)]
+        else:
+            corpus.save_responses(harness.run(trials), str(path))
+            args = ["plot", "--in", str(path), "--out", str(out)]
+        lines = path.read_bytes().splitlines()
+        lines[line - 1] = lines[line - 1][:5] + bad + lines[line - 1][5:]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == f"Error: {path}:{line}: not UTF-8 text: {reason}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--epsilon", "-1"), ("--epsilon", "nan"), ("--epsilon", "inf"),
         ("--ambiguity-band", "nan"), ("--ambiguity-band", "inf")])

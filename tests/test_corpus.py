@@ -144,6 +144,14 @@ class TestTrialsV2:
                                              rf"trial in {re.escape(part)}; "):
             corpus.save_trials(trials[:2] + [odd], str(tmp_path / "m.jsonl"), seed=7)
 
+    def test_a_refused_set_leaves_no_file(self, tmp_path):
+        trials = make_trials(n=4, variant=LOCATING)
+        odd = self.other_set(trials[0])["condition.robot"]
+        path = tmp_path / "m.jsonl"
+        with pytest.raises(ValueError, match="differs from the first trial"):
+            corpus.save_trials(trials[:3] + [odd], str(path), seed=7)
+        assert not path.exists()
+
     @pytest.mark.parametrize("edit, message", [
         (lambda r: r.update(condition={"robot": "kuka"}), "unexpected field 'condition'"),
         (lambda r: r.update(act={"intent": "referential"}), "unexpected field 'act'"),

@@ -1,14 +1,22 @@
-"""A derandomized fuzz over corpus lines.
+"""A derandomized fuzz over corpus files and command flags.
 
-Each example takes a generated n=4 trials or responses file (locating,
-referential or cluttered), mutates its header or one record and checks the
-boundary contract: the loader either loads the file or raises a one-line
-`SchemaError` that starts with `path:N:`, and `run` or `plot` on the file
-exits 0, or 1 with one `Error:` line, never with a traceback.
+Each corpus example takes a generated n=4 trials or responses file
+(locating, referential or cluttered) or one of the two v1 fixtures,
+mutates its header or one record, cuts it at a byte or puts bytes that are
+not UTF-8 into one line, and checks the boundary contract: the loader
+either loads the file or raises a one-line `SchemaError` that starts with
+`path:N:`, and `run` or `plot` on the file exits 0, or 1 with one `Error:`
+line, never with a traceback.  Each flag example runs `gen`, `run` or
+`plot` with counts, seeds, resolver parameters or plot sizes from past
+their valid ranges and checks that the command exits 0 or 1 with one line,
+or 2 with one `Error:` line after click's usage lines, and leaves no output
+file when it fails.  `gen --n` stays at most 64: sampling allocates in
+proportion to it.
 """
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -29,6 +37,12 @@ SETS = {
 BAD_VALUES = [None, True, "x", [], {}, math.nan, math.inf, 10 ** 400, -0.0]
 ADDED_KEYS = ["condition", "gravity", "surplus"]
 NON_OBJECT_LINES = ["[]", '"record"', "7", "null", "{", "[" * 5000]
+# a stray byte, a lead byte without its continuation, a UTF-16 surrogate
+# and an overlong encoding of "/"
+NOT_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf"]
+FIXTURES = Path(__file__).parent / "fixtures"
+V1_FILES = {("trials", "v1"): FIXTURES / "locating-45-n8-seed7.v1.jsonl",
+            ("responses", "v1"): FIXTURES / "natural-and-locating-45-n8-seed7.responses.v1.jsonl"}
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +55,7 @@ def files(tmp_path_factory):
         corpus.save_responses(harness.run(trials), str(work / "r.jsonl"))
         for kind in ("trials", "responses"):
             out[kind, name] = (work / f"{kind[0]}.jsonl").read_text().splitlines()
+    out.update((key, path.read_text().splitlines()) for key, path in V1_FILES.items())
     return out
 
 
@@ -59,16 +74,35 @@ def _at(node, path):
     return node
 
 
+def _encoded(lines):
+    return "".join(line + "\n" for line in lines).encode()
+
+
 @st.composite
 def mutations(draw, files):
-    """(kind, set name, 1-based line, mutated lines)."""
+    """(kind, set name, the lines an error may name or None for any, the
+    mutated file's bytes)."""
     kind, name = draw(st.sampled_from(sorted(files)))
     lines = list(files[kind, name])
     index = draw(st.one_of(st.just(0), st.integers(1, len(lines) - 1)))
-    op = draw(st.sampled_from(["drop", "add", "swap", "objects", "line"]))
+    op = draw(st.sampled_from(["drop", "add", "swap", "objects", "line",
+                               "truncate", "not-utf8"]))
+    # a bad header may surface at any line; a bad record at its own
+    named = None if index == 0 else {index + 1}
+    if op == "truncate":
+        # a record cut short, or cut whole so that the count is wrong
+        data = _encoded(lines)
+        cut = draw(st.integers(0, len(data) - 1))
+        line = data[:cut].count(b"\n") + 1
+        return kind, name, None if line == 1 else {1, line}, data[:cut]
+    if op == "not-utf8":
+        raw = [line.encode() for line in lines]
+        at = draw(st.integers(0, len(raw[index])))
+        raw[index] = raw[index][:at] + draw(st.sampled_from(NOT_UTF8)) + raw[index][at:]
+        return kind, name, {index + 1}, b"".join(line + b"\n" for line in raw)
     if op == "line":
         lines[index] = draw(st.sampled_from(NON_OBJECT_LINES))
-        return kind, name, index + 1, lines
+        return kind, name, named, _encoded(lines)
     obj = json.loads(lines[index])
     paths = list(_paths(obj))
     if op == "drop":
@@ -87,16 +121,30 @@ def mutations(draw, files):
         target = obj["context"] if index == 0 and "context" in obj else obj
         target["objects"] = [{} for _ in range(draw(st.integers(0, 4)))]
     lines[index] = json.dumps(obj)
-    return kind, name, index + 1, lines
+    return kind, name, named, _encoded(lines)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
+def assert_one_line(res, out):
+    """Exit 0 or 1 with one line, or 2 with one `Error:` line after click's
+    usage lines; no traceback, and no output file after a failure."""
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.output
+    assert res.exit_code in (0, 1, 2), res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error: ")]
+    if res.exit_code == 2:
+        assert len(errors) == 1 and res.output.endswith(errors[0] + "\n"), res.output
+    else:
+        assert res.output.count("\n") == 1 and res.output.endswith("\n"), res.output
+        assert len(errors) == res.exit_code, res.output
+    assert res.exit_code == 0 or not out.exists(), res.output
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_corpus_loads_or_fails_in_one_line(files, tmp_path_factory, data):
-    kind, name, line, lines = data.draw(mutations(files))
+    kind, name, named, content = data.draw(mutations(files))
     path = tmp_path_factory.mktemp("mutated") / f"{kind}.jsonl"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(content)
     load = corpus.load_trials if kind == "trials" else corpus.load_responses
     try:
         load(str(path))
@@ -105,17 +153,64 @@ def test_mutated_corpus_loads_or_fails_in_one_line(files, tmp_path_factory, data
         error = str(exc)
         where = re.match(rf"{re.escape(str(path))}:(\d+): ", error)
         assert where and "\n" not in error, error
-        if line > 1:  # a bad record is named by its own line
-            assert int(where[1]) == line, error
+        if named is not None:
+            assert int(where[1]) in named, error
     if kind == "trials":
-        args = ["run", "--in", str(path), "--out", str(path.with_suffix(".out"))]
+        out = path.with_suffix(".out")
+        args = ["run", "--in", str(path), "--out", str(out)]
     else:
-        args = ["plot", "--in", str(path), "--out", str(path.with_suffix(".svg")),
+        out = path.with_suffix(".svg")
+        args = ["plot", "--in", str(path), "--out", str(out),
                 "--kind", "distance-pies" if name == "cluttered" else "scatter-pies"]
     res = CliRunner().invoke(main, args)
-    assert res.exception is None or isinstance(res.exception, SystemExit), res.output
-    assert res.exit_code in (0, 1), res.output
+    assert_one_line(res, out)
     if error is not None:
         assert res.output == f"Error: {error}\n"
-    elif res.exit_code == 1:
-        assert res.output.startswith("Error: ") and res.output.count("\n") == 1
+
+
+SEED_40_DIGITS = "1" + "0" * 39
+RESOLVER_VALUES = ["nan", "-nan", "inf", "-inf", "-0.0", "0", "1e308", "-1e308",
+                   "-1", "-0.1", "1e-300", "0.1"]
+GEN_CONDITIONS = [("--condition", "ref-vs-loc", "--cone", "45"),
+                  ("--condition", "ref-vs-loc", "--variant", "locating", "--cone", "90"),
+                  ("--condition", "cluttered", "--cone", "67.5"),
+                  ("--condition", "natural")]
+
+
+@st.composite
+def commands(draw, inputs):
+    """The arguments of one `gen`, `run` or `plot` call, `--out` aside."""
+    command = draw(st.sampled_from(["gen", "run", "plot"]))
+    if command == "gen":
+        seed = draw(st.one_of(st.integers(-10 ** 6, 10 ** 6).map(str),
+                              st.sampled_from([SEED_40_DIGITS, "-" + SEED_40_DIGITS])))
+        return ["gen", *draw(st.sampled_from(GEN_CONDITIONS)),
+                "--n", str(draw(st.integers(-8, 64))), "--seed", seed]
+    flags = (["--epsilon", "--ambiguity-band"] if command == "run"
+             else ["--width", "--height"])
+    values = (st.sampled_from(RESOLVER_VALUES) if command == "run"
+              else st.one_of(st.integers(-10 ** 6, 10 ** 6).map(str),
+                             st.just("1" + "0" * 400)))
+    args = [command, "--in", str(inputs[command])]
+    for flag in draw(st.lists(st.sampled_from(flags), min_size=1, max_size=2, unique=True)):
+        args += [flag, draw(values)]
+    return args
+
+
+@pytest.fixture(scope="module")
+def inputs(files, tmp_path_factory):
+    """The input file of `run` and of `plot`."""
+    work = tmp_path_factory.mktemp("inputs")
+    out = {"run": work / "t.jsonl", "plot": work / "r.jsonl"}
+    out["run"].write_bytes(_encoded(files["trials", "locating"]))
+    out["plot"].write_bytes(_encoded(files["responses", "locating"]))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_flags_exit_in_one_line(inputs, tmp_path_factory, data):
+    args = data.draw(commands(inputs))
+    out = tmp_path_factory.mktemp("flags") / "out"
+    assert_one_line(CliRunner().invoke(main, [*args, "--out", str(out)]), out)

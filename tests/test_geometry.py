@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deixis.errors import OffPlane, UnboundedSection
 from deixis.geometry import (Ellipse, Plane, Point3, Ray, SurfacePoint,
@@ -21,7 +21,7 @@ def boundary_oracle(axis: Ray, vertex_angle: float, plane: Plane,
 
     Builds the boundary directly: rotate the axis direction by the
     half-aperture toward every azimuth and intersect each generator ray with
-    the plane.  Independent of the quadratic-form route in the library.
+    the plane.  Independent of the closed form in the library.
     """
     d = np.array(axis.direction)
     ref = np.array([1.0, 0.0, 0.0])
@@ -50,6 +50,19 @@ def leaning_plane(tilt: float, yaw: float) -> Plane:
     return Plane(Point3(0.1, -0.2, 0.05), (0.0, -math.sin(tilt), math.cos(tilt)),
                  (c, s * ev0[1], s * ev0[2]), (-s, c * ev0[1], c * ev0[2]),
                  (10.0, 10.0))
+
+
+@st.composite
+def leaning_poses(draw):
+    """(plane tilt, plane yaw, lean_u, lean_v, aperture), angles in degrees:
+    the ray leans off the normal by up to all but 1e-5 of what leaves every
+    generator crossing the plane, toward the inside of a quadrant."""
+    vertex_deg = draw(st.floats(10.0, 150.0))
+    beta = draw(st.floats(0.02, 1.0 - 1e-5)) * math.radians(90.0 - vertex_deg / 2.0)
+    azimuth = math.radians(90.0 * draw(st.integers(0, 3)) + draw(st.floats(3.0, 87.0)))
+    return (draw(st.floats(0.0, 60.0)), draw(st.floats(-180.0, 180.0)),
+            math.tan(beta) * math.cos(azimuth), math.tan(beta) * math.sin(azimuth),
+            vertex_deg)
 
 
 def assert_boundary_at_half_angle(axis: Ray, vertex_angle: float, plane: Plane,
@@ -150,13 +163,16 @@ class TestConeSection:
             x, y = e.to_local(SurfacePoint(u, v))
             assert abs((x / e.semi_major) ** 2 + (y / e.semi_minor) ** 2 - 1.0) <= 1e-9
 
-    @pytest.mark.parametrize("tilt_deg,yaw_deg,lean_u,lean_v,vertex_deg", [
-        (0.0, 0.0, 0.3, 0.4, 45.0), (25.0, 30.0, -0.2, 0.5, 67.5),
-        (40.0, -70.0, 0.6, -0.3, 90.0), (15.0, 120.0, -0.4, -0.4, 45.0)])
-    def test_oblique_ray_on_leaning_plane(self, tilt_deg, yaw_deg, lean_u, lean_v,
-                                          vertex_deg):
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(leaning_poses())
+    @example((0.0, 0.0, 0.3, 0.4, 45.0))
+    @example((25.0, 30.0, -0.2, 0.5, 67.5))
+    @example((40.0, -70.0, 0.6, -0.3, 90.0))
+    @example((15.0, 120.0, -0.4, -0.4, 45.0))
+    def test_oblique_ray_on_leaning_plane(self, pose):
         # the ray leans along both surface axes, so the ellipse is rotated
         # in the (u, v) frame
+        tilt_deg, yaw_deg, lean_u, lean_v, vertex_deg = pose
         plane = leaning_plane(math.radians(tilt_deg), math.radians(yaw_deg))
         n, eu, ev = (np.array(a) for a in (plane.normal, plane.axis_u, plane.axis_v))
         d = -n + lean_u * eu + lean_v * ev
@@ -166,6 +182,14 @@ class TestConeSection:
         assert e.semi_major > e.semi_minor
         assert -math.pi / 2.0 < e.orientation < math.pi / 2.0 and e.orientation != 0.0
         assert_boundary_at_half_angle(ray, math.radians(vertex_deg), plane, e)
+        # the axis hit x* lies on the major axis, and the boundary point
+        # farthest from it is the far end of that axis
+        x_star = to_surface_frame(ray_plane_intersect(ray, plane), plane)
+        reach = e.semi_major + surface_distance(e.center, x_star)
+        assert abs(e.to_local(x_star)[1]) <= 1e-12 * reach
+        farthest = max(surface_distance(e.boundary_point(phi), x_star)
+                       for phi in np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False))
+        assert math.isclose(reach, farthest, rel_tol=1e-12)
 
     def test_ray_in_v_normal_plane_points_major_axis_along_v(self):
         t = math.radians(20.0)
