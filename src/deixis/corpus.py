@@ -13,8 +13,7 @@ object: the first trial's `condition`, `act`, `surface`, `gravity` and
 `objects`.  Each record holds `id` and `shown`, plus `objects` when the
 trial moves any: one entry per context object, `{}` or `{"position":
 [u, v]}`.  A record loads as the context scene, or as that scene with its
-objects moved (`Scene.moved`): only the moved objects and the overlap pairs
-that include one are checked, with the errors a freshly built scene raises.
+objects moved (`Scene.moved`), checked exactly as a freshly built scene.
 Any other record field is a data error, and `save_trials` refuses a trial
 of another set.  Files of the earlier `deixis-trials-1` schema, with every
 part repeated in every record, still load.
@@ -232,6 +231,17 @@ def _diff(new: dict, old: dict) -> dict:
     return out
 
 
+def _object_diff(o: SceneObject, o0: SceneObject, od0: dict) -> dict:
+    """`_diff` of `o` against the first trial's `o0`, whose JSON is `od0`;
+    only the position is compared when every other part is `o0`'s own."""
+    if o is o0:
+        return {}
+    if (o.id is o0.id and o.shape is o0.shape and o.pose.yaw is o0.pose.yaw
+            and o.support is o0.support):
+        return _diff({"position": [o.pose.position.u, o.pose.position.v]}, od0)
+    return _diff(_object_to_json(o), od0)
+
+
 def _record(t: Trial, first: Trial, ctx: dict) -> dict:
     """`t` as id, shown and, when its scene is not the first trial's, one
     entry per context object: `{}` or its new position, already quantized.
@@ -250,7 +260,7 @@ def _record(t: Trial, first: Trial, ctx: dict) -> dict:
     if len(s.objects) != len(s0.objects):
         differ.append("object count")
     elif s.objects is not s0.objects:
-        objects = [{} if o is o0 else _diff(_object_to_json(o), od0)
+        objects = [_object_diff(o, o0, od0)
                    for o, o0, od0 in zip(s.objects, s0.objects, ctx["objects"])]
         differ += [f"objects[{i}].{f}" for i, od in enumerate(objects)
                    for f in od if f != "position"]

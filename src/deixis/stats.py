@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .errors import DegenerateTable, InvalidCounts
 
 _FISHER_SLACK = 1e-12
+_EXP_UNDERFLOW = -746.0  # math.exp of any lower log is exactly 0.0
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,9 @@ def fisher_exact_2x2(table: ContingencyTable) -> TestResult:
     The two-sided p sums the hypergeometric probabilities of every table
     with the same margins whose probability does not exceed the observed
     table's (within 1e-12 relative slack); the statistic is the observed
-    table's probability.
+    table's probability.  The log-pmf is concave, so the k whose term does
+    not underflow to 0.0 form one interval around the mode; its ends are
+    found by bisection and only that interval is summed, in ascending order.
     """
     if len(table.counts) != 2 or len(table.counts[0]) != 2:
         raise DegenerateTable("Fisher exact test requires a 2x2 table")
@@ -135,10 +138,19 @@ def fisher_exact_2x2(table: ContingencyTable) -> TestResult:
     if 0 in (r1, r2, c1, c2):
         raise DegenerateTable("table has a zero marginal")
     lo, hi = max(0, c1 - r2), min(r1, c1)
-    log_obs = _log_hypergeom(a, r1, r2, c1)
-    p_obs = math.exp(log_obs)
+
+    def edge(inside: int, outside: int) -> int:
+        """The last k from `inside` toward `outside` whose term is kept."""
+        while abs(outside - inside) > 1:
+            mid = (inside + outside) // 2
+            kept = _log_hypergeom(mid, r1, r2, c1) >= _EXP_UNDERFLOW
+            inside, outside = (mid, outside) if kept else (inside, mid)
+        return inside
+
+    mode = min(max((r1 + 1) * (c1 + 1) // (r1 + r2 + 2), lo), hi)
+    p_obs = math.exp(_log_hypergeom(a, r1, r2, c1))
     p = 0.0
-    for k in range(lo, hi + 1):
+    for k in range(edge(mode, lo - 1), edge(mode, hi + 1) + 1):
         pk = math.exp(_log_hypergeom(k, r1, r2, c1))
         if pk <= p_obs * (1.0 + _FISHER_SLACK):
             p += pk

@@ -59,32 +59,48 @@ class TestPose:
         assert Pose2D(SurfacePoint(0, 0), yaw=math.pi).yaw == -math.pi
 
 
+def raises_message(message: str, *objects: SceneObject) -> None:
+    with pytest.raises(ValueError) as got:
+        Scene(PLANE, objects)
+    assert str(got.value) == message
+
+
 class TestSceneValidation:
     def test_duplicate_ids(self):
-        with pytest.raises(ValueError):
-            Scene(PLANE, (SceneObject("a", CUBE, Pose2D(SurfacePoint(0, 0))),
-                          SceneObject("a", CUBE, Pose2D(SurfacePoint(0.3, 0)))))
+        raises_message("object ids must be unique",
+                       SceneObject("a", CUBE, Pose2D(SurfacePoint(0, 0))),
+                       SceneObject("a", CUBE, Pose2D(SurfacePoint(0.3, 0))))
 
     def test_unknown_support(self):
-        with pytest.raises(ValueError):
-            Scene(PLANE, (SceneObject("a", CUBE, Pose2D(SurfacePoint(0, 0)),
-                                      support="ghost"),))
+        raises_message("a is supported by unknown object ghost",
+                       SceneObject("a", CUBE, Pose2D(SurfacePoint(0, 0)),
+                                   support="ghost"))
 
     def test_support_cycle(self):
-        with pytest.raises(ValueError):
-            Scene(PLANE, (SceneObject("a", CUBE, Pose2D(SurfacePoint(0, 0)),
-                                      support="b"),
-                          SceneObject("b", CUBE, Pose2D(SurfacePoint(0, 0)),
-                                      support="a")))
+        raises_message("support cycle involving a",
+                       SceneObject("a", CUBE, Pose2D(SurfacePoint(0, 0)), support="b"),
+                       SceneObject("b", CUBE, Pose2D(SurfacePoint(0, 0)), support="a"))
 
     def test_outside_extent(self):
-        with pytest.raises(ValueError):
-            Scene(PLANE, (SceneObject("a", CUBE, Pose2D(SurfacePoint(5.0, 0))),))
+        raises_message("a lies outside the surface extent",
+                       SceneObject("a", CUBE, Pose2D(SurfacePoint(5.0, 0))))
 
     def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            Scene(PLANE, (SceneObject("a", CUBE, Pose2D(SurfacePoint(0, 0))),
-                          SceneObject("b", CUBE, Pose2D(SurfacePoint(0.01, 0)))))
+        raises_message("objects a and b overlap",
+                       SceneObject("a", CUBE, Pose2D(SurfacePoint(0, 0))),
+                       SceneObject("b", CUBE, Pose2D(SurfacePoint(0.01, 0))))
+
+    def test_cycle_is_reported_before_an_object_off_the_surface(self):
+        raises_message("support cycle involving b",
+                       SceneObject("off", CUBE, Pose2D(SurfacePoint(5.0, 0))),
+                       SceneObject("b", CUBE, Pose2D(SurfacePoint(0, 0)), support="c"),
+                       SceneObject("c", CUBE, Pose2D(SurfacePoint(0, 0)), support="b"))
+
+    def test_extent_is_reported_before_an_overlap(self):
+        raises_message("off lies outside the surface extent",
+                       SceneObject("a", CUBE, Pose2D(SurfacePoint(0, 0))),
+                       SceneObject("b", CUBE, Pose2D(SurfacePoint(0.01, 0))),
+                       SceneObject("off", CUBE, Pose2D(SurfacePoint(5.0, 0))))
 
     def test_stacked_objects_allowed(self):
         scene = stack_scene()

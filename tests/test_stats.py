@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import time
 
 import pytest
 import scipy.integrate
@@ -7,9 +9,9 @@ import scipy.special
 import scipy.stats
 
 from deixis.errors import DegenerateTable, InvalidCounts
-from deixis.stats import (ContingencyTable, chi_squared_test,
-                          chi_squared_upper_tail, fisher_exact_2x2, norm_cdf,
-                          tost_equivalence)
+from deixis.stats import (_FISHER_SLACK, ContingencyTable, _log_hypergeom,
+                          chi_squared_test, chi_squared_upper_tail,
+                          fisher_exact_2x2, norm_cdf, tost_equivalence)
 
 
 def table(*rows):
@@ -125,6 +127,18 @@ def fisher_enum_oracle(a, b, c, d):
     return p_obs, min(1.0, total)
 
 
+def fisher_full_range(a, b, c, d):
+    """Two-sided p summed over every k in [lo, hi], underflowed terms too."""
+    r1, r2, c1 = a + b, c + d, a + c
+    p_obs = math.exp(_log_hypergeom(a, r1, r2, c1))
+    p = 0.0
+    for k in range(max(0, c1 - r2), min(r1, c1) + 1):
+        pk = math.exp(_log_hypergeom(k, r1, r2, c1))
+        if pk <= p_obs * (1.0 + _FISHER_SLACK):
+            p += pk
+    return min(1.0, p)
+
+
 class TestFisher:
     def test_known_examples(self):
         assert fisher_exact_2x2(table((3, 1), (1, 3))).p_value == pytest.approx(
@@ -152,6 +166,22 @@ class TestFisher:
             p_obs, p = fisher_enum_oracle(a, b, c, d)
             assert got.statistic == pytest.approx(p_obs, abs=1e-12)
             assert got.p_value == pytest.approx(p, abs=1e-10)
+
+    def test_bitwise_equal_to_the_full_range_sum(self):
+        rng, underflowing = random.Random(11), 0
+        for _ in range(150):
+            a, b, c, d = (rng.randint(1, rng.choice((30, 3000))) for _ in range(4))
+            r1, r2, c1 = a + b, c + d, a + c
+            got = fisher_exact_2x2(table((a, b), (c, d))).p_value
+            assert got.hex() == fisher_full_range(a, b, c, d).hex(), (a, b, c, d)
+            underflowing += _log_hypergeom(max(0, c1 - r2), r1, r2, c1) < -746.0
+        assert underflowing >= 30  # tables where the interval skips terms
+
+    def test_large_counts_finish_quickly(self):
+        start = time.perf_counter()
+        result = fisher_exact_2x2(table((10**7, 1), (1, 10**7)))
+        assert time.perf_counter() - start < 2.0
+        assert result.p_value == 0.0
 
     def test_shape_and_marginals(self):
         with pytest.raises(DegenerateTable):
