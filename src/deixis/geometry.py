@@ -96,9 +96,9 @@ class Plane:
             raise ValueError("plane extent must be positive")
 
     @classmethod
-    def horizontal(cls, extent: tuple[float, float],
-                   anchor: Point3 = Point3(0.0, 0.0, 0.0)) -> "Plane":
-        return cls(anchor, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), extent)
+    def horizontal(cls, extent: tuple[float, float]) -> "Plane":
+        return cls(Point3(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0),
+                   (0.0, 1.0, 0.0), extent)
 
     def contains_surface_point(self, p: "SurfacePoint", shrink: float = 0.0) -> bool:
         hu = self.extent[0] / 2.0 - shrink
@@ -121,7 +121,9 @@ class SurfacePoint:
 @dataclass(frozen=True)
 class Ellipse:
     """An ellipse in surface coordinates; `orientation` is the angle of the
-    semi-major axis, in radians, normalized to [-pi/2, pi/2)."""
+    semi-major axis, in radians, normalized to [-pi/2, pi/2).  Its own axis
+    frame is centered, with x along the semi-major axis; `from_local` maps
+    that frame to surface coordinates."""
 
     center: SurfacePoint
     semi_major: float
@@ -132,25 +134,10 @@ class Ellipse:
         if not (self.semi_major >= self.semi_minor > 0.0):
             raise ValueError("require semi_major >= semi_minor > 0")
 
-    def to_local(self, p: SurfacePoint) -> tuple[float, float]:
-        """Coordinates in the ellipse's own axis frame (unrotated, centered)."""
-        du = p.u - self.center.u
-        dv = p.v - self.center.v
-        c, s = math.cos(self.orientation), math.sin(self.orientation)
-        return (c * du + s * dv, -s * du + c * dv)
-
     def from_local(self, x: float, y: float) -> SurfacePoint:
         c, s = math.cos(self.orientation), math.sin(self.orientation)
         return SurfacePoint(self.center.u + c * x - s * y,
                             self.center.v + s * x + c * y)
-
-    def contains(self, p: SurfacePoint, slack: float = 0.0) -> bool:
-        x, y = self.to_local(p)
-        return (x / self.semi_major) ** 2 + (y / self.semi_minor) ** 2 <= 1.0 + slack
-
-    def boundary_point(self, phi: float) -> SurfacePoint:
-        return self.from_local(self.semi_major * math.cos(phi),
-                               self.semi_minor * math.sin(phi))
 
 
 def ray_plane_intersect(ray: Ray, plane: Plane) -> Point3 | None:

@@ -159,7 +159,6 @@ class ResponseRecord:
 
 @dataclass(frozen=True)
 class AggregateTable:
-    group_by: str
     labels: tuple[str, ...]
     rows: tuple[tuple[object, tuple[int, ...]], ...]
 
@@ -347,24 +346,16 @@ def run(trials: list[Trial],
     return records
 
 
-def _group_key(record: ResponseRecord, group_by: str) -> object:
-    if group_by == "position":
-        return tuple(record.meta.get("probe", ()))
-    if group_by == "config":
-        return record.meta.get("config")
-    if group_by == "condition":
-        return record.meta.get("condition")
-    raise ValueError(f"unknown grouping {group_by!r}")
-
-
 def aggregate(records: list[ResponseRecord], group_by: str = "condition") -> AggregateTable:
-    """Label counts per group; groups appear in first-seen order."""
+    """Label counts per condition descriptor (`meta.condition`); conditions
+    appear in first-seen order.  `"condition"` is the only grouping."""
     if not records:
         raise EmptyInput("no records to aggregate")
+    if group_by != "condition":
+        raise ValueError(f"unknown grouping {group_by!r}")
     groups: dict[object, Counter] = {}
     for rec in records:
-        key = _group_key(rec, group_by)
-        groups.setdefault(key, Counter())[rec.predicted] += 1
+        groups.setdefault(rec.meta.get("condition"), Counter())[rec.predicted] += 1
     rows = tuple((key, tuple(counter.get(lbl, 0) for lbl in LABELS))
                  for key, counter in groups.items())
-    return AggregateTable(group_by=group_by, labels=LABELS, rows=rows)
+    return AggregateTable(labels=LABELS, rows=rows)

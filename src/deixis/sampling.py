@@ -26,19 +26,17 @@ def substream_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _rng(seed: int, *spawn_key: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)))
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
 
 
 @dataclass(frozen=True)
 class ClutteredPair:
     """Two positions on the section's major diametric line, separated by the
-    section diameter, with the pair midpoint offset from the center."""
+    section diameter: the object is the one nearer the center."""
 
     x_object: SurfacePoint
     x_distractor: SurfacePoint
-    offset: float
 
 
 def _fill_quadrant(rng: np.random.Generator, ellipse: Ellipse, quadrant: int,
@@ -77,14 +75,14 @@ def cluttered_pair(ellipse: Ellipse, seed: int) -> ClutteredPair:
     diameter D = 2 * semi_major; the pair midpoint is displaced from the
     center by offset ~ Uniform[-D/2, D/2] along the same line.  The point
     nearer the center is labeled the object; an exact tie is labeled by the
-    sign of the next RNG draw.
+    sign of the next RNG draw.  Only the two points are returned: the offset
+    is the x of their midpoint in the ellipse's axis frame.
     """
     rng = _rng(seed)
     d_full = 2.0 * ellipse.semi_major
     offset = float(rng.uniform(-d_full / 2.0, d_full / 2.0))
-    mid_x = offset
-    p_plus = ellipse.from_local(mid_x + d_full / 2.0, 0.0)
-    p_minus = ellipse.from_local(mid_x - d_full / 2.0, 0.0)
+    p_plus = ellipse.from_local(offset + d_full / 2.0, 0.0)
+    p_minus = ellipse.from_local(offset - d_full / 2.0, 0.0)
     d_plus = abs(offset + d_full / 2.0)
     d_minus = abs(offset - d_full / 2.0)
     if d_plus < d_minus:
@@ -95,4 +93,4 @@ def cluttered_pair(ellipse: Ellipse, seed: int) -> ClutteredPair:
         nearer, farther = p_plus, p_minus
     else:
         nearer, farther = p_minus, p_plus
-    return ClutteredPair(x_object=nearer, x_distractor=farther, offset=offset)
+    return ClutteredPair(x_object=nearer, x_distractor=farther)

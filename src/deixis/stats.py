@@ -147,8 +147,10 @@ def fisher_exact_2x2(table: ContingencyTable) -> TestResult:
             inside, outside = (mid, outside) if kept else (inside, mid)
         return inside
 
-    mode = min(max((r1 + 1) * (c1 + 1) // (r1 + r2 + 2), lo), hi)
     p_obs = math.exp(_log_hypergeom(a, r1, r2, c1))
+    if p_obs == 0.0:  # only terms equal to 0.0 could be kept: p is 0.0
+        return TestResult(statistic=0.0, dof=None, p_value=0.0)
+    mode = min(max((r1 + 1) * (c1 + 1) // (r1 + r2 + 2), lo), hi)
     p = 0.0
     for k in range(edge(mode, lo - 1), edge(mode, hi + 1) + 1):
         pk = math.exp(_log_hypergeom(k, r1, r2, c1))
@@ -185,8 +187,8 @@ def tost_equivalence(x1: int, n1: int, x2: int, n2: int, margin: float,
     else:
         z_lower = (diff + margin) / se
         z_upper = (diff - margin) / se
-    p_lower = 1.0 - norm_cdf(z_lower)  # H0: p1 - p2 <= -margin
-    p_upper = norm_cdf(z_upper)        # H0: p1 - p2 >= +margin
+    p_lower = norm_cdf(-z_lower)  # H0: p1 - p2 <= -margin; 1 - cdf(z) cancels to 0
+    p_upper = norm_cdf(z_upper)   # H0: p1 - p2 >= +margin
     return EquivalenceResult(z_lower=z_lower, z_upper=z_upper,
                              p_lower=p_lower, p_upper=p_upper,
                              equivalent=max(p_lower, p_upper) < alpha)

@@ -329,6 +329,21 @@ class TestStats:
         assert name == "chi2" and dof == "1"
         assert float(p) == pytest.approx(0.009823, abs=1e-6)
 
+    @pytest.mark.parametrize("flags, line", [
+        (("--test", "tost", "--a", "500/1000", "--b", "500/1000", "--margin", "0.2"),
+         "tost: z_lower=8.94427 z_upper=-8.94427 p_lower=1.87205e-19 "
+         "p_upper=1.87205e-19 equivalent=True"),
+        (("--test", "tost", "--a", "500/1000", "--b", "500/1000", "--margin", "0.2",
+          "--csv"), "tost,8.94427,-8.94427,1.87205e-19,1.87205e-19,True"),
+        (("--test", "chi2", "--table", "1000000,0,0,1000000"),
+         "chi2: statistic=2e+06 dof=1 p=0"),
+    ], ids=["tost-far-tails", "tost-csv", "chi2-underflowing-tail"])
+    def test_far_tail_prints_its_line(self, runner, flags, line):
+        # the symmetric TOST prints equal one-sided p-values
+        res = runner.invoke(main, ["stats", *flags])
+        assert res.exit_code == 0, res.output
+        assert res.output == line + "\n"
+
     def test_degenerate_table_exits_1(self, runner):
         res = runner.invoke(main, ["stats", "--test", "chi2",
                                    "--table", "0,0,3,4"])
@@ -387,8 +402,18 @@ class TestStats:
         (("--test", "chi2", "--fixture", "table1", "--rows",
           "natural-top,unnatural-top", "--cols", "5"),
          "--cols is read only with --table"),
+        (("--test", "chi2", "--fixture", "table1"),
+         "--rows is required with --fixture table1"),
+        # fixture rows or a table the test cannot use
+        (("--test", "chi2", "--fixture", "table1", "--rows", "natural-top"),
+         "--rows needs at least two fixture rows"),
+        (("--test", "chi2", "--fixture", "table1", "--rows", "natural-top,natural-lid"),
+         "unknown fixture row 'natural-lid'; use e.g. natural-top"),
+        (("--test", "fisher", "--table", "1,2,3,4,5,6", "--cols", "3"),
+         "fisher needs a 2x2 table; use --collapse with fixture rows"),
     ], ids=["fisher-collapse-without-rows", "chi2-table-and-fixture",
-            "chi2-cols-without-table"])
+            "chi2-cols-without-table", "chi2-fixture-without-rows", "one-fixture-row",
+            "unknown-fixture-row", "fisher-not-2x2"])
     def test_flag_read_only_with_another_exits_2(self, runner, flags, message):
         res = runner.invoke(main, ["stats", *flags])
         assert res.exit_code == 2

@@ -95,6 +95,14 @@ class TestTrialsV2:
         corpus.save_trials(loaded, str(p2), seed=7)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_blank_lines_between_records_are_skipped(self, tmp_path):
+        p = tmp_path / "b.jsonl"
+        trials = make_trials()
+        corpus.save_trials(trials, str(p), seed=7)
+        lines = p.read_text().splitlines()
+        p.write_text("\n".join([*lines[:3], "", *lines[3:5], " \t", *lines[5:]]) + "\n")
+        assert corpus.load_trials(str(p)) == trials
+
     def test_loaded_trials_share_the_context(self, tmp_path):
         p = tmp_path / "s.jsonl"
         corpus.save_trials(make_trials(variant=LOCATING), str(p), seed=7)

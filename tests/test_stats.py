@@ -183,6 +183,25 @@ class TestFisher:
         assert time.perf_counter() - start < 2.0
         assert result.p_value == 0.0
 
+    def test_underflowing_observed_table_bitwise_equal_to_the_full_range_sum(self):
+        # the observed term underflows, so the early return must give the
+        # statistic and p the full-range loop gives
+        rng = random.Random(16)
+        for _ in range(20):
+            a, d = rng.randint(800, 2500), rng.randint(800, 2500)
+            b, c = rng.randint(0, 12), rng.randint(0, 12)
+            r1, r2, c1 = a + b, c + d, a + c
+            assert _log_hypergeom(a, r1, r2, c1) < -746.0, (a, b, c, d)
+            got = fisher_exact_2x2(table((a, b), (c, d)))
+            assert got.statistic.hex() == math.exp(_log_hypergeom(a, r1, r2, c1)).hex()
+            assert got.p_value.hex() == fisher_full_range(a, b, c, d).hex(), (a, b, c, d)
+
+    def test_underflowing_huge_table_returns_at_once(self):
+        start = time.perf_counter()
+        result = fisher_exact_2x2(table((10**11, 1), (1, 10**11)))
+        assert time.perf_counter() - start < 1.0
+        assert (result.statistic, result.p_value) == (0.0, 0.0)
+
     def test_shape_and_marginals(self):
         with pytest.raises(DegenerateTable):
             fisher_exact_2x2(table((1, 2, 3), (4, 5, 6)))
@@ -227,6 +246,15 @@ class TestTost:
             tost_equivalence(11, 10, 1, 10, 0.05)
         with pytest.raises(ValueError):
             tost_equivalence(5, 10, 5, 10, 0.0)
+
+    @pytest.mark.parametrize("x1,n1,x2,n2,margin", [(500, 1000, 500, 1000, 0.2),
+                                                    (990, 1000, 985, 1000, 0.05)])
+    def test_far_tails_match_scipy(self, x1, n1, x2, n2, margin):
+        # z beyond about 8.3, where 1 - cdf(z) cancels to 0
+        res = tost_equivalence(x1, n1, x2, n2, margin)
+        assert res.z_lower > 8.3
+        assert math.isclose(res.p_lower, scipy.stats.norm.sf(res.z_lower), rel_tol=1e-12)
+        assert math.isclose(res.p_upper, scipy.stats.norm.cdf(res.z_upper), rel_tol=1e-12)
 
     def test_degenerate_pooled_se(self):
         res = tost_equivalence(10, 10, 10, 10, margin=0.05)
