@@ -20,6 +20,9 @@ _CONDITIONS = {"ref-vs-loc": harness.REF_VS_LOC,
                "cluttered": harness.CLUTTERED,
                "natural": harness.NATURAL,
                "verbs": harness.VERB_VARIANT}
+# the most trials one `gen` makes: 25x sweep scale; generation holds every
+# trial in memory, and a cluttered trial index must fit one 32-bit word
+MAX_N = 100_000
 
 
 class _Main(click.Group):
@@ -56,7 +59,8 @@ def main() -> None:
               show_default=True)
 @click.option("--verb", type=click.Choice(harness.VERBS), default="put",
               show_default=True)
-@click.option("--n", type=int, default=8, show_default=True)
+@click.option("--n", type=click.IntRange(max=MAX_N), default=8, show_default=True,
+              help=f"Trials to generate, at most {MAX_N}.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_gen(condition_name: str, variant: str, cone: float | None, robot: str,

@@ -18,7 +18,7 @@ from .geometry import (Ellipse, Plane, Point3, Ray, SurfacePoint,
 from .resolver import (AMBIGUOUS, CORRECT, INCORRECT, LOCATING, NEARER,
                        REFERENTIAL, PointingAct, ResolverConfig, candidates,
                        classify_outcome, predict_cluttered, resolve)
-from .sampling import cluttered_pair, sample_positions, substream_seed
+from .sampling import cluttered_pair, sample_positions, substreams
 from .scene import Scene, SceneObject, Shape, Pose2D
 
 REF_VS_LOC = "ref_vs_loc"
@@ -261,7 +261,7 @@ def _cluttered_trials(cond: Condition, n: int, seed: int) -> tuple:
     # bound the extent by the farthest possible pair point (offset +- D/2)
     d_full = 2.0 * ellipse.semi_major
     far = [ellipse.from_local(s * 1.5 * d_full, 0.0) for s in (-1.0, 1.0)]
-    pairs = [cluttered_pair(ellipse, substream_seed(seed, i)) for i in range(n)]
+    pairs = [cluttered_pair(ellipse, rng) for rng in substreams(seed, n)]
     points = [p for pair in pairs for p in (pair.x_object, pair.x_distractor)]
     extent = _fit_extent(_ellipse_bbox(ellipse) + far + points + [x_star])
     # object, distractor, object, ...: both mugs move per trial

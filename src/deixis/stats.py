@@ -10,11 +10,12 @@ through log-gamma to avoid overflow.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateTable, InvalidCounts
 
-_FISHER_SLACK = 1e-12
+_FISHER_SLACK = 1e-7
 _EXP_UNDERFLOW = -746.0  # math.exp of any lower log is exactly 0.0
 
 
@@ -102,6 +103,8 @@ def chi_squared_test(table: ContingencyTable) -> TestResult:
     rs, cs, n = table.row_sums, table.col_sums, table.total
     if any(s == 0 for s in rs) or any(s == 0 for s in cs):
         raise DegenerateTable("table has a zero marginal")
+    if n > sys.float_info.max:  # an expected count rs * cs / n could underflow to 0.0
+        raise OverflowError("the table total is beyond float range")
     stat = 0.0
     for i, row in enumerate(table.counts):
         for j, obs in enumerate(row):
@@ -125,8 +128,10 @@ def fisher_exact_2x2(table: ContingencyTable) -> TestResult:
 
     The two-sided p sums the hypergeometric probabilities of every table
     with the same margins whose probability does not exceed the observed
-    table's (within 1e-12 relative slack); the statistic is the observed
-    table's probability.  The log-pmf is concave, so the k whose term does
+    table's, within scipy's 1e-7 relative slack: from a few hundred counts
+    per cell on, the lgamma-based terms of two exactly tied tables can
+    differ by more than 1e-12.  The statistic is the observed table's
+    probability.  The log-pmf is concave, so the k whose term does
     not underflow to 0.0 form one interval around the mode; its ends are
     found by bisection and only that interval is summed, in ascending order.
     """

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from deixis import corpus, harness
-from deixis.cli import main
+from deixis.cli import MAX_N, main
 
 HUGE = "1" + "0" * 400  # a count no float can hold
 
@@ -100,6 +100,31 @@ class TestGen:
                                    "--out", str(out)])
         assert res.exit_code == 1
         assert "n must be positive" in res.output
+        assert not out.exists()
+
+    def test_n_at_the_maximum(self, runner, tmp_path):
+        # natural yields its 3 trials for any positive n
+        out = tmp_path / "x.jsonl"
+        res = runner.invoke(main, ["gen", "--condition", "natural",
+                                   "--n", str(MAX_N), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(out.read_text().splitlines()[0])["count"] == 3
+
+    @pytest.mark.parametrize("flags", [
+        ("--condition", "ref-vs-loc", "--cone", "45"),
+        ("--condition", "ref-vs-loc", "--variant", "locating", "--cone", "90"),
+        ("--condition", "cluttered", "--cone", "67.5"),
+        ("--condition", "natural"),
+        ("--condition", "verbs", "--verb", "push")],
+        ids=["referential", "locating", "cluttered", "natural", "verbs"])
+    def test_n_past_the_maximum_exits_2(self, runner, tmp_path, flags):
+        out = tmp_path / "x.jsonl"
+        res = runner.invoke(main, ["gen", *flags, "--n", str(MAX_N + 1),
+                                   "--out", str(out)])
+        assert res.exit_code == 2
+        errors = [line for line in res.output.splitlines() if line.startswith("Error: ")]
+        assert errors == [f"Error: Invalid value for '--n': {MAX_N + 1} "
+                          f"is not in the range x<={MAX_N}."]
         assert not out.exists()
 
     def test_byte_identical_reruns(self, runner, tmp_path):
@@ -351,6 +376,7 @@ class TestStats:
 
     @pytest.mark.parametrize("flags", [
         ("--test", "chi2", "--table", f"{HUGE},1,1,1"),
+        ("--test", "chi2", "--table", f"1,0,0,{HUGE}"),
         ("--test", "fisher", "--table", f"{HUGE},1,1,1"),
         ("--test", "tost", "--a", f"{HUGE}/{HUGE}", "--b", "1/2"),
         ("--test", "tost", "--a", "3/4", "--b", "1/2", "--margin", "nan"),
@@ -358,7 +384,7 @@ class TestStats:
         ("--test", "tost", "--a", "3/4", "--b", "1/2", "--alpha", "nan"),
         ("--test", "tost", "--a", "3/4", "--b", "1/2", "--alpha", "0"),
         ("--test", "tost", "--a", "3/4", "--b", "1/2", "--alpha", "1"),
-    ], ids=["chi2-huge-count", "fisher-huge-count", "tost-huge-count",
+    ], ids=["chi2-huge-count", "chi2-underflowing-expected-count", "fisher-huge-count", "tost-huge-count",
             "margin-nan", "margin-inf", "alpha-nan", "alpha-0", "alpha-1"])
     def test_unusable_count_or_parameter_exits_1(self, runner, flags):
         # a count too large for a float, or a non-finite parameter

@@ -10,8 +10,15 @@ line, never with a traceback.  Each flag example runs `gen`, `run` or
 `plot` with counts, seeds, resolver parameters or plot sizes from past
 their valid ranges and checks that the command exits 0 or 1 with one line,
 or 2 with one `Error:` line after click's usage lines, and leaves no output
-file when it fails.  `gen --n` stays at most 64: sampling allocates in
-proportion to it.
+file when it fails.  `gen --n` stays at most 64, or past the CLI's
+maximum: sampling allocates in proportion to it.  Each `stats` example
+draws the test, its input (a table, the fixture or two fractions) with the
+flags that go with it and, one time in four, one more flag, with table
+text, fractions and float values from past their valid ranges, and checks
+that the command exits 0 with result lines only, 1 with one `Error:` line,
+or 2 with one `Error:` line after click's usage lines.  Counts stay at most
+10**6 or overflow a float: a balanced Fisher table near 10**9 per cell
+takes seconds.
 """
 import json
 import math
@@ -23,7 +30,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from deixis import corpus, harness
-from deixis.cli import main
+from deixis.cli import MAX_N, main
 from deixis.errors import SchemaError
 
 SETS = {
@@ -185,7 +192,9 @@ def commands(draw, inputs):
         seed = draw(st.one_of(st.integers(-10 ** 6, 10 ** 6).map(str),
                               st.sampled_from([SEED_40_DIGITS, "-" + SEED_40_DIGITS])))
         return ["gen", *draw(st.sampled_from(GEN_CONDITIONS)),
-                "--n", str(draw(st.integers(-8, 64))), "--seed", seed]
+                "--n", draw(st.one_of(st.integers(-8, 64).map(str),
+                                      st.sampled_from([str(MAX_N + 1), "1" + "0" * 400]))),
+                "--seed", seed]
     flags = (["--epsilon", "--ambiguity-band"] if command == "run"
              else ["--width", "--height"])
     values = (st.sampled_from(RESOLVER_VALUES) if command == "run"
@@ -214,3 +223,75 @@ def test_fuzzed_flags_exit_in_one_line(inputs, tmp_path_factory, data):
     args = data.draw(commands(inputs))
     out = tmp_path_factory.mktemp("flags") / "out"
     assert_one_line(CliRunner().invoke(main, [*args, "--out", str(out)]), out)
+
+
+ROWS = [f"{scene}-{config}" for scene in ("natural", "unnatural")
+        for config in ("top", "edge", "table")]
+COUNTS = st.one_of(st.integers(-2, 40), st.integers(0, 10 ** 6),
+                   st.just(10 ** 400)).map(str)
+WORDS = st.sampled_from(["", " ", "x", "1.5", "-0", "1e3", "nan", "0x10", "1" + "0" * 5000])
+FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                   st.sampled_from(["nan", "-inf", "0", "1", "0.05", "-0.0", "1e-300", "x"]))
+
+
+def mostly(valid, other):
+    """`valid` three times in four, else `other`."""
+    return st.integers(0, 3).flatmap(lambda k: other if k == 0 else valid)
+
+
+GRID = st.tuples(st.integers(2, 3), st.integers(2, 3)).flatmap(
+    lambda rc: st.lists(COUNTS, min_size=rc[0] * rc[1], max_size=rc[0] * rc[1]))
+FRACTION = mostly(st.integers(1, 200).flatmap(
+    lambda n: st.tuples(st.integers(0, n), st.just(n))).map(lambda xn: "%d/%d" % xn),
+    st.one_of(st.tuples(COUNTS, COUNTS).map("/".join), WORDS, st.just("1/2/3")))
+STATS_TEXTS = {
+    "--fixture": mostly(st.just("table1"), st.just("table2")),
+    "--rows": mostly(st.lists(st.sampled_from(ROWS), min_size=2, max_size=4),
+                     st.lists(st.sampled_from([*ROWS, "natural-x", "top", "", " "]),
+                              max_size=4)).map(",".join),
+    "--collapse": mostly(st.sampled_from(["correct", "incorrect", "ambiguous"]),
+                         st.just("rest")),
+    "--table": mostly(GRID, st.lists(st.one_of(COUNTS, WORDS), min_size=1,
+                                     max_size=9)).map(",".join),
+    "--cols": mostly(st.integers(-1, 5).map(str), WORDS),
+    "--a": FRACTION, "--b": FRACTION, "--margin": FLOATS, "--alpha": FLOATS}
+
+
+@st.composite
+def stats_commands(draw):
+    """The arguments of one `stats` call: the test, a table, the fixture or
+    two fractions, the flags that go with them and, one time in four, one
+    more flag the test may not read."""
+    test = draw(st.sampled_from(["chi2", "fisher", "tost"]))
+    if test == "tost":
+        flags = ["--a", "--b", *draw(st.lists(st.sampled_from(["--margin", "--alpha"]),
+                                              unique=True))]
+    elif draw(st.booleans()):
+        flags = ["--table", *draw(st.sampled_from([[], ["--cols"]]))]
+    else:
+        flags = ["--fixture", *draw(st.sampled_from(
+            [["--rows"], ["--rows", "--collapse"], []] if test == "fisher" else [["--rows"]]))]
+    if draw(st.integers(0, 3)) == 0:
+        flags.append(draw(st.sampled_from([f for f in STATS_TEXTS if f not in flags])))
+    args = ["stats", "--test", test]
+    for flag in flags:
+        args += [flag, draw(STATS_TEXTS[flag])]
+    return args + draw(st.sampled_from([[], ["--csv"]]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(args=stats_commands())
+def test_fuzzed_stats_flags_exit_in_one_line(args):
+    res = CliRunner().invoke(main, args)
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.output
+    lines = res.output.splitlines()
+    errors = [line for line in lines if line.startswith("Error: ")]
+    if res.exit_code == 0:  # one line, or the fixture's collapse report
+        assert lines and not errors, res.output
+        assert all(line.startswith(("chi2", "fisher", "tost")) for line in lines), res.output
+        assert len(lines) == 1 or ("--fixture" in args and "--rows" not in args), res.output
+    elif res.exit_code == 1:
+        assert lines == errors and len(errors) == 1, res.output
+    else:
+        assert res.exit_code == 2, res.output
+        assert len(errors) == 1 and res.output.endswith(errors[0] + "\n"), res.output

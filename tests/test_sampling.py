@@ -5,7 +5,7 @@ import pytest
 
 from deixis.errors import InvalidCount
 from deixis.geometry import Ellipse, SurfacePoint, surface_distance
-from deixis.sampling import cluttered_pair, sample_positions, substream_seed
+from deixis.sampling import _rng, cluttered_pair, sample_positions, substreams
 from ellipse_oracle import contains, to_local
 
 CIRCLE = Ellipse(SurfacePoint(0.0, 0.0), 1.0, 1.0, 0.0)
@@ -82,14 +82,14 @@ def pair_offset(pair):
 class TestClutteredPair:
     def test_separation_is_diameter(self):
         for seed in range(50):
-            pair = cluttered_pair(TILTED, seed)
+            pair = cluttered_pair(TILTED, _rng(seed))
             d = surface_distance(pair.x_object, pair.x_distractor)
             assert abs(d - 2.0 * TILTED.semi_major) <= 1e-9
             assert abs(pair_offset(pair)) <= TILTED.semi_major
 
     def test_object_is_nearer_to_center(self):
         for seed in range(50):
-            pair = cluttered_pair(TILTED, seed)
+            pair = cluttered_pair(TILTED, _rng(seed))
             d_obj = surface_distance(pair.x_object, TILTED.center)
             d_dis = surface_distance(pair.x_distractor, TILTED.center)
             assert d_obj <= d_dis
@@ -97,7 +97,7 @@ class TestClutteredPair:
 
     def test_offset_uniformity_ks(self):
         d = 2.0 * TILTED.semi_major
-        offsets = sorted(pair_offset(cluttered_pair(TILTED, s)) for s in range(10_000))
+        offsets = sorted(pair_offset(cluttered_pair(TILTED, _rng(s))) for s in range(10_000))
         n = len(offsets)
         ks = max(max(abs((i + 1) / n - (x + d / 2) / d),
                      abs(i / n - (x + d / 2) / d))
@@ -105,16 +105,18 @@ class TestClutteredPair:
         assert ks < 0.02
 
     def test_determinism(self):
-        assert cluttered_pair(CIRCLE, 42) == cluttered_pair(CIRCLE, 42)
+        assert cluttered_pair(CIRCLE, _rng(42)) == cluttered_pair(CIRCLE, _rng(42))
 
 
 class TestSubstreams:
-    def test_substream_seed_stable(self):
-        assert substream_seed(0, 0) == substream_seed(0, 0)
-        seen = {substream_seed(5, i) for i in range(100)}
-        assert len(seen) == 100
+    def test_substreams_stable_and_distinct(self):
+        first = [rng.random() for rng in substreams(5, 100)]
+        assert first == [rng.random() for rng in substreams(5, 100)]
+        assert len(set(first)) == 100
 
-    def test_substream_independent_of_order(self):
-        late = substream_seed(5, 99)
-        early = substream_seed(5, 0)
-        assert (substream_seed(5, 99), substream_seed(5, 0)) == (late, early)
+    def test_stream_i_does_not_depend_on_n(self):
+        short, long = substreams(5, 8), substreams(5, 4000)
+        for i in range(8):
+            assert ([short[i].random() for _ in range(3)]
+                    == [long[i].random() for _ in range(3)])
+        assert substreams(5, 0) == []
