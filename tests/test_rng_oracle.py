@@ -78,7 +78,8 @@ def test_seed_sequence_state_matches_numpy(seed):
     assert (_seed_words(_int_words(seed), 8)
             == SeedSequence(seed).generate_state(8).tolist())
     # a spawn key pads the entropy to the pool size, then follows it
-    words = _int_words(seed) + [0] * max(0, 4 - len(_int_words(seed)))
+    words = _int_words(seed)
+    words += [0] * (4 - len(words))
     keys = np.array(SPAWN_KEYS, dtype=np.uint32)
     batch = _seed_words([np.full(len(keys), w, np.uint32) for w in words] + [keys], 4)
     for i, key in enumerate(SPAWN_KEYS):
