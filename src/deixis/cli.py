@@ -75,9 +75,9 @@ def cmd_gen(condition_name: str, variant: str, cone: float | None, robot: str,
             gravity=(gravity == "on"), verb=verb)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
-    trials = harness.generate_trials(cond, n, seed)
-    corpus.save_trials(trials, out, seed=seed)
-    click.echo(f"wrote {len(trials)} trials "
+    tset = harness.generate_trials(cond, n, seed)
+    corpus.save_trials(tset, out, seed=seed)
+    click.echo(f"wrote {len(tset.trials)} trials "
                f"(condition={cond.descriptor()} seed={seed}) to {out}")
 
 
@@ -89,9 +89,9 @@ def cmd_gen(condition_name: str, variant: str, cone: float | None, robot: str,
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_run(in_path: str, epsilon: float, ambiguity_band: float, out: str) -> None:
     """Predict a judgment for every trial in a corpus."""
-    trials = corpus.load_trials(in_path)
+    tset = corpus.load_trials(in_path)
     cfg = ResolverConfig(epsilon=epsilon, ambiguity_band=ambiguity_band)
-    records = harness.run(trials, cfg)
+    records = harness.run(tset, cfg)
     corpus.save_responses(records, out)
     counts = harness.aggregate(records, group_by="condition")
     for key, row in counts.rows:

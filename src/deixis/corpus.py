@@ -6,17 +6,20 @@ Distances are stored in meters and angles in degrees; every float is written
 with at most 9 significant digits, so identical content always produces
 identical bytes.
 
-Trials (schema `deixis-trials-2`): a file holds one trial set, one condition
-and pointing act in one scene whose objects a trial may move.  The header
-holds `schema`, `count`, `seed`, the condition descriptor and a `context`
-object: the first trial's `condition`, `act`, `surface`, `gravity` and
+Trials (schema `deixis-trials-2`): a file holds one `harness.TrialSet`, one
+condition and pointing act in one scene whose objects a trial may move.
+The header holds `schema`, `count`, `seed`, the condition descriptor and a
+`context` object: the set's `condition`, `act`, `surface`, `gravity` and
 `objects`.  Each record holds `id` and `shown`, plus `objects` when the
 trial moves any: one entry per context object, `{}` or `{"position":
-[u, v]}`.  A record loads as the context scene, or as that scene with its
-objects moved (`Scene.moved`), checked exactly as a freshly built scene.
-Any other record field is a data error, and `save_trials` refuses a trial
-of another set.  Files of the earlier `deixis-trials-1` schema, with every
-part repeated in every record, still load.
+[u, v]}`, its position unless that is `_same` as the context's.  The
+loader turns each record into a `TrialSet` case, so it gets the context
+scene or that scene with its objects moved (`Scene.moved`), checked
+exactly as a freshly built scene.  Any other record field, and a file
+with no records, is a data error.  Files of the earlier `deixis-trials-1`
+schema, with every part repeated in every record, still load: each record
+becomes a v2 record against the first one, and a record that differs from
+it in anything but object positions is refused.
 
 Responses (schema `deixis-responses-2`) are written the same way: the
 header holds `schema`, `count`, an `id_prefix` (the longest common prefix
@@ -44,7 +47,7 @@ from typing import Any
 
 from .errors import SchemaError
 from .geometry import Plane, Point3, Ray, SurfacePoint, unit
-from .harness import LABELS, Condition, ResponseRecord, ShownConfig, Trial, _q
+from .harness import LABELS, Condition, ResponseRecord, ShownConfig, TrialSet, _q
 from .resolver import PointingAct
 from .scene import Pose2D, Scene, SceneObject, Shape, TABLE
 from .stats import ContingencyTable
@@ -209,71 +212,24 @@ def _shown_from_json(d: dict) -> str | SurfacePoint | ShownConfig:
     raise ValueError(f"unknown shown type {kind!r}")
 
 
-def _context(t: Trial) -> dict:
-    """The quantized JSON of every part of `t` but its id and shown."""
-    return _quantize({"condition": _condition_to_json(t.condition),
-                      "act": _act_to_json(t.point_act),
-                      "surface": _surface_to_json(t.scene.surface),
-                      "gravity": t.scene.gravity,
-                      "objects": [_object_to_json(o) for o in t.scene.objects]})
+def _context(condition: Condition, act: PointingAct, scene: Scene) -> dict:
+    """The quantized JSON of a set's condition, act and scene."""
+    return _quantize({"condition": _condition_to_json(condition),
+                      "act": _act_to_json(act),
+                      "surface": _surface_to_json(scene.surface),
+                      "gravity": scene.gravity,
+                      "objects": [_object_to_json(o) for o in scene.objects]})
 
 
-def _diff(new: dict, old: dict) -> dict:
-    """The fields of raw `new` whose quantized values are not `_same` as
-    the quantized `old`; only fields whose raw values differ are quantized."""
-    out = {}
-    for k, v in new.items():
-        o = old[k]
-        if v is not o and (v != o or not _same(v, o)):
-            v = _quantize(v)
-            if not _same(v, o):
-                out[k] = v
-    return out
-
-
-def _object_diff(o: SceneObject, o0: SceneObject, od0: dict) -> dict:
-    """`_diff` of `o` against the first trial's `o0`, whose JSON is `od0`;
-    only the position is compared when every other part is `o0`'s own."""
-    if o is o0:
-        return {}
-    if (o.id is o0.id and o.shape is o0.shape and o.pose.yaw is o0.pose.yaw
-            and o.support is o0.support):
-        return _diff({"position": [o.pose.position.u, o.pose.position.v]}, od0)
-    return _diff(_object_to_json(o), od0)
-
-
-def _record(t: Trial, first: Trial, ctx: dict) -> dict:
-    """`t` as id, shown and, when its scene is not the first trial's, one
-    entry per context object: `{}` or its new position, already quantized.
-    A part that is the first trial's own object is skipped without a
-    comparison; a trial of another set raises ValueError."""
-    rec: dict = {"id": t.id, "shown": _quantize(_shown_to_json(t.shown))}
-    s, s0 = t.scene, first.scene
-    parts = [("condition", t.condition, first.condition, _condition_to_json),
-             ("act", t.point_act, first.point_act, _act_to_json)]
-    if s is not s0:
-        parts.append(("surface", s.surface, s0.surface, _surface_to_json))
-    differ = [f"{key}.{f}" for key, part, part0, to_json in parts
-              if part is not part0 for f in _diff(to_json(part), ctx[key])]
-    if s is not s0 and not _same(s.gravity, s0.gravity):
-        differ.append("gravity")
-    if len(s.objects) != len(s0.objects):
-        differ.append("object count")
-    elif s.objects is not s0.objects:
-        objects = [_object_diff(o, o0, od0)
-                   for o, o0, od0 in zip(s.objects, s0.objects, ctx["objects"])]
-        differ += [f"objects[{i}].{f}" for i, od in enumerate(objects)
-                   for f in od if f != "position"]
-        if any(objects):
-            rec["objects"] = objects
-    if differ:
-        raise ValueError(f"trial {t.id} differs from the first trial in "
-                         f"{', '.join(differ)}; a trials file holds one trial set")
-    return rec
+def _position(o: SceneObject, od0: dict) -> dict:
+    """`{}` when `o` stands where context object `od0` stands, else its
+    quantized position."""
+    p = _quantize([o.pose.position.u, o.pose.position.v])
+    return {} if _same(p, od0["position"]) else {"position": p}
 
 
 def _parts(d: dict) -> tuple[Condition, Scene, PointingAct]:
-    """Condition, scene and act of a record holding every part."""
+    """Condition, scene and act of a context."""
     return (_condition_from_json(d["condition"]),
             Scene(_surface_from_json(d["surface"]),
                   tuple(_object_from_json(od) for od in d["objects"]),
@@ -281,23 +237,48 @@ def _parts(d: dict) -> tuple[Condition, Scene, PointingAct]:
             _act_from_json(d["act"]))
 
 
-def _moved(rec: dict, scene: Scene) -> Scene:
-    """The context scene with a v2 record's objects moved; the scene itself
-    when the record moves none."""
-    if "objects" not in rec:
-        return scene
-    objects = rec["objects"]
-    if type(objects) is not list or len(objects) != len(scene.objects):
-        raise ValueError(f"objects must be a list of {len(scene.objects)} "
-                         f"entries, got {objects!r}")
+def _v2_record(rec: dict, ctx: dict) -> dict:
+    """A deixis-trials-1 record as a v2 record against `ctx`, the first
+    record's parts: every part but an object position must be `_same`."""
+    parts = {**rec, **rec["scene"]}
+    objects, ctx_objects = parts["objects"], ctx["objects"]
+    differ = [k for k in ("condition", "act", "surface", "gravity")
+              if not _same(parts[k], ctx[k])]
+    if type(objects) is not list or len(objects) != len(ctx_objects):
+        differ.append("object count")
+    else:  # an object `_same` as the context's once given its position
+        differ += [f"objects[{i}]" for i, (od, od0) in enumerate(zip(objects, ctx_objects))
+                   if type(od) is not dict
+                   or not _same({**od, "position": od0["position"]}, od0)]
+    if differ:
+        raise ValueError(f"differs from the first record in {', '.join(differ)}; "
+                         "a trials file holds one trial set")
+    return {"id": rec["id"], "shown": rec["shown"],
+            "objects": [{} if _same(od["position"], od0["position"])
+                        else {"position": od["position"]}
+                        for od, od0 in zip(objects, ctx_objects)]}
+
+
+def _case(rec: dict, scene: Scene) -> tuple:
+    """A v2 record as a `TrialSet` case: its id, the context objects it
+    moves (None when it moves none) and its shown outcome."""
+    if not rec.keys() <= _RECORD_FIELDS:
+        extra = ", ".join(map(repr, sorted(rec.keys() - _RECORD_FIELDS)))
+        raise ValueError(f"unexpected field {extra}; a record holds "
+                         "only id, shown and objects")
     positions = {}
-    for i, od in enumerate(objects):
-        if type(od) is not dict or od.keys() - {"position"}:
-            raise ValueError(f"objects[{i}] must be {{}} or hold only a "
-                             f"position, got {od!r}")
-        if od:
-            positions[i] = SurfacePoint(*_nums(od["position"], 2))
-    return scene.moved(positions) if positions else scene
+    if "objects" in rec:
+        objects = rec["objects"]
+        if type(objects) is not list or len(objects) != len(scene.objects):
+            raise ValueError(f"objects must be a list of {len(scene.objects)} "
+                             f"entries, got {objects!r}")
+        for i, od in enumerate(objects):
+            if type(od) is not dict or od.keys() - {"position"}:
+                raise ValueError(f"objects[{i}] must be {{}} or hold only a "
+                                 f"position, got {od!r}")
+            if od:
+                positions[i] = SurfacePoint(*_nums(od["position"], 2))
+    return _str(rec["id"]), positions or None, _shown_from_json(rec["shown"])
 
 
 def _read_lines(path: str, *schemas: str) -> tuple[dict, list[dict]]:
@@ -340,52 +321,51 @@ def _read_lines(path: str, *schemas: str) -> tuple[dict, list[dict]]:
     return header, records
 
 
-def save_trials(trials: list[Trial], path: str, seed: int | None = None) -> None:
-    ctx = _context(trials[0]) if trials else {}
-    header = {"schema": TRIALS_SCHEMA, "count": len(trials), "seed": seed,
-              "condition": trials[0].condition.descriptor() if trials else None,
-              "context": ctx}
+def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
+    ctx = _context(tset.condition, tset.act, tset.scene)
+    header = {"schema": TRIALS_SCHEMA, "count": len(tset.trials), "seed": seed,
+              "condition": tset.condition.descriptor(), "context": ctx}
     with open(path, "w", encoding="utf-8") as fh:
-        try:
-            fh.write(_dumps(header) + "\n")
-            for t in trials:
-                fh.write(_ENCODER.encode(_record(t, trials[0], ctx)) + "\n")
-        except BaseException:  # a trial of another set leaves no partial file
-            fh.close()
-            os.remove(path)
-            raise
+        fh.write(_dumps(header) + "\n")
+        for t in tset.trials:
+            rec: dict = {"id": t.id, "shown": _quantize(_shown_to_json(t.shown))}
+            if t.scene is not tset.scene:
+                objects = [{} if o is o0 else _position(o, od0) for o, o0, od0
+                           in zip(t.scene.objects, tset.scene.objects, ctx["objects"])]
+                if any(objects):
+                    rec["objects"] = objects
+            fh.write(_ENCODER.encode(rec) + "\n")
 
 
-def load_trials(path: str) -> list[Trial]:
+def load_trials(path: str) -> TrialSet:
+    """The trial set of a trials file; a deixis-trials-1 file's first record
+    serves as its context."""
     header, records = _read_lines(path, TRIALS_SCHEMA, TRIALS_SCHEMA_V1)
-    if header["schema"] == TRIALS_SCHEMA_V1:
-        def build(rec: dict) -> Trial:
-            return Trial(_str(rec["id"]), *_parts({**rec, **rec["scene"]}),
-                         _shown_from_json(rec["shown"]))
-    else:
-        ctx = header.get("context")
+    if not records:
+        raise SchemaError(f"{path}:1: no trial records; a trials file holds "
+                          "one trial set of at least one trial")
+    v1 = header["schema"] == TRIALS_SCHEMA_V1
+    try:
+        ctx = {**records[0], **records[0]["scene"]} if v1 else header.get("context")
         if not isinstance(ctx, dict):
-            raise SchemaError(f"{path}:1: header context must be an object, "
-                              f"got {ctx!r}")
-        try:
-            condition, scene, act = _parts(ctx) if records else (None,) * 3
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}:1: bad context: {exc}") from exc
+            raise TypeError(f"context must be an object, got {ctx!r}")
+        condition, scene, act = _parts(ctx)
+    except (KeyError, TypeError, ValueError) as exc:
+        where = "2: bad trial record" if v1 else "1: bad context"
+        raise SchemaError(f"{path}:{where}: {exc}") from exc
+    line = 1
 
-        def build(rec: dict) -> Trial:
-            if not rec.keys() <= _RECORD_FIELDS:
-                extra = ", ".join(map(repr, sorted(rec.keys() - _RECORD_FIELDS)))
-                raise ValueError(f"unexpected field {extra}; a record holds "
-                                 "only id, shown and objects")
-            return Trial(_str(rec["id"]), condition, _moved(rec, scene), act,
-                         _shown_from_json(rec["shown"]))
-    out = []
-    for i, rec in enumerate(records, start=2):
-        try:
-            out.append(build(rec))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}:{i}: bad trial record: {exc}") from exc
-    return out
+    def cases():
+        # `TrialSet` reads each case before it takes the next, so `line`
+        # names the record whose case or moved scene fails
+        nonlocal line
+        for line, rec in enumerate(records, start=2):
+            yield _case(_v2_record(rec, ctx) if v1 else rec, scene)
+
+    try:
+        return TrialSet(condition, act, scene, cases())
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}:{line}: bad trial record: {exc}") from exc
 
 
 def _shared(records: list[ResponseRecord]) -> tuple[dict, dict]:

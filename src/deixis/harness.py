@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable
+from dataclasses import InitVar, dataclass, field, replace
 
 from .errors import DeixisError, EmptyInput, InvalidCount
 from .geometry import (Ellipse, Plane, Point3, Ray, SurfacePoint,
@@ -150,6 +151,29 @@ class Trial:
 
 
 @dataclass(frozen=True)
+class TrialSet:
+    """One condition's trials: one pointing act into one scene.  Built from
+    one `(id, moves or None, shown)` case per trial, read in order, each
+    trial getting `scene` or `scene.moved(moves)`: no set mixes in a trial
+    of another."""
+
+    condition: Condition
+    act: PointingAct
+    scene: Scene
+    cases: InitVar[Iterable[tuple]]
+    trials: tuple[Trial, ...] = field(init=False)
+
+    def __post_init__(self, cases: Iterable[tuple]) -> None:
+        trials = tuple(Trial(tid, self.condition,
+                             self.scene if moves is None else self.scene.moved(moves),
+                             self.act, shown)
+                       for tid, moves, shown in cases)
+        if not trials:
+            raise ValueError("a trial set holds at least one trial")
+        object.__setattr__(self, "trials", trials)
+
+
+@dataclass(frozen=True)
 class ResponseRecord:
     trial_id: str
     predicted: str
@@ -198,7 +222,7 @@ def _aim(cond: Condition, target: SurfacePoint, intent: str,
     return ray, _qp(PointingAct.aim(ray, plane, intent).target)
 
 
-def generate_trials(cond: Condition, n: int, seed: int) -> list[Trial]:
+def generate_trials(cond: Condition, n: int, seed: int) -> TrialSet:
     """Deterministic trial set for a condition.
 
     n must be positive; sampled kinds also require n divisible by 4, and
@@ -220,12 +244,9 @@ def generate_trials(cond: Condition, n: int, seed: int) -> list[Trial]:
     else:
         built = _ref_vs_loc_trials(cond, n, seed)
     ray, intent, x_star, scene, cases = built
-    act = PointingAct(ray, intent, x_star)
     slug = cond.descriptor().replace("/", "-")
-    return [Trial(id=f"{slug}-{suffix}", condition=cond,
-                  scene=scene if moves is None else scene.moved(moves),
-                  point_act=act, shown=shown)
-            for suffix, moves, shown in cases]
+    return TrialSet(cond, PointingAct(ray, intent, x_star), scene,
+                    ((f"{slug}-{suffix}", moves, shown) for suffix, moves, shown in cases))
 
 
 def _ref_vs_loc_trials(cond: Condition, n: int, seed: int) -> tuple:
@@ -318,7 +339,7 @@ def _predict(trial: Trial, descriptor: str, x_star_q: tuple[float, float],
     return predicted, meta
 
 
-def run(trials: list[Trial],
+def run(tset: TrialSet,
         cfg: ResolverConfig = ResolverConfig()) -> list[ResponseRecord]:
     """One predicted judgment per trial, preserving order.  Every float in
     `meta` is quantized to 9 significant digits, as the corpus writes it.
@@ -326,17 +347,10 @@ def run(trials: list[Trial],
     for locating and natural trials (x* in the stable region, or the
     nearest stable point found by enumeration), `discrete` for referential
     trials and `cluttered` for cluttered ones."""
-    descriptors: dict[Condition, str] = {}
-    x_star = x_star_q = None
+    descriptor = tset.condition.descriptor()
+    x_star_q = (_q(tset.act.target.u), _q(tset.act.target.v))
     records = []
-    for trial in trials:
-        descriptor = descriptors.get(trial.condition)
-        if descriptor is None:
-            descriptor = descriptors[trial.condition] = trial.condition.descriptor()
-        # the trials of a set share one act: quantize its x* once
-        if trial.point_act.target is not x_star:
-            x_star = trial.point_act.target
-            x_star_q = (_q(x_star.u), _q(x_star.v))
+    for trial in tset.trials:
         try:
             predicted, meta = _predict(trial, descriptor, x_star_q, cfg)
         except DeixisError as exc:

@@ -130,10 +130,12 @@ def fisher_exact_2x2(table: ContingencyTable) -> TestResult:
     with the same margins whose probability does not exceed the observed
     table's, within scipy's 1e-7 relative slack: from a few hundred counts
     per cell on, the lgamma-based terms of two exactly tied tables can
-    differ by more than 1e-12.  The statistic is the observed table's
-    probability.  The log-pmf is concave, so the k whose term does
-    not underflow to 0.0 form one interval around the mode; its ends are
-    found by bisection and only that interval is summed, in ascending order.
+    differ by more than 1e-12, and from 10^7 on by more than 1e-7, so the
+    mirror under a swap of equal rows or columns is always kept.  The
+    statistic is the observed table's probability.  The log-pmf is concave,
+    so the k whose term does not underflow to 0.0 form one interval around
+    the mode; its ends are found by bisection and only that interval is
+    summed, in ascending order.
     """
     if len(table.counts) != 2 or len(table.counts[0]) != 2:
         raise DegenerateTable("Fisher exact test requires a 2x2 table")
@@ -156,10 +158,11 @@ def fisher_exact_2x2(table: ContingencyTable) -> TestResult:
     if p_obs == 0.0:  # only terms equal to 0.0 could be kept: p is 0.0
         return TestResult(statistic=0.0, dof=None, p_value=0.0)
     mode = min(max((r1 + 1) * (c1 + 1) // (r1 + r2 + 2), lo), hi)
+    mirrors = {c1 - a if r1 == r2 else a, r1 - a if c1 == c2 else a}
     p = 0.0
     for k in range(edge(mode, lo - 1), edge(mode, hi + 1) + 1):
         pk = math.exp(_log_hypergeom(k, r1, r2, c1))
-        if pk <= p_obs * (1.0 + _FISHER_SLACK):
+        if pk <= p_obs * (1.0 + _FISHER_SLACK) or k in mirrors:
             p += pk
     return TestResult(statistic=p_obs, dof=None, p_value=min(1.0, p))
 

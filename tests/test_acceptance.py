@@ -190,8 +190,8 @@ def test_criterion_5_cluttered_boundary():
     for deg in (45.0, 67.5, 90.0):
         cond = Condition(kind=harness.CLUTTERED,
                          cone_vertex_angle=math.radians(deg))
-        trials = harness.generate_trials(cond, 24, 13)
-        for trial, rec in zip(trials, harness.run(trials)):
+        tset = harness.generate_trials(cond, 24, 13)
+        for trial, rec in zip(tset.trials, harness.run(tset)):
             xs = trial.point_act.target
             d_obj = surface_distance(
                 trial.scene.object_by_id("mug_object").pose.position, xs)

@@ -157,6 +157,21 @@ class TestRun:
             outputs.append((res.output, out.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_v1_record_of_another_set_exits_1(self, runner, tmp_path):
+        v1 = Path(__file__).parent / "fixtures" / "locating-45-n8-seed7.v1.jsonl"
+        lines = v1.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["condition"]["robot"] = "kuka"
+        lines[2] = json.dumps(rec)
+        mixed, out = tmp_path / "mixed.jsonl", tmp_path / "o.jsonl"
+        mixed.write_text("\n".join(lines) + "\n")
+        res = runner.invoke(main, ["run", "--in", str(mixed), "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.output.startswith(f"Error: {mixed}:3: bad trial record: "
+                                     "differs from the first record in condition;")
+        assert res.output.count("\n") == 1
+        assert not out.exists()
+
     def test_corrupt_input_exits_1(self, runner, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"schema":"nope"}\n')
@@ -467,13 +482,18 @@ class TestPlot:
         assert res.exit_code == 1
 
     def test_empty_trials_run_exit_1(self, runner, tmp_path):
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text('{"schema":"deixis-trials-1","count":0}\n')
-        res = runner.invoke(main, ["run", "--in", str(empty),
-                                   "--out", str(tmp_path / "o.jsonl")])
-        assert res.exit_code == 1
-        assert isinstance(res.exception, SystemExit)
-        assert res.output.startswith("Error:") and res.output.count("\n") == 1
+        # an empty set has no condition, act or scene: the file is refused
+        # before any output is written
+        empty, out = tmp_path / "empty.jsonl", tmp_path / "o.jsonl"
+        for header in ('{"schema":"deixis-trials-1","count":0}',
+                       '{"schema":"deixis-trials-2","count":0,"context":{}}'):
+            empty.write_text(header + "\n")
+            res = runner.invoke(main, ["run", "--in", str(empty), "--out", str(out)])
+            assert res.exit_code == 1
+            assert isinstance(res.exception, SystemExit)
+            assert res.output.startswith(f"Error: {empty}:1: no trial records")
+            assert res.output.count("\n") == 1
+            assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
         ("trial_id", "[1]"), ("predicted", '"bogus"'), ("human", "3"), ("meta", "[]")])

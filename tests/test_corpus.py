@@ -11,7 +11,6 @@ from deixis.errors import SchemaError
 from deixis.geometry import SurfacePoint
 from deixis.harness import Condition, ResponseRecord
 from deixis.resolver import LOCATING
-from deixis.scene import Pose2D, Scene
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -38,8 +37,8 @@ class TestTrialRoundTrip:
         trials = make_trials(variant=LOCATING)
         corpus.save_trials(trials, str(p), seed=7)
         loaded = corpus.load_trials(str(p))
-        assert len(loaded) == len(trials)
-        for a, b in zip(trials, loaded):
+        assert len(loaded.trials) == len(trials.trials)
+        for a, b in zip(trials.trials, loaded.trials):
             assert a.id == b.id
             assert a.condition == b.condition
             assert a.scene == b.scene
@@ -107,58 +106,58 @@ class TestTrialsV2:
         p = tmp_path / "s.jsonl"
         corpus.save_trials(make_trials(variant=LOCATING), str(p), seed=7)
         loaded = corpus.load_trials(str(p))
-        assert all(t.scene is loaded[0].scene and t.point_act is loaded[0].point_act
-                   and t.condition is loaded[0].condition for t in loaded)
+        assert all(t.scene is loaded.scene and t.point_act is loaded.act
+                   and t.condition is loaded.condition for t in loaded.trials)
         p_ref = tmp_path / "r.jsonl"
         corpus.save_trials(make_trials(), str(p_ref), seed=7)
-        ref = corpus.load_trials(str(p_ref))
+        ref = corpus.load_trials(str(p_ref)).trials
         assert ref[1].scene is not ref[0].scene
         assert ref[1].scene.objects[1] is ref[0].scene.objects[1]  # the cube
 
     @staticmethod
-    def other_set(first):
-        """One trial per way a trial can leave the first trial's set."""
-        scene, act = first.scene, first.point_act
-        mug, cube = scene.objects
+    def v1_with(tmp_path, edit):
+        """The v1 fixture with its second record, on line 3, edited."""
+        p = tmp_path / "v1.jsonl"
+        lines = (FIXTURES / "locating-45-n8-seed7.v1.jsonl").read_text().splitlines()
+        rec = json.loads(lines[2])
+        edit(rec)
+        lines[2] = json.dumps(rec)
+        p.write_text("\n".join(lines) + "\n")
+        return p
 
-        def with_objects(*objects):
-            return replace(first, scene=Scene(scene.surface, objects))
+    @pytest.mark.parametrize("part, edit", [
+        ("condition", lambda r: r["condition"].update(robot="kuka")),
+        ("act", lambda r: r["act"].update(target=[0.1, -0.15])),
+        ("surface", lambda r: r["scene"]["surface"].update(extent=[2.0, 2.5])),
+        ("gravity", lambda r: r["scene"].update(gravity=False)),
+        ("object count", lambda r: r["scene"]["objects"].pop()),
+        ("objects[0]", lambda r: r["scene"]["objects"][0].update(id="cup")),
+        ("objects[1]", lambda r: r["scene"]["objects"][1].update(height=0.2)),
+        # -0.0 equals the first record's 0.0 but is written differently
+        ("objects[0]", lambda r: r["scene"]["objects"][0].update(yaw_deg=-0.0)),
+    ], ids=["condition.robot", "act.target", "surface.extent", "gravity",
+            "object count", "objects[0].id", "objects[1].height", "objects[0].yaw_deg"])
+    def test_a_trial_of_another_set_is_refused(self, tmp_path, part, edit):
+        # a set built in memory holds no trial of another set; a v1 file,
+        # which repeats every part in every record, can
+        p = self.v1_with(tmp_path, edit)
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(p))}:3: bad trial "
+                                              rf"record: differs from the first "
+                                              rf"record in {re.escape(part)}; "):
+            corpus.load_trials(str(p))
 
-        return {
-            "condition.robot": replace(first, condition=replace(first.condition,
-                                                                robot="kuka")),
-            "act.target": replace(first, point_act=replace(
-                act, target=SurfacePoint(0.1, -0.15))),
-            "surface.extent": replace(first, scene=Scene(
-                replace(scene.surface, extent=(2.0, 2.5)), scene.objects)),
-            "gravity": replace(first, scene=Scene(scene.surface, scene.objects,
-                                                  gravity=False)),
-            "object count": with_objects(mug),
-            "objects[0].id": with_objects(replace(mug, id="cup"), cube),
-            "objects[1].height": with_objects(
-                mug, replace(cube, shape=replace(cube.shape, height=0.2))),
-            # -0.0 equals the context's 0.0 but is written differently
-            "objects[0].yaw_deg": with_objects(
-                replace(mug, pose=Pose2D(SurfacePoint(0.3, 0.2), yaw=-0.0)), cube),
-        }
-
-    @pytest.mark.parametrize("part", [
-        "condition.robot", "act.target", "surface.extent", "gravity",
-        "object count", "objects[0].id", "objects[1].height", "objects[0].yaw_deg"])
-    def test_a_trial_of_another_set_is_refused(self, tmp_path, part):
-        trials = make_trials(n=4, variant=LOCATING)
-        odd = replace(self.other_set(trials[0])[part], id="odd")
-        with pytest.raises(ValueError, match=rf"^trial odd differs from the first "
-                                             rf"trial in {re.escape(part)}; "):
-            corpus.save_trials(trials[:2] + [odd], str(tmp_path / "m.jsonl"), seed=7)
-
-    def test_a_refused_set_leaves_no_file(self, tmp_path):
-        trials = make_trials(n=4, variant=LOCATING)
-        odd = self.other_set(trials[0])["condition.robot"]
-        path = tmp_path / "m.jsonl"
-        with pytest.raises(ValueError, match="differs from the first trial"):
-            corpus.save_trials(trials[:3] + [odd], str(path), seed=7)
-        assert not path.exists()
+    def test_a_v1_record_may_move_objects(self, tmp_path):
+        p = self.v1_with(tmp_path, lambda r: r["scene"]["objects"][0].update(
+            position=[0.3, 0.2]))
+        tset = corpus.load_trials(str(p))
+        moved, kept = tset.trials[1].scene, tset.trials[2].scene
+        assert moved.objects[0].pose.position == SurfacePoint(0.3, 0.2)
+        assert moved.objects[1] is tset.scene.objects[1] and kept is tset.scene
+        on_cube = self.v1_with(tmp_path, lambda r: r["scene"]["objects"][0].update(
+            position=[-0.2, 0.541338567]))
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(on_cube))}:3: "
+                                              "bad trial record: .*overlap"):
+            corpus.load_trials(str(on_cube))
 
     @pytest.mark.parametrize("edit, message", [
         (lambda r: r.update(condition={"robot": "kuka"}), "unexpected field 'condition'"),
@@ -213,24 +212,25 @@ class TestResponsesRoundTrip:
         def nudge(p):
             return SurfacePoint(p.u + 1.23456789012e-4, p.v - 9.87654321098e-5)
 
-        trials = []
-        for t in (make_trials(n=4) + make_trials(n=4, variant=LOCATING)
-                  + cluttered_trials(n=4)
-                  + harness.generate_trials(Condition(kind=harness.NATURAL), 3, 0)):
-            shown = t.shown
-            if isinstance(shown, SurfacePoint):
-                shown = nudge(shown)
-            elif isinstance(shown, harness.ShownConfig):
-                shown = replace(shown, position=nudge(shown.position))
-            scene = t.scene
-            if t.condition.kind in (harness.REF_VS_LOC, harness.CLUTTERED):
-                scene = scene.moved({i: nudge(o.pose.position)
-                                     for i, o in enumerate(scene.objects)})
-            act = replace(t.point_act, target=nudge(t.point_act.target))
-            trials.append(replace(t, scene=scene, point_act=act, shown=shown))
-        assert all(harness._q(t.point_act.target.u) != t.point_act.target.u
-                   for t in trials)
-        records = harness.run(trials)
+        records = []
+        for tset in (make_trials(n=4), make_trials(n=4, variant=LOCATING),
+                     cluttered_trials(n=4),
+                     harness.generate_trials(Condition(kind=harness.NATURAL), 3, 0)):
+            cases = []
+            for t in tset.trials:
+                shown = t.shown
+                if isinstance(shown, SurfacePoint):
+                    shown = nudge(shown)
+                elif isinstance(shown, harness.ShownConfig):
+                    shown = replace(shown, position=nudge(shown.position))
+                moves = None
+                if t.condition.kind in (harness.REF_VS_LOC, harness.CLUTTERED):
+                    moves = {i: nudge(o.pose.position)
+                             for i, o in enumerate(t.scene.objects)}
+                cases.append((t.id, moves, shown))
+            act = replace(tset.act, target=nudge(tset.act.target))
+            assert harness._q(act.target.u) != act.target.u
+            records += harness.run(harness.TrialSet(tset.condition, act, tset.scene, cases))
         p, q = tmp_path / "r.jsonl", tmp_path / "q.jsonl"
         corpus.save_responses(records, str(p))
         corpus.save_responses([replace(r, meta=corpus._quantize(r.meta))
@@ -353,25 +353,29 @@ class TestTrialsExactValues:
     """A field whose value equals the context's by `==` but is written
     differently (-0.0 against 0.0, 1 against 1.0) survives the round trip."""
 
-    def mug_at(self, trial, u, v):
-        return replace(trial, scene=trial.scene.moved({0: SurfacePoint(u, v)}))
+    def mug_at(self, u, v):
+        """A two-trial referential set whose context mug stands at (0.0,
+        0.0): the first trial moves it there, the second to (u, v)."""
+        t = make_trials(n=4)
+        cases = [(trial.id, {0: SurfacePoint(*position)}, trial.shown)
+                 for trial, position in zip(t.trials, [(0.0, 0.0), (u, v)])]
+        return harness.TrialSet(t.condition, t.act,
+                                t.scene.moved({0: SurfacePoint(0.0, 0.0)}), cases)
 
     @pytest.mark.parametrize("u, v", [(-0.0, 0.0), (0, 0)], ids=["signed-zero", "int"])
     def test_round_trip_keeps_the_value(self, tmp_path, u, v):
-        t = make_trials(n=4)
-        trials = [self.mug_at(t[0], 0.0, 0.0), self.mug_at(t[1], u, v)]
+        trials = self.mug_at(u, v)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         corpus.save_trials(trials, str(p1), seed=7)
         loaded = corpus.load_trials(str(p1))
-        position = loaded[1].scene.objects[0].pose.position
+        position = loaded.trials[1].scene.objects[0].pose.position
         assert corpus._ENCODER.encode([position.u, position.v]) == \
                corpus._ENCODER.encode([u, v])
         corpus.save_trials(loaded, str(p2), seed=7)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_signed_zero_probe_matches_a_direct_run(self, tmp_path):
-        t = make_trials(n=4)
-        trials = [self.mug_at(t[0], 0.0, 0.0), self.mug_at(t[1], -0.0, 0.0)]
+        trials = self.mug_at(-0.0, 0.0)
         p = tmp_path / "t.jsonl"
         corpus.save_trials(trials, str(p), seed=7)
         direct, from_file = tmp_path / "d.jsonl", tmp_path / "f.jsonl"

@@ -17,10 +17,10 @@ def cond(kind=REF_VS_LOC, deg=45.0, **kw):
     return Condition(kind=kind, cone_vertex_angle=angle, **kw)
 
 
-def dump(trials):
-    return "".join(corpus._dumps({**corpus._context(t), "id": t.id,
-                                  "shown": corpus._shown_to_json(t.shown)})
-                   for t in trials)
+def dump(tset):
+    return "".join(corpus._dumps({**corpus._context(t.condition, t.point_act, t.scene),
+                                  "id": t.id, "shown": corpus._shown_to_json(t.shown)})
+                   for t in tset.trials)
 
 
 class TestCondition:
@@ -74,7 +74,7 @@ class TestGenerate:
         c = cond(deg=45.0)
         a = generate_trials(c, 8, 7)
         b = generate_trials(c, 8, 7)
-        assert len(a) == 8
+        assert len(a.trials) == 8
         assert dump(a) == dump(b)
         assert dump(a) != dump(generate_trials(c, 8, 8))
 
@@ -89,12 +89,12 @@ class TestGenerate:
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_natural_ignores_positive_count(self, n):
-        assert len(generate_trials(cond(kind=NATURAL), n, 0)) == 3
+        assert len(generate_trials(cond(kind=NATURAL), n, 0).trials) == 3
 
     def test_mug_positions_inside_section(self):
         for deg in (45.0, 67.5, 90.0):
             c = cond(deg=deg)
-            trials = generate_trials(c, 8, 3)
+            trials = generate_trials(c, 8, 3).trials
             ray = trials[0].point_act.ray
             ellipse = cone_plane_section(ray, math.radians(deg),
                                          trials[0].scene.surface)
@@ -103,23 +103,23 @@ class TestGenerate:
                 assert contains(ellipse, mug.pose.position, slack=1e-9)
 
     def test_referential_scene_has_guide_cube(self):
-        t = generate_trials(cond(), 8, 0)[0]
+        t = generate_trials(cond(), 8, 0).trials[0]
         ids = {o.id for o in t.scene.objects}
         assert ids == {"mug", "red_cube"}
         assert t.shown == "mug"
 
     def test_locating_shown_is_point(self):
-        t = generate_trials(cond(variant=LOCATING), 8, 0)[0]
+        t = generate_trials(cond(variant=LOCATING), 8, 0).trials[0]
         assert isinstance(t.shown, SurfacePoint)
 
     def test_reverse_swaps_target(self):
-        fwd = generate_trials(cond(), 8, 0)[0]
-        rev = generate_trials(cond(reverse=True), 8, 0)[0]
+        fwd = generate_trials(cond(), 8, 0).trials[0]
+        rev = generate_trials(cond(reverse=True), 8, 0).trials[0]
         assert fwd.point_act.target != rev.point_act.target
 
     def test_cluttered_nearer_labeling(self):
         trials = generate_trials(cond(kind=CLUTTERED, deg=67.5), 16, 11)
-        for t in trials:
+        for t in trials.trials:
             x_star = t.point_act.target
             obj = t.scene.object_by_id("mug_object").pose.position
             dis = t.scene.object_by_id("mug_distractor").pose.position
@@ -130,12 +130,17 @@ class TestGenerate:
 
     def test_natural_three_distinct_configs(self):
         trials = generate_trials(cond(kind=NATURAL), 3, 0)
-        labels = [t.shown.label for t in trials]
+        labels = [t.shown.label for t in trials.trials]
         assert labels == ["top", "edge", "table"]
-        assert all(isinstance(t.shown, ShownConfig) for t in trials)
+        assert all(isinstance(t.shown, ShownConfig) for t in trials.trials)
+
+    def test_a_set_holds_at_least_one_trial(self):
+        tset = generate_trials(cond(), 4, 0)
+        with pytest.raises(ValueError, match="at least one trial"):
+            harness.TrialSet(tset.condition, tset.act, tset.scene, [])
 
     def test_robot_changes_ray(self):
-        plane = generate_trials(cond(), 8, 0)[0].scene.surface
+        plane = generate_trials(cond(), 8, 0).trials[0].scene.surface
         rb = pointer_ray(SurfacePoint(0, 0), plane, "baxter")
         rk = pointer_ray(SurfacePoint(0, 0), plane, "kuka")
         assert rb != rk
@@ -145,7 +150,7 @@ class TestRun:
     def test_preserves_count_and_order(self):
         trials = generate_trials(cond(deg=67.5), 8, 2)
         records = run(trials)
-        assert [r.trial_id for r in records] == [t.id for t in trials]
+        assert [r.trial_id for r in records] == [t.id for t in trials.trials]
 
     def test_referential_all_correct(self):
         for deg in (45.0, 67.5, 90.0):
@@ -155,7 +160,7 @@ class TestRun:
     def test_locating_rule(self):
         cfg = ResolverConfig()
         trials = generate_trials(cond(variant=LOCATING, deg=90.0), 16, 5)
-        for t, r in zip(trials, run(trials, cfg)):
+        for t, r in zip(trials.trials, run(trials, cfg)):
             d = surface_distance(t.shown, t.point_act.target)
             if r.predicted == "correct":
                 assert d <= r.meta["theta"] + cfg.epsilon + 1e-9

@@ -261,6 +261,17 @@ class TestFisherExactOracle:
         assert a + b == c + d
         self.check(a, b, c, d)
 
+    @pytest.mark.parametrize("rows", [
+        ((7546773, 12453227), (7543184, 12456816)),
+        ((7546773, 7543184), (12453227, 12456816))], ids=["rows", "columns"])
+    def test_mirror_tie_at_ten_million_per_cell(self, rows):
+        # equal row (or column) sums of 2*10^7: the mirror's float term is
+        # 1.2e-7 above the observed one, past the 1e-7 slack, and is kept.
+        # The lgamma terms at this N carry relative errors near 1e-8; the
+        # mirror left out gives 0.2416906, 5.4e-4 below scipy's p
+        _, ref = scipy.stats.fisher_exact(rows, alternative="two-sided")
+        assert fisher_exact_2x2(table(*rows)).p_value == pytest.approx(ref, rel=1e-6)
+
     def test_seeded_tied_tables(self):
         # equal row sums: each table but a centre of symmetry has an exact
         # twin term, its mirror
