@@ -1,7 +1,12 @@
-"""Line-delimited corpus files and the embedded judgment fixture.
+r"""Line-delimited corpus files and the embedded judgment fixture.
 
 File layout: one JSON header line followed by one JSON record per line; the
 header's `count` is a non-negative integer equal to the number of records.
+Files are read and checked one line at a time, so no loader holds a whole
+file: each record becomes a trial or response as its line is read, and
+`count` is checked after the last record.  Lines end at `\n` or `\r\n`;
+any other line break inside a line (a bare `\r`, a form feed, U+2028) makes
+it malformed.  Blank lines are skipped, but errors name physical lines.
 Distances are stored in meters and angles in degrees; every float is written
 with at most 9 significant digits, so identical content always produces
 identical bytes.
@@ -41,7 +46,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from itertools import repeat
+from collections.abc import Iterator
+from itertools import chain, repeat
 from operator import attrgetter, is_, methodcaller
 from typing import Any
 
@@ -281,44 +287,53 @@ def _case(rec: dict, scene: Scene) -> tuple:
     return _str(rec["id"]), positions or None, _shown_from_json(rec["shown"])
 
 
-def _read_lines(path: str, *schemas: str) -> tuple[dict, list[dict]]:
-    with open(path, "rb") as fh:
-        try:
-            lines = fh.read().decode("utf-8").splitlines()
-        except UnicodeDecodeError as exc:  # the sentinel counts the bad byte's line
-            line = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
-            raise SchemaError(f"{path}:{line}: not UTF-8 text: {exc.reason} "
-                              f"0x{exc.object[exc.start]:02x}") from None
-    if not lines:
-        raise SchemaError(f"{path}:1: empty corpus file")
+def _parsed(path: str, lineno: int, raw: bytes, what: str) -> Any:
+    """The JSON value of one line, decoded on its own so that bad bytes
+    name their line."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}:{lineno}: not UTF-8 text: {exc.reason} "
+                          f"0x{exc.object[exc.start]:02x}") from None
     # json.loads raises ValueError for bad JSON or an integer past the digit
     # limit, RecursionError for nesting deeper than the decoder follows
     try:
-        header = json.loads(lines[0])
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise SchemaError(f"{path}:1: malformed header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("schema") not in schemas:
-        raise SchemaError(f"{path}:1: unknown schema "
-                          f"{header.get('schema') if isinstance(header, dict) else header!r}")
-    declared = header.get("count")
-    if type(declared) is not int or declared < 0:
-        raise SchemaError(f"{path}:1: header count must be a non-negative "
-                          f"integer, got {declared!r}")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise SchemaError(f"{path}:{lineno}: malformed record: {exc}") from exc
-        if not isinstance(record, dict):
-            raise SchemaError(f"{path}:{lineno}: record is not an object")
-        records.append(record)
-    if declared != len(records):
+        raise SchemaError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
+
+
+def _read_lines(path: str, *schemas: str) -> Iterator[tuple[int, dict]]:
+    r"""(line number, object) of the header, then of each record, each line
+    read and checked as it is reached.  Lines end at `\n`; the `\r` of a
+    `\r\n` end is JSON whitespace.  Blank lines are skipped but counted, so
+    errors name physical lines.  The header `count` is checked after the
+    last record."""
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        if not first:
+            raise SchemaError(f"{path}:1: empty corpus file")
+        header = _parsed(path, 1, first, "header")
+        if not isinstance(header, dict) or header.get("schema") not in schemas:
+            raise SchemaError(f"{path}:1: unknown schema "
+                              f"{header.get('schema') if isinstance(header, dict) else header!r}")
+        declared = header.get("count")
+        if type(declared) is not int or declared < 0:
+            raise SchemaError(f"{path}:1: header count must be a non-negative "
+                              f"integer, got {declared!r}")
+        yield 1, header
+        found = 0
+        for lineno, raw in enumerate(fh, start=2):
+            if not raw.strip():
+                continue
+            record = _parsed(path, lineno, raw, "record")
+            if not isinstance(record, dict):
+                raise SchemaError(f"{path}:{lineno}: record is not an object")
+            found += 1
+            yield lineno, record
+    if declared != found:
         raise SchemaError(f"{path}:1: header declares {declared} records, "
-                          f"found {len(records)}")
-    return header, records
+                          f"found {found}")
 
 
 def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
@@ -338,28 +353,30 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
 
 
 def load_trials(path: str) -> TrialSet:
-    """The trial set of a trials file; a deixis-trials-1 file's first record
-    serves as its context."""
-    header, records = _read_lines(path, TRIALS_SCHEMA, TRIALS_SCHEMA_V1)
-    if not records:
+    """The trial set of a trials file, each record handed to the `TrialSet`
+    constructor as it is read; a deixis-trials-1 file's first record serves
+    as its context."""
+    lines = _read_lines(path, TRIALS_SCHEMA, TRIALS_SCHEMA_V1)
+    _, header = next(lines)
+    line, first = next(lines, (1, None))
+    if first is None:
         raise SchemaError(f"{path}:1: no trial records; a trials file holds "
                           "one trial set of at least one trial")
     v1 = header["schema"] == TRIALS_SCHEMA_V1
     try:
-        ctx = {**records[0], **records[0]["scene"]} if v1 else header.get("context")
+        ctx = {**first, **first["scene"]} if v1 else header.get("context")
         if not isinstance(ctx, dict):
             raise TypeError(f"context must be an object, got {ctx!r}")
         condition, scene, act = _parts(ctx)
     except (KeyError, TypeError, ValueError) as exc:
-        where = "2: bad trial record" if v1 else "1: bad context"
+        where = f"{line}: bad trial record" if v1 else "1: bad context"
         raise SchemaError(f"{path}:{where}: {exc}") from exc
-    line = 1
 
     def cases():
         # `TrialSet` reads each case before it takes the next, so `line`
         # names the record whose case or moved scene fails
         nonlocal line
-        for line, rec in enumerate(records, start=2):
+        for line, rec in chain([(line, first)], lines):
             yield _case(_v2_record(rec, ctx) if v1 else rec, scene)
 
     try:
@@ -431,7 +448,9 @@ def _checked(fields: dict) -> dict:
 
 
 def load_responses(path: str) -> list[ResponseRecord]:
-    header, records = _read_lines(path, RESPONSES_SCHEMA, RESPONSES_SCHEMA_V1)
+    """The records of a responses file, each built as its line is read."""
+    lines = _read_lines(path, RESPONSES_SCHEMA, RESPONSES_SCHEMA_V1)
+    _, header = next(lines)
     defaults, shared, prefix = {}, {}, ""
     if header["schema"] == RESPONSES_SCHEMA:
         ctx, prefix = header.get("context"), header.get("id_prefix")
@@ -446,7 +465,7 @@ def load_responses(path: str) -> list[ResponseRecord]:
         # a record omits the context's fields, and `meta` when it has none
         defaults = {**ctx, "meta": {}}
     out = []
-    for i, rec in enumerate(records, start=2):
+    for line, rec in lines:
         try:
             fields = _checked({**defaults, **rec})
             out.append(ResponseRecord(trial_id=prefix + _str(fields["trial_id"]),
@@ -454,7 +473,7 @@ def load_responses(path: str) -> list[ResponseRecord]:
                                       human=fields["human"],
                                       meta={**shared, **fields["meta"]}))
         except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}:{i}: bad response record: {exc}") from exc
+            raise SchemaError(f"{path}:{line}: bad response record: {exc}") from exc
     return out
 
 

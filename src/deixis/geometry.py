@@ -106,7 +106,7 @@ class Plane:
         return abs(p.u) <= hu and abs(p.v) <= hv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfacePoint:
     """2D coordinates in a plane's (axis_u, axis_v) frame, in meters."""
 

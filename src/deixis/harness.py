@@ -141,7 +141,7 @@ class Condition:
         return "/".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trial:
     id: str
     condition: Condition
@@ -173,7 +173,7 @@ class TrialSet:
         object.__setattr__(self, "trials", trials)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResponseRecord:
     trial_id: str
     predicted: str

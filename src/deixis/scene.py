@@ -218,7 +218,7 @@ class Shape:
         return Footprint.box(p, *self.half_extents, pose.yaw)  # type: ignore[misc]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose2D:
     """Planar pose on the rest surface: only (u, v) and yaw vary; the object
     rests flat with its z-axis along the surface normal."""
@@ -233,7 +233,7 @@ class Pose2D:
                 object.__setattr__(self, "yaw", self.yaw - math.tau)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SceneObject:
     id: str
     shape: Shape

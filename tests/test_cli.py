@@ -220,6 +220,40 @@ class TestRun:
         assert res.output == f"Error: {path}:{line}: not UTF-8 text: {reason}\n"
         assert not out.exists()
 
+    def test_crlf_trials_run_like_lf(self, runner, tmp_path):
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        res = runner.invoke(main, ["gen", "--condition", "cluttered", "--cone", "67.5",
+                                   "--n", "8", "--seed", "7", "--out", str(lf)])
+        assert res.exit_code == 0, res.output
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        outputs = []
+        for trials, out in ((lf, tmp_path / "r1.jsonl"), (crlf, tmp_path / "r2.jsonl")):
+            res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            outputs.append((res.output, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("end", [b"\r", b"\x0c", "\u2028".encode()],
+                             ids=["cr", "form-feed", "line-separator"])
+    @pytest.mark.parametrize("kind", ["trials", "responses"])
+    def test_another_break_between_records_exits_1(self, runner, tmp_path, kind, end):
+        path, out = tmp_path / f"{kind}.jsonl", tmp_path / "out"
+        trials = harness.generate_trials(harness.Condition(kind=harness.NATURAL), 3, 0)
+        if kind == "trials":
+            corpus.save_trials(trials, str(path), seed=0)
+            args = ["run", "--in", str(path), "--out", str(out)]
+        else:
+            corpus.save_responses(harness.run(trials), str(path))
+            args = ["plot", "--in", str(path), "--out", str(out)]
+        lines = path.read_bytes().splitlines()
+        path.write_bytes(b"\n".join([lines[0], lines[1] + end + lines[2], *lines[3:]]) + b"\n")
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith(f"Error: {path}:2: malformed record: Extra data")
+        assert res.output.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--epsilon", "-1"), ("--epsilon", "nan"), ("--epsilon", "inf"),
         ("--ambiguity-band", "nan"), ("--ambiguity-band", "inf")])

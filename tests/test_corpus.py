@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -573,6 +574,24 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match=r"w\.jsonl:4: bad response record"):
             corpus.load_responses(str(p))
 
+    @pytest.mark.parametrize("kind", ["trials", "responses"])
+    def test_errors_name_the_physical_line_past_blank_ones(self, tmp_path, kind):
+        # two blank lines after the header put the third record on line 6
+        p = tmp_path / "b.jsonl"
+        trials = make_trials(n=4, variant=LOCATING, cone=45.0)
+        if kind == "trials":
+            corpus.save_trials(trials, str(p), seed=7)
+            edit, message = {"shown": {"type": "bogus"}}, "bad trial record: unknown shown type 'bogus'"
+        else:
+            corpus.save_responses(harness.run(trials), str(p))
+            edit, message = {"predicted": "bogus"}, "bad response record: unknown label 'bogus'"
+        lines = p.read_text().splitlines()
+        lines[3] = json.dumps({**json.loads(lines[3]), **edit})
+        p.write_text("\n".join([lines[0], "", " \t", *lines[1:]]) + "\n")
+        load = corpus.load_trials if kind == "trials" else corpus.load_responses
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(p))}:6: {re.escape(message)}$"):
+            load(str(p))
+
     def test_human_label_may_be_a_string(self, tmp_path):
         p = tmp_path / "h.jsonl"
         corpus.save_responses([ResponseRecord("t", "correct", human="ambiguous",
@@ -584,6 +603,59 @@ class TestSchemaErrors:
         corpus.save_trials(make_trials(n=4), str(p), seed=7)
         with pytest.raises(SchemaError):
             corpus.load_responses(str(p))
+
+
+class TestLineEnds:
+    r"""Records end at `\n`, and the `\r` of a `\r\n` end is JSON whitespace;
+    `TestRun.test_another_break_between_records_exits_1` in test_cli.py
+    refuses any other break."""
+
+    def test_crlf_files_load_like_lf_files(self, tmp_path):
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        trials = cluttered_trials()
+        records = harness.run(trials)
+        corpus.save_trials(trials, str(lf), seed=7)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert corpus.load_trials(str(crlf)) == corpus.load_trials(str(lf)) == trials
+        corpus.save_responses(records, str(lf))
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert same_records(corpus.load_responses(str(crlf)), records)
+
+
+@pytest.fixture(scope="module")
+def sweep_files(tmp_path_factory):
+    """A generated n=4000 cluttered 67.5 deg trials file and its responses."""
+    work = tmp_path_factory.mktemp("sweep")
+    trials = cluttered_trials(n=4000, seed=1)
+    corpus.save_trials(trials, str(work / "trials.jsonl"), seed=1)
+    corpus.save_responses(harness.run(trials), str(work / "responses.jsonl"))
+    return {"trials": work / "trials.jsonl", "responses": work / "responses.jsonl"}
+
+
+class TestStreamedReads:
+    """The loaders read, check and build one record at a time, so a sweep
+    file is never held whole, as bytes, text, lines or parsed records."""
+
+    @pytest.mark.parametrize("kind", ["trials", "responses"])
+    def test_a_load_holds_little_beyond_what_it_returns(self, sweep_files, kind):
+        load = corpus.load_trials if kind == "trials" else corpus.load_responses
+        tracemalloc.start()
+        try:
+            loaded = load(str(sweep_files[kind]))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded.trials if kind == "trials" else loaded) == 4000
+        # the whole n=4000 file, parsed, is about 5 MB of trials or 2.4 MB of
+        # responses
+        assert peak - retained < 500_000
+
+    def test_per_trial_types_hold_no_dict(self, sweep_files):
+        trial = corpus.load_trials(str(sweep_files["trials"])).trials[0]
+        record = corpus.load_responses(str(sweep_files["responses"]))[0]
+        mug = trial.scene.objects[0]
+        for value in (trial, mug, mug.pose, mug.pose.position, record):
+            assert not hasattr(value, "__dict__"), type(value).__name__
 
 
 class TestTable1Fixture:
