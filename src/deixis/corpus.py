@@ -2,9 +2,16 @@ r"""Line-delimited corpus files and the embedded judgment fixture.
 
 File layout: one JSON header line followed by one JSON record per line; the
 header's `count` is a non-negative integer equal to the number of records.
-Files are read and checked one line at a time, so no loader holds a whole
-file: each record becomes a trial or response as its line is read, and
-`count` is checked after the last record.  Lines end at `\n` or `\r\n`;
+Files are read and checked one line at a time: each record becomes a trial
+or response as its line is read, and `count` is checked after the last
+record.  `read_trials` and `read_responses` hand the records on one at a
+time, and `load_trials` and `load_responses` hold them all.  So `run` holds
+one trial at a time plus the response records, which the responses header
+needs, and `plot` holds only its pie table.  Since `run` predicts each
+trial before it reads the next line, a prediction error on an earlier trial
+is reported before a malformed later record, and a `count` mismatch after
+every prediction; the header, and a trials file's context and first
+record, are checked before anything is predicted.  Lines end at `\n` or `\r\n`;
 any other line break inside a line (a bare `\r`, a form feed, U+2028) makes
 it malformed.  Blank lines are skipped, but errors name physical lines.
 Distances are stored in meters and angles in degrees; every float is written
@@ -47,13 +54,15 @@ import json
 import math
 import os
 from collections.abc import Iterator
+from contextlib import contextmanager
 from itertools import chain, repeat
 from operator import attrgetter, is_, methodcaller
 from typing import Any
 
 from .errors import SchemaError
 from .geometry import Plane, Point3, Ray, SurfacePoint, unit
-from .harness import LABELS, Condition, ResponseRecord, ShownConfig, TrialSet, _q
+from .harness import (LABELS, Condition, ResponseRecord, ShownConfig, Trial,
+                      TrialSet, TrialStream, _q, make_trials)
 from .resolver import PointingAct
 from .scene import Pose2D, Scene, SceneObject, Shape, TABLE
 from .stats import ContingencyTable
@@ -352,37 +361,63 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
             fh.write(_ENCODER.encode(rec) + "\n")
 
 
+class _TrialsFile:
+    """A trials file being read.  Its set's condition, act and scene come
+    from the header, or a deixis-trials-1 file's first record, at once;
+    `cases()` turns each record into a case as its line is read.  A
+    record's case and trial are made before the next line is read, so
+    inside `named()` a failure names the line of the record in hand."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.lines = _read_lines(path, TRIALS_SCHEMA, TRIALS_SCHEMA_V1)
+        _, header = next(self.lines)
+        self.line, self.first = next(self.lines, (1, None))
+        if self.first is None:
+            raise SchemaError(f"{path}:1: no trial records; a trials file holds "
+                              "one trial set of at least one trial")
+        self.v1 = header["schema"] == TRIALS_SCHEMA_V1
+        try:
+            ctx = {**self.first, **self.first["scene"]} if self.v1 else header.get("context")
+            if not isinstance(ctx, dict):
+                raise TypeError(f"context must be an object, got {ctx!r}")
+            self.condition, self.scene, self.act = _parts(ctx)
+        except (KeyError, TypeError, ValueError) as exc:
+            where = f"{self.line}: bad trial record" if self.v1 else "1: bad context"
+            raise SchemaError(f"{path}:{where}: {exc}") from exc
+        self.ctx = ctx
+
+    def cases(self) -> Iterator[tuple]:
+        for self.line, rec in chain([(self.line, self.first)], self.lines):
+            yield _case(_v2_record(rec, self.ctx) if self.v1 else rec, self.scene)
+
+    @contextmanager
+    def named(self) -> Iterator[None]:
+        try:
+            yield
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{self.path}:{self.line}: bad trial record: {exc}") from exc
+
+
+def read_trials(path: str) -> TrialStream:
+    """The trial set of a trials file as a stream: the header and the first
+    record are read now, each record as the stream's trials reach it, and
+    the header `count` is checked after the last."""
+    file = _TrialsFile(path)
+
+    def trials() -> Iterator[Trial]:
+        with file.named():
+            yield from make_trials(file.condition, file.act, file.scene, file.cases())
+
+    return TrialStream(file.condition, file.act, trials())
+
+
 def load_trials(path: str) -> TrialSet:
-    """The trial set of a trials file, each record handed to the `TrialSet`
-    constructor as it is read; a deixis-trials-1 file's first record serves
-    as its context."""
-    lines = _read_lines(path, TRIALS_SCHEMA, TRIALS_SCHEMA_V1)
-    _, header = next(lines)
-    line, first = next(lines, (1, None))
-    if first is None:
-        raise SchemaError(f"{path}:1: no trial records; a trials file holds "
-                          "one trial set of at least one trial")
-    v1 = header["schema"] == TRIALS_SCHEMA_V1
-    try:
-        ctx = {**first, **first["scene"]} if v1 else header.get("context")
-        if not isinstance(ctx, dict):
-            raise TypeError(f"context must be an object, got {ctx!r}")
-        condition, scene, act = _parts(ctx)
-    except (KeyError, TypeError, ValueError) as exc:
-        where = f"{line}: bad trial record" if v1 else "1: bad context"
-        raise SchemaError(f"{path}:{where}: {exc}") from exc
-
-    def cases():
-        # `TrialSet` reads each case before it takes the next, so `line`
-        # names the record whose case or moved scene fails
-        nonlocal line
-        for line, rec in chain([(line, first)], lines):
-            yield _case(_v2_record(rec, ctx) if v1 else rec, scene)
-
-    try:
-        return TrialSet(condition, act, scene, cases())
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}:{line}: bad trial record: {exc}") from exc
+    """The trial set of a trials file, held whole: each record is read as
+    `read_trials` reads it and handed to the `TrialSet` constructor."""
+    file = _TrialsFile(path)
+    with file.named():
+        return TrialSet(file.condition, file.act, file.scene, file.cases())
 
 
 def _shared(records: list[ResponseRecord]) -> tuple[dict, dict]:
@@ -447,8 +482,9 @@ def _checked(fields: dict) -> dict:
     return fields
 
 
-def load_responses(path: str) -> list[ResponseRecord]:
-    """The records of a responses file, each built as its line is read."""
+def read_responses(path: str) -> Iterator[ResponseRecord]:
+    """The records of a responses file, each built as its line is read; the
+    header is read and checked now."""
     lines = _read_lines(path, RESPONSES_SCHEMA, RESPONSES_SCHEMA_V1)
     _, header = next(lines)
     defaults, shared, prefix = {}, {}, ""
@@ -464,17 +500,25 @@ def load_responses(path: str) -> list[ResponseRecord]:
             raise SchemaError(f"{path}:1: bad header: {exc}") from exc
         # a record omits the context's fields, and `meta` when it has none
         defaults = {**ctx, "meta": {}}
-    out = []
-    for line, rec in lines:
-        try:
-            fields = _checked({**defaults, **rec})
-            out.append(ResponseRecord(trial_id=prefix + _str(fields["trial_id"]),
-                                      predicted=fields["predicted"],
-                                      human=fields["human"],
-                                      meta={**shared, **fields["meta"]}))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}:{line}: bad response record: {exc}") from exc
-    return out
+
+    def records() -> Iterator[ResponseRecord]:
+        for line, rec in lines:
+            try:
+                fields = _checked({**defaults, **rec})
+                record = ResponseRecord(trial_id=prefix + _str(fields["trial_id"]),
+                                        predicted=fields["predicted"],
+                                        human=fields["human"],
+                                        meta={**shared, **fields["meta"]})
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"{path}:{line}: bad response record: {exc}") from exc
+            yield record
+
+    return records()
+
+
+def load_responses(path: str) -> list[ResponseRecord]:
+    """The records of a responses file: `read_responses` read to its end."""
+    return list(read_responses(path))
 
 
 # Published natural/unnatural stack judgments; rows are shown configurations,

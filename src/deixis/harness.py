@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import InitVar, dataclass, field, replace
 
 from .errors import DeixisError, EmptyInput, InvalidCount
@@ -150,12 +150,21 @@ class Trial:
     shown: str | SurfacePoint | ShownConfig
 
 
+def make_trials(condition: Condition, act: PointingAct, scene: Scene,
+                cases: Iterable[tuple]) -> Iterator[Trial]:
+    """One trial per `(id, moves or None, shown)` case, made as its case is
+    read: one pointing act into `scene`, or into `scene.moved(moves)`, so
+    no trial comes from another set.  The one place a `Trial` is made:
+    `TrialSet` holds what it yields, and a `TrialStream` hands it on."""
+    for tid, moves, shown in cases:
+        yield Trial(tid, condition, scene if moves is None else scene.moved(moves),
+                    act, shown)
+
+
 @dataclass(frozen=True)
 class TrialSet:
-    """One condition's trials: one pointing act into one scene.  Built from
-    one `(id, moves or None, shown)` case per trial, read in order, each
-    trial getting `scene` or `scene.moved(moves)`: no set mixes in a trial
-    of another."""
+    """One condition's trials: one pointing act into one scene, made by
+    `make_trials` from one case per trial and held in order."""
 
     condition: Condition
     act: PointingAct
@@ -164,13 +173,20 @@ class TrialSet:
     trials: tuple[Trial, ...] = field(init=False)
 
     def __post_init__(self, cases: Iterable[tuple]) -> None:
-        trials = tuple(Trial(tid, self.condition,
-                             self.scene if moves is None else self.scene.moved(moves),
-                             self.act, shown)
-                       for tid, moves, shown in cases)
+        trials = tuple(make_trials(self.condition, self.act, self.scene, cases))
         if not trials:
             raise ValueError("a trial set holds at least one trial")
         object.__setattr__(self, "trials", trials)
+
+
+@dataclass(frozen=True, slots=True)
+class TrialStream:
+    """A trial set read one trial at a time: `trials` yields the trials of
+    `make_trials` once, so only the trial in hand is held."""
+
+    condition: Condition
+    act: PointingAct
+    trials: Iterator[Trial]
 
 
 @dataclass(frozen=True, slots=True)
@@ -339,10 +355,11 @@ def _predict(trial: Trial, descriptor: str, x_star_q: tuple[float, float],
     return predicted, meta
 
 
-def run(tset: TrialSet,
+def run(tset: TrialSet | TrialStream,
         cfg: ResolverConfig = ResolverConfig()) -> list[ResponseRecord]:
-    """One predicted judgment per trial, preserving order.  Every float in
-    `meta` is quantized to 9 significant digits, as the corpus writes it.
+    """One predicted judgment per trial, preserving order; a stream's trials
+    are predicted as they arrive and only the records are kept.  Every float
+    in `meta` is quantized to 9 significant digits, as the corpus writes it.
     `meta.path` names the branch that answered: `stable` or `enumerated`
     for locating and natural trials (x* in the stable region, or the
     nearest stable point found by enumeration), `discrete` for referential

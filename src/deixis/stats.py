@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import DegenerateTable, InvalidCounts
 
@@ -132,10 +133,16 @@ def fisher_exact_2x2(table: ContingencyTable) -> TestResult:
     per cell on, the lgamma-based terms of two exactly tied tables can
     differ by more than 1e-12, and from 10^7 on by more than 1e-7, so the
     mirror under a swap of equal rows or columns is always kept.  The
-    statistic is the observed table's probability.  The log-pmf is concave,
-    so the k whose term does not underflow to 0.0 form one interval around
-    the mode; its ends are found by bisection and only that interval is
-    summed, in ascending order.
+    statistic is the observed table's probability.
+
+    The log-pmf is concave, so the k whose term does not underflow to 0.0
+    form one interval around the mode, and the terms too large to keep form
+    a middle inside it; the ends of both are found by bisection.  Only the
+    two tails are evaluated, each in ascending order, and the upper one
+    stops at the first term below half an ulp of the partial sum: the terms
+    after it are smaller and would leave the sum as it is.  Every bound
+    allows for the float log terms' error, so p is bit-identical to the sum
+    over every k.
     """
     if len(table.counts) != 2 or len(table.counts[0]) != 2:
         raise DegenerateTable("Fisher exact test requires a 2x2 table")
@@ -146,23 +153,46 @@ def fisher_exact_2x2(table: ContingencyTable) -> TestResult:
         raise DegenerateTable("table has a zero marginal")
     lo, hi = max(0, c1 - r2), min(r1, c1)
 
-    def edge(inside: int, outside: int) -> int:
-        """The last k from `inside` toward `outside` whose term is kept."""
+    def edge(inside: int, outside: int, floor: float) -> int:
+        """The last k from `inside` toward `outside` whose log term is at
+        least `floor`, found by bisection; `inside`'s must be."""
         while abs(outside - inside) > 1:
             mid = (inside + outside) // 2
-            kept = _log_hypergeom(mid, r1, r2, c1) >= _EXP_UNDERFLOW
-            inside, outside = (mid, outside) if kept else (inside, mid)
+            above = _log_hypergeom(mid, r1, r2, c1) >= floor
+            inside, outside = (mid, outside) if above else (inside, mid)
         return inside
 
     p_obs = math.exp(_log_hypergeom(a, r1, r2, c1))
     if p_obs == 0.0:  # only terms equal to 0.0 could be kept: p is 0.0
         return TestResult(statistic=0.0, dof=None, p_value=0.0)
+    bound = p_obs * (1.0 + _FISHER_SLACK)
     mode = min(max((r1 + 1) * (c1 + 1) // (r1 + r2 + 2), lo), hi)
     mirrors = {c1 - a if r1 == r2 else a, r1 - a if c1 == c2 else a}
+    # the log of a float term that is a normal float is within `noise` of
+    # the exact log: against mpmath, the log terms were off by at most 4
+    # ulps of lgamma(N + 1) up to 10^11 per cell, and exp adds one ulp of 1
+    noise = 64.0 * math.ulp(math.lgamma(r1 + r2 + 1))
+    low = edge(mode, lo - 1, _EXP_UNDERFLOW)
+    high = edge(mode, hi + 1, _EXP_UNDERFLOW)
+    # The middle's ends have logs of at least `cut`, so every exact term
+    # between them is above the bound, and the smallest normal float, by
+    # 2 * noise: each float term there is normal and exceeds the bound, and
+    # no mirror, whose exact term is the observed one's, lies there
+    cut = math.log(max(bound, sys.float_info.min)) + 3.0 * noise
+    if _log_hypergeom(mode, r1, r2, c1) >= cut:
+        first, last = edge(mode, low - 1, cut), edge(mode, high + 1, cut)
+    else:
+        first, last = mode, mode - 1
+    # past the mode no exact term exceeds the one before it, so once a
+    # normal float term is below this share of an ulp of p, every later
+    # term is below half an ulp and would leave p as it is
+    stop = 0.5 * math.exp(-2.0 * noise)
     p = 0.0
-    for k in range(edge(mode, lo - 1), edge(mode, hi + 1) + 1):
+    for k in chain(range(low, first), range(last + 1, high + 1)):
         pk = math.exp(_log_hypergeom(k, r1, r2, c1))
-        if pk <= p_obs * (1.0 + _FISHER_SLACK) or k in mirrors:
+        if k > last and sys.float_info.min <= pk < stop * math.ulp(p):
+            break
+        if pk <= bound or k in mirrors:
             p += pk
     return TestResult(statistic=p_obs, dof=None, p_value=min(1.0, p))
 

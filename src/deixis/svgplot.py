@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
@@ -129,23 +130,29 @@ def _axes_map(keys: list[tuple[float, float]], spec: PlotSpec) -> tuple:
     return to_px
 
 
-def render(records: list[ResponseRecord], spec: PlotSpec) -> str:
-    if not records:
-        raise EmptyInput("no responses to plot")
+def render(records: Iterable[ResponseRecord], spec: PlotSpec) -> str:
+    """The SVG of `spec.kind` over `records`, each folded into its pie's
+    label counts and the x* marks as it arrives, so a one-shot iterator is
+    read once and only the pie table is held."""
     kind = KINDS[spec.kind]
     labels = tuple(kind.colors)
     place = set(kind.place)
-    usable = [r for r in records
-              if r.predicted in kind.colors and r.meta.keys() >= place]
-    if not usable:
-        raise EmptyInput(kind.empty)
     where = itemgetter(*kind.place)  # a point's value, or one value per axis
     counts: dict[tuple, list[int]] = {}
-    for r in usable:
+    marks: dict[tuple, None] = {}  # distinct x*, in first-seen order
+    seen = False
+    for r in records:
+        seen = True
+        if r.predicted not in kind.colors or not r.meta.keys() >= place:
+            continue
         row = counts.setdefault(tuple(where(r.meta)), [0] * len(labels))
         row[labels.index(r.predicted)] += 1
-    marks = list(dict.fromkeys(tuple(r.meta[kind.mark]) for r in usable
-                               if kind.mark in r.meta))
+        if kind.mark in r.meta:
+            marks.setdefault(tuple(r.meta[kind.mark]))
+    if not seen:
+        raise EmptyInput("no responses to plot")
+    if not counts:
+        raise EmptyInput(kind.empty)
     to_px = _axes_map([*counts, *marks], spec)
     body = []
     for (x, y), row in counts.items():

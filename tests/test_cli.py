@@ -1,13 +1,15 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from deixis import corpus, harness
+from deixis import corpus, harness, svgplot
 from deixis.cli import MAX_N, main
+from deixis.errors import SchemaError
 
 HUGE = "1" + "0" * 400  # a count no float can hold
 
@@ -641,3 +643,110 @@ class TestPlot:
             assert res.exit_code == 0, res.output
             svgs.append(svg.read_bytes())
         assert svgs[0] == svgs[1]
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    """An n=4000 cluttered 67.5 deg trials file and its responses, made by
+    the CLI."""
+    work = tmp_path_factory.mktemp("sweep")
+    trials, responses = work / "trials.jsonl", work / "responses.jsonl"
+    for args in (["gen", "--condition", "cluttered", "--cone", "67.5", "--n", "4000",
+                  "--seed", "1", "--out", str(trials)],
+                 ["run", "--in", str(trials), "--out", str(responses)]):
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 0, res.output
+    return {"trials": trials, "responses": responses}
+
+
+def traced_peak(work) -> int:
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedCommands:
+    """`run` predicts each trial as its line is read and `plot` folds each
+    record into its pie table, so neither holds the parsed file: a record
+    found bad at the end of a sweep file still leaves no output."""
+
+    @pytest.mark.parametrize("edit, line, message", [
+        (lambda lines: lines[-1][:-20], 4001, "malformed record"),
+        (lambda lines: lines[-1].replace(b'"shown"', b'"shewn"'), 4001, "bad trial record"),
+    ], ids=["cut", "unknown-field"])
+    def test_a_bad_last_trial_leaves_no_responses(self, runner, tmp_path, sweep,
+                                                  edit, line, message):
+        lines = sweep["trials"].read_bytes().splitlines()
+        lines[-1] = edit(lines)
+        bad, out = tmp_path / "bad.jsonl", tmp_path / "o.jsonl"
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        res = runner.invoke(main, ["run", "--in", str(bad), "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith(f"Error: {bad}:{line}: {message}")
+        assert res.output.count("\n") == 1
+        assert not out.exists()
+
+    def test_a_count_one_too_many_leaves_no_responses(self, runner, tmp_path, sweep):
+        bad, out = tmp_path / "bad.jsonl", tmp_path / "o.jsonl"
+        bad.write_bytes(sweep["trials"].read_bytes().replace(
+            b'"count":4000', b'"count":4001', 1))
+        res = runner.invoke(main, ["run", "--in", str(bad), "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.output == f"Error: {bad}:1: header declares 4001 records, found 4000\n"
+        assert not out.exists()
+
+    def test_a_bad_last_response_leaves_no_svg(self, runner, tmp_path, sweep):
+        lines = sweep["responses"].read_bytes().splitlines()
+        lines[-1] = lines[-1].replace(b'"trial_id"', b'"trial"')
+        bad, svg = tmp_path / "bad.jsonl", tmp_path / "p.svg"
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        res = runner.invoke(main, ["plot", "--in", str(bad), "--kind", "distance-pies",
+                                   "--out", str(svg)])
+        assert res.exit_code == 1
+        assert res.output.startswith(f"Error: {bad}:4001: bad response record: ")
+        assert res.output.count("\n") == 1
+        assert not svg.exists()
+
+    def test_a_prediction_error_comes_before_a_later_bad_record(self, runner, tmp_path):
+        # a context with no objects: the first trial, which moves none, has
+        # no mug to predict, and the second moves two objects it lacks
+        trials, out = tmp_path / "t.jsonl", tmp_path / "o.jsonl"
+        res = runner.invoke(main, ["gen", "--condition", "cluttered", "--cone", "45",
+                                   "--n", "4", "--seed", "1", "--out", str(trials)])
+        assert res.exit_code == 0, res.output
+        rewrite(trials, 1, lambda h: h["context"].update(objects=[]))
+        rewrite(trials, 2, lambda r: r.pop("objects", None))
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(trials))}:3: "):
+            corpus.load_trials(str(trials))
+        res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.output == ("Error: trial cluttered-45deg-baxter-000: "
+                              "no object 'mug_object' in the scene\n")
+        assert not out.exists()
+
+    def test_run_holds_less_than_the_whole_set(self, tmp_path, sweep):
+        trials = str(sweep["trials"])
+        out = tmp_path / "o.jsonl"
+        whole = traced_peak(lambda: corpus.save_responses(
+            harness.run(corpus.load_trials(trials)), str(tmp_path / "whole.jsonl")))
+        streamed = traced_peak(lambda: CliRunner().invoke(
+            main, ["run", "--in", trials, "--out", str(out)], catch_exceptions=False))
+        assert out.read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+        # about 2.5 MB of records against 5 MB with every trial held
+        assert streamed < 0.7 * whole, (streamed, whole)
+
+    def test_plot_holds_less_than_the_whole_file(self, tmp_path, sweep):
+        responses = str(sweep["responses"])
+        svg = tmp_path / "p.svg"
+        whole = traced_peak(lambda: svgplot.render(
+            corpus.load_responses(responses), svgplot.PlotSpec(kind="distance_pies")))
+        streamed = traced_peak(lambda: CliRunner().invoke(
+            main, ["plot", "--in", responses, "--kind", "distance-pies",
+                   "--out", str(svg)], catch_exceptions=False))
+        # about 1.6 MB of pie table and SVG text against 5.3 MB with every
+        # record held
+        assert streamed < 0.7 * whole, (streamed, whole)

@@ -650,6 +650,25 @@ class TestStreamedReads:
         # responses
         assert peak - retained < 500_000
 
+    def test_the_streams_give_what_the_loaders_hold(self, sweep_files):
+        stream = corpus.read_trials(str(sweep_files["trials"]))
+        tset = corpus.load_trials(str(sweep_files["trials"]))
+        assert (stream.condition, stream.act) == (tset.condition, tset.act)
+        assert list(stream.trials) == list(tset.trials)
+        assert list(stream.trials) == []  # read once
+        responses = str(sweep_files["responses"])
+        streamed, loaded = list(corpus.read_responses(responses)), corpus.load_responses(responses)
+        assert [(r, r.meta) for r in streamed] == [(r, r.meta) for r in loaded]
+
+    @pytest.mark.parametrize("kind", ["trials", "responses"])
+    def test_a_stream_checks_its_header_at_once(self, tmp_path, sweep_files, kind):
+        read = corpus.read_trials if kind == "trials" else corpus.read_responses
+        lines = sweep_files[kind].read_bytes().split(b"\n", 1)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(lines[0].replace(b'"context":{', b'"context":[{', 1) + b"\n" + lines[1])
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(bad))}:1: "):
+            read(str(bad))
+
     def test_per_trial_types_hold_no_dict(self, sweep_files):
         trial = corpus.load_trials(str(sweep_files["trials"])).trials[0]
         record = corpus.load_responses(str(sweep_files["responses"]))[0]

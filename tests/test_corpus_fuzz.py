@@ -171,8 +171,20 @@ def test_mutated_corpus_loads_or_fails_in_one_line(files, tmp_path_factory, data
                 "--kind", "distance-pies" if name == "cluttered" else "scatter-pies"]
     res = CliRunner().invoke(main, args)
     assert_one_line(res, out)
-    if error is not None:
-        assert res.output == f"Error: {error}\n"
+    if error is not None and res.output != f"Error: {error}\n":
+        assert_predicted_first(content, error, int(where[1]), res.output)
+
+
+def assert_predicted_first(content, error, line, output):
+    """`run` predicts each trial as its record is read, so the only error it
+    may report in place of the loader's, which names `line`, is a prediction
+    error on a trial whose record comes before that line, or before a header
+    count mismatch, which is found after the last record."""
+    failed = re.match(r"Error: trial (.+?): ", output)
+    assert failed, (output, error)
+    at = next(n for n, raw in enumerate(content.split(b"\n")[1:], start=2)
+              if raw.strip() and json.loads(raw).get("id") == failed[1])
+    assert at < line or "header declares" in error, (output, error)
 
 
 SEED_40_DIGITS = "1" + "0" * 39

@@ -178,6 +178,60 @@ class TestFisher:
             underflowing += _log_hypergeom(max(0, c1 - r2), r1, r2, c1) < -746.0
         assert underflowing >= 30  # tables where the interval skips terms
 
+    @pytest.mark.parametrize("where", ["mode", "below-mode", "above-mode",
+                                       "row-mirror", "column-mirror"])
+    def test_bitwise_at_the_mode_and_on_mirror_ties(self, where):
+        # at the mode the middle is empty or one term wide, and next to it
+        # the terms are nearest the bound; a tied table's mirror has exactly
+        # the observed probability
+        rng = random.Random(where)
+        for _ in range(40):
+            a, b, c, d = (rng.randint(1, rng.choice((30, 3000))) for _ in range(4))
+            if where == "row-mirror":
+                c, d = rng.randint(0, a + b), 0
+                d = a + b - c
+            elif where == "column-mirror":
+                b, d = rng.randint(0, a + c), 0
+                d = a + c - b
+            r1, r2, c1 = a + b, c + d, a + c
+            if 0 in (r1, r2, c1, b + d):
+                continue
+            if where.endswith("mode"):
+                lo, hi = max(0, c1 - r2), min(r1, c1)
+                mode = (r1 + 1) * (c1 + 1) // (r1 + r2 + 2)
+                step = {"mode": 0, "below-mode": -1, "above-mode": 1}[where]
+                a = min(max(mode + step, lo), hi)
+                b, c, d = r1 - a, c1 - a, r2 - c1 + a
+            got = fisher_exact_2x2(table((a, b), (c, d))).p_value
+            assert got.hex() == fisher_full_range(a, b, c, d).hex(), (a, b, c, d)
+
+    @pytest.mark.parametrize("a,b,c,d", [
+        (2586, 1146, 515, 1955), (8233, 4918, 7416, 10731), (585, 1870, 1821, 531)])
+    def test_bitwise_with_a_subnormal_p(self, a, b, c, d):
+        # exp rounds a subnormal term to a coarse grid, so a term whose log
+        # is a little above the bound's can still equal the bound: a middle
+        # cut at the bound's log, not above the smallest normal float, left
+        # such kept terms out
+        got = fisher_exact_2x2(table((a, b), (c, d))).p_value
+        assert 0.0 < got < 2.2250738585072014e-308
+        assert got.hex() == fisher_full_range(a, b, c, d).hex()
+
+    def test_only_the_tails_are_evaluated(self, monkeypatch):
+        # 1.5 sd above the mode, 3000 per cell: of the terms that do not
+        # underflow, the middle and the upper tail past half an ulp of p
+        # are skipped
+        width = sum(_log_hypergeom(k, 3000, 3000, 3000) >= -746.0 for k in range(3001))
+        calls = []
+
+        def counted(k, *margins):
+            calls.append(k)
+            return _log_hypergeom(k, *margins)
+
+        monkeypatch.setattr("deixis.stats._log_hypergeom", counted)
+        got = fisher_exact_2x2(table((1530, 1470), (1470, 1530))).p_value
+        assert got.hex() == fisher_full_range(1530, 1470, 1470, 1530).hex()
+        assert len(calls) < 0.7 * width, (len(calls), width)
+
     def test_large_counts_finish_quickly(self):
         start = time.perf_counter()
         result = fisher_exact_2x2(table((10**7, 1), (1, 10**7)))

@@ -7,7 +7,7 @@ import pytest
 from deixis import corpus, harness
 from deixis.errors import EmptyInput
 from deixis.harness import Condition, ResponseRecord
-from deixis.svgplot import PlotSpec, render
+from deixis.svgplot import KINDS, PlotSpec, render
 
 GOLDEN = Path(__file__).parent / "golden"
 MIXED = (Path(__file__).parent / "fixtures"
@@ -139,3 +139,33 @@ class TestErrors:
             render([ResponseRecord("t", "correct", meta={})], PlotSpec())
         with pytest.raises(EmptyInput):
             render(scatter_records(), PlotSpec(kind="distance_pies"))
+
+
+class TestOneShotIterators:
+    """`render` reads its records once, as they arrive."""
+
+    @pytest.mark.parametrize("kind, records, golden", [
+        ("scatter_pies", scatter_records, "scatter_pies.svg"),
+        ("distance_pies", distance_records, "distance_pies.svg")])
+    def test_an_iterator_renders_like_its_list(self, kind, records, golden):
+        listed = records()
+        svg = render(iter(listed), PlotSpec(kind=kind))
+        assert svg == render(listed, PlotSpec(kind=kind))
+        assert svg == (GOLDEN / golden).read_text()
+
+    def test_the_streamed_mixed_file_renders_like_its_list(self):
+        spec = PlotSpec(legend=False)
+        assert (render(corpus.read_responses(str(MIXED)), spec)
+                == render(corpus.load_responses(str(MIXED)), spec))
+
+    def test_an_empty_iterator(self):
+        with pytest.raises(EmptyInput, match="^no responses to plot$"):
+            render(iter([]), PlotSpec())
+
+    @pytest.mark.parametrize("kind", ["scatter_pies", "distance_pies"])
+    def test_an_iterator_of_unusable_records(self, kind):
+        records = [ResponseRecord("t", "correct", meta={}),
+                   ResponseRecord("u", "bogus", meta={"probe": (0.0, 0.0),
+                                                      "delta": 0.1, "separation": 0.2})]
+        with pytest.raises(EmptyInput, match=f"^{KINDS[kind].empty}$"):
+            render(iter(records), PlotSpec(kind=kind))
