@@ -28,10 +28,7 @@ trial moves any: one entry per context object, `{}` or `{"position":
 loader turns each record into a `TrialSet` case, so it gets the context
 scene or that scene with its objects moved (`Scene.moved`), checked
 exactly as a freshly built scene.  Any other record field, and a file
-with no records, is a data error.  Files of the earlier `deixis-trials-1`
-schema, with every part repeated in every record, still load: each record
-becomes a v2 record against the first one, and a record that differs from
-it in anything but object positions is refused.
+with no records, is a data error.
 
 Responses (schema `deixis-responses-2`) are written the same way: the
 header holds `schema`, `count`, an `id_prefix` (the longest common prefix
@@ -40,10 +37,9 @@ JSON is the same in every record, plus `predicted` and `human` when those
 are the same in every record.  Each record holds `trial_id`, its id without
 the prefix, and only the fields and meta entries that are not in the
 context (no `meta` when none are left).  On the n=4000 sweeps that is
-107-160 B per trial, against 236-267 B for `deixis-responses-1`, which
-repeats every field in every record and still loads.  Records are written as `harness.run`
-makes them: every float in `meta` is already quantized, so records are
-encoded without another pass.  Loaded records share the context's values.
+107-160 B per trial.  Records are written as `harness.run` makes them:
+every float in `meta` is already quantized, so records are encoded without
+another pass.  Loaded records share the context's values.
 
 Values count as the same only when they are written as the same JSON text
 (`_same`): -0.0 and 0.0, 1 and 1.0, true and 1 all differ.
@@ -68,9 +64,7 @@ from .scene import Pose2D, Scene, SceneObject, Shape, TABLE
 from .stats import ContingencyTable
 
 TRIALS_SCHEMA = "deixis-trials-2"
-TRIALS_SCHEMA_V1 = "deixis-trials-1"
 RESPONSES_SCHEMA = "deixis-responses-2"
-RESPONSES_SCHEMA_V1 = "deixis-responses-1"
 _MISSING = object()  # a meta key a record lacks
 _RECORD_FIELDS = {"id", "shown", "objects"}  # of a deixis-trials-2 record
 
@@ -252,30 +246,8 @@ def _parts(d: dict) -> tuple[Condition, Scene, PointingAct]:
             _act_from_json(d["act"]))
 
 
-def _v2_record(rec: dict, ctx: dict) -> dict:
-    """A deixis-trials-1 record as a v2 record against `ctx`, the first
-    record's parts: every part but an object position must be `_same`."""
-    parts = {**rec, **rec["scene"]}
-    objects, ctx_objects = parts["objects"], ctx["objects"]
-    differ = [k for k in ("condition", "act", "surface", "gravity")
-              if not _same(parts[k], ctx[k])]
-    if type(objects) is not list or len(objects) != len(ctx_objects):
-        differ.append("object count")
-    else:  # an object `_same` as the context's once given its position
-        differ += [f"objects[{i}]" for i, (od, od0) in enumerate(zip(objects, ctx_objects))
-                   if type(od) is not dict
-                   or not _same({**od, "position": od0["position"]}, od0)]
-    if differ:
-        raise ValueError(f"differs from the first record in {', '.join(differ)}; "
-                         "a trials file holds one trial set")
-    return {"id": rec["id"], "shown": rec["shown"],
-            "objects": [{} if _same(od["position"], od0["position"])
-                        else {"position": od["position"]}
-                        for od, od0 in zip(objects, ctx_objects)]}
-
-
 def _case(rec: dict, scene: Scene) -> tuple:
-    """A v2 record as a `TrialSet` case: its id, the context objects it
+    """A trials record as a `TrialSet` case: its id, the context objects it
     moves (None when it moves none) and its shown outcome."""
     if not rec.keys() <= _RECORD_FIELDS:
         extra = ", ".join(map(repr, sorted(rec.keys() - _RECORD_FIELDS)))
@@ -309,10 +281,17 @@ def _parsed(path: str, lineno: int, raw: bytes, what: str) -> Any:
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise SchemaError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
+        why = str(exc)
+        if isinstance(exc, json.JSONDecodeError):
+            # `path:lineno` names the line, so give the column alone: the
+            # decoder counts the line end it was handed as a line of its
+            # own.  A line cut short fails just past its last character.
+            column = min(exc.pos, len(text.rstrip("\r\n"))) + 1
+            why = f"{exc.msg}: column {column}"
+        raise SchemaError(f"{path}:{lineno}: malformed {what}: {why}") from exc
 
 
-def _read_lines(path: str, *schemas: str) -> Iterator[tuple[int, dict]]:
+def _read_lines(path: str, schema: str) -> Iterator[tuple[int, dict]]:
     r"""(line number, object) of the header, then of each record, each line
     read and checked as it is reached.  Lines end at `\n`; the `\r` of a
     `\r\n` end is JSON whitespace.  Blank lines are skipped but counted, so
@@ -323,7 +302,7 @@ def _read_lines(path: str, *schemas: str) -> Iterator[tuple[int, dict]]:
         if not first:
             raise SchemaError(f"{path}:1: empty corpus file")
         header = _parsed(path, 1, first, "header")
-        if not isinstance(header, dict) or header.get("schema") not in schemas:
+        if not isinstance(header, dict) or header.get("schema") != schema:
             raise SchemaError(f"{path}:1: unknown schema "
                               f"{header.get('schema') if isinstance(header, dict) else header!r}")
         declared = header.get("count")
@@ -363,33 +342,30 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
 
 class _TrialsFile:
     """A trials file being read.  Its set's condition, act and scene come
-    from the header, or a deixis-trials-1 file's first record, at once;
-    `cases()` turns each record into a case as its line is read.  A
-    record's case and trial are made before the next line is read, so
-    inside `named()` a failure names the line of the record in hand."""
+    from the header at once; `cases()` turns each record into a case as its
+    line is read.  A record's case and trial are made before the next line
+    is read, so inside `named()` a failure names the line of the record in
+    hand."""
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self.lines = _read_lines(path, TRIALS_SCHEMA, TRIALS_SCHEMA_V1)
+        self.lines = _read_lines(path, TRIALS_SCHEMA)
         _, header = next(self.lines)
         self.line, self.first = next(self.lines, (1, None))
         if self.first is None:
             raise SchemaError(f"{path}:1: no trial records; a trials file holds "
                               "one trial set of at least one trial")
-        self.v1 = header["schema"] == TRIALS_SCHEMA_V1
+        ctx = header.get("context")
         try:
-            ctx = {**self.first, **self.first["scene"]} if self.v1 else header.get("context")
             if not isinstance(ctx, dict):
                 raise TypeError(f"context must be an object, got {ctx!r}")
             self.condition, self.scene, self.act = _parts(ctx)
         except (KeyError, TypeError, ValueError) as exc:
-            where = f"{self.line}: bad trial record" if self.v1 else "1: bad context"
-            raise SchemaError(f"{path}:{where}: {exc}") from exc
-        self.ctx = ctx
+            raise SchemaError(f"{path}:1: bad context: {exc}") from exc
 
     def cases(self) -> Iterator[tuple]:
         for self.line, rec in chain([(self.line, self.first)], self.lines):
-            yield _case(_v2_record(rec, self.ctx) if self.v1 else rec, self.scene)
+            yield _case(rec, self.scene)
 
     @contextmanager
     def named(self) -> Iterator[None]:
@@ -485,21 +461,19 @@ def _checked(fields: dict) -> dict:
 def read_responses(path: str) -> Iterator[ResponseRecord]:
     """The records of a responses file, each built as its line is read; the
     header is read and checked now."""
-    lines = _read_lines(path, RESPONSES_SCHEMA, RESPONSES_SCHEMA_V1)
+    lines = _read_lines(path, RESPONSES_SCHEMA)
     _, header = next(lines)
-    defaults, shared, prefix = {}, {}, ""
-    if header["schema"] == RESPONSES_SCHEMA:
-        ctx, prefix = header.get("context"), header.get("id_prefix")
-        try:
-            if type(ctx) is not dict:
-                raise TypeError(f"context must be an object, got {ctx!r}")
-            if type(prefix) is not str:
-                raise TypeError(f"id_prefix must be a string, got {prefix!r}")
-            shared = _checked(ctx)["meta"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}:1: bad header: {exc}") from exc
-        # a record omits the context's fields, and `meta` when it has none
-        defaults = {**ctx, "meta": {}}
+    ctx, prefix = header.get("context"), header.get("id_prefix")
+    try:
+        if type(ctx) is not dict:
+            raise TypeError(f"context must be an object, got {ctx!r}")
+        if type(prefix) is not str:
+            raise TypeError(f"id_prefix must be a string, got {prefix!r}")
+        shared = _checked(ctx)["meta"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}:1: bad header: {exc}") from exc
+    # a record omits the context's fields, and `meta` when it has none
+    defaults = {**ctx, "meta": {}}
 
     def records() -> Iterator[ResponseRecord]:
         for line, rec in lines:

@@ -2,7 +2,6 @@ import json
 import math
 import re
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -12,6 +11,8 @@ from deixis.cli import MAX_N, main
 from deixis.errors import SchemaError
 
 HUGE = "1" + "0" * 400  # a count no float can hold
+# a responses header whose context shares nothing: a record holds every field
+RESPONSES_HEADER = '{"schema":"deixis-responses-2","count":%d,"id_prefix":"","context":{"meta":{}}}\n'
 
 
 @pytest.fixture
@@ -147,33 +148,6 @@ class TestRun:
         assert json.loads(out.read_text().splitlines()[0])["context"]["predicted"] == "correct"
         assert [r.predicted for r in corpus.load_responses(str(out))] == ["correct"] * 8
 
-    def test_v1_fixture_runs_like_v2(self, runner, tmp_path):
-        # written by the v1 writer from the same flags as `gen` below
-        v1 = Path(__file__).parent / "fixtures" / "locating-45-n8-seed7.v1.jsonl"
-        v2 = gen(runner, tmp_path, "--variant", "locating")
-        assert corpus.load_trials(str(v1)) == corpus.load_trials(str(v2))
-        outputs = []
-        for trials, out in ((v1, tmp_path / "r1.jsonl"), (v2, tmp_path / "r2.jsonl")):
-            res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
-            assert res.exit_code == 0, res.output
-            outputs.append((res.output, out.read_bytes()))
-        assert outputs[0] == outputs[1]
-
-    def test_v1_record_of_another_set_exits_1(self, runner, tmp_path):
-        v1 = Path(__file__).parent / "fixtures" / "locating-45-n8-seed7.v1.jsonl"
-        lines = v1.read_text().splitlines()
-        rec = json.loads(lines[2])
-        rec["condition"]["robot"] = "kuka"
-        lines[2] = json.dumps(rec)
-        mixed, out = tmp_path / "mixed.jsonl", tmp_path / "o.jsonl"
-        mixed.write_text("\n".join(lines) + "\n")
-        res = runner.invoke(main, ["run", "--in", str(mixed), "--out", str(out)])
-        assert res.exit_code == 1
-        assert res.output.startswith(f"Error: {mixed}:3: bad trial record: "
-                                     "differs from the first record in condition;")
-        assert res.output.count("\n") == 1
-        assert not out.exists()
-
     def test_corrupt_input_exits_1(self, runner, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"schema":"nope"}\n')
@@ -234,6 +208,25 @@ class TestRun:
             assert res.exit_code == 0, res.output
             outputs.append((res.output, out.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_a_cut_record_names_its_column(self, runner, tmp_path, end):
+        # the last record lost its closing brace: the message names its line
+        # and the column just past its last character, and no line inside it
+        trials = tmp_path / "trials.jsonl"
+        res = runner.invoke(main, ["gen", "--condition", "cluttered", "--cone", "45",
+                                   "--n", "8", "--out", str(trials)])
+        assert res.exit_code == 0, res.output
+        lines = trials.read_bytes().splitlines()
+        lines[-1] = lines[-1].removesuffix(b"}")
+        cut, out = tmp_path / "cut.jsonl", tmp_path / "o.jsonl"
+        cut.write_bytes(end.join(lines) + end)
+        res = runner.invoke(main, ["run", "--in", str(cut), "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == (f"Error: {cut}:9: malformed record: Expecting ',' "
+                              f"delimiter: column {len(lines[-1]) + 1}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("end", [b"\r", b"\x0c", "\u2028".encode()],
                              ids=["cr", "form-feed", "line-separator"])
@@ -512,7 +505,7 @@ class TestPlot:
 
     def test_empty_responses_exit_1(self, runner, tmp_path):
         empty = tmp_path / "empty.jsonl"
-        empty.write_text('{"schema":"deixis-responses-1","count":0}\n')
+        empty.write_text(RESPONSES_HEADER % 0)
         res = runner.invoke(main, ["plot", "--in", str(empty),
                                    "--out", str(tmp_path / "p.svg")])
         assert res.exit_code == 1
@@ -521,15 +514,29 @@ class TestPlot:
         # an empty set has no condition, act or scene: the file is refused
         # before any output is written
         empty, out = tmp_path / "empty.jsonl", tmp_path / "o.jsonl"
-        for header in ('{"schema":"deixis-trials-1","count":0}',
-                       '{"schema":"deixis-trials-2","count":0,"context":{}}'):
-            empty.write_text(header + "\n")
-            res = runner.invoke(main, ["run", "--in", str(empty), "--out", str(out)])
-            assert res.exit_code == 1
-            assert isinstance(res.exception, SystemExit)
-            assert res.output.startswith(f"Error: {empty}:1: no trial records")
-            assert res.output.count("\n") == 1
-            assert not out.exists()
+        empty.write_text('{"schema":"deixis-trials-2","count":0,"context":{}}\n')
+        res = runner.invoke(main, ["run", "--in", str(empty), "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith(f"Error: {empty}:1: no trial records")
+        assert res.output.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, header", [
+        ("run", '{"condition":"ref_vs_loc/locating/45deg/baxter","count":8,'
+                '"schema":"deixis-trials-1","seed":7}'),
+        ("plot", '{"count":11,"schema":"deixis-responses-1"}')],
+        ids=["trials-1", "responses-1"])
+    def test_a_v1_file_is_an_unknown_schema(self, runner, tmp_path, command, header):
+        # the first schema of each file kind, which no code writes or reads
+        old, out = tmp_path / "old.jsonl", tmp_path / "out"
+        old.write_text(header + "\n")
+        res = runner.invoke(main, [command, "--in", str(old), "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        schema = json.loads(header)["schema"]
+        assert res.output == f"Error: {old}:1: unknown schema '{schema}'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
         ("trial_id", "[1]"), ("predicted", '"bogus"'), ("human", "3"), ("meta", "[]")])
@@ -538,7 +545,7 @@ class TestPlot:
                   "meta": '{"condition":"c","probe":[0.1,0.2]}'}
         record[field] = value
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"schema":"deixis-responses-1","count":1}\n{'
+        bad.write_text(RESPONSES_HEADER % 1 + "{"
                        + ",".join(f'"{k}":{v}' for k, v in record.items()) + "}\n")
         svg = tmp_path / "p.svg"
         res = runner.invoke(main, ["plot", "--in", str(bad), "--out", str(svg)])
@@ -550,7 +557,7 @@ class TestPlot:
 
     def test_non_numeric_delta_exit_1(self, runner, tmp_path):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"schema":"deixis-responses-1","count":2}\n' + "".join(
+        bad.write_text(RESPONSES_HEADER % 2 + "".join(
             '{"trial_id":"t%d","predicted":"correct","human":null,"meta":'
             '{"condition":"c","probe":[0.1,0.2],"delta":%s,"separation":0.3}}\n'
             % (i, delta) for i, delta in enumerate(("0.05", '"x"'))))
@@ -566,8 +573,8 @@ class TestPlot:
     @pytest.mark.parametrize("probe", ['"ab"', "[1e400,0]"])
     def test_bad_probe_exit_1(self, runner, tmp_path, probe):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"schema":"deixis-responses-1","count":1}\n'
-                       '{"trial_id":"t","predicted":"correct","human":null,'
+        bad.write_text(RESPONSES_HEADER % 1
+                       + '{"trial_id":"t","predicted":"correct","human":null,'
                        f'"meta":{{"condition":"c","probe":{probe}}}}}\n')
         svg = tmp_path / "p.svg"
         res = runner.invoke(main, ["plot", "--in", str(bad), "--out", str(svg)])
@@ -631,18 +638,6 @@ class TestPlot:
         assert res.output.startswith(f"Error: plot {dimension} ")
         assert res.output.count("\n") == 1
         assert not svg.exists()
-
-    def test_v1_fixture_plots_like_its_v2_resave(self, runner, tmp_path):
-        v1 = Path(__file__).parent / "fixtures" / "natural-and-locating-45-n8-seed7.responses.v1.jsonl"
-        v2 = tmp_path / "v2.jsonl"
-        corpus.save_responses(corpus.load_responses(str(v1)), str(v2))
-        svgs = []
-        for resp in (v1, v2):
-            svg = tmp_path / f"{resp.stem}.svg"
-            res = runner.invoke(main, ["plot", "--in", str(resp), "--out", str(svg)])
-            assert res.exit_code == 0, res.output
-            svgs.append(svg.read_bytes())
-        assert svgs[0] == svgs[1]
 
 
 @pytest.fixture(scope="module")

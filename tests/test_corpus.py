@@ -115,51 +115,6 @@ class TestTrialsV2:
         assert ref[1].scene is not ref[0].scene
         assert ref[1].scene.objects[1] is ref[0].scene.objects[1]  # the cube
 
-    @staticmethod
-    def v1_with(tmp_path, edit):
-        """The v1 fixture with its second record, on line 3, edited."""
-        p = tmp_path / "v1.jsonl"
-        lines = (FIXTURES / "locating-45-n8-seed7.v1.jsonl").read_text().splitlines()
-        rec = json.loads(lines[2])
-        edit(rec)
-        lines[2] = json.dumps(rec)
-        p.write_text("\n".join(lines) + "\n")
-        return p
-
-    @pytest.mark.parametrize("part, edit", [
-        ("condition", lambda r: r["condition"].update(robot="kuka")),
-        ("act", lambda r: r["act"].update(target=[0.1, -0.15])),
-        ("surface", lambda r: r["scene"]["surface"].update(extent=[2.0, 2.5])),
-        ("gravity", lambda r: r["scene"].update(gravity=False)),
-        ("object count", lambda r: r["scene"]["objects"].pop()),
-        ("objects[0]", lambda r: r["scene"]["objects"][0].update(id="cup")),
-        ("objects[1]", lambda r: r["scene"]["objects"][1].update(height=0.2)),
-        # -0.0 equals the first record's 0.0 but is written differently
-        ("objects[0]", lambda r: r["scene"]["objects"][0].update(yaw_deg=-0.0)),
-    ], ids=["condition.robot", "act.target", "surface.extent", "gravity",
-            "object count", "objects[0].id", "objects[1].height", "objects[0].yaw_deg"])
-    def test_a_trial_of_another_set_is_refused(self, tmp_path, part, edit):
-        # a set built in memory holds no trial of another set; a v1 file,
-        # which repeats every part in every record, can
-        p = self.v1_with(tmp_path, edit)
-        with pytest.raises(SchemaError, match=rf"^{re.escape(str(p))}:3: bad trial "
-                                              rf"record: differs from the first "
-                                              rf"record in {re.escape(part)}; "):
-            corpus.load_trials(str(p))
-
-    def test_a_v1_record_may_move_objects(self, tmp_path):
-        p = self.v1_with(tmp_path, lambda r: r["scene"]["objects"][0].update(
-            position=[0.3, 0.2]))
-        tset = corpus.load_trials(str(p))
-        moved, kept = tset.trials[1].scene, tset.trials[2].scene
-        assert moved.objects[0].pose.position == SurfacePoint(0.3, 0.2)
-        assert moved.objects[1] is tset.scene.objects[1] and kept is tset.scene
-        on_cube = self.v1_with(tmp_path, lambda r: r["scene"]["objects"][0].update(
-            position=[-0.2, 0.541338567]))
-        with pytest.raises(SchemaError, match=rf"^{re.escape(str(on_cube))}:3: "
-                                              "bad trial record: .*overlap"):
-            corpus.load_trials(str(on_cube))
-
     @pytest.mark.parametrize("edit, message", [
         (lambda r: r.update(condition={"robot": "kuka"}), "unexpected field 'condition'"),
         (lambda r: r.update(act={"intent": "referential"}), "unexpected field 'act'"),
@@ -189,15 +144,6 @@ class TestTrialsV2:
         with pytest.raises(SchemaError, match=rf"^{re.escape(str(p))}:3: "
                                               rf"bad trial record: {message}"):
             corpus.load_trials(str(p))
-
-    def test_v1_fixture_loads_equal_to_v2(self, tmp_path):
-        p = tmp_path / "v2.jsonl"
-        corpus.save_trials(make_trials(variant=LOCATING, cone=45.0), str(p), seed=7)
-        v1 = corpus.load_trials(str(FIXTURES / "locating-45-n8-seed7.v1.jsonl"))
-        assert v1 == corpus.load_trials(str(p))
-        p_again = tmp_path / "again.jsonl"
-        corpus.save_trials(v1, str(p_again), seed=7)
-        assert p_again.read_bytes() == p.read_bytes()
 
 
 class TestResponsesRoundTrip:
@@ -321,17 +267,17 @@ class TestResponsesV2:
         corpus.save_responses(loaded, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_v1_fixture_loads_equal_to_its_v2_resave(self, tmp_path):
-        v1 = corpus.load_responses(
-            str(FIXTURES / "natural-and-locating-45-n8-seed7.responses.v1.jsonl"))
-        p = tmp_path / "v2.jsonl"
-        corpus.save_responses(v1, str(p))
-        assert same_records(corpus.load_responses(str(p)), v1)
+    def test_mixed_fixture_is_a_fresh_run(self, tmp_path):
+        # the one file of two trial sets: it saves back to its own bytes, and
         # the same trials run today give the same records plus `meta.path`
-        fresh = natural_records() + harness.run(corpus.load_trials(
-            str(FIXTURES / "locating-45-n8-seed7.v1.jsonl")))
+        fixture = FIXTURES / "natural-and-locating-45-n8-seed7.responses.jsonl"
+        mixed = corpus.load_responses(str(fixture))
+        p = tmp_path / "again.jsonl"
+        corpus.save_responses(mixed, str(p))
+        assert p.read_bytes() == fixture.read_bytes()
+        fresh = natural_records() + locating_records()
         assert [r.meta.pop("path") for r in fresh] == ["enumerated"] * 3 + ["stable"] * 8
-        assert same_records(fresh, v1)
+        assert same_records(fresh, mixed)
 
 
 class TestSame:

@@ -1,7 +1,7 @@
 """A derandomized fuzz over corpus files and command flags.
 
 Each corpus example takes a generated n=4 trials or responses file
-(locating, referential or cluttered) or one of the two v1 fixtures,
+(locating, referential or cluttered) or the fixture of two response sets,
 mutates its header or one record, cuts it at a byte or puts bytes that are
 not UTF-8 into one line, and checks the boundary contract: the loader
 either loads the file or raises a one-line `SchemaError` that starts with
@@ -48,8 +48,8 @@ NON_OBJECT_LINES = ["[]", '"record"', "7", "null", "{", "[" * 5000]
 # and an overlong encoding of "/"
 NOT_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf"]
 FIXTURES = Path(__file__).parent / "fixtures"
-V1_FILES = {("trials", "v1"): FIXTURES / "locating-45-n8-seed7.v1.jsonl",
-            ("responses", "v1"): FIXTURES / "natural-and-locating-45-n8-seed7.responses.v1.jsonl"}
+FIXTURE_FILES = {("responses", "mixed"):
+                 FIXTURES / "natural-and-locating-45-n8-seed7.responses.jsonl"}
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def files(tmp_path_factory):
         corpus.save_responses(harness.run(trials), str(work / "r.jsonl"))
         for kind in ("trials", "responses"):
             out[kind, name] = (work / f"{kind[0]}.jsonl").read_text().splitlines()
-    out.update((key, path.read_text().splitlines()) for key, path in V1_FILES.items())
+    out.update((key, path.read_text().splitlines()) for key, path in FIXTURE_FILES.items())
     return out
 
 

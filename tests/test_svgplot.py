@@ -11,7 +11,7 @@ from deixis.svgplot import KINDS, PlotSpec, render
 
 GOLDEN = Path(__file__).parent / "golden"
 MIXED = (Path(__file__).parent / "fixtures"
-         / "natural-and-locating-45-n8-seed7.responses.v1.jsonl")
+         / "natural-and-locating-45-n8-seed7.responses.jsonl")
 
 
 def scatter_records(seed=7):
