@@ -22,13 +22,13 @@ Trials (schema `deixis-trials-2`): a file holds one `harness.TrialSet`, one
 condition and pointing act in one scene whose objects a trial may move.
 The header holds `schema`, `count`, `seed`, the condition descriptor and a
 `context` object: the set's `condition`, `act`, `surface`, `gravity` and
-`objects`.  Each record holds `id` and `shown`, plus `objects` when the
-trial moves any: one entry per context object, `{}` or `{"position":
-[u, v]}`, its position unless that is `_same` as the context's.  The
-loader turns each record into a `TrialSet` case, so it gets the context
-scene or that scene with its objects moved (`Scene.moved`), checked
-exactly as a freshly built scene.  Any other record field, and a file
-with no records, is a data error.
+`objects`.  Each record holds a trial's own parts: `id` and `shown`, plus
+`objects` when the trial moves any, one entry per context object, `{}` or
+`{"position": [u, v]}`, its position unless that is `_same` as the
+context's.  The loader turns each record into a `TrialSet` case, so it
+gets the context scene or that scene with its objects moved
+(`Scene.moved`), checked exactly as a freshly built scene.  Any other
+record field, and a file with no records, is a data error.
 
 Responses (schema `deixis-responses-2`) are written the same way: the
 header holds `schema`, `count`, an `id_prefix` (the longest common prefix
@@ -55,7 +55,7 @@ from itertools import chain, repeat
 from operator import attrgetter, is_, methodcaller
 from typing import Any
 
-from .errors import SchemaError
+from .errors import DeixisError
 from .geometry import Plane, Point3, Ray, SurfacePoint, unit
 from .harness import (LABELS, Condition, ResponseRecord, ShownConfig, Trial,
                       TrialSet, TrialStream, _q, make_trials)
@@ -274,7 +274,7 @@ def _parsed(path: str, lineno: int, raw: bytes, what: str) -> Any:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}:{lineno}: not UTF-8 text: {exc.reason} "
+        raise DeixisError(f"{path}:{lineno}: not UTF-8 text: {exc.reason} "
                           f"0x{exc.object[exc.start]:02x}") from None
     # json.loads raises ValueError for bad JSON or an integer past the digit
     # limit, RecursionError for nesting deeper than the decoder follows
@@ -288,7 +288,7 @@ def _parsed(path: str, lineno: int, raw: bytes, what: str) -> Any:
             # own.  A line cut short fails just past its last character.
             column = min(exc.pos, len(text.rstrip("\r\n"))) + 1
             why = f"{exc.msg}: column {column}"
-        raise SchemaError(f"{path}:{lineno}: malformed {what}: {why}") from exc
+        raise DeixisError(f"{path}:{lineno}: malformed {what}: {why}") from exc
 
 
 def _read_lines(path: str, schema: str) -> Iterator[tuple[int, dict]]:
@@ -300,14 +300,14 @@ def _read_lines(path: str, schema: str) -> Iterator[tuple[int, dict]]:
     with open(path, "rb") as fh:
         first = fh.readline()
         if not first:
-            raise SchemaError(f"{path}:1: empty corpus file")
+            raise DeixisError(f"{path}:1: empty corpus file")
         header = _parsed(path, 1, first, "header")
         if not isinstance(header, dict) or header.get("schema") != schema:
-            raise SchemaError(f"{path}:1: unknown schema "
+            raise DeixisError(f"{path}:1: unknown schema "
                               f"{header.get('schema') if isinstance(header, dict) else header!r}")
         declared = header.get("count")
         if type(declared) is not int or declared < 0:
-            raise SchemaError(f"{path}:1: header count must be a non-negative "
+            raise DeixisError(f"{path}:1: header count must be a non-negative "
                               f"integer, got {declared!r}")
         yield 1, header
         found = 0
@@ -316,11 +316,11 @@ def _read_lines(path: str, schema: str) -> Iterator[tuple[int, dict]]:
                 continue
             record = _parsed(path, lineno, raw, "record")
             if not isinstance(record, dict):
-                raise SchemaError(f"{path}:{lineno}: record is not an object")
+                raise DeixisError(f"{path}:{lineno}: record is not an object")
             found += 1
             yield lineno, record
     if declared != found:
-        raise SchemaError(f"{path}:1: header declares {declared} records, "
+        raise DeixisError(f"{path}:1: header declares {declared} records, "
                           f"found {found}")
 
 
@@ -353,7 +353,7 @@ class _TrialsFile:
         _, header = next(self.lines)
         self.line, self.first = next(self.lines, (1, None))
         if self.first is None:
-            raise SchemaError(f"{path}:1: no trial records; a trials file holds "
+            raise DeixisError(f"{path}:1: no trial records; a trials file holds "
                               "one trial set of at least one trial")
         ctx = header.get("context")
         try:
@@ -361,7 +361,7 @@ class _TrialsFile:
                 raise TypeError(f"context must be an object, got {ctx!r}")
             self.condition, self.scene, self.act = _parts(ctx)
         except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}:1: bad context: {exc}") from exc
+            raise DeixisError(f"{path}:1: bad context: {exc}") from exc
 
     def cases(self) -> Iterator[tuple]:
         for self.line, rec in chain([(self.line, self.first)], self.lines):
@@ -372,7 +372,7 @@ class _TrialsFile:
         try:
             yield
         except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{self.path}:{self.line}: bad trial record: {exc}") from exc
+            raise DeixisError(f"{self.path}:{self.line}: bad trial record: {exc}") from exc
 
 
 def read_trials(path: str) -> TrialStream:
@@ -383,7 +383,7 @@ def read_trials(path: str) -> TrialStream:
 
     def trials() -> Iterator[Trial]:
         with file.named():
-            yield from make_trials(file.condition, file.act, file.scene, file.cases())
+            yield from make_trials(file.scene, file.cases())
 
     return TrialStream(file.condition, file.act, trials())
 
@@ -471,7 +471,7 @@ def read_responses(path: str) -> Iterator[ResponseRecord]:
             raise TypeError(f"id_prefix must be a string, got {prefix!r}")
         shared = _checked(ctx)["meta"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}:1: bad header: {exc}") from exc
+        raise DeixisError(f"{path}:1: bad header: {exc}") from exc
     # a record omits the context's fields, and `meta` when it has none
     defaults = {**ctx, "meta": {}}
 
@@ -484,7 +484,7 @@ def read_responses(path: str) -> Iterator[ResponseRecord]:
                                         human=fields["human"],
                                         meta={**shared, **fields["meta"]})
             except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"{path}:{line}: bad response record: {exc}") from exc
+                raise DeixisError(f"{path}:{line}: bad response record: {exc}") from exc
             yield record
 
     return records()

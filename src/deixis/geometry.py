@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OffPlane, UnboundedSection
+from .errors import DeixisError
 
 UNIT_TOL = 1e-9
 ON_PLANE_TOL = 1e-6
@@ -158,7 +158,7 @@ def to_surface_frame(p: Point3, plane: Plane) -> SurfacePoint:
     """Express an on-plane 3D point in the plane's 2D frame."""
     w = _sub(p.as_tuple(), plane.anchor.as_tuple())
     if abs(_dot(w, plane.normal)) > ON_PLANE_TOL:
-        raise OffPlane(f"point {p} is {abs(_dot(w, plane.normal)):.3g} m off the plane")
+        raise DeixisError(f"point {p} is {abs(_dot(w, plane.normal)):.3g} m off the plane")
     return SurfacePoint(_dot(w, plane.axis_u), _dot(w, plane.axis_v))
 
 
@@ -178,7 +178,7 @@ def cone_plane_section(axis: Ray, vertex_angle: float, plane: Plane) -> Ellipse:
     """Elliptical boundary of the cone/plane intersection, in surface coordinates.
 
     `vertex_angle` is the full aperture of the cone, twice the half-angle a
-    between the axis and any boundary generator.  Raises UnboundedSection
+    between the axis and any boundary generator.  Raises DeixisError
     when some generator is parallel to the plane or diverges from it
     (parabolic/hyperbolic cut), or when the apex does not face the plane.
 
@@ -199,9 +199,9 @@ def cone_plane_section(axis: Ray, vertex_angle: float, plane: Plane) -> Ellipse:
     # Every generator must cross the plane on the forward nappe: the angle
     # between the axis and the normal plus the half-aperture must stay acute.
     if cos_a * c - sin_a * math.sqrt(max(0.0, 1.0 - c * c)) <= 1e-12:
-        raise UnboundedSection("a boundary generator is parallel to or diverges from the plane")
+        raise DeixisError("a boundary generator is parallel to or diverges from the plane")
     if ray_plane_intersect(axis, plane) is None:
-        raise UnboundedSection("cone apex does not face the plane")
+        raise DeixisError("cone apex does not face the plane")
     w = _sub(axis.origin.as_tuple(), plane.anchor.as_tuple())
     h, k = abs(_dot(w, n)), c * c - sin_a * sin_a  # k > 0 by the nappe check
     du, dv, shift = _dot(d, eu), _dot(d, ev), h * c / k

@@ -8,11 +8,12 @@ qualitative contrasts.  Tables auto-grow to contain large tilted sections.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterable, Iterator
 from dataclasses import InitVar, dataclass, field, replace
+from itertools import chain
 
-from .errors import DeixisError, EmptyInput, InvalidCount
+from .errors import DeixisError
 from .geometry import (Ellipse, Plane, Point3, Ray, SurfacePoint,
                        cone_plane_section, from_surface_frame, surface_distance,
                        unit)
@@ -143,22 +144,19 @@ class Condition:
 
 @dataclass(frozen=True, slots=True)
 class Trial:
+    """One trial: its scene and shown outcome; the condition and act are its set's."""
+
     id: str
-    condition: Condition
     scene: Scene
-    point_act: PointingAct
     shown: str | SurfacePoint | ShownConfig
 
 
-def make_trials(condition: Condition, act: PointingAct, scene: Scene,
-                cases: Iterable[tuple]) -> Iterator[Trial]:
+def make_trials(scene: Scene, cases: Iterable[tuple]) -> Iterator[Trial]:
     """One trial per `(id, moves or None, shown)` case, made as its case is
-    read: one pointing act into `scene`, or into `scene.moved(moves)`, so
-    no trial comes from another set.  The one place a `Trial` is made:
-    `TrialSet` holds what it yields, and a `TrialStream` hands it on."""
+    read: `scene`, or `scene.moved(moves)`.  The one place a `Trial` is
+    made: `TrialSet` holds what it yields, and a `TrialStream` hands it on."""
     for tid, moves, shown in cases:
-        yield Trial(tid, condition, scene if moves is None else scene.moved(moves),
-                    act, shown)
+        yield Trial(tid, scene if moves is None else scene.moved(moves), shown)
 
 
 @dataclass(frozen=True)
@@ -173,7 +171,7 @@ class TrialSet:
     trials: tuple[Trial, ...] = field(init=False)
 
     def __post_init__(self, cases: Iterable[tuple]) -> None:
-        trials = tuple(make_trials(self.condition, self.act, self.scene, cases))
+        trials = tuple(make_trials(self.scene, cases))
         if not trials:
             raise ValueError("a trial set holds at least one trial")
         object.__setattr__(self, "trials", trials)
@@ -251,10 +249,10 @@ def generate_trials(cond: Condition, n: int, seed: int) -> TrialSet:
         cond = replace(cond, cone_vertex_angle=math.radians(degrees))
     if cond.kind == NATURAL:
         if n <= 0:
-            raise InvalidCount(f"n must be positive, got {n}")
+            raise DeixisError(f"n must be positive, got {n}")
         built = _natural_trials(cond)
     elif n <= 0 or n % 4 != 0:
-        raise InvalidCount(f"n must be a positive multiple of 4, got {n}")
+        raise DeixisError(f"n must be a positive multiple of 4, got {n}")
     elif cond.kind == CLUTTERED:
         built = _cluttered_trials(cond, n, seed)
     else:
@@ -295,21 +293,24 @@ def _cluttered_trials(cond: Condition, n: int, seed: int) -> tuple:
     probe_plane = Plane.horizontal(TABLE_EXTENT)
     ray, x_star = _aim(cond, SurfacePoint(0.0, 0.0), REFERENTIAL, probe_plane)
     ellipse = cone_plane_section(ray, cond.cone_vertex_angle, probe_plane)
-    # bound the extent by the farthest possible pair point (offset +- D/2)
+    # a pair point sits on the major axis at most D from the center (offset
+    # +- D/2), so the points 1.5 D out bound the extent of every pair
     d_full = 2.0 * ellipse.semi_major
     far = [ellipse.from_local(s * 1.5 * d_full, 0.0) for s in (-1.0, 1.0)]
-    pairs = [cluttered_pair(ellipse, rng) for rng in substreams(seed, n)]
-    points = [p for pair in pairs for p in (pair.x_object, pair.x_distractor)]
-    extent = _fit_extent(_ellipse_bbox(ellipse) + far + points + [x_star])
-    # object, distractor, object, ...: both mugs move per trial
-    mugs = [_qp(p) for p in points]
+    extent = _fit_extent(_ellipse_bbox(ellipse) + far + [x_star])
+    # each stream is dropped once its pair is drawn, so only the trials stay held
+    rngs = deque(substreams(seed, n))
+    pairs = ((_qp(pair.x_object), _qp(pair.x_distractor))
+             for pair in (cluttered_pair(ellipse, rngs.popleft()) for _ in range(n)))
+    first = next(pairs)
     scene = Scene(Plane.horizontal(extent),
-                  (SceneObject("mug_object", MUG, Pose2D(mugs[0])),
-                   SceneObject("mug_distractor", MUG, Pose2D(mugs[1]))))
+                  (SceneObject("mug_object", MUG, Pose2D(first[0])),
+                   SceneObject("mug_distractor", MUG, Pose2D(first[1]))))
+    # both mugs move per trial
     cases = ((f"{i:03d}", {0: obj, 1: dis},
               "mug_object" if surface_distance(obj, x_star) <= surface_distance(dis, x_star)
               else "mug_distractor")
-             for i, (obj, dis) in enumerate(zip(mugs[::2], mugs[1::2])))
+             for i, (obj, dis) in enumerate(chain([first], pairs)))
     return ray, REFERENTIAL, x_star, scene, cases
 
 
@@ -323,10 +324,9 @@ def _natural_trials(cond: Condition) -> tuple:
     return ray, LOCATING, x_star, Scene(plane, stack, gravity=cond.gravity), cases
 
 
-def _predict(trial: Trial, descriptor: str, x_star_q: tuple[float, float],
-             cfg: ResolverConfig) -> tuple[str, dict]:
-    kind = trial.condition.kind
-    x_star = trial.point_act.target
+def _predict(trial: Trial, kind: str, act: PointingAct, descriptor: str,
+             x_star_q: tuple[float, float], cfg: ResolverConfig) -> tuple[str, dict]:
+    x_star = act.target
     meta: dict = {"condition": descriptor, "x_star": x_star_q}
     if kind == CLUTTERED:
         obj = trial.scene.object_by_id("mug_object").pose.position
@@ -343,7 +343,7 @@ def _predict(trial: Trial, descriptor: str, x_star_q: tuple[float, float],
     if isinstance(shown, ShownConfig):
         meta["config"] = shown.label
         shown = shown.position
-    cands = candidates(trial.scene, trial.point_act.intent,
+    cands = candidates(trial.scene, act.intent,
                        STACK_CUBOID if kind == NATURAL else MUG)
     res = resolve(cands, x_star, cfg)
     predicted = classify_outcome(res, shown, x_star, cfg)
@@ -364,14 +364,15 @@ def run(tset: TrialSet | TrialStream,
     for locating and natural trials (x* in the stable region, or the
     nearest stable point found by enumeration), `discrete` for referential
     trials and `cluttered` for cluttered ones."""
+    kind, act = tset.condition.kind, tset.act
     descriptor = tset.condition.descriptor()
-    x_star_q = (_q(tset.act.target.u), _q(tset.act.target.v))
+    x_star_q = (_q(act.target.u), _q(act.target.v))
     records = []
     for trial in tset.trials:
         try:
-            predicted, meta = _predict(trial, descriptor, x_star_q, cfg)
+            predicted, meta = _predict(trial, kind, act, descriptor, x_star_q, cfg)
         except DeixisError as exc:
-            raise type(exc)(f"trial {trial.id}: {exc}") from exc
+            raise DeixisError(f"trial {trial.id}: {exc}") from exc
         records.append(ResponseRecord(trial_id=trial.id, predicted=predicted,
                                       meta=meta))
     return records
@@ -381,7 +382,7 @@ def aggregate(records: list[ResponseRecord], group_by: str = "condition") -> Agg
     """Label counts per condition descriptor (`meta.condition`); conditions
     appear in first-seen order.  `"condition"` is the only grouping."""
     if not records:
-        raise EmptyInput("no records to aggregate")
+        raise DeixisError("no records to aggregate")
     if group_by != "condition":
         raise ValueError(f"unknown grouping {group_by!r}")
     groups: dict[object, Counter] = {}

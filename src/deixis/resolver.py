@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyScene, NoStablePlacement, TypeMismatch
+from .errors import DeixisError
 from .geometry import (Plane, Ray, SurfacePoint, ray_plane_intersect,
                        surface_distance, to_surface_frame)
 from .scene import Scene, Shape, StableRegion, stable_region
@@ -89,7 +89,7 @@ def candidates(scene: Scene, intent: str, shape_for_placement: Shape | None = No
             raise ValueError("locating candidates require the shape being placed")
         region = stable_region(scene, shape_for_placement)
         if region.is_empty():
-            raise NoStablePlacement("no stable placement for the given shape")
+            raise DeixisError("no stable placement for the given shape")
         return region
     raise ValueError(f"unknown intent {intent!r}")
 
@@ -104,7 +104,7 @@ def resolve(cands: tuple[tuple[str, SurfacePoint], ...] | StableRegion,
         return Resolution(theta=surface_distance(nearest, x_star), path=ENUMERATED,
                           region=cands)
     if not cands:
-        raise EmptyScene("referential pointing needs at least one object")
+        raise DeixisError("referential pointing needs at least one object")
     dists = {oid: surface_distance(pos, x_star) for oid, pos in cands}
     theta = min(dists.values())
     cutoff = theta + cfg.epsilon
@@ -117,15 +117,15 @@ def classify_outcome(res: Resolution, shown: str | SurfacePoint,
                      cfg: ResolverConfig = ResolverConfig()) -> str:
     """Three-way judgment of a shown outcome against a resolution; a shown
     outcome of the other kind (a point for an object, or the reverse) is a
-    `TypeMismatch`."""
+    `DeixisError`."""
     if res.region is None:
         if not isinstance(shown, str):
-            raise TypeMismatch("referential resolution expects an object id")
+            raise DeixisError("referential resolution expects an object id")
         if shown not in res.selected_ids:
             return INCORRECT
         return CORRECT if len(res.selected_ids) == 1 else AMBIGUOUS
     if not isinstance(shown, SurfacePoint):
-        raise TypeMismatch("locating resolution expects a surface point")
+        raise DeixisError("locating resolution expects a surface point")
     if not res.region.contains(shown):
         return INCORRECT
     d_shown = surface_distance(shown, x_star)

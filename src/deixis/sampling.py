@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCount
+from .errors import DeixisError
 from .geometry import Ellipse, SurfacePoint
 
 # local-frame sign pattern of quadrants q1..q4 (counter-clockwise)
@@ -138,7 +138,7 @@ def _fill_quadrant(rng: PCG64, ellipse: Ellipse, quadrant: int,
 def sample_positions(ellipse: Ellipse, n: int, seed: int) -> list[SurfacePoint]:
     """n positions uniform within the section, exactly n/4 per quadrant."""
     if n <= 0 or n % 4 != 0:
-        raise InvalidCount(f"n must be a positive multiple of 4, got {n}")
+        raise DeixisError(f"n must be a positive multiple of 4, got {n}")
     rng = _rng(seed)
     points: list[SurfacePoint] = []
     for q in range(4):

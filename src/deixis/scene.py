@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import NoStablePlacement, UnknownObject, UnknownSupport
+from .errors import DeixisError
 from .geometry import Plane, SurfacePoint
 
 SUPPORT_MARGIN = 0.005
@@ -74,8 +74,11 @@ class Footprint(NamedTuple):
         c, s = math.cos(yaw), math.sin(yaw)
         cu, cv = center.u, center.v
         xu, xv, yu, yv = c * half_u, s * half_u, -s * half_v, c * half_v
-        return cls(((cu + xu + yu, cv + xv + yv), (cu - xu + yu, cv - xv + yv),
-                    (cu - xu - yu, cv - xv - yv), (cu + xu - yu, cv + xv - yv)))
+        # corners that round to one point are kept once: a box too small
+        # for its center's precision is a segment or a point
+        return cls(tuple(dict.fromkeys((
+            (cu + xu + yu, cv + xv + yv), (cu - xu + yu, cv - xv + yv),
+            (cu - xu - yu, cv - xv - yv), (cu + xu - yu, cv + xv - yv)))))
 
     def sd(self, p: SurfacePoint) -> float:
         """Signed distance from `p` to the boundary, negative inside."""
@@ -89,7 +92,8 @@ class Footprint(NamedTuple):
             eu, ev, wu, wv = bu - au, bv - av, pu - au, pv - av
             if eu * wv < ev * wu:
                 inside = False
-            t = (wu * eu + wv * ev) / (eu * eu + ev * ev)
+            ee = eu * eu + ev * ev  # 0 when the edge's length underflows
+            t = (wu * eu + wv * ev) / ee if ee else 0.0
             t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
             d = math.hypot(wu - t * eu, wv - t * ev)
             if d < best:
@@ -298,7 +302,7 @@ class Scene:
         for o in self.objects:
             if o.id == oid:
                 return o
-        raise UnknownObject(f"no object {oid!r} in the scene")
+        raise DeixisError(f"no object {oid!r} in the scene")
 
     @cached_property
     def footprints(self) -> tuple[Footprint, ...]:
@@ -319,7 +323,7 @@ class Scene:
     def support_index(self, position: SurfacePoint) -> int | None:
         """Index of the object whose top face lies directly beneath
         `position` (the highest covering footprint), or None for the bare
-        table.  Raises UnknownSupport on a height tie between distinct
+        table.  Raises DeixisError on a height tie between distinct
         covering objects."""
         spans = self.z_spans
         covering = [i for i, fp in enumerate(self.footprints)
@@ -329,7 +333,7 @@ class Scene:
         covering.sort(key=lambda i: spans[i][1], reverse=True)
         if (len(covering) > 1
                 and spans[covering[0]][1] - spans[covering[1]][1] < HEIGHT_TIE_TOL):
-            raise UnknownSupport(
+            raise DeixisError(
                 f"position ({position.u:.3f}, {position.v:.3f}) is covered by "
                 f"{self.objects[covering[0]].id} and "
                 f"{self.objects[covering[1]].id} at the same height")
@@ -435,7 +439,7 @@ class StableRegion:
                 u, v = min((cu, cv) for cd, cu, cv in ranked[i:]
                            if cd <= d + 1e-9 and self.contains(SurfacePoint(cu, cv)))
                 return SurfacePoint(u, v)
-        raise NoStablePlacement("no stable placement exists for this shape")
+        raise DeixisError("no stable placement exists for this shape")
 
 
 def stable_region(scene: Scene, shape: Shape) -> StableRegion:

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import DegenerateTable, InvalidCounts
+from .errors import DeixisError
 
 _FISHER_SLACK = 1e-7
 _EXP_UNDERFLOW = -746.0  # math.exp of any lower log is exactly 0.0
@@ -103,7 +103,7 @@ def chi_squared_test(table: ContingencyTable) -> TestResult:
     """Pearson chi-squared test of independence, no continuity correction."""
     rs, cs, n = table.row_sums, table.col_sums, table.total
     if any(s == 0 for s in rs) or any(s == 0 for s in cs):
-        raise DegenerateTable("table has a zero marginal")
+        raise DeixisError("table has a zero marginal")
     if n > sys.float_info.max:  # an expected count rs * cs / n could underflow to 0.0
         raise OverflowError("the table total is beyond float range")
     stat = 0.0
@@ -145,12 +145,12 @@ def fisher_exact_2x2(table: ContingencyTable) -> TestResult:
     over every k.
     """
     if len(table.counts) != 2 or len(table.counts[0]) != 2:
-        raise DegenerateTable("Fisher exact test requires a 2x2 table")
+        raise DeixisError("Fisher exact test requires a 2x2 table")
     (a, b), (c, d) = table.counts
     r1, r2 = a + b, c + d
     c1, c2 = a + c, b + d
     if 0 in (r1, r2, c1, c2):
-        raise DegenerateTable("table has a zero marginal")
+        raise DeixisError("table has a zero marginal")
     lo, hi = max(0, c1 - r2), min(r1, c1)
 
     def edge(inside: int, outside: int, floor: float) -> int:
@@ -210,7 +210,7 @@ def tost_equivalence(x1: int, n1: int, x2: int, n2: int, margin: float,
     below `alpha`.
     """
     if n1 <= 0 or n2 <= 0 or not (0 <= x1 <= n1) or not (0 <= x2 <= n2):
-        raise InvalidCounts("require 0 <= x_i <= n_i and n_i > 0")
+        raise DeixisError("require 0 <= x_i <= n_i and n_i > 0")
     if not 0.0 < margin < math.inf:  # NaN fails too
         raise ValueError("margin must be positive and finite")
     if not 0.0 < alpha < 1.0:

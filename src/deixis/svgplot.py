@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import EmptyInput
+from .errors import DeixisError
 
 if TYPE_CHECKING:
     from .harness import ResponseRecord
@@ -123,6 +123,9 @@ def _axes_map(keys: list[tuple[float, float]], spec: PlotSpec) -> tuple:
     y0, y1 = min(ys), max(ys)
     sx = (spec.width - 2 * PAD) / ((x1 - x0) or 1.0)
     sy = (spec.height - 2 * PAD) / ((y1 - y0) or 1.0)
+    if not all(map(math.isfinite, (x1 - x0, y1 - y0, sx, sy))):
+        raise DeixisError(f"cannot scale the plot: x spans {x0:g} to {x1:g} "
+                          f"and y {y0:g} to {y1:g}")
 
     def to_px(x: float, y: float) -> tuple[float, float]:
         return (PAD + (x - x0) * sx, spec.height - PAD - (y - y0) * sy)
@@ -150,9 +153,9 @@ def render(records: Iterable[ResponseRecord], spec: PlotSpec) -> str:
         if kind.mark in r.meta:
             marks.setdefault(tuple(r.meta[kind.mark]))
     if not seen:
-        raise EmptyInput("no responses to plot")
+        raise DeixisError("no responses to plot")
     if not counts:
-        raise EmptyInput(kind.empty)
+        raise DeixisError(kind.empty)
     to_px = _axes_map([*counts, *marks], spec)
     body = []
     for (x, y), row in counts.items():

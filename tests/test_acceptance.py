@@ -191,8 +191,8 @@ def test_criterion_5_cluttered_boundary():
         cond = Condition(kind=harness.CLUTTERED,
                          cone_vertex_angle=math.radians(deg))
         tset = harness.generate_trials(cond, 24, 13)
+        xs = tset.act.target
         for trial, rec in zip(tset.trials, harness.run(tset)):
-            xs = trial.point_act.target
             d_obj = surface_distance(
                 trial.scene.object_by_id("mug_object").pose.position, xs)
             d_dis = surface_distance(

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from deixis import corpus, harness, svgplot
 from deixis.cli import MAX_N, main
-from deixis.errors import SchemaError
+from deixis.errors import DeixisError
 
 HUGE = "1" + "0" * 400  # a count no float can hold
 # a responses header whose context shares nothing: a record holds every field
@@ -155,6 +155,19 @@ class TestRun:
                                    "--out", str(tmp_path / "o.jsonl")])
         assert res.exit_code == 1
         assert "schema" in res.output.lower()
+
+    @pytest.mark.parametrize("half", ["[1e-20,1e-20]", "[1e-300,0.08]"],
+                             ids=["collapsed", "flat"])
+    def test_a_cube_below_its_position_precision_runs(self, runner, tmp_path, half):
+        # the red cube's corners round to one point, or to two
+        trials = gen(runner, tmp_path, "--variant", "locating")
+        text = trials.read_text()
+        trials.write_text(text.replace('"half_extents":[0.08,0.08]', f'"half_extents":{half}'))
+        assert trials.read_text() != text
+        out = tmp_path / "o.jsonl"
+        res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert len(corpus.load_responses(str(out))) == 8
 
     @pytest.mark.parametrize("line, edit, message", [
         (2, lambda r: r["shown"].update(position=[int(HUGE), 0]), "bad trial record"),
@@ -583,6 +596,22 @@ class TestPlot:
         assert f"{bad}:2:" in res.output
         assert not svg.exists()
 
+    @pytest.mark.parametrize("probes", [
+        ("[1e308,0]", "[-1e308,0]"), ("[0,0]", "[1e-320,0]"), ("[0,1e308]", "[0,-1e308]")],
+        ids=["u-span-overflows", "u-scale-overflows", "v-span-overflows"])
+    def test_positions_the_plot_cannot_scale_exit_1(self, runner, tmp_path, probes):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(RESPONSES_HEADER % 2 + "".join(
+            '{"trial_id":"t%d","predicted":"correct","human":null,'
+            '"meta":{"probe":%s}}\n' % (i, probe) for i, probe in enumerate(probes)))
+        svg = tmp_path / "p.svg"
+        res = runner.invoke(main, ["plot", "--in", str(bad), "--out", str(svg)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("Error: cannot scale the plot: ")
+        assert res.output.count("\n") == 1
+        assert not svg.exists()
+
     @pytest.mark.parametrize("line, edit", [
         (1, lambda h: h.update(context=[])),
         (1, lambda h: h["context"].pop("meta")),
@@ -715,7 +744,7 @@ class TestStreamedCommands:
         assert res.exit_code == 0, res.output
         rewrite(trials, 1, lambda h: h["context"].update(objects=[]))
         rewrite(trials, 2, lambda r: r.pop("objects", None))
-        with pytest.raises(SchemaError, match=f"^{re.escape(str(trials))}:3: "):
+        with pytest.raises(DeixisError, match=f"^{re.escape(str(trials))}:3: "):
             corpus.load_trials(str(trials))
         res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
         assert res.exit_code == 1

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from deixis import corpus, harness
-from deixis.errors import SchemaError
+from deixis.errors import DeixisError
 from deixis.geometry import SurfacePoint
 from deixis.harness import Condition, ResponseRecord
 from deixis.resolver import LOCATING
@@ -39,12 +39,12 @@ class TestTrialRoundTrip:
         corpus.save_trials(trials, str(p), seed=7)
         loaded = corpus.load_trials(str(p))
         assert len(loaded.trials) == len(trials.trials)
+        assert loaded.condition == trials.condition
+        assert loaded.act.target == trials.act.target
         for a, b in zip(trials.trials, loaded.trials):
             assert a.id == b.id
-            assert a.condition == b.condition
             assert a.scene == b.scene
             assert a.shown == b.shown
-            assert a.point_act.target == b.point_act.target
         # predictions are identical either way
         assert [r.predicted for r in harness.run(trials)] == \
                [r.predicted for r in harness.run(loaded)]
@@ -107,8 +107,7 @@ class TestTrialsV2:
         p = tmp_path / "s.jsonl"
         corpus.save_trials(make_trials(variant=LOCATING), str(p), seed=7)
         loaded = corpus.load_trials(str(p))
-        assert all(t.scene is loaded.scene and t.point_act is loaded.act
-                   and t.condition is loaded.condition for t in loaded.trials)
+        assert all(t.scene is loaded.scene for t in loaded.trials)
         p_ref = tmp_path / "r.jsonl"
         corpus.save_trials(make_trials(), str(p_ref), seed=7)
         ref = corpus.load_trials(str(p_ref)).trials
@@ -141,7 +140,7 @@ class TestTrialsV2:
         edit(rec)
         lines[2] = json.dumps(rec)
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaError, match=rf"^{re.escape(str(p))}:3: "
+        with pytest.raises(DeixisError, match=rf"^{re.escape(str(p))}:3: "
                                               rf"bad trial record: {message}"):
             corpus.load_trials(str(p))
 
@@ -171,7 +170,7 @@ class TestResponsesRoundTrip:
                 elif isinstance(shown, harness.ShownConfig):
                     shown = replace(shown, position=nudge(shown.position))
                 moves = None
-                if t.condition.kind in (harness.REF_VS_LOC, harness.CLUTTERED):
+                if tset.condition.kind in (harness.REF_VS_LOC, harness.CLUTTERED):
                     moves = {i: nudge(o.pose.position)
                              for i, o in enumerate(t.scene.objects)}
                 cases.append((t.id, moves, shown))
@@ -346,13 +345,13 @@ class TestSchemaErrors:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.jsonl"
         p.write_text("")
-        with pytest.raises(SchemaError):
+        with pytest.raises(DeixisError, match=r"e\.jsonl:1: empty corpus file$"):
             corpus.load_trials(str(p))
 
     def test_unknown_schema(self, tmp_path):
         p = tmp_path / "u.jsonl"
         p.write_text('{"schema":"mystery-9","count":0}\n')
-        with pytest.raises(SchemaError, match="schema"):
+        with pytest.raises(DeixisError, match=r"u\.jsonl:1: unknown schema 'mystery-9'$"):
             corpus.load_trials(str(p))
 
     def test_malformed_record_reports_line(self, tmp_path):
@@ -362,7 +361,7 @@ class TestSchemaErrors:
         lines = p.read_text().splitlines()
         lines[2] = lines[2][:-5]  # truncate one record
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaError, match=":3"):
+        with pytest.raises(DeixisError, match=r"m\.jsonl:3: malformed record: "):
             corpus.load_trials(str(p))
 
     def test_count_mismatch(self, tmp_path):
@@ -371,7 +370,7 @@ class TestSchemaErrors:
         corpus.save_trials(trials, str(p), seed=7)
         lines = p.read_text().splitlines()
         p.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(SchemaError, match="count|declares"):
+        with pytest.raises(DeixisError, match=r"c\.jsonl:1: header declares 4 records, found 3$"):
             corpus.load_trials(str(p))
 
     @pytest.mark.parametrize("count, message", [
@@ -399,7 +398,7 @@ class TestSchemaErrors:
             header["count"] = count
         p.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
         load = corpus.load_trials if kind == "trials" else corpus.load_responses
-        with pytest.raises(SchemaError, match=rf"^{re.escape(str(p))}:1: {message}$"):
+        with pytest.raises(DeixisError, match=rf"^{re.escape(str(p))}:1: {message}$"):
             load(str(p))
 
     @pytest.mark.parametrize("context", [None, [], "scene", 3])
@@ -413,7 +412,7 @@ class TestSchemaErrors:
         else:
             header["context"] = context
         p.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        with pytest.raises(SchemaError, match=r"c\.jsonl:1: .*context"):
+        with pytest.raises(DeixisError, match=r"c\.jsonl:1: .*context"):
             corpus.load_trials(str(p))
 
     def test_incomplete_context(self, tmp_path):
@@ -423,7 +422,7 @@ class TestSchemaErrors:
         header = json.loads(lines[0])
         del header["context"]["surface"]
         p.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        with pytest.raises(SchemaError, match=r"i\.jsonl:1: bad context"):
+        with pytest.raises(DeixisError, match=r"i\.jsonl:1: bad context"):
             corpus.load_trials(str(p))
 
     def test_object_past_the_context_needs_every_field(self, tmp_path):
@@ -434,7 +433,7 @@ class TestSchemaErrors:
         rec["objects"] = [{}, {}, {"position": [0.3, 0.2]}]
         lines[2] = json.dumps(rec)
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaError, match=r"o\.jsonl:3: bad trial record"):
+        with pytest.raises(DeixisError, match=r"o\.jsonl:3: bad trial record"):
             corpus.load_trials(str(p))
 
     @pytest.mark.parametrize("line", ['["objects"]', '"id"', "7", "null"])
@@ -444,7 +443,7 @@ class TestSchemaErrors:
         lines = p.read_text().splitlines()
         lines[3] = line
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaError, match=r"n\.jsonl:4: "):
+        with pytest.raises(DeixisError, match=r"n\.jsonl:4: "):
             corpus.load_trials(str(p))
 
     @pytest.mark.parametrize("path, value", [
@@ -464,7 +463,7 @@ class TestSchemaErrors:
         _set(header["context"], path, value)
         lines[0] = json.dumps(header)
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaError, match=r"c\.jsonl:1: bad context"):
+        with pytest.raises(DeixisError, match=r"c\.jsonl:1: bad context"):
             corpus.load_trials(str(p))
 
     @pytest.mark.parametrize("path, value", [
@@ -483,7 +482,7 @@ class TestSchemaErrors:
         _set(rec, path, value)
         lines[2] = json.dumps(rec)
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaError, match=r"r\.jsonl:3: bad trial record"):
+        with pytest.raises(DeixisError, match=r"r\.jsonl:3: bad trial record"):
             corpus.load_trials(str(p))
 
     @pytest.mark.parametrize("position, message", [
@@ -499,7 +498,7 @@ class TestSchemaErrors:
                                          header["context"]["objects"][1]["position"])
         lines[2] = json.dumps(rec)
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaError, match=rf"r\.jsonl:3: bad trial record: {message}"):
+        with pytest.raises(DeixisError, match=rf"r\.jsonl:3: bad trial record: {message}"):
             corpus.load_trials(str(p))
 
     @pytest.mark.parametrize("field, value", [
@@ -517,7 +516,7 @@ class TestSchemaErrors:
         rec[field] = value
         lines[3] = json.dumps(rec)
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaError, match=r"w\.jsonl:4: bad response record"):
+        with pytest.raises(DeixisError, match=r"w\.jsonl:4: bad response record"):
             corpus.load_responses(str(p))
 
     @pytest.mark.parametrize("kind", ["trials", "responses"])
@@ -535,7 +534,7 @@ class TestSchemaErrors:
         lines[3] = json.dumps({**json.loads(lines[3]), **edit})
         p.write_text("\n".join([lines[0], "", " \t", *lines[1:]]) + "\n")
         load = corpus.load_trials if kind == "trials" else corpus.load_responses
-        with pytest.raises(SchemaError, match=rf"^{re.escape(str(p))}:6: {re.escape(message)}$"):
+        with pytest.raises(DeixisError, match=rf"^{re.escape(str(p))}:6: {re.escape(message)}$"):
             load(str(p))
 
     def test_human_label_may_be_a_string(self, tmp_path):
@@ -547,7 +546,7 @@ class TestSchemaErrors:
     def test_responses_wrong_schema(self, tmp_path):
         p = tmp_path / "w.jsonl"
         corpus.save_trials(make_trials(n=4), str(p), seed=7)
-        with pytest.raises(SchemaError):
+        with pytest.raises(DeixisError, match=r"w\.jsonl:1: unknown schema 'deixis-trials-2'$"):
             corpus.load_responses(str(p))
 
 
@@ -612,7 +611,7 @@ class TestStreamedReads:
         lines = sweep_files[kind].read_bytes().split(b"\n", 1)
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(lines[0].replace(b'"context":{', b'"context":[{', 1) + b"\n" + lines[1])
-        with pytest.raises(SchemaError, match=f"^{re.escape(str(bad))}:1: "):
+        with pytest.raises(DeixisError, match=f"^{re.escape(str(bad))}:1: "):
             read(str(bad))
 
     def test_per_trial_types_hold_no_dict(self, sweep_files):

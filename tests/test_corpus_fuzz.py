@@ -4,7 +4,7 @@ Each corpus example takes a generated n=4 trials or responses file
 (locating, referential or cluttered) or the fixture of two response sets,
 mutates its header or one record, cuts it at a byte or puts bytes that are
 not UTF-8 into one line, and checks the boundary contract: the loader
-either loads the file or raises a one-line `SchemaError` that starts with
+either loads the file or raises a one-line `DeixisError` that starts with
 `path:N:`, and `run` or `plot` on the file exits 0, or 1 with one `Error:`
 line, never with a traceback.  Each flag example runs `gen`, `run` or
 `plot` with counts, seeds, resolver parameters or plot sizes from past
@@ -31,7 +31,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from deixis import corpus, harness
 from deixis.cli import MAX_N, main
-from deixis.errors import SchemaError
+from deixis.errors import DeixisError
 
 SETS = {
     "locating": harness.Condition(kind=harness.REF_VS_LOC, variant="locating",
@@ -156,7 +156,7 @@ def test_mutated_corpus_loads_or_fails_in_one_line(files, tmp_path_factory, data
     try:
         load(str(path))
         error = None
-    except SchemaError as exc:
+    except DeixisError as exc:
         error = str(exc)
         where = re.match(rf"{re.escape(str(path))}:(\d+): ", error)
         assert where and "\n" not in error, error

@@ -3,12 +3,13 @@ import math
 import pytest
 
 from deixis import corpus, harness
-from deixis.errors import EmptyInput, InvalidCount
-from deixis.geometry import SurfacePoint, cone_plane_section, surface_distance
+from deixis.errors import DeixisError
+from deixis.geometry import Plane, SurfacePoint, cone_plane_section, surface_distance
 from deixis.harness import (CLUTTERED, NATURAL, REF_VS_LOC, VERB_VARIANT,
                             Condition, ResponseRecord, ShownConfig,
                             generate_trials, pointer_ray, run)
 from deixis.resolver import LOCATING, REFERENTIAL, ResolverConfig
+from deixis.sampling import cluttered_pair, substreams
 from ellipse_oracle import contains
 
 
@@ -18,7 +19,7 @@ def cond(kind=REF_VS_LOC, deg=45.0, **kw):
 
 
 def dump(tset):
-    return "".join(corpus._dumps({**corpus._context(t.condition, t.point_act, t.scene),
+    return "".join(corpus._dumps({**corpus._context(tset.condition, tset.act, t.scene),
                                   "id": t.id, "shown": corpus._shown_to_json(t.shown)})
                    for t in tset.trials)
 
@@ -79,12 +80,12 @@ class TestGenerate:
         assert dump(a) != dump(generate_trials(c, 8, 8))
 
     def test_invalid_count(self):
-        with pytest.raises(InvalidCount):
+        with pytest.raises(DeixisError, match="^n must be a positive multiple of 4, got 6$"):
             generate_trials(cond(), 6, 0)
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_natural_rejects_non_positive_count(self, n):
-        with pytest.raises(InvalidCount, match="positive"):
+        with pytest.raises(DeixisError, match=f"^n must be positive, got {n}$"):
             generate_trials(cond(kind=NATURAL), n, 0)
 
     @pytest.mark.parametrize("n", [3, 8])
@@ -94,8 +95,8 @@ class TestGenerate:
     def test_mug_positions_inside_section(self):
         for deg in (45.0, 67.5, 90.0):
             c = cond(deg=deg)
-            trials = generate_trials(c, 8, 3).trials
-            ray = trials[0].point_act.ray
+            tset = generate_trials(c, 8, 3)
+            trials, ray = tset.trials, tset.act.ray
             ellipse = cone_plane_section(ray, math.radians(deg),
                                          trials[0].scene.surface)
             for t in trials:
@@ -113,20 +114,37 @@ class TestGenerate:
         assert isinstance(t.shown, SurfacePoint)
 
     def test_reverse_swaps_target(self):
-        fwd = generate_trials(cond(), 8, 0).trials[0]
-        rev = generate_trials(cond(reverse=True), 8, 0).trials[0]
-        assert fwd.point_act.target != rev.point_act.target
+        fwd = generate_trials(cond(), 8, 0)
+        rev = generate_trials(cond(reverse=True), 8, 0)
+        assert fwd.act.target != rev.act.target
 
     def test_cluttered_nearer_labeling(self):
         trials = generate_trials(cond(kind=CLUTTERED, deg=67.5), 16, 11)
+        x_star = trials.act.target
         for t in trials.trials:
-            x_star = t.point_act.target
             obj = t.scene.object_by_id("mug_object").pose.position
             dis = t.scene.object_by_id("mug_distractor").pose.position
             near_id = ("mug_object"
                        if surface_distance(obj, x_star) <= surface_distance(dis, x_star)
                        else "mug_distractor")
             assert t.shown == near_id
+
+    @pytest.mark.parametrize("robot", sorted(harness.ROBOTS))
+    @pytest.mark.parametrize("deg", [45.0, 67.5, 90.0])
+    def test_cluttered_extent_covers_every_pair(self, deg, robot):
+        # the extent is fitted without the pairs, yet equals the one fitted
+        # over every pair point as well
+        n = 400
+        for seed in (0, 1, 7, 123456789, 2**64 + 1):
+            tset = generate_trials(cond(kind=CLUTTERED, deg=deg, robot=robot), n, seed)
+            ellipse = cone_plane_section(tset.act.ray, tset.condition.cone_vertex_angle,
+                                         Plane.horizontal(harness.TABLE_EXTENT))
+            d_full = 2.0 * ellipse.semi_major
+            far = [ellipse.from_local(s * 1.5 * d_full, 0.0) for s in (-1.0, 1.0)]
+            pairs = [cluttered_pair(ellipse, rng) for rng in substreams(seed, n)]
+            points = [p for pair in pairs for p in (pair.x_object, pair.x_distractor)]
+            assert tset.scene.surface.extent == harness._fit_extent(
+                harness._ellipse_bbox(ellipse) + far + points + [tset.act.target])
 
     def test_natural_three_distinct_configs(self):
         trials = generate_trials(cond(kind=NATURAL), 3, 0)
@@ -161,7 +179,7 @@ class TestRun:
         cfg = ResolverConfig()
         trials = generate_trials(cond(variant=LOCATING, deg=90.0), 16, 5)
         for t, r in zip(trials.trials, run(trials, cfg)):
-            d = surface_distance(t.shown, t.point_act.target)
+            d = surface_distance(t.shown, trials.act.target)
             if r.predicted == "correct":
                 assert d <= r.meta["theta"] + cfg.epsilon + 1e-9
 
@@ -193,7 +211,7 @@ class TestAggregate:
         assert counts[agg.labels.index("ambiguous")] == 1
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DeixisError, match="^no records to aggregate$"):
             harness.aggregate([])
         with pytest.raises(ValueError):
             harness.aggregate([ResponseRecord("t", "correct")], group_by="verb")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from deixis.errors import EmptyScene, NoStablePlacement, TypeMismatch
+from deixis.errors import DeixisError
 from deixis.geometry import Plane, Point3, Ray, SurfacePoint, surface_distance
 from deixis.resolver import (AMBIGUOUS, CORRECT, INCORRECT, LOCATING, NEARER,
                              REFERENTIAL, PointingAct, ResolverConfig,
@@ -53,7 +53,7 @@ class TestCandidates:
         assert cs == (("mug", SurfacePoint(0.1, 0)),)
 
     def test_referential_empty_scene(self):
-        with pytest.raises(EmptyScene):
+        with pytest.raises(DeixisError, match="needs at least one object"):
             resolve(candidates(Scene(PLANE), REFERENTIAL), SurfacePoint(0, 0))
 
     def test_locating_gravity_off_full_surface(self):
@@ -67,7 +67,7 @@ class TestCandidates:
 
     def test_locating_no_stable_placement(self):
         tiny = Scene(Plane.horizontal((0.008, 0.008)))
-        with pytest.raises(NoStablePlacement):
+        with pytest.raises(DeixisError, match="^no stable placement for the given shape$"):
             candidates(tiny, LOCATING, MUG)
 
 
@@ -136,11 +136,11 @@ class TestClassify:
 
     def test_type_mismatch(self):
         res = resolve(discrete((0.0, 0.0)), SurfacePoint(0, 0), CFG)
-        with pytest.raises(TypeMismatch):
+        with pytest.raises(DeixisError, match="^referential resolution expects an object id$"):
             classify_outcome(res, SurfacePoint(0, 0), SurfacePoint(0, 0), CFG)
         res2 = resolve(candidates(stack_scene(gravity=False), LOCATING, MUG),
                        SurfacePoint(0, 0), CFG)
-        with pytest.raises(TypeMismatch):
+        with pytest.raises(DeixisError, match="^locating resolution expects a surface point$"):
             classify_outcome(res2, "mug", SurfacePoint(0, 0), CFG)
 
 

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from deixis.errors import InvalidCount
+from deixis.errors import DeixisError
 from deixis.geometry import Ellipse, SurfacePoint, surface_distance
 from deixis.sampling import _rng, cluttered_pair, sample_positions, substreams
 from ellipse_oracle import contains, to_local
@@ -42,9 +42,9 @@ class TestSamplePositions:
         assert a != c
 
     def test_invalid_count(self):
-        with pytest.raises(InvalidCount):
+        with pytest.raises(DeixisError, match="^n must be a positive multiple of 4, got 7$"):
             sample_positions(TILTED, 7, 0)
-        with pytest.raises(InvalidCount):
+        with pytest.raises(DeixisError, match="^n must be a positive multiple of 4, got 0$"):
             sample_positions(TILTED, 0, 0)
 
     def test_quadrant_uniformity(self):

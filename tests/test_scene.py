@@ -5,12 +5,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
-from deixis.errors import NoStablePlacement, UnknownSupport
+from deixis.errors import DeixisError
 from deixis.geometry import Plane, SurfacePoint, surface_distance
 from deixis.resolver import ENUMERATED, resolve
 from deixis.scene import (COLLISION_TOL, HEIGHT_TIE_TOL, SUPPORT_MARGIN,
-                          TABLE as ON_TABLE, Pose2D, Scene, SceneObject, Shape,
-                          stable_region)
+                          TABLE as ON_TABLE, Footprint, Pose2D, Scene, SceneObject,
+                          Shape, stable_region)
 
 PLANE = Plane.horizontal((1.2, 0.8))
 CUBE = Shape.cube(half=0.03, height=0.06)
@@ -111,7 +111,7 @@ class TestSceneValidation:
         scene = Scene(PLANE,
                       (SceneObject("a", BOX, Pose2D(SurfacePoint(-0.1, 0))),
                        SceneObject("b", BOX, Pose2D(SurfacePoint(0.0995, 0)))))
-        with pytest.raises(UnknownSupport):
+        with pytest.raises(DeixisError, match="covered by a and b at the same height$"):
             scene.support_index(SurfacePoint(-0.0003, 0.0))
 
 
@@ -268,7 +268,7 @@ class TestNearestStable:
         tiny = Plane.horizontal((0.008, 0.008))
         region = stable_region(Scene(tiny), CUBE)
         assert region.is_empty()
-        with pytest.raises(NoStablePlacement):
+        with pytest.raises(DeixisError, match="^no stable placement exists for this shape$"):
             region.nearest(SurfacePoint(0, 0))
 
     def test_round_shape_beside_box_corner(self):
@@ -279,6 +279,49 @@ class TestNearestStable:
         got = stable_region(scene, Shape.mug(0.04, 0.10)).nearest(x)
         assert surface_distance(got, x) == pytest.approx(
             0.039 - 0.025 * math.sqrt(2), abs=1e-6)
+
+
+def segment_distance(p, a, b):
+    """Distance from `p` to the segment from `a` to `b`."""
+    eu, ev = b[0] - a[0], b[1] - a[1]
+    t = max(0.0, min(1.0, ((p.u - a[0]) * eu + (p.v - a[1]) * ev) / (eu * eu + ev * ev)))
+    return math.hypot(p.u - a[0] - t * eu, p.v - a[1] - t * ev)
+
+
+class TestFootprint:
+    """Boxes too small for their center's precision: corners that round to
+    one point are kept once."""
+
+    PROBES = [SurfacePoint(0.3, -0.2), SurfacePoint(0.5, 0.1), SurfacePoint(0.25, -0.1),
+              SurfacePoint(0.3, -0.35), SurfacePoint(-1.0, 2.0)]
+
+    @pytest.mark.parametrize("yaw", [0.0, 0.4, -2.5])
+    def test_a_collapsed_box_is_its_point(self, yaw):
+        fp = Footprint.box(SurfacePoint(0.3, -0.2), 1e-20, 1e-20, yaw)
+        assert fp.core == ((0.3, -0.2),)
+        for p in self.PROBES:
+            assert fp.sd(p) == math.hypot(p.u - 0.3, p.v + 0.2)
+
+    @pytest.mark.parametrize("yaw", [0.0, 0.5, 2.0])
+    def test_a_flat_box_is_its_segment(self, yaw):
+        fp = Footprint.box(SurfacePoint(0.3, -0.2), 1e-300, 0.08, yaw)
+        du, dv = -math.sin(yaw) * 0.08, math.cos(yaw) * 0.08
+        ends = (0.3 + du, -0.2 + dv), (0.3 - du, -0.2 - dv)
+        assert len(fp.core) == 2
+        for p in self.PROBES:
+            assert fp.sd(p) == pytest.approx(segment_distance(p, *ends), abs=1e-15)
+
+    def test_a_box_whose_edges_underflow(self):
+        # distinct corners, but each edge's squared length is 0.0
+        fp = Footprint.box(SurfacePoint(0.0, 0.0), 1e-200, 1e-200)
+        assert len(fp.core) == 4
+        for p in self.PROBES:
+            assert fp.sd(p) == pytest.approx(math.hypot(p.u, p.v), rel=1e-15)
+        speck = Shape.cube(half=1e-200, height=0.1)
+        scene = Scene(PLANE, (SceneObject("speck", speck, Pose2D(SurfacePoint(0.0, 0.0))),
+                              SceneObject("mug", MUG, Pose2D(SurfacePoint(0.2, 0.0)))))
+        p = stable_region(scene, MUG).nearest(SurfacePoint(0.0, 0.0))
+        assert math.hypot(p.u, p.v) == pytest.approx(MUG.radius - COLLISION_TOL)
 
 
 class TestYawedBoxes:
@@ -433,7 +476,7 @@ def per_call_is_stable(scene, shape, p, eps=1e-12):
     covering.sort(key=lambda o: per_call_z_span(scene, o)[1], reverse=True)
     if (len(covering) > 1 and per_call_z_span(scene, covering[0])[1]
             - per_call_z_span(scene, covering[1])[1] < HEIGHT_TIE_TOL):
-        raise UnknownSupport(
+        raise DeixisError(
             f"position ({p.u:.3f}, {p.v:.3f}) is covered by "
             f"{covering[0].id} and {covering[1].id} at the same height")
     if not covering:
@@ -456,7 +499,7 @@ def per_call_is_stable(scene, shape, p, eps=1e-12):
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except UnknownSupport as exc:
+    except DeixisError as exc:
         return str(exc)
 
 

@@ -9,7 +9,7 @@ import scipy.integrate
 import scipy.special
 import scipy.stats
 
-from deixis.errors import DegenerateTable, InvalidCounts
+from deixis.errors import DeixisError
 from deixis.stats import (_FISHER_SLACK, ContingencyTable, _log_hypergeom,
                           chi_squared_test, chi_squared_upper_tail,
                           fisher_exact_2x2, norm_cdf, tost_equivalence)
@@ -100,7 +100,7 @@ class TestChiSquared:
                 == pytest.approx(k * chi_squared_test(t1).statistic))
 
     def test_zero_marginal(self):
-        with pytest.raises(DegenerateTable):
+        with pytest.raises(DeixisError, match="^table has a zero marginal$"):
             chi_squared_test(table((0, 0), (3, 4)))
 
     def test_matches_scipy(self):
@@ -258,9 +258,9 @@ class TestFisher:
         assert (result.statistic, result.p_value) == (0.0, 0.0)
 
     def test_shape_and_marginals(self):
-        with pytest.raises(DegenerateTable):
+        with pytest.raises(DeixisError, match="^Fisher exact test requires a 2x2 table$"):
             fisher_exact_2x2(table((1, 2, 3), (4, 5, 6)))
-        with pytest.raises(DegenerateTable):
+        with pytest.raises(DeixisError, match="^table has a zero marginal$"):
             fisher_exact_2x2(table((0, 0), (1, 2)))
 
 
@@ -371,9 +371,9 @@ class TestTost:
         assert flags == sorted(flags)
 
     def test_invalid_counts(self):
-        with pytest.raises(InvalidCounts):
+        with pytest.raises(DeixisError, match=r"^require 0 <= x_i <= n_i and n_i > 0$"):
             tost_equivalence(5, 0, 1, 10, 0.05)
-        with pytest.raises(InvalidCounts):
+        with pytest.raises(DeixisError, match=r"^require 0 <= x_i <= n_i and n_i > 0$"):
             tost_equivalence(11, 10, 1, 10, 0.05)
         with pytest.raises(ValueError):
             tost_equivalence(5, 10, 5, 10, 0.0)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from deixis import corpus, harness
-from deixis.errors import EmptyInput
+from deixis.errors import DeixisError
 from deixis.harness import Condition, ResponseRecord
 from deixis.svgplot import KINDS, PlotSpec, render
 
@@ -131,13 +131,13 @@ class TestDeterminismAndGoldens:
 
 class TestErrors:
     def test_empty_records(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DeixisError, match="^no responses to plot$"):
             render([], PlotSpec())
 
     def test_no_usable_records(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DeixisError, match=f"^{KINDS['scatter_pies'].empty}$"):
             render([ResponseRecord("t", "correct", meta={})], PlotSpec())
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DeixisError, match=f"^{KINDS['distance_pies'].empty}$"):
             render(scatter_records(), PlotSpec(kind="distance_pies"))
 
 
@@ -159,7 +159,7 @@ class TestOneShotIterators:
                 == render(corpus.load_responses(str(MIXED)), spec))
 
     def test_an_empty_iterator(self):
-        with pytest.raises(EmptyInput, match="^no responses to plot$"):
+        with pytest.raises(DeixisError, match="^no responses to plot$"):
             render(iter([]), PlotSpec())
 
     @pytest.mark.parametrize("kind", ["scatter_pies", "distance_pies"])
@@ -167,5 +167,5 @@ class TestOneShotIterators:
         records = [ResponseRecord("t", "correct", meta={}),
                    ResponseRecord("u", "bogus", meta={"probe": (0.0, 0.0),
                                                       "delta": 0.1, "separation": 0.2})]
-        with pytest.raises(EmptyInput, match=f"^{KINDS[kind].empty}$"):
+        with pytest.raises(DeixisError, match=f"^{KINDS[kind].empty}$"):
             render(iter(records), PlotSpec(kind=kind))
