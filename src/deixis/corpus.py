@@ -13,7 +13,8 @@ is reported before a malformed later record, and a `count` mismatch after
 every prediction; the header, and a trials file's context and first
 record, are checked before anything is predicted.  Lines end at `\n` or `\r\n`;
 any other line break inside a line (a bare `\r`, a form feed, U+2028) makes
-it malformed.  Blank lines are skipped, but errors name physical lines.
+it malformed, and so do arrays and objects nested deeper than `MAX_NESTING`
+levels.  Blank lines are skipped, but errors name physical lines.
 Distances are stored in meters and angles in degrees; every float is written
 with at most 9 significant digits, so identical content always produces
 identical bytes.
@@ -49,6 +50,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from collections.abc import Iterator
 from contextlib import contextmanager
 from itertools import chain, repeat
@@ -67,6 +69,9 @@ TRIALS_SCHEMA = "deixis-trials-2"
 RESPONSES_SCHEMA = "deixis-responses-2"
 _MISSING = object()  # a meta key a record lacks
 _RECORD_FIELDS = {"id", "shown", "objects"}  # of a deixis-trials-2 record
+MAX_NESTING = 32  # levels of arrays and objects in a line; corpus lines use 5
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"?')  # a JSON string, or one cut short
+_BRACKET = re.compile(r"[][{}]")
 
 
 def _quantize(obj: Any) -> Any:
@@ -268,6 +273,17 @@ def _case(rec: dict, scene: Scene) -> tuple:
     return _str(rec["id"]), positions or None, _shown_from_json(rec["shown"])
 
 
+def _nesting(text: str) -> int:
+    """How deep the arrays and objects of a JSON text nest; brackets inside
+    strings do not count."""
+    depth = deepest = 0
+    for bracket in _BRACKET.findall(_STRING.sub("", text)):
+        depth += 1 if bracket in "[{" else -1
+        if depth > deepest:
+            deepest = depth
+    return deepest
+
+
 def _parsed(path: str, lineno: int, raw: bytes, what: str) -> Any:
     """The JSON value of one line, decoded on its own so that bad bytes
     name their line."""
@@ -276,11 +292,18 @@ def _parsed(path: str, lineno: int, raw: bytes, what: str) -> Any:
     except UnicodeDecodeError as exc:
         raise DeixisError(f"{path}:{lineno}: not UTF-8 text: {exc.reason} "
                           f"0x{exc.object[exc.start]:02x}") from None
-    # json.loads raises ValueError for bad JSON or an integer past the digit
-    # limit, RecursionError for nesting deeper than the decoder follows
+    # the decoder recurses once per level; refusing a deeper line before it
+    # is decoded keeps the stack far from the recursion limit, where any
+    # finalizer the garbage collector runs would fail.  The bracket count
+    # bounds the depth, so only a line with many brackets is scanned
+    if (text.count("[") + text.count("{") > MAX_NESTING
+            and _nesting(text) > MAX_NESTING):
+        raise DeixisError(f"{path}:{lineno}: malformed {what}: nested deeper "
+                          f"than {MAX_NESTING} levels")
+    # json.loads raises ValueError for bad JSON or an integer past the digit limit
     try:
         return json.loads(text)
-    except (ValueError, RecursionError) as exc:
+    except ValueError as exc:
         why = str(exc)
         if isinstance(exc, json.JSONDecodeError):
             # `path:lineno` names the line, so give the column alone: the

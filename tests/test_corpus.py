@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import re
@@ -342,6 +343,10 @@ def _path_id(param):
     return "/".join(map(str, param)) if isinstance(param, tuple) else repr(param)
 
 class TestSchemaErrors:
+    # a responses header for one record whose context shares nothing
+    HEADER = ('{"schema":"deixis-responses-2","count":1,"id_prefix":"",'
+              '"context":{"meta":{}}}\n')
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.jsonl"
         p.write_text("")
@@ -363,6 +368,57 @@ class TestSchemaErrors:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(DeixisError, match=r"m\.jsonl:3: malformed record: "):
             corpus.load_trials(str(p))
+
+    @pytest.mark.parametrize("line", ['{"a":' * 100_000, "[" * 100_000],
+                             ids=["deep-object", "deep-array"])
+    def test_a_deep_line_leaves_the_collector_room(self, tmp_path, line):
+        # the collector runs finalizers and its callbacks at whatever depth
+        # an allocation triggers it, so decoding a line must never take the
+        # stack near the interpreter's recursion limit
+        p = tmp_path / "d.jsonl"
+        p.write_text(self.HEADER + line + "\n")
+        short = []
+
+        def room(phase, info):
+            def down(n):
+                return n and down(n - 1)
+            try:
+                down(100)
+            except RecursionError:
+                short.append(phase)
+
+        threshold = gc.get_threshold()
+        gc.callbacks.append(room)
+        gc.set_threshold(1)  # collect on every allocation
+        try:
+            with pytest.raises(DeixisError, match=r"d\.jsonl:2: malformed record: "):
+                corpus.load_responses(str(p))
+        finally:
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(room)
+        assert not short
+
+    @pytest.mark.parametrize("lists", [30, 31])
+    def test_nesting_up_to_the_limit_loads(self, tmp_path, lists):
+        # the record and its meta are two levels
+        p = tmp_path / "n.jsonl"
+        p.write_text(self.HEADER + '{"trial_id":"x","predicted":"correct","human":null,'
+                     '"meta":{"k":%s}}\n' % ("[" * lists + "]" * lists))
+        if lists + 2 <= corpus.MAX_NESTING:
+            [record] = corpus.load_responses(str(p))
+            assert record.meta["k"] == json.loads("[" * lists + "]" * lists)
+        else:
+            with pytest.raises(DeixisError, match=r"n\.jsonl:2: malformed record: "
+                                                  r"nested deeper than 32 levels$"):
+                corpus.load_responses(str(p))
+
+    def test_brackets_inside_strings_do_not_nest(self, tmp_path):
+        p = tmp_path / "s.jsonl"
+        trial_id = "[{" * 100 + '\\"' + "}]" * 100
+        p.write_text(self.HEADER + json.dumps(
+            {"trial_id": trial_id, "predicted": "correct", "human": None}) + "\n")
+        [record] = corpus.load_responses(str(p))
+        assert record.trial_id == trial_id
 
     def test_count_mismatch(self, tmp_path):
         p = tmp_path / "c.jsonl"
