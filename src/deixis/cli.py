@@ -89,7 +89,7 @@ def cmd_gen(condition_name: str, variant: str, cone: float | None, robot: str,
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_run(in_path: str, epsilon: float, ambiguity_band: float, out: str) -> None:
     """Predict a judgment for every trial in a corpus."""
-    trials = corpus.read_trials(in_path)
+    trials = corpus.load_trials(in_path)
     cfg = ResolverConfig(epsilon=epsilon, ambiguity_band=ambiguity_band)
     records = harness.run(trials, cfg)
     corpus.save_responses(records, out)
@@ -251,7 +251,7 @@ def _fisher_collapse_report(as_csv: bool) -> None:
 def cmd_plot(in_path: str, kind: str, out: str, width: int, height: int,
              legend: bool) -> None:
     """Render an SVG pie-scatter of a response corpus."""
-    records = corpus.read_responses(in_path)
+    records = corpus.load_responses(in_path)
     spec = svgplot.PlotSpec(kind=kind.replace("-", "_"), width=width,
                             height=height, legend=legend)
     svg = svgplot.render(records, spec)

@@ -4,17 +4,18 @@ File layout: one JSON header line followed by one JSON record per line; the
 header's `count` is a non-negative integer equal to the number of records.
 Files are read and checked one line at a time: each record becomes a trial
 or response as its line is read, and `count` is checked after the last
-record.  `read_trials` and `read_responses` hand the records on one at a
-time, and `load_trials` and `load_responses` hold them all.  So `run` holds
-one trial at a time plus the response records, which the responses header
-needs, and `plot` holds only its pie table.  Since `run` predicts each
-trial before it reads the next line, a prediction error on an earlier trial
-is reported before a malformed later record, and a `count` mismatch after
-every prediction; the header, and a trials file's context and first
-record, are checked before anything is predicted.  Lines end at `\n` or `\r\n`;
-any other line break inside a line (a bare `\r`, a form feed, U+2028) makes
-it malformed, and so do arrays and objects nested deeper than `MAX_NESTING`
-levels.  Blank lines are skipped, but errors name physical lines.
+record.  `load_trials` and `load_responses`, the one reader of each kind,
+check the header at once and hand the records on one at a time, so what
+they return can be read only once.  So `run` holds one trial at a time plus
+the response records, which the responses header needs, and `plot` holds
+only its pie table.  Since `run` predicts each trial before it reads the
+next line, a prediction error on an earlier trial is reported before a
+malformed later record, and a `count` mismatch after every prediction; the
+header, and a trials file's context and first record, are checked before
+anything is predicted.  Lines end at `\n` or `\r\n`; any other line break
+inside a line (a bare `\r`, a form feed, U+2028) makes it malformed, and so
+do arrays and objects nested deeper than `MAX_NESTING` levels.  Blank lines
+are skipped, but errors name physical lines.
 Distances are stored in meters and angles in degrees; every float is written
 with at most 9 significant digits, so identical content always produces
 identical bytes.
@@ -26,9 +27,9 @@ The header holds `schema`, `count`, `seed`, the condition descriptor and a
 `objects`.  Each record holds a trial's own parts: `id` and `shown`, plus
 `objects` when the trial moves any, one entry per context object, `{}` or
 `{"position": [u, v]}`, its position unless that is `_same` as the
-context's.  The loader turns each record into a `TrialSet` case, so it
-gets the context scene or that scene with its objects moved
-(`Scene.moved`), checked exactly as a freshly built scene.  Any other
+context's.  The loader turns each record into a `harness.make_trials`
+case, so its trial gets the context scene or that scene with its objects
+moved (`Scene.moved`), checked exactly as a freshly built scene.  Any other
 record field, and a file with no records, is a data error.
 
 Responses (schema `deixis-responses-2`) are written the same way: the
@@ -51,8 +52,7 @@ import json
 import math
 import os
 import re
-from collections.abc import Iterator
-from contextlib import contextmanager
+from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
 from operator import attrgetter, is_, methodcaller
 from typing import Any
@@ -60,7 +60,7 @@ from typing import Any
 from .errors import DeixisError
 from .geometry import Plane, Point3, Ray, SurfacePoint, unit
 from .harness import (LABELS, Condition, ResponseRecord, ShownConfig, Trial,
-                      TrialSet, TrialStream, _q, make_trials)
+                      TrialSet, _q, make_trials)
 from .resolver import PointingAct
 from .scene import Pose2D, Scene, SceneObject, Shape, TABLE
 from .stats import ContingencyTable
@@ -348,12 +348,17 @@ def _read_lines(path: str, schema: str) -> Iterator[tuple[int, dict]]:
 
 
 def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
+    """Write a trial set of at least one trial; an empty set is refused
+    before the file is opened.  A loaded set's trials are read here, once."""
+    trials = tuple(tset.trials)
+    if not trials:
+        raise DeixisError("a trial set holds at least one trial")
     ctx = _context(tset.condition, tset.act, tset.scene)
-    header = {"schema": TRIALS_SCHEMA, "count": len(tset.trials), "seed": seed,
+    header = {"schema": TRIALS_SCHEMA, "count": len(trials), "seed": seed,
               "condition": tset.condition.descriptor(), "context": ctx}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dumps(header) + "\n")
-        for t in tset.trials:
+        for t in trials:
             rec: dict = {"id": t.id, "shown": _quantize(_shown_to_json(t.shown))}
             if t.scene is not tset.scene:
                 objects = [{} if o is o0 else _position(o, od0) for o, o0, od0
@@ -363,60 +368,39 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
             fh.write(_ENCODER.encode(rec) + "\n")
 
 
-class _TrialsFile:
-    """A trials file being read.  Its set's condition, act and scene come
-    from the header at once; `cases()` turns each record into a case as its
-    line is read.  A record's case and trial are made before the next line
-    is read, so inside `named()` a failure names the line of the record in
-    hand."""
+def load_trials(path: str) -> TrialSet:
+    """The trial set of a trials file.  The header, its context and the
+    first record are read and checked now; each record is read and made
+    into a trial as the set's `trials` reach it, so they can be read only
+    once, and the header `count` is checked after the last."""
+    lines = _read_lines(path, TRIALS_SCHEMA)
+    _, header = next(lines)
+    line, first = next(lines, (1, None))
+    if first is None:
+        raise DeixisError(f"{path}:1: no trial records; a trials file holds "
+                          "one trial set of at least one trial")
+    ctx = header.get("context")
+    try:
+        if not isinstance(ctx, dict):
+            raise TypeError(f"context must be an object, got {ctx!r}")
+        condition, scene, act = _parts(ctx)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DeixisError(f"{path}:1: bad context: {exc}") from exc
 
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.lines = _read_lines(path, TRIALS_SCHEMA)
-        _, header = next(self.lines)
-        self.line, self.first = next(self.lines, (1, None))
-        if self.first is None:
-            raise DeixisError(f"{path}:1: no trial records; a trials file holds "
-                              "one trial set of at least one trial")
-        ctx = header.get("context")
-        try:
-            if not isinstance(ctx, dict):
-                raise TypeError(f"context must be an object, got {ctx!r}")
-            self.condition, self.scene, self.act = _parts(ctx)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DeixisError(f"{path}:1: bad context: {exc}") from exc
-
-    def cases(self) -> Iterator[tuple]:
-        for self.line, rec in chain([(self.line, self.first)], self.lines):
-            yield _case(rec, self.scene)
-
-    @contextmanager
-    def named(self) -> Iterator[None]:
-        try:
-            yield
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DeixisError(f"{self.path}:{self.line}: bad trial record: {exc}") from exc
-
-
-def read_trials(path: str) -> TrialStream:
-    """The trial set of a trials file as a stream: the header and the first
-    record are read now, each record as the stream's trials reach it, and
-    the header `count` is checked after the last."""
-    file = _TrialsFile(path)
+    def cases() -> Iterator[tuple]:
+        nonlocal line
+        for line, rec in chain([(line, first)], lines):
+            yield _case(rec, scene)
 
     def trials() -> Iterator[Trial]:
-        with file.named():
-            yield from make_trials(file.scene, file.cases())
+        # a record's case and trial are made before the next line is read,
+        # so a failure names the line of the record in hand
+        try:
+            yield from make_trials(scene, cases())
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DeixisError(f"{path}:{line}: bad trial record: {exc}") from exc
 
-    return TrialStream(file.condition, file.act, trials())
-
-
-def load_trials(path: str) -> TrialSet:
-    """The trial set of a trials file, held whole: each record is read as
-    `read_trials` reads it and handed to the `TrialSet` constructor."""
-    file = _TrialsFile(path)
-    with file.named():
-        return TrialSet(file.condition, file.act, file.scene, file.cases())
+    return TrialSet(condition, act, scene, trials())
 
 
 def _shared(records: list[ResponseRecord]) -> tuple[dict, dict]:
@@ -438,9 +422,10 @@ def _shared(records: list[ResponseRecord]) -> tuple[dict, dict]:
     return top, meta
 
 
-def save_responses(records: list[ResponseRecord], path: str) -> None:
+def save_responses(records: Iterable[ResponseRecord], path: str) -> None:
     """Write records as given: `harness.run` already quantizes every float
     in `meta` to 9 significant digits."""
+    records = list(records)
     top, shared = _shared(records)
     prefix = os.path.commonprefix([r.trial_id for r in records])
     header = {"schema": RESPONSES_SCHEMA, "count": len(records),
@@ -481,9 +466,9 @@ def _checked(fields: dict) -> dict:
     return fields
 
 
-def read_responses(path: str) -> Iterator[ResponseRecord]:
-    """The records of a responses file, each built as its line is read; the
-    header is read and checked now."""
+def load_responses(path: str) -> Iterator[ResponseRecord]:
+    """The records of a responses file, each built as its line is read, so
+    they can be read only once; the header is read and checked now."""
     lines = _read_lines(path, RESPONSES_SCHEMA)
     _, header = next(lines)
     ctx, prefix = header.get("context"), header.get("id_prefix")
@@ -511,11 +496,6 @@ def read_responses(path: str) -> Iterator[ResponseRecord]:
             yield record
 
     return records()
-
-
-def load_responses(path: str) -> list[ResponseRecord]:
-    """The records of a responses file: `read_responses` read to its end."""
-    return list(read_responses(path))
 
 
 # Published natural/unnatural stack judgments; rows are shown configurations,

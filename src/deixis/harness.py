@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from collections.abc import Iterable, Iterator
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 from .errors import DeixisError
@@ -154,37 +154,22 @@ class Trial:
 def make_trials(scene: Scene, cases: Iterable[tuple]) -> Iterator[Trial]:
     """One trial per `(id, moves or None, shown)` case, made as its case is
     read: `scene`, or `scene.moved(moves)`.  The one place a `Trial` is
-    made: `TrialSet` holds what it yields, and a `TrialStream` hands it on."""
+    made: a generated `TrialSet` holds what it yields, and a loaded one
+    hands it on."""
     for tid, moves, shown in cases:
         yield Trial(tid, scene if moves is None else scene.moved(moves), shown)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialSet:
-    """One condition's trials: one pointing act into one scene, made by
-    `make_trials` from one case per trial and held in order."""
+    """One condition's trials: one pointing act into one scene, in order.
+    `generate_trials` holds them in a tuple; `corpus.load_trials` yields
+    each as its record is read, so a loaded set's trials are read once."""
 
     condition: Condition
     act: PointingAct
     scene: Scene
-    cases: InitVar[Iterable[tuple]]
-    trials: tuple[Trial, ...] = field(init=False)
-
-    def __post_init__(self, cases: Iterable[tuple]) -> None:
-        trials = tuple(make_trials(self.scene, cases))
-        if not trials:
-            raise ValueError("a trial set holds at least one trial")
-        object.__setattr__(self, "trials", trials)
-
-
-@dataclass(frozen=True, slots=True)
-class TrialStream:
-    """A trial set read one trial at a time: `trials` yields the trials of
-    `make_trials` once, so only the trial in hand is held."""
-
-    condition: Condition
-    act: PointingAct
-    trials: Iterator[Trial]
+    trials: Iterable[Trial]
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,8 +244,9 @@ def generate_trials(cond: Condition, n: int, seed: int) -> TrialSet:
         built = _ref_vs_loc_trials(cond, n, seed)
     ray, intent, x_star, scene, cases = built
     slug = cond.descriptor().replace("/", "-")
+    cases = ((f"{slug}-{suffix}", moves, shown) for suffix, moves, shown in cases)
     return TrialSet(cond, PointingAct(ray, intent, x_star), scene,
-                    ((f"{slug}-{suffix}", moves, shown) for suffix, moves, shown in cases))
+                    tuple(make_trials(scene, cases)))
 
 
 def _ref_vs_loc_trials(cond: Condition, n: int, seed: int) -> tuple:
@@ -355,15 +341,14 @@ def _predict(trial: Trial, kind: str, act: PointingAct, descriptor: str,
     return predicted, meta
 
 
-def run(tset: TrialSet | TrialStream,
-        cfg: ResolverConfig = ResolverConfig()) -> list[ResponseRecord]:
-    """One predicted judgment per trial, preserving order; a stream's trials
-    are predicted as they arrive and only the records are kept.  Every float
-    in `meta` is quantized to 9 significant digits, as the corpus writes it.
-    `meta.path` names the branch that answered: `stable` or `enumerated`
-    for locating and natural trials (x* in the stable region, or the
-    nearest stable point found by enumeration), `discrete` for referential
-    trials and `cluttered` for cluttered ones."""
+def run(tset: TrialSet, cfg: ResolverConfig = ResolverConfig()) -> list[ResponseRecord]:
+    """One predicted judgment per trial, preserving order; each trial is
+    predicted as it arrives, so of a loaded set only the records are held.
+    Every float in `meta` is quantized to 9 significant digits, as the
+    corpus writes it.  `meta.path` names the branch that answered: `stable`
+    or `enumerated` for locating and natural trials (x* in the stable
+    region, or the nearest stable point found by enumeration), `discrete`
+    for referential trials and `cluttered` for cluttered ones."""
     kind, act = tset.condition.kind, tset.act
     descriptor = tset.condition.descriptor()
     x_star_q = (_q(act.target.u), _q(act.target.v))

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -167,7 +168,7 @@ class TestRun:
         out = tmp_path / "o.jsonl"
         res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
         assert res.exit_code == 0, res.output
-        assert len(corpus.load_responses(str(out))) == 8
+        assert len(list(corpus.load_responses(str(out)))) == 8
 
     @pytest.mark.parametrize("line, edit, message", [
         (2, lambda r: r["shown"].update(position=[int(HUGE), 0]), "bad trial record"),
@@ -745,7 +746,7 @@ class TestStreamedCommands:
         rewrite(trials, 1, lambda h: h["context"].update(objects=[]))
         rewrite(trials, 2, lambda r: r.pop("objects", None))
         with pytest.raises(DeixisError, match=f"^{re.escape(str(trials))}:3: "):
-            corpus.load_trials(str(trials))
+            tuple(corpus.load_trials(str(trials)).trials)
         res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
         assert res.exit_code == 1
         assert res.output == ("Error: trial cluttered-45deg-baxter-000: "
@@ -755,8 +756,13 @@ class TestStreamedCommands:
     def test_run_holds_less_than_the_whole_set(self, tmp_path, sweep):
         trials = str(sweep["trials"])
         out = tmp_path / "o.jsonl"
-        whole = traced_peak(lambda: corpus.save_responses(
-            harness.run(corpus.load_trials(trials)), str(tmp_path / "whole.jsonl")))
+
+        def held_run():
+            tset = corpus.load_trials(trials)
+            tset = replace(tset, trials=tuple(tset.trials))
+            corpus.save_responses(harness.run(tset), str(tmp_path / "whole.jsonl"))
+
+        whole = traced_peak(held_run)
         streamed = traced_peak(lambda: CliRunner().invoke(
             main, ["run", "--in", trials, "--out", str(out)], catch_exceptions=False))
         assert out.read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
@@ -767,10 +773,27 @@ class TestStreamedCommands:
         responses = str(sweep["responses"])
         svg = tmp_path / "p.svg"
         whole = traced_peak(lambda: svgplot.render(
-            corpus.load_responses(responses), svgplot.PlotSpec(kind="distance_pies")))
+            list(corpus.load_responses(responses)), svgplot.PlotSpec(kind="distance_pies")))
         streamed = traced_peak(lambda: CliRunner().invoke(
             main, ["plot", "--in", responses, "--kind", "distance-pies",
                    "--out", str(svg)], catch_exceptions=False))
         # about 1.6 MB of pie table and SVG text against 5.3 MB with every
         # record held
         assert streamed < 0.7 * whole, (streamed, whole)
+
+    def test_run_and_plot_read_through_the_one_reader(self, runner, tmp_path, monkeypatch):
+        # each command reads its corpus file once, through the loader that
+        # the library, the tests and the benchmark tracer call
+        trials = gen(runner, tmp_path)
+        responses, svg = tmp_path / "r.jsonl", tmp_path / "p.svg"
+        calls = {"load_trials": [], "load_responses": []}
+        for name, paths in calls.items():
+            def counting(path, load=getattr(corpus, name), paths=paths):
+                paths.append(path)
+                return load(path)
+            monkeypatch.setattr(corpus, name, counting)
+        for args in (["run", "--in", str(trials), "--out", str(responses)],
+                     ["plot", "--in", str(responses), "--out", str(svg)]):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0, res.output
+        assert calls == {"load_trials": [str(trials)], "load_responses": [str(responses)]}

@@ -18,6 +18,14 @@ from deixis.resolver import LOCATING
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def held(loaded):
+    """A loaded trial set or responses, read to the end: the set with its
+    trials in a tuple, or the records in a list."""
+    if isinstance(loaded, harness.TrialSet):
+        return replace(loaded, trials=tuple(loaded.trials))
+    return list(loaded)
+
+
 def make_trials(n=8, seed=7, variant="referential", cone=67.5):
     cond = Condition(kind=harness.REF_VS_LOC, variant=variant,
                      cone_vertex_angle=math.radians(cone))
@@ -29,16 +37,16 @@ class TestTrialRoundTrip:
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         trials = make_trials()
         corpus.save_trials(trials, str(p1), seed=7)
-        loaded = corpus.load_trials(str(p1))
+        loaded = held(corpus.load_trials(str(p1)))
         corpus.save_trials(loaded, str(p2), seed=7)
         assert p1.read_bytes() == p2.read_bytes()
-        assert corpus.load_trials(str(p2)) == loaded
+        assert held(corpus.load_trials(str(p2))) == loaded
 
     def test_round_trip_preserves_semantics(self, tmp_path):
         p = tmp_path / "t.jsonl"
         trials = make_trials(variant=LOCATING)
         corpus.save_trials(trials, str(p), seed=7)
-        loaded = corpus.load_trials(str(p))
+        loaded = held(corpus.load_trials(str(p)))
         assert len(loaded.trials) == len(trials.trials)
         assert loaded.condition == trials.condition
         assert loaded.act.target == trials.act.target
@@ -54,7 +62,7 @@ class TestTrialRoundTrip:
         p = tmp_path / "n.jsonl"
         trials = harness.generate_trials(Condition(kind=harness.NATURAL), 3, 0)
         corpus.save_trials(trials, str(p), seed=0)
-        assert corpus.load_trials(str(p)) == trials
+        assert held(corpus.load_trials(str(p))) == trials
 
 
 def cluttered_trials(n=8, seed=7):
@@ -91,7 +99,7 @@ class TestTrialsV2:
     def test_round_trip_is_equal_and_byte_stable(self, tmp_path, trials):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         corpus.save_trials(trials, str(p1), seed=7)
-        loaded = corpus.load_trials(str(p1))
+        loaded = held(corpus.load_trials(str(p1)))
         assert loaded == trials
         corpus.save_trials(loaded, str(p2), seed=7)
         assert p1.read_bytes() == p2.read_bytes()
@@ -102,16 +110,16 @@ class TestTrialsV2:
         corpus.save_trials(trials, str(p), seed=7)
         lines = p.read_text().splitlines()
         p.write_text("\n".join([*lines[:3], "", *lines[3:5], " \t", *lines[5:]]) + "\n")
-        assert corpus.load_trials(str(p)) == trials
+        assert held(corpus.load_trials(str(p))) == trials
 
     def test_loaded_trials_share_the_context(self, tmp_path):
         p = tmp_path / "s.jsonl"
         corpus.save_trials(make_trials(variant=LOCATING), str(p), seed=7)
-        loaded = corpus.load_trials(str(p))
+        loaded = held(corpus.load_trials(str(p)))
         assert all(t.scene is loaded.scene for t in loaded.trials)
         p_ref = tmp_path / "r.jsonl"
         corpus.save_trials(make_trials(), str(p_ref), seed=7)
-        ref = corpus.load_trials(str(p_ref)).trials
+        ref = held(corpus.load_trials(str(p_ref))).trials
         assert ref[1].scene is not ref[0].scene
         assert ref[1].scene.objects[1] is ref[0].scene.objects[1]  # the cube
 
@@ -143,7 +151,7 @@ class TestTrialsV2:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(DeixisError, match=rf"^{re.escape(str(p))}:3: "
                                               rf"bad trial record: {message}"):
-            corpus.load_trials(str(p))
+            held(corpus.load_trials(str(p)))
 
 
 class TestResponsesRoundTrip:
@@ -177,7 +185,9 @@ class TestResponsesRoundTrip:
                 cases.append((t.id, moves, shown))
             act = replace(tset.act, target=nudge(tset.act.target))
             assert harness._q(act.target.u) != act.target.u
-            records += harness.run(harness.TrialSet(tset.condition, act, tset.scene, cases))
+            records += harness.run(harness.TrialSet(
+                tset.condition, act, tset.scene,
+                tuple(harness.make_trials(tset.scene, cases))))
         p, q = tmp_path / "r.jsonl", tmp_path / "q.jsonl"
         corpus.save_responses(records, str(p))
         corpus.save_responses([replace(r, meta=corpus._quantize(r.meta))
@@ -217,7 +227,7 @@ class TestResponsesV2:
     def test_round_trip_is_equal_and_byte_stable(self, tmp_path, records):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         corpus.save_responses(records, str(p1))
-        loaded = corpus.load_responses(str(p1))
+        loaded = held(corpus.load_responses(str(p1)))
         assert same_records(loaded, records)
         corpus.save_responses(loaded, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
@@ -250,7 +260,7 @@ class TestResponsesV2:
     def test_loaded_records_share_the_context_values(self, tmp_path):
         p = tmp_path / "s.jsonl"
         corpus.save_responses(locating_records(), str(p))
-        loaded = corpus.load_responses(str(p))
+        loaded = held(corpus.load_responses(str(p)))
         assert all(r.meta["x_star"] is loaded[0].meta["x_star"] for r in loaded)
         assert loaded[0].meta is not loaded[1].meta
 
@@ -261,7 +271,7 @@ class TestResponsesV2:
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         corpus.save_responses(records, str(p1))
         assert "theta" not in json.loads(p1.read_text().splitlines()[0])["context"]["meta"]
-        loaded = corpus.load_responses(str(p1))
+        loaded = held(corpus.load_responses(str(p1)))
         assert [corpus._ENCODER.encode(r.meta["theta"]) for r in loaded] == \
                ["0.0", "-0.0", "0", "0.0"]
         corpus.save_responses(loaded, str(p2))
@@ -271,7 +281,7 @@ class TestResponsesV2:
         # the one file of two trial sets: it saves back to its own bytes, and
         # the same trials run today give the same records plus `meta.path`
         fixture = FIXTURES / "natural-and-locating-45-n8-seed7.responses.jsonl"
-        mixed = corpus.load_responses(str(fixture))
+        mixed = held(corpus.load_responses(str(fixture)))
         p = tmp_path / "again.jsonl"
         corpus.save_responses(mixed, str(p))
         assert p.read_bytes() == fixture.read_bytes()
@@ -306,15 +316,16 @@ class TestTrialsExactValues:
         t = make_trials(n=4)
         cases = [(trial.id, {0: SurfacePoint(*position)}, trial.shown)
                  for trial, position in zip(t.trials, [(0.0, 0.0), (u, v)])]
-        return harness.TrialSet(t.condition, t.act,
-                                t.scene.moved({0: SurfacePoint(0.0, 0.0)}), cases)
+        scene = t.scene.moved({0: SurfacePoint(0.0, 0.0)})
+        return harness.TrialSet(t.condition, t.act, scene,
+                                tuple(harness.make_trials(scene, cases)))
 
     @pytest.mark.parametrize("u, v", [(-0.0, 0.0), (0, 0)], ids=["signed-zero", "int"])
     def test_round_trip_keeps_the_value(self, tmp_path, u, v):
         trials = self.mug_at(u, v)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         corpus.save_trials(trials, str(p1), seed=7)
-        loaded = corpus.load_trials(str(p1))
+        loaded = held(corpus.load_trials(str(p1)))
         position = loaded.trials[1].scene.objects[0].pose.position
         assert corpus._ENCODER.encode([position.u, position.v]) == \
                corpus._ENCODER.encode([u, v])
@@ -329,7 +340,7 @@ class TestTrialsExactValues:
         corpus.save_responses(harness.run(trials), str(direct))
         corpus.save_responses(harness.run(corpus.load_trials(str(p))), str(from_file))
         assert direct.read_bytes() == from_file.read_bytes()
-        probe = corpus.load_responses(str(direct))[1].meta["probe"]
+        probe = held(corpus.load_responses(str(direct)))[1].meta["probe"]
         assert corpus._ENCODER.encode(probe) == "[-0.0,0.0]"
 
 
@@ -367,7 +378,7 @@ class TestSchemaErrors:
         lines[2] = lines[2][:-5]  # truncate one record
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(DeixisError, match=r"m\.jsonl:3: malformed record: "):
-            corpus.load_trials(str(p))
+            held(corpus.load_trials(str(p)))
 
     @pytest.mark.parametrize("line", ['{"a":' * 100_000, "[" * 100_000],
                              ids=["deep-object", "deep-array"])
@@ -392,7 +403,7 @@ class TestSchemaErrors:
         gc.set_threshold(1)  # collect on every allocation
         try:
             with pytest.raises(DeixisError, match=r"d\.jsonl:2: malformed record: "):
-                corpus.load_responses(str(p))
+                held(corpus.load_responses(str(p)))
         finally:
             gc.set_threshold(*threshold)
             gc.callbacks.remove(room)
@@ -410,7 +421,7 @@ class TestSchemaErrors:
         else:
             with pytest.raises(DeixisError, match=r"n\.jsonl:2: malformed record: "
                                                   r"nested deeper than 32 levels$"):
-                corpus.load_responses(str(p))
+                held(corpus.load_responses(str(p)))
 
     def test_brackets_inside_strings_do_not_nest(self, tmp_path):
         p = tmp_path / "s.jsonl"
@@ -427,7 +438,7 @@ class TestSchemaErrors:
         lines = p.read_text().splitlines()
         p.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(DeixisError, match=r"c\.jsonl:1: header declares 4 records, found 3$"):
-            corpus.load_trials(str(p))
+            held(corpus.load_trials(str(p)))
 
     @pytest.mark.parametrize("count, message", [
         ("3", "header count must be a non-negative integer, got '3'"),
@@ -455,7 +466,7 @@ class TestSchemaErrors:
         p.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
         load = corpus.load_trials if kind == "trials" else corpus.load_responses
         with pytest.raises(DeixisError, match=rf"^{re.escape(str(p))}:1: {message}$"):
-            load(str(p))
+            held(load(str(p)))
 
     @pytest.mark.parametrize("context", [None, [], "scene", 3])
     def test_missing_or_non_object_context(self, tmp_path, context):
@@ -490,7 +501,7 @@ class TestSchemaErrors:
         lines[2] = json.dumps(rec)
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(DeixisError, match=r"o\.jsonl:3: bad trial record"):
-            corpus.load_trials(str(p))
+            held(corpus.load_trials(str(p)))
 
     @pytest.mark.parametrize("line", ['["objects"]', '"id"', "7", "null"])
     def test_non_object_record(self, tmp_path, line):
@@ -500,7 +511,7 @@ class TestSchemaErrors:
         lines[3] = line
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(DeixisError, match=r"n\.jsonl:4: "):
-            corpus.load_trials(str(p))
+            held(corpus.load_trials(str(p)))
 
     @pytest.mark.parametrize("path, value", [
         (("gravity",), "no"), (("condition", "speech"), "yes"),
@@ -539,7 +550,7 @@ class TestSchemaErrors:
         lines[2] = json.dumps(rec)
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(DeixisError, match=r"r\.jsonl:3: bad trial record"):
-            corpus.load_trials(str(p))
+            held(corpus.load_trials(str(p)))
 
     @pytest.mark.parametrize("position, message", [
         ([0.0, 5.0], "mug lies outside the surface extent"),
@@ -555,7 +566,7 @@ class TestSchemaErrors:
         lines[2] = json.dumps(rec)
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(DeixisError, match=rf"r\.jsonl:3: bad trial record: {message}"):
-            corpus.load_trials(str(p))
+            held(corpus.load_trials(str(p)))
 
     @pytest.mark.parametrize("field, value", [
         ("trial_id", [1]), ("trial_id", None), ("predicted", "farther"),
@@ -573,7 +584,7 @@ class TestSchemaErrors:
         lines[3] = json.dumps(rec)
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(DeixisError, match=r"w\.jsonl:4: bad response record"):
-            corpus.load_responses(str(p))
+            held(corpus.load_responses(str(p)))
 
     @pytest.mark.parametrize("kind", ["trials", "responses"])
     def test_errors_name_the_physical_line_past_blank_ones(self, tmp_path, kind):
@@ -591,13 +602,13 @@ class TestSchemaErrors:
         p.write_text("\n".join([lines[0], "", " \t", *lines[1:]]) + "\n")
         load = corpus.load_trials if kind == "trials" else corpus.load_responses
         with pytest.raises(DeixisError, match=rf"^{re.escape(str(p))}:6: {re.escape(message)}$"):
-            load(str(p))
+            held(load(str(p)))
 
     def test_human_label_may_be_a_string(self, tmp_path):
         p = tmp_path / "h.jsonl"
         corpus.save_responses([ResponseRecord("t", "correct", human="ambiguous",
                                               meta={"condition": "c"})], str(p))
-        assert corpus.load_responses(str(p))[0].human == "ambiguous"
+        assert held(corpus.load_responses(str(p)))[0].human == "ambiguous"
 
     def test_responses_wrong_schema(self, tmp_path):
         p = tmp_path / "w.jsonl"
@@ -617,10 +628,11 @@ class TestLineEnds:
         records = harness.run(trials)
         corpus.save_trials(trials, str(lf), seed=7)
         crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-        assert corpus.load_trials(str(crlf)) == corpus.load_trials(str(lf)) == trials
+        assert (held(corpus.load_trials(str(crlf))) == held(corpus.load_trials(str(lf)))
+                == trials)
         corpus.save_responses(records, str(lf))
         crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-        assert same_records(corpus.load_responses(str(crlf)), records)
+        assert same_records(held(corpus.load_responses(str(crlf))), records)
 
 
 @pytest.fixture(scope="module")
@@ -642,7 +654,7 @@ class TestStreamedReads:
         load = corpus.load_trials if kind == "trials" else corpus.load_responses
         tracemalloc.start()
         try:
-            loaded = load(str(sweep_files[kind]))
+            loaded = held(load(str(sweep_files[kind])))
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -651,28 +663,18 @@ class TestStreamedReads:
         # responses
         assert peak - retained < 500_000
 
-    def test_the_streams_give_what_the_loaders_hold(self, sweep_files):
-        stream = corpus.read_trials(str(sweep_files["trials"]))
-        tset = corpus.load_trials(str(sweep_files["trials"]))
-        assert (stream.condition, stream.act) == (tset.condition, tset.act)
-        assert list(stream.trials) == list(tset.trials)
-        assert list(stream.trials) == []  # read once
-        responses = str(sweep_files["responses"])
-        streamed, loaded = list(corpus.read_responses(responses)), corpus.load_responses(responses)
-        assert [(r, r.meta) for r in streamed] == [(r, r.meta) for r in loaded]
-
     @pytest.mark.parametrize("kind", ["trials", "responses"])
     def test_a_stream_checks_its_header_at_once(self, tmp_path, sweep_files, kind):
-        read = corpus.read_trials if kind == "trials" else corpus.read_responses
+        load = corpus.load_trials if kind == "trials" else corpus.load_responses
         lines = sweep_files[kind].read_bytes().split(b"\n", 1)
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(lines[0].replace(b'"context":{', b'"context":[{', 1) + b"\n" + lines[1])
         with pytest.raises(DeixisError, match=f"^{re.escape(str(bad))}:1: "):
-            read(str(bad))
+            load(str(bad))
 
     def test_per_trial_types_hold_no_dict(self, sweep_files):
-        trial = corpus.load_trials(str(sweep_files["trials"])).trials[0]
-        record = corpus.load_responses(str(sweep_files["responses"]))[0]
+        trial = next(iter(corpus.load_trials(str(sweep_files["trials"])).trials))
+        record = next(corpus.load_responses(str(sweep_files["responses"])))
         mug = trial.scene.objects[0]
         for value in (trial, mug, mug.pose, mug.pose.position, record):
             assert not hasattr(value, "__dict__"), type(value).__name__

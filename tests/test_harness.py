@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -152,10 +153,14 @@ class TestGenerate:
         assert labels == ["top", "edge", "table"]
         assert all(isinstance(t.shown, ShownConfig) for t in trials.trials)
 
-    def test_a_set_holds_at_least_one_trial(self):
+    def test_a_set_holds_at_least_one_trial(self, tmp_path):
+        # an empty set is refused by the writer, so no trials file is
+        # written that the reader refuses
         tset = generate_trials(cond(), 4, 0)
-        with pytest.raises(ValueError, match="at least one trial"):
-            harness.TrialSet(tset.condition, tset.act, tset.scene, [])
+        out = tmp_path / "t.jsonl"
+        with pytest.raises(DeixisError, match="^a trial set holds at least one trial$"):
+            corpus.save_trials(replace(tset, trials=()), str(out), seed=0)
+        assert not out.exists()
 
     def test_robot_changes_ray(self):
         plane = generate_trials(cond(), 8, 0).trials[0].scene.surface

@@ -62,7 +62,7 @@ class TestScatterPies:
 
     def test_one_mark_per_trial_set(self):
         # a natural set and a locating set, each with its own x*
-        records = corpus.load_responses(str(MIXED))
+        records = list(corpus.load_responses(str(MIXED)))
         x_stars = [(0.102, 0.0), (-0.2, -0.15)]
         assert list(dict.fromkeys(r.meta["x_star"] for r in records)) == x_stars
         svg = render(records, PlotSpec(legend=False))
@@ -155,8 +155,8 @@ class TestOneShotIterators:
 
     def test_the_streamed_mixed_file_renders_like_its_list(self):
         spec = PlotSpec(legend=False)
-        assert (render(corpus.read_responses(str(MIXED)), spec)
-                == render(corpus.load_responses(str(MIXED)), spec))
+        assert (render(corpus.load_responses(str(MIXED)), spec)
+                == render(list(corpus.load_responses(str(MIXED))), spec))
 
     def test_an_empty_iterator(self):
         with pytest.raises(DeixisError, match="^no responses to plot$"):
