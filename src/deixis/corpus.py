@@ -44,7 +44,8 @@ every float in `meta` is already quantized, so records are encoded without
 another pass.  Loaded records share the context's values.
 
 Values count as the same only when they are written as the same JSON text
-(`_same`): -0.0 and 0.0, 1 and 1.0, true and 1 all differ.
+(`_same` asks the encoder that writes them): -0.0 and 0.0, 1 and 1.0, true
+and 1 all differ.
 """
 from __future__ import annotations
 
@@ -53,8 +54,7 @@ import math
 import os
 import re
 from collections.abc import Iterable, Iterator
-from itertools import chain, repeat
-from operator import attrgetter, is_, methodcaller
+from itertools import chain
 from typing import Any
 
 from .errors import DeixisError
@@ -67,7 +67,6 @@ from .stats import ContingencyTable
 
 TRIALS_SCHEMA = "deixis-trials-2"
 RESPONSES_SCHEMA = "deixis-responses-2"
-_MISSING = object()  # a meta key a record lacks
 _RECORD_FIELDS = {"id", "shown", "objects"}  # of a deixis-trials-2 record
 MAX_NESTING = 32  # levels of arrays and objects in a line; corpus lines use 5
 _STRING = re.compile(r'"(?:[^"\\]|\\.)*"?')  # a JSON string, or one cut short
@@ -87,26 +86,12 @@ def _quantize(obj: Any) -> Any:
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _dumps(obj: Any) -> str:
-    return _ENCODER.encode(_quantize(obj))
-
-
 def _same(a: Any, b: Any) -> bool:
     """True only when `a` and `b` are written as the same JSON text; `==`
     alone also holds for -0.0 and 0.0, 1 and 1.0, true and 1.  Unequal
-    values (NaN included) and a list against a tuple count as different."""
-    if a is b:
-        return True
-    t = type(a)
-    if t is not type(b) or a != b:
-        return False
-    if t is float:  # equal floats are written alike but for the zero's sign
-        return a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b)
-    if t is list or t is tuple:
-        return all(map(_same, a, b))
-    if t is dict:
-        return all(_same(v, b[k]) for k, v in a.items())
-    return True
+    values (NaN included) and a list against a tuple count as different
+    without being encoded."""
+    return a is b or (a == b and _ENCODER.encode(a) == _ENCODER.encode(b))
 
 
 def _bool(value: Any) -> bool:
@@ -357,7 +342,7 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
     header = {"schema": TRIALS_SCHEMA, "count": len(trials), "seed": seed,
               "condition": tset.condition.descriptor(), "context": ctx}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(header) + "\n")
+        fh.write(_ENCODER.encode(header) + "\n")
         for t in trials:
             rec: dict = {"id": t.id, "shown": _quantize(_shown_to_json(t.shown))}
             if t.scene is not tset.scene:
@@ -408,17 +393,11 @@ def _shared(records: list[ResponseRecord]) -> tuple[dict, dict]:
     record."""
     if not records:
         return {}, {}
-    first, metas = records[0], [r.meta for r in records]
-
-    def everywhere(values, v) -> bool:
-        values = list(values)  # identity first: run() shares per-set values
-        return (all(map(is_, values, repeat(v)))
-                or all(map(_same, values, repeat(v))))
-
+    first = records[0]
     top = {f: getattr(first, f) for f in ("predicted", "human")
-           if everywhere(map(attrgetter(f), records), getattr(first, f))}
+           if all(_same(getattr(r, f), getattr(first, f)) for r in records)}
     meta = {k: v for k, v in first.meta.items()
-            if everywhere(map(methodcaller("get", k, _MISSING), metas), v)}
+            if all(k in r.meta and _same(r.meta[k], v) for r in records)}
     return top, meta
 
 

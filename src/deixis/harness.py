@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 
 from .errors import DeixisError
@@ -112,13 +112,18 @@ class Condition:
                 raise ValueError(f"{self.kind} takes no cone vertex angle")
         elif self.cone_vertex_angle is None:
             raise ValueError(f"{self.kind} requires a cone vertex angle")
-        elif not any(abs(math.degrees(self.cone_vertex_angle) - d) < 1e-9
-                     for d in CONE_ANGLES_DEG):
-            raise ValueError("cone vertex angle must be 45, 67.5 or 90 degrees")
+        else:  # held as the allowed angle it matches
+            angles = [d for d in CONE_ANGLES_DEG
+                      if abs(math.degrees(self.cone_vertex_angle) - d) < 1e-9]
+            if not angles:
+                raise ValueError("cone vertex angle must be 45, 67.5 or 90 degrees")
+            object.__setattr__(self, "cone_vertex_angle", math.radians(angles[0]))
         # fields the kind never reads must keep their defaults: the
         # descriptor and trial ids omit them
         if self.kind in (CLUTTERED, NATURAL) and self.variant != REFERENTIAL:
             raise ValueError(f"{self.kind} takes no variant other than {REFERENTIAL}")
+        if self.kind in (CLUTTERED, NATURAL) and self.reverse:
+            raise ValueError(f"{self.kind} takes no reverse")
         if self.kind != VERB_VARIANT and self.verb != "put":
             raise ValueError(f"{self.kind} takes no verb other than put")
         if self.kind != NATURAL and not self.gravity:
@@ -229,9 +234,6 @@ def generate_trials(cond: Condition, n: int, seed: int) -> TrialSet:
     Each kind's generator returns the ray, intent, x* and scene its trials
     share and one (id suffix, moves or None, shown) case per trial.
     """
-    if cond.cone_vertex_angle is not None:
-        degrees = _q(math.degrees(cond.cone_vertex_angle))
-        cond = replace(cond, cone_vertex_angle=math.radians(degrees))
     if cond.kind == NATURAL:
         if n <= 0:
             raise DeixisError(f"n must be positive, got {n}")

@@ -79,9 +79,12 @@ class TestGen:
          "takes no verb"),
         (("--condition", "ref-vs-loc", "--cone", "45", "--gravity", "off"),
          "takes no gravity off"),
+        (("--condition", "cluttered", "--cone", "45", "--reverse"), "takes no reverse"),
+        (("--condition", "natural", "--reverse"), "takes no reverse"),
     ], ids=["natural-seed", "cluttered-seed", "natural-cone-30",
             "natural-cone-45", "cone-30", "cluttered-variant", "natural-variant",
-            "ref-vs-loc-verb", "ref-vs-loc-gravity"])
+            "ref-vs-loc-verb", "ref-vs-loc-gravity", "cluttered-reverse",
+            "natural-reverse"])
     def test_bad_flags_exit_2(self, runner, tmp_path, flags, message):
         out = tmp_path / "x.jsonl"
         res = runner.invoke(main, ["gen", *flags, "--out", str(out)])
@@ -347,7 +350,8 @@ class TestRun:
 
     @pytest.mark.parametrize("where, field, value", [
         ("context", "variant", "locating"), ("context", "gravity", False),
-        ("context", "verb", "push"), ("record", "verb", "place")])
+        ("context", "verb", "push"), ("context", "reverse", True),
+        ("record", "verb", "place")])
     def test_recorded_flag_the_kind_ignores_exits_1(self, runner, tmp_path,
                                                     where, field, value):
         trials = tmp_path / "clut.jsonl"

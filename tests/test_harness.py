@@ -9,7 +9,8 @@ from deixis.geometry import Plane, SurfacePoint, cone_plane_section, surface_dis
 from deixis.harness import (CLUTTERED, NATURAL, REF_VS_LOC, VERB_VARIANT,
                             Condition, ResponseRecord, ShownConfig,
                             generate_trials, pointer_ray, run)
-from deixis.resolver import LOCATING, REFERENTIAL, ResolverConfig
+from deixis.resolver import (CORRECT, LOCATING, NEARER, REFERENTIAL, ResolverConfig,
+                             candidates, classify_outcome, resolve)
 from deixis.sampling import cluttered_pair, substreams
 from ellipse_oracle import contains
 
@@ -20,9 +21,9 @@ def cond(kind=REF_VS_LOC, deg=45.0, **kw):
 
 
 def dump(tset):
-    return "".join(corpus._dumps({**corpus._context(tset.condition, tset.act, t.scene),
-                                  "id": t.id, "shown": corpus._shown_to_json(t.shown)})
-                   for t in tset.trials)
+    return "".join(corpus._ENCODER.encode(
+        {**corpus._context(tset.condition, tset.act, t.scene),
+         "id": t.id, "shown": corpus._shown_to_json(t.shown)}) for t in tset.trials)
 
 
 class TestCondition:
@@ -51,7 +52,9 @@ class TestCondition:
         (NATURAL, "verb", "place", "takes no verb"),
         (REF_VS_LOC, "gravity", False, "takes no gravity off"),
         (CLUTTERED, "gravity", False, "takes no gravity off"),
-        (VERB_VARIANT, "gravity", False, "takes no gravity off")])
+        (VERB_VARIANT, "gravity", False, "takes no gravity off"),
+        (CLUTTERED, "reverse", True, "takes no reverse"),
+        (NATURAL, "reverse", True, "takes no reverse")])
     def test_fields_the_kind_ignores_keep_defaults(self, kind, field, value, message):
         # the descriptor and trial ids leave these fields out
         with pytest.raises(ValueError, match=message):
@@ -61,6 +64,11 @@ class TestCondition:
         cond(kind=REF_VS_LOC, variant=LOCATING)
         cond(kind=VERB_VARIANT, variant=LOCATING, verb="push")
         cond(kind=NATURAL, gravity=False)
+
+    def test_the_matched_cone_angle_is_held(self):
+        # an angle within 1e-9 degrees of an allowed one is held as that one
+        c = Condition(kind=REF_VS_LOC, cone_vertex_angle=math.radians(67.5) + 1e-12)
+        assert c.cone_vertex_angle == math.radians(67.5)
 
     def test_descriptor_round_trips_flags(self):
         c = cond(kind=VERB_VARIANT, deg=67.5, variant=LOCATING, verb="push",
@@ -187,6 +195,21 @@ class TestRun:
             d = surface_distance(t.shown, trials.act.target)
             if r.predicted == "correct":
                 assert d <= r.meta["theta"] + cfg.epsilon + 1e-9
+
+    @pytest.mark.parametrize("robot", sorted(harness.ROBOTS))
+    @pytest.mark.parametrize("deg", [45.0, 67.5, 90.0])
+    def test_cluttered_labels_follow_the_theta_epsilon_rule(self, deg, robot):
+        # candidates -> resolve -> classify_outcome on the two mugs gives the
+        # cluttered label on every trial of a sweep set at the byte-stability
+        # seed, `correct` read as `nearer`
+        cfg = ResolverConfig()
+        tset = generate_trials(cond(kind=CLUTTERED, deg=deg, robot=robot), 4000, 1)
+        x_star, labels = tset.act.target, []
+        for t in tset.trials:
+            res = resolve(candidates(t.scene, REFERENTIAL), x_star, cfg)
+            label = classify_outcome(res, t.shown, x_star, cfg)
+            labels.append(NEARER if label == CORRECT else label)
+        assert labels == [r.predicted for r in run(tset, cfg)]
 
     def test_natural_gravity_contrast(self):
         on = {r.meta["config"]: r.predicted
