@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 
 import click
 from click.core import ParameterSource
@@ -20,8 +21,8 @@ _CONDITIONS = {"ref-vs-loc": harness.REF_VS_LOC,
                "cluttered": harness.CLUTTERED,
                "natural": harness.NATURAL,
                "verbs": harness.VERB_VARIANT}
-# the most trials one `gen` makes: 25x sweep scale; generation holds every
-# trial in memory, and a cluttered trial index must fit one 32-bit word
+# the most trials one `gen` makes: 25x sweep scale; a cluttered trial index
+# must fit one 32-bit word
 MAX_N = 100_000
 
 
@@ -91,12 +92,17 @@ def cmd_run(in_path: str, epsilon: float, ambiguity_band: float, out: str) -> No
     """Predict a judgment for every trial in a corpus."""
     trials = corpus.load_trials(in_path)
     cfg = ResolverConfig(epsilon=epsilon, ambiguity_band=ambiguity_band)
-    records = harness.run(trials, cfg)
-    corpus.save_responses(records, out)
-    counts = harness.aggregate(records, group_by="condition")
-    for key, row in counts.rows:
-        summary = " ".join(f"{lbl}={c}" for lbl, c in zip(counts.labels, row) if c)
-        click.echo(f"{key}: {len(records)} responses ({summary})")
+    labels: Counter = Counter()
+
+    def counted(records):
+        # each record is counted as it goes to the writer: none is held
+        for rec in records:
+            labels[rec.predicted] += 1
+            yield rec
+
+    corpus.save_responses(counted(harness.predict(trials, cfg)), out)
+    summary = " ".join(f"{lbl}={labels[lbl]}" for lbl in harness.LABELS if labels[lbl])
+    click.echo(f"{trials.condition.descriptor()}: {labels.total()} responses ({summary})")
 
 
 def _parse_counts(text: str, cols: int | None) -> stats.ContingencyTable:
@@ -254,9 +260,9 @@ def cmd_plot(in_path: str, kind: str, out: str, width: int, height: int,
     records = corpus.load_responses(in_path)
     spec = svgplot.PlotSpec(kind=kind.replace("-", "_"), width=width,
                             height=height, legend=legend)
-    svg = svgplot.render(records, spec)
+    svg = svgplot.render(records, spec)  # raises before `out` is opened
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+        fh.writelines(svg)
     click.echo(f"wrote {out}")
 
 

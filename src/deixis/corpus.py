@@ -6,13 +6,15 @@ Files are read and checked one line at a time: each record becomes a trial
 or response as its line is read, and `count` is checked after the last
 record.  `load_trials` and `load_responses`, the one reader of each kind,
 check the header at once and hand the records on one at a time, so what
-they return can be read only once.  So `run` holds one trial at a time plus
-the response records, which the responses header needs, and `plot` holds
-only its pie table.  Since `run` predicts each trial before it reads the
-next line, a prediction error on an earlier trial is reported before a
-malformed later record, and a `count` mismatch after every prediction; the
-header, and a trials file's context and first record, are checked before
-anything is predicted.  Lines end at `\n` or `\r\n`; any other line break
+they return can be read only once.  Files are written the same way, one
+record at a time: `gen` writes each trial as it is made, and `run` spools
+each response record beside its output until the last is in, since the
+responses header holds what every record shares, so neither holds the set;
+`plot` holds only its pie table.  Since `run` predicts each trial before it
+reads the next line, a prediction error on an earlier trial is reported
+before a malformed later record, and a `count` mismatch after every
+prediction; the header, and a trials file's context and first record, are
+checked before anything is predicted.  Lines end at `\n` or `\r\n`; any other line break
 inside a line (a bare `\r`, a form feed, U+2028) makes it malformed, and so
 do arrays and objects nested deeper than `MAX_NESTING` levels.  Blank lines
 are skipped, but errors name physical lines.
@@ -39,9 +41,11 @@ JSON is the same in every record, plus `predicted` and `human` when those
 are the same in every record.  Each record holds `trial_id`, its id without
 the prefix, and only the fields and meta entries that are not in the
 context (no `meta` when none are left).  On the n=4000 sweeps that is
-107-160 B per trial.  Records are written as `harness.run` makes them:
+107-160 B per trial.  Records are written as `harness.predict` makes them:
 every float in `meta` is already quantized, so records are encoded without
-another pass.  Loaded records share the context's values.
+another pass.  Until the last record is in, they wait in a `marshal` spool
+that the writer alone reads, once, and then removes.  Loaded records share
+the context's values.
 
 Values count as the same only when they are written as the same JSON text
 (`_same` asks the encoder that writes them): -0.0 and 0.0, 1 and 1.0, true
@@ -50,17 +54,20 @@ and 1 all differ.
 from __future__ import annotations
 
 import json
+import marshal
 import math
 import os
 import re
+import tempfile
 from collections.abc import Iterable, Iterator
-from itertools import chain
-from typing import Any
+from contextlib import contextmanager
+from itertools import chain, islice
+from typing import Any, TextIO
 
 from .errors import DeixisError
 from .geometry import Plane, Point3, Ray, SurfacePoint, unit
 from .harness import (LABELS, Condition, ResponseRecord, ShownConfig, Trial,
-                      TrialSet, _q, make_trials)
+                      Trials, TrialSet, _q, make_trials)
 from .resolver import PointingAct
 from .scene import Pose2D, Scene, SceneObject, Shape, TABLE
 from .stats import ContingencyTable
@@ -71,6 +78,7 @@ _RECORD_FIELDS = {"id", "shown", "objects"}  # of a deixis-trials-2 record
 MAX_NESTING = 32  # levels of arrays and objects in a line; corpus lines use 5
 _STRING = re.compile(r'"(?:[^"\\]|\\.)*"?')  # a JSON string, or one cut short
 _BRACKET = re.compile(r"[][{}]")
+SPOOL_BATCH = 256  # response records marshalled to the spool at a time
 
 
 def _quantize(obj: Any) -> Any:
@@ -332,18 +340,35 @@ def _read_lines(path: str, schema: str) -> Iterator[tuple[int, dict]]:
                           f"found {found}")
 
 
+@contextmanager
+def _writing(path: str) -> Iterator[TextIO]:
+    """`path` open for writing, and removed again if the block raises, so
+    an error leaves no partial file."""
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(path)
+        raise
+
+
 def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
-    """Write a trial set of at least one trial; an empty set is refused
-    before the file is opened.  A loaded set's trials are read here, once."""
-    trials = tuple(tset.trials)
-    if not trials:
+    """Write a trial set of at least one trial, each trial as it is made;
+    an empty set is refused before the file is opened.  The header holds
+    the count the set carries, `len(tset.trials)`, and any error, such as
+    a generation error or a loaded set's count mismatch, removes the file.
+    A loaded set's trials are read here, once."""
+    count = len(tset.trials)
+    if not count:
         raise DeixisError("a trial set holds at least one trial")
     ctx = _context(tset.condition, tset.act, tset.scene)
-    header = {"schema": TRIALS_SCHEMA, "count": len(trials), "seed": seed,
+    header = {"schema": TRIALS_SCHEMA, "count": count, "seed": seed,
               "condition": tset.condition.descriptor(), "context": ctx}
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path) as fh:
         fh.write(_ENCODER.encode(header) + "\n")
-        for t in trials:
+        written = 0
+        for t in tset.trials:
             rec: dict = {"id": t.id, "shown": _quantize(_shown_to_json(t.shown))}
             if t.scene is not tset.scene:
                 objects = [{} if o is o0 else _position(o, od0) for o, o0, od0
@@ -351,13 +376,17 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
                 if any(objects):
                     rec["objects"] = objects
             fh.write(_ENCODER.encode(rec) + "\n")
+            written += 1
+        if written != count:
+            raise DeixisError(f"a set of {count} trials gave {written}")
 
 
 def load_trials(path: str) -> TrialSet:
     """The trial set of a trials file.  The header, its context and the
     first record are read and checked now; each record is read and made
     into a trial as the set's `trials` reach it, so they can be read only
-    once, and the header `count` is checked after the last."""
+    once.  Their `len` is the header `count`, which is checked after the
+    last."""
     lines = _read_lines(path, TRIALS_SCHEMA)
     _, header = next(lines)
     line, first = next(lines, (1, None))
@@ -385,42 +414,66 @@ def load_trials(path: str) -> TrialSet:
         except (KeyError, TypeError, ValueError) as exc:
             raise DeixisError(f"{path}:{line}: bad trial record: {exc}") from exc
 
-    return TrialSet(condition, act, scene, trials())
+    stream = trials()
+    return TrialSet(condition, act, scene, Trials(header["count"], lambda: stream))
 
 
-def _shared(records: list[ResponseRecord]) -> tuple[dict, dict]:
-    """The top-level fields and the meta entries that are `_same` in every
-    record."""
-    if not records:
-        return {}, {}
-    first = records[0]
-    top = {f: getattr(first, f) for f in ("predicted", "human")
-           if all(_same(getattr(r, f), getattr(first, f)) for r in records)}
-    meta = {k: v for k, v in first.meta.items()
-            if all(k in r.meta and _same(r.meta[k], v) for r in records)}
-    return top, meta
+def _shared(batch: list[ResponseRecord], top: dict, meta: dict) -> tuple[dict, dict]:
+    """The top-level fields of `top` and the entries of `meta` that are
+    `_same` in every record of `batch`."""
+    return ({f: v for f, v in top.items()
+             if all(_same(getattr(r, f), v) for r in batch)},
+            {k: v for k, v in meta.items()
+             if all(k in r.meta and _same(r.meta[k], v) for r in batch)})
 
 
 def save_responses(records: Iterable[ResponseRecord], path: str) -> None:
-    """Write records as given: `harness.run` already quantizes every float
-    in `meta` to 9 significant digits."""
-    records = list(records)
-    top, shared = _shared(records)
-    prefix = os.path.commonprefix([r.trial_id for r in records])
-    header = {"schema": RESPONSES_SCHEMA, "count": len(records),
-              "id_prefix": prefix, "context": {**top, "meta": shared}}
-    own = [f for f in ("predicted", "human") if f not in top]
-    cut = len(prefix)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_ENCODER.encode(header) + "\n")
-        for r in records:
-            rec = {"trial_id": r.trial_id[cut:]}
-            for f in own:
-                rec[f] = getattr(r, f)
-            meta = {k: v for k, v in r.meta.items() if k not in shared}
-            if meta:
-                rec["meta"] = meta
-            fh.write(_ENCODER.encode(rec) + "\n")
+    """Write records as given: `harness.predict` already quantizes every
+    float in `meta` to 9 significant digits.  The header holds what every
+    record shares, so records are spooled as they arrive, `SPOOL_BATCH` at
+    a time, to a temporary file beside `path`, narrowing the id prefix and
+    the shared fields from the first record's.  `path` is opened only after
+    the last record: the header is written and the spool copied across
+    without the shared fields.  The spool is removed on every path, and a
+    partial `path` on any error, so an error leaves neither file."""
+    try:
+        fd, spool = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".spool",
+                                     dir=os.path.dirname(path))
+    except OSError as exc:  # name the file the caller asked for, not the spool
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        count, prefix, top, shared = 0, "", {}, {}
+        with open(fd, "wb") as fh:
+            it = iter(records)
+            for batch in iter(lambda: list(islice(it, SPOOL_BATCH)), []):
+                if not count:
+                    first = batch[0]
+                    prefix, top = first.trial_id, {"predicted": first.predicted,
+                                                   "human": first.human}
+                    shared = first.meta
+                prefix = os.path.commonprefix([prefix, *(r.trial_id for r in batch)])
+                top, shared = _shared(batch, top, shared)
+                data = marshal.dumps([(r.trial_id, r.predicted, r.human, r.meta)
+                                      for r in batch])
+                fh.write(len(data).to_bytes(8, "little") + data)
+                count += len(batch)
+        header = {"schema": RESPONSES_SCHEMA, "count": count,
+                  "id_prefix": prefix, "context": {**top, "meta": shared}}
+        cut = len(prefix)
+        with open(spool, "rb") as fh, _writing(path) as out:
+            out.write(_ENCODER.encode(header) + "\n")
+            while size := int.from_bytes(fh.read(8), "little"):
+                for trial_id, predicted, human, meta in marshal.loads(fh.read(size)):
+                    rec = {"trial_id": trial_id[cut:], "predicted": predicted,
+                           "human": human}
+                    for f in top:
+                        del rec[f]
+                    meta = {k: v for k, v in meta.items() if k not in shared}
+                    if meta:
+                        rec["meta"] = meta
+                    out.write(_ENCODER.encode(rec) + "\n")
+    finally:
+        os.remove(spool)
 
 
 def _checked(fields: dict) -> dict:

@@ -8,8 +8,8 @@ qualitative contrasts.  Tables auto-grow to contain large tilted sections.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
-from collections.abc import Iterable, Iterator
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -20,7 +20,7 @@ from .geometry import (Ellipse, Plane, Point3, Ray, SurfacePoint,
 from .resolver import (AMBIGUOUS, CORRECT, INCORRECT, LOCATING, NEARER,
                        REFERENTIAL, PointingAct, ResolverConfig, candidates,
                        classify_outcome, predict_cluttered, resolve)
-from .sampling import cluttered_pair, sample_positions, substreams
+from .sampling import PCG64, cluttered_pair, sample_positions, substreams
 from .scene import Scene, SceneObject, Shape, Pose2D
 
 REF_VS_LOC = "ref_vs_loc"
@@ -159,22 +159,40 @@ class Trial:
 def make_trials(scene: Scene, cases: Iterable[tuple]) -> Iterator[Trial]:
     """One trial per `(id, moves or None, shown)` case, made as its case is
     read: `scene`, or `scene.moved(moves)`.  The one place a `Trial` is
-    made: a generated `TrialSet` holds what it yields, and a loaded one
-    hands it on."""
+    made: generated and loaded sets both hand on what it yields."""
     for tid, moves, shown in cases:
         yield Trial(tid, scene if moves is None else scene.moved(moves), shown)
+
+
+class Trials:
+    """A set's trials, counted before any is made: `len` is `count`, and
+    each pass over them is a fresh `make()`.  A generated set's `make`
+    draws its cases again, so every pass gives the same trials and none is
+    held; a loaded set's hands on its one reader, so it is read once."""
+
+    __slots__ = ("count", "make")
+
+    def __init__(self, count: int, make: Callable[[], Iterator[Trial]]) -> None:
+        self.count = count
+        self.make = make
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[Trial]:
+        return self.make()
 
 
 @dataclass(frozen=True, slots=True)
 class TrialSet:
     """One condition's trials: one pointing act into one scene, in order.
-    `generate_trials` holds them in a tuple; `corpus.load_trials` yields
-    each as its record is read, so a loaded set's trials are read once."""
+    Sets compare on condition, act and scene; `trials`, a `Trials` or any
+    sized iterable, is left out, since a loaded set's can be read once."""
 
     condition: Condition
     act: PointingAct
     scene: Scene
-    trials: Iterable[Trial]
+    trials: Iterable[Trial] = field(compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,12 +250,14 @@ def generate_trials(cond: Condition, n: int, seed: int) -> TrialSet:
     n must be positive; sampled kinds also require n divisible by 4, and
     the natural condition always yields its three fixed configurations.
     Each kind's generator returns the ray, intent, x* and scene its trials
-    share and one (id suffix, moves or None, shown) case per trial.
+    share and a function giving one (id suffix, moves or None, shown) case
+    per trial, drawn afresh on each call.  The set holds none of its
+    trials: each pass over them makes them again, as they are read.
     """
     if cond.kind == NATURAL:
         if n <= 0:
             raise DeixisError(f"n must be positive, got {n}")
-        built = _natural_trials(cond)
+        built, n = _natural_trials(cond), len(NATURAL_CONFIGS)
     elif n <= 0 or n % 4 != 0:
         raise DeixisError(f"n must be a positive multiple of 4, got {n}")
     elif cond.kind == CLUTTERED:
@@ -246,9 +266,12 @@ def generate_trials(cond: Condition, n: int, seed: int) -> TrialSet:
         built = _ref_vs_loc_trials(cond, n, seed)
     ray, intent, x_star, scene, cases = built
     slug = cond.descriptor().replace("/", "-")
-    cases = ((f"{slug}-{suffix}", moves, shown) for suffix, moves, shown in cases)
-    return TrialSet(cond, PointingAct(ray, intent, x_star), scene,
-                    tuple(make_trials(scene, cases)))
+
+    def make() -> Iterator[Trial]:
+        return make_trials(scene, ((f"{slug}-{suffix}", moves, shown)
+                                   for suffix, moves, shown in cases()))
+
+    return TrialSet(cond, PointingAct(ray, intent, x_star), scene, Trials(n, make))
 
 
 def _ref_vs_loc_trials(cond: Condition, n: int, seed: int) -> tuple:
@@ -258,22 +281,33 @@ def _ref_vs_loc_trials(cond: Condition, n: int, seed: int) -> tuple:
     ray, x_star = _aim(cond, x_init if intent == REFERENTIAL else x_final,
                        intent, probe_plane)
     ellipse = cone_plane_section(ray, cond.cone_vertex_angle, probe_plane)
-    positions = [_qp(p) for p in sample_positions(ellipse, n, seed)]
     # x* is on the major axis, so its far end is the farthest boundary point
     reach = ellipse.semi_major + surface_distance(ellipse.center, x_star)
     cube_pos = _qp(SurfacePoint(x_star.u, x_star.v + reach + 0.25))
+    # the extent reads the largest |u| and |v| of the quantized positions;
+    # `_q` is odd and monotone, so they are the largest drawn, quantized.
+    # The stream is drawn once for them here, and again on each pass over
+    # the trials, rather than held
+    drawn = sample_positions(ellipse, n, seed)
+    first = next(drawn)
+    mu, mv = abs(first.u), abs(first.v)
+    for p in drawn:
+        mu, mv = max(mu, abs(p.u)), max(mv, abs(p.v))
+    farthest = _qp(SurfacePoint(mu, mv))
     extent = _fit_extent(_ellipse_bbox(ellipse)
-                         + positions + [x_init, x_final, cube_pos, x_star])
-    mug = positions[0] if intent == REFERENTIAL else x_init
+                         + [farthest, x_init, x_final, cube_pos, x_star])
+    mug = _qp(first) if intent == REFERENTIAL else x_init
     scene = Scene(Plane.horizontal(extent),
                   (SceneObject("mug", MUG, Pose2D(mug)),
                    SceneObject("red_cube", RED_CUBE, Pose2D(cube_pos))))
-    if intent == REFERENTIAL:
-        # the mug moves to each probe
-        cases = ((f"{i:03d}", {0: pos}, "mug") for i, pos in enumerate(positions))
-    else:
-        # the probe is the shown point; every trial keeps the scene
-        cases = ((f"{i:03d}", None, pos) for i, pos in enumerate(positions))
+
+    def cases() -> Iterator[tuple]:
+        for i, pos in enumerate(map(_qp, sample_positions(ellipse, n, seed))):
+            # a referential trial moves the mug to its probe; a locating
+            # trial shows its probe as a point and keeps the scene
+            yield ((f"{i:03d}", {0: pos}, "mug") if intent == REFERENTIAL
+                   else (f"{i:03d}", None, pos))
+
     return ray, intent, x_star, scene, cases
 
 
@@ -286,19 +320,26 @@ def _cluttered_trials(cond: Condition, n: int, seed: int) -> tuple:
     d_full = 2.0 * ellipse.semi_major
     far = [ellipse.from_local(s * 1.5 * d_full, 0.0) for s in (-1.0, 1.0)]
     extent = _fit_extent(_ellipse_bbox(ellipse) + far + [x_star])
-    # each stream is dropped once its pair is drawn, so only the trials stay held
-    rngs = deque(substreams(seed, n))
-    pairs = ((_qp(pair.x_object), _qp(pair.x_distractor))
-             for pair in (cluttered_pair(ellipse, rngs.popleft()) for _ in range(n)))
-    first = next(pairs)
+
+    def pair(rng: PCG64) -> tuple[SurfacePoint, SurfacePoint]:
+        drawn = cluttered_pair(ellipse, rng)
+        return _qp(drawn.x_object), _qp(drawn.x_distractor)
+
+    first = pair(next(substreams(seed, n)))
     scene = Scene(Plane.horizontal(extent),
                   (SceneObject("mug_object", MUG, Pose2D(first[0])),
                    SceneObject("mug_distractor", MUG, Pose2D(first[1]))))
-    # both mugs move per trial
-    cases = ((f"{i:03d}", {0: obj, 1: dis},
-              "mug_object" if surface_distance(obj, x_star) <= surface_distance(dis, x_star)
-              else "mug_distractor")
-             for i, (obj, dis) in enumerate(chain([first], pairs)))
+
+    def cases() -> Iterator[tuple]:
+        # both mugs move per trial; pair 0 is the scene's, so stream 0 is
+        # skipped, and each stream is dropped once its pair is drawn
+        rngs = substreams(seed, n)
+        next(rngs)
+        for i, (obj, dis) in enumerate(chain([first], map(pair, rngs))):
+            nearer = surface_distance(obj, x_star) <= surface_distance(dis, x_star)
+            yield (f"{i:03d}", {0: obj, 1: dis},
+                   "mug_object" if nearer else "mug_distractor")
+
     return ray, REFERENTIAL, x_star, scene, cases
 
 
@@ -308,7 +349,10 @@ def _natural_trials(cond: Condition) -> tuple:
              SceneObject("stack_top", STACK_CUBOID, Pose2D(STACK_POSITION),
                          support="stack_base"))
     ray, x_star = _aim(cond, NATURAL_X_STAR, LOCATING, plane)
-    cases = ((shown.label, None, shown) for shown in NATURAL_CONFIGS)
+
+    def cases() -> Iterator[tuple]:
+        return ((shown.label, None, shown) for shown in NATURAL_CONFIGS)
+
     return ray, LOCATING, x_star, Scene(plane, stack, gravity=cond.gravity), cases
 
 
@@ -343,38 +387,40 @@ def _predict(trial: Trial, kind: str, act: PointingAct, descriptor: str,
     return predicted, meta
 
 
-def run(tset: TrialSet, cfg: ResolverConfig = ResolverConfig()) -> list[ResponseRecord]:
-    """One predicted judgment per trial, preserving order; each trial is
-    predicted as it arrives, so of a loaded set only the records are held.
-    Every float in `meta` is quantized to 9 significant digits, as the
-    corpus writes it.  `meta.path` names the branch that answered: `stable`
-    or `enumerated` for locating and natural trials (x* in the stable
-    region, or the nearest stable point found by enumeration), `discrete`
-    for referential trials and `cluttered` for cluttered ones."""
+def predict(tset: TrialSet, cfg: ResolverConfig = ResolverConfig()) -> Iterator[ResponseRecord]:
+    """One predicted judgment per trial, in order, each made as its trial
+    arrives, so of a loaded set nothing is held.  Every float in `meta` is
+    quantized to 9 significant digits, as the corpus writes it.
+    `meta.path` names the branch that answered: `stable` or `enumerated`
+    for locating and natural trials (x* in the stable region, or the
+    nearest stable point found by enumeration), `discrete` for referential
+    trials and `cluttered` for cluttered ones."""
     kind, act = tset.condition.kind, tset.act
     descriptor = tset.condition.descriptor()
     x_star_q = (_q(act.target.u), _q(act.target.v))
-    records = []
     for trial in tset.trials:
         try:
             predicted, meta = _predict(trial, kind, act, descriptor, x_star_q, cfg)
         except DeixisError as exc:
             raise DeixisError(f"trial {trial.id}: {exc}") from exc
-        records.append(ResponseRecord(trial_id=trial.id, predicted=predicted,
-                                      meta=meta))
-    return records
+        yield ResponseRecord(trial_id=trial.id, predicted=predicted, meta=meta)
 
 
-def aggregate(records: list[ResponseRecord], group_by: str = "condition") -> AggregateTable:
+def run(tset: TrialSet, cfg: ResolverConfig = ResolverConfig()) -> list[ResponseRecord]:
+    """Every record `predict` makes, in a list."""
+    return list(predict(tset, cfg))
+
+
+def aggregate(records: Iterable[ResponseRecord], group_by: str = "condition") -> AggregateTable:
     """Label counts per condition descriptor (`meta.condition`); conditions
     appear in first-seen order.  `"condition"` is the only grouping."""
-    if not records:
-        raise DeixisError("no records to aggregate")
     if group_by != "condition":
         raise ValueError(f"unknown grouping {group_by!r}")
     groups: dict[object, Counter] = {}
     for rec in records:
         groups.setdefault(rec.meta.get("condition"), Counter())[rec.predicted] += 1
+    if not groups:
+        raise DeixisError("no records to aggregate")
     rows = tuple((key, tuple(counter.get(lbl, 0) for lbl in LABELS))
                  for key, counter in groups.items())
     return AggregateTable(labels=LABELS, rows=rows)

@@ -5,13 +5,14 @@ Two kinds share one renderer and differ only in their `KINDS` entry:
 distinct pointing target x* in the file, so each trial set gets its own mark
 and a record without `meta.x_star` adds none; `distance_pies` places one pie
 per cluttered-pair geometry at (|d1 - d2|, total separation).  Output is
-plain SVG 1.1 text, byte-stable for identical inputs.
+plain SVG 1.1 text, byte-stable for identical inputs, handed on one line
+at a time as it is drawn.
 """
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
@@ -94,16 +95,6 @@ def _pie(cx: float, cy: float, r: float, parts: list[tuple[float, str]]) -> list
     return out
 
 
-def _frame(spec: PlotSpec, body: list[str], title: str) -> str:
-    head = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{spec.width}" height="{spec.height}" '
-            f'viewBox="0 0 {spec.width} {spec.height}">',
-            f'<rect width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
-            f'<text x="{spec.width // 2}" y="18" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>']
-    return "\n".join(head + body + ["</svg>"]) + "\n"
-
-
 def _legend(spec: PlotSpec, colors: dict[str, str]) -> list[str]:
     out = []
     x = 12
@@ -133,10 +124,12 @@ def _axes_map(keys: list[tuple[float, float]], spec: PlotSpec) -> tuple:
     return to_px
 
 
-def render(records: Iterable[ResponseRecord], spec: PlotSpec) -> str:
-    """The SVG of `spec.kind` over `records`, each folded into its pie's
-    label counts and the x* marks as it arrives, so a one-shot iterator is
-    read once and only the pie table is held."""
+def render(records: Iterable[ResponseRecord], spec: PlotSpec) -> Iterator[str]:
+    """The SVG of `spec.kind` over `records`, one line at a time.  Each
+    record is folded into its pie's label counts and the x* marks as it
+    arrives, so a one-shot iterator is read once, and the axes are fitted,
+    before this returns: every error is raised here, and no line is drawn
+    until it is read, so only the pie table and the marks are held."""
     kind = KINDS[spec.kind]
     labels = tuple(kind.colors)
     place = set(kind.place)
@@ -156,17 +149,29 @@ def render(records: Iterable[ResponseRecord], spec: PlotSpec) -> str:
         raise DeixisError("no responses to plot")
     if not counts:
         raise DeixisError(kind.empty)
-    to_px = _axes_map([*counts, *marks], spec)
-    body = []
+    return _draw(spec, kind, counts, marks, _axes_map([*counts, *marks], spec))
+
+
+def _draw(spec: PlotSpec, kind: _Kind, counts: dict[tuple, list[int]],
+          marks: dict[tuple, None], to_px) -> Iterator[str]:
+    """The lines of the SVG document, each pie drawn as it is reached."""
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+           f'width="{spec.width}" height="{spec.height}" '
+           f'viewBox="0 0 {spec.width} {spec.height}">\n')
+    yield f'<rect width="{spec.width}" height="{spec.height}" fill="#ffffff"/>\n'
+    yield (f'<text x="{spec.width // 2}" y="18" text-anchor="middle" '
+           f'font-family="sans-serif" font-size="14">{_escape(kind.title)}</text>\n')
     for (x, y), row in counts.items():
         cx, cy = to_px(x, y)
-        body.extend(_pie(cx, cy, 13.0, [(c / sum(row), color)
-                                        for c, color in zip(row, kind.colors.values())]))
+        for line in _pie(cx, cy, 13.0, [(c / sum(row), color)
+                                        for c, color in zip(row, kind.colors.values())]):
+            yield line + "\n"
     for x, y in marks:
         mx, my = to_px(x, y)
-        body.append(f'<text x="{_fmt(mx)}" y="{_fmt(my + 5)}" text-anchor="middle" '
-                    f'font-family="sans-serif" font-size="18" fill="#c02020">'
-                    f'&#215;</text>')
+        yield (f'<text x="{_fmt(mx)}" y="{_fmt(my + 5)}" text-anchor="middle" '
+               f'font-family="sans-serif" font-size="18" fill="#c02020">'
+               f'&#215;</text>\n')
     if spec.legend:
-        body.extend(_legend(spec, kind.colors))
-    return _frame(spec, body, kind.title)
+        for line in _legend(spec, kind.colors):
+            yield line + "\n"
+    yield "</svg>\n"

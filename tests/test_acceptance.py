@@ -77,8 +77,8 @@ def test_criterion_2_sampler():
                    if deg < 90.0 else
                    cone_plane_section(Ray(Point3(0, 0, 1), (0, 0, -1)),
                                       math.radians(deg), PLANE))
-        pts = sample_positions(ellipse, 4000, 21)
-        assert pts == sample_positions(ellipse, 4000, 21)  # byte-identical regen
+        pts = list(sample_positions(ellipse, 4000, 21))
+        assert pts == list(sample_positions(ellipse, 4000, 21))  # byte-identical regen
         quadrants = Counter()
         bins = {q: Counter() for q in range(4)}
         for p in pts:
@@ -298,11 +298,11 @@ def test_criterion_8_cli_pipeline(tmp_path):
     cond = Condition(kind=harness.REF_VS_LOC,
                      cone_vertex_angle=math.radians(67.5))
     records = harness.run(harness.generate_trials(cond, 8, 7))
-    got = svgplot.render(records, svgplot.PlotSpec(kind="scatter_pies"))
+    got = "".join(svgplot.render(records, svgplot.PlotSpec(kind="scatter_pies")))
     assert got == (golden / "scatter_pies.svg").read_text()
     clu = Condition(kind=harness.CLUTTERED, cone_vertex_angle=math.radians(45.0))
     records2 = harness.run(harness.generate_trials(clu, 8, 7))
-    got2 = svgplot.render(records2, svgplot.PlotSpec(kind="distance_pies"))
+    got2 = "".join(svgplot.render(records2, svgplot.PlotSpec(kind="distance_pies")))
     assert got2 == (golden / "distance_pies.svg").read_text()
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

@@ -776,8 +776,8 @@ class TestStreamedCommands:
     def test_plot_holds_less_than_the_whole_file(self, tmp_path, sweep):
         responses = str(sweep["responses"])
         svg = tmp_path / "p.svg"
-        whole = traced_peak(lambda: svgplot.render(
-            list(corpus.load_responses(responses)), svgplot.PlotSpec(kind="distance_pies")))
+        whole = traced_peak(lambda: "".join(svgplot.render(
+            list(corpus.load_responses(responses)), svgplot.PlotSpec(kind="distance_pies"))))
         streamed = traced_peak(lambda: CliRunner().invoke(
             main, ["plot", "--in", responses, "--kind", "distance-pies",
                    "--out", str(svg)], catch_exceptions=False))
@@ -801,3 +801,93 @@ class TestStreamedCommands:
             res = runner.invoke(main, args)
             assert res.exit_code == 0, res.output
         assert calls == {"load_trials": [str(trials)], "load_responses": [str(responses)]}
+
+
+SWEEP_FLAGS = {"ref-67.5": ["--condition", "ref-vs-loc", "--cone", "67.5"],
+               "clut-67.5": ["--condition", "cluttered", "--cone", "67.5"],
+               "loc-90": ["--condition", "ref-vs-loc", "--variant", "locating",
+                          "--cone", "90"]}
+
+
+@pytest.fixture(scope="module")
+def sweep_trials(tmp_path_factory):
+    """The n=4000 trials file of each sweep set, made by the CLI."""
+    work = tmp_path_factory.mktemp("sweeps")
+    paths = {}
+    for name, flags in SWEEP_FLAGS.items():
+        paths[name] = work / f"{name}.jsonl"
+        res = CliRunner().invoke(main, ["gen", *flags, "--n", "4000", "--seed", "1",
+                                        "--out", str(paths[name])])
+        assert res.exit_code == 0, res.output
+    return paths
+
+
+class TestStreamedWrites:
+    """`gen` writes each trial as it is made and `run` spools each record
+    beside its output, so neither holds the set, and an error part way
+    leaves no output and no spool."""
+
+    def test_gen_holds_less_than_the_whole_set(self, tmp_path):
+        cond = harness.Condition(kind=harness.CLUTTERED, cone_vertex_angle=math.radians(67.5))
+        whole = traced_peak(lambda: tuple(harness.generate_trials(cond, 4000, 1).trials))
+        out = tmp_path / "t.jsonl"
+        streamed = traced_peak(lambda: CliRunner().invoke(
+            main, ["gen", *SWEEP_FLAGS["clut-67.5"], "--n", "4000", "--seed", "1",
+                   "--out", str(out)], catch_exceptions=False))
+        assert out.exists()
+        # about 0.2 MB against 3 MB of trials held
+        assert streamed < 0.3 * whole, (streamed, whole)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_FLAGS))
+    def test_run_holds_less_than_the_records(self, tmp_path, sweep_trials, name):
+        trials = str(sweep_trials[name])
+        whole = traced_peak(lambda: harness.run(corpus.load_trials(trials)))
+        out = tmp_path / "r.jsonl"
+        streamed = traced_peak(lambda: CliRunner().invoke(
+            main, ["run", "--in", trials, "--out", str(out)], catch_exceptions=False))
+        assert out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]  # no spool left
+        # about 0.4 MB against 2.2-2.4 MB of response records held
+        assert streamed < 0.3 * whole, (streamed, whole)
+
+    def test_a_generation_error_leaves_no_trials(self, runner, tmp_path, monkeypatch):
+        draw, calls = harness.cluttered_pair, []
+
+        def failing(ellipse, rng):
+            calls.append(None)
+            if len(calls) == 300:
+                raise DeixisError("pair 300 fails")
+            return draw(ellipse, rng)
+
+        monkeypatch.setattr(harness, "cluttered_pair", failing)
+        out = tmp_path / "t.jsonl"
+        res = runner.invoke(main, ["gen", *SWEEP_FLAGS["clut-67.5"], "--n", "400",
+                                   "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.output == "Error: pair 300 fails\n"
+        assert len(calls) == 300
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_prediction_error_leaves_no_responses_and_no_spool(self, runner, tmp_path):
+        # record 300 of 400, past the first spooled batch, shows a point
+        # where a referential trial shows an object
+        trials = tmp_path / "t.jsonl"
+        res = runner.invoke(main, ["gen", *SWEEP_FLAGS["ref-67.5"], "--n", "400",
+                                   "--out", str(trials)])
+        assert res.exit_code == 0, res.output
+        rewrite(trials, 301, lambda r: r.update(shown={"type": "point",
+                                                        "position": [0.0, 0.0]}))
+        out = tmp_path / "r.jsonl"
+        res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.output.startswith(
+            "Error: trial ref_vs_loc-referential-67.5deg-baxter-299: ")
+        assert res.output.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
+
+    def test_an_output_in_no_directory_is_named(self, runner, tmp_path):
+        trials = gen(runner, tmp_path)
+        out = tmp_path / "nodir" / "r.jsonl"
+        res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.output == f"Error: [Errno 2] No such file or directory: '{out}'\n"

@@ -40,7 +40,9 @@ class TestTrialRoundTrip:
         loaded = held(corpus.load_trials(str(p1)))
         corpus.save_trials(loaded, str(p2), seed=7)
         assert p1.read_bytes() == p2.read_bytes()
-        assert held(corpus.load_trials(str(p2))) == loaded
+        reloaded = held(corpus.load_trials(str(p2)))
+        assert reloaded == loaded
+        assert tuple(reloaded.trials) == tuple(loaded.trials)
 
     def test_round_trip_preserves_semantics(self, tmp_path):
         p = tmp_path / "t.jsonl"
@@ -62,7 +64,9 @@ class TestTrialRoundTrip:
         p = tmp_path / "n.jsonl"
         trials = harness.generate_trials(Condition(kind=harness.NATURAL), 3, 0)
         corpus.save_trials(trials, str(p), seed=0)
-        assert held(corpus.load_trials(str(p))) == trials
+        loaded = held(corpus.load_trials(str(p)))
+        assert loaded == trials
+        assert tuple(loaded.trials) == tuple(trials.trials)
 
 
 def cluttered_trials(n=8, seed=7):
@@ -101,6 +105,7 @@ class TestTrialsV2:
         corpus.save_trials(trials, str(p1), seed=7)
         loaded = held(corpus.load_trials(str(p1)))
         assert loaded == trials
+        assert tuple(loaded.trials) == tuple(trials.trials)
         corpus.save_trials(loaded, str(p2), seed=7)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -110,7 +115,9 @@ class TestTrialsV2:
         corpus.save_trials(trials, str(p), seed=7)
         lines = p.read_text().splitlines()
         p.write_text("\n".join([*lines[:3], "", *lines[3:5], " \t", *lines[5:]]) + "\n")
-        assert held(corpus.load_trials(str(p))) == trials
+        loaded = held(corpus.load_trials(str(p)))
+        assert loaded == trials
+        assert tuple(loaded.trials) == tuple(trials.trials)
 
     def test_loaded_trials_share_the_context(self, tmp_path):
         p = tmp_path / "s.jsonl"
@@ -628,8 +635,9 @@ class TestLineEnds:
         records = harness.run(trials)
         corpus.save_trials(trials, str(lf), seed=7)
         crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-        assert (held(corpus.load_trials(str(crlf))) == held(corpus.load_trials(str(lf)))
-                == trials)
+        from_crlf, from_lf = held(corpus.load_trials(str(crlf))), held(corpus.load_trials(str(lf)))
+        assert from_crlf == from_lf == trials
+        assert tuple(from_crlf.trials) == tuple(from_lf.trials) == tuple(trials.trials)
         corpus.save_responses(records, str(lf))
         crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
         assert same_records(held(corpus.load_responses(str(crlf))), records)
@@ -678,6 +686,68 @@ class TestStreamedReads:
         mug = trial.scene.objects[0]
         for value in (trial, mug, mug.pose, mug.pose.position, record):
             assert not hasattr(value, "__dict__"), type(value).__name__
+
+
+class TestTrialSetEquality:
+    def test_sets_compare_on_condition_act_and_scene(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        trials = cluttered_trials()
+        assert trials == cluttered_trials()
+        corpus.save_trials(trials, str(p), seed=7)
+        assert corpus.load_trials(str(p)) == corpus.load_trials(str(p)) == trials
+        assert corpus.load_trials(str(p)) != make_trials()
+
+
+class TestStreamedWrites:
+    """`save_trials` writes each trial as it is made and `save_responses`
+    spools each record beside its output: an error part way leaves neither
+    a partial file nor the spool."""
+
+    def test_generated_trials_are_made_again_on_each_pass(self):
+        trials = cluttered_trials(n=400)
+        assert len(trials.trials) == 400
+        assert tuple(trials.trials) == tuple(trials.trials)
+
+    def test_a_set_that_gives_fewer_trials_than_its_count(self, tmp_path):
+        tset = cluttered_trials()
+        short = replace(tset, trials=harness.Trials(9, tset.trials.make))
+        out = tmp_path / "t.jsonl"
+        with pytest.raises(DeixisError, match="^a set of 9 trials gave 8$"):
+            corpus.save_trials(short, str(out), seed=7)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_loaded_count_mismatch_leaves_no_copy(self, tmp_path):
+        p, out = tmp_path / "t.jsonl", tmp_path / "copy.jsonl"
+        corpus.save_trials(cluttered_trials(), str(p), seed=7)
+        p.write_bytes(p.read_bytes().replace(b'"count":8', b'"count":9', 1))
+        loaded = corpus.load_trials(str(p))
+        assert len(loaded.trials) == 9
+        with pytest.raises(DeixisError, match=r"t\.jsonl:1: header declares 9 records, found 8$"):
+            corpus.save_trials(loaded, str(out), seed=7)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", [5, 300], ids=["first-batch", "second-batch"])
+    def test_a_record_error_leaves_no_responses_and_no_spool(self, tmp_path, k):
+        records = harness.run(cluttered_trials(n=400))
+
+        def failing():
+            yield from records[:k]
+            raise DeixisError(f"record {k} fails")
+
+        out = tmp_path / "r.jsonl"
+        with pytest.raises(DeixisError, match=f"^record {k} fails$"):
+            corpus.save_responses(failing(), str(out))
+        assert list(tmp_path.iterdir()) == []
+        corpus.save_responses(records, str(out))
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_responses_of_any_length_write_as_listed(self, tmp_path):
+        # batches of the spool fill, cross and end on a boundary
+        records = harness.run(cluttered_trials(n=2 * corpus.SPOOL_BATCH + 4))
+        for n in (0, 1, corpus.SPOOL_BATCH, corpus.SPOOL_BATCH + 1, len(records)):
+            out = tmp_path / f"r{n}.jsonl"
+            corpus.save_responses(iter(records[:n]), str(out))
+            assert same_records(held(corpus.load_responses(str(out))), records[:n]), n
 
 
 class TestTable1Fixture:

@@ -11,7 +11,7 @@ from deixis.harness import (CLUTTERED, NATURAL, REF_VS_LOC, VERB_VARIANT,
                             generate_trials, pointer_ray, run)
 from deixis.resolver import (CORRECT, LOCATING, NEARER, REFERENTIAL, ResolverConfig,
                              candidates, classify_outcome, resolve)
-from deixis.sampling import cluttered_pair, substreams
+from deixis.sampling import cluttered_pair, sample_positions, substreams
 from ellipse_oracle import contains
 
 
@@ -107,19 +107,19 @@ class TestGenerate:
             tset = generate_trials(c, 8, 3)
             trials, ray = tset.trials, tset.act.ray
             ellipse = cone_plane_section(ray, math.radians(deg),
-                                         trials[0].scene.surface)
+                                         tuple(trials)[0].scene.surface)
             for t in trials:
                 mug = t.scene.object_by_id("mug")
                 assert contains(ellipse, mug.pose.position, slack=1e-9)
 
     def test_referential_scene_has_guide_cube(self):
-        t = generate_trials(cond(), 8, 0).trials[0]
+        t = tuple(generate_trials(cond(), 8, 0).trials)[0]
         ids = {o.id for o in t.scene.objects}
         assert ids == {"mug", "red_cube"}
         assert t.shown == "mug"
 
     def test_locating_shown_is_point(self):
-        t = generate_trials(cond(variant=LOCATING), 8, 0).trials[0]
+        t = tuple(generate_trials(cond(variant=LOCATING), 8, 0).trials)[0]
         assert isinstance(t.shown, SurfacePoint)
 
     def test_reverse_swaps_target(self):
@@ -155,6 +155,25 @@ class TestGenerate:
             assert tset.scene.surface.extent == harness._fit_extent(
                 harness._ellipse_bbox(ellipse) + far + points + [tset.act.target])
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("variant", [REFERENTIAL, LOCATING])
+    @pytest.mark.parametrize("robot", sorted(harness.ROBOTS))
+    @pytest.mark.parametrize("deg", [45.0, 67.5, 90.0])
+    def test_ref_vs_loc_extent_covers_every_position(self, deg, robot, variant, reverse):
+        # the extent is fitted from the largest drawn |u| and |v|, quantized
+        # once, yet equals the one fitted over every quantized position
+        n = 400
+        for seed in (0, 1, 7, 2**64 + 1):
+            tset = generate_trials(cond(deg=deg, robot=robot, variant=variant,
+                                        reverse=reverse), n, seed)
+            ellipse = cone_plane_section(tset.act.ray, tset.condition.cone_vertex_angle,
+                                         Plane.horizontal(harness.TABLE_EXTENT))
+            positions = [harness._qp(p) for p in sample_positions(ellipse, n, seed)]
+            cube = tset.scene.object_by_id("red_cube").pose.position
+            assert tset.scene.surface.extent == harness._fit_extent(
+                harness._ellipse_bbox(ellipse) + positions
+                + [harness.X_INIT, harness.X_FINAL, cube, tset.act.target])
+
     def test_natural_three_distinct_configs(self):
         trials = generate_trials(cond(kind=NATURAL), 3, 0)
         labels = [t.shown.label for t in trials.trials]
@@ -171,7 +190,7 @@ class TestGenerate:
         assert not out.exists()
 
     def test_robot_changes_ray(self):
-        plane = generate_trials(cond(), 8, 0).trials[0].scene.surface
+        plane = tuple(generate_trials(cond(), 8, 0).trials)[0].scene.surface
         rb = pointer_ray(SurfacePoint(0, 0), plane, "baxter")
         rk = pointer_ray(SurfacePoint(0, 0), plane, "kuka")
         assert rb != rk
@@ -241,6 +260,8 @@ class TestAggregate:
     def test_empty_input(self):
         with pytest.raises(DeixisError, match="^no records to aggregate$"):
             harness.aggregate([])
+        with pytest.raises(DeixisError, match="^no records to aggregate$"):
+            harness.aggregate(iter([]))
         with pytest.raises(ValueError):
             harness.aggregate([ResponseRecord("t", "correct")], group_by="verb")
 

@@ -102,6 +102,18 @@ def test_substreams_match_numpy(seed):
         assert [rng.random(), rng.random()] == oracle.random(2).tolist(), i
 
 
+@pytest.mark.parametrize("seed", [0, SEED_40_DIGITS])
+def test_substreams_match_numpy_across_seeding_batches(seed):
+    chunk = sampling.SEED_CHUNK
+    n = 3 * chunk + 5
+    edges = {i for k in range(1, 4) for i in (k * chunk - 1, k * chunk, k * chunk + 1)}
+    streams = list(substreams(seed, n))
+    assert len(streams) == n
+    for i in sorted(edges | {0, n - 1}):
+        oracle = _np_rng(_np_substream_seed(seed, i))
+        assert [streams[i].random(), streams[i].random()] == oracle.random(2).tolist(), i
+
+
 def test_uniform_and_the_next_draw_match_numpy():
     for seed, (lo, hi) in enumerate([(-0.5, 0.5), (0.0, 1.0), (-3.25, 7.0),
                                      (1e-300, 1e300), (2.0, 2.0)]):
@@ -134,9 +146,9 @@ def test_tie_takes_the_second_draw_of_its_stream(monkeypatch):
 def test_sample_positions_match_the_numpy_implementation():
     for n in range(4, 404, 4):
         seed = 31 * n
-        assert sample_positions(TILTED, n, seed) == _np_sample_positions(TILTED, n, seed), n
+        assert list(sample_positions(TILTED, n, seed)) == _np_sample_positions(TILTED, n, seed), n
     for seed in (2 ** 70, SEED_40_DIGITS):
-        assert sample_positions(TILTED, 64, seed) == _np_sample_positions(TILTED, 64, seed)
+        assert list(sample_positions(TILTED, 64, seed)) == _np_sample_positions(TILTED, 64, seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 12345, 2 ** 32 - 1, 2 ** 32 + 7, 2 ** 70,

@@ -24,20 +24,20 @@ def quadrant_of(ellipse, p):
 
 class TestSamplePositions:
     def test_two_per_quadrant(self):
-        pts = sample_positions(TILTED, 8, 0)
+        pts = list(sample_positions(TILTED, 8, 0))
         assert len(pts) == 8
         counts = Counter(quadrant_of(TILTED, p) for p in pts)
         assert counts == {0: 2, 1: 2, 2: 2, 3: 2}
 
     def test_containment(self):
-        pts = sample_positions(TILTED, 400, 5)
+        pts = list(sample_positions(TILTED, 400, 5))
         for p in pts:
             assert contains(TILTED, p)
 
     def test_determinism_and_seed_sensitivity(self):
-        a = sample_positions(TILTED, 16, 9)
-        b = sample_positions(TILTED, 16, 9)
-        c = sample_positions(TILTED, 16, 10)
+        a = list(sample_positions(TILTED, 16, 9))
+        b = list(sample_positions(TILTED, 16, 9))
+        c = list(sample_positions(TILTED, 16, 10))
         assert a == b
         assert a != c
 
@@ -49,7 +49,7 @@ class TestSamplePositions:
 
     def test_quadrant_uniformity(self):
         # 16 equal-area bins per quadrant: 4 angular x 4 radial-area slices
-        pts = sample_positions(TILTED, 4000, 3)
+        pts = list(sample_positions(TILTED, 4000, 3))
         crit = 37.697  # chi-squared 0.999 quantile, df = 15
         for q in range(4):
             bins = Counter()
@@ -115,8 +115,8 @@ class TestSubstreams:
         assert len(set(first)) == 100
 
     def test_stream_i_does_not_depend_on_n(self):
-        short, long = substreams(5, 8), substreams(5, 4000)
+        short, long = list(substreams(5, 8)), list(substreams(5, 4000))
         for i in range(8):
             assert ([short[i].random() for _ in range(3)]
                     == [long[i].random() for _ in range(3)])
-        assert substreams(5, 0) == []
+        assert list(substreams(5, 0)) == []

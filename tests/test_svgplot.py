@@ -7,11 +7,16 @@ import pytest
 from deixis import corpus, harness
 from deixis.errors import DeixisError
 from deixis.harness import Condition, ResponseRecord
-from deixis.svgplot import KINDS, PlotSpec, render
+from deixis import svgplot
+from deixis.svgplot import KINDS, PlotSpec
 
 GOLDEN = Path(__file__).parent / "golden"
 MIXED = (Path(__file__).parent / "fixtures"
          / "natural-and-locating-45-n8-seed7.responses.jsonl")
+
+
+def render(records, spec):
+    return "".join(svgplot.render(records, spec))
 
 
 def scatter_records(seed=7):
