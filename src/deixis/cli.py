@@ -27,8 +27,8 @@ MAX_N = 100_000
 
 
 class _Main(click.Group):
-    """The one error boundary: a data, value or file error in any command
-    ends it with one `Error:` line and exit 1."""
+    """The one error boundary: a refused argument (`ValueError`) ends a command
+    with one `Error:` line and exit 2, bad data or a failed computation exit 1."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -36,7 +36,9 @@ class _Main(click.Group):
         except OverflowError as exc:  # `stats` on counts a float cannot hold
             raise click.ClickException(
                 f"a count is too large for float arithmetic: {exc}") from None
-        except (DeixisError, ValueError, OSError) as exc:
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from None
+        except (DeixisError, OSError) as exc:
             raise click.ClickException(str(exc)) from None
 
 
@@ -68,14 +70,11 @@ def cmd_gen(condition_name: str, variant: str, cone: float | None, robot: str,
             speech: bool, reverse: bool, gravity: str, verb: str, n: int,
             seed: int, out: str) -> None:
     """Generate a seeded trial corpus for one experimental condition."""
-    try:
-        cond = harness.Condition(
-            kind=_CONDITIONS[condition_name], variant=variant, robot=robot,
-            speech=speech, reverse=reverse,
-            cone_vertex_angle=None if cone is None else math.radians(cone),
-            gravity=(gravity == "on"), verb=verb)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    cond = harness.Condition(
+        kind=_CONDITIONS[condition_name], variant=variant, robot=robot,
+        speech=speech, reverse=reverse,
+        cone_vertex_angle=None if cone is None else math.radians(cone),
+        gravity=(gravity == "on"), verb=verb)
     tset = harness.generate_trials(cond, n, seed)
     corpus.save_trials(tset, out, seed=seed)
     click.echo(f"wrote {len(tset.trials)} trials "
@@ -90,8 +89,8 @@ def cmd_gen(condition_name: str, variant: str, cone: float | None, robot: str,
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_run(in_path: str, epsilon: float, ambiguity_band: float, out: str) -> None:
     """Predict a judgment for every trial in a corpus."""
-    trials = corpus.load_trials(in_path)
     cfg = ResolverConfig(epsilon=epsilon, ambiguity_band=ambiguity_band)
+    trials = corpus.load_trials(in_path)
     labels: Counter = Counter()
 
     def counted(records):
@@ -257,9 +256,9 @@ def _fisher_collapse_report(as_csv: bool) -> None:
 def cmd_plot(in_path: str, kind: str, out: str, width: int, height: int,
              legend: bool) -> None:
     """Render an SVG pie-scatter of a response corpus."""
-    records = corpus.load_responses(in_path)
     spec = svgplot.PlotSpec(kind=kind.replace("-", "_"), width=width,
                             height=height, legend=legend)
+    records = corpus.load_responses(in_path)
     svg = svgplot.render(records, spec)  # raises before `out` is opened
     with open(out, "w", encoding="utf-8") as fh:
         fh.writelines(svg)

@@ -44,8 +44,8 @@ context (no `meta` when none are left).  On the n=4000 sweeps that is
 107-160 B per trial.  Records are written as `harness.predict` makes them:
 every float in `meta` is already quantized, so records are encoded without
 another pass.  Until the last record is in, they wait in a `marshal` spool
-that the writer alone reads, once, and then removes.  Loaded records share
-the context's values.
+that the writer alone reads, once; it has no name, so it is gone once
+closed, even by a killed process.  Loaded records share the context's values.
 
 Values count as the same only when they are written as the same JSON text
 (`_same` asks the encoder that writes them): -0.0 and 0.0, 1 and 1.0, true
@@ -433,34 +433,33 @@ def save_responses(records: Iterable[ResponseRecord], path: str) -> None:
     record shares, so records are spooled as they arrive, `SPOOL_BATCH` at
     a time, to a temporary file beside `path`, narrowing the id prefix and
     the shared fields from the first record's.  `path` is opened only after
-    the last record: the header is written and the spool copied across
-    without the shared fields.  The spool is removed on every path, and a
-    partial `path` on any error, so an error leaves neither file."""
+    the last record: the header is written and the spool read back without
+    the shared fields.  The spool has no name, so not even a killed process
+    leaves it, and an error removes a partial `path`."""
     try:
-        fd, spool = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".spool",
-                                     dir=os.path.dirname(path))
+        fh = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
     except OSError as exc:  # name the file the caller asked for, not the spool
         raise OSError(exc.errno, exc.strerror, path) from None
-    try:
+    with fh:
         count, prefix, top, shared = 0, "", {}, {}
-        with open(fd, "wb") as fh:
-            it = iter(records)
-            for batch in iter(lambda: list(islice(it, SPOOL_BATCH)), []):
-                if not count:
-                    first = batch[0]
-                    prefix, top = first.trial_id, {"predicted": first.predicted,
-                                                   "human": first.human}
-                    shared = first.meta
-                prefix = os.path.commonprefix([prefix, *(r.trial_id for r in batch)])
-                top, shared = _shared(batch, top, shared)
-                data = marshal.dumps([(r.trial_id, r.predicted, r.human, r.meta)
-                                      for r in batch])
-                fh.write(len(data).to_bytes(8, "little") + data)
-                count += len(batch)
+        it = iter(records)
+        for batch in iter(lambda: list(islice(it, SPOOL_BATCH)), []):
+            if not count:
+                first = batch[0]
+                prefix, top = first.trial_id, {"predicted": first.predicted,
+                                               "human": first.human}
+                shared = first.meta
+            prefix = os.path.commonprefix([prefix, *(r.trial_id for r in batch)])
+            top, shared = _shared(batch, top, shared)
+            data = marshal.dumps([(r.trial_id, r.predicted, r.human, r.meta)
+                                  for r in batch])
+            fh.write(len(data).to_bytes(8, "little") + data)
+            count += len(batch)
         header = {"schema": RESPONSES_SCHEMA, "count": count,
                   "id_prefix": prefix, "context": {**top, "meta": shared}}
         cut = len(prefix)
-        with open(spool, "rb") as fh, _writing(path) as out:
+        fh.seek(0)
+        with _writing(path) as out:
             out.write(_ENCODER.encode(header) + "\n")
             while size := int.from_bytes(fh.read(8), "little"):
                 for trial_id, predicted, human, meta in marshal.loads(fh.read(size)):
@@ -472,8 +471,6 @@ def save_responses(records: Iterable[ResponseRecord], path: str) -> None:
                     if meta:
                         rec["meta"] = meta
                     out.write(_ENCODER.encode(rec) + "\n")
-    finally:
-        os.remove(spool)
 
 
 def _checked(fields: dict) -> dict:
@@ -531,7 +528,8 @@ def load_responses(path: str) -> Iterator[ResponseRecord]:
 
 
 # Published natural/unnatural stack judgments; rows are shown configurations,
-# columns are response categories, each row out of 30 subjects.
+# columns are response categories.  Every row sums to 30 subjects but natural
+# `table`, (7, 13, 12), which sums to 32: it awaits a check against Table 1.
 _TABLE1_LABELS = ("correct", "incorrect", "ambiguous")
 _TABLE1_ROWS = ("top", "edge", "table")
 _TABLE1_NATURAL = ((26, 3, 1), (9, 11, 10), (7, 13, 12))

@@ -2,4 +2,5 @@
 
 
 class DeixisError(Exception):
-    """A data error raised by this package: its message says what failed."""
+    """Bad data, or a computation that failed on valid input; a refused
+    argument raises `ValueError` instead.  The message says what failed."""

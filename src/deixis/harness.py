@@ -256,10 +256,10 @@ def generate_trials(cond: Condition, n: int, seed: int) -> TrialSet:
     """
     if cond.kind == NATURAL:
         if n <= 0:
-            raise DeixisError(f"n must be positive, got {n}")
+            raise ValueError(f"n must be positive, got {n}")
         built, n = _natural_trials(cond), len(NATURAL_CONFIGS)
     elif n <= 0 or n % 4 != 0:
-        raise DeixisError(f"n must be a positive multiple of 4, got {n}")
+        raise ValueError(f"n must be a positive multiple of 4, got {n}")
     elif cond.kind == CLUTTERED:
         built = _cluttered_trials(cond, n, seed)
     else:

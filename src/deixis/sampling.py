@@ -20,7 +20,6 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DeixisError
 from .geometry import Ellipse, SurfacePoint
 
 # local-frame sign pattern of quadrants q1..q4 (counter-clockwise)
@@ -153,7 +152,7 @@ def sample_positions(ellipse: Ellipse, n: int, seed: int) -> Iterator[SurfacePoi
     """n positions uniform within the section, exactly n/4 per quadrant,
     handed on as they are drawn."""
     if n <= 0 or n % 4 != 0:
-        raise DeixisError(f"n must be a positive multiple of 4, got {n}")
+        raise ValueError(f"n must be a positive multiple of 4, got {n}")
     rng = _rng(seed)
     return chain.from_iterable(_fill_quadrant(rng, ellipse, q, n // 4) for q in range(4))
 

@@ -145,7 +145,7 @@ def fisher_exact_2x2(table: ContingencyTable) -> TestResult:
     over every k.
     """
     if len(table.counts) != 2 or len(table.counts[0]) != 2:
-        raise DeixisError("Fisher exact test requires a 2x2 table")
+        raise ValueError("Fisher exact test requires a 2x2 table")
     (a, b), (c, d) = table.counts
     r1, r2 = a + b, c + d
     c1, c2 = a + c, b + d
@@ -210,7 +210,7 @@ def tost_equivalence(x1: int, n1: int, x2: int, n2: int, margin: float,
     below `alpha`.
     """
     if n1 <= 0 or n2 <= 0 or not (0 <= x1 <= n1) or not (0 <= x2 <= n2):
-        raise DeixisError("require 0 <= x_i <= n_i and n_i > 0")
+        raise ValueError("require 0 <= x_i <= n_i and n_i > 0")
     if not 0.0 < margin < math.inf:  # NaN fails too
         raise ValueError("margin must be positive and finite")
     if not 0.0 < alpha < 1.0:

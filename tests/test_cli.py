@@ -100,15 +100,6 @@ class TestGen:
                                    "--out", str(tmp_path / "x.jsonl")])
         assert res.exit_code == 0, res.output
 
-    @pytest.mark.parametrize("n", ["-5", "0"])
-    def test_natural_non_positive_n_exits_1(self, runner, tmp_path, n):
-        out = tmp_path / "x.jsonl"
-        res = runner.invoke(main, ["gen", "--condition", "natural", "--n", n,
-                                   "--out", str(out)])
-        assert res.exit_code == 1
-        assert "n must be positive" in res.output
-        assert not out.exists()
-
     def test_n_at_the_maximum(self, runner, tmp_path):
         # natural yields its 3 trials for any positive n
         out = tmp_path / "x.jsonl"
@@ -264,21 +255,6 @@ class TestRun:
         assert isinstance(res.exception, SystemExit)
         assert res.output.startswith(f"Error: {path}:2: malformed record: Extra data")
         assert res.output.count("\n") == 1
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag, value", [
-        ("--epsilon", "-1"), ("--epsilon", "nan"), ("--epsilon", "inf"),
-        ("--ambiguity-band", "nan"), ("--ambiguity-band", "inf")])
-    def test_bad_resolver_parameter_exits_1(self, runner, tmp_path, flag, value):
-        # NaN must not pass: `d <= theta + nan` is never true, which would
-        # label every trial incorrect
-        trials = gen(runner, tmp_path)
-        out = tmp_path / "o.jsonl"
-        res = runner.invoke(main, ["run", "--in", str(trials), flag, value,
-                                   "--out", str(out)])
-        assert res.exit_code == 1
-        assert isinstance(res.exception, SystemExit)
-        assert "finite" in res.output and res.output.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, line, edit", [
@@ -441,15 +417,10 @@ class TestStats:
         ("--test", "chi2", "--table", f"1,0,0,{HUGE}"),
         ("--test", "fisher", "--table", f"{HUGE},1,1,1"),
         ("--test", "tost", "--a", f"{HUGE}/{HUGE}", "--b", "1/2"),
-        ("--test", "tost", "--a", "3/4", "--b", "1/2", "--margin", "nan"),
-        ("--test", "tost", "--a", "3/4", "--b", "1/2", "--margin", "inf"),
-        ("--test", "tost", "--a", "3/4", "--b", "1/2", "--alpha", "nan"),
-        ("--test", "tost", "--a", "3/4", "--b", "1/2", "--alpha", "0"),
-        ("--test", "tost", "--a", "3/4", "--b", "1/2", "--alpha", "1"),
-    ], ids=["chi2-huge-count", "chi2-underflowing-expected-count", "fisher-huge-count", "tost-huge-count",
-            "margin-nan", "margin-inf", "alpha-nan", "alpha-0", "alpha-1"])
+    ], ids=["chi2-huge-count", "chi2-underflowing-expected-count", "fisher-huge-count",
+            "tost-huge-count"])
     def test_unusable_count_or_parameter_exits_1(self, runner, flags):
-        # a count too large for a float, or a non-finite parameter
+        # a count too large for a float: a failed computation on valid input
         res = runner.invoke(main, ["stats", *flags])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
@@ -655,23 +626,67 @@ class TestPlot:
         assert res.output.count("\n") == 1
         assert not svg.exists()
 
-    @pytest.mark.parametrize("flags, dimension", [
-        (("--width", HUGE), "width"), (("--height", HUGE), "height"),
-        (("--width", "1", "--height", "1"), "width"), (("--width", "0"), "width"),
-        (("--height", "120"), "height"), (("--width", "-640"), "width")],
-        ids=["huge-width", "huge-height", "one-by-one", "zero-width",
-             "height-of-the-padding", "negative-width"])
-    def test_size_with_no_drawing_area_exits_1(self, runner, tmp_path, flags, dimension):
-        resp = tmp_path / "resp.jsonl"
-        corpus.save_responses(harness.run(harness.generate_trials(
-            harness.Condition(kind=harness.NATURAL), 3, 0)), str(resp))
-        svg = tmp_path / "p.svg"
-        res = runner.invoke(main, ["plot", "--in", str(resp), *flags, "--out", str(svg)])
-        assert res.exit_code == 1
-        assert isinstance(res.exception, SystemExit)
-        assert res.output.startswith(f"Error: plot {dimension} ")
-        assert res.output.count("\n") == 1
-        assert not svg.exists()
+
+
+TOST = ("stats", "--test", "tost", "--a", "3/4", "--b", "1/2")
+REFUSED_FLAG_VALUES = {  # id: (arguments, --out aside; the error's message)
+    "natural-n-0": (("gen", "--condition", "natural", "--n", "0"),
+                    "n must be positive, got 0"),
+    "natural-n--5": (("gen", "--condition", "natural", "--n", "-5"),
+                     "n must be positive, got -5"),
+    "cluttered-n-6": (("gen", "--condition", "cluttered", "--cone", "45", "--n", "6"),
+                      "n must be a positive multiple of 4, got 6"),
+    "cone-50": (("gen", "--condition", "ref-vs-loc", "--cone", "50"),
+                "cone vertex angle must be 45, 67.5 or 90 degrees"),
+    "cluttered-reverse": (("gen", "--condition", "cluttered", "--cone", "45", "--reverse"),
+                          "cluttered takes no reverse"),
+    # NaN must not pass: `d <= theta + nan` is never true, which would
+    # label every trial incorrect
+    "epsilon--1": (("run", "--epsilon", "-1"), "epsilon must be positive and finite"),
+    "epsilon-nan": (("run", "--epsilon", "nan"), "epsilon must be positive and finite"),
+    "epsilon-inf": (("run", "--epsilon", "inf"), "epsilon must be positive and finite"),
+    "ambiguity-band-nan": (("run", "--ambiguity-band", "nan"),
+                           "ambiguity_band must be nonnegative and finite"),
+    "ambiguity-band-inf": (("run", "--ambiguity-band", "inf"),
+                           "ambiguity_band must be nonnegative and finite"),
+    "width-100": (("plot", "--width", "100"), "plot width must exceed"),
+    "huge-width": (("plot", "--width", HUGE), "plot width must exceed"),
+    "huge-height": (("plot", "--height", HUGE), "plot height must exceed"),
+    "one-by-one": (("plot", "--width", "1", "--height", "1"), "plot width must exceed"),
+    "zero-width": (("plot", "--width", "0"), "plot width must exceed"),
+    "height-of-the-padding": (("plot", "--height", "120"), "plot height must exceed"),
+    "negative-width": (("plot", "--width", "-640"), "plot width must exceed"),
+    "tost-n-0": (("stats", "--test", "tost", "--a", "1/0", "--b", "1/2"),
+                   "require 0 <= x_i <= n_i and n_i > 0"),
+    "margin--1": ((*TOST, "--margin", "-1"), "margin must be positive and finite"),
+    "margin-nan": ((*TOST, "--margin", "nan"), "margin must be positive and finite"),
+    "margin-inf": ((*TOST, "--margin", "inf"), "margin must be positive and finite"),
+    "alpha-2": ((*TOST, "--alpha", "2"), "alpha must lie strictly between 0 and 1"),
+    "alpha-nan": ((*TOST, "--alpha", "nan"), "alpha must lie strictly between 0 and 1"),
+    "alpha-0": ((*TOST, "--alpha", "0"), "alpha must lie strictly between 0 and 1"),
+    "alpha-1": ((*TOST, "--alpha", "1"), "alpha must lie strictly between 0 and 1"),
+    "chi2-negative-count": (("stats", "--test", "chi2", "--table", "-1,2,3,4"),
+                            "counts must be nonnegative integers"),
+}
+
+
+@pytest.mark.parametrize("args, message", REFUSED_FLAG_VALUES.values(),
+                         ids=REFUSED_FLAG_VALUES.keys())
+def test_refused_flag_value_exits_2(runner, tmp_path, args, message):
+    # `run` and `plot` read a file that is not a corpus: a flag checked
+    # after the file is read would exit 1
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not a corpus\n")
+    out = tmp_path / "out"
+    command, *flags = args
+    if command in ("run", "plot"):
+        flags += ["--in", str(bad)]
+    if command != "stats":
+        flags += ["--out", str(out)]
+    res = runner.invoke(main, [command, *flags])
+    assert res.exit_code == 2
+    assert res.output.startswith(f"Error: {message}") and res.output.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

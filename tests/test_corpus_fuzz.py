@@ -5,12 +5,13 @@ Each corpus example takes a generated n=4 trials or responses file
 mutates its header or one record, cuts it at a byte or puts bytes that are
 not UTF-8 into one line, and checks the boundary contract: the loader
 either loads the file or raises a one-line `DeixisError` that starts with
-`path:N:`, and `run` or `plot` on the file exits 0, or 1 with one `Error:`
-line, never with a traceback.  Each flag example runs `gen`, `run` or
-`plot` with counts, seeds, resolver parameters or plot sizes from past
-their valid ranges and checks that the command exits 0 or 1 with one line,
-or 2 with one `Error:` line after click's usage lines, and leaves no output
-file when it fails.  `gen --n` stays at most 64, or past the CLI's
+`path:N:`, and `run` or `plot` on the file, with valid flags, exits 0, or 1
+with one `Error:` line, never 2 and never with a traceback.  Each flag
+example runs `gen`, `run` or `plot` on a valid input file with counts,
+seeds, resolver parameters or plot sizes from past their valid ranges and
+checks that the command exits 0 with one line, or 2 with one `Error:` line,
+after click's usage lines when click refuses it, and leaves no output file
+when it fails.  `gen --n` stays at most 64, or past the CLI's
 maximum: sampling allocates in proportion to it.  Each `stats` example
 draws the test, its input (a table, the fixture or two fractions) with the
 flags that go with it and, one time in four, one more flag, with table
@@ -131,11 +132,12 @@ def mutations(draw, files):
     return kind, name, named, _encoded(lines)
 
 
-def assert_one_line(res, out):
-    """Exit 0 or 1 with one line, or 2 with one `Error:` line after click's
-    usage lines; no traceback, and no output file after a failure."""
+def assert_one_line(res, out, codes):
+    """Exit with one of `codes`: 0 or 1 with one line, or 2 with one
+    `Error:` line after any usage lines; no traceback, and no output file
+    after a failure."""
     assert res.exception is None or isinstance(res.exception, SystemExit), res.output
-    assert res.exit_code in (0, 1, 2), res.output
+    assert res.exit_code in codes, res.output
     errors = [line for line in res.output.splitlines() if line.startswith("Error: ")]
     if res.exit_code == 2:
         assert len(errors) == 1 and res.output.endswith(errors[0] + "\n"), res.output
@@ -172,7 +174,7 @@ def test_mutated_corpus_loads_or_fails_in_one_line(files, tmp_path_factory, data
         args = ["plot", "--in", str(path), "--out", str(out),
                 "--kind", "distance-pies" if name == "cluttered" else "scatter-pies"]
     res = CliRunner().invoke(main, args)
-    assert_one_line(res, out)
+    assert_one_line(res, out, (0, 1))  # a data error, never a refused flag
     if error is not None and res.output != f"Error: {error}\n":
         assert_predicted_first(content, error, int(where[1]), res.output)
 
@@ -236,7 +238,8 @@ def inputs(files, tmp_path_factory):
 def test_fuzzed_flags_exit_in_one_line(inputs, tmp_path_factory, data):
     args = data.draw(commands(inputs))
     out = tmp_path_factory.mktemp("flags") / "out"
-    assert_one_line(CliRunner().invoke(main, [*args, "--out", str(out)]), out)
+    # the input files are valid: any failure is a refused flag value
+    assert_one_line(CliRunner().invoke(main, [*args, "--out", str(out)]), out, (0, 2))
 
 
 ROWS = [f"{scene}-{config}" for scene in ("natural", "unnatural")

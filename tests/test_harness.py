@@ -89,12 +89,12 @@ class TestGenerate:
         assert dump(a) != dump(generate_trials(c, 8, 8))
 
     def test_invalid_count(self):
-        with pytest.raises(DeixisError, match="^n must be a positive multiple of 4, got 6$"):
+        with pytest.raises(ValueError, match="^n must be a positive multiple of 4, got 6$"):
             generate_trials(cond(), 6, 0)
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_natural_rejects_non_positive_count(self, n):
-        with pytest.raises(DeixisError, match=f"^n must be positive, got {n}$"):
+        with pytest.raises(ValueError, match=f"^n must be positive, got {n}$"):
             generate_trials(cond(kind=NATURAL), n, 0)
 
     @pytest.mark.parametrize("n", [3, 8])

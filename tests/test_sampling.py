@@ -3,7 +3,6 @@ from collections import Counter
 
 import pytest
 
-from deixis.errors import DeixisError
 from deixis.geometry import Ellipse, SurfacePoint, surface_distance
 from deixis.sampling import _rng, cluttered_pair, sample_positions, substreams
 from ellipse_oracle import contains, to_local
@@ -42,9 +41,9 @@ class TestSamplePositions:
         assert a != c
 
     def test_invalid_count(self):
-        with pytest.raises(DeixisError, match="^n must be a positive multiple of 4, got 7$"):
+        with pytest.raises(ValueError, match="^n must be a positive multiple of 4, got 7$"):
             sample_positions(TILTED, 7, 0)
-        with pytest.raises(DeixisError, match="^n must be a positive multiple of 4, got 0$"):
+        with pytest.raises(ValueError, match="^n must be a positive multiple of 4, got 0$"):
             sample_positions(TILTED, 0, 0)
 
     def test_quadrant_uniformity(self):
