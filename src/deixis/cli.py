@@ -17,13 +17,12 @@ from . import corpus, harness, stats, svgplot
 from .errors import DeixisError
 from .resolver import ResolverConfig
 
-_CONDITIONS = {"ref-vs-loc": harness.REF_VS_LOC,
-               "cluttered": harness.CLUTTERED,
-               "natural": harness.NATURAL,
-               "verbs": harness.VERB_VARIANT}
+_CONDITIONS = {"ref-vs-loc": harness.REF_VS_LOC, "cluttered": harness.CLUTTERED,
+               "natural": harness.NATURAL}
 # the most trials one `gen` makes: 25x sweep scale; a cluttered trial index
 # must fit one 32-bit word
 MAX_N = 100_000
+_TAG = "A ref-vs-loc tag: it labels the set and changes no prediction."
 
 
 class _Main(click.Group):
@@ -56,12 +55,12 @@ def main() -> None:
               help="Cone vertex angle in degrees (45, 67.5 or 90).")
 @click.option("--robot", type=click.Choice(sorted(harness.ROBOTS)),
               default="baxter", show_default=True)
-@click.option("--speech/--no-speech", default=True, show_default=True)
+@click.option("--speech/--no-speech", default=True, show_default=True, help=_TAG)
 @click.option("--reverse", is_flag=True, default=False)
 @click.option("--gravity", type=click.Choice(["on", "off"]), default="on",
               show_default=True)
 @click.option("--verb", type=click.Choice(harness.VERBS), default="put",
-              show_default=True)
+              show_default=True, help=_TAG)
 @click.option("--n", type=click.IntRange(max=MAX_N), default=8, show_default=True,
               help=f"Trials to generate, at most {MAX_N}.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)

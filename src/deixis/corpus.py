@@ -199,13 +199,17 @@ def _act_from_json(d: dict) -> PointingAct:
     return PointingAct(ray, _str(d["intent"]), SurfacePoint(*_nums(d["target"], 2)))
 
 
+def _uv(p: SurfacePoint) -> list:
+    """`[u, v]` of `p`: a float quantized, an integer (loaded) kept as read."""
+    return [_q(c) if isinstance(c, float) else c for c in (p.u, p.v)]
+
+
 def _shown_to_json(shown: str | SurfacePoint | ShownConfig) -> dict:
     if isinstance(shown, str):
         return {"type": "object", "id": shown}
     if isinstance(shown, SurfacePoint):
-        return {"type": "point", "position": [shown.u, shown.v]}
-    return {"type": "config", "label": shown.label,
-            "position": [shown.position.u, shown.position.v]}
+        return {"type": "point", "position": _uv(shown)}
+    return {"type": "config", "label": shown.label, "position": _uv(shown.position)}
 
 
 def _shown_from_json(d: dict) -> str | SurfacePoint | ShownConfig:
@@ -231,7 +235,7 @@ def _context(condition: Condition, act: PointingAct, scene: Scene) -> dict:
 def _position(o: SceneObject, od0: dict) -> dict:
     """`{}` when `o` stands where context object `od0` stands, else its
     quantized position."""
-    p = _quantize([o.pose.position.u, o.pose.position.v])
+    p = _uv(o.pose.position)
     return {} if _same(p, od0["position"]) else {"position": p}
 
 
@@ -369,7 +373,7 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
         fh.write(_ENCODER.encode(header) + "\n")
         written = 0
         for t in tset.trials:
-            rec: dict = {"id": t.id, "shown": _quantize(_shown_to_json(t.shown))}
+            rec: dict = {"id": t.id, "shown": _shown_to_json(t.shown)}
             if t.scene is not tset.scene:
                 objects = [{} if o is o0 else _position(o, od0) for o, o0, od0
                            in zip(t.scene.objects, tset.scene.objects, ctx["objects"])]
@@ -538,8 +542,7 @@ _TABLE1_UNNATURAL = ((12, 9, 9), (24, 2, 4), (2, 2, 26))
 
 def load_table1_fixture() -> tuple[ContingencyTable, ContingencyTable]:
     """(natural, unnatural) contingency tables of the stack-scene judgments."""
-    natural = ContingencyTable(_TABLE1_NATURAL, row_labels=_TABLE1_ROWS,
-                               col_labels=_TABLE1_LABELS)
-    unnatural = ContingencyTable(_TABLE1_UNNATURAL, row_labels=_TABLE1_ROWS,
-                                 col_labels=_TABLE1_LABELS)
+    natural, unnatural = (ContingencyTable(rows, row_labels=_TABLE1_ROWS,
+                                           col_labels=_TABLE1_LABELS)
+                          for rows in (_TABLE1_NATURAL, _TABLE1_UNNATURAL))
     return natural, unnatural

@@ -26,7 +26,7 @@ from .scene import Scene, SceneObject, Shape, Pose2D
 REF_VS_LOC = "ref_vs_loc"
 CLUTTERED = "cluttered"
 NATURAL = "natural_vs_unnatural"
-VERB_VARIANT = "verb_variant"
+KINDS = (REF_VS_LOC, CLUTTERED, NATURAL)
 
 LABELS = (CORRECT, INCORRECT, AMBIGUOUS, NEARER)
 
@@ -99,14 +99,11 @@ class Condition:
     verb: str = "put"
 
     def __post_init__(self) -> None:
-        if self.kind not in (REF_VS_LOC, CLUTTERED, NATURAL, VERB_VARIANT):
-            raise ValueError(f"unknown condition kind {self.kind!r}")
-        if self.robot not in ROBOTS:
-            raise ValueError(f"unknown robot {self.robot!r}")
-        if self.verb not in VERBS:
-            raise ValueError(f"unknown verb {self.verb!r}")
-        if self.variant not in (REFERENTIAL, LOCATING):
-            raise ValueError(f"unknown variant {self.variant!r}")
+        for name, value, known in (("condition kind", self.kind, KINDS),
+                                   ("robot", self.robot, ROBOTS), ("verb", self.verb, VERBS),
+                                   ("variant", self.variant, (REFERENTIAL, LOCATING))):
+            if value not in known:
+                raise ValueError(f"unknown {name} {value!r}")
         if self.kind == NATURAL:
             if self.cone_vertex_angle is not None:
                 raise ValueError(f"{self.kind} takes no cone vertex angle")
@@ -119,20 +116,19 @@ class Condition:
                 raise ValueError("cone vertex angle must be 45, 67.5 or 90 degrees")
             object.__setattr__(self, "cone_vertex_angle", math.radians(angles[0]))
         # fields the kind never reads must keep their defaults: the
-        # descriptor and trial ids omit them
-        if self.kind in (CLUTTERED, NATURAL) and self.variant != REFERENTIAL:
-            raise ValueError(f"{self.kind} takes no variant other than {REFERENTIAL}")
-        if self.kind in (CLUTTERED, NATURAL) and self.reverse:
-            raise ValueError(f"{self.kind} takes no reverse")
-        if self.kind != VERB_VARIANT and self.verb != "put":
-            raise ValueError(f"{self.kind} takes no verb other than put")
+        # descriptor and trial ids omit them.  The verb and speech are
+        # ref-vs-loc tags: they label a set and change no prediction
+        if self.kind != REF_VS_LOC:
+            for name, default in (("variant", REFERENTIAL), ("reverse", False),
+                                  ("verb", "put"), ("speech", True)):
+                if getattr(self, name) != default:
+                    raise ValueError(f"{self.kind} takes no {name}: only "
+                                     f"{REF_VS_LOC} reads it")
         if self.kind != NATURAL and not self.gravity:
             raise ValueError(f"{self.kind} takes no gravity off")
 
     def descriptor(self) -> str:
-        parts = [self.kind]
-        if self.kind in (REF_VS_LOC, VERB_VARIANT):
-            parts.append(self.variant)
+        parts = [self.kind, self.variant] if self.kind == REF_VS_LOC else [self.kind]
         if self.cone_vertex_angle is not None:
             parts.append(f"{math.degrees(self.cone_vertex_angle):g}deg")
         parts.append(self.robot)
@@ -142,7 +138,7 @@ class Condition:
             parts.append("reverse")
         if self.kind == NATURAL:
             parts.append("gravity-on" if self.gravity else "gravity-off")
-        if self.kind == VERB_VARIANT:
+        if self.verb != "put":
             parts.append(self.verb)
         return "/".join(parts)
 
@@ -370,7 +366,7 @@ def _predict(trial: Trial, kind: str, act: PointingAct, descriptor: str,
                     separation=_q(surface_distance(obj, dis)))
         meta.update(probe=(_q(obj.u), _q(obj.v)), path=CLUTTERED)
         return predicted, meta
-    # referential, locating (verb variants included) and natural trials
+    # referential, locating and natural trials
     shown = trial.shown
     if isinstance(shown, ShownConfig):
         meta["config"] = shown.label

@@ -2,12 +2,12 @@
 
 Each flag set below is regenerated through the CLI and every output file is
 compared by sha256 with the digest recorded for it: the paper's 11 trial
-sets, one verbs set and two kuka sets at n=8 (trials, responses and SVG)
-and the three sets of the benchmark's sweeps at n=4000 (trials and
-responses).  The stdout of the `stats` commands in `STATS_COMMANDS` and of
-a seeded list of r x c chi-squared tables is pinned the same way.  A
-change that alters any byte of these outputs fails here.  To record new
-digests after a deliberate output change, run
+sets, one tagged ref-vs-loc set and two kuka sets at n=8 (trials,
+responses and SVG) and the three sets of the benchmark's sweeps at n=4000
+(trials and responses).  The stdout of the `stats` commands in
+`STATS_COMMANDS` and of a seeded list of r x c chi-squared tables is
+pinned the same way.  A change that alters any byte of these outputs fails
+here.  To record new digests after a deliberate output change, run
 
     PYTHONPATH=src python tests/test_byte_stability.py
 
@@ -46,7 +46,7 @@ KUKA_SETS = {
 }
 # plus the one set that sets --verb, --robot, --no-speech and --reverse
 SETS = {**PAPER_SETS, **KUKA_SETS,
-        "verb-push": (("--condition", "verbs", "--variant", "locating",
+        "verb-push": (("--condition", "ref-vs-loc", "--variant", "locating",
                        "--cone", "67.5", "--verb", "push", "--no-speech",
                        "--reverse", "--robot", "kuka"), "scatter-pies")}
 # name -> `gen` flags; the sets of the benchmark's sweep workloads
@@ -115,8 +115,8 @@ DIGESTS = {
     "ref-90": ("34483fe3fd6874a8bafe9db0799bc3d06be40c9fe77dcfc0bd722b4564fd5c20",
                "bda153a4fd08b3f3b5950fed78249e5b539b183070b5511b461e32ee4fb0763b",
                "70603e1061e5a77cef9d45a21baca80da16055694a8ec4591332022567b044b8"),
-    "verb-push": ("e5c030fa2c2f8bdbd091d37e2567baec0fc2e587b510a6fa7745c2d769f9d15a",
-                  "2871ad0a942bdf88b5c06958a72d7c0b69ea23beba3a7f78ae65c582e70eb223",
+    "verb-push": ("63dea26800b29783167391718c639bb3b2d0934ccada93fe978cbfc78938a82a",
+                  "25f51667ee106ab7b1b16c1f2f5b931161796fab37b339ea021bd7bd0a7c3b85",
                   "8737ab89bfdb1300b3b62b9640318aa304e4e99c2cc85c258d4904f4318084d4"),
     "loc-90-n4000": ("30dd48daa78dc16468db3a9ea6987658b9103bcb7493d395d6c45cc5047df2cd",
                      "7d1a03bfb66b0112af4f42521501d5d6bf676fd660eae46f9a1f44af7bf68abe"),

@@ -75,15 +75,13 @@ class TestGen:
         (("--condition", "cluttered", "--cone", "45", "--variant", "locating"),
          "takes no variant"),
         (("--condition", "natural", "--variant", "locating"), "takes no variant"),
-        (("--condition", "ref-vs-loc", "--cone", "45", "--verb", "push"),
-         "takes no verb"),
         (("--condition", "ref-vs-loc", "--cone", "45", "--gravity", "off"),
          "takes no gravity off"),
         (("--condition", "cluttered", "--cone", "45", "--reverse"), "takes no reverse"),
         (("--condition", "natural", "--reverse"), "takes no reverse"),
     ], ids=["natural-seed", "cluttered-seed", "natural-cone-30",
             "natural-cone-45", "cone-30", "cluttered-variant", "natural-variant",
-            "ref-vs-loc-verb", "ref-vs-loc-gravity", "cluttered-reverse",
+            "ref-vs-loc-gravity", "cluttered-reverse",
             "natural-reverse"])
     def test_bad_flags_exit_2(self, runner, tmp_path, flags, message):
         out = tmp_path / "x.jsonl"
@@ -100,6 +98,16 @@ class TestGen:
                                    "--out", str(tmp_path / "x.jsonl")])
         assert res.exit_code == 0, res.output
 
+    def test_ref_vs_loc_tags_are_accepted(self, runner, tmp_path):
+        # the verb and speech label a ref-vs-loc set; its descriptor names them
+        out = tmp_path / "x.jsonl"
+        res = runner.invoke(main, ["gen", "--condition", "ref-vs-loc", "--cone", "45",
+                                   "--verb", "push", "--no-speech", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert "condition=ref_vs_loc/referential/45deg/baxter/nospeech/push " in res.output
+        assert json.loads(out.read_text().splitlines()[0])["context"]["condition"][
+            "verb"] == "push"
+
     def test_n_at_the_maximum(self, runner, tmp_path):
         # natural yields its 3 trials for any positive n
         out = tmp_path / "x.jsonl"
@@ -113,7 +121,7 @@ class TestGen:
         ("--condition", "ref-vs-loc", "--variant", "locating", "--cone", "90"),
         ("--condition", "cluttered", "--cone", "67.5"),
         ("--condition", "natural"),
-        ("--condition", "verbs", "--verb", "push")],
+        ("--condition", "ref-vs-loc", "--cone", "45", "--verb", "push")],
         ids=["referential", "locating", "cluttered", "natural", "verbs"])
     def test_n_past_the_maximum_exits_2(self, runner, tmp_path, flags):
         out = tmp_path / "x.jsonl"
@@ -170,7 +178,17 @@ class TestRun:
          "bad context"),
         (2, "[" * 100_000, "malformed record"),
         (1, "[" * 100_000, "malformed header"),
-    ], ids=["huge-shown-position", "huge-cone", "deep-record", "deep-header"])
+        (1, lambda h: h["context"]["surface"].update(normal=[0, 0, 2]),
+         "bad context: normal must be a unit vector"),
+        (1, lambda h: h["context"]["surface"].update(axis_v=h["context"]["surface"]["axis_u"]),
+         "bad context: plane axes must be orthonormal"),
+        (1, lambda h: h["context"]["surface"].update(extent=[0, 1]),
+         "bad context: plane extent must be positive"),
+        # the retired verbs kind: its sets are ref-vs-loc sets with a verb
+        (1, lambda h: h["context"]["condition"].update(kind="verb_variant", verb="push"),
+         "bad context: unknown condition kind 'verb_variant'"),
+    ], ids=["huge-shown-position", "huge-cone", "deep-record", "deep-header",
+            "non-unit-normal", "repeated-axis", "zero-extent", "verb-variant-kind"])
     def test_malformed_trials_exit_1(self, runner, tmp_path, line, edit, message):
         trials = gen(runner, tmp_path, "--variant", "locating")
         rewrite(trials, line, edit)
@@ -327,7 +345,7 @@ class TestRun:
     @pytest.mark.parametrize("where, field, value", [
         ("context", "variant", "locating"), ("context", "gravity", False),
         ("context", "verb", "push"), ("context", "reverse", True),
-        ("record", "verb", "place")])
+        ("context", "speech", False), ("record", "verb", "place")])
     def test_recorded_flag_the_kind_ignores_exits_1(self, runner, tmp_path,
                                                     where, field, value):
         trials = tmp_path / "clut.jsonl"
@@ -640,6 +658,12 @@ REFUSED_FLAG_VALUES = {  # id: (arguments, --out aside; the error's message)
                 "cone vertex angle must be 45, 67.5 or 90 degrees"),
     "cluttered-reverse": (("gen", "--condition", "cluttered", "--cone", "45", "--reverse"),
                           "cluttered takes no reverse"),
+    "cluttered-no-speech": (("gen", "--condition", "cluttered", "--cone", "45",
+                             "--no-speech"), "cluttered takes no speech"),
+    "natural-no-speech": (("gen", "--condition", "natural", "--no-speech"),
+                          "natural_vs_unnatural takes no speech"),
+    "natural-verb-place": (("gen", "--condition", "natural", "--verb", "place"),
+                           "natural_vs_unnatural takes no verb"),
     # NaN must not pass: `d <= theta + nan` is never true, which would
     # label every trial incorrect
     "epsilon--1": (("run", "--epsilon", "-1"), "epsilon must be positive and finite"),

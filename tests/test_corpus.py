@@ -110,21 +110,31 @@ class TestTrialsV2:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_a_loaded_long_position_is_written_at_9_digits(self, tmp_path):
-        # the loader keeps every digit it reads; the writer quantizes again
-        p, q = tmp_path / "p.jsonl", tmp_path / "q.jsonl"
-        corpus.save_trials(make_trials(n=4), str(p), seed=7)
-        lines = p.read_text().splitlines()
-        i = next(i for i, line in enumerate(lines) if '"objects":[{"position"' in line)
-        written, rec = lines[i], json.loads(lines[i])
-        position = rec["objects"][0]["position"]
-        position[0] += 1e-12
-        assert harness._q(position[0]) != position[0]
-        lines[i] = json.dumps(rec)
-        p.write_text("\n".join(lines) + "\n")
-        loaded = held(corpus.load_trials(str(p)))
-        assert loaded.trials[i - 1].scene.objects[0].pose.position.u == position[0]
-        corpus.save_trials(loaded, str(q), seed=7)
-        assert q.read_text().splitlines()[i] == written
+        # the loader keeps every digit it reads; the writer quantizes again,
+        # a moved object's position, a locating shown point and a natural
+        # shown config's position alike
+        natural = harness.generate_trials(Condition(kind=harness.NATURAL), 3, 7)
+        for tset, position_of, loaded_u in (
+                (make_trials(n=4), lambda r: r.get("objects", [{}])[0].get("position"),
+                 lambda t: t.scene.objects[0].pose.position.u),
+                (make_trials(n=4, variant=LOCATING), lambda r: r["shown"]["position"],
+                 lambda t: t.shown.u),
+                (natural, lambda r: r["shown"]["position"], lambda t: t.shown.position.u)):
+            p, q = tmp_path / "p.jsonl", tmp_path / "q.jsonl"
+            corpus.save_trials(tset, str(p), seed=7)
+            lines = p.read_text().splitlines()
+            i = next(i for i, line in enumerate(lines[1:], start=1)
+                     if (position_of(json.loads(line)) or [0])[0])
+            written, rec = lines[i], json.loads(lines[i])
+            position = position_of(rec)
+            position[0] += 1e-12
+            assert harness._q(position[0]) != position[0]
+            lines[i] = json.dumps(rec)
+            p.write_text("\n".join(lines) + "\n")
+            loaded = held(corpus.load_trials(str(p)))
+            assert loaded_u(loaded.trials[i - 1]) == position[0]
+            corpus.save_trials(loaded, str(q), seed=7)
+            assert q.read_text().splitlines()[i] == written
 
     def test_blank_lines_between_records_are_skipped(self, tmp_path):
         p = tmp_path / "b.jsonl"

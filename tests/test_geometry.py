@@ -132,6 +132,32 @@ class TestRayPlane:
             Ray(Point3(0, 0, 0), (0, 0, 2))
 
 
+Z = (0.0, 0.0, 1.0)
+U = (1.0, 0.0, 0.0)
+V = (0.0, 1.0, 0.0)
+
+
+class TestConstructorsRefuse:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Point3(0.0, math.nan, 0.0), "point components must be finite"),
+        (lambda: Point3(math.inf, 0.0, 0.0), "point components must be finite"),
+        (lambda: SurfacePoint(0.0, math.nan), "surface coordinates must be finite"),
+        (lambda: SurfacePoint(-math.inf, 0.0), "surface coordinates must be finite"),
+        (lambda: Plane(Point3(0, 0, 0), (0.0, 0.0, 2.0), U, V, (1.0, 1.0)),
+         "normal must be a unit vector"),
+        (lambda: Plane(Point3(0, 0, 0), Z, U, U, (1.0, 1.0)),
+         "plane axes must be orthonormal and perpendicular to normal"),
+        (lambda: Plane(Point3(0, 0, 0), Z, U, V, (0.0, 1.0)),
+         "plane extent must be positive"),
+        (lambda: Plane(Point3(0, 0, 0), Z, U, V, (1.0, -1.0)),
+         "plane extent must be positive"),
+    ], ids=["point-nan", "point-inf", "surface-nan", "surface-inf",
+            "non-unit-normal", "repeated-axis", "zero-extent", "negative-extent"])
+    def test_bad_values(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+
 def assert_oblique_section(tilt_deg: float, yaw_deg: float, lean_u: float,
                            lean_v: float, vertex_deg: float) -> None:
     """A ray leaning along both surface axes gives an ellipse rotated in the

@@ -6,9 +6,9 @@ import pytest
 from deixis import corpus, harness
 from deixis.errors import DeixisError
 from deixis.geometry import Plane, SurfacePoint, cone_plane_section, surface_distance
-from deixis.harness import (CLUTTERED, NATURAL, REF_VS_LOC, VERB_VARIANT,
-                            Condition, ResponseRecord, ShownConfig,
-                            generate_trials, pointer_ray, run)
+from deixis.harness import (CLUTTERED, NATURAL, REF_VS_LOC, Condition,
+                            ResponseRecord, ShownConfig, generate_trials,
+                            pointer_ray, run)
 from deixis.resolver import (CORRECT, LOCATING, NEARER, REFERENTIAL, ResolverConfig,
                              candidates, classify_outcome, resolve)
 from deixis.sampling import cluttered_pair, sample_positions, substreams
@@ -42,19 +42,23 @@ class TestCondition:
         with pytest.raises(ValueError):
             cond(robot="pr2")
         with pytest.raises(ValueError):
-            cond(kind=VERB_VARIANT, verb="yeet")
+            cond(verb="yeet")
+        with pytest.raises(ValueError, match="unknown condition kind 'verb_variant'"):
+            cond(kind="verb_variant")
+        with pytest.raises(ValueError, match="unknown variant 'pointing'"):
+            cond(variant="pointing")
 
     @pytest.mark.parametrize("kind, field, value, message", [
         (CLUTTERED, "variant", LOCATING, "takes no variant"),
         (NATURAL, "variant", LOCATING, "takes no variant"),
-        (REF_VS_LOC, "verb", "push", "takes no verb"),
         (CLUTTERED, "verb", "move", "takes no verb"),
         (NATURAL, "verb", "place", "takes no verb"),
         (REF_VS_LOC, "gravity", False, "takes no gravity off"),
         (CLUTTERED, "gravity", False, "takes no gravity off"),
-        (VERB_VARIANT, "gravity", False, "takes no gravity off"),
         (CLUTTERED, "reverse", True, "takes no reverse"),
-        (NATURAL, "reverse", True, "takes no reverse")])
+        (NATURAL, "reverse", True, "takes no reverse"),
+        (CLUTTERED, "speech", False, "takes no speech"),
+        (NATURAL, "speech", False, "takes no speech")])
     def test_fields_the_kind_ignores_keep_defaults(self, kind, field, value, message):
         # the descriptor and trial ids leave these fields out
         with pytest.raises(ValueError, match=message):
@@ -62,7 +66,8 @@ class TestCondition:
 
     def test_fields_the_kind_reads(self):
         cond(kind=REF_VS_LOC, variant=LOCATING)
-        cond(kind=VERB_VARIANT, variant=LOCATING, verb="push")
+        cond(kind=REF_VS_LOC, variant=LOCATING, verb="push", speech=False,
+             reverse=True)
         cond(kind=NATURAL, gravity=False)
 
     def test_the_matched_cone_angle_is_held(self):
@@ -71,12 +76,9 @@ class TestCondition:
         assert c.cone_vertex_angle == math.radians(67.5)
 
     def test_descriptor_round_trips_flags(self):
-        c = cond(kind=VERB_VARIANT, deg=67.5, variant=LOCATING, verb="push",
-                 reverse=True, speech=False)
-        d = c.descriptor()
-        for part in ("verb_variant", "locating", "67.5deg", "nospeech",
-                     "reverse", "push"):
-            assert part in d
+        c = cond(deg=67.5, variant=LOCATING, verb="push", reverse=True,
+                 speech=False, robot="kuka")
+        assert c.descriptor() == "ref_vs_loc/locating/67.5deg/kuka/nospeech/reverse/push"
 
 
 class TestGenerate:
@@ -206,6 +208,18 @@ class TestRun:
         for deg in (45.0, 67.5, 90.0):
             records = run(generate_trials(cond(deg=deg), 8, 5))
             assert all(r.predicted == "correct" for r in records)
+
+    @pytest.mark.parametrize("variant", [REFERENTIAL, LOCATING])
+    def test_the_verb_and_speech_change_no_prediction(self, variant):
+        # they are ref-vs-loc tags: only the descriptor, and so the ids and
+        # `meta.condition`, tell a tagged set from an untagged one
+        plain = cond(deg=67.5, variant=variant)
+        tagged = replace(plain, verb="push", speech=False)
+        a, b = (run(generate_trials(c, 8, 3)) for c in (plain, tagged))
+        assert [r.predicted for r in a] == [r.predicted for r in b]
+        assert ([{**r.meta, "condition": None} for r in a]
+                == [{**r.meta, "condition": None} for r in b])
+        assert b[0].meta["condition"] == tagged.descriptor()
 
     def test_locating_rule(self):
         cfg = ResolverConfig()

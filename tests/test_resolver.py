@@ -47,6 +47,11 @@ class TestPointingAct:
 
 
 class TestCandidates:
+    def test_unknown_intent(self):
+        scene = Scene(PLANE, (SceneObject("mug", MUG, Pose2D(SurfacePoint(0, 0))),))
+        with pytest.raises(ValueError, match="^unknown intent 'waving'$"):
+            candidates(scene, "waving")
+
     def test_referential_lists_objects(self):
         scene = Scene(PLANE, (SceneObject("mug", MUG, Pose2D(SurfacePoint(0.1, 0))),))
         cs = candidates(scene, REFERENTIAL)

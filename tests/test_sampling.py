@@ -46,6 +46,11 @@ class TestSamplePositions:
         with pytest.raises(ValueError, match="^n must be a positive multiple of 4, got 0$"):
             sample_positions(TILTED, 0, 0)
 
+    def test_negative_seed(self):
+        for draw in (lambda: sample_positions(TILTED, 8, -1), lambda: substreams(-1, 4)):
+            with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+                draw()
+
     def test_quadrant_uniformity(self):
         # 16 equal-area bins per quadrant: 4 angular x 4 radial-area slices
         pts = list(sample_positions(TILTED, 4000, 3))

@@ -311,6 +311,17 @@ class TestFootprint:
         for p in self.PROBES:
             assert fp.sd(p) == pytest.approx(segment_distance(p, *ends), abs=1e-15)
 
+    def test_a_difference_whose_vertex_sums_round_to_a_segment(self):
+        # b's two ends differ by less than the precision of a's: the four
+        # differences round to two points, a segment's hull
+        a = Footprint.box(SurfacePoint(0.4, 0.5), 0.08, 1e-300)
+        b = Footprint.box(SurfacePoint(0.3, 0.0), 1e-300, 1e-17)
+        assert len(a.core) == len(b.core) == 2
+        diff = a - b
+        assert diff.core == tuple(sorted((au - 0.3, 0.5) for au, _ in a.core))
+        for p in self.PROBES:
+            assert diff.sd(p) == pytest.approx(segment_distance(p, *diff.core), abs=1e-15)
+
     def test_a_box_whose_edges_underflow(self):
         # distinct corners, but each edge's squared length is 0.0
         fp = Footprint.box(SurfacePoint(0.0, 0.0), 1e-200, 1e-200)
@@ -433,27 +444,46 @@ class TestExactness:
             assume(False)
         kind, radius, half_extents = placed
         shape = Shape(kind, 0.05, radius=radius, half_extents=half_extents)
-        region = stable_region(scene, shape)
         x = SurfacePoint(specs[0][1] + du, specs[0][2] + dv)  # near an object
-        got = region.nearest(x)
-        assert region.contains(got)
-        d = surface_distance(got, x)
-        step = 0.001
-        reach = int(d / step) + 2
-        iu, iv = round(x.u / step), round(x.v / step)
-        for i in range(iu - reach, iu + reach + 1):
-            for j in range(iv - reach, iv + reach + 1):
-                p = SurfacePoint(i * step, j * step)
-                if surface_distance(p, x) < d - 1e-9:
-                    assert not region.contains(p), (p, got)
-        # stable points lie within one grid diagonal of the answer; a finer
-        # grid finds them in the wedge left where two hole boundaries cross
-        fine = step / 10.0
-        gu, gv = round(got.u / fine), round(got.v / fine)
-        near = [SurfacePoint((gu + i) * fine, (gv + j) * fine)
-                for i in range(-15, 16) for j in range(-15, 16)]
-        assert any(region.contains(p) for p in near
-                   if surface_distance(p, got) <= step * math.sqrt(2))
+        assert_nearest_on_grid(stable_region(scene, shape), x)
+
+    def test_nearest_from_the_centre_of_a_round_hole(self):
+        # a saucer narrower than the support margin holds no island, so its
+        # centre is unstable, and every point of the hole's rim is nearest
+        saucer = Shape("saucer", 0.02, radius=SUPPORT_MARGIN / 2.0)
+        scene = Scene(TABLE, (SceneObject("s", saucer, Pose2D(SurfacePoint(0.05, 0.03))),))
+        region = stable_region(scene, MUG)
+        x = SurfacePoint(0.05, 0.03)
+        assert not region.contains(x)
+        got = assert_nearest_on_grid(region, x)
+        # the leftmost rim point, as the tie rule picks
+        assert got.v == x.v and got.u < x.u
+
+
+def assert_nearest_on_grid(region, x: SurfacePoint) -> SurfacePoint:
+    """`region.nearest(x)`, checked against a 1 mm grid: no grid point
+    nearer `x` is stable, and a stable point lies within one grid diagonal
+    of the answer."""
+    got = region.nearest(x)
+    assert region.contains(got)
+    d = surface_distance(got, x)
+    step = 0.001
+    reach = int(d / step) + 2
+    iu, iv = round(x.u / step), round(x.v / step)
+    for i in range(iu - reach, iu + reach + 1):
+        for j in range(iv - reach, iv + reach + 1):
+            p = SurfacePoint(i * step, j * step)
+            if surface_distance(p, x) < d - 1e-9:
+                assert not region.contains(p), (p, got)
+    # a finer grid finds stable points in the wedge left where two hole
+    # boundaries cross
+    fine = step / 10.0
+    gu, gv = round(got.u / fine), round(got.v / fine)
+    near = [SurfacePoint((gu + i) * fine, (gv + j) * fine)
+            for i in range(-15, 16) for j in range(-15, 16)]
+    assert any(region.contains(p) for p in near
+               if surface_distance(p, got) <= step * math.sqrt(2))
+    return got
 
 
 # Membership against the rule as first written, evaluated per call: every

@@ -9,6 +9,7 @@ import scipy.integrate
 import scipy.special
 import scipy.stats
 
+from deixis import stats
 from deixis.errors import DeixisError
 from deixis.stats import (_FISHER_SLACK, ContingencyTable, _log_hypergeom,
                           chi_squared_test, chi_squared_upper_tail,
@@ -31,12 +32,22 @@ class TestContingencyTable:
             table((1, -2), (3, 4))
         with pytest.raises(ValueError):
             table((1.5, 2), (3, 4))
+        with pytest.raises(ValueError, match="^row label count mismatch$"):
+            ContingencyTable(((1, 2), (3, 4)), row_labels=("a", "b", "c"))
+        with pytest.raises(ValueError, match="^column label count mismatch$"):
+            ContingencyTable(((1, 2), (3, 4)), col_labels=("x",))
 
     def test_margins(self):
         t = table((1, 2, 3), (4, 5, 6))
         assert t.row_sums == (6, 15)
         assert t.col_sums == (5, 7, 9)
         assert t.total == 21
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+def test_a_p_value_outside_the_unit_interval_is_refused(p):
+    with pytest.raises(ValueError, match=r"^p-value out of \[0, 1\]$"):
+        stats.TestResult(1.0, 1, p)
 
 
 class TestGammaQ:
