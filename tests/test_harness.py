@@ -70,6 +70,12 @@ class TestCondition:
              reverse=True)
         cond(kind=NATURAL, gravity=False)
 
+    def test_ref_vs_loc_reads_the_verb(self):
+        # ref-vs-loc once refused any verb but "place"; the verb is now its tag
+        c = cond(kind=REF_VS_LOC, verb="push")
+        assert c.verb == "push"
+        assert c.descriptor().endswith("/push")
+
     def test_the_matched_cone_angle_is_held(self):
         # an angle within 1e-9 degrees of an allowed one is held as that one
         c = Condition(kind=REF_VS_LOC, cone_vertex_angle=math.radians(67.5) + 1e-12)
