@@ -24,15 +24,18 @@ identical bytes.
 
 Trials (schema `deixis-trials-2`): a file holds one `harness.TrialSet`, one
 condition and pointing act in one scene whose objects a trial may move.
-The header holds `schema`, `count`, `seed`, the condition descriptor and a
-`context` object: the set's `condition`, `act`, `surface`, `gravity` and
-`objects`.  Each record holds a trial's own parts: `id` and `shown`, plus
-`objects` when the trial moves any, one entry per context object, `{}` or
+The header holds `schema`, `count`, `seed` (null or a non-negative
+integer), the descriptor of the context's condition and a `context`
+object: the set's `condition`, `act`, `surface`, `gravity` and `objects`.
+Each record holds a trial's own parts: `id` and `shown`, plus `objects`
+when the trial moves any, one entry per context object, `{}` or
 `{"position": [u, v]}`, its position unless that is `_same` as the
-context's.  The loader turns each record into a `harness.make_trials`
-case, so its trial gets the context scene or that scene with its objects
-moved (`Scene.moved`), checked exactly as a freshly built scene.  Any other
-record field, and a file with no records, is a data error.
+context's; the writer refuses a trial whose scene differs from the set's
+in more.  The loader makes each record in turn into a `harness.make_trials`
+case and its trial, an error naming the record's line: the context scene
+or that scene with its objects moved (`Scene.moved`), checked exactly as a
+freshly built scene.  Any other record field, and a file with no records,
+is a data error.
 
 Responses (schema `deixis-responses-2`) are written the same way: the
 header holds `schema`, `count`, an `id_prefix` (the longest common prefix
@@ -357,12 +360,26 @@ def _writing(path: str) -> Iterator[TextIO]:
         raise
 
 
+def _differs_past_positions(scene: Scene, base: Scene) -> bool:
+    """Whether `scene` differs from `base` in more than its objects'
+    positions, all that a trials record holds.  `Scene.moved` keeps every
+    other part itself, and a tuple compares its items by `is` first, so a
+    generated or loaded set's trials pass on identity checks."""
+    return not ((scene.surface is base.surface or scene.surface == base.surface)
+                and scene.gravity == base.gravity
+                and len(scene.objects) == len(base.objects)
+                and all(o is o0 or (o.id, o.shape, o.pose.yaw, o.support)
+                        == (o0.id, o0.shape, o0.pose.yaw, o0.support)
+                        for o, o0 in zip(scene.objects, base.objects)))
+
+
 def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
     """Write a trial set of at least one trial, each trial as it is made;
     an empty set is refused before the file is opened.  The header holds
     the count the set carries, `len(tset.trials)`, and any error, such as
-    a generation error or a loaded set's count mismatch, removes the file.
-    A loaded set's trials are read here, once."""
+    a generation error, a loaded set's count mismatch or a trial whose
+    scene differs from the set's in more than its objects' positions,
+    removes the file.  A loaded set's trials are read here, once."""
     count = len(tset.trials)
     if not count:
         raise DeixisError("a trial set holds at least one trial")
@@ -375,6 +392,9 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
         for t in tset.trials:
             rec: dict = {"id": t.id, "shown": _shown_to_json(t.shown)}
             if t.scene is not tset.scene:
+                if _differs_past_positions(t.scene, tset.scene):
+                    raise DeixisError(f"trial {t.id}: its scene differs from the set's "
+                                      "in more than its objects' positions")
                 objects = [{} if o is o0 else _position(o, od0) for o, o0, od0
                            in zip(t.scene.objects, tset.scene.objects, ctx["objects"])]
                 if any(objects):
@@ -386,14 +406,13 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
 
 
 def load_trials(path: str) -> TrialSet:
-    """The trial set of a trials file.  The header, its context and the
-    first record are read and checked now; each record is read and made
-    into a trial as the set's `trials` reach it, so they can be read only
-    once.  Their `len` is the header `count`, which is checked after the
-    last."""
+    """The trial set of a trials file, whose header, context and first
+    record are read and checked now.  Each record becomes a trial, an
+    error naming its line, as the set's `trials` reach it, so they can be
+    read once; their `len` is the header `count`, checked after the last."""
     lines = _read_lines(path, TRIALS_SCHEMA)
     _, header = next(lines)
-    line, first = next(lines, (1, None))
+    first = next(lines, None)
     if first is None:
         raise DeixisError(f"{path}:1: no trial records; a trials file holds "
                           "one trial set of at least one trial")
@@ -404,19 +423,24 @@ def load_trials(path: str) -> TrialSet:
         condition, scene, act = _parts(ctx)
     except (KeyError, TypeError, ValueError) as exc:
         raise DeixisError(f"{path}:1: bad context: {exc}") from exc
-
-    def cases() -> Iterator[tuple]:
-        nonlocal line
-        for line, rec in chain([(line, first)], lines):
-            yield _case(rec, scene)
+    descriptor, seed = header.get("condition"), header.get("seed")
+    if descriptor != condition.descriptor():
+        why = f"condition {descriptor!r} is not the context's {condition.descriptor()!r}"
+    elif "seed" not in header:
+        why = "no seed; it must be null or a non-negative integer"
+    elif seed is not None and (type(seed) is not int or seed < 0):
+        why = f"seed must be null or a non-negative integer, got {seed!r}"
+    else:
+        why = None
+    if why:
+        raise DeixisError(f"{path}:1: bad header: {why}")
 
     def trials() -> Iterator[Trial]:
-        # a record's case and trial are made before the next line is read,
-        # so a failure names the line of the record in hand
-        try:
-            yield from make_trials(scene, cases())
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DeixisError(f"{path}:{line}: bad trial record: {exc}") from exc
+        for line, rec in chain([first], lines):
+            try:
+                yield from make_trials(scene, [_case(rec, scene)])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DeixisError(f"{path}:{line}: bad trial record: {exc}") from exc
 
     stream = trials()
     return TrialSet(condition, act, scene, Trials(header["count"], lambda: stream))

@@ -11,7 +11,6 @@ import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .errors import DeixisError
 from .geometry import (Ellipse, Plane, Point3, Ray, SurfacePoint,
@@ -154,8 +153,8 @@ class Trial:
 
 def make_trials(scene: Scene, cases: Iterable[tuple]) -> Iterator[Trial]:
     """One trial per `(id, moves or None, shown)` case, made as its case is
-    read: `scene`, or `scene.moved(moves)`.  The one place a `Trial` is
-    made: generated and loaded sets both hand on what it yields."""
+    read: `scene`, or `scene.moved(moves)`.  The one place a `Trial` is made:
+    a generated set hands it every case, a loaded set one record's at a time."""
     for tid, moves, shown in cases:
         yield Trial(tid, scene if moves is None else scene.moved(moves), shown)
 
@@ -234,10 +233,10 @@ def _ellipse_bbox(e: Ellipse) -> list[SurfacePoint]:
 
 
 def _aim(cond: Condition, target: SurfacePoint, intent: str,
-         plane: Plane) -> tuple[Ray, SurfacePoint]:
-    """The robot's ray through `target` and its quantized surface hit x*."""
+         plane: Plane) -> PointingAct:
+    """The set's one act: the robot's ray through `target` and its quantized hit x*."""
     ray = pointer_ray(target, plane, cond.robot)
-    return ray, _qp(PointingAct.aim(ray, plane, intent).target)
+    return PointingAct(ray, intent, _qp(PointingAct.aim(ray, plane, intent).target))
 
 
 def generate_trials(cond: Condition, n: int, seed: int) -> TrialSet:
@@ -245,7 +244,7 @@ def generate_trials(cond: Condition, n: int, seed: int) -> TrialSet:
 
     n must be positive; sampled kinds also require n divisible by 4, and
     the natural condition always yields its three fixed configurations.
-    Each kind's generator returns the ray, intent, x* and scene its trials
+    Each kind's generator returns the pointing act and scene its trials
     share and a function giving one (id suffix, moves or None, shown) case
     per trial, drawn afresh on each call.  The set holds none of its
     trials: each pass over them makes them again, as they are read.
@@ -253,30 +252,29 @@ def generate_trials(cond: Condition, n: int, seed: int) -> TrialSet:
     if cond.kind == NATURAL:
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
-        built, n = _natural_trials(cond), len(NATURAL_CONFIGS)
+        (act, scene, cases), n = _natural_trials(cond), len(NATURAL_CONFIGS)
     elif n <= 0 or n % 4 != 0:
         raise ValueError(f"n must be a positive multiple of 4, got {n}")
     elif cond.kind == CLUTTERED:
-        built = _cluttered_trials(cond, n, seed)
+        act, scene, cases = _cluttered_trials(cond, n, seed)
     else:
-        built = _ref_vs_loc_trials(cond, n, seed)
-    ray, intent, x_star, scene, cases = built
+        act, scene, cases = _ref_vs_loc_trials(cond, n, seed)
     slug = cond.descriptor().replace("/", "-")
 
     def make() -> Iterator[Trial]:
         return make_trials(scene, ((f"{slug}-{suffix}", moves, shown)
                                    for suffix, moves, shown in cases()))
 
-    return TrialSet(cond, PointingAct(ray, intent, x_star), scene, Trials(n, make))
+    return TrialSet(cond, act, scene, Trials(n, make))
 
 
 def _ref_vs_loc_trials(cond: Condition, n: int, seed: int) -> tuple:
     x_init, x_final = (X_FINAL, X_INIT) if cond.reverse else (X_INIT, X_FINAL)
     intent = cond.variant
     probe_plane = Plane.horizontal(TABLE_EXTENT)
-    ray, x_star = _aim(cond, x_init if intent == REFERENTIAL else x_final,
-                       intent, probe_plane)
-    ellipse = cone_plane_section(ray, cond.cone_vertex_angle, probe_plane)
+    act = _aim(cond, x_init if intent == REFERENTIAL else x_final, intent, probe_plane)
+    x_star = act.target
+    ellipse = cone_plane_section(act.ray, cond.cone_vertex_angle, probe_plane)
     # x* is on the major axis, so its far end is the farthest boundary point
     reach = ellipse.semi_major + surface_distance(ellipse.center, x_star)
     cube_pos = _qp(SurfacePoint(x_star.u, x_star.v + reach + 0.25))
@@ -304,13 +302,14 @@ def _ref_vs_loc_trials(cond: Condition, n: int, seed: int) -> tuple:
             yield ((f"{i:03d}", {0: pos}, "mug") if intent == REFERENTIAL
                    else (f"{i:03d}", None, pos))
 
-    return ray, intent, x_star, scene, cases
+    return act, scene, cases
 
 
 def _cluttered_trials(cond: Condition, n: int, seed: int) -> tuple:
     probe_plane = Plane.horizontal(TABLE_EXTENT)
-    ray, x_star = _aim(cond, SurfacePoint(0.0, 0.0), REFERENTIAL, probe_plane)
-    ellipse = cone_plane_section(ray, cond.cone_vertex_angle, probe_plane)
+    act = _aim(cond, SurfacePoint(0.0, 0.0), REFERENTIAL, probe_plane)
+    x_star = act.target
+    ellipse = cone_plane_section(act.ray, cond.cone_vertex_angle, probe_plane)
     # a pair point sits on the major axis at most D from the center (offset
     # +- D/2), so the points 1.5 D out bound the extent of every pair
     d_full = 2.0 * ellipse.semi_major
@@ -327,16 +326,13 @@ def _cluttered_trials(cond: Condition, n: int, seed: int) -> tuple:
                    SceneObject("mug_distractor", MUG, Pose2D(first[1]))))
 
     def cases() -> Iterator[tuple]:
-        # both mugs move per trial; pair 0 is the scene's, so stream 0 is
-        # skipped, and each stream is dropped once its pair is drawn
-        rngs = substreams(seed, n)
-        next(rngs)
-        for i, (obj, dis) in enumerate(chain([first], map(pair, rngs))):
+        # each trial moves both mugs, trial 0 to where the scene has them
+        for i, (obj, dis) in enumerate(map(pair, substreams(seed, n))):
             nearer = surface_distance(obj, x_star) <= surface_distance(dis, x_star)
             yield (f"{i:03d}", {0: obj, 1: dis},
                    "mug_object" if nearer else "mug_distractor")
 
-    return ray, REFERENTIAL, x_star, scene, cases
+    return act, scene, cases
 
 
 def _natural_trials(cond: Condition) -> tuple:
@@ -344,12 +340,12 @@ def _natural_trials(cond: Condition) -> tuple:
     stack = (SceneObject("stack_base", STACK_CUBOID, Pose2D(STACK_POSITION)),
              SceneObject("stack_top", STACK_CUBOID, Pose2D(STACK_POSITION),
                          support="stack_base"))
-    ray, x_star = _aim(cond, NATURAL_X_STAR, LOCATING, plane)
 
     def cases() -> Iterator[tuple]:
         return ((shown.label, None, shown) for shown in NATURAL_CONFIGS)
 
-    return ray, LOCATING, x_star, Scene(plane, stack, gravity=cond.gravity), cases
+    return (_aim(cond, NATURAL_X_STAR, LOCATING, plane),
+            Scene(plane, stack, gravity=cond.gravity), cases)
 
 
 def _predict(trial: Trial, kind: str, act: PointingAct, descriptor: str,

@@ -187,8 +187,13 @@ class TestRun:
         # the retired verbs kind: its sets are ref-vs-loc sets with a verb
         (1, lambda h: h["context"]["condition"].update(kind="verb_variant", verb="push"),
          "bad context: unknown condition kind 'verb_variant'"),
+        # the header's descriptor must be the context condition's
+        (1, lambda h: h.update(condition="bogus"),
+         "bad header: condition 'bogus' is not the context's "
+         "'ref_vs_loc/locating/45deg/baxter'"),
     ], ids=["huge-shown-position", "huge-cone", "deep-record", "deep-header",
-            "non-unit-normal", "repeated-axis", "zero-extent", "verb-variant-kind"])
+            "non-unit-normal", "repeated-axis", "zero-extent", "verb-variant-kind",
+            "bogus-condition"])
     def test_malformed_trials_exit_1(self, runner, tmp_path, line, edit, message):
         trials = gen(runner, tmp_path, "--variant", "locating")
         rewrite(trials, line, edit)

@@ -502,6 +502,45 @@ class TestSchemaErrors:
         with pytest.raises(DeixisError, match=rf"^{re.escape(str(p))}:1: {message}$"):
             held(load(str(p)))
 
+    @pytest.mark.parametrize("field, value, why", [
+        ("condition", "bogus", "condition 'bogus' is not the context's {}"),
+        ("condition", "ref_vs_loc/locating/67.5deg/baxter",
+         "condition 'ref_vs_loc/locating/67.5deg/baxter' is not the context's {}"),
+        ("condition", None, "condition None is not the context's {}"),
+        ("condition", "missing", "condition None is not the context's {}"),
+        ("seed", "missing", "no seed; it must be null or a non-negative integer"),
+        ("seed", "7", "seed must be null or a non-negative integer, got '7'"),
+        ("seed", 7.0, "seed must be null or a non-negative integer, got 7.0"),
+        ("seed", True, "seed must be null or a non-negative integer, got True"),
+        ("seed", -1, "seed must be null or a non-negative integer, got -1")],
+        ids=["bogus-condition", "another-condition", "null-condition", "no-condition",
+             "no-seed", "string-seed", "float-seed", "true-seed", "negative-seed"])
+    def test_header_condition_and_seed(self, tmp_path, field, value, why):
+        # checked once the context parses: the descriptor must be the
+        # context condition's
+        p = tmp_path / "h.jsonl"
+        tset = make_trials(n=4)
+        corpus.save_trials(tset, str(p), seed=7)
+        lines = p.read_text().splitlines()
+        header = json.loads(lines[0])
+        if value == "missing":
+            del header[field]
+        else:
+            header[field] = value
+        p.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        message = why.format(repr(tset.condition.descriptor()))
+        with pytest.raises(DeixisError,
+                           match=rf"^{re.escape(str(p))}:1: bad header: {re.escape(message)}$"):
+            corpus.load_trials(str(p))
+
+    @pytest.mark.parametrize("seed", [None, 0, 7, 2 ** 70])
+    def test_header_seed_may_be_null_or_any_non_negative_integer(self, tmp_path, seed):
+        p = tmp_path / "s.jsonl"
+        tset = make_trials(n=4)
+        corpus.save_trials(tset, str(p), seed=seed)
+        assert json.loads(p.read_text().splitlines()[0])["seed"] == seed
+        assert held(corpus.load_trials(str(p))) == tset
+
     @pytest.mark.parametrize("context", [None, [], "scene", 3])
     def test_missing_or_non_object_context(self, tmp_path, context):
         p = tmp_path / "c.jsonl"
@@ -600,6 +639,21 @@ class TestSchemaErrors:
         lines[2] = json.dumps(rec)
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(DeixisError, match=rf"r\.jsonl:3: bad trial record: {message}"):
+            held(corpus.load_trials(str(p)))
+
+    def test_the_first_record_names_its_line(self, tmp_path):
+        # the first record is read before the set is returned, and made into
+        # a trial with the others; its error still names its own line
+        p = tmp_path / "b.jsonl"
+        corpus.save_trials(make_trials(n=4), str(p), seed=7)
+        lines = p.read_text().splitlines()
+        header, rec = json.loads(lines[0]), json.loads(lines[1])
+        assert "objects" not in rec  # trial 0 leaves the mug where the scene has it
+        rec["objects"] = [{"position": header["context"]["objects"][1]["position"]}, {}]
+        lines[1] = json.dumps(rec)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DeixisError, match=r"b\.jsonl:2: bad trial record: "
+                                              r"objects mug and red_cube overlap$"):
             held(corpus.load_trials(str(p)))
 
     @pytest.mark.parametrize("field, value", [
@@ -742,6 +796,48 @@ class TestStreamedWrites:
         with pytest.raises(DeixisError, match="^a set of 9 trials gave 8$"):
             corpus.save_trials(short, str(out), seed=7)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("change", [
+        "surface", "gravity", "count", "id", "shape", "yaw", "support"])
+    def test_a_trial_from_another_scene_is_refused(self, tmp_path, change):
+        # a record holds only positions, so a trial whose scene differs from
+        # the set's in anything more would load back with the set's scene
+        tset = make_trials(n=4)
+        scene = tset.scene
+        mug, cube = scene.objects
+        other = {
+            "surface": replace(scene, surface=replace(scene.surface, extent=(3.0, 3.0))),
+            "gravity": replace(scene, gravity=False),
+            "count": replace(scene, objects=(cube,)),
+            "id": replace(scene, objects=(mug, replace(cube, id="blue_cube"))),
+            "shape": replace(scene, objects=(mug, replace(
+                cube, shape=replace(cube.shape, half_extents=(0.05, 0.05))))),
+            "yaw": replace(scene, objects=(mug, replace(cube, pose=replace(cube.pose, yaw=0.5)))),
+            "support": replace(scene, objects=(replace(mug, support="red_cube", pose=cube.pose),
+                                               cube)),
+        }[change]
+        trials = list(tset.trials)
+        trials[2] = replace(trials[2], scene=other)
+        out = tmp_path / "t.jsonl"
+        with pytest.raises(DeixisError, match=rf"^trial {re.escape(trials[2].id)}: its "
+                                              "scene differs from the set's in more "
+                                              "than its objects' positions$"):
+            corpus.save_trials(replace(tset, trials=trials), str(out), seed=7)
+        assert not out.exists()
+
+    def test_a_trial_whose_objects_only_moved_is_saved(self, tmp_path):
+        # a scene built afresh, not by `Scene.moved`, passes on equal parts
+        tset = make_trials(n=4)
+        trials = list(tset.trials)
+        scene = trials[1].scene
+        copy = replace(scene, surface=replace(scene.surface), objects=tuple(
+            replace(o, shape=replace(o.shape), pose=replace(o.pose)) for o in scene.objects))
+        assert copy.objects[1].shape is not scene.objects[1].shape and copy == scene
+        trials[1] = replace(trials[1], scene=copy)
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        corpus.save_trials(tset, str(p1), seed=7)
+        corpus.save_trials(replace(tset, trials=trials), str(p2), seed=7)
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_a_loaded_count_mismatch_leaves_no_copy(self, tmp_path):
         p, out = tmp_path / "t.jsonl", tmp_path / "copy.jsonl"
