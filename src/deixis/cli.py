@@ -257,9 +257,8 @@ def cmd_plot(in_path: str, kind: str, out: str, width: int, height: int,
     """Render an SVG pie-scatter of a response corpus."""
     spec = svgplot.PlotSpec(kind=kind.replace("-", "_"), width=width,
                             height=height, legend=legend)
-    records = corpus.load_responses(in_path)
-    svg = svgplot.render(records, spec)  # raises before `out` is opened
-    with open(out, "w", encoding="utf-8") as fh:
+    svg = svgplot.render(corpus.load_responses(in_path), spec)  # raises before `out` is opened
+    with corpus.writing(out) as fh:
         fh.writelines(svg)
     click.echo(f"wrote {out}")
 

@@ -18,9 +18,10 @@ checked before anything is predicted.  Lines end at `\n` or `\r\n`; any other li
 inside a line (a bare `\r`, a form feed, U+2028) makes it malformed, and so
 do arrays and objects nested deeper than `MAX_NESTING` levels.  Blank lines
 are skipped, but errors name physical lines.
-Distances are stored in meters and angles in degrees; every float is written
-with at most 9 significant digits, so identical content always produces
-identical bytes.
+Distances are stored in meters and angles in degrees.  The trials writer
+quantizes every float to 9 significant digits; the responses writer writes
+`meta` as given, so only `harness.predict`'s records are at 9 digits.
+Identical content always produces identical bytes.
 
 Trials (schema `deixis-trials-2`): a file holds one `harness.TrialSet`, one
 condition and pointing act in one scene whose objects a trial may move.
@@ -31,8 +32,8 @@ Each record holds a trial's own parts: `id` and `shown`, plus `objects`
 when the trial moves any, one entry per context object, `{}` or
 `{"position": [u, v]}`, its position unless that is `_same` as the
 context's; the writer refuses a trial whose scene differs from the set's
-in more.  The loader makes each record in turn into a `harness.make_trials`
-case and its trial, an error naming the record's line: the context scene
+in more.  The loader makes each record in turn into a case and hands it
+to `harness.make_trial`, an error naming the record's line: the context scene
 or that scene with its objects moved (`Scene.moved`), checked exactly as a
 freshly built scene.  Any other record field, and a file with no records,
 is a data error.
@@ -61,16 +62,17 @@ import marshal
 import math
 import os
 import re
+import stat
 import tempfile
-from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager, suppress
 from itertools import chain, islice
 from typing import Any, TextIO
 
 from .errors import DeixisError
 from .geometry import Plane, Point3, Ray, SurfacePoint, unit
-from .harness import (LABELS, Condition, ResponseRecord, ShownConfig, Trial,
-                      Trials, TrialSet, _q, make_trials)
+from .harness import (LABELS, Condition, ResponseRecord, ShownConfig, Trials,
+                      TrialSet, _q, make_trial)
 from .resolver import PointingAct
 from .scene import Pose2D, Scene, SceneObject, Shape, TABLE
 from .stats import ContingencyTable
@@ -347,16 +349,28 @@ def _read_lines(path: str, schema: str) -> Iterator[tuple[int, dict]]:
                           f"found {found}")
 
 
+def _records(path: str, lines: Iterator, what: str, make: Callable[[dict], Any]) -> Iterator:
+    """`make(record)` of each `(line, record)`, in turn; a bad one names its line."""
+    for line, rec in lines:
+        try:
+            made = make(rec)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DeixisError(f"{path}:{line}: bad {what} record: {exc}") from exc
+        yield made
+
+
 @contextmanager
-def _writing(path: str) -> Iterator[TextIO]:
-    """`path` open for writing, and removed again if the block raises, so
-    an error leaves no partial file."""
+def writing(path: str) -> Iterator[TextIO]:
+    """`path` open for writing, the one writer of every output.  If the block
+    raises, a regular file is removed, but a symlink, FIFO or device is left."""
     fh = open(path, "w", encoding="utf-8")
     try:
         with fh:
             yield fh
     except BaseException:
-        os.remove(path)
+        with suppress(OSError):  # the clean-up never hides the error itself
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
         raise
 
 
@@ -379,14 +393,14 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
     the count the set carries, `len(tset.trials)`, and any error, such as
     a generation error, a loaded set's count mismatch or a trial whose
     scene differs from the set's in more than its objects' positions,
-    removes the file.  A loaded set's trials are read here, once."""
+    removes a regular output file (`writing`).  A loaded set's trials are read here, once."""
     count = len(tset.trials)
     if not count:
         raise DeixisError("a trial set holds at least one trial")
     ctx = _context(tset.condition, tset.act, tset.scene)
     header = {"schema": TRIALS_SCHEMA, "count": count, "seed": seed,
               "condition": tset.condition.descriptor(), "context": ctx}
-    with _writing(path) as fh:
+    with writing(path) as fh:
         fh.write(_ENCODER.encode(header) + "\n")
         written = 0
         for t in tset.trials:
@@ -435,14 +449,8 @@ def load_trials(path: str) -> TrialSet:
     if why:
         raise DeixisError(f"{path}:1: bad header: {why}")
 
-    def trials() -> Iterator[Trial]:
-        for line, rec in chain([first], lines):
-            try:
-                yield from make_trials(scene, [_case(rec, scene)])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DeixisError(f"{path}:{line}: bad trial record: {exc}") from exc
-
-    stream = trials()
+    stream = _records(path, chain([first], lines), "trial",
+                      lambda rec: make_trial(scene, *_case(rec, scene)))
     return TrialSet(condition, act, scene, Trials(header["count"], lambda: stream))
 
 
@@ -463,7 +471,7 @@ def save_responses(records: Iterable[ResponseRecord], path: str) -> None:
     the shared fields from the first record's.  `path` is opened only after
     the last record: the header is written and the spool read back without
     the shared fields.  The spool has no name, so not even a killed process
-    leaves it, and an error removes a partial `path`."""
+    leaves it, and an error removes `path` when it is a regular file (`writing`)."""
     try:
         fh = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
     except OSError as exc:  # name the file the caller asked for, not the spool
@@ -487,7 +495,7 @@ def save_responses(records: Iterable[ResponseRecord], path: str) -> None:
                   "id_prefix": prefix, "context": {**top, "meta": shared}}
         cut = len(prefix)
         fh.seek(0)
-        with _writing(path) as out:
+        with writing(path) as out:
             out.write(_ENCODER.encode(header) + "\n")
             while size := int.from_bytes(fh.read(8), "little"):
                 for trial_id, predicted, human, meta in marshal.loads(fh.read(size)):
@@ -540,19 +548,13 @@ def load_responses(path: str) -> Iterator[ResponseRecord]:
     # a record omits the context's fields, and `meta` when it has none
     defaults = {**ctx, "meta": {}}
 
-    def records() -> Iterator[ResponseRecord]:
-        for line, rec in lines:
-            try:
-                fields = _checked({**defaults, **rec})
-                record = ResponseRecord(trial_id=prefix + _str(fields["trial_id"]),
-                                        predicted=fields["predicted"],
-                                        human=fields["human"],
-                                        meta={**shared, **fields["meta"]})
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DeixisError(f"{path}:{line}: bad response record: {exc}") from exc
-            yield record
+    def record(rec: dict) -> ResponseRecord:
+        fields = _checked({**defaults, **rec})
+        return ResponseRecord(trial_id=prefix + _str(fields["trial_id"]),
+                              predicted=fields["predicted"], human=fields["human"],
+                              meta={**shared, **fields["meta"]})
 
-    return records()
+    return _records(path, lines, "response", record)
 
 
 # Published natural/unnatural stack judgments; rows are shown configurations,

@@ -151,12 +151,11 @@ class Trial:
     shown: str | SurfacePoint | ShownConfig
 
 
-def make_trials(scene: Scene, cases: Iterable[tuple]) -> Iterator[Trial]:
-    """One trial per `(id, moves or None, shown)` case, made as its case is
-    read: `scene`, or `scene.moved(moves)`.  The one place a `Trial` is made:
-    a generated set hands it every case, a loaded set one record's at a time."""
-    for tid, moves, shown in cases:
-        yield Trial(tid, scene if moves is None else scene.moved(moves), shown)
+def make_trial(scene: Scene, tid: str, moves: dict | None,
+               shown: str | SurfacePoint | ShownConfig) -> Trial:
+    """The one place a `Trial` is made, from one case: `scene` or, when the
+    case moves objects, `scene.moved(moves)`, with the case's id and shown."""
+    return Trial(tid, scene if moves is None else scene.moved(moves), shown)
 
 
 class Trials:
@@ -262,8 +261,8 @@ def generate_trials(cond: Condition, n: int, seed: int) -> TrialSet:
     slug = cond.descriptor().replace("/", "-")
 
     def make() -> Iterator[Trial]:
-        return make_trials(scene, ((f"{slug}-{suffix}", moves, shown)
-                                   for suffix, moves, shown in cases()))
+        return (make_trial(scene, f"{slug}-{suffix}", moves, shown)
+                for suffix, moves, shown in cases())
 
     return TrialSet(cond, act, scene, Trials(n, make))
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import re
@@ -514,6 +515,26 @@ class TestPlot:
                                    "--kind", "scatter-pies", "--out", str(svg)])
         assert res.exit_code == 0
         assert svg.read_text().startswith("<svg")
+
+    def test_a_failed_write_leaves_no_svg(self, runner, tmp_path, monkeypatch):
+        # the second pie fails after the first is written, as a full disk would
+        trials, resp, svg = gen(runner, tmp_path), tmp_path / "r.jsonl", tmp_path / "p.svg"
+        assert runner.invoke(main, ["run", "--in", str(trials),
+                                    "--out", str(resp)]).exit_code == 0
+        pie, calls = svgplot._pie, []
+
+        def failing_pie(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return pie(*args)
+
+        monkeypatch.setattr(svgplot, "_pie", failing_pie)
+        res = runner.invoke(main, ["plot", "--in", str(resp), "--out", str(svg)])
+        assert res.exit_code == 1
+        assert res.output == "Error: [Errno 28] No space left on device\n"
+        assert len(calls) == 2
+        assert not svg.exists()
 
     def test_empty_responses_exit_1(self, runner, tmp_path):
         empty = tmp_path / "empty.jsonl"

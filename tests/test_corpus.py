@@ -1,7 +1,9 @@
 import gc
 import json
 import math
+import os
 import re
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -221,7 +223,7 @@ class TestResponsesRoundTrip:
             assert harness._q(act.target.u) != act.target.u
             records += harness.run(harness.TrialSet(
                 tset.condition, act, tset.scene,
-                tuple(harness.make_trials(tset.scene, cases))))
+                tuple(harness.make_trial(tset.scene, *case) for case in cases)))
         p, q = tmp_path / "r.jsonl", tmp_path / "q.jsonl"
         corpus.save_responses(records, str(p))
         corpus.save_responses([replace(r, meta=corpus._quantize(r.meta))
@@ -352,7 +354,7 @@ class TestTrialsExactValues:
                  for trial, position in zip(t.trials, [(0.0, 0.0), (u, v)])]
         scene = t.scene.moved({0: SurfacePoint(0.0, 0.0)})
         return harness.TrialSet(t.condition, t.act, scene,
-                                tuple(harness.make_trials(scene, cases)))
+                                tuple(harness.make_trial(scene, *case) for case in cases))
 
     @pytest.mark.parametrize("u, v", [(-0.0, 0.0), (0, 0)], ids=["signed-zero", "int"])
     def test_round_trip_keeps_the_value(self, tmp_path, u, v):
@@ -863,6 +865,39 @@ class TestStreamedWrites:
         assert list(tmp_path.iterdir()) == []
         corpus.save_responses(records, str(out))
         assert list(tmp_path.iterdir()) == [out]
+
+    @staticmethod
+    def failing_set():
+        """A cluttered set whose trials raise after the header and one trial."""
+        tset = cluttered_trials()
+
+        def trials():
+            yield next(iter(tset.trials))
+            raise DeixisError("trial 1 fails")
+
+        return replace(tset, trials=harness.Trials(8, trials))
+
+    def test_a_failed_write_through_a_symlink_leaves_the_link(self, tmp_path):
+        # only a regular file is removed: the link `--out` names stays
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        target.write_text("")
+        link.symlink_to(target)
+        with pytest.raises(DeixisError, match="^trial 1 fails$"):
+            corpus.save_trials(self.failing_set(), str(link), seed=7)
+        assert link.is_symlink()
+        assert target.is_file()
+
+    def test_a_failed_write_into_a_fifo_leaves_the_fifo(self, tmp_path):
+        fifo, read = tmp_path / "fifo", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        with pytest.raises(DeixisError, match="^trial 1 fails$"):
+            corpus.save_trials(self.failing_set(), str(fifo), seed=7)
+        reader.join(timeout=10)
+        assert read and read[0].startswith(b'{"condition":')
+        assert fifo.is_fifo()
 
     def test_responses_of_any_length_write_as_listed(self, tmp_path):
         # batches of the spool fill, cross and end on a boundary
