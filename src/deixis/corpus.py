@@ -7,10 +7,10 @@ or response as its line is read, and `count` is checked after the last
 record.  `load_trials` and `load_responses`, the one reader of each kind,
 check the header at once and hand the records on one at a time, so what
 they return can be read only once.  Files are written the same way, one
-record at a time: `gen` writes each trial as it is made, and `run` spools
-each response record beside its output until the last is in, since the
-responses header holds what every record shares, so neither holds the set;
-`plot` holds only its pie table.  Since `run` predicts each trial before it
+record at a time: `gen` and `run` spool each record beside their output as
+it is made and open the output only after the last (`_spool`), since each
+header holds what every record shares, so neither holds the set; `plot`
+holds only its pie table.  Since `run` predicts each trial before it
 reads the next line, a prediction error on an earlier trial is reported
 before a malformed later record, and a `count` mismatch after every
 prediction; the header, and a trials file's context and first record, are
@@ -23,12 +23,13 @@ quantizes every float to 9 significant digits; the responses writer writes
 `meta` as given, so only `harness.predict`'s records are at 9 digits.
 Identical content always produces identical bytes.
 
-Trials (schema `deixis-trials-2`): a file holds one `harness.TrialSet`, one
+Trials (schema `deixis-trials-3`): a file holds one `harness.TrialSet`, one
 condition and pointing act in one scene whose objects a trial may move.
 The header holds `schema`, `count`, `seed` (null or a non-negative
-integer), the descriptor of the context's condition and a `context`
-object: the set's `condition`, `act`, `surface`, `gravity` and `objects`.
-Each record holds a trial's own parts: `id` and `shown`, plus `objects`
+integer), an `id_prefix` (the longest common prefix of the trial ids), the
+descriptor of the context's condition and a `context` object: the set's
+`condition`, `act`, `surface`, `gravity` and `objects`.  Each record holds
+a trial's own parts: `id`, its id without the prefix, and `shown`, plus `objects`
 when the trial moves any, one entry per context object, `{}` or
 `{"position": [u, v]}`, its position unless that is `_same` as the
 context's; the writer refuses a trial whose scene differs from the set's
@@ -47,9 +48,12 @@ the prefix, and only the fields and meta entries that are not in the
 context (no `meta` when none are left).  On the n=4000 sweeps that is
 107-160 B per trial.  Records are written as `harness.predict` makes them:
 every float in `meta` is already quantized, so records are encoded without
-another pass.  Until the last record is in, they wait in a `marshal` spool
-that the writer alone reads, once; it has no name, so it is gone once
-closed, even by a killed process.  Loaded records share the context's values.
+another pass.  Loaded records share the context's values.
+
+Until the last record is in, the records of either kind wait in a
+`marshal` spool that the writer alone reads, once; it has no name, so it
+is gone once closed, even by a killed process, and an error or a kill
+before the last record leaves the output as it was.
 
 Values count as the same only when they are written as the same JSON text
 (`_same` asks the encoder that writes them): -0.0 and 0.0, 1 and 1.0, true
@@ -71,19 +75,20 @@ from typing import Any, TextIO
 
 from .errors import DeixisError
 from .geometry import Plane, Point3, Ray, SurfacePoint, unit
-from .harness import (LABELS, Condition, ResponseRecord, ShownConfig, Trials,
-                      TrialSet, _q, make_trial)
+from .harness import (LABELS, Condition, ResponseRecord, ShownConfig, Trial,
+                      Trials, TrialSet, _q, make_trial)
 from .resolver import PointingAct
 from .scene import Pose2D, Scene, SceneObject, Shape, TABLE
 from .stats import ContingencyTable
 
-TRIALS_SCHEMA = "deixis-trials-2"
+TRIALS_SCHEMA = "deixis-trials-3"
 RESPONSES_SCHEMA = "deixis-responses-2"
-_RECORD_FIELDS = {"id", "shown", "objects"}  # of a deixis-trials-2 record
+_RECORD_FIELDS = {"id", "shown", "objects"}  # of a deixis-trials-3 record
 MAX_NESTING = 32  # levels of arrays and objects in a line; corpus lines use 5
 _STRING = re.compile(r'"(?:[^"\\]|\\.)*"?')  # a JSON string, or one cut short
 _BRACKET = re.compile(r"[][{}]")
-SPOOL_BATCH = 256  # response records marshalled to the spool at a time
+SPOOL_BATCH = 256  # records marshalled to the spool at a time
+_TOP = {"predicted": 1, "human": 2}  # fields of a spooled response row, by index
 
 
 def _quantize(obj: Any) -> Any:
@@ -253,9 +258,10 @@ def _parts(d: dict) -> tuple[Condition, Scene, PointingAct]:
             _act_from_json(d["act"]))
 
 
-def _case(rec: dict, scene: Scene) -> tuple:
-    """A trials record as a `TrialSet` case: its id, the context objects it
-    moves (None when it moves none) and its shown outcome."""
+def _case(rec: dict, scene: Scene, prefix: str) -> tuple:
+    """A trials record as a `TrialSet` case: its id, `prefix` and the
+    record's `id`, the context objects it moves (None when it moves none)
+    and its shown outcome."""
     if not rec.keys() <= _RECORD_FIELDS:
         extra = ", ".join(map(repr, sorted(rec.keys() - _RECORD_FIELDS)))
         raise ValueError(f"unexpected field {extra}; a record holds "
@@ -272,7 +278,7 @@ def _case(rec: dict, scene: Scene) -> tuple:
                                  f"position, got {od!r}")
             if od:
                 positions[i] = SurfacePoint(*_nums(od["position"], 2))
-    return _str(rec["id"]), positions or None, _shown_from_json(rec["shown"])
+    return prefix + _str(rec["id"]), positions or None, _shown_from_json(rec["shown"])
 
 
 def _nesting(text: str) -> int:
@@ -374,6 +380,42 @@ def writing(path: str) -> Iterator[TextIO]:
         raise
 
 
+def _spool(path: str, rows: Iterable[tuple], narrow: Callable[[list], None] | None,
+           header: Callable[[int, str], dict], line: Callable[[tuple, int], str]) -> None:
+    """Write `path` as one header line and one record line per row, the
+    one spool of both writers.  Each row is a tuple that `marshal` writes,
+    a record's id first.  Rows are spooled as they arrive, `SPOOL_BATCH`
+    at a time, to a temporary file beside `path`, each batch handed to
+    `narrow` first, while the longest common prefix of the ids narrows
+    from the first id.  After the last row, `header(count, prefix)` gives
+    the header, and only then is `path` opened (`writing`) and each
+    spooled row written as the line `line(row, len(prefix))`.  The spool
+    has no name, so not even a killed process leaves it; an error or a
+    kill before the last row leaves `path` as it was."""
+    try:
+        fh = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
+    except OSError as exc:  # name the file the caller asked for, not the spool
+        raise OSError(exc.errno, exc.strerror, path) from None
+    with fh:
+        count, prefix = 0, ""
+        it = iter(rows)
+        for batch in iter(lambda: list(islice(it, SPOOL_BATCH)), []):
+            if narrow:
+                narrow(batch)
+            prefix = os.path.commonprefix([prefix if count else batch[0][0],
+                                           *(row[0] for row in batch)])
+            data = marshal.dumps(batch)
+            fh.write(len(data).to_bytes(8, "little") + data)
+            count += len(batch)
+        head, cut = header(count, prefix), len(prefix)
+        fh.seek(0)
+        with writing(path) as out:
+            out.write(_ENCODER.encode(head) + "\n")
+            while size := int.from_bytes(fh.read(8), "little"):
+                for row in marshal.loads(fh.read(size)):
+                    out.write(line(row, cut) + "\n")
+
+
 def _differs_past_positions(scene: Scene, base: Scene) -> bool:
     """Whether `scene` differs from `base` in more than its objects'
     positions, all that a trials record holds.  `Scene.moved` keeps every
@@ -388,35 +430,43 @@ def _differs_past_positions(scene: Scene, base: Scene) -> bool:
 
 
 def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
-    """Write a trial set of at least one trial, each trial as it is made;
-    an empty set is refused before the file is opened.  The header holds
-    the count the set carries, `len(tset.trials)`, and any error, such as
-    a generation error, a loaded set's count mismatch or a trial whose
-    scene differs from the set's in more than its objects' positions,
-    removes a regular output file (`writing`).  A loaded set's trials are read here, once."""
+    """Write a trial set of at least one trial; an empty set is refused
+    before anything else.  Each trial becomes its record as it is made
+    and is spooled as that record's JSON (`_spool`), so `path` is opened only
+    after the last trial, and any error before then, such as a generation
+    error, a loaded set's count mismatch or a trial whose scene differs
+    from the set's in more than its objects' positions, leaves `path` as
+    it was.  The header holds the count the set carries,
+    `len(tset.trials)`, and the ids' longest common prefix.  A loaded
+    set's trials are read here, once."""
     count = len(tset.trials)
     if not count:
         raise DeixisError("a trial set holds at least one trial")
     ctx = _context(tset.condition, tset.act, tset.scene)
-    header = {"schema": TRIALS_SCHEMA, "count": count, "seed": seed,
-              "condition": tset.condition.descriptor(), "context": ctx}
-    with writing(path) as fh:
-        fh.write(_ENCODER.encode(header) + "\n")
-        written = 0
-        for t in tset.trials:
-            rec: dict = {"id": t.id, "shown": _shown_to_json(t.shown)}
-            if t.scene is not tset.scene:
-                if _differs_past_positions(t.scene, tset.scene):
-                    raise DeixisError(f"trial {t.id}: its scene differs from the set's "
-                                      "in more than its objects' positions")
-                objects = [{} if o is o0 else _position(o, od0) for o, o0, od0
-                           in zip(t.scene.objects, tset.scene.objects, ctx["objects"])]
-                if any(objects):
-                    rec["objects"] = objects
-            fh.write(_ENCODER.encode(rec) + "\n")
-            written += 1
+
+    def row(t: Trial) -> tuple[str, str]:
+        rec: dict = {"shown": _shown_to_json(t.shown)}
+        if t.scene is not tset.scene:
+            if _differs_past_positions(t.scene, tset.scene):
+                raise DeixisError(f"trial {t.id}: its scene differs from the set's "
+                                  "in more than its objects' positions")
+            objects = [{} if o is o0 else _position(o, od0) for o, o0, od0
+                       in zip(t.scene.objects, tset.scene.objects, ctx["objects"])]
+            if any(objects):
+                rec["objects"] = objects
+        return t.id, _ENCODER.encode(rec)
+
+    def header(written: int, prefix: str) -> dict:
         if written != count:
             raise DeixisError(f"a set of {count} trials gave {written}")
+        return {"schema": TRIALS_SCHEMA, "count": count, "seed": seed,
+                "id_prefix": prefix, "condition": tset.condition.descriptor(),
+                "context": ctx}
+
+    # a record spools as its JSON without the id, which sorts before
+    # `objects` and `shown`, so the id is written in front of the rest
+    _spool(path, map(row, tset.trials), None, header,
+           lambda row, cut: f'{{"id":{_ENCODER.encode(row[0][cut:])},{row[1][1:]}')
 
 
 def load_trials(path: str) -> TrialSet:
@@ -437,76 +487,59 @@ def load_trials(path: str) -> TrialSet:
         condition, scene, act = _parts(ctx)
     except (KeyError, TypeError, ValueError) as exc:
         raise DeixisError(f"{path}:1: bad context: {exc}") from exc
-    descriptor, seed = header.get("condition"), header.get("seed")
+    descriptor, seed, prefix = (header.get(f) for f in ("condition", "seed", "id_prefix"))
     if descriptor != condition.descriptor():
         why = f"condition {descriptor!r} is not the context's {condition.descriptor()!r}"
     elif "seed" not in header:
         why = "no seed; it must be null or a non-negative integer"
     elif seed is not None and (type(seed) is not int or seed < 0):
         why = f"seed must be null or a non-negative integer, got {seed!r}"
+    elif type(prefix) is not str:
+        why = f"id_prefix must be a string, got {prefix!r}"
     else:
         why = None
     if why:
         raise DeixisError(f"{path}:1: bad header: {why}")
 
     stream = _records(path, chain([first], lines), "trial",
-                      lambda rec: make_trial(scene, *_case(rec, scene)))
+                      lambda rec: make_trial(scene, *_case(rec, scene, prefix)))
     return TrialSet(condition, act, scene, Trials(header["count"], lambda: stream))
-
-
-def _shared(batch: list[ResponseRecord], top: dict, meta: dict) -> tuple[dict, dict]:
-    """The top-level fields of `top` and the entries of `meta` that are
-    `_same` in every record of `batch`."""
-    return ({f: v for f, v in top.items()
-             if all(_same(getattr(r, f), v) for r in batch)},
-            {k: v for k, v in meta.items()
-             if all(k in r.meta and _same(r.meta[k], v) for r in batch)})
 
 
 def save_responses(records: Iterable[ResponseRecord], path: str) -> None:
     """Write records as given: `harness.predict` already quantizes every
     float in `meta` to 9 significant digits.  The header holds what every
-    record shares, so records are spooled as they arrive, `SPOOL_BATCH` at
-    a time, to a temporary file beside `path`, narrowing the id prefix and
-    the shared fields from the first record's.  `path` is opened only after
-    the last record: the header is written and the spool read back without
-    the shared fields.  The spool has no name, so not even a killed process
-    leaves it, and an error removes `path` when it is a regular file (`writing`)."""
-    try:
-        fh = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
-    except OSError as exc:  # name the file the caller asked for, not the spool
-        raise OSError(exc.errno, exc.strerror, path) from None
-    with fh:
-        count, prefix, top, shared = 0, "", {}, {}
-        it = iter(records)
-        for batch in iter(lambda: list(islice(it, SPOOL_BATCH)), []):
-            if not count:
-                first = batch[0]
-                prefix, top = first.trial_id, {"predicted": first.predicted,
-                                               "human": first.human}
-                shared = first.meta
-            prefix = os.path.commonprefix([prefix, *(r.trial_id for r in batch)])
-            top, shared = _shared(batch, top, shared)
-            data = marshal.dumps([(r.trial_id, r.predicted, r.human, r.meta)
-                                  for r in batch])
-            fh.write(len(data).to_bytes(8, "little") + data)
-            count += len(batch)
-        header = {"schema": RESPONSES_SCHEMA, "count": count,
-                  "id_prefix": prefix, "context": {**top, "meta": shared}}
-        cut = len(prefix)
-        fh.seek(0)
-        with writing(path) as out:
-            out.write(_ENCODER.encode(header) + "\n")
-            while size := int.from_bytes(fh.read(8), "little"):
-                for trial_id, predicted, human, meta in marshal.loads(fh.read(size)):
-                    rec = {"trial_id": trial_id[cut:], "predicted": predicted,
-                           "human": human}
-                    for f in top:
-                        del rec[f]
-                    meta = {k: v for k, v in meta.items() if k not in shared}
-                    if meta:
-                        rec["meta"] = meta
-                    out.write(_ENCODER.encode(rec) + "\n")
+    record shares, so records are spooled as they arrive (`_spool`),
+    narrowing the shared fields from the first record's, and written
+    without them once the last is in."""
+    top: dict | None = None  # predicted and human, while every record shares them
+    shared: dict = {}  # the meta entries every record shares
+
+    def narrow(batch: list[tuple]) -> None:
+        nonlocal top, shared
+        if top is None:
+            _, predicted, human, shared = batch[0]
+            top = {"predicted": predicted, "human": human}
+        top = {f: v for f, v in top.items()
+               if all(_same(row[_TOP[f]], v) for row in batch)}
+        shared = {k: v for k, v in shared.items()
+                  if all(k in row[3] and _same(row[3][k], v) for row in batch)}
+
+    def line(row: tuple, cut: int) -> str:
+        trial_id, predicted, human, meta = row
+        rec = {"trial_id": trial_id[cut:], "predicted": predicted, "human": human}
+        for f in top:
+            del rec[f]
+        meta = {k: v for k, v in meta.items() if k not in shared}
+        if meta:
+            rec["meta"] = meta
+        return _ENCODER.encode(rec)
+
+    _spool(path, ((r.trial_id, r.predicted, r.human, r.meta) for r in records), narrow,
+           lambda count, prefix: {"schema": RESPONSES_SCHEMA, "count": count,
+                                  "id_prefix": prefix,
+                                  "context": {**(top or {}), "meta": shared}},
+           line)
 
 
 def _checked(fields: dict) -> dict:

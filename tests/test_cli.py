@@ -297,7 +297,8 @@ class TestRun:
         assert runner.invoke(main, ["gen", "--condition", *flags,
                                     "--out", str(trials)]).exit_code == 0
         rewrite(trials, line, edit)
-        first = json.loads(trials.read_text().splitlines()[1])["id"]
+        header, record = map(json.loads, trials.read_text().splitlines()[:2])
+        first = header["id_prefix"] + record["id"]
         out = tmp_path / "o.jsonl"
         res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
         assert res.exit_code == 1
@@ -547,7 +548,7 @@ class TestPlot:
         # an empty set has no condition, act or scene: the file is refused
         # before any output is written
         empty, out = tmp_path / "empty.jsonl", tmp_path / "o.jsonl"
-        empty.write_text('{"schema":"deixis-trials-2","count":0,"context":{}}\n')
+        empty.write_text('{"schema":"deixis-trials-3","count":0,"context":{}}\n')
         res = runner.invoke(main, ["run", "--in", str(empty), "--out", str(out)])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
@@ -558,10 +559,13 @@ class TestPlot:
     @pytest.mark.parametrize("command, header", [
         ("run", '{"condition":"ref_vs_loc/locating/45deg/baxter","count":8,'
                 '"schema":"deixis-trials-1","seed":7}'),
+        ("run", '{"condition":"ref_vs_loc/locating/45deg/baxter","context":{},'
+                '"count":8,"schema":"deixis-trials-2","seed":7}'),
         ("plot", '{"count":11,"schema":"deixis-responses-1"}')],
-        ids=["trials-1", "responses-1"])
+        ids=["trials-1", "trials-2", "responses-1"])
     def test_a_v1_file_is_an_unknown_schema(self, runner, tmp_path, command, header):
-        # the first schema of each file kind, which no code writes or reads
+        # a retired schema of either file kind, which no code writes or reads:
+        # the first of each, and the trials schema whose ids held their prefix
         old, out = tmp_path / "old.jsonl", tmp_path / "out"
         old.write_text(header + "\n")
         res = runner.invoke(main, [command, "--in", str(old), "--out", str(out)])

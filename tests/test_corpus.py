@@ -80,15 +80,26 @@ def records_of(path):
     return [json.loads(line) for line in path.read_text().splitlines()[1:]]
 
 
+def renamed(tset, ids):
+    """`tset` with its first `len(ids)` trials, held in a list, given `ids`."""
+    return replace(tset, trials=[replace(t, id=i) for t, i in zip(tset.trials, ids)])
+
+
 class TestTrialsV2:
     def test_locating_records_carry_no_scene(self, tmp_path):
         p = tmp_path / "l.jsonl"
-        corpus.save_trials(make_trials(variant=LOCATING), str(p), seed=7)
+        tset = make_trials(variant=LOCATING)
+        corpus.save_trials(tset, str(p), seed=7)
         header = json.loads(p.read_text().splitlines()[0])
-        assert header["schema"] == "deixis-trials-2"
+        assert header["schema"] == "deixis-trials-3"
         assert set(header["context"]) == {"condition", "act", "surface",
                                           "gravity", "objects"}
         assert all(set(rec) == {"id", "shown"} for rec in records_of(p))
+        # the ids' common prefix is written once, and each record holds the rest
+        ids = [t.id for t in tset.trials]
+        assert header["id_prefix"] == os.path.commonprefix(ids) == \
+               "ref_vs_loc-locating-67.5deg-baxter-00"
+        assert [rec["id"] for rec in records_of(p)] == [str(i) for i in range(8)]
 
     @pytest.mark.parametrize("trials, moved", [
         (make_trials(), [["position"], []]),
@@ -100,11 +111,21 @@ class TestTrialsV2:
             assert set(rec) == {"id", "shown", "objects"}
             assert [sorted(od) for od in rec["objects"]] == moved
 
-    @pytest.mark.parametrize("trials", [make_trials(variant=LOCATING),
-                                        cluttered_trials()])
+    @pytest.mark.parametrize("trials", [
+        make_trials(variant=LOCATING), cluttered_trials(),
+        pytest.param(renamed(make_trials(n=4), ["mug-left", "near", "0", "z"]),
+                     id="no-shared-prefix"),
+        pytest.param(renamed(make_trials(n=4), ["the-only-trial"]), id="one-trial"),
+        *(pytest.param(cluttered_trials(n=n), id=f"cluttered-{n}")
+          for n in (corpus.SPOOL_BATCH, corpus.SPOOL_BATCH + 4, 2 * corpus.SPOOL_BATCH + 4))])
     def test_round_trip_is_equal_and_byte_stable(self, tmp_path, trials):
+        # spool batches fill, cross and end on a boundary
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         corpus.save_trials(trials, str(p1), seed=7)
+        prefix = json.loads(p1.read_text().splitlines()[0])["id_prefix"]
+        ids = [t.id for t in trials.trials]
+        assert prefix == os.path.commonprefix(ids)
+        assert [rec["id"] for rec in records_of(p1)] == [i[len(prefix):] for i in ids]
         loaded = held(corpus.load_trials(str(p1)))
         assert loaded == trials
         assert tuple(loaded.trials) == tuple(trials.trials)
@@ -514,9 +535,13 @@ class TestSchemaErrors:
         ("seed", "7", "seed must be null or a non-negative integer, got '7'"),
         ("seed", 7.0, "seed must be null or a non-negative integer, got 7.0"),
         ("seed", True, "seed must be null or a non-negative integer, got True"),
-        ("seed", -1, "seed must be null or a non-negative integer, got -1")],
+        ("seed", -1, "seed must be null or a non-negative integer, got -1"),
+        ("id_prefix", "missing", "id_prefix must be a string, got None"),
+        ("id_prefix", 3, "id_prefix must be a string, got 3"),
+        ("id_prefix", None, "id_prefix must be a string, got None")],
         ids=["bogus-condition", "another-condition", "null-condition", "no-condition",
-             "no-seed", "string-seed", "float-seed", "true-seed", "negative-seed"])
+             "no-seed", "string-seed", "float-seed", "true-seed", "negative-seed",
+             "no-id-prefix", "numeric-id-prefix", "null-id-prefix"])
     def test_header_condition_and_seed(self, tmp_path, field, value, why):
         # checked once the context parses: the descriptor must be the
         # context condition's
@@ -703,7 +728,7 @@ class TestSchemaErrors:
     def test_responses_wrong_schema(self, tmp_path):
         p = tmp_path / "w.jsonl"
         corpus.save_trials(make_trials(n=4), str(p), seed=7)
-        with pytest.raises(DeixisError, match=r"w\.jsonl:1: unknown schema 'deixis-trials-2'$"):
+        with pytest.raises(DeixisError, match=r"w\.jsonl:1: unknown schema 'deixis-trials-3'$"):
             corpus.load_responses(str(p))
 
 
@@ -782,9 +807,9 @@ class TestTrialSetEquality:
 
 
 class TestStreamedWrites:
-    """`save_trials` writes each trial as it is made and `save_responses`
-    spools each record beside its output: an error part way leaves neither
-    a partial file nor the spool."""
+    """`save_trials` and `save_responses` spool each record beside their
+    output as it is made and open the output only after the last: an error
+    before then leaves neither a partial file nor the spool."""
 
     def test_generated_trials_are_made_again_on_each_pass(self):
         trials = cluttered_trials(n=400)
@@ -868,7 +893,7 @@ class TestStreamedWrites:
 
     @staticmethod
     def failing_set():
-        """A cluttered set whose trials raise after the header and one trial."""
+        """A cluttered set whose trials raise after one trial."""
         tset = cluttered_trials()
 
         def trials():
@@ -878,26 +903,36 @@ class TestStreamedWrites:
         return replace(tset, trials=harness.Trials(8, trials))
 
     def test_a_failed_write_through_a_symlink_leaves_the_link(self, tmp_path):
-        # only a regular file is removed: the link `--out` names stays
+        # the link `--out` names stays, and since the error comes before the
+        # last trial, the output is never opened: the target keeps its bytes
         target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
-        target.write_text("")
+        target.write_bytes(b"known bytes\n")
         link.symlink_to(target)
         with pytest.raises(DeixisError, match="^trial 1 fails$"):
             corpus.save_trials(self.failing_set(), str(link), seed=7)
         assert link.is_symlink()
         assert target.is_file()
+        assert target.read_bytes() == b"known bytes\n"
 
     def test_a_failed_write_into_a_fifo_leaves_the_fifo(self, tmp_path):
+        # the reader takes 100 bytes of a set larger than the 64 KiB pipe
+        # buffer and closes, so the write fails part way: only a regular
+        # file is removed, and the spool has no name
         fifo, read = tmp_path / "fifo", []
+
+        def reader():
+            with fifo.open("rb") as fh:
+                read.append(fh.read(100))
+
         os.mkfifo(fifo)
-        reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()),
-                                  daemon=True)
-        reader.start()
-        with pytest.raises(DeixisError, match="^trial 1 fails$"):
-            corpus.save_trials(self.failing_set(), str(fifo), seed=7)
-        reader.join(timeout=10)
+        thread = threading.Thread(target=reader, daemon=True)
+        thread.start()
+        with pytest.raises(BrokenPipeError):
+            corpus.save_trials(cluttered_trials(n=1000), str(fifo), seed=7)
+        thread.join(timeout=10)
         assert read and read[0].startswith(b'{"condition":')
         assert fifo.is_fifo()
+        assert list(tmp_path.iterdir()) == [fifo]
 
     def test_responses_of_any_length_write_as_listed(self, tmp_path):
         # batches of the spool fill, cross and end on a boundary

@@ -186,8 +186,10 @@ def assert_predicted_first(content, error, line, output):
     count mismatch, which is found after the last record."""
     failed = re.match(r"Error: trial (.+?): ", output)
     assert failed, (output, error)
-    at = next(n for n, raw in enumerate(content.split(b"\n")[1:], start=2)
-              if raw.strip() and json.loads(raw).get("id") == failed[1])
+    header, *records = content.split(b"\n")
+    prefix = json.loads(header)["id_prefix"]
+    at = next(n for n, raw in enumerate(records, start=2)
+              if raw.strip() and prefix + json.loads(raw)["id"] == failed[1])
     assert at < line or "header declares" in error, (output, error)
 
 
