@@ -23,41 +23,47 @@ quantizes every float to 9 significant digits; the responses writer writes
 `meta` as given, so only `harness.predict`'s records are at 9 digits.
 Identical content always produces identical bytes.
 
-Trials (schema `deixis-trials-3`): a file holds one `harness.TrialSet`, one
+One rule says what a record leaves out, for both kinds.  The header's
+`id_prefix` is the longest common prefix of the ids, and each record's id
+field holds the rest.  A record field whose JSON text is the same in every
+record, or a `meta` entry that is (one level in), is written once in the
+header's shared-fields object, and the records leave it out (no `meta` when
+none of its entries are left).  Values count as the same only when they
+are written as the same JSON text: -0.0 and 0.0, 1 and 1.0, true and 1 all
+differ.  The one reader's merge (`_records`) puts them back: a field that a
+record holds wins, and a `meta` object merges one entry at a time.  Until
+the last record is in, the records of either kind wait, each field as its
+JSON text, in a `marshal` spool that the writer alone reads, once
+(`_spool`); it has no name, so it is gone once closed, even by a killed
+process, and an error or a kill before the last record leaves the output
+as it was.
+
+Trials (schema `deixis-trials-4`): a file holds one `harness.TrialSet`, one
 condition and pointing act in one scene whose objects a trial may move.
 The header holds `schema`, `count`, `seed` (null or a non-negative
-integer), an `id_prefix` (the longest common prefix of the trial ids), the
-descriptor of the context's condition and a `context` object: the set's
-`condition`, `act`, `surface`, `gravity` and `objects`.  Each record holds
-a trial's own parts: `id`, its id without the prefix, and `shown`, plus `objects`
-when the trial moves any, one entry per context object, `{}` or
-`{"position": [u, v]}`, its position unless that is `_same` as the
-context's; the writer refuses a trial whose scene differs from the set's
-in more.  The loader makes each record in turn into a case and hands it
-to `harness.make_trial`, an error naming the record's line: the context scene
-or that scene with its objects moved (`Scene.moved`), checked exactly as a
-freshly built scene.  Any other record field, and a file with no records,
-is a data error.
+integer), `id_prefix`, the descriptor of the context's condition, a
+`context` object (the set's `condition`, `act`, `surface`, `gravity` and
+`objects`) and `shared`, the shared fields.  A record holds a trial's own
+parts: `id`, `shown` and, when the trial moves any, `objects`, one entry
+per context object, `{}` or `{"position": [u, v]}`, its position unless
+that is `_same` as the context's; the writer refuses a trial whose scene
+differs from the set's in more.  `shared` may hold `shown` and `objects`,
+never `id`.  The loader makes each merged record in turn into a case and
+hands it to `harness.make_trial`, an error naming the record's line: the
+context scene or that scene with its objects moved (`Scene.moved`), checked
+exactly as a freshly built scene.  Any other field, and a file with no
+records, is a data error.  On the n=4000 sweeps a referential, locating and
+cluttered record take about 69, 76 and 133 B: every referential trial shows
+the same mug, so its `shown` is shared.
 
-Responses (schema `deixis-responses-2`) are written the same way: the
-header holds `schema`, `count`, an `id_prefix` (the longest common prefix
-of the trial ids) and a `context` holding `meta`, the meta entries whose
-JSON is the same in every record, plus `predicted` and `human` when those
-are the same in every record.  Each record holds `trial_id`, its id without
-the prefix, and only the fields and meta entries that are not in the
-context (no `meta` when none are left).  On the n=4000 sweeps that is
-107-160 B per trial.  Records are written as `harness.predict` makes them:
-every float in `meta` is already quantized, so records are encoded without
-another pass.  Loaded records share the context's values.
-
-Until the last record is in, the records of either kind wait in a
-`marshal` spool that the writer alone reads, once; it has no name, so it
-is gone once closed, even by a killed process, and an error or a kill
-before the last record leaves the output as it was.
-
-Values count as the same only when they are written as the same JSON text
-(`_same` asks the encoder that writes them): -0.0 and 0.0, 1 and 1.0, true
-and 1 all differ.
+Responses (schema `deixis-responses-2`): the header holds `schema`,
+`count`, `id_prefix` and `context`, the shared fields, which always holds a
+`meta` object.  A record holds `trial_id`, `predicted`, `human` and `meta`.
+In the paper's sets the condition, `x_star` and `path` are shared.  On the
+n=4000 sweeps that is 107-160 B per trial.  Records are written as
+`harness.predict` makes them: every float in `meta` is already quantized,
+so records are encoded without another pass.  Loaded records share the
+context's values.
 """
 from __future__ import annotations
 
@@ -81,14 +87,13 @@ from .resolver import PointingAct
 from .scene import Pose2D, Scene, SceneObject, Shape, TABLE
 from .stats import ContingencyTable
 
-TRIALS_SCHEMA = "deixis-trials-3"
+TRIALS_SCHEMA = "deixis-trials-4"
 RESPONSES_SCHEMA = "deixis-responses-2"
-_RECORD_FIELDS = {"id", "shown", "objects"}  # of a deixis-trials-3 record
+_RECORD_FIELDS = {"id", "shown", "objects"}  # of a deixis-trials-4 record
 MAX_NESTING = 32  # levels of arrays and objects in a line; corpus lines use 5
 _STRING = re.compile(r'"(?:[^"\\]|\\.)*"?')  # a JSON string, or one cut short
 _BRACKET = re.compile(r"[][{}]")
 SPOOL_BATCH = 256  # records marshalled to the spool at a time
-_TOP = {"predicted": 1, "human": 2}  # fields of a spooled response row, by index
 
 
 def _quantize(obj: Any) -> Any:
@@ -140,8 +145,9 @@ def _num(value: Any) -> float:
 
 
 def _nums(value: Any, n: int) -> tuple[float, ...]:
-    """A list of `n` finite JSON numbers, as a tuple."""
-    if type(value) is list and len(value) == n and all(map(_finite, value)):
+    """A list of `n` finite JSON numbers, as a tuple; a tuple, which only a
+    check makes, is returned as it is."""
+    if type(value) in (list, tuple) and len(value) == n and all(map(_finite, value)):
         return tuple(value)
     raise ValueError(f"expected {n} finite numbers, got {value!r}")
 
@@ -355,11 +361,18 @@ def _read_lines(path: str, schema: str) -> Iterator[tuple[int, dict]]:
                           f"found {found}")
 
 
-def _records(path: str, lines: Iterator, what: str, make: Callable[[dict], Any]) -> Iterator:
-    """`make(record)` of each `(line, record)`, in turn; a bad one names its line."""
+def _records(path: str, lines: Iterator, what: str, shared: dict,
+             make: Callable[[dict], Any]) -> Iterator:
+    """`make(record)` of each `(line, record)`, in turn, the record merged
+    over `shared`, the fields its header holds for every record: a field the
+    record holds wins, and a `meta` object merges one entry at a time.  A
+    bad record names its line."""
     for line, rec in lines:
+        fields = {**shared, **rec}
+        if "meta" in shared and type(rec.get("meta", {})) is dict:
+            fields["meta"] = {**shared["meta"], **rec.get("meta", {})}
         try:
-            made = make(rec)
+            made = make(fields)
         except (KeyError, TypeError, ValueError) as exc:
             raise DeixisError(f"{path}:{line}: bad {what} record: {exc}") from exc
         yield made
@@ -380,40 +393,69 @@ def writing(path: str) -> Iterator[TextIO]:
         raise
 
 
-def _spool(path: str, rows: Iterable[tuple], narrow: Callable[[list], None] | None,
-           header: Callable[[int, str], dict], line: Callable[[tuple, int], str]) -> None:
+def _fields(record: dict) -> tuple[tuple, tuple]:
+    """A record's keys and the JSON text of each field, as `_spool` narrows
+    them: each `meta` entry is a field of its own, keyed `("meta", entry)`."""
+    meta = record.get("meta", {})
+    return ((*(k for k in record if k != "meta"), *(("meta", k) for k in meta)),
+            (*(_ENCODER.encode(v) for k, v in record.items() if k != "meta"),
+             *map(_ENCODER.encode, meta.values())))
+
+
+def _text(fields: Iterable[tuple]) -> str:
+    """The JSON text, as `_ENCODER` writes it, of the object whose
+    `(key, JSON text)` fields are given; a key `(field, entry)` puts the
+    entry into the object `field`."""
+    obj: dict = {}
+    for key, text in fields:
+        if type(key) is tuple:  # one entry more of the object `key[0]`
+            key, text = key[0], [*obj.get(key[0], ()), (key[1], text)]
+        obj[key] = text
+    return "{" + ",".join(f"{_ENCODER.encode(k)}:{v if type(v) is str else _text(v)}"
+                          for k, v in sorted(obj.items())) + "}"
+
+
+def _spool(path: str, rows: Iterable[tuple[str, tuple, tuple]], id_field: str,
+           header: Callable[[int, str, dict], dict]) -> None:
     """Write `path` as one header line and one record line per row, the
-    one spool of both writers.  Each row is a tuple that `marshal` writes,
-    a record's id first.  Rows are spooled as they arrive, `SPOOL_BATCH`
-    at a time, to a temporary file beside `path`, each batch handed to
-    `narrow` first, while the longest common prefix of the ids narrows
-    from the first id.  After the last row, `header(count, prefix)` gives
-    the header, and only then is `path` opened (`writing`) and each
-    spooled row written as the line `line(row, len(prefix))`.  The spool
-    has no name, so not even a killed process leaves it; an error or a
-    kill before the last row leaves `path` as it was."""
+    one writer of both file kinds.  A row is a record's id, then its other
+    fields' keys and texts (`_fields`).  Rows are spooled as they arrive,
+    `SPOOL_BATCH` at a time, to a temporary file beside `path`, while the
+    longest common prefix of the ids, and the fields that every row holds
+    with the same JSON text, narrow from the first row's.  After the last
+    row, `header(count, prefix, shared)` gives the header, `shared` the
+    shared fields as an object, and only then is `path` opened (`writing`)
+    and each row written as its id without the prefix, under `id_field`,
+    and its fields that are not shared.  The spool has no name, so not
+    even a killed process leaves it; an error or a kill before the last row
+    leaves `path` as it was."""
     try:
         fh = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
     except OSError as exc:  # name the file the caller asked for, not the spool
         raise OSError(exc.errno, exc.strerror, path) from None
     with fh:
-        count, prefix = 0, ""
-        it = iter(rows)
+        count, prefix, shared, layouts = 0, "", None, {}
+        # rows of one layout share one keys tuple, in memory and in the spool
+        it = ((rid, layouts.setdefault(keys, keys), texts) for rid, keys, texts in rows)
         for batch in iter(lambda: list(islice(it, SPOOL_BATCH)), []):
-            if narrow:
-                narrow(batch)
+            for _, keys, texts in batch:
+                shared = (dict(zip(keys, texts)) if shared is None
+                          else {k: t for k, t in zip(keys, texts) if shared.get(k) == t})
             prefix = os.path.commonprefix([prefix if count else batch[0][0],
                                            *(row[0] for row in batch)])
             data = marshal.dumps(batch)
             fh.write(len(data).to_bytes(8, "little") + data)
             count += len(batch)
-        head, cut = header(count, prefix), len(prefix)
+        # with no rows, no line below asks what every row shares
+        head, cut = header(count, prefix, json.loads(_text((shared or {}).items()))), len(prefix)
         fh.seek(0)
         with writing(path) as out:
             out.write(_ENCODER.encode(head) + "\n")
             while size := int.from_bytes(fh.read(8), "little"):
-                for row in marshal.loads(fh.read(size)):
-                    out.write(line(row, cut) + "\n")
+                for rid, keys, texts in marshal.loads(fh.read(size)):
+                    out.write(_text([(id_field, _ENCODER.encode(rid[cut:])),
+                                     *((k, t) for k, t in zip(keys, texts)
+                                       if k not in shared)]) + "\n")
 
 
 def _differs_past_positions(scene: Scene, base: Scene) -> bool:
@@ -432,19 +474,19 @@ def _differs_past_positions(scene: Scene, base: Scene) -> bool:
 def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
     """Write a trial set of at least one trial; an empty set is refused
     before anything else.  Each trial becomes its record as it is made
-    and is spooled as that record's JSON (`_spool`), so `path` is opened only
+    and is spooled as its fields' JSON (`_spool`), so `path` is opened only
     after the last trial, and any error before then, such as a generation
     error, a loaded set's count mismatch or a trial whose scene differs
     from the set's in more than its objects' positions, leaves `path` as
     it was.  The header holds the count the set carries,
-    `len(tset.trials)`, and the ids' longest common prefix.  A loaded
-    set's trials are read here, once."""
+    `len(tset.trials)`, the ids' longest common prefix and the fields
+    every record shares.  A loaded set's trials are read here, once."""
     count = len(tset.trials)
     if not count:
         raise DeixisError("a trial set holds at least one trial")
     ctx = _context(tset.condition, tset.act, tset.scene)
 
-    def row(t: Trial) -> tuple[str, str]:
+    def row(t: Trial) -> tuple[str, tuple, tuple]:
         rec: dict = {"shown": _shown_to_json(t.shown)}
         if t.scene is not tset.scene:
             if _differs_past_positions(t.scene, tset.scene):
@@ -454,19 +496,16 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
                        in zip(t.scene.objects, tset.scene.objects, ctx["objects"])]
             if any(objects):
                 rec["objects"] = objects
-        return t.id, _ENCODER.encode(rec)
+        return (t.id, *_fields(rec))
 
-    def header(written: int, prefix: str) -> dict:
+    def header(written: int, prefix: str, shared: dict) -> dict:
         if written != count:
             raise DeixisError(f"a set of {count} trials gave {written}")
         return {"schema": TRIALS_SCHEMA, "count": count, "seed": seed,
                 "id_prefix": prefix, "condition": tset.condition.descriptor(),
-                "context": ctx}
+                "context": ctx, "shared": shared}
 
-    # a record spools as its JSON without the id, which sorts before
-    # `objects` and `shown`, so the id is written in front of the rest
-    _spool(path, map(row, tset.trials), None, header,
-           lambda row, cut: f'{{"id":{_ENCODER.encode(row[0][cut:])},{row[1][1:]}')
+    _spool(path, map(row, tset.trials), "id", header)
 
 
 def load_trials(path: str) -> TrialSet:
@@ -487,7 +526,7 @@ def load_trials(path: str) -> TrialSet:
         condition, scene, act = _parts(ctx)
     except (KeyError, TypeError, ValueError) as exc:
         raise DeixisError(f"{path}:1: bad context: {exc}") from exc
-    descriptor, seed, prefix = (header.get(f) for f in ("condition", "seed", "id_prefix"))
+    descriptor, seed, prefix, shared = map(header.get, ("condition", "seed", "id_prefix", "shared"))
     if descriptor != condition.descriptor():
         why = f"condition {descriptor!r} is not the context's {condition.descriptor()!r}"
     elif "seed" not in header:
@@ -496,50 +535,28 @@ def load_trials(path: str) -> TrialSet:
         why = f"seed must be null or a non-negative integer, got {seed!r}"
     elif type(prefix) is not str:
         why = f"id_prefix must be a string, got {prefix!r}"
+    elif type(shared) is not dict or not shared.keys() <= {"shown", "objects"}:
+        why = f"shared must be an object holding only shown and objects, got {shared!r}"
     else:
         why = None
     if why:
         raise DeixisError(f"{path}:1: bad header: {why}")
 
-    stream = _records(path, chain([first], lines), "trial",
+    stream = _records(path, chain([first], lines), "trial", shared,
                       lambda rec: make_trial(scene, *_case(rec, scene, prefix)))
     return TrialSet(condition, act, scene, Trials(header["count"], lambda: stream))
 
 
 def save_responses(records: Iterable[ResponseRecord], path: str) -> None:
     """Write records as given: `harness.predict` already quantizes every
-    float in `meta` to 9 significant digits.  The header holds what every
-    record shares, so records are spooled as they arrive (`_spool`),
-    narrowing the shared fields from the first record's, and written
-    without them once the last is in."""
-    top: dict | None = None  # predicted and human, while every record shares them
-    shared: dict = {}  # the meta entries every record shares
-
-    def narrow(batch: list[tuple]) -> None:
-        nonlocal top, shared
-        if top is None:
-            _, predicted, human, shared = batch[0]
-            top = {"predicted": predicted, "human": human}
-        top = {f: v for f, v in top.items()
-               if all(_same(row[_TOP[f]], v) for row in batch)}
-        shared = {k: v for k, v in shared.items()
-                  if all(k in row[3] and _same(row[3][k], v) for row in batch)}
-
-    def line(row: tuple, cut: int) -> str:
-        trial_id, predicted, human, meta = row
-        rec = {"trial_id": trial_id[cut:], "predicted": predicted, "human": human}
-        for f in top:
-            del rec[f]
-        meta = {k: v for k, v in meta.items() if k not in shared}
-        if meta:
-            rec["meta"] = meta
-        return _ENCODER.encode(rec)
-
-    _spool(path, ((r.trial_id, r.predicted, r.human, r.meta) for r in records), narrow,
-           lambda count, prefix: {"schema": RESPONSES_SCHEMA, "count": count,
-                                  "id_prefix": prefix,
-                                  "context": {**(top or {}), "meta": shared}},
-           line)
+    float in `meta` to 9 significant digits.  Records are spooled as they
+    arrive (`_spool`), and the header's `context` holds what every record
+    shares, with a `meta` object even when that is none."""
+    _spool(path, ((r.trial_id, *_fields({"predicted": r.predicted, "human": r.human,
+                                        "meta": r.meta})) for r in records),
+           "trial_id", lambda count, prefix, shared: {
+               "schema": RESPONSES_SCHEMA, "count": count, "id_prefix": prefix,
+               "context": {"meta": {}, **shared}})
 
 
 def _checked(fields: dict) -> dict:
@@ -575,19 +592,17 @@ def load_responses(path: str) -> Iterator[ResponseRecord]:
             raise TypeError(f"context must be an object, got {ctx!r}")
         if type(prefix) is not str:
             raise TypeError(f"id_prefix must be a string, got {prefix!r}")
-        shared = _checked(ctx)["meta"]
+        _checked(ctx)["meta"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DeixisError(f"{path}:1: bad header: {exc}") from exc
-    # a record omits the context's fields, and `meta` when it has none
-    defaults = {**ctx, "meta": {}}
 
-    def record(rec: dict) -> ResponseRecord:
-        fields = _checked({**defaults, **rec})
+    def record(fields: dict) -> ResponseRecord:
+        _checked(fields)
         return ResponseRecord(trial_id=prefix + _str(fields["trial_id"]),
                               predicted=fields["predicted"], human=fields["human"],
-                              meta={**shared, **fields["meta"]})
+                              meta=fields["meta"])
 
-    return _records(path, lines, "response", record)
+    return _records(path, lines, "response", ctx, record)
 
 
 # Published natural/unnatural stack judgments; rows are shown configurations,

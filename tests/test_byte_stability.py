@@ -76,53 +76,53 @@ SUBNORMAL_TABLE = ("--cols", "6", "--table",
                    "1,238,6,373,5,33,2,2,9,355,1,7,235,2,2,44,30,216,41,4,4,3,1,47")
 
 DIGESTS = {
-    "clut-45": ("e7898ab7da2d91d7e2dfce83fbf3d2a0aa3285ae35f88d4dd091732c53c54ff2",
+    "clut-45": ("9a767ed4bf69e2d2ee72e7de45f10eb8afc7f20b4cfa47d1d887900ea7b7fc77",
                 "d8add6cf220cf4ce3da5c22a747c78575c88e2673bea6dedb376fa65098dce30",
                 "e46e0004926cd51792aa8a160bc6e01674a6942b4f43c7dd4f9a17bd011b60b2"),
-    "clut-67.5": ("c1c713191b5b5324ee28302478c1d1c8e6f7175ae6633555c25eca9f0c77d86b",
+    "clut-67.5": ("f9ca36686ee6b50aaadc6a0639dfc0c4083728f86f4f52b1f322a09dc068443f",
                   "cee40564f106e75d061bd4d8272f90852351b1af6307b263d63e0d2f769f6e0e",
                   "5583821f8c887d3b7c0b91af3c0e221eb3c79b4f12165c045f8a5d16932ee636"),
-    "clut-90": ("b4c7e8835ed49a37a1dd532b12495aa1e75753381baaca7c745f393142556ef9",
+    "clut-90": ("cb32eb4c9ea6a770e36260a5e6d72eeb9f2cb2a2da905e14da96a088e3cb421e",
                 "6ab80f7c39f73bfcc074be85329763a1e31fe1eff35633fd5a87eded4a31834e",
                 "20fefb939b37e67d42ac71cf67093aaf864317985691a9438c14db5fd7a37ba7"),
-    "clut-90-kuka": ("5bfc9c3570cbc8b264284ead737e70948f822ba0a9fff7ec7e4615bc94100487",
+    "clut-90-kuka": ("0229f191516228b47bab4344668be82a0926f62fe1ecd0fdb852ef9d9a95e0e2",
                      "98e0743567e6193bd4da4b365db01e69972fc5994b4d6a2842b3ac179eeef070",
                      "e04cfc9d81c462347b65405629001ca11eafdbf71f8713448d9f937bda22c99e"),
-    "loc-45": ("07304498e256eb2cf61c0964ed8b18f354141b828892c4dfc74800de2cc6b413",
+    "loc-45": ("b4f034c41a93d6023cafb60aa7f37e171eb88bf2b3c9e2642ae7abf3e03c9327",
                "2e82b877ca6310de708b2ff7338702906af123f7647994c974f0ae50724f1848",
                "8f1a3325be1c190947c605564131f3ca818f46f29444b7bf5aa575c47316f4dd"),
-    "loc-67.5": ("868febf69036c278ef57ee96923e42302199893b77dce3362d59dc8b4a45c6ab",
+    "loc-67.5": ("2b13767a5529dfedc9d0939cbc4613d38a1be975d465965f39ab6400d4eaff31",
                  "59f73aa59fa5abd2a9e72daf95ce512ee4cdbc9f42f140ab218ca198fd64ef46",
                  "453ecffa55bfd28a14e4cfdd9369457599bcb7332bc4c0461751de5dcfe6ae1e"),
-    "loc-90": ("a8219f11d61b2b6ac4f43b4803d080f8c682c936f0a99e19645f3b1e89cf9a0a",
+    "loc-90": ("46dc3203b9fcaa4b0b4450dd7345cac58da09c0033fc45b78845ac5f9cfb4f92",
                "b4cba4d3c59379d4287e266bf33939ed02c341b47ec8dee5f64f398dbb11faad",
                "3556b4af54e1c2aae914b2247c67c0c053af8ce5b9f09fac52e73db902661cdf"),
-    "nat-off": ("b8b537af23958a721dfca1a72c36dab12c1a0a248c0343c8c957b4db302aae61",
+    "nat-off": ("4f9d4ced2f735748ca3edca18ca87472e339ed1632f88864033cd41a2461abec",
                 "60f0c0bf28011c6c1ad1882bf641fcb86ce5d3d4ffb26f275eb5cb65b74d6148",
                 "45ef86569f72f5df5a3321f9f746dc12c1ad338dc85a9f5daa27a6df270ca75d"),
-    "nat-on": ("2c0fb4a2a66e4221639812a58e614c438ff424d3cba7b5a3660dc187d2321b82",
+    "nat-on": ("f2cb59223ddc692b49889976fccc4da2c45bcd7a54f2ca4c5464e9c6e2cdd5f6",
                "18d0abf9a813aba7ba11e736c23fba2756404925e89d500ff318aa790d899e9d",
                "87a200ed13f2fb5270625be7c624964eea5079992c195bc18a0d1e6463fc716f"),
-    "ref-45": ("23ab6493603d598ff03065e170f72d64013dcceda8e9a23145a9410f064d533c",
+    "ref-45": ("5fc6ba0e3c91f02ceccb1151348f189713e0be20af72901e2e09b6d2255bdd70",
                "e750c056098564848dbb77e7f8e7a3e4fb7e91e278611e00a02a2aeef894a6eb",
                "91d22c4a66f0065b26d4f15322fd9aa4566ca360b73c540a79bc0ee82e1cb444"),
-    "ref-45-kuka-reverse": ("5c5dae924b726d855b219cb03d94c56a544d8cd767080baebc499ab1695e9359",
+    "ref-45-kuka-reverse": ("9dc3c5806a591c544c272637ff9aebc63969051ab04bc60c9dbca3eb55cd6ece",
                             "cbd828c0d32b10fda06f6800193d6781337258e3e169fcd2ebb735e04ad562cf",
                             "fa2b466f7e5cd276f755485a8f6f19603ac6955f1f9e4c8181d3938161bd8d82"),
-    "ref-67.5": ("969ec618dc028afc63c6d578973b0539b5a7fbdb083e5f539af93dba0ed85665",
+    "ref-67.5": ("5ada5eb15d274a2f9f252e21aaaeeb9306faab4f1e92a4829bbd6ee4c41ad5f9",
                  "d83523940ab72134d00aa4da84ac0a703ad24df61f544770a99679c9eccf049d",
                  "8232a08ef0cc55fd1bcf9a2583c67448e39cf4b81918eb633414c8ac8375f2ff"),
-    "ref-90": ("2e96676243cc8ce3db200571207314b11c6dab0eaf3fc73925110501e494d4f6",
+    "ref-90": ("3b354edd59ab3a666f9a11acbe49745ac985f02fc37c1a58d286921ed505251e",
                "bda153a4fd08b3f3b5950fed78249e5b539b183070b5511b461e32ee4fb0763b",
                "70603e1061e5a77cef9d45a21baca80da16055694a8ec4591332022567b044b8"),
-    "verb-push": ("e9ede56dfb94d5f58f8ee2ad604cdf7be294e7f9ea7e5eddb02f3a147d754ba9",
+    "verb-push": ("42cf5b4707ed0137a3d60599fac9aac56f96b0889029325e03f89e891459d624",
                   "25f51667ee106ab7b1b16c1f2f5b931161796fab37b339ea021bd7bd0a7c3b85",
                   "8737ab89bfdb1300b3b62b9640318aa304e4e99c2cc85c258d4904f4318084d4"),
-    "loc-90-n4000": ("57483ce67386334340fad35d132bd61fa6e6b49ecff91eb7b3c30d1538a898c4",
+    "loc-90-n4000": ("d1ff1af38944b34e888c6ed52a23e1b9af7300c9a1aadcccb51420c16a96f021",
                      "7d1a03bfb66b0112af4f42521501d5d6bf676fd660eae46f9a1f44af7bf68abe"),
-    "ref-67.5-n4000": ("de24c0a178569553dc166d162b38e42e2637a2e4638ed8a1dc520363bcbc2719",
+    "ref-67.5-n4000": ("5064a3b96269064f5e263703e496a5f9f11e610b26ea0676c7697d276a5c894d",
                        "20cc242741eff18cde061e6b70a438cdf5ccae300dfe48b163e420c18fafc1cc"),
-    "clut-67.5-n4000": ("34bbf36917932d3f7446c9d820cd317b06ebf13701c4a6b3233843e6269fa8f4",
+    "clut-67.5-n4000": ("5a7636fbcd21887c83d36f65dd52dac09d57574ed6e19ca523522f37a8c3e79f",
                         "b1eb0970a38bfee6bad685ae1cb96ad33f70eee7428a292ec4242378c34fb900"),
 }
 STATS_DIGESTS = {

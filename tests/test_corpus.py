@@ -91,9 +91,10 @@ class TestTrialsV2:
         tset = make_trials(variant=LOCATING)
         corpus.save_trials(tset, str(p), seed=7)
         header = json.loads(p.read_text().splitlines()[0])
-        assert header["schema"] == "deixis-trials-3"
+        assert header["schema"] == "deixis-trials-4"
         assert set(header["context"]) == {"condition", "act", "surface",
                                           "gravity", "objects"}
+        assert header["shared"] == {}  # each locating trial shows its own point
         assert all(set(rec) == {"id", "shown"} for rec in records_of(p))
         # the ids' common prefix is written once, and each record holds the rest
         ids = [t.id for t in tset.trials]
@@ -105,10 +106,14 @@ class TestTrialsV2:
         (make_trials(), [["position"], []]),
         (cluttered_trials(), [["position"], ["position"]])])
     def test_discrete_records_carry_only_mug_positions(self, tmp_path, trials, moved):
+        # a referential set's `shown`, the same mug in every trial, is in the header
         p = tmp_path / "d.jsonl"
         corpus.save_trials(trials, str(p), seed=7)
+        shared = json.loads(p.read_text().splitlines()[0])["shared"]
+        assert set(shared) == ({"shown"} if trials.condition.kind == harness.REF_VS_LOC
+                               else set())
         for rec in records_of(p)[1:]:
-            assert set(rec) == {"id", "shown", "objects"}
+            assert set(rec) | set(shared) == {"id", "shown", "objects"}
             assert [sorted(od) for od in rec["objects"]] == moved
 
     @pytest.mark.parametrize("trials", [
@@ -345,6 +350,107 @@ class TestResponsesV2:
         fresh = natural_records() + locating_records()
         assert [r.meta.pop("path") for r in fresh] == ["enumerated"] * 3 + ["stable"] * 8
         assert same_records(fresh, mixed)
+
+
+class TestSharedFields:
+    """One rule for both kinds: a field whose JSON text is the same in every
+    record, or such a `meta` entry, is written once in the header and left
+    out of the records; the reader merges it back, a record's own value
+    first."""
+
+    def test_a_referential_set_writes_its_shown_once(self, tmp_path):
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        trials = make_trials(n=400, seed=4)
+        corpus.save_trials(trials, str(p1), seed=4)
+        header = json.loads(p1.read_text().splitlines()[0])
+        assert header["shared"] == {"shown": {"id": "mug", "type": "object"}}
+        assert all("shown" not in rec for rec in records_of(p1))
+        loaded = held(corpus.load_trials(str(p1)))
+        assert tuple(loaded.trials) == tuple(trials.trials)
+        assert {t.shown for t in loaded.trials} == {"mug"}
+        corpus.save_trials(loaded, str(p2), seed=4)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_one_trial_lifts_every_field(self, tmp_path):
+        # the second trial of a referential set, which moves the mug
+        tset = make_trials(n=4)
+        trials = replace(tset, trials=[replace(tuple(tset.trials)[1], id="the-only-trial")])
+        records = harness.run(trials)
+        t, r = tmp_path / "t.jsonl", tmp_path / "r.jsonl"
+        corpus.save_trials(trials, str(t), seed=7)
+        corpus.save_responses(records, str(r))
+        assert records_of(t) == [{"id": ""}] and records_of(r) == [{"trial_id": ""}]
+        header = json.loads(t.read_text().splitlines()[0])
+        assert set(header["shared"]) == {"shown", "objects"}
+        context = json.loads(r.read_text().splitlines()[0])["context"]
+        assert set(context) == {"predicted", "human", "meta"}
+        assert context["meta"].keys() == records[0].meta.keys()
+        assert held(corpus.load_trials(str(t))).trials == tuple(trials.trials)
+        assert same_records(held(corpus.load_responses(str(r))), records)
+
+    def test_a_record_that_repeats_a_shared_field_wins(self, tmp_path):
+        t, r = tmp_path / "t.jsonl", tmp_path / "r.jsonl"
+        corpus.save_trials(make_trials(n=4), str(t), seed=7)
+        rewrite_line(t, 3, lambda rec: rec.update(shown={"type": "object", "id": "red_cube"}))
+        assert [tr.shown for tr in corpus.load_trials(str(t)).trials] == \
+               ["mug", "red_cube", "mug", "mug"]
+        records = locating_records(n=4)
+        corpus.save_responses(records, str(r))
+        context = json.loads(r.read_text().splitlines()[0])["context"]
+        assert context["human"] is None and "x_star" in context["meta"]
+        rewrite_line(r, 3, lambda rec: (rec.update(human="a"),
+                                        rec["meta"].update(x_star=[0.5, 0.25])))
+        loaded = held(corpus.load_responses(str(r)))
+        assert [rec.human for rec in loaded] == [None, "a", None, None]
+        assert [rec.meta["x_star"] for rec in loaded] == \
+               [(-0.2, -0.15), (0.5, 0.25), (-0.2, -0.15), (-0.2, -0.15)]
+        # the record's meta entries merge one at a time over the shared ones
+        assert loaded[1].meta.keys() == records[1].meta.keys()
+
+    @pytest.mark.parametrize("shared", [
+        [], "shown", None, "missing", {"bogus": 1},
+        {"shown": {"id": "mug", "type": "object"}, "gravity": False},
+        {"id": "0"}], ids=["list", "string", "null", "missing", "unknown-field",
+                           "context-field", "id"])
+    def test_a_bad_shared_object_is_a_bad_header(self, tmp_path, shared):
+        p = tmp_path / "s.jsonl"
+        corpus.save_trials(make_trials(n=4), str(p), seed=7)
+        lines = p.read_text().splitlines()
+        header = json.loads(lines[0])
+        if shared == "missing":
+            del header["shared"]
+        else:
+            header["shared"] = shared
+        p.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(DeixisError) as info:
+            corpus.load_trials(str(p))
+        got = None if shared == "missing" else shared
+        assert str(info.value) == (f"{p}:1: bad header: shared must be an object holding "
+                                   f"only shown and objects, got {got!r}")
+
+    def test_a_trials_3_file_is_an_unknown_schema(self, tmp_path):
+        # the retired schema wrote every record's `shown`; a file of it is
+        # refused, not read under today's rule
+        p = tmp_path / "v3.jsonl"
+        corpus.save_trials(make_trials(n=4), str(p), seed=7)
+        lines = p.read_text().splitlines()
+        header = json.loads(lines[0])
+        shown = header.pop("shared")["shown"]
+        header["schema"] = "deixis-trials-3"
+        p.write_text("\n".join([json.dumps(header)] + [
+            json.dumps({**json.loads(line), "shown": shown}) for line in lines[1:]]) + "\n")
+        with pytest.raises(DeixisError,
+                           match=rf"^{re.escape(str(p))}:1: unknown schema 'deixis-trials-3'$"):
+            corpus.load_trials(str(p))
+
+
+def rewrite_line(path, number, edit):
+    """Apply `edit` to the JSON object on line `number` of `path`."""
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[number - 1])
+    edit(obj)
+    lines[number - 1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestSame:
@@ -642,10 +748,11 @@ class TestSchemaErrors:
         (("objects", 0, "id"), None), (("objects", 0, "yaw_deg"), "0")],
         ids=_path_id)
     def test_wrongly_typed_record_field(self, tmp_path, path, value):
+        # the record repeats the header's shared `shown`, and its own value wins
         p = tmp_path / "r.jsonl"
         corpus.save_trials(make_trials(n=4), str(p), seed=7)
         lines = p.read_text().splitlines()
-        rec = json.loads(lines[2])
+        rec = {**json.loads(lines[0])["shared"], **json.loads(lines[2])}
         _set(rec, path, value)
         lines[2] = json.dumps(rec)
         p.write_text("\n".join(lines) + "\n")
@@ -728,7 +835,7 @@ class TestSchemaErrors:
     def test_responses_wrong_schema(self, tmp_path):
         p = tmp_path / "w.jsonl"
         corpus.save_trials(make_trials(n=4), str(p), seed=7)
-        with pytest.raises(DeixisError, match=r"w\.jsonl:1: unknown schema 'deixis-trials-3'$"):
+        with pytest.raises(DeixisError, match=r"w\.jsonl:1: unknown schema 'deixis-trials-4'$"):
             corpus.load_responses(str(p))
 
 

@@ -43,7 +43,7 @@ SETS = {
                                    cone_vertex_angle=math.radians(45)),
 }
 BAD_VALUES = [None, True, "x", [], {}, math.nan, math.inf, 10 ** 400, -0.0]
-ADDED_KEYS = ["condition", "gravity", "surplus"]
+ADDED_KEYS = ["condition", "gravity", "surplus", "shared", "shown", "id"]
 NON_OBJECT_LINES = ["[]", '"record"', "7", "null", "{", "[" * 5000]
 # a stray byte, a lead byte without its continuation, a UTF-16 surrogate
 # and an overlong encoding of "/"
