@@ -35,8 +35,8 @@ record holds wins, and a `meta` object merges one entry at a time.  Until
 the last record is in, the records of either kind wait, each field as its
 JSON text, in a `marshal` spool that the writer alone reads, once
 (`_spool`); it has no name, so it is gone once closed, even by a killed
-process, and an error or a kill before the last record leaves the output
-as it was.
+process.  Every output is written through `writing`, so a failure at any
+point, and a kill before the last record, leaves the output as it was.
 
 Trials (schema `deixis-trials-4`): a file holds one `harness.TrialSet`, one
 condition and pointing act in one scene whose objects a trial may move.
@@ -380,16 +380,36 @@ def _records(path: str, lines: Iterator, what: str, shared: dict,
 
 @contextmanager
 def writing(path: str) -> Iterator[TextIO]:
-    """`path` open for writing, the one writer of every output.  If the block
-    raises, a regular file is removed, but a symlink, FIFO or device is left."""
-    fh = open(path, "w", encoding="utf-8")
+    """`path` open for writing, the one writer of every output.  A regular
+    file, or none, is written to a new file `.deixis-*` beside the file
+    that `path` resolves to, which replaces it once the block ends, so a
+    block that raises leaves it as it was; a replaced file keeps its
+    permission bits, and a new one takes them from the umask.  A FIFO or
+    device is written in place."""
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except OSError:  # no file yet; any other fault, the open below names
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = os.path.join(os.path.dirname(target), f".deixis-{os.urandom(6).hex()}")
+    try:
+        fh = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666),
+                  "w", encoding="utf-8")
+    except OSError as exc:  # name the file the caller asked for
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
             yield fh
+        os.replace(tmp, target)
     except BaseException:
         with suppress(OSError):  # the clean-up never hides the error itself
-            if stat.S_ISREG(os.lstat(path).st_mode):
-                os.remove(path)
+            os.remove(tmp)
         raise
 
 
@@ -428,7 +448,7 @@ def _spool(path: str, rows: Iterable[tuple[str, tuple, tuple]], id_field: str,
     and each row written as its id without the prefix, under `id_field`,
     and its fields that are not shared.  The spool has no name, so not
     even a killed process leaves it; an error or a kill before the last row
-    leaves `path` as it was."""
+    leaves `path` as it was, and so does a failure after it (`writing`)."""
     try:
         fh = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
     except OSError as exc:  # name the file the caller asked for, not the spool

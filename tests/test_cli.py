@@ -537,6 +537,32 @@ class TestPlot:
         assert len(calls) == 2
         assert not svg.exists()
 
+    def test_a_failed_write_leaves_an_older_svg_unchanged(self, runner, tmp_path,
+                                                          monkeypatch):
+        # the output is replaced only once the whole plot is written
+        trials, resp, svg = gen(runner, tmp_path), tmp_path / "r.jsonl", tmp_path / "p.svg"
+        assert runner.invoke(main, ["run", "--in", str(trials),
+                                    "--out", str(resp)]).exit_code == 0
+        assert runner.invoke(main, ["plot", "--in", str(resp),
+                                    "--out", str(svg)]).exit_code == 0
+        old = svg.read_bytes()
+        pie, calls = svgplot._pie, []
+
+        def failing_pie(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return pie(*args)
+
+        monkeypatch.setattr(svgplot, "_pie", failing_pie)
+        res = runner.invoke(main, ["plot", "--in", str(resp), "--out", str(svg)])
+        assert res.exit_code == 1
+        assert res.output == "Error: [Errno 28] No space left on device\n"
+        assert len(calls) == 2
+        assert svg.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.svg", "r.jsonl",
+                                                             "trials.jsonl"]
+
     def test_empty_responses_exit_1(self, runner, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text(RESPONSES_HEADER % 0)

@@ -1,12 +1,16 @@
+import errno
 import gc
 import json
+import marshal
 import math
 import os
 import re
+import stat
 import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -1023,8 +1027,8 @@ class TestStreamedWrites:
 
     def test_a_failed_write_into_a_fifo_leaves_the_fifo(self, tmp_path):
         # the reader takes 100 bytes of a set larger than the 64 KiB pipe
-        # buffer and closes, so the write fails part way: only a regular
-        # file is removed, and the spool has no name
+        # buffer and closes, so the write fails part way: a FIFO is written
+        # in place and left, and the spool has no name
         fifo, read = tmp_path / "fifo", []
 
         def reader():
@@ -1040,6 +1044,61 @@ class TestStreamedWrites:
         assert read and read[0].startswith(b'{"condition":')
         assert fifo.is_fifo()
         assert list(tmp_path.iterdir()) == [fifo]
+
+    @staticmethod
+    def failing_final_write(monkeypatch):
+        """Make the final write fail part way: the spool's second batch fails
+        to load, as a full disk would fail a write, once the output holds
+        its header and the first batch."""
+        loads, calls = marshal.loads, []
+
+        def failing(data):
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return loads(data)
+
+        monkeypatch.setattr(corpus, "marshal", SimpleNamespace(dumps=marshal.dumps,
+                                                               loads=failing))
+
+    def test_a_failed_final_write_leaves_a_regular_output_as_it_was(self, tmp_path,
+                                                                    monkeypatch):
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"known bytes\n")
+        self.failing_final_write(monkeypatch)
+        with pytest.raises(OSError, match="No space left on device"):
+            corpus.save_responses(harness.run(cluttered_trials(n=400)), str(out))
+        assert out.read_bytes() == b"known bytes\n"
+        assert list(tmp_path.iterdir()) == [out]  # nor a spool or a part-written file
+
+    def test_a_failed_final_write_through_a_symlink_leaves_its_target(self, tmp_path,
+                                                                     monkeypatch):
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        target.write_bytes(b"known bytes\n")
+        link.symlink_to(target)
+        self.failing_final_write(monkeypatch)
+        with pytest.raises(OSError, match="No space left on device"):
+            corpus.save_trials(cluttered_trials(n=400), str(link), seed=7)
+        assert link.is_symlink() and target.read_bytes() == b"known bytes\n"
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_a_replaced_output_keeps_its_link_and_mode(self, tmp_path):
+        # the link stays a link to the same path, whose file is new; a file
+        # `writing` makes takes its mode from the umask, as `open` would
+        target, link, fresh = (tmp_path / n for n in ("target.jsonl", "link.jsonl",
+                                                      "fresh.jsonl"))
+        target.write_bytes(b"known bytes\n")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        corpus.save_trials(make_trials(n=4), str(link), seed=7)
+        corpus.save_trials(make_trials(n=4), str(fresh), seed=7)
+        assert link.is_symlink() and target.read_bytes() == fresh.read_bytes()
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        umask = os.umask(0o022)
+        os.umask(umask)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+               ["fresh.jsonl", "link.jsonl", "target.jsonl"]
 
     def test_responses_of_any_length_write_as_listed(self, tmp_path):
         # batches of the spool fill, cross and end on a boundary
