@@ -77,6 +77,8 @@ import tempfile
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
 from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Any, TextIO
 
 from .errors import DeixisError
@@ -413,13 +415,35 @@ def writing(path: str) -> Iterator[TextIO]:
         raise
 
 
-def _fields(record: dict) -> tuple[tuple, tuple]:
+def _json(value: Any) -> str:
+    """`_ENCODER.encode(value)`.  A string, a finite float and a tuple of
+    such are written here, as the encoder writes them, without the set-up
+    the encoder makes on each call; a record's fields are mostly these."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    if type(value) is tuple:
+        return "[" + ",".join(map(_json, value)) + "]"
+    return _ENCODER.encode(value)
+
+
+def _fields(record: dict, memo: dict, layouts: dict) -> tuple[tuple, tuple]:
     """A record's keys and the JSON text of each field, as `_spool` narrows
-    them: each `meta` entry is a field of its own, keyed `("meta", entry)`."""
-    meta = record.get("meta", {})
-    return ((*(k for k in record if k != "meta"), *(("meta", k) for k in meta)),
-            (*(_ENCODER.encode(v) for k, v in record.items() if k != "meta"),
-             *map(_ENCODER.encode, meta.values())))
+    them: each `meta` entry is a field of its own, keyed `("meta", entry)`.
+    `memo` holds each key's last value and text, so a value that is the
+    very same immutable object as the last is not encoded again, and
+    `layouts` one tuple of each set of keys, which records share."""
+    keys, texts = [], []
+    for key, value in [*((k, v) for k, v in record.items() if k != "meta"),
+                       *((("meta", k), v) for k, v in record.get("meta", {}).items())]:
+        last = memo.get(key)
+        if last is None or last[0] is not value or type(value) in (list, dict):
+            memo[key] = last = value, _json(value)
+        keys.append(key)
+        texts.append(last[1])
+    layout = (*keys,)
+    return layouts.setdefault(layout, layout), (*texts,)
 
 
 def _text(fields: Iterable[tuple]) -> str:
@@ -435,14 +459,25 @@ def _text(fields: Iterable[tuple]) -> str:
                           for k, v in sorted(obj.items())) + "}"
 
 
-def _spool(path: str, rows: Iterable[tuple[str, tuple, tuple]], id_field: str,
+def _line_format(keys: tuple, shared: dict) -> tuple[str, Callable]:
+    """The %-format of the line of a row whose fields have `keys`, and the
+    getter of its arguments from the row's texts: each field that is not
+    in `shared`, in the order `_text` writes them."""
+    kept = [i for i, k in enumerate(keys) if k not in shared]
+    pieces = re.split("\0([0-9]+)\0", _text((keys[i], f"\0{i}\0") for i in kept))
+    return ("%s".join(p.replace("%", "%%") for p in pieces[::2]) + "\n",
+            itemgetter(*map(int, pieces[1::2])))
+
+
+def _spool(path: str, rows: Iterable[tuple[str, dict]], id_field: str,
            header: Callable[[int, str, dict], dict]) -> None:
     """Write `path` as one header line and one record line per row, the
-    one writer of both file kinds.  A row is a record's id, then its other
-    fields' keys and texts (`_fields`).  Rows are spooled as they arrive,
-    `SPOOL_BATCH` at a time, to a temporary file beside `path`, while the
-    longest common prefix of the ids, and the fields that every row holds
-    with the same JSON text, narrow from the first row's.  After the last
+    one writer of both file kinds.  A row is a record's id and a dict of
+    its other fields, which is spooled as their keys and JSON texts
+    (`_fields`).  Rows are spooled as they arrive, `SPOOL_BATCH` at a time,
+    to a temporary file beside `path`, while the longest common prefix of
+    the ids, and the fields that every row holds with the same JSON text,
+    narrow from the first row's.  After the last
     row, `header(count, prefix, shared)` gives the header, `shared` the
     shared fields as an object, and only then is `path` opened (`writing`)
     and each row written as its id without the prefix, under `id_field`,
@@ -454,9 +489,8 @@ def _spool(path: str, rows: Iterable[tuple[str, tuple, tuple]], id_field: str,
     except OSError as exc:  # name the file the caller asked for, not the spool
         raise OSError(exc.errno, exc.strerror, path) from None
     with fh:
-        count, prefix, shared, layouts = 0, "", None, {}
-        # rows of one layout share one keys tuple, in memory and in the spool
-        it = ((rid, layouts.setdefault(keys, keys), texts) for rid, keys, texts in rows)
+        count, prefix, shared, memo, layouts = 0, "", None, {}, {}
+        it = ((rid, *_fields(record, memo, layouts)) for rid, record in rows)
         for batch in iter(lambda: list(islice(it, SPOOL_BATCH)), []):
             for _, keys, texts in batch:
                 shared = (dict(zip(keys, texts)) if shared is None
@@ -469,13 +503,14 @@ def _spool(path: str, rows: Iterable[tuple[str, tuple, tuple]], id_field: str,
         # with no rows, no line below asks what every row shares
         head, cut = header(count, prefix, json.loads(_text((shared or {}).items()))), len(prefix)
         fh.seek(0)
+        formats: dict = {}  # by layout
         with writing(path) as out:
             out.write(_ENCODER.encode(head) + "\n")
             while size := int.from_bytes(fh.read(8), "little"):
                 for rid, keys, texts in marshal.loads(fh.read(size)):
-                    out.write(_text([(id_field, _ENCODER.encode(rid[cut:])),
-                                     *((k, t) for k, t in zip(keys, texts)
-                                       if k not in shared)]) + "\n")
+                    line, args = formats.get(keys) or formats.setdefault(
+                        keys, _line_format((id_field, *keys), shared))
+                    out.write(line % args((_ENCODER.encode(rid[cut:]), *texts)))
 
 
 def _differs_past_positions(scene: Scene, base: Scene) -> bool:
@@ -506,7 +541,7 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
         raise DeixisError("a trial set holds at least one trial")
     ctx = _context(tset.condition, tset.act, tset.scene)
 
-    def row(t: Trial) -> tuple[str, tuple, tuple]:
+    def row(t: Trial) -> tuple[str, dict]:
         rec: dict = {"shown": _shown_to_json(t.shown)}
         if t.scene is not tset.scene:
             if _differs_past_positions(t.scene, tset.scene):
@@ -516,7 +551,7 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
                        in zip(t.scene.objects, tset.scene.objects, ctx["objects"])]
             if any(objects):
                 rec["objects"] = objects
-        return (t.id, *_fields(rec))
+        return t.id, rec
 
     def header(written: int, prefix: str, shared: dict) -> dict:
         if written != count:
@@ -572,8 +607,8 @@ def save_responses(records: Iterable[ResponseRecord], path: str) -> None:
     float in `meta` to 9 significant digits.  Records are spooled as they
     arrive (`_spool`), and the header's `context` holds what every record
     shares, with a `meta` object even when that is none."""
-    _spool(path, ((r.trial_id, *_fields({"predicted": r.predicted, "human": r.human,
-                                        "meta": r.meta})) for r in records),
+    _spool(path, ((r.trial_id, {"predicted": r.predicted, "human": r.human, "meta": r.meta})
+                  for r in records),
            "trial_id", lambda count, prefix, shared: {
                "schema": RESPONSES_SCHEMA, "count": count, "id_prefix": prefix,
                "context": {"meta": {}, **shared}})

@@ -13,6 +13,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deixis import corpus, harness
 from deixis.errors import DeixisError
@@ -446,6 +447,37 @@ class TestSharedFields:
         with pytest.raises(DeixisError,
                            match=rf"^{re.escape(str(p))}:1: unknown schema 'deixis-trials-3'$"):
             corpus.load_trials(str(p))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=3)), max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+def test_a_field_is_written_as_the_encoder_writes_it(value):
+    assert corpus._json(value) == corpus._ENCODER.encode(value)
+
+
+def test_odd_meta_keys_and_values_round_trip(tmp_path):
+    # keys with the characters the line format escapes or splits on
+    records = [ResponseRecord(f"r{i}", "correct", meta={
+        "100%": float(i), "a\0b": f"x%s\0{i}", "%(k)s": [i, "%%"], "same%": "%"})
+        for i in range(3)]
+    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    corpus.save_responses(records, str(p1))
+    lines = p1.read_text().splitlines()
+    assert json.loads(lines[0])["context"]["meta"] == {"same%": "%"}
+    assert [json.loads(line) for line in lines[1:]] == [
+        {"trial_id": str(i), "meta": {"100%": float(i), "a\0b": f"x%s\0{i}", "%(k)s": [i, "%%"]}}
+        for i in range(3)]
+    assert lines[1] == corpus._ENCODER.encode(json.loads(lines[1]))
+    loaded = held(corpus.load_responses(str(p1)))
+    assert same_records(loaded, records)
+    corpus.save_responses(loaded, str(p2))
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def rewrite_line(path, number, edit):
