@@ -152,6 +152,29 @@ class TestRun:
         assert json.loads(out.read_text().splitlines()[0])["context"]["predicted"] == "correct"
         assert [r.predicted for r in corpus.load_responses(str(out))] == ["correct"] * 8
 
+    def test_referential_pointing_beats_locating_at_every_cone(self, runner, tmp_path):
+        # the paper's main contrast, read from `gen` and `run` output at n=400,
+        # seed 0: referential pointing is judged correct at every cone (400 of
+        # 400), locating pointing less often as the cone widens (59, 18 and 1)
+        def correct_rate(variant, cone):
+            trials, out = tmp_path / f"{variant}-{cone}.jsonl", tmp_path / "r.jsonl"
+            res = runner.invoke(main, ["gen", "--condition", "ref-vs-loc", "--variant",
+                                       variant, "--cone", cone, "--n", "400", "--seed", "0",
+                                       "--out", str(trials)])
+            assert res.exit_code == 0, res.output
+            res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            summary = re.fullmatch(r"\S+: 400 responses \((.*)\)\n", res.output)
+            assert summary, res.output
+            counts = dict(part.split("=") for part in summary[1].split())
+            return int(counts.get("correct", 0)) / 400
+
+        cones = ("45", "67.5", "90")
+        referential = [correct_rate("referential", c) for c in cones]
+        locating = [correct_rate("locating", c) for c in cones]
+        assert all(r > loc for r, loc in zip(referential, locating)), (referential, locating)
+        assert locating[0] > locating[1] > locating[2], locating
+
     def test_corrupt_input_exits_1(self, runner, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"schema":"nope"}\n')
