@@ -58,7 +58,7 @@ the same mug, so its `shown` is shared.
 
 Responses (schema `deixis-responses-2`): the header holds `schema`,
 `count`, `id_prefix` and `context`, the shared fields, which always holds a
-`meta` object.  A record holds `trial_id`, `predicted`, `human` and `meta`.
+`meta` object and never `trial_id`.  A record holds `trial_id`, `predicted`, `human` and `meta`.
 In the paper's sets the condition, `x_star` and `path` are shared.  On the
 n=4000 sweeps that is 107-160 B per trial.  Records are written as
 `harness.predict` makes them: every float in `meta` is already quantized,
@@ -647,6 +647,8 @@ def load_responses(path: str) -> Iterator[ResponseRecord]:
             raise TypeError(f"context must be an object, got {ctx!r}")
         if type(prefix) is not str:
             raise TypeError(f"id_prefix must be a string, got {prefix!r}")
+        if "trial_id" in ctx:
+            raise ValueError("context holds trial_id; each record holds its own")
         _checked(ctx)["meta"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DeixisError(f"{path}:1: bad header: {exc}") from exc

@@ -433,6 +433,18 @@ class TestSharedFields:
         assert str(info.value) == (f"{p}:1: bad header: shared must be an object holding "
                                    f"only shown and objects, got {got!r}")
 
+    def test_a_shared_response_id_is_a_bad_header(self, tmp_path):
+        # as in a trials file, every record holds its own id: a context
+        # `trial_id` would give each record that lacks one the same id
+        p = tmp_path / "r.jsonl"
+        p.write_text('{"schema":"deixis-responses-2","count":2,"id_prefix":"t",'
+                     '"context":{"trial_id":"7","predicted":"correct","human":null,'
+                     '"meta":{}}}\n{}\n{}\n')
+        with pytest.raises(DeixisError) as info:
+            corpus.load_responses(str(p))
+        assert str(info.value) == (f"{p}:1: bad header: context holds trial_id; "
+                                   "each record holds its own")
+
     def test_a_trials_3_file_is_an_unknown_schema(self, tmp_path):
         # the retired schema wrote every record's `shown`; a file of it is
         # refused, not read under today's rule
