@@ -58,9 +58,10 @@ the same mug, so its `shown` is shared.
 
 Responses (schema `deixis-responses-2`): the header holds `schema`,
 `count`, `id_prefix` and `context`, the shared fields, which always holds a
-`meta` object and never `trial_id`.  A record holds `trial_id`, `predicted`, `human` and `meta`.
-In the paper's sets the condition, `x_star` and `path` are shared.  On the
-n=4000 sweeps that is 107-160 B per trial.  Records are written as
+`meta` object and never `trial_id`.  A record holds `trial_id`,
+`predicted`, `human` and `meta`.  In the paper's sets the condition,
+`x_star` and `path` are shared.  On the n=4000 sweeps that is 107-160 B per
+trial.  Records are written as
 `harness.predict` makes them: every float in `meta` is already quantized,
 so records are encoded without another pass.  Loaded records share the
 context's values.
@@ -428,22 +429,23 @@ def _json(value: Any) -> str:
     return _ENCODER.encode(value)
 
 
-def _fields(record: dict, memo: dict, layouts: dict) -> tuple[tuple, tuple]:
-    """A record's keys and the JSON text of each field, as `_spool` narrows
-    them: each `meta` entry is a field of its own, keyed `("meta", entry)`.
-    `memo` holds each key's last value and text, so a value that is the
-    very same immutable object as the last is not encoded again, and
-    `layouts` one tuple of each set of keys, which records share."""
-    keys, texts = [], []
-    for key, value in [*((k, v) for k, v in record.items() if k != "meta"),
-                       *((("meta", k), v) for k, v in record.get("meta", {}).items())]:
-        last = memo.get(key)
-        if last is None or last[0] is not value or type(value) in (list, dict):
-            memo[key] = last = value, _json(value)
-        keys.append(key)
-        texts.append(last[1])
-    layout = (*keys,)
-    return layouts.setdefault(layout, layout), (*texts,)
+def _encoded(rows: Iterable[tuple[str, dict, dict]]) -> Iterator[tuple[str, tuple, tuple]]:
+    """Each row `(id, fields, meta)` as `(id, keys, texts)`: the keys of its
+    fields and then of its `meta` entries, each keyed `("meta", entry)`,
+    and the JSON text of each value.  Rows with one set of keys share one
+    keys tuple, and a value that is the very same immutable object as the
+    row before's is not encoded again, so the rows share its text too."""
+    layouts: dict = {}
+    last_shape, last_values, last_texts = None, (), ()
+    for rid, fields, meta in rows:
+        shape, values = (*fields, None, *meta), (*fields.values(), *meta.values())
+        keys = layouts.get(shape) or layouts.setdefault(
+            shape, (*fields, *(("meta", k) for k in meta)))
+        texts = ((*(t if v is u and type(v) not in (list, dict) else _json(v)
+                    for v, u, t in zip(values, last_values, last_texts)),)
+                 if shape == last_shape else (*map(_json, values),))
+        last_shape, last_values, last_texts = shape, values, texts
+        yield rid, keys, texts
 
 
 def _text(fields: Iterable[tuple]) -> str:
@@ -469,28 +471,28 @@ def _line_format(keys: tuple, shared: dict) -> tuple[str, Callable]:
             itemgetter(*map(int, pieces[1::2])))
 
 
-def _spool(path: str, rows: Iterable[tuple[str, dict]], id_field: str,
+def _spool(path: str, rows: Iterable[tuple[str, dict, dict]], id_field: str,
            header: Callable[[int, str, dict], dict]) -> None:
     """Write `path` as one header line and one record line per row, the
-    one writer of both file kinds.  A row is a record's id and a dict of
-    its other fields, which is spooled as their keys and JSON texts
-    (`_fields`).  Rows are spooled as they arrive, `SPOOL_BATCH` at a time,
+    one writer of both file kinds.  A row is a record's id, its other
+    fields and its `meta` entries, which are spooled as their keys and JSON
+    texts (`_encoded`).  Rows are spooled as they arrive, `SPOOL_BATCH` at a time,
     to a temporary file beside `path`, while the longest common prefix of
     the ids, and the fields that every row holds with the same JSON text,
-    narrow from the first row's.  After the last
-    row, `header(count, prefix, shared)` gives the header, `shared` the
-    shared fields as an object, and only then is `path` opened (`writing`)
-    and each row written as its id without the prefix, under `id_field`,
-    and its fields that are not shared.  The spool has no name, so not
-    even a killed process leaves it; an error or a kill before the last row
-    leaves `path` as it was, and so does a failure after it (`writing`)."""
+    narrow from the first row's.  After the last row, `header(count,
+    prefix, shared)` gives the header, `shared` the shared fields as an
+    object, and only then is `path` opened (`writing`) and each row written
+    as its id without the prefix, under `id_field`, and its fields that are
+    not shared.  The spool has no name, so not even a killed process leaves
+    it; an error or a kill before the last row leaves `path` as it was, and
+    so does a failure after it (`writing`)."""
     try:
         fh = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
     except OSError as exc:  # name the file the caller asked for, not the spool
         raise OSError(exc.errno, exc.strerror, path) from None
     with fh:
-        count, prefix, shared, memo, layouts = 0, "", None, {}, {}
-        it = ((rid, *_fields(record, memo, layouts)) for rid, record in rows)
+        count, prefix, shared = 0, "", None
+        it = _encoded(rows)
         for batch in iter(lambda: list(islice(it, SPOOL_BATCH)), []):
             for _, keys, texts in batch:
                 shared = (dict(zip(keys, texts)) if shared is None
@@ -541,7 +543,7 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
         raise DeixisError("a trial set holds at least one trial")
     ctx = _context(tset.condition, tset.act, tset.scene)
 
-    def row(t: Trial) -> tuple[str, dict]:
+    def row(t: Trial) -> tuple[str, dict, dict]:
         rec: dict = {"shown": _shown_to_json(t.shown)}
         if t.scene is not tset.scene:
             if _differs_past_positions(t.scene, tset.scene):
@@ -551,7 +553,7 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
                        in zip(t.scene.objects, tset.scene.objects, ctx["objects"])]
             if any(objects):
                 rec["objects"] = objects
-        return t.id, rec
+        return t.id, rec, {}
 
     def header(written: int, prefix: str, shared: dict) -> dict:
         if written != count:
@@ -581,7 +583,8 @@ def load_trials(path: str) -> TrialSet:
         condition, scene, act = _parts(ctx)
     except (KeyError, TypeError, ValueError) as exc:
         raise DeixisError(f"{path}:1: bad context: {exc}") from exc
-    descriptor, seed, prefix, shared = map(header.get, ("condition", "seed", "id_prefix", "shared"))
+    descriptor, seed, prefix, shared = map(header.get,
+                                           ("condition", "seed", "id_prefix", "shared"))
     if descriptor != condition.descriptor():
         why = f"condition {descriptor!r} is not the context's {condition.descriptor()!r}"
     elif "seed" not in header:
@@ -607,7 +610,7 @@ def save_responses(records: Iterable[ResponseRecord], path: str) -> None:
     float in `meta` to 9 significant digits.  Records are spooled as they
     arrive (`_spool`), and the header's `context` holds what every record
     shares, with a `meta` object even when that is none."""
-    _spool(path, ((r.trial_id, {"predicted": r.predicted, "human": r.human, "meta": r.meta})
+    _spool(path, ((r.trial_id, {"predicted": r.predicted, "human": r.human}, r.meta)
                   for r in records),
            "trial_id", lambda count, prefix, shared: {
                "schema": RESPONSES_SCHEMA, "count": count, "id_prefix": prefix,
@@ -649,7 +652,8 @@ def load_responses(path: str) -> Iterator[ResponseRecord]:
             raise TypeError(f"id_prefix must be a string, got {prefix!r}")
         if "trial_id" in ctx:
             raise ValueError("context holds trial_id; each record holds its own")
-        _checked(ctx)["meta"]
+        if type(_checked(ctx).get("meta")) is not dict:
+            raise TypeError("context must hold a meta object")
     except (KeyError, TypeError, ValueError) as exc:
         raise DeixisError(f"{path}:1: bad header: {exc}") from exc
 
