@@ -32,11 +32,12 @@ none of its entries are left).  Values count as the same only when they
 are written as the same JSON text: -0.0 and 0.0, 1 and 1.0, true and 1 all
 differ.  The one reader's merge (`_records`) puts them back: a field that a
 record holds wins, and a `meta` object merges one entry at a time.  Until
-the last record is in, the records of either kind wait, each field as its
-JSON text, in a `marshal` spool that the writer alone reads, once
-(`_spool`); it has no name, so it is gone once closed, even by a killed
-process.  Every output is written through `writing`, so a failure at any
-point, and a kill before the last record, leaves the output as it was.
+the last record is in, the records of either kind wait, as their values,
+in a `marshal` spool that the writer alone reads, once (`_spool`), and
+each is then written in one encoder call; the spool has no name, so it is
+gone once closed, even by a killed process.  Every output is written
+through `writing`, so a failure at any point, and a kill before the last
+record, leaves the output as it was.
 
 Trials (schema `deixis-trials-4`): a file holds one `harness.TrialSet`, one
 condition and pointing act in one scene whose objects a trial may move.
@@ -78,8 +79,6 @@ import tempfile
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Any, TextIO
 
 from .errors import DeixisError
@@ -148,9 +147,8 @@ def _num(value: Any) -> float:
 
 
 def _nums(value: Any, n: int) -> tuple[float, ...]:
-    """A list of `n` finite JSON numbers, as a tuple; a tuple, which only a
-    check makes, is returned as it is."""
-    if type(value) in (list, tuple) and len(value) == n and all(map(_finite, value)):
+    """A list of `n` finite JSON numbers, as a tuple."""
+    if type(value) is list and len(value) == n and all(map(_finite, value)):
         return tuple(value)
     raise ValueError(f"expected {n} finite numbers, got {value!r}")
 
@@ -365,16 +363,18 @@ def _read_lines(path: str, schema: str) -> Iterator[tuple[int, dict]]:
 
 
 def _records(path: str, lines: Iterator, what: str, shared: dict,
-             make: Callable[[dict], Any]) -> Iterator:
-    """`make(record)` of each `(line, record)`, in turn, the record merged
-    over `shared`, the fields its header holds for every record: a field the
-    record holds wins, and a `meta` object merges one entry at a time.  A
-    bad record names its line."""
+             make: Callable[[dict], Any],
+             check: Callable[[dict], dict] = lambda rec: rec) -> Iterator:
+    """`make(record)` of each `(line, record)`, in turn: the record's own
+    fields are checked (`check`), then merged over `shared`, the fields its
+    header holds for every record, checked once: a field the record holds
+    wins, and a `meta` object merges one entry at a time.  A bad record
+    names its line."""
     for line, rec in lines:
-        fields = {**shared, **rec}
-        if "meta" in shared and type(rec.get("meta", {})) is dict:
-            fields["meta"] = {**shared["meta"], **rec.get("meta", {})}
         try:
+            fields = {**shared, **check(rec)}
+            if "meta" in shared and "meta" in rec:
+                fields["meta"] = {**shared["meta"], **rec["meta"]}
             made = make(fields)
         except (KeyError, TypeError, ValueError) as exc:
             raise DeixisError(f"{path}:{line}: bad {what} record: {exc}") from exc
@@ -416,103 +416,65 @@ def writing(path: str) -> Iterator[TextIO]:
         raise
 
 
-def _json(value: Any) -> str:
-    """`_ENCODER.encode(value)`.  A string, a finite float and a tuple of
-    such are written here, as the encoder writes them, without the set-up
-    the encoder makes on each call; a record's fields are mostly these."""
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if type(value) is float and math.isfinite(value):
-        return float.__repr__(value)
-    if type(value) is tuple:
-        return "[" + ",".join(map(_json, value)) + "]"
-    return _ENCODER.encode(value)
-
-
-def _encoded(rows: Iterable[tuple[str, dict, dict]]) -> Iterator[tuple[str, tuple, tuple]]:
-    """Each row `(id, fields, meta)` as `(id, keys, texts)`: the keys of its
-    fields and then of its `meta` entries, each keyed `("meta", entry)`,
-    and the JSON text of each value.  Rows with one set of keys share one
-    keys tuple, and a value that is the very same immutable object as the
-    row before's is not encoded again, so the rows share its text too."""
-    layouts: dict = {}
-    last_shape, last_values, last_texts = None, (), ()
-    for rid, fields, meta in rows:
-        shape, values = (*fields, None, *meta), (*fields.values(), *meta.values())
-        keys = layouts.get(shape) or layouts.setdefault(
-            shape, (*fields, *(("meta", k) for k in meta)))
-        texts = ((*(t if v is u and type(v) not in (list, dict) else _json(v)
-                    for v, u, t in zip(values, last_values, last_texts)),)
-                 if shape == last_shape else (*map(_json, values),))
-        last_shape, last_values, last_texts = shape, values, texts
-        yield rid, keys, texts
-
-
-def _text(fields: Iterable[tuple]) -> str:
-    """The JSON text, as `_ENCODER` writes it, of the object whose
-    `(key, JSON text)` fields are given; a key `(field, entry)` puts the
-    entry into the object `field`."""
-    obj: dict = {}
-    for key, text in fields:
-        if type(key) is tuple:  # one entry more of the object `key[0]`
-            key, text = key[0], [*obj.get(key[0], ()), (key[1], text)]
-        obj[key] = text
-    return "{" + ",".join(f"{_ENCODER.encode(k)}:{v if type(v) is str else _text(v)}"
-                          for k, v in sorted(obj.items())) + "}"
-
-
-def _line_format(keys: tuple, shared: dict) -> tuple[str, Callable]:
-    """The %-format of the line of a row whose fields have `keys`, and the
-    getter of its arguments from the row's texts: each field that is not
-    in `shared`, in the order `_text` writes them."""
-    kept = [i for i, k in enumerate(keys) if k not in shared]
-    pieces = re.split("\0([0-9]+)\0", _text((keys[i], f"\0{i}\0") for i in kept))
-    return ("%s".join(p.replace("%", "%%") for p in pieces[::2]) + "\n",
-            itemgetter(*map(int, pieces[1::2])))
+def _narrowed(shared: dict, dicts: list[dict]) -> dict:
+    """The entries of `shared` that each of `dicts` holds with the same
+    JSON text: the very same value, or values that the encoder writes as
+    it writes the shared value repeated."""
+    kept = {}
+    for k, v in shared.items():
+        values = [d[k] for d in dicts if k in d]
+        if len(values) == len(dicts) and (
+                all(x is v for x in values)
+                or _ENCODER.encode(values) == _ENCODER.encode([v] * len(values))):
+            kept[k] = v
+    return kept
 
 
 def _spool(path: str, rows: Iterable[tuple[str, dict, dict]], id_field: str,
            header: Callable[[int, str, dict], dict]) -> None:
     """Write `path` as one header line and one record line per row, the
     one writer of both file kinds.  A row is a record's id, its other
-    fields and its `meta` entries, which are spooled as their keys and JSON
-    texts (`_encoded`).  Rows are spooled as they arrive, `SPOOL_BATCH` at a time,
-    to a temporary file beside `path`, while the longest common prefix of
-    the ids, and the fields that every row holds with the same JSON text,
-    narrow from the first row's.  After the last row, `header(count,
-    prefix, shared)` gives the header, `shared` the shared fields as an
-    object, and only then is `path` opened (`writing`) and each row written
-    as its id without the prefix, under `id_field`, and its fields that are
-    not shared.  The spool has no name, so not even a killed process leaves
-    it; an error or a kill before the last row leaves `path` as it was, and
-    so does a failure after it (`writing`)."""
+    fields and its `meta` entries.  Rows are spooled as they arrive,
+    `SPOOL_BATCH` at a time, to a temporary file beside `path`, while the
+    longest common prefix of the ids, and the fields and `meta` entries
+    that every row holds with the same JSON text, narrow from the first
+    row's (`_narrowed`).  After the last row, `header(count, prefix,
+    shared)` gives the header, `shared` the shared fields as an object,
+    and only then is `path` opened (`writing`) and each row written as its
+    id without the prefix, under `id_field`, and its fields that are not
+    shared.  The spool has no name, so not even a killed process leaves
+    it; an error or a kill before the last row leaves `path` as it was,
+    and so does a failure after it (`writing`)."""
     try:
         fh = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
     except OSError as exc:  # name the file the caller asked for, not the spool
         raise OSError(exc.errno, exc.strerror, path) from None
     with fh:
-        count, prefix, shared = 0, "", None
-        it = _encoded(rows)
+        count, prefix, shared, shared_meta = 0, "", {}, {}
+        it = iter(rows)
         for batch in iter(lambda: list(islice(it, SPOOL_BATCH)), []):
-            for _, keys, texts in batch:
-                shared = (dict(zip(keys, texts)) if shared is None
-                          else {k: t for k, t in zip(keys, texts) if shared.get(k) == t})
+            if not count:
+                _, shared, shared_meta = batch[0]
+            shared = _narrowed(shared, [row[1] for row in batch])
+            shared_meta = _narrowed(shared_meta, [row[2] for row in batch])
             prefix = os.path.commonprefix([prefix if count else batch[0][0],
                                            *(row[0] for row in batch)])
             data = marshal.dumps(batch)
             fh.write(len(data).to_bytes(8, "little") + data)
             count += len(batch)
-        # with no rows, no line below asks what every row shares
-        head, cut = header(count, prefix, json.loads(_text((shared or {}).items()))), len(prefix)
+        common = {**shared, "meta": shared_meta} if shared_meta else shared
+        head, cut = header(count, prefix, common), len(prefix)
         fh.seek(0)
-        formats: dict = {}  # by layout
         with writing(path) as out:
             out.write(_ENCODER.encode(head) + "\n")
             while size := int.from_bytes(fh.read(8), "little"):
-                for rid, keys, texts in marshal.loads(fh.read(size)):
-                    line, args = formats.get(keys) or formats.setdefault(
-                        keys, _line_format((id_field, *keys), shared))
-                    out.write(line % args((_ENCODER.encode(rid[cut:]), *texts)))
+                for rid, fields, meta in marshal.loads(fh.read(size)):
+                    rec = {k: v for k, v in fields.items() if k not in shared}
+                    own = {k: v for k, v in meta.items() if k not in shared_meta}
+                    if own:
+                        rec["meta"] = own
+                    rec[id_field] = rid[cut:]
+                    out.write(_ENCODER.encode(rec) + "\n")
 
 
 def _differs_past_positions(scene: Scene, base: Scene) -> bool:
@@ -658,12 +620,11 @@ def load_responses(path: str) -> Iterator[ResponseRecord]:
         raise DeixisError(f"{path}:1: bad header: {exc}") from exc
 
     def record(fields: dict) -> ResponseRecord:
-        _checked(fields)
         return ResponseRecord(trial_id=prefix + _str(fields["trial_id"]),
                               predicted=fields["predicted"], human=fields["human"],
                               meta=fields["meta"])
 
-    return _records(path, lines, "response", ctx, record)
+    return _records(path, lines, "response", ctx, record, _checked)
 
 
 # Published natural/unnatural stack judgments; rows are shown configurations,
