@@ -69,6 +69,7 @@ context's values.
 """
 from __future__ import annotations
 
+import errno
 import json
 import marshal
 import math
@@ -385,19 +386,22 @@ def _records(path: str, lines: Iterator, what: str, shared: dict,
 def writing(path: str) -> Iterator[TextIO]:
     """`path` open for writing, the one writer of every output.  A regular
     file, or none, is written to a new file `.deixis-*` beside the file
-    that `path` resolves to, which replaces it once the block ends, so a
-    block that raises leaves it as it was; a replaced file keeps its
-    permission bits, and a new one takes them from the umask.  A FIFO or
-    device is written in place."""
-    target = os.path.realpath(path)
+    that `path` resolves to, synced, and renamed over it once the block
+    ends, so a block that raises leaves it as it was; a file the user may
+    not write to is refused, a replaced file keeps its permission bits, and
+    a new one takes them from the umask.  A FIFO or device, a pipe reached
+    through `/dev/fd` included, is written in place."""
     try:
-        mode = os.stat(target).st_mode
+        mode = os.stat(path).st_mode
     except OSError:  # no file yet; any other fault, the open below names
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
+    if mode is not None and not os.access(path, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    target = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(target), f".deixis-{os.urandom(6).hex()}")
     try:
         fh = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666),
@@ -409,6 +413,8 @@ def writing(path: str) -> Iterator[TextIO]:
             if mode is not None:
                 os.chmod(tmp, stat.S_IMODE(mode))
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, target)
     except BaseException:
         with suppress(OSError):  # the clean-up never hides the error itself

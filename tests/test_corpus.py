@@ -1132,6 +1132,31 @@ class TestStreamedWrites:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
                ["fresh.jsonl", "link.jsonl", "target.jsonl"]
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_a_pipe_named_through_dev_fd_is_written_in_place(self, tmp_path):
+        # /dev/fd/N of a pipe resolves to no file, so only the pipe's own
+        # mode says to write it in place, as `plot --out /dev/stdout` does
+        r, w = os.pipe()
+        try:
+            with corpus.writing(f"/dev/fd/{w}") as fh:
+                fh.write("<svg/>\n")
+        finally:
+            os.close(w)
+        with os.fdopen(r, "rb") as fh:
+            assert fh.read() == b"<svg/>\n"
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write to any file")
+    def test_a_read_only_output_is_refused(self, tmp_path):
+        # a rename needs write access to the directory alone, so the writer
+        # asks first, as `open` would
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"known bytes\n")
+        out.chmod(0o444)
+        with pytest.raises(PermissionError, match=re.escape(str(out))):
+            corpus.save_trials(make_trials(n=4), str(out), seed=7)
+        assert out.read_bytes() == b"known bytes\n"
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_responses_of_any_length_write_as_listed(self, tmp_path):
         # batches of the spool fill, cross and end on a boundary
         records = harness.run(cluttered_trials(n=2 * corpus.SPOOL_BATCH + 4))
