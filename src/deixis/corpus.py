@@ -7,17 +7,18 @@ or response as its line is read, and `count` is checked after the last
 record.  `load_trials` and `load_responses`, the one reader of each kind,
 check the header at once and hand the records on one at a time, so what
 they return can be read only once.  Files are written the same way, one
-record at a time: `gen` and `run` spool each record beside their output as
-it is made and open the output only after the last (`_spool`), since each
-header holds what every record shares, so neither holds the set; `plot`
-holds only its pie table.  Since `run` predicts each trial before it
-reads the next line, a prediction error on an earlier trial is reported
-before a malformed later record, and a `count` mismatch after every
-prediction; the header, and a trials file's context and first record, are
-checked before anything is predicted.  Lines end at `\n` or `\r\n`; any other line break
-inside a line (a bare `\r`, a form feed, U+2028) makes it malformed, and so
-do arrays and objects nested deeper than `MAX_NESTING` levels.  Blank lines
-are skipped, but errors name physical lines.
+record at a time: `gen` and `run` spool each record as it is made, in the
+default temporary directory, and open the output only after the last
+(`_spool`), since each header holds what every record shares, so neither
+holds the set; `plot` holds only its pie table.  Since `run` predicts each
+trial before it reads the next line, a prediction error on an earlier
+trial is reported before a malformed later record, and a `count` mismatch
+after every prediction; the header, and a trials file's context and first
+record, are checked before anything is predicted.  Lines end at `\n` or
+`\r\n`; any other line break inside a line (a bare `\r`, a form feed,
+U+2028) makes it malformed, and so do arrays and objects nested deeper
+than `MAX_NESTING` levels.  Blank lines are skipped, but errors name
+physical lines.
 Distances are stored in meters and angles in degrees.  The trials writer
 quantizes every float to 9 significant digits; the responses writer writes
 `meta` as given, so only `harness.predict`'s records are at 9 digits.
@@ -25,13 +26,17 @@ Identical content always produces identical bytes.
 
 One rule says what a record leaves out, for both kinds.  The header's
 `id_prefix` is the longest common prefix of the ids, and each record's id
-field holds the rest.  A record field whose JSON text is the same in every
-record, or a `meta` entry that is (one level in), is written once in the
-header's shared-fields object, and the records leave it out (no `meta` when
-none of its entries are left).  Values count as the same only when they
-are written as the same JSON text: -0.0 and 0.0, 1 and 1.0, true and 1 all
-differ.  The one reader's merge (`_records`) puts them back: a field that a
-record holds wins, and a `meta` object merges one entry at a time.  Until
+field holds the rest.  A field that is an object in every record, `meta`
+and `shown` alike, is shared entry by entry, one level in: each of its
+entries whose JSON text is the same in every record is written once, in
+that field's object in the header's shared-fields object, and the records
+leave it out (and the field, when none of its entries are left).  Any
+other field is shared only as a whole value, when its JSON text is the
+same in every record.  Values count as the same only when they are written
+as the same JSON text: -0.0 and 0.0, 1 and 1.0, true and 1 all differ.
+The one reader's merge (`_records`) puts them back: a field that a record
+holds wins, and where the record and the header both hold an object, the
+two merge one entry at a time, the record's entries winning.  Until
 the last record is in, the records of either kind wait, as their values,
 in a `marshal` spool that the writer alone reads, once (`_spool`), and
 each is then written in one encoder call; the spool has no name, so it is
@@ -39,7 +44,7 @@ gone once closed, even by a killed process.  Every output is written
 through `writing`, so a failure at any point, and a kill before the last
 record, leaves the output as it was.
 
-Trials (schema `deixis-trials-4`): a file holds one `harness.TrialSet`, one
+Trials (schema `deixis-trials-5`): a file holds one `harness.TrialSet`, one
 condition and pointing act in one scene whose objects a trial may move.
 The header holds `schema`, `count`, `seed` (null or a non-negative
 integer), `id_prefix`, the descriptor of the context's condition, a
@@ -53,9 +58,11 @@ never `id`.  The loader makes each merged record in turn into a case and
 hands it to `harness.make_trial`, an error naming the record's line: the
 context scene or that scene with its objects moved (`Scene.moved`), checked
 exactly as a freshly built scene.  Any other field, and a file with no
-records, is a data error.  On the n=4000 sweeps a referential, locating and
-cluttered record take about 69, 76 and 133 B: every referential trial shows
-the same mug, so its `shown` is shared.
+records, is a data error.  On the n=4000 sweeps a locating, referential and
+cluttered record take about 61, 69 and 117 B: every referential trial shows
+the same mug, so its whole `shown` is shared, and every locating or
+cluttered trial shows a point or an object, so its `shown` keeps only the
+point's `position` or the object's `id`.
 
 Responses (schema `deixis-responses-2`): the header holds `schema`,
 `count`, `id_prefix` and `context`, the shared fields, which always holds a
@@ -90,9 +97,9 @@ from .resolver import PointingAct
 from .scene import Pose2D, Scene, SceneObject, Shape, TABLE
 from .stats import ContingencyTable
 
-TRIALS_SCHEMA = "deixis-trials-4"
+TRIALS_SCHEMA = "deixis-trials-5"
 RESPONSES_SCHEMA = "deixis-responses-2"
-_RECORD_FIELDS = {"id", "shown", "objects"}  # of a deixis-trials-4 record
+_RECORD_FIELDS = {"id", "shown", "objects"}  # of a deixis-trials-5 record
 MAX_NESTING = 32  # levels of arrays and objects in a line; corpus lines use 5
 _STRING = re.compile(r'"(?:[^"\\]|\\.)*"?')  # a JSON string, or one cut short
 _BRACKET = re.compile(r"[][{}]")
@@ -369,13 +376,15 @@ def _records(path: str, lines: Iterator, what: str, shared: dict,
     """`make(record)` of each `(line, record)`, in turn: the record's own
     fields are checked (`check`), then merged over `shared`, the fields its
     header holds for every record, checked once: a field the record holds
-    wins, and a `meta` object merges one entry at a time.  A bad record
-    names its line."""
+    wins, and where both hold an object, the two merge one entry at a time,
+    the record's entries winning.  A bad record names its line."""
+    by_entry = [(k, v) for k, v in shared.items() if type(v) is dict]
     for line, rec in lines:
         try:
             fields = {**shared, **check(rec)}
-            if "meta" in shared and "meta" in rec:
-                fields["meta"] = {**shared["meta"], **rec["meta"]}
+            for k, entries in by_entry:
+                if type(rec.get(k)) is dict:
+                    fields[k] = {**entries, **rec[k]}
             made = make(fields)
         except (KeyError, TypeError, ValueError) as exc:
             raise DeixisError(f"{path}:{line}: bad {what} record: {exc}") from exc
@@ -422,63 +431,65 @@ def writing(path: str) -> Iterator[TextIO]:
         raise
 
 
-def _narrowed(shared: dict, dicts: list[dict]) -> dict:
+def _narrowed(shared: dict, dicts: list[dict], depth: int = 1) -> dict:
     """The entries of `shared` that each of `dicts` holds with the same
     JSON text: the very same value, or values that the encoder writes as
-    it writes the shared value repeated."""
+    it writes the shared value repeated.  Down to `depth` levels, an entry
+    that is an object in each of `dicts` is kept as the object of the
+    entries that all of them share so, even when that is none."""
     kept = {}
     for k, v in shared.items():
         values = [d[k] for d in dicts if k in d]
-        if len(values) == len(dicts) and (
-                all(x is v for x in values)
-                or _ENCODER.encode(values) == _ENCODER.encode([v] * len(values))):
+        if len(values) < len(dicts):
+            continue
+        if depth and type(v) is dict:
+            if all(type(x) is dict for x in values):
+                kept[k] = _narrowed(v, values, depth - 1)
+        elif (all(x is v for x in values)
+              or _ENCODER.encode(values) == _ENCODER.encode([v] * len(values))):
             kept[k] = v
     return kept
 
 
-def _spool(path: str, rows: Iterable[tuple[str, dict, dict]], id_field: str,
+def _spool(path: str, rows: Iterable[tuple[str, dict]], id_field: str,
            header: Callable[[int, str, dict], dict]) -> None:
     """Write `path` as one header line and one record line per row, the
-    one writer of both file kinds.  A row is a record's id, its other
-    fields and its `meta` entries.  Rows are spooled as they arrive,
-    `SPOOL_BATCH` at a time, to a temporary file beside `path`, while the
-    longest common prefix of the ids, and the fields and `meta` entries
-    that every row holds with the same JSON text, narrow from the first
-    row's (`_narrowed`).  After the last row, `header(count, prefix,
-    shared)` gives the header, `shared` the shared fields as an object,
-    and only then is `path` opened (`writing`) and each row written as its
-    id without the prefix, under `id_field`, and its fields that are not
-    shared.  The spool has no name, so not even a killed process leaves
-    it; an error or a kill before the last row leaves `path` as it was,
-    and so does a failure after it (`writing`)."""
-    try:
-        fh = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
-    except OSError as exc:  # name the file the caller asked for, not the spool
-        raise OSError(exc.errno, exc.strerror, path) from None
-    with fh:
-        count, prefix, shared, shared_meta = 0, "", {}, {}
+    one writer of both file kinds.  A row is a record's id and its other
+    fields.  Rows are spooled as they arrive, `SPOOL_BATCH` at a time, to
+    a temporary file in the default temporary directory, while the
+    longest common prefix of the ids and the shared fields narrow from the
+    first row's (`_narrowed`): a field that is an object in every row
+    keeps the entries that every row holds with the same JSON text, and
+    any other field stays only while every row holds it with the same
+    text.  After the last row, `header(count, prefix, shared)` gives the
+    header, and only then is `path` opened (`writing`) and each row
+    written as its id without the prefix, under `id_field`, and what it
+    does not share: its other fields, and the entries of each shared
+    object that are its own, the object left out when none are.  The
+    spool has no name, so not even a killed process leaves it; an error or
+    a kill before the last row leaves `path` as it was, and so does a
+    failure after it (`writing`)."""
+    with tempfile.TemporaryFile() as fh:
+        count, prefix, shared = 0, "", {}
         it = iter(rows)
         for batch in iter(lambda: list(islice(it, SPOOL_BATCH)), []):
-            if not count:
-                _, shared, shared_meta = batch[0]
-            shared = _narrowed(shared, [row[1] for row in batch])
-            shared_meta = _narrowed(shared_meta, [row[2] for row in batch])
+            shared = _narrowed(shared if count else batch[0][1], [row[1] for row in batch])
             prefix = os.path.commonprefix([prefix if count else batch[0][0],
                                            *(row[0] for row in batch)])
             data = marshal.dumps(batch)
             fh.write(len(data).to_bytes(8, "little") + data)
             count += len(batch)
-        common = {**shared, "meta": shared_meta} if shared_meta else shared
-        head, cut = header(count, prefix, common), len(prefix)
+        head, cut = header(count, prefix, shared), len(prefix)
+        by_entry = [(k, v) for k, v in shared.items() if type(v) is dict]
         fh.seek(0)
         with writing(path) as out:
             out.write(_ENCODER.encode(head) + "\n")
             while size := int.from_bytes(fh.read(8), "little"):
-                for rid, fields, meta in marshal.loads(fh.read(size)):
+                for rid, fields in marshal.loads(fh.read(size)):
                     rec = {k: v for k, v in fields.items() if k not in shared}
-                    own = {k: v for k, v in meta.items() if k not in shared_meta}
-                    if own:
-                        rec["meta"] = own
+                    for k, entries in by_entry:
+                        if own := {e: x for e, x in fields[k].items() if e not in entries}:
+                            rec[k] = own
                     rec[id_field] = rid[cut:]
                     out.write(_ENCODER.encode(rec) + "\n")
 
@@ -499,7 +510,7 @@ def _differs_past_positions(scene: Scene, base: Scene) -> bool:
 def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
     """Write a trial set of at least one trial; an empty set is refused
     before anything else.  Each trial becomes its record as it is made
-    and is spooled as its fields' JSON (`_spool`), so `path` is opened only
+    and is spooled as its fields' values (`_spool`), so `path` is opened only
     after the last trial, and any error before then, such as a generation
     error, a loaded set's count mismatch or a trial whose scene differs
     from the set's in more than its objects' positions, leaves `path` as
@@ -511,7 +522,7 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
         raise DeixisError("a trial set holds at least one trial")
     ctx = _context(tset.condition, tset.act, tset.scene)
 
-    def row(t: Trial) -> tuple[str, dict, dict]:
+    def row(t: Trial) -> tuple[str, dict]:
         rec: dict = {"shown": _shown_to_json(t.shown)}
         if t.scene is not tset.scene:
             if _differs_past_positions(t.scene, tset.scene):
@@ -521,7 +532,7 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
                        in zip(t.scene.objects, tset.scene.objects, ctx["objects"])]
             if any(objects):
                 rec["objects"] = objects
-        return t.id, rec, {}
+        return t.id, rec
 
     def header(written: int, prefix: str, shared: dict) -> dict:
         if written != count:
@@ -578,8 +589,8 @@ def save_responses(records: Iterable[ResponseRecord], path: str) -> None:
     float in `meta` to 9 significant digits.  Records are spooled as they
     arrive (`_spool`), and the header's `context` holds what every record
     shares, with a `meta` object even when that is none."""
-    _spool(path, ((r.trial_id, {"predicted": r.predicted, "human": r.human}, r.meta)
-                  for r in records),
+    _spool(path, ((r.trial_id, {"predicted": r.predicted, "human": r.human,
+                                "meta": r.meta}) for r in records),
            "trial_id", lambda count, prefix, shared: {
                "schema": RESPONSES_SCHEMA, "count": count, "id_prefix": prefix,
                "context": {"meta": {}, **shared}})

@@ -76,53 +76,53 @@ SUBNORMAL_TABLE = ("--cols", "6", "--table",
                    "1,238,6,373,5,33,2,2,9,355,1,7,235,2,2,44,30,216,41,4,4,3,1,47")
 
 DIGESTS = {
-    "clut-45": ("9a767ed4bf69e2d2ee72e7de45f10eb8afc7f20b4cfa47d1d887900ea7b7fc77",
+    "clut-45": ("589d0c390680dc49d8dd36ff05afd654923473bad890a106d7deacd4fc4c3185",
                 "d8add6cf220cf4ce3da5c22a747c78575c88e2673bea6dedb376fa65098dce30",
                 "e46e0004926cd51792aa8a160bc6e01674a6942b4f43c7dd4f9a17bd011b60b2"),
-    "clut-67.5": ("f9ca36686ee6b50aaadc6a0639dfc0c4083728f86f4f52b1f322a09dc068443f",
+    "clut-67.5": ("cafd74aac0d09bffe52725990f55b05a45c36ff4224bc81cb7a74d2a285247ff",
                   "cee40564f106e75d061bd4d8272f90852351b1af6307b263d63e0d2f769f6e0e",
                   "5583821f8c887d3b7c0b91af3c0e221eb3c79b4f12165c045f8a5d16932ee636"),
-    "clut-90": ("cb32eb4c9ea6a770e36260a5e6d72eeb9f2cb2a2da905e14da96a088e3cb421e",
+    "clut-90": ("460a2c66fe7d3c32badc2bf1d7c445871de1df582a446d1b8b8e0372109275a6",
                 "6ab80f7c39f73bfcc074be85329763a1e31fe1eff35633fd5a87eded4a31834e",
                 "20fefb939b37e67d42ac71cf67093aaf864317985691a9438c14db5fd7a37ba7"),
-    "clut-90-kuka": ("0229f191516228b47bab4344668be82a0926f62fe1ecd0fdb852ef9d9a95e0e2",
+    "clut-90-kuka": ("569fc020bfee9a4592daa05c2410aeff2a2a957b62124201262fe46f28299dc3",
                      "98e0743567e6193bd4da4b365db01e69972fc5994b4d6a2842b3ac179eeef070",
                      "e04cfc9d81c462347b65405629001ca11eafdbf71f8713448d9f937bda22c99e"),
-    "loc-45": ("b4f034c41a93d6023cafb60aa7f37e171eb88bf2b3c9e2642ae7abf3e03c9327",
+    "loc-45": ("21ce3be1e448026a77b2845e07483b8b3953e951a75fe2c61b38f90886d84075",
                "2e82b877ca6310de708b2ff7338702906af123f7647994c974f0ae50724f1848",
                "8f1a3325be1c190947c605564131f3ca818f46f29444b7bf5aa575c47316f4dd"),
-    "loc-67.5": ("2b13767a5529dfedc9d0939cbc4613d38a1be975d465965f39ab6400d4eaff31",
+    "loc-67.5": ("572ef734293b33251c321d273a364db373faeba8e87051994983f5d6c08e58f5",
                  "59f73aa59fa5abd2a9e72daf95ce512ee4cdbc9f42f140ab218ca198fd64ef46",
                  "453ecffa55bfd28a14e4cfdd9369457599bcb7332bc4c0461751de5dcfe6ae1e"),
-    "loc-90": ("46dc3203b9fcaa4b0b4450dd7345cac58da09c0033fc45b78845ac5f9cfb4f92",
+    "loc-90": ("e579cae1a75e7753d1dd5aff483f39598d25f1dca49efac4bb97e94c793c468b",
                "b4cba4d3c59379d4287e266bf33939ed02c341b47ec8dee5f64f398dbb11faad",
                "3556b4af54e1c2aae914b2247c67c0c053af8ce5b9f09fac52e73db902661cdf"),
-    "nat-off": ("4f9d4ced2f735748ca3edca18ca87472e339ed1632f88864033cd41a2461abec",
+    "nat-off": ("99ed797bbe655ebffc46280a2f8ba6cf5da6690f69b78a57796aa7c2857c2378",
                 "60f0c0bf28011c6c1ad1882bf641fcb86ce5d3d4ffb26f275eb5cb65b74d6148",
                 "45ef86569f72f5df5a3321f9f746dc12c1ad338dc85a9f5daa27a6df270ca75d"),
-    "nat-on": ("f2cb59223ddc692b49889976fccc4da2c45bcd7a54f2ca4c5464e9c6e2cdd5f6",
+    "nat-on": ("faee417b8e1c7b82ab55d3bcd8b8ef4ff3fcfa544c3b1d0370e896e42418726f",
                "18d0abf9a813aba7ba11e736c23fba2756404925e89d500ff318aa790d899e9d",
                "87a200ed13f2fb5270625be7c624964eea5079992c195bc18a0d1e6463fc716f"),
-    "ref-45": ("5fc6ba0e3c91f02ceccb1151348f189713e0be20af72901e2e09b6d2255bdd70",
+    "ref-45": ("63c156d7b98b368a8c7b0979f0c5fe72b4ecc944aac3e4b064372460d97b6a42",
                "e750c056098564848dbb77e7f8e7a3e4fb7e91e278611e00a02a2aeef894a6eb",
                "91d22c4a66f0065b26d4f15322fd9aa4566ca360b73c540a79bc0ee82e1cb444"),
-    "ref-45-kuka-reverse": ("9dc3c5806a591c544c272637ff9aebc63969051ab04bc60c9dbca3eb55cd6ece",
+    "ref-45-kuka-reverse": ("c14ad6405ec4fb7835d68e5fdf127408cd71eb0a0aee6e0f5bc12c0fcff7ddc1",
                             "cbd828c0d32b10fda06f6800193d6781337258e3e169fcd2ebb735e04ad562cf",
                             "fa2b466f7e5cd276f755485a8f6f19603ac6955f1f9e4c8181d3938161bd8d82"),
-    "ref-67.5": ("5ada5eb15d274a2f9f252e21aaaeeb9306faab4f1e92a4829bbd6ee4c41ad5f9",
+    "ref-67.5": ("7b4a42d9a615cc6db31c87b808b353964c48ecaac4c2a5fba4b32f8e509df257",
                  "d83523940ab72134d00aa4da84ac0a703ad24df61f544770a99679c9eccf049d",
                  "8232a08ef0cc55fd1bcf9a2583c67448e39cf4b81918eb633414c8ac8375f2ff"),
-    "ref-90": ("3b354edd59ab3a666f9a11acbe49745ac985f02fc37c1a58d286921ed505251e",
+    "ref-90": ("53d91a35552a3ae11ca19e862a080837573c3f799a70f67ad735e9be5c5939d5",
                "bda153a4fd08b3f3b5950fed78249e5b539b183070b5511b461e32ee4fb0763b",
                "70603e1061e5a77cef9d45a21baca80da16055694a8ec4591332022567b044b8"),
-    "verb-push": ("42cf5b4707ed0137a3d60599fac9aac56f96b0889029325e03f89e891459d624",
+    "verb-push": ("c56148b4af17bcbdb15c2c1f3e1decf9d169ee96e35a87232621cec9528ee704",
                   "25f51667ee106ab7b1b16c1f2f5b931161796fab37b339ea021bd7bd0a7c3b85",
                   "8737ab89bfdb1300b3b62b9640318aa304e4e99c2cc85c258d4904f4318084d4"),
-    "loc-90-n4000": ("d1ff1af38944b34e888c6ed52a23e1b9af7300c9a1aadcccb51420c16a96f021",
+    "loc-90-n4000": ("451dd96ae999d602d7e1b4b3a71103b0f86201e827bb50dadf318dd36b61c291",
                      "7d1a03bfb66b0112af4f42521501d5d6bf676fd660eae46f9a1f44af7bf68abe"),
-    "ref-67.5-n4000": ("5064a3b96269064f5e263703e496a5f9f11e610b26ea0676c7697d276a5c894d",
+    "ref-67.5-n4000": ("56aeaa6af83f4c7a742bae4caa54015df7d86a5309b8d8b535f046a85eabdc13",
                        "20cc242741eff18cde061e6b70a438cdf5ccae300dfe48b163e420c18fafc1cc"),
-    "clut-67.5-n4000": ("5a7636fbcd21887c83d36f65dd52dac09d57574ed6e19ca523522f37a8c3e79f",
+    "clut-67.5-n4000": ("53ad57f5adce4253053ab3a1b971b3d84e2f1c89bad45e071f54751e82d2cab7",
                         "b1eb0970a38bfee6bad685ae1cb96ad33f70eee7428a292ec4242378c34fb900"),
 }
 STATS_DIGESTS = {

@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import re
+import tempfile
 import tracemalloc
 from dataclasses import replace
 
@@ -597,7 +598,7 @@ class TestPlot:
         # an empty set has no condition, act or scene: the file is refused
         # before any output is written
         empty, out = tmp_path / "empty.jsonl", tmp_path / "o.jsonl"
-        empty.write_text('{"schema":"deixis-trials-4","count":0,"context":{}}\n')
+        empty.write_text('{"schema":"deixis-trials-5","count":0,"context":{}}\n')
         res = runner.invoke(main, ["run", "--in", str(empty), "--out", str(out)])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
@@ -612,12 +613,16 @@ class TestPlot:
                 '"count":8,"schema":"deixis-trials-2","seed":7}'),
         ("run", '{"condition":"ref_vs_loc/locating/45deg/baxter","context":{},'
                 '"count":8,"id_prefix":"","schema":"deixis-trials-3","seed":7}'),
+        ("run", '{"condition":"ref_vs_loc/locating/45deg/baxter","context":{},'
+                '"count":8,"id_prefix":"","schema":"deixis-trials-4","seed":7,'
+                '"shared":{}}'),
         ("plot", '{"count":11,"schema":"deixis-responses-1"}')],
-        ids=["trials-1", "trials-2", "trials-3", "responses-1"])
+        ids=["trials-1", "trials-2", "trials-3", "trials-4", "responses-1"])
     def test_a_v1_file_is_an_unknown_schema(self, runner, tmp_path, command, header):
         # a retired schema of either file kind, which no code writes or reads:
-        # the first of each, the trials schema whose ids held their prefix and
-        # the one whose records each held their `shown`
+        # the first of each, the trials schema whose ids held their prefix,
+        # the one whose records each held their `shown` and the one that
+        # shared an object field only as a whole value
         old, out = tmp_path / "old.jsonl", tmp_path / "out"
         old.write_text(header + "\n")
         res = runner.invoke(main, [command, "--in", str(old), "--out", str(out)])
@@ -944,9 +949,8 @@ def sweep_trials(tmp_path_factory):
 
 
 class TestStreamedWrites:
-    """`gen` writes each trial as it is made and `run` spools each record
-    beside its output, so neither holds the set, and an error part way
-    leaves no output and no spool."""
+    """`gen` and `run` spool each record as it is made, so neither holds
+    the set, and an error part way leaves no output and no spool."""
 
     def test_gen_holds_less_than_the_whole_set(self, tmp_path):
         cond = harness.Condition(kind=harness.CLUTTERED, cone_vertex_angle=math.radians(67.5))
@@ -960,7 +964,9 @@ class TestStreamedWrites:
         assert streamed < 0.3 * whole, (streamed, whole)
 
     @pytest.mark.parametrize("name", sorted(SWEEP_FLAGS))
-    def test_run_holds_less_than_the_records(self, tmp_path, sweep_trials, name):
+    def test_run_holds_less_than_the_records(self, tmp_path, sweep_trials, name,
+                                             monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # the spool's directory
         trials = str(sweep_trials[name])
         whole = traced_peak(lambda: harness.run(corpus.load_trials(trials)))
         out = tmp_path / "r.jsonl"
@@ -989,9 +995,11 @@ class TestStreamedWrites:
         assert len(calls) == 300
         assert list(tmp_path.iterdir()) == []
 
-    def test_a_prediction_error_leaves_no_responses_and_no_spool(self, runner, tmp_path):
+    def test_a_prediction_error_leaves_no_responses_and_no_spool(self, runner, tmp_path,
+                                                                 monkeypatch):
         # record 300 of 400, past the first spooled batch, shows a point
         # where a referential trial shows an object
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # the spool's directory
         trials = tmp_path / "t.jsonl"
         res = runner.invoke(main, ["gen", *SWEEP_FLAGS["ref-67.5"], "--n", "400",
                                    "--out", str(trials)])

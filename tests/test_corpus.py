@@ -6,6 +6,7 @@ import math
 import os
 import re
 import stat
+import tempfile
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -95,11 +96,13 @@ class TestTrialsV2:
         tset = make_trials(variant=LOCATING)
         corpus.save_trials(tset, str(p), seed=7)
         header = json.loads(p.read_text().splitlines()[0])
-        assert header["schema"] == "deixis-trials-4"
+        assert header["schema"] == "deixis-trials-5"
         assert set(header["context"]) == {"condition", "act", "surface",
                                           "gravity", "objects"}
-        assert header["shared"] == {}  # each locating trial shows its own point
-        assert all(set(rec) == {"id", "shown"} for rec in records_of(p))
+        # each locating trial shows its own point, and every one a point
+        assert header["shared"] == {"shown": {"type": "point"}}
+        assert all(set(rec) == {"id", "shown"} and set(rec["shown"]) == {"position"}
+                   for rec in records_of(p))
         # the ids' common prefix is written once, and each record holds the rest
         ids = [t.id for t in tset.trials]
         assert header["id_prefix"] == os.path.commonprefix(ids) == \
@@ -110,14 +113,13 @@ class TestTrialsV2:
         (make_trials(), [["position"], []]),
         (cluttered_trials(), [["position"], ["position"]])])
     def test_discrete_records_carry_only_mug_positions(self, tmp_path, trials, moved):
-        # a referential set's `shown`, the same mug in every trial, is in the header
+        # every trial shows an object, so the header holds the shown type
         p = tmp_path / "d.jsonl"
         corpus.save_trials(trials, str(p), seed=7)
         shared = json.loads(p.read_text().splitlines()[0])["shared"]
-        assert set(shared) == ({"shown"} if trials.condition.kind == harness.REF_VS_LOC
-                               else set())
+        assert set(shared) == {"shown"} and shared["shown"]["type"] == "object"
         for rec in records_of(p)[1:]:
-            assert set(rec) | set(shared) == {"id", "shown", "objects"}
+            assert set(rec) - {"shown"} == {"id", "objects"}
             assert [sorted(od) for od in rec["objects"]] == moved
 
     @pytest.mark.parametrize("trials", [
@@ -358,9 +360,51 @@ class TestResponsesV2:
 
 class TestSharedFields:
     """One rule for both kinds: a field whose JSON text is the same in every
-    record, or such a `meta` entry, is written once in the header and left
-    out of the records; the reader merges it back, a record's own value
-    first."""
+    record, or such an entry of a field that is an object in every record,
+    `meta` and `shown` alike, is written once in the header and left out of
+    the records; the reader merges it back, a record's own value first."""
+
+    @pytest.mark.parametrize("tset, shared, own", [
+        (make_trials(), {"id": "mug", "type": "object"}, None),
+        (make_trials(variant=LOCATING), {"type": "point"}, {"position"}),
+        (cluttered_trials(), {"type": "object"}, {"id"}),
+        (harness.generate_trials(Condition(kind=harness.NATURAL), 3, 7),
+         {"type": "config"}, {"label", "position"})],
+        ids=["referential", "locating", "cluttered", "natural"])
+    def test_a_record_holds_only_its_own_shown_entries(self, tmp_path, tset, shared, own):
+        p = tmp_path / "t.jsonl"
+        corpus.save_trials(tset, str(p), seed=7)
+        assert json.loads(p.read_text().splitlines()[0])["shared"] == {"shown": shared}
+        for rec in records_of(p):
+            assert (set(rec["shown"]) if "shown" in rec else None) == own
+            assert set(rec) - {"shown", "objects"} == {"id"}
+        assert tuple(held(corpus.load_trials(str(p))).trials) == tuple(tset.trials)
+
+    @pytest.mark.parametrize("tset, entries, shown", [
+        (make_trials(n=4), {"id": "red_cube"}, lambda old: "red_cube"),
+        (make_trials(n=4, variant=LOCATING), {"type": "config", "label": "top"},
+         lambda old: harness.ShownConfig("top", old)),
+        (cluttered_trials(n=4), {"type": "point", "position": [0.25, -0.5]},
+         lambda old: SurfacePoint(0.25, -0.5)),
+        (harness.generate_trials(Condition(kind=harness.NATURAL), 3, 7), {"type": "point"},
+         lambda old: old.position)],
+        ids=["referential", "locating", "cluttered", "natural"])
+    def test_a_records_shown_entry_wins_over_the_headers(self, tmp_path, tset, entries,
+                                                         shown):
+        # the second record's `shown` holds an entry the header holds too;
+        # what loads from it writes and loads again byte for byte
+        p1, p2, p3 = (tmp_path / f"{n}.jsonl" for n in "abc")
+        corpus.save_trials(tset, str(p1), seed=7)
+        rewrite_line(p1, 3, lambda rec: rec.update(shown={**rec.get("shown", {}), **entries}))
+        loaded = held(corpus.load_trials(str(p1)))
+        expected = [t.shown for t in tset.trials]
+        expected[1] = shown(expected[1])
+        assert [t.shown for t in loaded.trials] == expected
+        corpus.save_trials(loaded, str(p2), seed=7)
+        again = held(corpus.load_trials(str(p2)))
+        assert again.trials == loaded.trials
+        corpus.save_trials(again, str(p3), seed=7)
+        assert p2.read_bytes() == p3.read_bytes()
 
     def test_a_referential_set_writes_its_shown_once(self, tmp_path):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -871,7 +915,7 @@ class TestSchemaErrors:
     def test_responses_wrong_schema(self, tmp_path):
         p = tmp_path / "w.jsonl"
         corpus.save_trials(make_trials(n=4), str(p), seed=7)
-        with pytest.raises(DeixisError, match=r"w\.jsonl:1: unknown schema 'deixis-trials-4'$"):
+        with pytest.raises(DeixisError, match=r"w\.jsonl:1: unknown schema 'deixis-trials-5'$"):
             corpus.load_responses(str(p))
 
 
@@ -949,10 +993,24 @@ class TestTrialSetEquality:
         assert corpus.load_trials(str(p)) != make_trials()
 
 
+def _write_svg(path):
+    with corpus.writing(path) as fh:
+        fh.write("<svg/>\n")
+
+
+# name -> a write of a small output to a path, through each writer
+PIPE_WRITERS = {
+    "writing": _write_svg,
+    "save_trials": lambda path: corpus.save_trials(make_trials(n=4), path, seed=7),
+    "save_responses": lambda path: corpus.save_responses(harness.run(make_trials(n=4)),
+                                                         path),
+}
+
+
 class TestStreamedWrites:
-    """`save_trials` and `save_responses` spool each record beside their
-    output as it is made and open the output only after the last: an error
-    before then leaves neither a partial file nor the spool."""
+    """`save_trials` and `save_responses` spool each record as it is made
+    and open the output only after the last: an error before then leaves
+    neither a partial file nor the spool."""
 
     def test_generated_trials_are_made_again_on_each_pass(self):
         trials = cluttered_trials(n=400)
@@ -1020,7 +1078,9 @@ class TestStreamedWrites:
         assert not out.exists()
 
     @pytest.mark.parametrize("k", [5, 300], ids=["first-batch", "second-batch"])
-    def test_a_record_error_leaves_no_responses_and_no_spool(self, tmp_path, k):
+    def test_a_record_error_leaves_no_responses_and_no_spool(self, tmp_path, k,
+                                                             monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # the spool's directory
         records = harness.run(cluttered_trials(n=400))
 
         def failing():
@@ -1098,6 +1158,7 @@ class TestStreamedWrites:
         out = tmp_path / "r.jsonl"
         out.write_bytes(b"known bytes\n")
         self.failing_final_write(monkeypatch)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # the spool's directory
         with pytest.raises(OSError, match="No space left on device"):
             corpus.save_responses(harness.run(cluttered_trials(n=400)), str(out))
         assert out.read_bytes() == b"known bytes\n"
@@ -1133,17 +1194,20 @@ class TestStreamedWrites:
                ["fresh.jsonl", "link.jsonl", "target.jsonl"]
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
-    def test_a_pipe_named_through_dev_fd_is_written_in_place(self, tmp_path):
+    @pytest.mark.parametrize("name", sorted(PIPE_WRITERS))
+    def test_a_pipe_named_through_dev_fd_is_written_in_place(self, tmp_path, name):
         # /dev/fd/N of a pipe resolves to no file, so only the pipe's own
-        # mode says to write it in place, as `plot --out /dev/stdout` does
+        # mode says to write it in place, as `--out /dev/stdout` does, and
+        # the spool is made in the default temporary directory, not beside it
+        write, regular = PIPE_WRITERS[name], tmp_path / "out"
+        write(str(regular))
         r, w = os.pipe()
         try:
-            with corpus.writing(f"/dev/fd/{w}") as fh:
-                fh.write("<svg/>\n")
+            write(f"/dev/fd/{w}")
         finally:
             os.close(w)
         with os.fdopen(r, "rb") as fh:
-            assert fh.read() == b"<svg/>\n"
+            assert fh.read() == regular.read_bytes()
 
     @pytest.mark.skipif(os.geteuid() == 0, reason="root may write to any file")
     def test_a_read_only_output_is_refused(self, tmp_path):
