@@ -257,6 +257,7 @@ def cmd_plot(in_path: str, kind: str, out: str, width: int, height: int,
     """Render an SVG pie-scatter of a response corpus."""
     spec = svgplot.PlotSpec(kind=kind.replace("-", "_"), width=width,
                             height=height, legend=legend)
+    corpus.output_mode(out)
     svg = svgplot.render(corpus.load_responses(in_path), spec)  # raises before `out` is opened
     with corpus.writing(out) as fh:
         fh.writelines(svg)

@@ -40,9 +40,10 @@ two merge one entry at a time, the record's entries winning.  Until
 the last record is in, the records of either kind wait, as their values,
 in a `marshal` spool that the writer alone reads, once (`_spool`), and
 each is then written in one encoder call; the spool has no name, so it is
-gone once closed, even by a killed process.  Every output is written
-through `writing`, so a failure at any point, and a kill before the last
-record, leaves the output as it was.
+gone once closed, even by a killed process.  Every output is checked
+before its first record (`output_mode`) and written through `writing`, so
+a failure at any point, and a kill before the last record, leaves the
+output as it was.
 
 Trials (schema `deixis-trials-5`): a file holds one `harness.TrialSet`, one
 condition and pointing act in one scene whose objects a trial may move.
@@ -391,25 +392,47 @@ def _records(path: str, lines: Iterator, what: str, shared: dict,
         yield made
 
 
-@contextmanager
-def writing(path: str) -> Iterator[TextIO]:
-    """`path` open for writing, the one writer of every output.  A regular
-    file, or none, is written to a new file `.deixis-*` beside the file
-    that `path` resolves to, synced, and renamed over it once the block
-    ends, so a block that raises leaves it as it was; a file the user may
-    not write to is refused, a replaced file keeps its permission bits, and
-    a new one takes them from the umask.  A FIFO or device, a pipe reached
-    through `/dev/fd` included, is written in place."""
+def output_mode(path: str) -> int | None:
+    """The mode of the file at `path`, or None when there is none yet,
+    once `path` is checked as `writing` would find it: a regular file the
+    user may not write to, or one whose resolved directory is missing or
+    may not be written, is refused, the error naming `path`.  It makes no
+    file and opens none, a FIFO included, so a command refused here or
+    killed after it leaves nothing.  `_spool` calls it before its first
+    row, and `plot` before it reads its input."""
     try:
         mode = os.stat(path).st_mode
-    except OSError:  # no file yet; any other fault, the open below names
+    except OSError:  # no file yet; a fault in the path is found below
         mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        return mode
+    try:
+        if mode is not None and not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        folder = os.path.dirname(os.path.realpath(path))
+        if not stat.S_ISDIR(os.stat(folder).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if not os.access(folder, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:  # name the file the caller asked for
+        raise OSError(exc.errno, exc.strerror, path) from None
+    return mode
+
+
+@contextmanager
+def writing(path: str) -> Iterator[TextIO]:
+    """`path` open for writing, the one writer of every output, once
+    `output_mode` has checked it.  A regular file, or none, is written to
+    a new file `.deixis-*` beside the file that `path` resolves to, synced,
+    and renamed over it once the block ends, so a block that raises leaves
+    it as it was; a replaced file keeps its permission bits, and a new one
+    takes them from the umask.  A FIFO or device, a pipe reached through
+    `/dev/fd` included, is written in place."""
+    mode = output_mode(path)
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
-    if mode is not None and not os.access(path, os.W_OK):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
     target = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(target), f".deixis-{os.urandom(6).hex()}")
     try:
@@ -454,7 +477,9 @@ def _narrowed(shared: dict, dicts: list[dict], depth: int = 1) -> dict:
 def _spool(path: str, rows: Iterable[tuple[str, dict]], id_field: str,
            header: Callable[[int, str, dict], dict]) -> None:
     """Write `path` as one header line and one record line per row, the
-    one writer of both file kinds.  A row is a record's id and its other
+    one writer of both file kinds.  `path` is checked first
+    (`output_mode`), so an output that cannot be written is refused before
+    the first row is made.  A row is a record's id and its other
     fields.  Rows are spooled as they arrive, `SPOOL_BATCH` at a time, to
     a temporary file in the default temporary directory, while the
     longest common prefix of the ids and the shared fields narrow from the
@@ -469,6 +494,7 @@ def _spool(path: str, rows: Iterable[tuple[str, dict]], id_field: str,
     spool has no name, so not even a killed process leaves it; an error or
     a kill before the last row leaves `path` as it was, and so does a
     failure after it (`writing`)."""
+    output_mode(path)
     with tempfile.TemporaryFile() as fh:
         count, prefix, shared = 0, "", {}
         it = iter(rows)

@@ -1,6 +1,7 @@
 import errno
 import json
 import math
+import os
 import re
 import tempfile
 import tracemalloc
@@ -81,10 +82,12 @@ class TestGen:
          "takes no gravity off"),
         (("--condition", "cluttered", "--cone", "45", "--reverse"), "takes no reverse"),
         (("--condition", "natural", "--reverse"), "takes no reverse"),
+        # the retired verbs condition: its sets are ref-vs-loc sets with a verb
+        (("--condition", "verbs", "--cone", "45"), "'verbs' is not one of"),
     ], ids=["natural-seed", "cluttered-seed", "natural-cone-30",
             "natural-cone-45", "cone-30", "cluttered-variant", "natural-variant",
             "ref-vs-loc-gravity", "cluttered-reverse",
-            "natural-reverse"])
+            "natural-reverse", "retired-verbs"])
     def test_bad_flags_exit_2(self, runner, tmp_path, flags, message):
         out = tmp_path / "x.jsonl"
         res = runner.invoke(main, ["gen", *flags, "--out", str(out)])
@@ -1020,3 +1023,47 @@ class TestStreamedWrites:
         res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
         assert res.exit_code == 1
         assert res.output == f"Error: [Errno 2] No such file or directory: '{out}'\n"
+
+    @staticmethod
+    def counted(monkeypatch, module, name):
+        """Count the calls of `module.name` in a list."""
+        work, calls = getattr(module, name), []
+
+        def counting(*args):
+            calls.append(None)
+            return work(*args)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("command, work", [
+        ("gen", (harness, "make_trial")), ("run", (harness, "_predict")),
+        ("plot", (svgplot, "render"))])
+    def test_an_output_in_no_directory_is_refused_first(self, runner, tmp_path, sweep,
+                                                        monkeypatch, command, work):
+        # the output is checked before the first trial is made or predicted
+        # or the first pie drawn: a sweep set is refused at once
+        args = {"gen": ["gen", *SWEEP_FLAGS["clut-67.5"], "--n", "4000"],
+                "run": ["run", "--in", str(sweep["trials"])],
+                "plot": ["plot", "--in", str(sweep["responses"])]}[command]
+        calls = self.counted(monkeypatch, *work)
+        out = tmp_path / "nodir" / "o"
+        res = runner.invoke(main, [*args, "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.output == f"Error: [Errno 2] No such file or directory: '{out}'\n"
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write to any directory")
+    def test_an_output_in_a_read_only_directory_is_refused_first(self, runner, tmp_path,
+                                                                 sweep, monkeypatch):
+        calls = self.counted(monkeypatch, harness, "_predict")
+        folder = tmp_path / "read-only"
+        folder.mkdir()
+        folder.chmod(0o555)
+        out = folder / "r.jsonl"
+        res = runner.invoke(main, ["run", "--in", str(sweep["trials"]), "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.output == f"Error: [Errno 13] Permission denied: '{out}'\n"
+        assert calls == []
+        assert list(folder.iterdir()) == []

@@ -249,6 +249,14 @@ class TestFisher:
         assert time.perf_counter() - start < 2.0
         assert result.p_value == 0.0
 
+    def test_a_balanced_huge_table_finishes_in_time(self):
+        # the observed table is the mode, so about 10^6 terms are summed
+        start = time.perf_counter()
+        result = fisher_exact_2x2(table((10**9, 10**9), (10**9, 10**9)))
+        assert time.perf_counter() - start < 5.0
+        # the exact p is 1; the float log terms at these counts sum to less
+        assert result.p_value == 0.9999819997304037
+
     def test_underflowing_observed_table_bitwise_equal_to_the_full_range_sum(self):
         # the observed term underflows, so the early return must give the
         # statistic and p the full-range loop gives
