@@ -26,14 +26,15 @@ Identical content always produces identical bytes.
 
 One rule says what a record leaves out, for both kinds.  The header's
 `id_prefix` is the longest common prefix of the ids, and each record's id
-field holds the rest.  A field that is an object in every record, `meta`
-and `shown` alike, is shared entry by entry, one level in: each of its
-entries whose JSON text is the same in every record is written once, in
-that field's object in the header's shared-fields object, and the records
-leave it out (and the field, when none of its entries are left).  Any
-other field is shared only as a whole value, when its JSON text is the
-same in every record.  Values count as the same only when they are written
-as the same JSON text: -0.0 and 0.0, 1 and 1.0, true and 1 all differ.
+field holds the rest.  A field that is an object in every record, such
+as `meta` or a natural set's `shown`, is shared entry by entry, one level
+in: each of its entries whose JSON text is the same in every record is
+written once, in that field's object in the header's shared-fields
+object, and the records leave it out (and the field, when none of its
+entries are left).  Any other field is shared only as a whole value, when
+its JSON text is the same in every record.  Values count as the same only
+when they are written as the same JSON text: -0.0 and 0.0, 1 and 1.0,
+true and 1 all differ.
 The one reader's merge (`_records`) puts them back: a field that a record
 holds wins, and where the record and the header both hold an object, the
 two merge one entry at a time, the record's entries winning.  Until
@@ -45,25 +46,28 @@ before its first record (`output_mode`) and written through `writing`, so
 a failure at any point, and a kill before the last record, leaves the
 output as it was.
 
-Trials (schema `deixis-trials-5`): a file holds one `harness.TrialSet`, one
+Trials (schema `deixis-trials-6`): a file holds one `harness.TrialSet`, one
 condition and pointing act in one scene whose objects a trial may move.
 The header holds `schema`, `count`, `seed` (null or a non-negative
 integer), `id_prefix`, the descriptor of the context's condition, a
 `context` object (the set's `condition`, `act`, `surface`, `gravity` and
 `objects`) and `shared`, the shared fields.  A record holds a trial's own
-parts: `id`, `shown` and, when the trial moves any, `objects`, one entry
-per context object, `{}` or `{"position": [u, v]}`, its position unless
-that is `_same` as the context's; the writer refuses a trial whose scene
-differs from the set's in more.  `shared` may hold `shown` and `objects`,
-never `id`.  The loader makes each merged record in turn into a case and
-hands it to `harness.make_trial`, an error naming the record's line: the
-context scene or that scene with its objects moved (`Scene.moved`), checked
-exactly as a freshly built scene.  Any other field, and a file with no
-records, is a data error.  On the n=4000 sweeps a locating, referential and
-cluttered record take about 61, 69 and 117 B: every referential trial shows
-the same mug, so its whole `shown` is shared, and every locating or
-cluttered trial shows a point or an object, so its `shown` keeps only the
-point's `position` or the object's `id`.
+parts, each as a bare JSON value: `id`; `shown`, an object's id
+(`"mug_object"`), a point (`[u, v]`) or a natural configuration
+(`{"label", "position"}`), the JSON type telling them apart; and, when the
+trial moves any, `objects`, one entry per context object, null when the
+object stands where the context's does (`_same`), else its `[u, v]`.  The
+writer refuses a trial whose scene differs from the set's in more.
+`shared` may hold `shown` and `objects`, never `id`.  The loader makes
+each merged record in turn into a case and hands it to `harness.make_trial`,
+an error naming the record's line: the context scene or that scene with its
+objects moved (`Scene.moved`), checked exactly as a freshly built scene.
+Any other field, a `shown` or `objects` entry of any other form, and a file
+with no records, is a data error.  On the n=4000 sweeps a locating,
+referential and cluttered record take about 48, 58 and 84 B: every
+referential trial shows the same mug, so its `shown`, `"mug"`, is shared
+as a whole value, and a locating or cluttered record keeps its own point
+or object id.
 
 Responses (schema `deixis-responses-2`): the header holds `schema`,
 `count`, `id_prefix` and `context`, the shared fields, which always holds a
@@ -98,9 +102,9 @@ from .resolver import PointingAct
 from .scene import Pose2D, Scene, SceneObject, Shape, TABLE
 from .stats import ContingencyTable
 
-TRIALS_SCHEMA = "deixis-trials-5"
+TRIALS_SCHEMA = "deixis-trials-6"
 RESPONSES_SCHEMA = "deixis-responses-2"
-_RECORD_FIELDS = {"id", "shown", "objects"}  # of a deixis-trials-5 record
+_RECORD_FIELDS = {"id", "shown", "objects"}  # of a deixis-trials-6 record
 MAX_NESTING = 32  # levels of arrays and objects in a line; corpus lines use 5
 _STRING = re.compile(r'"(?:[^"\\]|\\.)*"?')  # a JSON string, or one cut short
 _BRACKET = re.compile(r"[][{}]")
@@ -155,9 +159,14 @@ def _num(value: Any) -> float:
     raise ValueError(f"expected a finite number, got {value!r}")
 
 
+def _is_nums(value: Any, n: int) -> bool:
+    """Whether `value` is a list of `n` finite JSON numbers."""
+    return type(value) is list and len(value) == n and all(map(_finite, value))
+
+
 def _nums(value: Any, n: int) -> tuple[float, ...]:
     """A list of `n` finite JSON numbers, as a tuple."""
-    if type(value) is list and len(value) == n and all(map(_finite, value)):
+    if _is_nums(value, n):
         return tuple(value)
     raise ValueError(f"expected {n} finite numbers, got {value!r}")
 
@@ -230,23 +239,25 @@ def _uv(p: SurfacePoint) -> list:
     return [_q(c) if isinstance(c, float) else c for c in (p.u, p.v)]
 
 
-def _shown_to_json(shown: str | SurfacePoint | ShownConfig) -> dict:
+def _shown_to_json(shown: str | SurfacePoint | ShownConfig) -> str | list | dict:
+    """A shown object as its id, a point as `[u, v]`, a configuration as
+    `{"label", "position"}`: the JSON type tells them apart."""
     if isinstance(shown, str):
-        return {"type": "object", "id": shown}
+        return shown
     if isinstance(shown, SurfacePoint):
-        return {"type": "point", "position": _uv(shown)}
-    return {"type": "config", "label": shown.label, "position": _uv(shown.position)}
+        return _uv(shown)
+    return {"label": shown.label, "position": _uv(shown.position)}
 
 
-def _shown_from_json(d: dict) -> str | SurfacePoint | ShownConfig:
-    kind = _str(d["type"])
-    if kind == "object":
-        return _str(d["id"])
-    if kind == "point":
-        return SurfacePoint(*_nums(d["position"], 2))
-    if kind == "config":
-        return ShownConfig(_str(d["label"]), SurfacePoint(*_nums(d["position"], 2)))
-    raise ValueError(f"unknown shown type {kind!r}")
+def _shown_from_json(value: Any) -> str | SurfacePoint | ShownConfig:
+    if type(value) is str:
+        return value
+    if _is_nums(value, 2):
+        return SurfacePoint(*value)
+    if type(value) is dict and value.keys() == {"label", "position"}:
+        return ShownConfig(_str(value["label"]), SurfacePoint(*_nums(value["position"], 2)))
+    raise ValueError("shown must be an object id, 2 finite numbers or an object "
+                     f"holding only label and position, got {value!r}")
 
 
 def _context(condition: Condition, act: PointingAct, scene: Scene) -> dict:
@@ -258,11 +269,11 @@ def _context(condition: Condition, act: PointingAct, scene: Scene) -> dict:
                       "objects": [_object_to_json(o) for o in scene.objects]})
 
 
-def _position(o: SceneObject, od0: dict) -> dict:
-    """`{}` when `o` stands where context object `od0` stands, else its
-    quantized position."""
+def _position(o: SceneObject, od0: dict) -> list | None:
+    """None when `o` stands where context object `od0` stands, else its
+    quantized `[u, v]`."""
     p = _uv(o.pose.position)
-    return {} if _same(p, od0["position"]) else {"position": p}
+    return None if _same(p, od0["position"]) else p
 
 
 def _parts(d: dict) -> tuple[Condition, Scene, PointingAct]:
@@ -288,12 +299,12 @@ def _case(rec: dict, scene: Scene, prefix: str) -> tuple:
         if type(objects) is not list or len(objects) != len(scene.objects):
             raise ValueError(f"objects must be a list of {len(scene.objects)} "
                              f"entries, got {objects!r}")
-        for i, od in enumerate(objects):
-            if type(od) is not dict or od.keys() - {"position"}:
-                raise ValueError(f"objects[{i}] must be {{}} or hold only a "
-                                 f"position, got {od!r}")
-            if od:
-                positions[i] = SurfacePoint(*_nums(od["position"], 2))
+        for i, p in enumerate(objects):
+            if p is not None:
+                if not _is_nums(p, 2):
+                    raise ValueError(f"objects[{i}] must be null or 2 finite "
+                                     f"numbers, got {p!r}")
+                positions[i] = SurfacePoint(*p)
     return prefix + _str(rec["id"]), positions or None, _shown_from_json(rec["shown"])
 
 
@@ -554,7 +565,7 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
             if _differs_past_positions(t.scene, tset.scene):
                 raise DeixisError(f"trial {t.id}: its scene differs from the set's "
                                   "in more than its objects' positions")
-            objects = [{} if o is o0 else _position(o, od0) for o, o0, od0
+            objects = [None if o is o0 else _position(o, od0) for o, o0, od0
                        in zip(t.scene.objects, tset.scene.objects, ctx["objects"])]
             if any(objects):
                 rec["objects"] = objects

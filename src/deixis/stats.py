@@ -133,7 +133,9 @@ def fisher_exact_2x2(table: ContingencyTable) -> TestResult:
     per cell on, the lgamma-based terms of two exactly tied tables can
     differ by more than 1e-12, and from 10^7 on by more than 1e-7, so the
     mirror under a swap of equal rows or columns is always kept.  The
-    statistic is the observed table's probability.
+    statistic is the observed table's probability.  When the observed
+    table is a mode of the hypergeometric, every table counts and p is
+    exactly 1, as in scipy, found by an integer test before any sum.
 
     The log-pmf is concave, so the k whose term does not underflow to 0.0
     form one interval around the mode, and the terms too large to keep form
@@ -141,8 +143,8 @@ def fisher_exact_2x2(table: ContingencyTable) -> TestResult:
     two tails are evaluated, each in ascending order, and the upper one
     stops at the first term below half an ulp of the partial sum: the terms
     after it are smaller and would leave the sum as it is.  Every bound
-    allows for the float log terms' error, so p is bit-identical to the sum
-    over every k.
+    allows for the float log terms' error, so off the mode p is
+    bit-identical to the sum over every k.
     """
     if len(table.counts) != 2 or len(table.counts[0]) != 2:
         raise ValueError("Fisher exact test requires a 2x2 table")
@@ -165,8 +167,13 @@ def fisher_exact_2x2(table: ContingencyTable) -> TestResult:
     p_obs = math.exp(_log_hypergeom(a, r1, r2, c1))
     if p_obs == 0.0:  # only terms equal to 0.0 could be kept: p is 0.0
         return TestResult(statistic=0.0, dof=None, p_value=0.0)
+    # the modes are floor((r1 + 1)(c1 + 1) / (N + 2)) and, when that
+    # quotient is exact, the k one below it; at a mode every table counts
+    top, rest = divmod((r1 + 1) * (c1 + 1), r1 + r2 + 2)
+    if a == top or (rest == 0 and a == top - 1):
+        return TestResult(statistic=p_obs, dof=None, p_value=1.0)
     bound = p_obs * (1.0 + _FISHER_SLACK)
-    mode = min(max((r1 + 1) * (c1 + 1) // (r1 + r2 + 2), lo), hi)
+    mode = min(max(top, lo), hi)
     mirrors = {c1 - a if r1 == r2 else a, r1 - a if c1 == c2 else a}
     # the log of a float term that is a normal float is within `noise` of
     # the exact log: against mpmath, the log terms were off by at most 4

@@ -201,7 +201,7 @@ class TestRun:
         assert len(list(corpus.load_responses(str(out)))) == 8
 
     @pytest.mark.parametrize("line, edit, message", [
-        (2, lambda r: r["shown"].update(position=[int(HUGE), 0]), "bad trial record"),
+        (2, lambda r: r.update(shown=[int(HUGE), 0]), "bad trial record"),
         (1, lambda h: h["context"]["condition"].update(cone_deg=int(HUGE)),
          "bad context"),
         (2, "[" * 100_000, "malformed record"),
@@ -309,14 +309,11 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, line, edit", [
-        (("ref-vs-loc", "--cone", "45"), 2,
-         lambda r: r.update(shown={"type": "point", "position": [0.1, 0.2]})),
-        (("natural",), 2,
-         lambda r: r.update(shown={"type": "object", "id": "stack_top"})),
+        (("ref-vs-loc", "--cone", "45"), 2, lambda r: r.update(shown=[0.1, 0.2])),
+        (("natural",), 2, lambda r: r.update(shown="stack_top")),
         (("cluttered", "--cone", "45"), 1,
          lambda h: h["context"]["objects"][0].update(id="cup")),
-        (("ref-vs-loc", "--cone", "45"), 2,
-         lambda r: r.update(shown={"type": "object", "id": "cup"})),
+        (("ref-vs-loc", "--cone", "45"), 2, lambda r: r.update(shown="cup")),
     ], ids=["referential-point", "natural-object", "cluttered-renamed-mug",
             "referential-absent-id"])
     def test_shown_that_does_not_fit_exits_1(self, runner, tmp_path, flags, line, edit):
@@ -332,6 +329,22 @@ class TestRun:
         assert isinstance(res.exception, SystemExit)
         assert res.output.startswith(f"Error: trial {first}: ")
         assert res.output.count("\n") == 1
+        assert not out.exists()
+
+    def test_a_shown_entry_the_record_does_not_hold_exits_1(self, runner, tmp_path):
+        # a natural configuration holds a label and a position and no other
+        # entry, which a re-save would drop
+        trials, out = tmp_path / "t.jsonl", tmp_path / "o.jsonl"
+        assert runner.invoke(main, ["gen", "--condition", "natural",
+                                    "--out", str(trials)]).exit_code == 0
+        shown = {"color": "red", "label": "top", "position": [0.0, 0.0]}
+        rewrite(trials, 2, lambda r: r.update(shown=shown))
+        res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == (f"Error: {trials}:2: bad trial record: shown must be an "
+                              "object id, 2 finite numbers or an object holding only "
+                              f"label and position, got {shown!r}\n")
         assert not out.exists()
 
     def test_yawed_box_beside_stack(self, runner, tmp_path):
@@ -601,7 +614,7 @@ class TestPlot:
         # an empty set has no condition, act or scene: the file is refused
         # before any output is written
         empty, out = tmp_path / "empty.jsonl", tmp_path / "o.jsonl"
-        empty.write_text('{"schema":"deixis-trials-5","count":0,"context":{}}\n')
+        empty.write_text('{"schema":"deixis-trials-6","count":0,"context":{}}\n')
         res = runner.invoke(main, ["run", "--in", str(empty), "--out", str(out)])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
@@ -619,13 +632,17 @@ class TestPlot:
         ("run", '{"condition":"ref_vs_loc/locating/45deg/baxter","context":{},'
                 '"count":8,"id_prefix":"","schema":"deixis-trials-4","seed":7,'
                 '"shared":{}}'),
+        ("run", '{"condition":"ref_vs_loc/locating/45deg/baxter","context":{},'
+                '"count":8,"id_prefix":"","schema":"deixis-trials-5","seed":7,'
+                '"shared":{"shown":{"type":"point"}}}'),
         ("plot", '{"count":11,"schema":"deixis-responses-1"}')],
-        ids=["trials-1", "trials-2", "trials-3", "trials-4", "responses-1"])
+        ids=["trials-1", "trials-2", "trials-3", "trials-4", "trials-5", "responses-1"])
     def test_a_v1_file_is_an_unknown_schema(self, runner, tmp_path, command, header):
         # a retired schema of either file kind, which no code writes or reads:
         # the first of each, the trials schema whose ids held their prefix,
-        # the one whose records each held their `shown` and the one that
-        # shared an object field only as a whole value
+        # the one whose records each held their `shown`, the one that
+        # shared an object field only as a whole value and the one that
+        # wrapped each point in an object and tagged each `shown` with a type
         old, out = tmp_path / "old.jsonl", tmp_path / "out"
         old.write_text(header + "\n")
         res = runner.invoke(main, [command, "--in", str(old), "--out", str(out)])
@@ -1007,8 +1024,7 @@ class TestStreamedWrites:
         res = runner.invoke(main, ["gen", *SWEEP_FLAGS["ref-67.5"], "--n", "400",
                                    "--out", str(trials)])
         assert res.exit_code == 0, res.output
-        rewrite(trials, 301, lambda r: r.update(shown={"type": "point",
-                                                        "position": [0.0, 0.0]}))
+        rewrite(trials, 301, lambda r: r.update(shown=[0.0, 0.0]))
         out = tmp_path / "r.jsonl"
         res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
         assert res.exit_code == 1

@@ -96,13 +96,13 @@ class TestTrialsV2:
         tset = make_trials(variant=LOCATING)
         corpus.save_trials(tset, str(p), seed=7)
         header = json.loads(p.read_text().splitlines()[0])
-        assert header["schema"] == "deixis-trials-5"
+        assert header["schema"] == "deixis-trials-6"
         assert set(header["context"]) == {"condition", "act", "surface",
                                           "gravity", "objects"}
-        # each locating trial shows its own point, and every one a point
-        assert header["shared"] == {"shown": {"type": "point"}}
-        assert all(set(rec) == {"id", "shown"} and set(rec["shown"]) == {"position"}
-                   for rec in records_of(p))
+        # each locating trial shows its own point, as a bare [u, v]
+        assert header["shared"] == {}
+        assert all(set(rec) == {"id", "shown"} and type(rec["shown"]) is list
+                   and len(rec["shown"]) == 2 for rec in records_of(p))
         # the ids' common prefix is written once, and each record holds the rest
         ids = [t.id for t in tset.trials]
         assert header["id_prefix"] == os.path.commonprefix(ids) == \
@@ -110,17 +110,38 @@ class TestTrialsV2:
         assert [rec["id"] for rec in records_of(p)] == [str(i) for i in range(8)]
 
     @pytest.mark.parametrize("trials, moved", [
-        (make_trials(), [["position"], []]),
-        (cluttered_trials(), [["position"], ["position"]])])
+        (make_trials(), [True, False]),
+        (cluttered_trials(), [True, True])])
     def test_discrete_records_carry_only_mug_positions(self, tmp_path, trials, moved):
-        # every trial shows an object, so the header holds the shown type
+        # every trial shows an object id, in the header or the record; a
+        # moved object's entry is its [u, v], an unmoved one's null
         p = tmp_path / "d.jsonl"
         corpus.save_trials(trials, str(p), seed=7)
         shared = json.loads(p.read_text().splitlines()[0])["shared"]
-        assert set(shared) == {"shown"} and shared["shown"]["type"] == "object"
+        assert all(type({**shared, **rec}["shown"]) is str for rec in records_of(p))
         for rec in records_of(p)[1:]:
             assert set(rec) - {"shown"} == {"id", "objects"}
-            assert [sorted(od) for od in rec["objects"]] == moved
+            assert [od is not None for od in rec["objects"]] == moved
+            assert all(od is None or len(od) == 2 for od in rec["objects"])
+
+    @pytest.mark.parametrize("tset, shared, line, text", [
+        (make_trials(n=4, seed=1, variant=LOCATING), {}, 3,
+         '{"id":"1","shown":[0.0549682306,0.27876332]}'),
+        (cluttered_trials(), {}, 3,
+         '{"id":"1","objects":[[0.513283397,0.0],[-0.808984873,0.0]],"shown":"mug_object"}'),
+        (make_trials(n=4, seed=1), {"shown": "mug"}, 3,
+         '{"id":"1","objects":[[0.0549682306,0.57876332],null]}'),
+        (harness.generate_trials(Condition(kind=harness.NATURAL), 3, 1), {"shown": {}}, 3,
+         '{"id":"edge","shown":{"label":"edge","position":[0.102,0.0]}}')],
+        ids=["locating", "cluttered", "referential", "natural"])
+    def test_the_record_text_of_each_kind(self, tmp_path, tset, shared, line, text):
+        # a shown point is [u, v], a shown object its id, a moved object's
+        # entry its [u, v] and an unmoved one's null
+        p = tmp_path / "t.jsonl"
+        corpus.save_trials(tset, str(p), seed=1)
+        lines = p.read_text().splitlines()
+        assert json.loads(lines[0])["shared"] == shared
+        assert lines[line - 1] == text
 
     @pytest.mark.parametrize("trials", [
         make_trials(variant=LOCATING), cluttered_trials(),
@@ -149,9 +170,9 @@ class TestTrialsV2:
         # shown config's position alike
         natural = harness.generate_trials(Condition(kind=harness.NATURAL), 3, 7)
         for tset, position_of, loaded_u in (
-                (make_trials(n=4), lambda r: r.get("objects", [{}])[0].get("position"),
+                (make_trials(n=4), lambda r: r.get("objects", [None])[0],
                  lambda t: t.scene.objects[0].pose.position.u),
-                (make_trials(n=4, variant=LOCATING), lambda r: r["shown"]["position"],
+                (make_trials(n=4, variant=LOCATING), lambda r: r["shown"],
                  lambda t: t.shown.u),
                 (natural, lambda r: r["shown"]["position"], lambda t: t.shown.position.u)):
             p, q = tmp_path / "p.jsonl", tmp_path / "q.jsonl"
@@ -197,18 +218,22 @@ class TestTrialsV2:
         (lambda r: r.update(surface={"extent": [2.0, 2.5]}), "unexpected field 'surface'"),
         (lambda r: r.update(gravity=False), "unexpected field 'gravity'"),
         (lambda r: r.update(gravty=True), "unexpected field 'gravty'"),
-        (lambda r: r.update(objects=[{}]), r"objects must be a list of 2 entries"),
-        (lambda r: r.update(objects=[{}, {}, {"position": [0.3, 0.2]}]),
+        (lambda r: r.update(objects=[None]), r"objects must be a list of 2 entries"),
+        (lambda r: r.update(objects=[None, None, [0.3, 0.2]]),
          r"objects must be a list of 2 entries"),
         (lambda r: r.update(objects=None), r"objects must be a list of 2 entries"),
-        (lambda r: r.update(objects=[{"id": "cup"}, {}]),
-         r"objects\[0\] must be \{\} or hold only a position"),
-        (lambda r: r.update(objects=[{}, {"position": [0.3, 0.2], "yaw_deg": 30}]),
-         r"objects\[1\] must be \{\} or hold only a position"),
+        (lambda r: r.update(objects=["cup", None]),
+         r"objects\[0\] must be null or 2 finite numbers, got 'cup'"),
+        (lambda r: r.update(objects=[None, [0.3, 0.2, 30]]),
+         r"objects\[1\] must be null or 2 finite numbers"),
+        # the wrapped position of schema deixis-trials-5, and its unmoved entry
+        (lambda r: r.update(objects=[{"position": [0.3, 0.2]}, None]),
+         r"objects\[0\] must be null or 2 finite numbers, got \{'position'"),
         (lambda r: r.update(objects=[[0.3, 0.2], {}]),
-         r"objects\[0\] must be \{\} or hold only a position"),
+         r"objects\[1\] must be null or 2 finite numbers, got \{\}"),
     ], ids=["condition", "act", "surface", "gravity", "misspelled", "one-object",
-            "three-objects", "null-objects", "renamed", "yawed", "bare-position"])
+            "three-objects", "null-objects", "renamed", "yawed", "wrapped-position",
+            "bare-position"])
     def test_a_record_holds_only_id_shown_and_positions(self, tmp_path, edit, message):
         p = tmp_path / "o.jsonl"
         corpus.save_trials(make_trials(n=4, variant=LOCATING), str(p), seed=7)
@@ -361,41 +386,48 @@ class TestResponsesV2:
 class TestSharedFields:
     """One rule for both kinds: a field whose JSON text is the same in every
     record, or such an entry of a field that is an object in every record,
-    `meta` and `shown` alike, is written once in the header and left out of
-    the records; the reader merges it back, a record's own value first."""
+    such as `meta` or a natural set's `shown`, is written once in the header
+    and left out of the records; the reader merges it back, a record's own
+    value first."""
 
     @pytest.mark.parametrize("tset, shared, own", [
-        (make_trials(), {"id": "mug", "type": "object"}, None),
-        (make_trials(variant=LOCATING), {"type": "point"}, {"position"}),
-        (cluttered_trials(), {"type": "object"}, {"id"}),
+        (make_trials(), {"shown": "mug"}, None),
+        (make_trials(variant=LOCATING), {}, list),
+        (cluttered_trials(), {}, str),
         (harness.generate_trials(Condition(kind=harness.NATURAL), 3, 7),
-         {"type": "config"}, {"label", "position"})],
+         {"shown": {}}, dict)],
         ids=["referential", "locating", "cluttered", "natural"])
     def test_a_record_holds_only_its_own_shown_entries(self, tmp_path, tset, shared, own):
+        # an object id or a point is shared only as a whole value, and a
+        # natural configuration entry by entry: no label or position is
+        # the same in every natural trial
         p = tmp_path / "t.jsonl"
         corpus.save_trials(tset, str(p), seed=7)
-        assert json.loads(p.read_text().splitlines()[0])["shared"] == {"shown": shared}
+        assert json.loads(p.read_text().splitlines()[0])["shared"] == shared
         for rec in records_of(p):
-            assert (set(rec["shown"]) if "shown" in rec else None) == own
+            assert (type(rec["shown"]) if "shown" in rec else None) is own
+            assert own is not dict or rec["shown"].keys() == {"label", "position"}
             assert set(rec) - {"shown", "objects"} == {"id"}
         assert tuple(held(corpus.load_trials(str(p))).trials) == tuple(tset.trials)
 
-    @pytest.mark.parametrize("tset, entries, shown", [
-        (make_trials(n=4), {"id": "red_cube"}, lambda old: "red_cube"),
-        (make_trials(n=4, variant=LOCATING), {"type": "config", "label": "top"},
+    @pytest.mark.parametrize("tset, edit, shown", [
+        (make_trials(n=4), lambda old: "red_cube", lambda old: "red_cube"),
+        (make_trials(n=4, variant=LOCATING), lambda old: {"label": "top", "position": old},
          lambda old: harness.ShownConfig("top", old)),
-        (cluttered_trials(n=4), {"type": "point", "position": [0.25, -0.5]},
+        (cluttered_trials(n=4), lambda old: [0.25, -0.5],
          lambda old: SurfacePoint(0.25, -0.5)),
-        (harness.generate_trials(Condition(kind=harness.NATURAL), 3, 7), {"type": "point"},
-         lambda old: old.position)],
+        (harness.generate_trials(Condition(kind=harness.NATURAL), 3, 7),
+         lambda old: old["position"], lambda old: old.position)],
         ids=["referential", "locating", "cluttered", "natural"])
-    def test_a_records_shown_entry_wins_over_the_headers(self, tmp_path, tset, entries,
+    def test_a_records_shown_entry_wins_over_the_headers(self, tmp_path, tset, edit,
                                                          shown):
-        # the second record's `shown` holds an entry the header holds too;
-        # what loads from it writes and loads again byte for byte
+        # the second record's `shown` becomes `edit` of the one it showed,
+        # of another JSON type or, in a referential set, another id than the
+        # header's; what loads from it writes and loads again byte for byte
         p1, p2, p3 = (tmp_path / f"{n}.jsonl" for n in "abc")
         corpus.save_trials(tset, str(p1), seed=7)
-        rewrite_line(p1, 3, lambda rec: rec.update(shown={**rec.get("shown", {}), **entries}))
+        shared = json.loads(p1.read_text().splitlines()[0])["shared"]
+        rewrite_line(p1, 3, lambda rec: rec.update(shown=edit({**shared, **rec}["shown"])))
         loaded = held(corpus.load_trials(str(p1)))
         expected = [t.shown for t in tset.trials]
         expected[1] = shown(expected[1])
@@ -411,7 +443,7 @@ class TestSharedFields:
         trials = make_trials(n=400, seed=4)
         corpus.save_trials(trials, str(p1), seed=4)
         header = json.loads(p1.read_text().splitlines()[0])
-        assert header["shared"] == {"shown": {"id": "mug", "type": "object"}}
+        assert header["shared"] == {"shown": "mug"}
         assert all("shown" not in rec for rec in records_of(p1))
         loaded = held(corpus.load_trials(str(p1)))
         assert tuple(loaded.trials) == tuple(trials.trials)
@@ -439,7 +471,7 @@ class TestSharedFields:
     def test_a_record_that_repeats_a_shared_field_wins(self, tmp_path):
         t, r = tmp_path / "t.jsonl", tmp_path / "r.jsonl"
         corpus.save_trials(make_trials(n=4), str(t), seed=7)
-        rewrite_line(t, 3, lambda rec: rec.update(shown={"type": "object", "id": "red_cube"}))
+        rewrite_line(t, 3, lambda rec: rec.update(shown="red_cube"))
         assert [tr.shown for tr in corpus.load_trials(str(t)).trials] == \
                ["mug", "red_cube", "mug", "mug"]
         records = locating_records(n=4)
@@ -457,7 +489,7 @@ class TestSharedFields:
 
     @pytest.mark.parametrize("shared", [
         [], "shown", None, "missing", {"bogus": 1},
-        {"shown": {"id": "mug", "type": "object"}, "gravity": False},
+        {"shown": "mug", "gravity": False},
         {"id": "0"}], ids=["list", "string", "null", "missing", "unknown-field",
                            "context-field", "id"])
     def test_a_bad_shared_object_is_a_bad_header(self, tmp_path, shared):
@@ -820,17 +852,31 @@ class TestSchemaErrors:
             corpus.load_trials(str(p))
 
     @pytest.mark.parametrize("path, value", [
-        (("id",), 3), (("gravity",), 1), (("shown", "type"), ["object"]),
-        (("shown", "id"), False), (("shown", "type"), "nowhere"),
-        (("objects", 0, "position"), [True, 0.0]),
-        (("objects", 0, "position"), [float("nan"), 0.0]),
-        (("objects", 0, "position"), [0.1, 0.0, 0.0]),
-        (("objects", 0, "id"), None), (("objects", 0, "yaw_deg"), "0")],
+        (("id",), 3), (("gravity",), 1),
+        # a natural configuration holding another entry
+        (("shown", "type"), ["object"]), (("shown", "id"), False),
+        (("shown", "type"), "nowhere"),
+        # a shown that is no object id, no [u, v] and no configuration
+        (("shown",), ["object"]), (("shown",), False), (("shown",), None),
+        (("shown",), 7), (("shown",), [True, 0.0]), (("shown",), [0.1, 0.0, 0.0]),
+        (("shown",), {"type": "object", "id": "mug"}),
+        (("shown",), {"color": "red", "label": "top", "position": [0.0, 0.0]}),
+        (("shown",), {"label": "top"}), (("shown",), {"position": [0.0, 0.0]}),
+        (("shown",), {"label": 1, "position": [0.0, 0.0]}),
+        (("shown",), {"label": "top", "position": [0.0]}),
+        (("shown",), {"label": "top", "position": [0.0, math.inf]}),
+        # an objects entry that is neither null nor [u, v]
+        (("objects", 0), [True, 0.0]), (("objects", 0), [float("nan"), 0.0]),
+        (("objects", 0), [0.1, 0.0, 0.0]), (("objects", 0), {}), (("objects", 0), "0")],
         ids=_path_id)
     def test_wrongly_typed_record_field(self, tmp_path, path, value):
-        # the record repeats the header's shared `shown`, and its own value wins
+        # the second record of a referential set, or of a natural one for an
+        # entry of `shown`; it repeats the header's shared `shown`, and its
+        # own value wins
         p = tmp_path / "r.jsonl"
-        corpus.save_trials(make_trials(n=4), str(p), seed=7)
+        natural = len(path) == 2 and path[0] == "shown"
+        corpus.save_trials(harness.generate_trials(Condition(kind=harness.NATURAL), 3, 7)
+                           if natural else make_trials(n=4), str(p), seed=7)
         lines = p.read_text().splitlines()
         rec = {**json.loads(lines[0])["shared"], **json.loads(lines[2])}
         _set(rec, path, value)
@@ -847,9 +893,8 @@ class TestSchemaErrors:
         corpus.save_trials(make_trials(n=4), str(p), seed=7)
         lines = p.read_text().splitlines()
         header, rec = json.loads(lines[0]), json.loads(lines[2])
-        assert rec["objects"][1] == {}
-        rec["objects"][0]["position"] = (position or
-                                         header["context"]["objects"][1]["position"])
+        assert rec["objects"][1] is None
+        rec["objects"][0] = position or header["context"]["objects"][1]["position"]
         lines[2] = json.dumps(rec)
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(DeixisError, match=rf"r\.jsonl:3: bad trial record: {message}"):
@@ -863,7 +908,7 @@ class TestSchemaErrors:
         lines = p.read_text().splitlines()
         header, rec = json.loads(lines[0]), json.loads(lines[1])
         assert "objects" not in rec  # trial 0 leaves the mug where the scene has it
-        rec["objects"] = [{"position": header["context"]["objects"][1]["position"]}, {}]
+        rec["objects"] = [header["context"]["objects"][1]["position"], None]
         lines[1] = json.dumps(rec)
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(DeixisError, match=r"b\.jsonl:2: bad trial record: "
@@ -895,7 +940,9 @@ class TestSchemaErrors:
         trials = make_trials(n=4, variant=LOCATING, cone=45.0)
         if kind == "trials":
             corpus.save_trials(trials, str(p), seed=7)
-            edit, message = {"shown": {"type": "bogus"}}, "bad trial record: unknown shown type 'bogus'"
+            edit = {"shown": {"type": "bogus"}}
+            message = ("bad trial record: shown must be an object id, 2 finite numbers or "
+                       "an object holding only label and position, got {'type': 'bogus'}")
         else:
             corpus.save_responses(harness.run(trials), str(p))
             edit, message = {"predicted": "bogus"}, "bad response record: unknown label 'bogus'"
@@ -915,7 +962,7 @@ class TestSchemaErrors:
     def test_responses_wrong_schema(self, tmp_path):
         p = tmp_path / "w.jsonl"
         corpus.save_trials(make_trials(n=4), str(p), seed=7)
-        with pytest.raises(DeixisError, match=r"w\.jsonl:1: unknown schema 'deixis-trials-5'$"):
+        with pytest.raises(DeixisError, match=r"w\.jsonl:1: unknown schema 'deixis-trials-6'$"):
             corpus.load_responses(str(p))
 
 

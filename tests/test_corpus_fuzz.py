@@ -125,9 +125,12 @@ def mutations(draw, files):
     elif op == "swap":
         path = draw(st.sampled_from(paths))
         _at(obj, path[:-1])[path[-1]] = draw(st.sampled_from(BAD_VALUES))
-    else:  # `objects` of any length, in the record or the header's context
-        target = obj["context"] if index == 0 and "context" in obj else obj
-        target["objects"] = [{} for _ in range(draw(st.integers(0, 4)))]
+    else:  # `objects` of any length: unmoved entries in the record, or
+        # empty objects in the header's context
+        in_context = index == 0 and "context" in obj
+        target = obj["context"] if in_context else obj
+        target["objects"] = [{} if in_context else None
+                             for _ in range(draw(st.integers(0, 4)))]
     lines[index] = json.dumps(obj)
     return kind, name, named, _encoded(lines)
 

@@ -151,6 +151,14 @@ def fisher_full_range(a, b, c, d):
     return min(1.0, p)
 
 
+def at_a_mode(a, b, c, d):
+    """Whether the observed table's exact hypergeometric term is a largest
+    one, so that the exact two-sided p is 1: the log-pmf is concave, so it
+    is one when the exact ratios of its neighbours' terms to its own,
+    b c / ((a + 1)(d + 1)) and a d / ((b + 1)(c + 1)), are at most 1."""
+    return b * c <= (a + 1) * (d + 1) and a * d <= (b + 1) * (c + 1)
+
+
 class TestFisher:
     def test_known_examples(self):
         assert fisher_exact_2x2(table((3, 1), (1, 3))).p_value == pytest.approx(
@@ -214,7 +222,11 @@ class TestFisher:
                 a = min(max(mode + step, lo), hi)
                 b, c, d = r1 - a, c1 - a, r2 - c1 + a
             got = fisher_exact_2x2(table((a, b), (c, d))).p_value
-            assert got.hex() == fisher_full_range(a, b, c, d).hex(), (a, b, c, d)
+            if where == "mode" or at_a_mode(a, b, c, d):
+                # every table counts: the exact p is 1, and so is p
+                assert at_a_mode(a, b, c, d) and got == 1.0, (a, b, c, d)
+            else:
+                assert got.hex() == fisher_full_range(a, b, c, d).hex(), (a, b, c, d)
 
     @pytest.mark.parametrize("a,b,c,d", [
         (2586, 1146, 515, 1955), (8233, 4918, 7416, 10731), (585, 1870, 1821, 531)])
@@ -250,12 +262,13 @@ class TestFisher:
         assert result.p_value == 0.0
 
     def test_a_balanced_huge_table_finishes_in_time(self):
-        # the observed table is the mode, so about 10^6 terms are summed
+        # the observed table is a mode, so every table counts and the exact p is 1
+        n = 10**9
+        assert at_a_mode(n, n, n, n)
         start = time.perf_counter()
-        result = fisher_exact_2x2(table((10**9, 10**9), (10**9, 10**9)))
+        result = fisher_exact_2x2(table((n, n), (n, n)))
         assert time.perf_counter() - start < 5.0
-        # the exact p is 1; the float log terms at these counts sum to less
-        assert result.p_value == 0.9999819997304037
+        assert result.p_value == 1.0
 
     def test_underflowing_observed_table_bitwise_equal_to_the_full_range_sum(self):
         # the observed term underflows, so the early return must give the
