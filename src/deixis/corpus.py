@@ -26,22 +26,17 @@ Identical content always produces identical bytes.
 
 One rule says what a record leaves out, for both kinds.  The header's
 `id_prefix` is the longest common prefix of the ids, and each record's id
-field holds the rest.  A field that is an object in every record, such
-as `meta` or a natural set's `shown`, is shared entry by entry, one level
-in: each of its entries whose JSON text is the same in every record is
-written once, in that field's object in the header's shared-fields
-object, and the records leave it out (and the field, when none of its
-entries are left).  Any other field is shared only as a whole value, when
-its JSON text is the same in every record.  Values count as the same only
-when they are written as the same JSON text: -0.0 and 0.0, 1 and 1.0,
-true and 1 all differ.
-The one reader's merge (`_records`) puts them back: a field that a record
-holds wins, and where the record and the header both hold an object, the
-two merge one entry at a time, the record's entries winning.  Until
-the last record is in, the records of either kind wait, as their values,
-in a `marshal` spool that the writer alone reads, once (`_spool`), and
-each is then written in one encoder call; the spool has no name, so it is
-gone once closed, even by a killed process.  Every output is checked
+field holds the rest.  A field whose JSON text is the same in every record
+is written once, as a whole value, in the header's `shared` object, and
+the records leave it out.  Values count as the same only when they are
+written as the same JSON text: -0.0 and 0.0, 1 and 1.0, true and 1 all
+differ.  The one reader's merge (`_records`) puts them back; a field is in
+the header or in the record, never both, so a record that holds a field
+the header shares is a data error.  Until the last record is in, the
+records of either kind wait, as their values, in a `marshal` spool that
+the writer alone reads, once (`_spool`), and each is then written in one
+encoder call; the spool has no name, so it is gone once closed, even by a
+killed process.  Every output is checked
 before its first record (`output_mode`) and written through `writing`, so
 a failure at any point, and a kill before the last record, leaves the
 output as it was.
@@ -69,15 +64,16 @@ referential trial shows the same mug, so its `shown`, `"mug"`, is shared
 as a whole value, and a locating or cluttered record keeps its own point
 or object id.
 
-Responses (schema `deixis-responses-2`): the header holds `schema`,
-`count`, `id_prefix` and `context`, the shared fields, which always holds a
-`meta` object and never `trial_id`.  A record holds `trial_id`,
-`predicted`, `human` and `meta`.  In the paper's sets the condition,
-`x_star` and `path` are shared.  On the n=4000 sweeps that is 107-160 B per
-trial.  Records are written as
+Responses (schema `deixis-responses-3`): the header holds `schema`,
+`count`, `id_prefix` and `shared`, the shared fields, never `trial_id`.  A
+record holds `trial_id`, `predicted`, `human` and each `meta` entry as a
+field of its own, so the writer refuses a `meta` entry of one of those
+three names; the reader makes every other field an entry of `meta`.  In
+the paper's sets the condition, `x_star` and `path` are shared.  On the
+n=4000 sweeps that is 98-151 B per trial.  Records are written as
 `harness.predict` makes them: every float in `meta` is already quantized,
 so records are encoded without another pass.  Loaded records share the
-context's values.
+header's values.
 """
 from __future__ import annotations
 
@@ -103,8 +99,9 @@ from .scene import Pose2D, Scene, SceneObject, Shape, TABLE
 from .stats import ContingencyTable
 
 TRIALS_SCHEMA = "deixis-trials-6"
-RESPONSES_SCHEMA = "deixis-responses-2"
+RESPONSES_SCHEMA = "deixis-responses-3"
 _RECORD_FIELDS = {"id", "shown", "objects"}  # of a deixis-trials-6 record
+_RESPONSE_FIELDS = frozenset({"trial_id", "predicted", "human"})  # the rest is `meta`
 MAX_NESTING = 32  # levels of arrays and objects in a line; corpus lines use 5
 _STRING = re.compile(r'"(?:[^"\\]|\\.)*"?')  # a JSON string, or one cut short
 _BRACKET = re.compile(r"[][{}]")
@@ -386,17 +383,15 @@ def _records(path: str, lines: Iterator, what: str, shared: dict,
              make: Callable[[dict], Any],
              check: Callable[[dict], dict] = lambda rec: rec) -> Iterator:
     """`make(record)` of each `(line, record)`, in turn: the record's own
-    fields are checked (`check`), then merged over `shared`, the fields its
-    header holds for every record, checked once: a field the record holds
-    wins, and where both hold an object, the two merge one entry at a time,
-    the record's entries winning.  A bad record names its line."""
-    by_entry = [(k, v) for k, v in shared.items() if type(v) is dict]
+    fields are checked (`check`), then merged with `shared`, the fields its
+    header holds for every record, checked once.  A field is in the header
+    or in the record, never both.  A bad record names its line."""
     for line, rec in lines:
         try:
             fields = {**shared, **check(rec)}
-            for k, entries in by_entry:
-                if type(rec.get(k)) is dict:
-                    fields[k] = {**entries, **rec[k]}
+            if len(fields) < len(shared) + len(rec):
+                both = ", ".join(map(repr, sorted(shared.keys() & rec.keys())))
+                raise ValueError(f"a record may not hold {both}, which the header shares")
             made = make(fields)
         except (KeyError, TypeError, ValueError) as exc:
             raise DeixisError(f"{path}:{line}: bad {what} record: {exc}") from exc
@@ -465,22 +460,16 @@ def writing(path: str) -> Iterator[TextIO]:
         raise
 
 
-def _narrowed(shared: dict, dicts: list[dict], depth: int = 1) -> dict:
+def _narrowed(shared: dict, dicts: list[dict]) -> dict:
     """The entries of `shared` that each of `dicts` holds with the same
     JSON text: the very same value, or values that the encoder writes as
-    it writes the shared value repeated.  Down to `depth` levels, an entry
-    that is an object in each of `dicts` is kept as the object of the
-    entries that all of them share so, even when that is none."""
+    it writes the shared value repeated."""
     kept = {}
     for k, v in shared.items():
         values = [d[k] for d in dicts if k in d]
-        if len(values) < len(dicts):
-            continue
-        if depth and type(v) is dict:
-            if all(type(x) is dict for x in values):
-                kept[k] = _narrowed(v, values, depth - 1)
-        elif (all(x is v for x in values)
-              or _ENCODER.encode(values) == _ENCODER.encode([v] * len(values))):
+        if len(values) == len(dicts) and (
+                all(x is v for x in values)
+                or _ENCODER.encode(values) == _ENCODER.encode([v] * len(values))):
             kept[k] = v
     return kept
 
@@ -494,14 +483,11 @@ def _spool(path: str, rows: Iterable[tuple[str, dict]], id_field: str,
     fields.  Rows are spooled as they arrive, `SPOOL_BATCH` at a time, to
     a temporary file in the default temporary directory, while the
     longest common prefix of the ids and the shared fields narrow from the
-    first row's (`_narrowed`): a field that is an object in every row
-    keeps the entries that every row holds with the same JSON text, and
-    any other field stays only while every row holds it with the same
-    text.  After the last row, `header(count, prefix, shared)` gives the
-    header, and only then is `path` opened (`writing`) and each row
-    written as its id without the prefix, under `id_field`, and what it
-    does not share: its other fields, and the entries of each shared
-    object that are its own, the object left out when none are.  The
+    first row's (`_narrowed`): a field stays shared only while every row
+    holds it with the same JSON text.  After the last row,
+    `header(count, prefix, shared)` gives the header, and only then is
+    `path` opened (`writing`) and each row written as its id without the
+    prefix, under `id_field`, and the fields it does not share.  The
     spool has no name, so not even a killed process leaves it; an error or
     a kill before the last row leaves `path` as it was, and so does a
     failure after it (`writing`)."""
@@ -517,16 +503,12 @@ def _spool(path: str, rows: Iterable[tuple[str, dict]], id_field: str,
             fh.write(len(data).to_bytes(8, "little") + data)
             count += len(batch)
         head, cut = header(count, prefix, shared), len(prefix)
-        by_entry = [(k, v) for k, v in shared.items() if type(v) is dict]
         fh.seek(0)
         with writing(path) as out:
             out.write(_ENCODER.encode(head) + "\n")
             while size := int.from_bytes(fh.read(8), "little"):
                 for rid, fields in marshal.loads(fh.read(size)):
                     rec = {k: v for k, v in fields.items() if k not in shared}
-                    for k, entries in by_entry:
-                        if own := {e: x for e, x in fields[k].items() if e not in entries}:
-                            rec[k] = own
                     rec[id_field] = rid[cut:]
                     out.write(_ENCODER.encode(rec) + "\n")
 
@@ -622,63 +604,64 @@ def load_trials(path: str) -> TrialSet:
 
 
 def save_responses(records: Iterable[ResponseRecord], path: str) -> None:
-    """Write records as given: `harness.predict` already quantizes every
-    float in `meta` to 9 significant digits.  Records are spooled as they
-    arrive (`_spool`), and the header's `context` holds what every record
-    shares, with a `meta` object even when that is none."""
-    _spool(path, ((r.trial_id, {"predicted": r.predicted, "human": r.human,
-                                "meta": r.meta}) for r in records),
-           "trial_id", lambda count, prefix, shared: {
-               "schema": RESPONSES_SCHEMA, "count": count, "id_prefix": prefix,
-               "context": {"meta": {}, **shared}})
+    """Write records as given, each `meta` entry as a field of its own:
+    `harness.predict` already quantizes every float in `meta` to 9
+    significant digits.  Records are spooled as they arrive (`_spool`), and
+    the header's `shared` holds what every record shares.  A `meta` entry
+    named as a record's own field is refused before anything is written."""
+    def row(r: ResponseRecord) -> tuple[str, dict]:
+        if not _RESPONSE_FIELDS.isdisjoint(r.meta):
+            clash = ", ".join(map(repr, sorted(_RESPONSE_FIELDS & r.meta.keys())))
+            raise ValueError(f"trial {r.trial_id}: meta entry {clash} has the name "
+                             "of a record field")
+        return r.trial_id, {"predicted": r.predicted, "human": r.human, **r.meta}
+
+    _spool(path, map(row, records), "trial_id", lambda count, prefix, shared: {
+        "schema": RESPONSES_SCHEMA, "count": count, "id_prefix": prefix, "shared": shared})
 
 
 def _checked(fields: dict) -> dict:
     """`fields` after checking the response fields it holds: a label the
-    model can emit, a string or null `human`, an object `meta` whose points
-    become tuples and whose known numbers are finite."""
+    model can emit, a string or null `human`, points that become tuples and
+    known numbers that are finite."""
     if "predicted" in fields and fields["predicted"] not in LABELS:
         raise ValueError(f"unknown label {fields['predicted']!r}")
     human = fields.get("human")
     if human is not None and type(human) is not str:
         raise TypeError(f"human must be a string or null, got {human!r}")
-    if "meta" in fields:
-        meta = fields["meta"]
-        if type(meta) is not dict:
-            raise TypeError(f"meta must be an object, got {meta!r}")
-        for key in ("probe", "x_star"):
-            if key in meta:
-                meta[key] = _nums(meta[key], 2)
-        for key in ("theta", "distance", "d_near", "d_far", "delta", "separation"):
-            if key in meta:
-                _num(meta[key])
+    for key in ("probe", "x_star"):
+        if key in fields:
+            fields[key] = _nums(fields[key], 2)
+    for key in ("theta", "distance", "d_near", "d_far", "delta", "separation"):
+        if key in fields:
+            _num(fields[key])
     return fields
 
 
 def load_responses(path: str) -> Iterator[ResponseRecord]:
     """The records of a responses file, each built as its line is read, so
-    they can be read only once; the header is read and checked now."""
+    they can be read only once; the header is read and checked now.  A
+    record's `meta` is every field but `trial_id`, `predicted` and `human`."""
     lines = _read_lines(path, RESPONSES_SCHEMA)
     _, header = next(lines)
-    ctx, prefix = header.get("context"), header.get("id_prefix")
+    shared, prefix = header.get("shared"), header.get("id_prefix")
     try:
-        if type(ctx) is not dict:
-            raise TypeError(f"context must be an object, got {ctx!r}")
+        if type(shared) is not dict:
+            raise TypeError(f"shared must be an object, got {shared!r}")
         if type(prefix) is not str:
             raise TypeError(f"id_prefix must be a string, got {prefix!r}")
-        if "trial_id" in ctx:
-            raise ValueError("context holds trial_id; each record holds its own")
-        if type(_checked(ctx).get("meta")) is not dict:
-            raise TypeError("context must hold a meta object")
+        if "trial_id" in shared:
+            raise ValueError("shared holds trial_id; each record holds its own")
+        _checked(shared)
     except (KeyError, TypeError, ValueError) as exc:
         raise DeixisError(f"{path}:1: bad header: {exc}") from exc
 
     def record(fields: dict) -> ResponseRecord:
-        return ResponseRecord(trial_id=prefix + _str(fields["trial_id"]),
-                              predicted=fields["predicted"], human=fields["human"],
-                              meta=fields["meta"])
+        return ResponseRecord(trial_id=prefix + _str(fields.pop("trial_id")),
+                              predicted=fields.pop("predicted"),
+                              human=fields.pop("human"), meta=fields)
 
-    return _records(path, lines, "response", ctx, record, _checked)
+    return _records(path, lines, "response", shared, record, _checked)
 
 
 # Published natural/unnatural stack judgments; rows are shown configurations,

@@ -12,10 +12,11 @@ here.  To record new digests after a deliberate output change, run
     PYTHONPATH=src python tests/test_byte_stability.py
 
 and replace `DIGESTS` and `STATS_DIGESTS` with its output.  The sizes of
-the sweep trials files, which the benchmark's `trials_bytes_per_trial`
-counts, are pinned in `SWEEP_TRIALS_SIZES`, kept by hand: a writer change
-that lengthens the records fails there even once its digests are recorded
-again.
+the sweep trials and responses files, which the benchmark's
+`trials_bytes_per_trial` and `responses_bytes_per_trial` count, are pinned
+in `SWEEP_TRIALS_SIZES` and `SWEEP_RESPONSES_SIZES`, kept by hand: a writer
+change that lengthens the records fails there even once its digests are
+recorded again.
 """
 import hashlib
 import random
@@ -81,59 +82,65 @@ SUBNORMAL_TABLE = ("--cols", "6", "--table",
 
 DIGESTS = {
     "clut-45": ("abe80158a10142d0bedb1a3ac9aa5685a0ca29c06f396de3dd659019db8d19f4",
-                "d8add6cf220cf4ce3da5c22a747c78575c88e2673bea6dedb376fa65098dce30",
+                "8198974b063a5952d8b52562b5da2b78da3cdefa412608eabc1b3433dd5558e0",
                 "e46e0004926cd51792aa8a160bc6e01674a6942b4f43c7dd4f9a17bd011b60b2"),
     "clut-67.5": ("79a81bd32aa4908729daeef391187ccf05b6e94c08a6808f4277a8a835f95d8f",
-                  "cee40564f106e75d061bd4d8272f90852351b1af6307b263d63e0d2f769f6e0e",
+                  "fa484debd8191b412596dfaddec98c1615abb21a1628b609732833f7ded4b237",
                   "5583821f8c887d3b7c0b91af3c0e221eb3c79b4f12165c045f8a5d16932ee636"),
     "clut-90": ("56802feb36f3293d4f1084a051e1f762c581c8ae742e0cc9442e00436b579646",
-                "6ab80f7c39f73bfcc074be85329763a1e31fe1eff35633fd5a87eded4a31834e",
+                "c5b2666ddaaf7519416d8dc2f0cb147ae301f127b9d607362d1cc9b5a27577c4",
                 "20fefb939b37e67d42ac71cf67093aaf864317985691a9438c14db5fd7a37ba7"),
     "clut-90-kuka": ("d93012f8128bc4eb79a55ad624c7d51d016a6d4b06405a3a29ca199cb8c5d780",
-                     "98e0743567e6193bd4da4b365db01e69972fc5994b4d6a2842b3ac179eeef070",
+                     "cec855594f9bcf6e0f3e73c115c784e45ca008ef11882d899a51309bef393d2d",
                      "e04cfc9d81c462347b65405629001ca11eafdbf71f8713448d9f937bda22c99e"),
     "loc-45": ("f4bd27473e45d3163113b3575a6f22f551ff2091cf12d03234dafb7e7d655c8b",
-               "2e82b877ca6310de708b2ff7338702906af123f7647994c974f0ae50724f1848",
+               "b9cfc64c84c8ffb09d803134e0820e5508b7c827693767bf0dd9c67ac00bcb71",
                "8f1a3325be1c190947c605564131f3ca818f46f29444b7bf5aa575c47316f4dd"),
     "loc-67.5": ("91b0fe2dd551735e384be2652a0cf4ac39f774d3e8898715f74fdb38c3f8ddde",
-                 "59f73aa59fa5abd2a9e72daf95ce512ee4cdbc9f42f140ab218ca198fd64ef46",
+                 "283d26923d5ff2fbf5b82d3772a1b74cff61f301048c6c20c1441bf25da54393",
                  "453ecffa55bfd28a14e4cfdd9369457599bcb7332bc4c0461751de5dcfe6ae1e"),
     "loc-90": ("18fb70b1f0e8b48ecfefbed63a8aea4bc7f7accbec1c622333c0f98e05b8b83e",
-               "b4cba4d3c59379d4287e266bf33939ed02c341b47ec8dee5f64f398dbb11faad",
+               "d143c25a1920672ef4e4a816316c001223f480145824ca5f3dafedec17a03f6f",
                "3556b4af54e1c2aae914b2247c67c0c053af8ce5b9f09fac52e73db902661cdf"),
-    "nat-off": ("cd29931ecc152cea3e60322b58dd9ef1cfa35eb4bea1c536a259e0c419f94cac",
-                "60f0c0bf28011c6c1ad1882bf641fcb86ce5d3d4ffb26f275eb5cb65b74d6148",
+    "nat-off": ("19582dd92931bcac1a2d65999fdcb5190fbcfdb286f4d6706f5bffc8f3262081",
+                "f96f6f24df26b91f9ad0f72ce9766d4b062ad4f3db0a10c466e98aedbbf4058f",
                 "45ef86569f72f5df5a3321f9f746dc12c1ad338dc85a9f5daa27a6df270ca75d"),
-    "nat-on": ("fb852751f62b1cfca900a3ee5e32c15945b9972e81adbc29e487814b952249cc",
-               "18d0abf9a813aba7ba11e736c23fba2756404925e89d500ff318aa790d899e9d",
+    "nat-on": ("541dc0ba01e9b7fa86d8266b4932ccb796c5f58231fdd9f3445e4e2c5d0b53e5",
+               "41df21c952df51c858215b1acd8bd89c7627d579c0b4126f3a31af6ae678200c",
                "87a200ed13f2fb5270625be7c624964eea5079992c195bc18a0d1e6463fc716f"),
     "ref-45": ("40b9813a6e43add6dc268638f1aedac9e71889e0cb176a645d95f1aacfd8b2dd",
-               "e750c056098564848dbb77e7f8e7a3e4fb7e91e278611e00a02a2aeef894a6eb",
+               "287c0bbaeb5cd31cbabbbb17e0da4614f06dbe61121dddc14bb3b94e9db2348c",
                "91d22c4a66f0065b26d4f15322fd9aa4566ca360b73c540a79bc0ee82e1cb444"),
     "ref-45-kuka-reverse": ("17976c13a8f63aefb8ee5769b28ca9b16bccc745460d572162bfb2c1211b831f",
-                            "cbd828c0d32b10fda06f6800193d6781337258e3e169fcd2ebb735e04ad562cf",
+                            "fa066f988b192e97a3c7bbaa01b69ad6b90b73cc19587d59970a8ddd5b65dfca",
                             "fa2b466f7e5cd276f755485a8f6f19603ac6955f1f9e4c8181d3938161bd8d82"),
     "ref-67.5": ("88686e420f57ca8bf935e6bdde3d73bac3082b246755a6b51b21bda91b9aa5eb",
-                 "d83523940ab72134d00aa4da84ac0a703ad24df61f544770a99679c9eccf049d",
+                 "522f9207f3b0e24729485516ec54c465e91fdfba5193fb9857c61f2c73ca753a",
                  "8232a08ef0cc55fd1bcf9a2583c67448e39cf4b81918eb633414c8ac8375f2ff"),
     "ref-90": ("6f151ae383d1b250194805ce2a277fdddb8bdcb41639c0533e9a031a44ce87f6",
-               "bda153a4fd08b3f3b5950fed78249e5b539b183070b5511b461e32ee4fb0763b",
+               "24f44c21d8666bef3d5b9ca6eb1691691df9c673d301e93ca414783515470bd5",
                "70603e1061e5a77cef9d45a21baca80da16055694a8ec4591332022567b044b8"),
     "verb-push": ("be9e3b9aa5582e42cfcd0f22ad725ab6aba6a2e2fe43724991d817ecf0b18866",
-                  "25f51667ee106ab7b1b16c1f2f5b931161796fab37b339ea021bd7bd0a7c3b85",
+                  "7204b3d4c3f17fe32e57ba7d589a40873ca93a36a8ed96e9e9388ca744cc40db",
                   "8737ab89bfdb1300b3b62b9640318aa304e4e99c2cc85c258d4904f4318084d4"),
     "loc-90-n4000": ("95c237eab949074c0ed12f685e29df3d6a60519016441d9c622e834132a649c3",
-                     "7d1a03bfb66b0112af4f42521501d5d6bf676fd660eae46f9a1f44af7bf68abe"),
+                     "7ba1acf0cc58ac83526596cc7bd638a74f13245e71a8d65b01b5b95e5441364f"),
     "ref-67.5-n4000": ("76c3e10f1583d1208713cd2a0eea321d229d16f08089cab64ddac9bc62d5d964",
-                       "20cc242741eff18cde061e6b70a438cdf5ccae300dfe48b163e420c18fafc1cc"),
+                       "4262a3c3dd1d84573f6e245fc37278f29e000b233891e7bf12658051370cbb18"),
     "clut-67.5-n4000": ("566cd6ec89c15d06577db77a819dca4ff4ac0a3a25489eec089380682450958b",
-                        "b1eb0970a38bfee6bad685ae1cb96ad33f70eee7428a292ec4242378c34fb900"),
+                        "bdb89dfe8eb810021ae8057ac2a4f2ae82edb94b6f845fac2411bc1165ff5bc2"),
 }
 # name -> the size in bytes of the trials file of one set of `SWEEPS`
 SWEEP_TRIALS_SIZES = {
     "loc-90-n4000": 192373,
     "ref-67.5-n4000": 231660,
     "clut-67.5-n4000": 336649,
+}
+# name -> the size in bytes of the responses file of one set of `SWEEPS`
+SWEEP_RESPONSES_SIZES = {
+    "loc-90-n4000": 400478,
+    "ref-67.5-n4000": 390466,
+    "clut-67.5-n4000": 605434,
 }
 STATS_DIGESTS = {
     "chi2-table1": "a02128eeb4f4c3e22e260b0a5cf748e8835ff9aaced0c61da7700182b124aeb0",
@@ -236,6 +243,14 @@ def test_sweep_trials_sizes(name, tmp_path):
     trials = tmp_path / "t.jsonl"
     _invoke("gen", *SWEEPS[name], "--seed", SEED, "--out", str(trials))
     assert trials.stat().st_size == SWEEP_TRIALS_SIZES[name]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_responses_sizes(name, tmp_path):
+    trials, resp = tmp_path / "t.jsonl", tmp_path / "r.jsonl"
+    _invoke("gen", *SWEEPS[name], "--seed", SEED, "--out", str(trials))
+    _invoke("run", "--in", str(trials), "--out", str(resp))
+    assert resp.stat().st_size == SWEEP_RESPONSES_SIZES[name]
 
 
 @pytest.mark.parametrize("name", sorted(STATS_DIGESTS))

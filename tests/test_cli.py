@@ -15,8 +15,8 @@ from deixis.cli import MAX_N, main
 from deixis.errors import DeixisError
 
 HUGE = "1" + "0" * 400  # a count no float can hold
-# a responses header whose context shares nothing: a record holds every field
-RESPONSES_HEADER = '{"schema":"deixis-responses-2","count":%d,"id_prefix":"","context":{"meta":{}}}\n'
+# a responses header that shares nothing: a record holds every field
+RESPONSES_HEADER = '{"schema":"deixis-responses-3","count":%d,"id_prefix":"","shared":{}}\n'
 
 
 @pytest.fixture
@@ -35,6 +35,19 @@ def rewrite(path, line, edit):
         edit(obj)
         lines[line - 1] = json.dumps(obj)
     path.write_text("\n".join(lines) + "\n")
+
+
+def unshare(path, *fields):
+    """Move those of `fields` (every shared field when none are named) that
+    the header of `path` shares into each of its records, so that an edit
+    of a record replaces its own value: a record may not hold a shared
+    field."""
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    moved = {k: header["shared"].pop(k) for k in fields or list(header["shared"])
+             if k in header["shared"]}
+    path.write_text("\n".join([json.dumps(header)] + [
+        json.dumps({**moved, **json.loads(line)}) for line in lines[1:]]) + "\n")
 
 
 def gen(runner, tmp_path, *extra):
@@ -152,8 +165,8 @@ class TestRun:
         res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
         assert res.exit_code == 0
         assert "correct=8" in res.output
-        # the label every record shares is written once, in the context
-        assert json.loads(out.read_text().splitlines()[0])["context"]["predicted"] == "correct"
+        # the label every record shares is written once, in the header
+        assert json.loads(out.read_text().splitlines()[0])["shared"]["predicted"] == "correct"
         assert [r.predicted for r in corpus.load_responses(str(out))] == ["correct"] * 8
 
     def test_referential_pointing_beats_locating_at_every_cone(self, runner, tmp_path):
@@ -320,6 +333,7 @@ class TestRun:
         trials = tmp_path / "t.jsonl"
         assert runner.invoke(main, ["gen", "--condition", *flags,
                                     "--out", str(trials)]).exit_code == 0
+        unshare(trials, "shown")  # a referential set shares its shown mug
         rewrite(trials, line, edit)
         header, record = map(json.loads, trials.read_text().splitlines()[:2])
         first = header["id_prefix"] + record["id"]
@@ -329,6 +343,17 @@ class TestRun:
         assert isinstance(res.exception, SystemExit)
         assert res.output.startswith(f"Error: trial {first}: ")
         assert res.output.count("\n") == 1
+        assert not out.exists()
+
+    def test_a_header_sharing_what_a_record_holds_exits_1(self, runner, tmp_path):
+        # each locating record holds its own `shown`; a header that shares
+        # one too is refused at the first record, not dropped by a re-save
+        trials, out = gen(runner, tmp_path, "--variant", "locating"), tmp_path / "o.jsonl"
+        rewrite(trials, 1, lambda h: h.update(shared={"shown": 7}))
+        res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.output == (f"Error: {trials}:2: bad trial record: a record may not "
+                              "hold 'shown', which the header shares\n")
         assert not out.exists()
 
     def test_a_shown_entry_the_record_does_not_hold_exits_1(self, runner, tmp_path):
@@ -635,14 +660,19 @@ class TestPlot:
         ("run", '{"condition":"ref_vs_loc/locating/45deg/baxter","context":{},'
                 '"count":8,"id_prefix":"","schema":"deixis-trials-5","seed":7,'
                 '"shared":{"shown":{"type":"point"}}}'),
-        ("plot", '{"count":11,"schema":"deixis-responses-1"}')],
-        ids=["trials-1", "trials-2", "trials-3", "trials-4", "trials-5", "responses-1"])
+        ("plot", '{"count":11,"schema":"deixis-responses-1"}'),
+        ("plot", '{"context":{"human":null,"meta":{}},"count":11,"id_prefix":"",'
+                 '"schema":"deixis-responses-2"}')],
+        ids=["trials-1", "trials-2", "trials-3", "trials-4", "trials-5", "responses-1",
+             "responses-2"])
     def test_a_v1_file_is_an_unknown_schema(self, runner, tmp_path, command, header):
         # a retired schema of either file kind, which no code writes or reads:
         # the first of each, the trials schema whose ids held their prefix,
         # the one whose records each held their `shown`, the one that
-        # shared an object field only as a whole value and the one that
-        # wrapped each point in an object and tagged each `shown` with a type
+        # shared an object field only as a whole value, the one that
+        # wrapped each point in an object and tagged each `shown` with a
+        # type, and the responses schema that nested each record's
+        # explanation in a `meta` object, shared entry by entry
         old, out = tmp_path / "old.jsonl", tmp_path / "out"
         old.write_text(header + "\n")
         res = runner.invoke(main, [command, "--in", str(old), "--out", str(out)])
@@ -653,10 +683,10 @@ class TestPlot:
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
-        ("trial_id", "[1]"), ("predicted", '"bogus"'), ("human", "3"), ("meta", "[]")])
+        ("trial_id", "[1]"), ("predicted", '"bogus"'), ("human", "3"), ("probe", "[]")])
     def test_wrongly_typed_response_exit_1(self, runner, tmp_path, field, value):
         record = {"trial_id": '"t"', "predicted": '"correct"', "human": "null",
-                  "meta": '{"condition":"c","probe":[0.1,0.2]}'}
+                  "condition": '"c"', "probe": "[0.1,0.2]"}
         record[field] = value
         bad = tmp_path / "bad.jsonl"
         bad.write_text(RESPONSES_HEADER % 1 + "{"
@@ -672,8 +702,8 @@ class TestPlot:
     def test_non_numeric_delta_exit_1(self, runner, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(RESPONSES_HEADER % 2 + "".join(
-            '{"trial_id":"t%d","predicted":"correct","human":null,"meta":'
-            '{"condition":"c","probe":[0.1,0.2],"delta":%s,"separation":0.3}}\n'
+            '{"trial_id":"t%d","predicted":"correct","human":null,'
+            '"condition":"c","probe":[0.1,0.2],"delta":%s,"separation":0.3}\n'
             % (i, delta) for i, delta in enumerate(("0.05", '"x"'))))
         svg = tmp_path / "p.svg"
         res = runner.invoke(main, ["plot", "--in", str(bad), "--kind",
@@ -689,7 +719,7 @@ class TestPlot:
         bad = tmp_path / "bad.jsonl"
         bad.write_text(RESPONSES_HEADER % 1
                        + '{"trial_id":"t","predicted":"correct","human":null,'
-                       f'"meta":{{"condition":"c","probe":{probe}}}}}\n')
+                       f'"condition":"c","probe":{probe}}}\n')
         svg = tmp_path / "p.svg"
         res = runner.invoke(main, ["plot", "--in", str(bad), "--out", str(svg)])
         assert res.exit_code == 1
@@ -704,7 +734,7 @@ class TestPlot:
         bad = tmp_path / "bad.jsonl"
         bad.write_text(RESPONSES_HEADER % 2 + "".join(
             '{"trial_id":"t%d","predicted":"correct","human":null,'
-            '"meta":{"probe":%s}}\n' % (i, probe) for i, probe in enumerate(probes)))
+            '"probe":%s}\n' % (i, probe) for i, probe in enumerate(probes)))
         svg = tmp_path / "p.svg"
         res = runner.invoke(main, ["plot", "--in", str(bad), "--out", str(svg)])
         assert res.exit_code == 1
@@ -713,22 +743,24 @@ class TestPlot:
         assert res.output.count("\n") == 1
         assert not svg.exists()
 
+    # `context` in an id names the header's shared fields, and `meta` an
+    # entry of a record's explanation, written as a field of its own
     @pytest.mark.parametrize("line, edit", [
-        (1, lambda h: h.update(context=[])),
-        (1, lambda h: h["context"].pop("meta")),
-        (1, lambda h: h["context"].update(meta="x")),
-        (1, lambda h: h["context"].update(predicted="bogus")),
-        (1, lambda h: h["context"].update(human=3)),
+        (1, lambda h: h.update(shared=[])),
+        (1, lambda h: h.pop("shared")),
+        (1, lambda h: h["shared"].update(x_star="x")),
+        (1, lambda h: h["shared"].update(predicted="bogus")),
+        (1, lambda h: h["shared"].update(human=3)),
         (1, lambda h: h.pop("id_prefix")),
         (1, lambda h: h.update(id_prefix=3)),
-        (1, lambda h: h["context"]["meta"].update(theta=float("nan"))),
-        (1, lambda h: h["context"]["meta"].update(x_star=[float("inf"), 0.0])),
+        (1, lambda h: h["shared"].update(theta=float("nan"))),
+        (1, lambda h: h["shared"].update(x_star=[float("inf"), 0.0])),
         (3, lambda r: r.pop("trial_id")),
         (3, lambda r: r.pop("predicted")),
-        (3, lambda r: r.update(meta=[])),
-        (3, lambda r: r["meta"].update(distance="0.1")),
+        (3, lambda r: r.update(probe=[])),
+        (3, lambda r: r.update(distance="0.1")),
         (3, lambda r: r.clear() or r.update(trial_id="x")),
-        (3, lambda r: r["meta"].update(theta=int(HUGE))),
+        (3, lambda r: r.update(theta=int(HUGE))),
         (3, '{"a":' * 100_000),
     ], ids=["context-list", "context-no-meta", "context-meta-string",
             "context-label", "context-human", "no-id-prefix", "id-prefix-int",
@@ -742,6 +774,8 @@ class TestPlot:
             kind=harness.REF_VS_LOC, variant="locating",
             cone_vertex_angle=math.radians(45)), 8, 7)
         corpus.save_responses(harness.run(trials), str(bad))
+        if line > 1:
+            unshare(bad)  # so that a record edit replaces a value of its own
         rewrite(bad, line, edit)
         svg = tmp_path / "p.svg"
         res = runner.invoke(main, ["plot", "--in", str(bad), "--out", str(svg)])
@@ -1024,6 +1058,7 @@ class TestStreamedWrites:
         res = runner.invoke(main, ["gen", *SWEEP_FLAGS["ref-67.5"], "--n", "400",
                                    "--out", str(trials)])
         assert res.exit_code == 0, res.output
+        unshare(trials, "shown")
         rewrite(trials, 301, lambda r: r.update(shown=[0.0, 0.0]))
         out = tmp_path / "r.jsonl"
         res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])

@@ -131,7 +131,7 @@ class TestTrialsV2:
          '{"id":"1","objects":[[0.513283397,0.0],[-0.808984873,0.0]],"shown":"mug_object"}'),
         (make_trials(n=4, seed=1), {"shown": "mug"}, 3,
          '{"id":"1","objects":[[0.0549682306,0.57876332],null]}'),
-        (harness.generate_trials(Condition(kind=harness.NATURAL), 3, 1), {"shown": {}}, 3,
+        (harness.generate_trials(Condition(kind=harness.NATURAL), 3, 1), {}, 3,
          '{"id":"edge","shown":{"label":"edge","position":[0.102,0.0]}}')],
         ids=["locating", "cluttered", "referential", "natural"])
     def test_the_record_text_of_each_kind(self, tmp_path, tset, shared, line, text):
@@ -330,24 +330,73 @@ class TestResponsesV2:
         records = locating_records()
         corpus.save_responses(records, str(p))
         header = json.loads(p.read_text().splitlines()[0])
-        assert header["schema"] == "deixis-responses-2"
+        assert header["schema"] == "deixis-responses-3"
         assert header["id_prefix"] == "ref_vs_loc-locating-45deg-baxter-00"
-        assert header["context"] == {
-            "human": None, "meta": {"condition": "ref_vs_loc/locating/45deg/baxter",
-                                    "path": "stable", "theta": 0.0,
-                                    "x_star": [-0.2, -0.15]}}
+        assert header["shared"] == {
+            "condition": "ref_vs_loc/locating/45deg/baxter", "human": None,
+            "path": "stable", "theta": 0.0, "x_star": [-0.2, -0.15]}
         recs = records_of(p)
         assert [r["trial_id"] for r in recs] == [str(i) for i in range(8)]
-        assert all(set(r) == {"trial_id", "predicted", "meta"}
-                   and set(r["meta"]) == {"distance", "probe"} for r in recs)
+        assert all(set(r) == {"trial_id", "predicted", "distance", "probe"} for r in recs)
+
+    @pytest.mark.parametrize("records, header, text", [
+        (harness.run(make_trials(n=4, seed=1, variant=LOCATING)),
+         '{"count":4,"id_prefix":"ref_vs_loc-locating-67.5deg-baxter-00",'
+         '"schema":"deixis-responses-3","shared":{"condition":'
+         '"ref_vs_loc/locating/67.5deg/baxter","human":null,"path":"stable",'
+         '"predicted":"incorrect","theta":0.0,"x_star":[-0.2,-0.15]}}',
+         '{"distance":0.49884545,"probe":[0.0549682306,0.27876332],"trial_id":"1"}'),
+        (harness.run(make_trials(n=4, seed=1)),
+         '{"count":4,"id_prefix":"ref_vs_loc-referential-67.5deg-baxter-00",'
+         '"schema":"deixis-responses-3","shared":{"condition":'
+         '"ref_vs_loc/referential/67.5deg/baxter","human":null,"path":"discrete",'
+         '"predicted":"correct","x_star":[-0.2,0.15]}}',
+         '{"distance":0.49884545,"probe":[0.0549682306,0.57876332],'
+         '"theta":0.49884545,"trial_id":"1"}'),
+        (harness.run(cluttered_trials()),
+         '{"count":8,"id_prefix":"cluttered-67.5deg-baxter-00",'
+         '"schema":"deixis-responses-3","shared":{"condition":"cluttered/67.5deg/baxter",'
+         '"human":null,"path":"cluttered","separation":1.32226827,'
+         '"x_star":[4.43401538e-10,0.0]}}',
+         '{"d_far":0.808984873,"d_near":0.513283397,"delta":0.295701477,'
+         '"predicted":"nearer","probe":[0.513283397,0.0],"trial_id":"1"}'),
+        (harness.run(harness.generate_trials(Condition(kind=harness.NATURAL), 3, 1)),
+         '{"count":3,"id_prefix":"natural_vs_unnatural-baxter-gravity-on-",'
+         '"schema":"deixis-responses-3","shared":{"condition":'
+         '"natural_vs_unnatural/baxter/gravity-on","human":null,"path":"enumerated",'
+         '"theta":0.0025,"x_star":[0.102,0.0]}}',
+         '{"config":"edge","predicted":"incorrect","probe":[0.102,0.0],"trial_id":"edge"}')],
+        ids=["locating", "referential", "cluttered", "natural"])
+    def test_the_header_and_record_text_of_each_kind(self, tmp_path, records, header, text):
+        # each meta entry is a field of the record's own, shared as a whole
+        # value when its JSON text is the same in every record
+        p = tmp_path / "r.jsonl"
+        corpus.save_responses(records, str(p))
+        lines = p.read_text().splitlines()
+        assert lines[0] == header
+        assert lines[2] == text
+
+    def test_a_meta_entry_named_as_a_record_field_is_refused(self, tmp_path, monkeypatch):
+        # it would be written beside the record's own field of that name;
+        # the writer refuses it before the output or the spool holds anything
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # the spool's directory
+        out = tmp_path / "r.jsonl"
+        for name in ("trial_id", "predicted", "human"):
+            records = locating_records(n=4)
+            records[2].meta[name] = "x"
+            with pytest.raises(ValueError, match=rf"^trial {records[2].trial_id}: meta "
+                                                 rf"entry '{name}' has the name of a "
+                                                 "record field$"):
+                corpus.save_responses(records, str(out))
+            assert list(tmp_path.iterdir()) == []
 
     def test_all_equal_label_and_varying_human(self, tmp_path):
         p = tmp_path / "h.jsonl"
         records = with_human(harness.run(make_trials(n=4)), ["a", None, "a", "a"])
         assert {r.predicted for r in records} == {"correct"}
         corpus.save_responses(records, str(p))
-        context = json.loads(p.read_text().splitlines()[0])["context"]
-        assert context["predicted"] == "correct" and "human" not in context
+        shared = json.loads(p.read_text().splitlines()[0])["shared"]
+        assert shared["predicted"] == "correct" and "human" not in shared
         assert [r.get("human", "absent") for r in records_of(p)] == ["a", None, "a", "a"]
 
     def test_loaded_records_share_the_context_values(self, tmp_path):
@@ -363,7 +412,7 @@ class TestResponsesV2:
         records[2].meta["theta"] = 0
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         corpus.save_responses(records, str(p1))
-        assert "theta" not in json.loads(p1.read_text().splitlines()[0])["context"]["meta"]
+        assert "theta" not in json.loads(p1.read_text().splitlines()[0])["shared"]
         loaded = held(corpus.load_responses(str(p1)))
         assert [corpus._ENCODER.encode(r.meta["theta"]) for r in loaded] == \
                ["0.0", "-0.0", "0", "0.0"]
@@ -385,22 +434,19 @@ class TestResponsesV2:
 
 class TestSharedFields:
     """One rule for both kinds: a field whose JSON text is the same in every
-    record, or such an entry of a field that is an object in every record,
-    such as `meta` or a natural set's `shown`, is written once in the header
-    and left out of the records; the reader merges it back, a record's own
-    value first."""
+    record is written once in the header, as a whole value, and left out of
+    the records; the reader merges it back, and a record may not hold it
+    too."""
 
     @pytest.mark.parametrize("tset, shared, own", [
         (make_trials(), {"shown": "mug"}, None),
         (make_trials(variant=LOCATING), {}, list),
         (cluttered_trials(), {}, str),
-        (harness.generate_trials(Condition(kind=harness.NATURAL), 3, 7),
-         {"shown": {}}, dict)],
+        (harness.generate_trials(Condition(kind=harness.NATURAL), 3, 7), {}, dict)],
         ids=["referential", "locating", "cluttered", "natural"])
     def test_a_record_holds_only_its_own_shown_entries(self, tmp_path, tset, shared, own):
-        # an object id or a point is shared only as a whole value, and a
-        # natural configuration entry by entry: no label or position is
-        # the same in every natural trial
+        # an object id, a point or a natural configuration is shared only as
+        # a whole value: no two natural trials show the same configuration
         p = tmp_path / "t.jsonl"
         corpus.save_trials(tset, str(p), seed=7)
         assert json.loads(p.read_text().splitlines()[0])["shared"] == shared
@@ -422,12 +468,20 @@ class TestSharedFields:
     def test_a_records_shown_entry_wins_over_the_headers(self, tmp_path, tset, edit,
                                                          shown):
         # the second record's `shown` becomes `edit` of the one it showed,
-        # of another JSON type or, in a referential set, another id than the
-        # header's; what loads from it writes and loads again byte for byte
+        # of another JSON type or, in a referential set, another id.  Where
+        # the header shares `shown`, the edited record is refused until the
+        # shared value is written into every other record; what loads then
+        # writes and loads again byte for byte
         p1, p2, p3 = (tmp_path / f"{n}.jsonl" for n in "abc")
         corpus.save_trials(tset, str(p1), seed=7)
         shared = json.loads(p1.read_text().splitlines()[0])["shared"]
         rewrite_line(p1, 3, lambda rec: rec.update(shown=edit({**shared, **rec}["shown"])))
+        if "shown" in shared:
+            with pytest.raises(DeixisError, match=rf"^{re.escape(str(p1))}:3: bad trial "
+                                                  "record: a record may not hold 'shown', "
+                                                  "which the header shares$"):
+                held(corpus.load_trials(str(p1)))
+            unshare(p1, "shown")
         loaded = held(corpus.load_trials(str(p1)))
         expected = [t.shown for t in tset.trials]
         expected[1] = shown(expected[1])
@@ -462,29 +516,39 @@ class TestSharedFields:
         assert records_of(t) == [{"id": ""}] and records_of(r) == [{"trial_id": ""}]
         header = json.loads(t.read_text().splitlines()[0])
         assert set(header["shared"]) == {"shown", "objects"}
-        context = json.loads(r.read_text().splitlines()[0])["context"]
-        assert set(context) == {"predicted", "human", "meta"}
-        assert context["meta"].keys() == records[0].meta.keys()
+        shared = json.loads(r.read_text().splitlines()[0])["shared"]
+        assert shared.keys() == {"predicted", "human", *records[0].meta}
         assert held(corpus.load_trials(str(t))).trials == tuple(trials.trials)
         assert same_records(held(corpus.load_responses(str(r))), records)
 
-    def test_a_record_that_repeats_a_shared_field_wins(self, tmp_path):
+    def test_a_record_that_repeats_a_shared_field_is_refused(self, tmp_path):
+        # a field is in the header or in the record, never both, so a
+        # re-save never drops a value; the edited value loads once the
+        # shared one is written into every other record instead
         t, r = tmp_path / "t.jsonl", tmp_path / "r.jsonl"
         corpus.save_trials(make_trials(n=4), str(t), seed=7)
         rewrite_line(t, 3, lambda rec: rec.update(shown="red_cube"))
+        with pytest.raises(DeixisError, match=rf"^{re.escape(str(t))}:3: bad trial record: "
+                                              "a record may not hold 'shown', which the "
+                                              "header shares$"):
+            held(corpus.load_trials(str(t)))
+        unshare(t, "shown")
         assert [tr.shown for tr in corpus.load_trials(str(t)).trials] == \
                ["mug", "red_cube", "mug", "mug"]
         records = locating_records(n=4)
         corpus.save_responses(records, str(r))
-        context = json.loads(r.read_text().splitlines()[0])["context"]
-        assert context["human"] is None and "x_star" in context["meta"]
-        rewrite_line(r, 3, lambda rec: (rec.update(human="a"),
-                                        rec["meta"].update(x_star=[0.5, 0.25])))
+        shared = json.loads(r.read_text().splitlines()[0])["shared"]
+        assert shared["human"] is None and "x_star" in shared
+        rewrite_line(r, 3, lambda rec: rec.update(human="a", x_star=[0.5, 0.25]))
+        with pytest.raises(DeixisError, match=rf"^{re.escape(str(r))}:3: bad response "
+                                              "record: a record may not hold 'human', "
+                                              "'x_star', which the header shares$"):
+            held(corpus.load_responses(str(r)))
+        unshare(r, "human", "x_star")
         loaded = held(corpus.load_responses(str(r)))
         assert [rec.human for rec in loaded] == [None, "a", None, None]
         assert [rec.meta["x_star"] for rec in loaded] == \
                [(-0.2, -0.15), (0.5, 0.25), (-0.2, -0.15), (-0.2, -0.15)]
-        # the record's meta entries merge one at a time over the shared ones
         assert loaded[1].meta.keys() == records[1].meta.keys()
 
     @pytest.mark.parametrize("shared", [
@@ -509,15 +573,15 @@ class TestSharedFields:
                                    f"only shown and objects, got {got!r}")
 
     def test_a_shared_response_id_is_a_bad_header(self, tmp_path):
-        # as in a trials file, every record holds its own id: a context
+        # as in a trials file, every record holds its own id: a shared
         # `trial_id` would give each record that lacks one the same id
         p = tmp_path / "r.jsonl"
-        p.write_text('{"schema":"deixis-responses-2","count":2,"id_prefix":"t",'
-                     '"context":{"trial_id":"7","predicted":"correct","human":null,'
-                     '"meta":{}}}\n{}\n{}\n')
+        p.write_text('{"schema":"deixis-responses-3","count":2,"id_prefix":"t",'
+                     '"shared":{"trial_id":"7","predicted":"correct","human":null}}'
+                     '\n{}\n{}\n')
         with pytest.raises(DeixisError) as info:
             corpus.load_responses(str(p))
-        assert str(info.value) == (f"{p}:1: bad header: context holds trial_id; "
+        assert str(info.value) == (f"{p}:1: bad header: shared holds trial_id; "
                                    "each record holds its own")
 
     def test_a_trials_3_file_is_an_unknown_schema(self, tmp_path):
@@ -537,17 +601,19 @@ class TestSharedFields:
 
 
 def test_odd_meta_keys_and_values_round_trip(tmp_path):
-    # meta keys and values holding % and NUL: each line is written as the
-    # encoder writes it, and the file round-trips byte for byte
+    # meta keys and values holding % and NUL, each a field of the record's
+    # own: each line is written as the encoder writes it, and the file
+    # round-trips byte for byte
     records = [ResponseRecord(f"r{i}", "correct", meta={
         "100%": float(i), "a\0b": f"x%s\0{i}", "%(k)s": [i, "%%"], "same%": "%"})
         for i in range(3)]
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     corpus.save_responses(records, str(p1))
     lines = p1.read_text().splitlines()
-    assert json.loads(lines[0])["context"]["meta"] == {"same%": "%"}
+    assert json.loads(lines[0])["shared"] == {"human": None, "predicted": "correct",
+                                              "same%": "%"}
     assert [json.loads(line) for line in lines[1:]] == [
-        {"trial_id": str(i), "meta": {"100%": float(i), "a\0b": f"x%s\0{i}", "%(k)s": [i, "%%"]}}
+        {"trial_id": str(i), "100%": float(i), "a\0b": f"x%s\0{i}", "%(k)s": [i, "%%"]}
         for i in range(3)]
     assert lines[1] == corpus._ENCODER.encode(json.loads(lines[1]))
     loaded = held(corpus.load_responses(str(p1)))
@@ -563,6 +629,18 @@ def rewrite_line(path, number, edit):
     edit(obj)
     lines[number - 1] = json.dumps(obj)
     path.write_text("\n".join(lines) + "\n")
+
+
+def unshare(path, *fields):
+    """Move those of `fields` (every shared field when none are named) that
+    the header of `path` shares into each of its records that does not hold
+    its own, as the writer writes a field whose value differs in one record."""
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    moved = {k: header["shared"].pop(k) for k in fields or list(header["shared"])
+             if k in header["shared"]}
+    path.write_text("\n".join([json.dumps(header)] + [
+        json.dumps({**moved, **json.loads(line)}) for line in lines[1:]]) + "\n")
 
 
 class TestSame:
@@ -629,9 +707,9 @@ def _path_id(param):
     return "/".join(map(str, param)) if isinstance(param, tuple) else repr(param)
 
 class TestSchemaErrors:
-    # a responses header for one record whose context shares nothing
-    HEADER = ('{"schema":"deixis-responses-2","count":1,"id_prefix":"",'
-              '"context":{"meta":{}}}\n')
+    # a responses header for one record that shares nothing
+    HEADER = ('{"schema":"deixis-responses-3","count":1,"id_prefix":"",'
+              '"shared":{}}\n')
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.jsonl"
@@ -686,13 +764,13 @@ class TestSchemaErrors:
 
     @pytest.mark.parametrize("lists", [30, 31])
     def test_nesting_up_to_the_limit_loads(self, tmp_path, lists):
-        # the record and its meta are two levels
+        # the record and its object entry `k` are two levels
         p = tmp_path / "n.jsonl"
         p.write_text(self.HEADER + '{"trial_id":"x","predicted":"correct","human":null,'
-                     '"meta":{"k":%s}}\n' % ("[" * lists + "]" * lists))
+                     '"k":{"k":%s}}\n' % ("[" * lists + "]" * lists))
         if lists + 2 <= corpus.MAX_NESTING:
             [record] = corpus.load_responses(str(p))
-            assert record.meta["k"] == json.loads("[" * lists + "]" * lists)
+            assert record.meta["k"] == {"k": json.loads("[" * lists + "]" * lists)}
         else:
             with pytest.raises(DeixisError, match=r"n\.jsonl:2: malformed record: "
                                                   r"nested deeper than 32 levels$"):
@@ -871,14 +949,15 @@ class TestSchemaErrors:
         ids=_path_id)
     def test_wrongly_typed_record_field(self, tmp_path, path, value):
         # the second record of a referential set, or of a natural one for an
-        # entry of `shown`; it repeats the header's shared `shown`, and its
-        # own value wins
+        # entry of `shown`; the set's shared `shown` is written into every
+        # record first, so the edit replaces the record's own value
         p = tmp_path / "r.jsonl"
         natural = len(path) == 2 and path[0] == "shown"
         corpus.save_trials(harness.generate_trials(Condition(kind=harness.NATURAL), 3, 7)
                            if natural else make_trials(n=4), str(p), seed=7)
+        unshare(p)
         lines = p.read_text().splitlines()
-        rec = {**json.loads(lines[0])["shared"], **json.loads(lines[2])}
+        rec = json.loads(lines[2])
         _set(rec, path, value)
         lines[2] = json.dumps(rec)
         p.write_text("\n".join(lines) + "\n")
@@ -917,17 +996,23 @@ class TestSchemaErrors:
 
     @pytest.mark.parametrize("field, value", [
         ("trial_id", [1]), ("trial_id", None), ("predicted", "farther"),
-        ("predicted", None), ("human", 3), ("human", ["a"]), ("meta", []),
-        ("meta", "probe")] + [
+        ("predicted", None), ("human", 3), ("human", ["a"]),
+        ("meta", {"probe": [0.1]}), ("meta", {"x_star": "x"})] + [
         ("meta", {key: value}) for key in ("theta", "distance", "d_near", "d_far",
                                            "delta", "separation")
         for value in ("0.1", True, math.nan)], ids=_path_id)
     def test_wrongly_typed_response_field(self, tmp_path, field, value):
+        # a `meta` entry is a field of the record's own; every field is
+        # written into the records first, so an edit replaces a record's value
         p = tmp_path / "w.jsonl"
         corpus.save_responses(harness.run(make_trials(n=4)), str(p))
+        unshare(p)
         lines = p.read_text().splitlines()
         rec = json.loads(lines[3])
-        rec[field] = value
+        if field == "meta":
+            rec.update(value)
+        else:
+            rec[field] = value
         lines[3] = json.dumps(rec)
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(DeixisError, match=r"w\.jsonl:4: bad response record"):
@@ -1018,7 +1103,7 @@ class TestStreamedReads:
         load = corpus.load_trials if kind == "trials" else corpus.load_responses
         lines = sweep_files[kind].read_bytes().split(b"\n", 1)
         bad = tmp_path / "bad.jsonl"
-        bad.write_bytes(lines[0].replace(b'"context":{', b'"context":[{', 1) + b"\n" + lines[1])
+        bad.write_bytes(lines[0].replace(b'"shared":{', b'"shared":[{', 1) + b"\n" + lines[1])
         with pytest.raises(DeixisError, match=f"^{re.escape(str(bad))}:1: "):
             load(str(bad))
 
