@@ -41,15 +41,16 @@ before its first record (`output_mode`) and written through `writing`, so
 a failure at any point, and a kill before the last record, leaves the
 output as it was.
 
-Trials (schema `deixis-trials-6`): a file holds one `harness.TrialSet`, one
+Trials (schema `deixis-trials-7`): a file holds one `harness.TrialSet`, one
 condition and pointing act in one scene whose objects a trial may move.
-The header holds `schema`, `count`, `seed` (null or a non-negative
-integer), `id_prefix`, the descriptor of the context's condition, a
-`context` object (the set's `condition`, `act`, `surface`, `gravity` and
-`objects`) and `shared`, the shared fields.  A record holds a trial's own
-parts, each as a bare JSON value: `id`; `shown`, an object's id
-(`"mug_object"`), a point (`[u, v]`) or a natural configuration
-(`{"label", "position"}`), the JSON type telling them apart; and, when the
+The header holds exactly `schema`, `count`, `seed` (null or a
+non-negative integer), `id_prefix`, a `context` object (the set's
+`condition`, `act`, `surface` and `objects`, each holding exactly its
+fields) and `shared`, the shared fields (`_fields`).  The scene's gravity
+is the condition's, so the writer refuses a set whose scene has the
+other.  A record holds a trial's own parts, each as a bare JSON value:
+`id`; `shown`, an object's id (`"mug_object"`) or a point (`[u, v]`), a
+natural trial's included, the JSON type telling them apart; and, when the
 trial moves any, `objects`, one entry per context object, null when the
 object stands where the context's does (`_same`), else its `[u, v]`.  The
 writer refuses a trial whose scene differs from the set's in more.
@@ -64,16 +65,16 @@ referential trial shows the same mug, so its `shown`, `"mug"`, is shared
 as a whole value, and a locating or cluttered record keeps its own point
 or object id.
 
-Responses (schema `deixis-responses-3`): the header holds `schema`,
-`count`, `id_prefix` and `shared`, the shared fields, never `trial_id`.  A
-record holds `trial_id`, `predicted`, `human` and each `meta` entry as a
-field of its own, so the writer refuses a `meta` entry of one of those
-three names; the reader makes every other field an entry of `meta`.  In
-the paper's sets the condition, `x_star` and `path` are shared.  On the
-n=4000 sweeps that is 98-151 B per trial.  Records are written as
-`harness.predict` makes them: every float in `meta` is already quantized,
-so records are encoded without another pass.  Loaded records share the
-header's values.
+Responses (schema `deixis-responses-3`): the header holds exactly
+`schema`, `count`, `id_prefix` and `shared`, the shared fields, never
+`trial_id`.  A record holds `trial_id`, `predicted`, `human` and each
+`meta` entry as a field of its own, so the writer refuses a `meta` entry
+of one of those three names; the reader makes every other field an entry
+of `meta`.  In the paper's sets the condition, `x_star` and `path` are
+shared.  On the n=4000 sweeps that is 98-151 B per trial.  Records are
+written as `harness.predict` makes them: every float in `meta` is already
+quantized, so records are encoded without another pass.  Loaded records
+share the header's values.
 """
 from __future__ import annotations
 
@@ -92,15 +93,14 @@ from typing import Any, TextIO
 
 from .errors import DeixisError
 from .geometry import Plane, Point3, Ray, SurfacePoint, unit
-from .harness import (LABELS, Condition, ResponseRecord, ShownConfig, Trial,
-                      Trials, TrialSet, _q, make_trial)
+from .harness import (LABELS, Condition, ResponseRecord, Trial, Trials,
+                      TrialSet, _q, make_trial)
 from .resolver import PointingAct
-from .scene import Pose2D, Scene, SceneObject, Shape, TABLE
+from .scene import Pose2D, Scene, SceneObject, Shape
 from .stats import ContingencyTable
 
-TRIALS_SCHEMA = "deixis-trials-6"
+TRIALS_SCHEMA = "deixis-trials-7"
 RESPONSES_SCHEMA = "deixis-responses-3"
-_RECORD_FIELDS = {"id", "shown", "objects"}  # of a deixis-trials-6 record
 _RESPONSE_FIELDS = frozenset({"trial_id", "predicted", "human"})  # the rest is `meta`
 MAX_NESTING = 32  # levels of arrays and objects in a line; corpus lines use 5
 _STRING = re.compile(r'"(?:[^"\\]|\\.)*"?')  # a JSON string, or one cut short
@@ -168,6 +168,22 @@ def _nums(value: Any, n: int) -> tuple[float, ...]:
     raise ValueError(f"expected {n} finite numbers, got {value!r}")
 
 
+def _fields(value: Any, what: str, names: tuple[str, ...],
+            optional: tuple[str, ...] = ()) -> dict:
+    """`value` once it is an object holding each field of `names`, any of
+    `optional` and no other; the error names `what` and its fields."""
+    if type(value) is not dict:
+        raise TypeError(f"{what} must be an object, got {value!r}")
+    extra = value.keys() - {*names, *optional}
+    missing = [k for k in names if k not in value]
+    if extra or missing:
+        *init, last = names + optional
+        raise ValueError(f"{'unexpected' if extra else 'missing'} field "
+                         f"{', '.join(map(repr, sorted(extra) or missing))}; {what} "
+                         f"holds only {', '.join(init)} and {last}")
+    return value
+
+
 def _condition_to_json(c: Condition) -> dict:
     return {"kind": c.kind, "variant": c.variant, "robot": c.robot,
             "speech": c.speech, "reverse": c.reverse,
@@ -176,7 +192,9 @@ def _condition_to_json(c: Condition) -> dict:
             "gravity": c.gravity, "verb": c.verb}
 
 
-def _condition_from_json(d: dict) -> Condition:
+def _condition_from_json(d: Any) -> Condition:
+    _fields(d, "a condition", ("kind", "variant", "robot", "speech", "reverse",
+                               "cone_deg", "gravity", "verb"))
     return Condition(kind=_str(d["kind"]), variant=_str(d["variant"]),
                      robot=_str(d["robot"]), speech=_bool(d["speech"]),
                      reverse=_bool(d["reverse"]),
@@ -191,7 +209,8 @@ def _surface_to_json(p: Plane) -> dict:
             "axis_v": list(p.axis_v), "extent": list(p.extent)}
 
 
-def _surface_from_json(d: dict) -> Plane:
+def _surface_from_json(d: Any) -> Plane:
+    _fields(d, "a surface", ("anchor", "normal", "axis_u", "axis_v", "extent"))
     return Plane(anchor=Point3(*_nums(d["anchor"], 3)),
                  normal=_nums(d["normal"], 3), axis_u=_nums(d["axis_u"], 3),
                  axis_v=_nums(d["axis_v"], 3), extent=_nums(d["extent"], 2))
@@ -206,7 +225,9 @@ def _object_to_json(o: SceneObject) -> dict:
             "yaw_deg": math.degrees(o.pose.yaw), "support": o.support}
 
 
-def _object_from_json(d: dict) -> SceneObject:
+def _object_from_json(d: Any) -> SceneObject:
+    _fields(d, "an object", ("id", "kind", "height", "radius", "half_extents",
+                             "position", "yaw_deg", "support"))
     radius, half = d["radius"], d["half_extents"]
     return SceneObject(id=_str(d["id"]),
                        shape=Shape(kind=_str(d["kind"]), height=_num(d["height"]),
@@ -215,7 +236,7 @@ def _object_from_json(d: dict) -> SceneObject:
                                    else _nums(half, 2)),
                        pose=Pose2D(SurfacePoint(*_nums(d["position"], 2)),
                                    yaw=math.radians(_num(d["yaw_deg"]))),
-                       support=_str(d.get("support", TABLE)))
+                       support=_str(d["support"]))
 
 
 def _act_to_json(act: PointingAct) -> dict:
@@ -224,7 +245,8 @@ def _act_to_json(act: PointingAct) -> dict:
             "target": [act.target.u, act.target.v]}
 
 
-def _act_from_json(d: dict) -> PointingAct:
+def _act_from_json(d: Any) -> PointingAct:
+    _fields(d, "an act", ("origin", "direction", "intent", "target"))
     # directions are quantized on disk; `unit` renormalizes them as the
     # generator does, so loaded trials equal freshly generated ones
     ray = Ray(Point3(*_nums(d["origin"], 3)), unit(_nums(d["direction"], 3)))
@@ -236,25 +258,18 @@ def _uv(p: SurfacePoint) -> list:
     return [_q(c) if isinstance(c, float) else c for c in (p.u, p.v)]
 
 
-def _shown_to_json(shown: str | SurfacePoint | ShownConfig) -> str | list | dict:
-    """A shown object as its id, a point as `[u, v]`, a configuration as
-    `{"label", "position"}`: the JSON type tells them apart."""
-    if isinstance(shown, str):
-        return shown
-    if isinstance(shown, SurfacePoint):
-        return _uv(shown)
-    return {"label": shown.label, "position": _uv(shown.position)}
+def _shown_to_json(shown: str | SurfacePoint) -> str | list:
+    """A shown object as its id, a point as `[u, v]`: the JSON type tells
+    them apart."""
+    return shown if isinstance(shown, str) else _uv(shown)
 
 
-def _shown_from_json(value: Any) -> str | SurfacePoint | ShownConfig:
+def _shown_from_json(value: Any) -> str | SurfacePoint:
     if type(value) is str:
         return value
     if _is_nums(value, 2):
         return SurfacePoint(*value)
-    if type(value) is dict and value.keys() == {"label", "position"}:
-        return ShownConfig(_str(value["label"]), SurfacePoint(*_nums(value["position"], 2)))
-    raise ValueError("shown must be an object id, 2 finite numbers or an object "
-                     f"holding only label and position, got {value!r}")
+    raise ValueError(f"shown must be an object id or 2 finite numbers, got {value!r}")
 
 
 def _context(condition: Condition, act: PointingAct, scene: Scene) -> dict:
@@ -262,7 +277,6 @@ def _context(condition: Condition, act: PointingAct, scene: Scene) -> dict:
     return _quantize({"condition": _condition_to_json(condition),
                       "act": _act_to_json(act),
                       "surface": _surface_to_json(scene.surface),
-                      "gravity": scene.gravity,
                       "objects": [_object_to_json(o) for o in scene.objects]})
 
 
@@ -273,12 +287,16 @@ def _position(o: SceneObject, od0: dict) -> list | None:
     return None if _same(p, od0["position"]) else p
 
 
-def _parts(d: dict) -> tuple[Condition, Scene, PointingAct]:
-    """Condition, scene and act of a context."""
-    return (_condition_from_json(d["condition"]),
+def _parts(d: Any) -> tuple[Condition, Scene, PointingAct]:
+    """Condition, scene and act of a context, whose scene takes the
+    condition's gravity; the context and each object in it hold exactly
+    their fields."""
+    _fields(d, "a context", ("condition", "act", "surface", "objects"))
+    condition = _condition_from_json(d["condition"])
+    return (condition,
             Scene(_surface_from_json(d["surface"]),
                   tuple(_object_from_json(od) for od in d["objects"]),
-                  gravity=_bool(d["gravity"])),
+                  gravity=condition.gravity),
             _act_from_json(d["act"]))
 
 
@@ -286,10 +304,7 @@ def _case(rec: dict, scene: Scene, prefix: str) -> tuple:
     """A trials record as a `TrialSet` case: its id, `prefix` and the
     record's `id`, the context objects it moves (None when it moves none)
     and its shown outcome."""
-    if not rec.keys() <= _RECORD_FIELDS:
-        extra = ", ".join(map(repr, sorted(rec.keys() - _RECORD_FIELDS)))
-        raise ValueError(f"unexpected field {extra}; a record holds "
-                         "only id, shown and objects")
+    _fields(rec, "a record", ("id", "shown"), ("objects",))
     positions = {}
     if "objects" in rec:
         objects = rec["objects"]
@@ -539,6 +554,8 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
     count = len(tset.trials)
     if not count:
         raise DeixisError("a trial set holds at least one trial")
+    if tset.scene.gravity != tset.condition.gravity:
+        raise DeixisError("a trial set's scene takes its condition's gravity")
     ctx = _context(tset.condition, tset.act, tset.scene)
 
     def row(t: Trial) -> tuple[str, dict]:
@@ -557,8 +574,7 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
         if written != count:
             raise DeixisError(f"a set of {count} trials gave {written}")
         return {"schema": TRIALS_SCHEMA, "count": count, "seed": seed,
-                "id_prefix": prefix, "condition": tset.condition.descriptor(),
-                "context": ctx, "shared": shared}
+                "id_prefix": prefix, "context": ctx, "shared": shared}
 
     _spool(path, map(row, tset.trials), "id", header)
 
@@ -574,29 +590,21 @@ def load_trials(path: str) -> TrialSet:
     if first is None:
         raise DeixisError(f"{path}:1: no trial records; a trials file holds "
                           "one trial set of at least one trial")
-    ctx = header.get("context")
     try:
-        if not isinstance(ctx, dict):
-            raise TypeError(f"context must be an object, got {ctx!r}")
-        condition, scene, act = _parts(ctx)
+        _fields(header, "a trials header",
+                ("schema", "count", "seed", "id_prefix", "context", "shared"))
+        seed, prefix, shared = header["seed"], header["id_prefix"], header["shared"]
+        if seed is not None and (type(seed) is not int or seed < 0):
+            raise ValueError(f"seed must be null or a non-negative integer, got {seed!r}")
+        if type(prefix) is not str:
+            raise TypeError(f"id_prefix must be a string, got {prefix!r}")
+        _fields(shared, "shared", (), ("shown", "objects"))
+    except (TypeError, ValueError) as exc:
+        raise DeixisError(f"{path}:1: bad header: {exc}") from exc
+    try:
+        condition, scene, act = _parts(header["context"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DeixisError(f"{path}:1: bad context: {exc}") from exc
-    descriptor, seed, prefix, shared = map(header.get,
-                                           ("condition", "seed", "id_prefix", "shared"))
-    if descriptor != condition.descriptor():
-        why = f"condition {descriptor!r} is not the context's {condition.descriptor()!r}"
-    elif "seed" not in header:
-        why = "no seed; it must be null or a non-negative integer"
-    elif seed is not None and (type(seed) is not int or seed < 0):
-        why = f"seed must be null or a non-negative integer, got {seed!r}"
-    elif type(prefix) is not str:
-        why = f"id_prefix must be a string, got {prefix!r}"
-    elif type(shared) is not dict or not shared.keys() <= {"shown", "objects"}:
-        why = f"shared must be an object holding only shown and objects, got {shared!r}"
-    else:
-        why = None
-    if why:
-        raise DeixisError(f"{path}:1: bad header: {why}")
 
     stream = _records(path, chain([first], lines), "trial", shared,
                       lambda rec: make_trial(scene, *_case(rec, scene, prefix)))
@@ -644,8 +652,9 @@ def load_responses(path: str) -> Iterator[ResponseRecord]:
     record's `meta` is every field but `trial_id`, `predicted` and `human`."""
     lines = _read_lines(path, RESPONSES_SCHEMA)
     _, header = next(lines)
-    shared, prefix = header.get("shared"), header.get("id_prefix")
     try:
+        _fields(header, "a responses header", ("schema", "count", "id_prefix", "shared"))
+        shared, prefix = header["shared"], header["id_prefix"]
         if type(shared) is not dict:
             raise TypeError(f"shared must be an object, got {shared!r}")
         if type(prefix) is not str:

@@ -43,23 +43,16 @@ X_INIT = SurfacePoint(-0.2, 0.15)
 X_FINAL = SurfacePoint(-0.2, -0.15)
 
 
-@dataclass(frozen=True)
-class ShownConfig:
-    """A named stack configuration shown as the trial outcome."""
-
-    label: str
-    position: SurfacePoint
-
-
 # Natural-vs-unnatural stack: two stacked cuboids; the gesture aims just
 # inside the top face's footprint but outside its 5 mm support margin, so the
-# target placement is unstable under gravity.
+# target placement is unstable under gravity.  A natural trial shows the
+# point its configuration places the cuboid at; the label ends its id.
 STACK_CUBOID = Shape.cuboid(half_extents=(0.1045, 0.1045), height=0.10)
 STACK_POSITION = SurfacePoint(0.0, 0.0)
 NATURAL_X_STAR = SurfacePoint(0.102, 0.0)
-NATURAL_CONFIGS = (ShownConfig("top", SurfacePoint(0.0, 0.0)),
-                   ShownConfig("edge", SurfacePoint(0.102, 0.0)),
-                   ShownConfig("table", SurfacePoint(0.45, 0.0)))
+NATURAL_CONFIGS = {"top": SurfacePoint(0.0, 0.0),
+                   "edge": SurfacePoint(0.102, 0.0),
+                   "table": SurfacePoint(0.45, 0.0)}
 
 
 @dataclass(frozen=True)
@@ -148,11 +141,11 @@ class Trial:
 
     id: str
     scene: Scene
-    shown: str | SurfacePoint | ShownConfig
+    shown: str | SurfacePoint
 
 
 def make_trial(scene: Scene, tid: str, moves: dict | None,
-               shown: str | SurfacePoint | ShownConfig) -> Trial:
+               shown: str | SurfacePoint) -> Trial:
     """The one place a `Trial` is made, from one case: `scene` or, when the
     case moves objects, `scene.moved(moves)`, with the case's id and shown."""
     return Trial(tid, scene if moves is None else scene.moved(moves), shown)
@@ -341,7 +334,7 @@ def _natural_trials(cond: Condition) -> tuple:
                          support="stack_base"))
 
     def cases() -> Iterator[tuple]:
-        return ((shown.label, None, shown) for shown in NATURAL_CONFIGS)
+        return ((label, None, point) for label, point in NATURAL_CONFIGS.items())
 
     return (_aim(cond, NATURAL_X_STAR, LOCATING, plane),
             Scene(plane, stack, gravity=cond.gravity), cases)
@@ -363,18 +356,14 @@ def _predict(trial: Trial, kind: str, act: PointingAct, descriptor: str,
         return predicted, meta
     # referential, locating and natural trials
     shown = trial.shown
-    if isinstance(shown, ShownConfig):
-        meta["config"] = shown.label
-        shown = shown.position
     cands = candidates(trial.scene, act.intent,
                        STACK_CUBOID if kind == NATURAL else MUG)
     res = resolve(cands, x_star, cfg)
     predicted = classify_outcome(res, shown, x_star, cfg)
     probe = (trial.scene.object_by_id(shown).pose.position
              if isinstance(shown, str) else shown)
-    meta.update(probe=(_q(probe.u), _q(probe.v)), theta=_q(res.theta), path=res.path)
-    if kind != NATURAL:
-        meta["distance"] = _q(surface_distance(probe, x_star))
+    meta.update(probe=(_q(probe.u), _q(probe.v)), theta=_q(res.theta), path=res.path,
+                distance=_q(surface_distance(probe, x_star)))
     return predicted, meta
 
 

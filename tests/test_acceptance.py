@@ -206,9 +206,10 @@ def test_criterion_5_cluttered_boundary():
 
 def test_criterion_6_natural_vs_unnatural():
     t0 = time.perf_counter()
-    on = {r.meta["config"]: r.predicted for r in harness.run(
+    # a natural record's configuration is the end of its trial id
+    on = {r.trial_id.rpartition("-")[2]: r.predicted for r in harness.run(
         harness.generate_trials(Condition(kind=harness.NATURAL), 3, 0))}
-    off = {r.meta["config"]: r.predicted for r in harness.run(
+    off = {r.trial_id.rpartition("-")[2]: r.predicted for r in harness.run(
         harness.generate_trials(Condition(kind=harness.NATURAL, gravity=False),
                                 3, 0))}
     assert on["top"] == CORRECT

@@ -81,60 +81,60 @@ SUBNORMAL_TABLE = ("--cols", "6", "--table",
                    "1,238,6,373,5,33,2,2,9,355,1,7,235,2,2,44,30,216,41,4,4,3,1,47")
 
 DIGESTS = {
-    "clut-45": ("abe80158a10142d0bedb1a3ac9aa5685a0ca29c06f396de3dd659019db8d19f4",
+    "clut-45": ("3811aeebe6fbc90102bfd024492ac8286c86e0dae0f518d3b2937c3a4e5b3b9b",
                 "8198974b063a5952d8b52562b5da2b78da3cdefa412608eabc1b3433dd5558e0",
                 "e46e0004926cd51792aa8a160bc6e01674a6942b4f43c7dd4f9a17bd011b60b2"),
-    "clut-67.5": ("79a81bd32aa4908729daeef391187ccf05b6e94c08a6808f4277a8a835f95d8f",
+    "clut-67.5": ("5fc492f0937febc700f12205c1d363a6356e3d84d06bea8705c1614a5fa59f73",
                   "fa484debd8191b412596dfaddec98c1615abb21a1628b609732833f7ded4b237",
                   "5583821f8c887d3b7c0b91af3c0e221eb3c79b4f12165c045f8a5d16932ee636"),
-    "clut-90": ("56802feb36f3293d4f1084a051e1f762c581c8ae742e0cc9442e00436b579646",
+    "clut-90": ("fd7b91e5d8f16b9f302d5ca37410805d90931e9e773d60317d5249a600df4fa2",
                 "c5b2666ddaaf7519416d8dc2f0cb147ae301f127b9d607362d1cc9b5a27577c4",
                 "20fefb939b37e67d42ac71cf67093aaf864317985691a9438c14db5fd7a37ba7"),
-    "clut-90-kuka": ("d93012f8128bc4eb79a55ad624c7d51d016a6d4b06405a3a29ca199cb8c5d780",
+    "clut-90-kuka": ("fcc1352e1212fdec4b96ecceda8648fb5e4eb09b3dc38bf735c7c7bb6632c9b6",
                      "cec855594f9bcf6e0f3e73c115c784e45ca008ef11882d899a51309bef393d2d",
                      "e04cfc9d81c462347b65405629001ca11eafdbf71f8713448d9f937bda22c99e"),
-    "loc-45": ("f4bd27473e45d3163113b3575a6f22f551ff2091cf12d03234dafb7e7d655c8b",
+    "loc-45": ("ec57f03593ed9da3b87df62529006c9e328916994a02a47a081a6af6fc8f9df2",
                "b9cfc64c84c8ffb09d803134e0820e5508b7c827693767bf0dd9c67ac00bcb71",
                "8f1a3325be1c190947c605564131f3ca818f46f29444b7bf5aa575c47316f4dd"),
-    "loc-67.5": ("91b0fe2dd551735e384be2652a0cf4ac39f774d3e8898715f74fdb38c3f8ddde",
+    "loc-67.5": ("963fcce5957a11630e38c103b01af14e06d25dec55c4fb7513ffa111adf47a67",
                  "283d26923d5ff2fbf5b82d3772a1b74cff61f301048c6c20c1441bf25da54393",
                  "453ecffa55bfd28a14e4cfdd9369457599bcb7332bc4c0461751de5dcfe6ae1e"),
-    "loc-90": ("18fb70b1f0e8b48ecfefbed63a8aea4bc7f7accbec1c622333c0f98e05b8b83e",
+    "loc-90": ("b109e7c95023860f713511992ca90db9d5e6b132f0afeb02874d5574cc7ded49",
                "d143c25a1920672ef4e4a816316c001223f480145824ca5f3dafedec17a03f6f",
                "3556b4af54e1c2aae914b2247c67c0c053af8ce5b9f09fac52e73db902661cdf"),
-    "nat-off": ("19582dd92931bcac1a2d65999fdcb5190fbcfdb286f4d6706f5bffc8f3262081",
-                "f96f6f24df26b91f9ad0f72ce9766d4b062ad4f3db0a10c466e98aedbbf4058f",
+    "nat-off": ("2ebab73f58e99ddd49dd731071f3a47c04be3d216fcfc6aa90ec837d9937ac60",
+                "efc59203d9d3d91cbf77821b3ac80aaeda132f4e0b48044dee71edc9d66d0153",
                 "45ef86569f72f5df5a3321f9f746dc12c1ad338dc85a9f5daa27a6df270ca75d"),
-    "nat-on": ("541dc0ba01e9b7fa86d8266b4932ccb796c5f58231fdd9f3445e4e2c5d0b53e5",
-               "41df21c952df51c858215b1acd8bd89c7627d579c0b4126f3a31af6ae678200c",
+    "nat-on": ("6ba7c903c1aad288c79f03b07f482a3d65665a7d2260787bdbf1352bf8b98b3e",
+               "7e7a0e0dfd833e982d827ba02108123c21066fe0b98031ecf991b78008fad2d3",
                "87a200ed13f2fb5270625be7c624964eea5079992c195bc18a0d1e6463fc716f"),
-    "ref-45": ("40b9813a6e43add6dc268638f1aedac9e71889e0cb176a645d95f1aacfd8b2dd",
+    "ref-45": ("76a7530bd50a745802212a6c84f0dbd393ae800bcfe1c6baeae988b87d180b5f",
                "287c0bbaeb5cd31cbabbbb17e0da4614f06dbe61121dddc14bb3b94e9db2348c",
                "91d22c4a66f0065b26d4f15322fd9aa4566ca360b73c540a79bc0ee82e1cb444"),
-    "ref-45-kuka-reverse": ("17976c13a8f63aefb8ee5769b28ca9b16bccc745460d572162bfb2c1211b831f",
+    "ref-45-kuka-reverse": ("c6cb9d3444b456f87fbfca32b67d4e986e10fc3e1d9fe3f3d55bba40e32957ac",
                             "fa066f988b192e97a3c7bbaa01b69ad6b90b73cc19587d59970a8ddd5b65dfca",
                             "fa2b466f7e5cd276f755485a8f6f19603ac6955f1f9e4c8181d3938161bd8d82"),
-    "ref-67.5": ("88686e420f57ca8bf935e6bdde3d73bac3082b246755a6b51b21bda91b9aa5eb",
+    "ref-67.5": ("67ed65284684a89671274a269adceb34931ae8e8b0b1e1d18534765b43553329",
                  "522f9207f3b0e24729485516ec54c465e91fdfba5193fb9857c61f2c73ca753a",
                  "8232a08ef0cc55fd1bcf9a2583c67448e39cf4b81918eb633414c8ac8375f2ff"),
-    "ref-90": ("6f151ae383d1b250194805ce2a277fdddb8bdcb41639c0533e9a031a44ce87f6",
+    "ref-90": ("fcbccc72703a5cac6356831d8986d16eecc9a5fbe2e814805df2fa6662120bf3",
                "24f44c21d8666bef3d5b9ca6eb1691691df9c673d301e93ca414783515470bd5",
                "70603e1061e5a77cef9d45a21baca80da16055694a8ec4591332022567b044b8"),
-    "verb-push": ("be9e3b9aa5582e42cfcd0f22ad725ab6aba6a2e2fe43724991d817ecf0b18866",
+    "verb-push": ("a92dc4b4e12b3f4ef7aad8fda5e9fa483ea1b52f14a27e5cc1808dd34d8d5d25",
                   "7204b3d4c3f17fe32e57ba7d589a40873ca93a36a8ed96e9e9388ca744cc40db",
                   "8737ab89bfdb1300b3b62b9640318aa304e4e99c2cc85c258d4904f4318084d4"),
-    "loc-90-n4000": ("95c237eab949074c0ed12f685e29df3d6a60519016441d9c622e834132a649c3",
+    "loc-90-n4000": ("d8f0106424a401767857dc3dc2bb53fe942a3a17e9531e12fac74d315c34cbe2",
                      "7ba1acf0cc58ac83526596cc7bd638a74f13245e71a8d65b01b5b95e5441364f"),
-    "ref-67.5-n4000": ("76c3e10f1583d1208713cd2a0eea321d229d16f08089cab64ddac9bc62d5d964",
+    "ref-67.5-n4000": ("c5f67ef298290d5fc15eb15bf11417e0f3b3de933264cc3a693da38e8e46cf34",
                        "4262a3c3dd1d84573f6e245fc37278f29e000b233891e7bf12658051370cbb18"),
-    "clut-67.5-n4000": ("566cd6ec89c15d06577db77a819dca4ff4ac0a3a25489eec089380682450958b",
+    "clut-67.5-n4000": ("b7540b3209e286da823f5a289f02e8a051f3a6edc30aa29de4b414a0432805c2",
                         "bdb89dfe8eb810021ae8057ac2a4f2ae82edb94b6f845fac2411bc1165ff5bc2"),
 }
 # name -> the size in bytes of the trials file of one set of `SWEEPS`
 SWEEP_TRIALS_SIZES = {
-    "loc-90-n4000": 192373,
-    "ref-67.5-n4000": 231660,
-    "clut-67.5-n4000": 336649,
+    "loc-90-n4000": 192311,
+    "ref-67.5-n4000": 231593,
+    "clut-67.5-n4000": 336595,
 }
 # name -> the size in bytes of the responses file of one set of `SWEEPS`
 SWEEP_RESPONSES_SIZES = {

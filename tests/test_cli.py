@@ -228,10 +228,10 @@ class TestRun:
         # the retired verbs kind: its sets are ref-vs-loc sets with a verb
         (1, lambda h: h["context"]["condition"].update(kind="verb_variant", verb="push"),
          "bad context: unknown condition kind 'verb_variant'"),
-        # the header's descriptor must be the context condition's
+        # the header holds no condition: the context's is the file's one
         (1, lambda h: h.update(condition="bogus"),
-         "bad header: condition 'bogus' is not the context's "
-         "'ref_vs_loc/locating/45deg/baxter'"),
+         "bad header: unexpected field 'condition'; a trials header holds only "
+         "schema, count, seed, id_prefix, context and shared"),
     ], ids=["huge-shown-position", "huge-cone", "deep-record", "deep-header",
             "non-unit-normal", "repeated-axis", "zero-extent", "verb-variant-kind",
             "bogus-condition"])
@@ -357,19 +357,19 @@ class TestRun:
         assert not out.exists()
 
     def test_a_shown_entry_the_record_does_not_hold_exits_1(self, runner, tmp_path):
-        # a natural configuration holds a label and a position and no other
-        # entry, which a re-save would drop
+        # a natural trial shows a point: the retired configuration object,
+        # its label and position, is refused, and so is one with more entries
         trials, out = tmp_path / "t.jsonl", tmp_path / "o.jsonl"
         assert runner.invoke(main, ["gen", "--condition", "natural",
                                     "--out", str(trials)]).exit_code == 0
-        shown = {"color": "red", "label": "top", "position": [0.0, 0.0]}
-        rewrite(trials, 2, lambda r: r.update(shown=shown))
-        res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
-        assert res.exit_code == 1
-        assert isinstance(res.exception, SystemExit)
-        assert res.output == (f"Error: {trials}:2: bad trial record: shown must be an "
-                              "object id, 2 finite numbers or an object holding only "
-                              f"label and position, got {shown!r}\n")
+        for shown in ({"label": "top", "position": [0.0, 0.0]},
+                      {"color": "red", "label": "top", "position": [0.0, 0.0]}):
+            rewrite(trials, 2, lambda r: r.update(shown=shown))
+            res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
+            assert res.exit_code == 1
+            assert isinstance(res.exception, SystemExit)
+            assert res.output == (f"Error: {trials}:2: bad trial record: shown must be "
+                                  f"an object id or 2 finite numbers, got {shown!r}\n")
         assert not out.exists()
 
     def test_yawed_box_beside_stack(self, runner, tmp_path):
@@ -390,7 +390,7 @@ class TestRun:
 
 
     @pytest.mark.parametrize("part, field, value", [
-        ((), "gravity", "no"), (("condition",), "speech", "yes")])
+        (("condition",), "gravity", "no"), (("condition",), "speech", "yes")])
     def test_wrongly_typed_flag_exits_1(self, runner, tmp_path, part, field, value):
         # a truthy string must not pass for a boolean: "no" would turn
         # gravity on and change the labels
@@ -439,6 +439,82 @@ class TestRun:
         # a record holds no condition: the file's one condition is the context's
         assert ("takes no" if where == "context" else
                 "bad trial record: unexpected field 'condition'") in res.output
+
+    def test_a_context_that_holds_gravity_exits_1(self, runner, tmp_path):
+        # gravity is the condition's alone: a context that holds it too, as
+        # the retired schema's did, is refused rather than read past, so an
+        # edited copy can no longer label one gravity's labels as the other's
+        trials, out = tmp_path / "nat.jsonl", tmp_path / "o.jsonl"
+        assert runner.invoke(main, ["gen", "--condition", "natural",
+                                    "--out", str(trials)]).exit_code == 0
+        rewrite(trials, 1, lambda h: h["context"].update(gravity=False))
+        res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == (f"Error: {trials}:1: bad context: unexpected field "
+                              "'gravity'; a context holds only condition, act, "
+                              "surface and objects\n")
+        assert not out.exists()
+
+    OBJECT = ("an object holds only id, kind, height, radius, half_extents, "
+              "position, yaw_deg and support")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.update(note="x"),
+         "bad header: unexpected field 'note'; a trials header holds only schema, "
+         "count, seed, id_prefix, context and shared"),
+        (lambda h: h.pop("seed"),
+         "bad header: missing field 'seed'; a trials header holds only schema, "
+         "count, seed, id_prefix, context and shared"),
+        (lambda h: h["context"].update(note="x"),
+         "bad context: unexpected field 'note'; a context holds only condition, "
+         "act, surface and objects"),
+        (lambda h: h["context"]["objects"][0].update(color="white"),
+         f"bad context: unexpected field 'color'; {OBJECT}"),
+        (lambda h: h["context"]["objects"][1].pop("support"),
+         f"bad context: missing field 'support'; {OBJECT}"),
+        (lambda h: h["context"]["condition"].update(note="x"),
+         "bad context: unexpected field 'note'; a condition holds only kind, "
+         "variant, robot, speech, reverse, cone_deg, gravity and verb"),
+        (lambda h: h["context"]["act"].update(note="x"),
+         "bad context: unexpected field 'note'; an act holds only origin, "
+         "direction, intent and target"),
+        (lambda h: h["context"]["surface"].pop("extent"),
+         "bad context: missing field 'extent'; a surface holds only anchor, "
+         "normal, axis_u, axis_v and extent"),
+    ], ids=["header-extra", "header-no-seed", "context-extra", "object-extra",
+            "object-no-support", "condition-extra", "act-extra", "surface-missing"])
+    def test_a_trials_header_holds_exactly_its_fields(self, runner, tmp_path,
+                                                      edit, message):
+        # each edit to a locating 90 deg file once ran with exit 0: an
+        # extra field was ignored and a missing support read as the table
+        trials = gen(runner, tmp_path, "--variant", "locating", "--cone", "90")
+        rewrite(trials, 1, edit)
+        out = tmp_path / "o.jsonl"
+        res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == f"Error: {trials}:1: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda h: h.update(note="x"), "unexpected field 'note'"),
+        (lambda h: h.update(context={}), "unexpected field 'context'"),
+        (lambda h: h.pop("id_prefix"), "missing field 'id_prefix'")],
+        ids=["extra", "retired-context", "no-id-prefix"])
+    def test_a_responses_header_holds_exactly_its_fields(self, runner, tmp_path,
+                                                         edit, field):
+        trials = gen(runner, tmp_path, "--variant", "locating", "--cone", "90")
+        responses, svg = tmp_path / "r.jsonl", tmp_path / "p.svg"
+        assert runner.invoke(main, ["run", "--in", str(trials),
+                                    "--out", str(responses)]).exit_code == 0
+        rewrite(responses, 1, edit)
+        res = runner.invoke(main, ["plot", "--in", str(responses), "--out", str(svg)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == (f"Error: {responses}:1: bad header: {field}; a responses "
+                              "header holds only schema, count, id_prefix and shared\n")
+        assert not svg.exists()
 
 
 class TestStats:
@@ -639,7 +715,7 @@ class TestPlot:
         # an empty set has no condition, act or scene: the file is refused
         # before any output is written
         empty, out = tmp_path / "empty.jsonl", tmp_path / "o.jsonl"
-        empty.write_text('{"schema":"deixis-trials-6","count":0,"context":{}}\n')
+        empty.write_text('{"schema":"deixis-trials-7","count":0,"context":{}}\n')
         res = runner.invoke(main, ["run", "--in", str(empty), "--out", str(out)])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
@@ -660,19 +736,25 @@ class TestPlot:
         ("run", '{"condition":"ref_vs_loc/locating/45deg/baxter","context":{},'
                 '"count":8,"id_prefix":"","schema":"deixis-trials-5","seed":7,'
                 '"shared":{"shown":{"type":"point"}}}'),
+        ("run", '{"condition":"natural_vs_unnatural/baxter/gravity-on","context":{},'
+                '"count":3,"id_prefix":"","schema":"deixis-trials-6","seed":7,'
+                '"shared":{}}'),
         ("plot", '{"count":11,"schema":"deixis-responses-1"}'),
         ("plot", '{"context":{"human":null,"meta":{}},"count":11,"id_prefix":"",'
                  '"schema":"deixis-responses-2"}')],
-        ids=["trials-1", "trials-2", "trials-3", "trials-4", "trials-5", "responses-1",
-             "responses-2"])
+        ids=["trials-1", "trials-2", "trials-3", "trials-4", "trials-5", "trials-6",
+             "responses-1", "responses-2"])
     def test_a_v1_file_is_an_unknown_schema(self, runner, tmp_path, command, header):
         # a retired schema of either file kind, which no code writes or reads:
         # the first of each, the trials schema whose ids held their prefix,
         # the one whose records each held their `shown`, the one that
         # shared an object field only as a whole value, the one that
         # wrapped each point in an object and tagged each `shown` with a
-        # type, and the responses schema that nested each record's
-        # explanation in a `meta` object, shared entry by entry
+        # type, the one whose header wrote the condition's descriptor and
+        # the scene's gravity beside the condition that holds them and
+        # whose natural trials showed a labelled configuration, and the
+        # responses schema that nested each record's explanation in a
+        # `meta` object, shared entry by entry
         old, out = tmp_path / "old.jsonl", tmp_path / "out"
         old.write_text(header + "\n")
         res = runner.invoke(main, [command, "--in", str(old), "--out", str(out)])
@@ -1074,6 +1156,41 @@ class TestStreamedWrites:
         res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
         assert res.exit_code == 1
         assert res.output == f"Error: [Errno 2] No such file or directory: '{out}'\n"
+
+    def test_an_output_under_a_plain_file_is_named(self, runner, tmp_path, monkeypatch):
+        # the output's folder is a regular file, which root may not write
+        # into either: refused before anything is made, naming the path as given
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "plainfile").write_text("kept\n")
+        res = runner.invoke(main, ["gen", "--condition", "natural",
+                                   "--out", "plainfile/x.jsonl"])
+        assert res.exit_code == 1
+        assert res.output == (f"Error: [Errno {errno.ENOTDIR}] "
+                              f"{os.strerror(errno.ENOTDIR)}: 'plainfile/x.jsonl'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["plainfile"]
+        assert (tmp_path / "plainfile").read_text() == "kept\n"
+
+    def test_a_new_file_beside_the_output_that_cannot_be_made_is_named(
+            self, runner, tmp_path, monkeypatch):
+        # the `.deixis-*` file that would be renamed over the output cannot
+        # be made: the error names the output the caller asked for, and the
+        # output is left as it was
+        real_open = os.open
+
+        def refusing(path, flags, *args, **kwargs):
+            if os.path.basename(path).startswith(".deixis-"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refusing)
+        out = tmp_path / "t.jsonl"
+        out.write_text("known bytes\n")
+        res = runner.invoke(main, ["gen", "--condition", "natural", "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.output == (f"Error: [Errno {errno.ENOSPC}] "
+                              f"{os.strerror(errno.ENOSPC)}: '{out}'\n")
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_text() == "known bytes\n"
 
     @staticmethod
     def counted(monkeypatch, module, name):

@@ -96,9 +96,9 @@ class TestTrialsV2:
         tset = make_trials(variant=LOCATING)
         corpus.save_trials(tset, str(p), seed=7)
         header = json.loads(p.read_text().splitlines()[0])
-        assert header["schema"] == "deixis-trials-6"
-        assert set(header["context"]) == {"condition", "act", "surface",
-                                          "gravity", "objects"}
+        assert header["schema"] == "deixis-trials-7"
+        assert set(header) == {"schema", "count", "seed", "id_prefix", "context", "shared"}
+        assert set(header["context"]) == {"condition", "act", "surface", "objects"}
         # each locating trial shows its own point, as a bare [u, v]
         assert header["shared"] == {}
         assert all(set(rec) == {"id", "shown"} and type(rec["shown"]) is list
@@ -132,11 +132,12 @@ class TestTrialsV2:
         (make_trials(n=4, seed=1), {"shown": "mug"}, 3,
          '{"id":"1","objects":[[0.0549682306,0.57876332],null]}'),
         (harness.generate_trials(Condition(kind=harness.NATURAL), 3, 1), {}, 3,
-         '{"id":"edge","shown":{"label":"edge","position":[0.102,0.0]}}')],
+         '{"id":"edge","shown":[0.102,0.0]}')],
         ids=["locating", "cluttered", "referential", "natural"])
     def test_the_record_text_of_each_kind(self, tmp_path, tset, shared, line, text):
-        # a shown point is [u, v], a shown object its id, a moved object's
-        # entry its [u, v] and an unmoved one's null
+        # a shown point is [u, v], a natural configuration's included, a
+        # shown object its id, a moved object's entry its [u, v] and an
+        # unmoved one's null
         p = tmp_path / "t.jsonl"
         corpus.save_trials(tset, str(p), seed=1)
         lines = p.read_text().splitlines()
@@ -167,14 +168,14 @@ class TestTrialsV2:
     def test_a_loaded_long_position_is_written_at_9_digits(self, tmp_path):
         # the loader keeps every digit it reads; the writer quantizes again,
         # a moved object's position, a locating shown point and a natural
-        # shown config's position alike
+        # shown point alike
         natural = harness.generate_trials(Condition(kind=harness.NATURAL), 3, 7)
         for tset, position_of, loaded_u in (
                 (make_trials(n=4), lambda r: r.get("objects", [None])[0],
                  lambda t: t.scene.objects[0].pose.position.u),
                 (make_trials(n=4, variant=LOCATING), lambda r: r["shown"],
                  lambda t: t.shown.u),
-                (natural, lambda r: r["shown"]["position"], lambda t: t.shown.position.u)):
+                (natural, lambda r: r["shown"], lambda t: t.shown.u)):
             p, q = tmp_path / "p.jsonl", tmp_path / "q.jsonl"
             corpus.save_trials(tset, str(p), seed=7)
             lines = p.read_text().splitlines()
@@ -266,11 +267,7 @@ class TestResponsesRoundTrip:
                      harness.generate_trials(Condition(kind=harness.NATURAL), 3, 0)):
             cases = []
             for t in tset.trials:
-                shown = t.shown
-                if isinstance(shown, SurfacePoint):
-                    shown = nudge(shown)
-                elif isinstance(shown, harness.ShownConfig):
-                    shown = replace(shown, position=nudge(shown.position))
+                shown = nudge(t.shown) if isinstance(t.shown, SurfacePoint) else t.shown
                 moves = None
                 if tset.condition.kind in (harness.REF_VS_LOC, harness.CLUTTERED):
                     moves = {i: nudge(o.pose.position)
@@ -365,7 +362,7 @@ class TestResponsesV2:
          '"schema":"deixis-responses-3","shared":{"condition":'
          '"natural_vs_unnatural/baxter/gravity-on","human":null,"path":"enumerated",'
          '"theta":0.0025,"x_star":[0.102,0.0]}}',
-         '{"config":"edge","predicted":"incorrect","probe":[0.102,0.0],"trial_id":"edge"}')],
+         '{"distance":0.0,"predicted":"incorrect","probe":[0.102,0.0],"trial_id":"edge"}')],
         ids=["locating", "referential", "cluttered", "natural"])
     def test_the_header_and_record_text_of_each_kind(self, tmp_path, records, header, text):
         # each meta entry is a field of the record's own, shared as a whole
@@ -442,28 +439,27 @@ class TestSharedFields:
         (make_trials(), {"shown": "mug"}, None),
         (make_trials(variant=LOCATING), {}, list),
         (cluttered_trials(), {}, str),
-        (harness.generate_trials(Condition(kind=harness.NATURAL), 3, 7), {}, dict)],
+        (harness.generate_trials(Condition(kind=harness.NATURAL), 3, 7), {}, list)],
         ids=["referential", "locating", "cluttered", "natural"])
     def test_a_record_holds_only_its_own_shown_entries(self, tmp_path, tset, shared, own):
-        # an object id, a point or a natural configuration is shared only as
-        # a whole value: no two natural trials show the same configuration
+        # an object id or a point is shared only as a whole value: no two
+        # natural trials show the same point
         p = tmp_path / "t.jsonl"
         corpus.save_trials(tset, str(p), seed=7)
         assert json.loads(p.read_text().splitlines()[0])["shared"] == shared
         for rec in records_of(p):
             assert (type(rec["shown"]) if "shown" in rec else None) is own
-            assert own is not dict or rec["shown"].keys() == {"label", "position"}
             assert set(rec) - {"shown", "objects"} == {"id"}
         assert tuple(held(corpus.load_trials(str(p))).trials) == tuple(tset.trials)
 
     @pytest.mark.parametrize("tset, edit, shown", [
         (make_trials(n=4), lambda old: "red_cube", lambda old: "red_cube"),
-        (make_trials(n=4, variant=LOCATING), lambda old: {"label": "top", "position": old},
-         lambda old: harness.ShownConfig("top", old)),
+        (make_trials(n=4, variant=LOCATING), lambda old: "red_cube",
+         lambda old: "red_cube"),
         (cluttered_trials(n=4), lambda old: [0.25, -0.5],
          lambda old: SurfacePoint(0.25, -0.5)),
         (harness.generate_trials(Condition(kind=harness.NATURAL), 3, 7),
-         lambda old: old["position"], lambda old: old.position)],
+         lambda old: "stack_top", lambda old: "stack_top")],
         ids=["referential", "locating", "cluttered", "natural"])
     def test_a_records_shown_entry_wins_over_the_headers(self, tmp_path, tset, edit,
                                                          shown):
@@ -568,9 +564,15 @@ class TestSharedFields:
         p.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
         with pytest.raises(DeixisError) as info:
             corpus.load_trials(str(p))
-        got = None if shared == "missing" else shared
-        assert str(info.value) == (f"{p}:1: bad header: shared must be an object holding "
-                                   f"only shown and objects, got {got!r}")
+        if shared == "missing":
+            why = ("missing field 'shared'; a trials header holds only schema, count, "
+                   "seed, id_prefix, context and shared")
+        elif type(shared) is dict:
+            extra = next(iter(shared.keys() - {"shown"}))
+            why = f"unexpected field {extra!r}; shared holds only shown and objects"
+        else:
+            why = f"shared must be an object, got {shared!r}"
+        assert str(info.value) == f"{p}:1: bad header: {why}"
 
     def test_a_shared_response_id_is_a_bad_header(self, tmp_path):
         # as in a trials file, every record holds its own id: a shared
@@ -822,25 +824,25 @@ class TestSchemaErrors:
             held(load(str(p)))
 
     @pytest.mark.parametrize("field, value, why", [
-        ("condition", "bogus", "condition 'bogus' is not the context's {}"),
-        ("condition", "ref_vs_loc/locating/67.5deg/baxter",
-         "condition 'ref_vs_loc/locating/67.5deg/baxter' is not the context's {}"),
-        ("condition", None, "condition None is not the context's {}"),
-        ("condition", "missing", "condition None is not the context's {}"),
-        ("seed", "missing", "no seed; it must be null or a non-negative integer"),
+        ("condition", "bogus", "unexpected field 'condition'; {}"),
+        ("condition", "ref_vs_loc/referential/67.5deg/baxter",
+         "unexpected field 'condition'; {}"),
+        ("condition", None, "unexpected field 'condition'; {}"),
+        ("context", "missing", "missing field 'context'; {}"),
+        ("seed", "missing", "missing field 'seed'; {}"),
         ("seed", "7", "seed must be null or a non-negative integer, got '7'"),
         ("seed", 7.0, "seed must be null or a non-negative integer, got 7.0"),
         ("seed", True, "seed must be null or a non-negative integer, got True"),
         ("seed", -1, "seed must be null or a non-negative integer, got -1"),
-        ("id_prefix", "missing", "id_prefix must be a string, got None"),
+        ("id_prefix", "missing", "missing field 'id_prefix'; {}"),
         ("id_prefix", 3, "id_prefix must be a string, got 3"),
         ("id_prefix", None, "id_prefix must be a string, got None")],
         ids=["bogus-condition", "another-condition", "null-condition", "no-condition",
              "no-seed", "string-seed", "float-seed", "true-seed", "negative-seed",
              "no-id-prefix", "numeric-id-prefix", "null-id-prefix"])
     def test_header_condition_and_seed(self, tmp_path, field, value, why):
-        # checked once the context parses: the descriptor must be the
-        # context condition's
+        # the header holds exactly its fields, and no condition: the
+        # context's, even one that names the same descriptor, is the file's one
         p = tmp_path / "h.jsonl"
         tset = make_trials(n=4)
         corpus.save_trials(tset, str(p), seed=7)
@@ -851,7 +853,8 @@ class TestSchemaErrors:
         else:
             header[field] = value
         p.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        message = why.format(repr(tset.condition.descriptor()))
+        message = why.format("a trials header holds only schema, count, seed, "
+                             "id_prefix, context and shared")
         with pytest.raises(DeixisError,
                            match=rf"^{re.escape(str(p))}:1: bad header: {re.escape(message)}$"):
             corpus.load_trials(str(p))
@@ -910,7 +913,9 @@ class TestSchemaErrors:
             held(corpus.load_trials(str(p)))
 
     @pytest.mark.parametrize("path, value", [
-        (("gravity",), "no"), (("condition", "speech"), "yes"),
+        # a context holds no gravity: its condition's is the scene's
+        (("gravity",), "no"), (("condition", "gravity"), "no"),
+        (("condition", "speech"), "yes"),
         (("condition", "reverse"), 0), (("condition", "robot"), ["baxter"]),
         (("condition", "cone_deg"), True), (("act", "intent"), 1),
         (("act", "target"), [0.1, None]),
@@ -931,10 +936,11 @@ class TestSchemaErrors:
 
     @pytest.mark.parametrize("path, value", [
         (("id",), 3), (("gravity",), 1),
-        # a natural configuration holding another entry
+        # the retired natural configuration, holding another entry
         (("shown", "type"), ["object"]), (("shown", "id"), False),
         (("shown", "type"), "nowhere"),
-        # a shown that is no object id, no [u, v] and no configuration
+        # a shown that is no object id and no [u, v], the retired
+        # configuration object among them
         (("shown",), ["object"]), (("shown",), False), (("shown",), None),
         (("shown",), 7), (("shown",), [True, 0.0]), (("shown",), [0.1, 0.0, 0.0]),
         (("shown",), {"type": "object", "id": "mug"}),
@@ -949,8 +955,9 @@ class TestSchemaErrors:
         ids=_path_id)
     def test_wrongly_typed_record_field(self, tmp_path, path, value):
         # the second record of a referential set, or of a natural one for an
-        # entry of `shown`; the set's shared `shown` is written into every
-        # record first, so the edit replaces the record's own value
+        # entry of `shown`, whose point is first wrapped in the retired
+        # configuration object; the set's shared `shown` is written into
+        # every record first, so the edit replaces the record's own value
         p = tmp_path / "r.jsonl"
         natural = len(path) == 2 and path[0] == "shown"
         corpus.save_trials(harness.generate_trials(Condition(kind=harness.NATURAL), 3, 7)
@@ -958,6 +965,8 @@ class TestSchemaErrors:
         unshare(p)
         lines = p.read_text().splitlines()
         rec = json.loads(lines[2])
+        if natural:
+            rec["shown"] = {"label": "edge", "position": rec["shown"]}
         _set(rec, path, value)
         lines[2] = json.dumps(rec)
         p.write_text("\n".join(lines) + "\n")
@@ -1026,8 +1035,8 @@ class TestSchemaErrors:
         if kind == "trials":
             corpus.save_trials(trials, str(p), seed=7)
             edit = {"shown": {"type": "bogus"}}
-            message = ("bad trial record: shown must be an object id, 2 finite numbers or "
-                       "an object holding only label and position, got {'type': 'bogus'}")
+            message = ("bad trial record: shown must be an object id or 2 finite numbers, "
+                       "got {'type': 'bogus'}")
         else:
             corpus.save_responses(harness.run(trials), str(p))
             edit, message = {"predicted": "bogus"}, "bad response record: unknown label 'bogus'"
@@ -1047,7 +1056,7 @@ class TestSchemaErrors:
     def test_responses_wrong_schema(self, tmp_path):
         p = tmp_path / "w.jsonl"
         corpus.save_trials(make_trials(n=4), str(p), seed=7)
-        with pytest.raises(DeixisError, match=r"w\.jsonl:1: unknown schema 'deixis-trials-6'$"):
+        with pytest.raises(DeixisError, match=r"w\.jsonl:1: unknown schema 'deixis-trials-7'$"):
             corpus.load_responses(str(p))
 
 
@@ -1265,7 +1274,7 @@ class TestStreamedWrites:
         with pytest.raises(BrokenPipeError):
             corpus.save_trials(cluttered_trials(n=1000), str(fifo), seed=7)
         thread.join(timeout=10)
-        assert read and read[0].startswith(b'{"condition":')
+        assert read and read[0].startswith(b'{"context":')
         assert fifo.is_fifo()
         assert list(tmp_path.iterdir()) == [fifo]
 

@@ -71,9 +71,9 @@ def answers(plane, ray, vertex_angle, fractions, offset):
                           SceneObject("top", STACK_CUBOID, Pose2D(STACK_POSITION),
                                       support="base")))
     res = resolve(candidates(stack, LOCATING, STACK_CUBOID), x_star, CFG)
-    for shown in NATURAL_CONFIGS:
-        labels.append(classify_outcome(res, shown.position, x_star, CFG))
-        d = surface_distance(shown.position, x_star) - res.theta - CFG.epsilon
+    for shown in NATURAL_CONFIGS.values():
+        labels.append(classify_outcome(res, shown, x_star, CFG))
+        d = surface_distance(shown, x_star) - res.theta - CFG.epsilon
         margins += [d, d - CFG.ambiguity_band]
     return x_star, e, labels, margins
 

@@ -7,7 +7,7 @@ from deixis import corpus, harness
 from deixis.errors import DeixisError
 from deixis.geometry import Plane, SurfacePoint, cone_plane_section, surface_distance
 from deixis.harness import (CLUTTERED, NATURAL, REF_VS_LOC, Condition,
-                            ResponseRecord, ShownConfig, generate_trials,
+                            ResponseRecord, generate_trials,
                             pointer_ray, run)
 from deixis.resolver import (CORRECT, LOCATING, NEARER, REFERENTIAL, ResolverConfig,
                              candidates, classify_outcome, resolve)
@@ -183,10 +183,12 @@ class TestGenerate:
                 + [harness.X_INIT, harness.X_FINAL, cube, tset.act.target])
 
     def test_natural_three_distinct_configs(self):
-        trials = generate_trials(cond(kind=NATURAL), 3, 0)
-        labels = [t.shown.label for t in trials.trials]
-        assert labels == ["top", "edge", "table"]
-        assert all(isinstance(t.shown, ShownConfig) for t in trials.trials)
+        # a natural trial shows the point of its configuration, whose label
+        # ends the trial's id
+        trials = tuple(generate_trials(cond(kind=NATURAL), 3, 0).trials)
+        assert [t.id.rpartition("-")[2] for t in trials] == ["top", "edge", "table"]
+        assert [t.shown for t in trials] == list(harness.NATURAL_CONFIGS.values())
+        assert all(type(t.shown) is SurfacePoint for t in trials)
 
     def test_a_set_holds_at_least_one_trial(self, tmp_path):
         # an empty set is refused by the writer, so no trials file is
@@ -196,6 +198,18 @@ class TestGenerate:
         with pytest.raises(DeixisError, match="^a trial set holds at least one trial$"):
             corpus.save_trials(replace(tset, trials=()), str(out), seed=0)
         assert not out.exists()
+
+    @pytest.mark.parametrize("gravity", [True, False])
+    def test_a_set_whose_scene_has_other_gravity_is_refused(self, tmp_path, gravity):
+        # the file writes gravity once, in the condition, so a set whose
+        # scene has the other gravity would load as a different set
+        tset = generate_trials(cond(kind=NATURAL, gravity=gravity), 3, 0)
+        odd = replace(tset, scene=replace(tset.scene, gravity=not gravity))
+        out = tmp_path / "t.jsonl"
+        with pytest.raises(DeixisError, match="^a trial set's scene takes its "
+                                              "condition's gravity$"):
+            corpus.save_trials(odd, str(out), seed=0)
+        assert not out.exists() and list(tmp_path.iterdir()) == []
 
     def test_robot_changes_ray(self):
         plane = tuple(generate_trials(cond(), 8, 0).trials)[0].scene.surface
@@ -251,9 +265,10 @@ class TestRun:
         assert labels == [r.predicted for r in run(tset, cfg)]
 
     def test_natural_gravity_contrast(self):
-        on = {r.meta["config"]: r.predicted
+        # each record is labelled by its configuration, the end of its id
+        on = {r.trial_id.rpartition("-")[2]: r.predicted
               for r in run(generate_trials(cond(kind=NATURAL), 3, 0))}
-        off = {r.meta["config"]: r.predicted
+        off = {r.trial_id.rpartition("-")[2]: r.predicted
                for r in run(generate_trials(cond(kind=NATURAL, gravity=False), 3, 0))}
         assert on["top"] == "correct"
         assert on["edge"] != "correct" and on["table"] != "correct"

@@ -358,6 +358,16 @@ class TestFisherExactOracle:
         _, ref = scipy.stats.fisher_exact(rows, alternative="two-sided")
         assert fisher_exact_2x2(table(*rows)).p_value == pytest.approx(ref, rel=1e-6)
 
+    def test_a_mode_below_the_cut_at_ten_million_per_cell(self):
+        # ((n + 1, n - 1), (n - 1, n + 1)) at n = 10^7: the mode's term is
+        # above the observed one by less than the float log terms' noise
+        # allowance, so no log term reaches `cut`, the middle is empty and
+        # both tails are summed from the mode out
+        n = 10 ** 7
+        rows = ((n + 1, n - 1), (n - 1, n + 1))
+        _, ref = scipy.stats.fisher_exact(rows, alternative="two-sided")
+        assert fisher_exact_2x2(table(*rows)).p_value == pytest.approx(ref, rel=1e-6)
+
     def test_seeded_tied_tables(self):
         # equal row sums: each table but a centre of symmetry has an exact
         # twin term, its mirror
