@@ -19,10 +19,12 @@ record, are checked before anything is predicted.  Lines end at `\n` or
 U+2028) makes it malformed, and so do arrays and objects nested deeper
 than `MAX_NESTING` levels.  Blank lines are skipped, but errors name
 physical lines.
-Distances are stored in meters and angles in degrees.  The trials writer
-quantizes every float to 9 significant digits; the responses writer writes
-`meta` as given, so only `harness.predict`'s records are at 9 digits.
-Identical content always produces identical bytes.
+Distances are stored in meters and angles in degrees.  Both writers write
+each number as it is held: `harness` quantizes a float to 9 significant
+digits once, where it computes it, and a loaded one is written as read.
+The trials writer quantizes only what it converts, `yaw_deg`, and the
+act's `direction`, held renormalized.  Identical content always produces
+identical bytes.
 
 One rule says what a record leaves out, for both kinds.  The header's
 `id_prefix` is the longest common prefix of the ids, and each record's id
@@ -106,16 +108,6 @@ MAX_NESTING = 32  # levels of arrays and objects in a line; corpus lines use 5
 _STRING = re.compile(r'"(?:[^"\\]|\\.)*"?')  # a JSON string, or one cut short
 _BRACKET = re.compile(r"[][{}]")
 SPOOL_BATCH = 256  # records marshalled to the spool at a time
-
-
-def _quantize(obj: Any) -> Any:
-    if isinstance(obj, float):
-        return _q(obj)
-    if isinstance(obj, dict):
-        return {k: _quantize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_quantize(v) for v in obj]
-    return obj
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -222,7 +214,7 @@ def _object_to_json(o: SceneObject) -> dict:
             "half_extents": None if o.shape.half_extents is None
             else list(o.shape.half_extents),
             "position": [o.pose.position.u, o.pose.position.v],
-            "yaw_deg": math.degrees(o.pose.yaw), "support": o.support}
+            "yaw_deg": _q(math.degrees(o.pose.yaw)), "support": o.support}
 
 
 def _object_from_json(d: Any) -> SceneObject:
@@ -240,8 +232,9 @@ def _object_from_json(d: Any) -> SceneObject:
 
 
 def _act_to_json(act: PointingAct) -> dict:
+    # `pointer_ray` and `_act_from_json` renormalize a quantized direction
     return {"origin": [act.ray.origin.x, act.ray.origin.y, act.ray.origin.z],
-            "direction": list(act.ray.direction), "intent": act.intent,
+            "direction": [_q(c) for c in act.ray.direction], "intent": act.intent,
             "target": [act.target.u, act.target.v]}
 
 
@@ -253,15 +246,10 @@ def _act_from_json(d: Any) -> PointingAct:
     return PointingAct(ray, _str(d["intent"]), SurfacePoint(*_nums(d["target"], 2)))
 
 
-def _uv(p: SurfacePoint) -> list:
-    """`[u, v]` of `p`: a float quantized, an integer (loaded) kept as read."""
-    return [_q(c) if isinstance(c, float) else c for c in (p.u, p.v)]
-
-
 def _shown_to_json(shown: str | SurfacePoint) -> str | list:
     """A shown object as its id, a point as `[u, v]`: the JSON type tells
     them apart."""
-    return shown if isinstance(shown, str) else _uv(shown)
+    return shown if isinstance(shown, str) else [shown.u, shown.v]
 
 
 def _shown_from_json(value: Any) -> str | SurfacePoint:
@@ -273,17 +261,16 @@ def _shown_from_json(value: Any) -> str | SurfacePoint:
 
 
 def _context(condition: Condition, act: PointingAct, scene: Scene) -> dict:
-    """The quantized JSON of a set's condition, act and scene."""
-    return _quantize({"condition": _condition_to_json(condition),
-                      "act": _act_to_json(act),
-                      "surface": _surface_to_json(scene.surface),
-                      "objects": [_object_to_json(o) for o in scene.objects]})
+    """The JSON of a set's condition, act and scene."""
+    return {"condition": _condition_to_json(condition), "act": _act_to_json(act),
+            "surface": _surface_to_json(scene.surface),
+            "objects": [_object_to_json(o) for o in scene.objects]}
 
 
 def _position(o: SceneObject, od0: dict) -> list | None:
     """None when `o` stands where context object `od0` stands, else its
-    quantized `[u, v]`."""
-    p = _uv(o.pose.position)
+    `[u, v]`."""
+    p = [o.pose.position.u, o.pose.position.v]
     return None if _same(p, od0["position"]) else p
 
 
@@ -583,7 +570,8 @@ def load_trials(path: str) -> TrialSet:
     """The trial set of a trials file, whose header, context and first
     record are read and checked now.  Each record becomes a trial, an
     error naming its line, as the set's `trials` reach it, so they can be
-    read once; their `len` is the header `count`, checked after the last."""
+    read once, and a second pass over them raises; their `len` is the
+    header `count`, checked after the last."""
     lines = _read_lines(path, TRIALS_SCHEMA)
     _, header = next(lines)
     first = next(lines, None)
@@ -606,9 +594,15 @@ def load_trials(path: str) -> TrialSet:
     except (KeyError, TypeError, ValueError) as exc:
         raise DeixisError(f"{path}:1: bad context: {exc}") from exc
 
-    stream = _records(path, chain([first], lines), "trial", shared,
-                      lambda rec: make_trial(scene, *_case(rec, scene, prefix)))
-    return TrialSet(condition, act, scene, Trials(header["count"], lambda: stream))
+    streams = [_records(path, chain([first], lines), "trial", shared,
+                        lambda rec: make_trial(scene, *_case(rec, scene, prefix)))]
+
+    def once() -> Iterator[Trial]:
+        if streams:
+            return streams.pop()
+        raise DeixisError(f"{path}: a loaded trial set is read once, and it was read")
+
+    return TrialSet(condition, act, scene, Trials(header["count"], once))
 
 
 def save_responses(records: Iterable[ResponseRecord], path: str) -> None:

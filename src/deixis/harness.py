@@ -155,7 +155,8 @@ class Trials:
     """A set's trials, counted before any is made: `len` is `count`, and
     each pass over them is a fresh `make()`.  A generated set's `make`
     draws its cases again, so every pass gives the same trials and none is
-    held; a loaded set's hands on its one reader, so it is read once."""
+    held; a loaded set's hands on its one reader, so it is read once and
+    a second pass raises."""
 
     __slots__ = ("count", "make")
 

@@ -20,6 +20,7 @@ from deixis.errors import DeixisError
 from deixis.geometry import SurfacePoint
 from deixis.harness import Condition, ResponseRecord
 from deixis.resolver import LOCATING
+from deixis.scene import Pose2D, SceneObject, Shape
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -90,6 +91,17 @@ def renamed(tset, ids):
     return replace(tset, trials=[replace(t, id=i) for t, i in zip(tset.trials, ids)])
 
 
+def with_cubes(tset):
+    """`tset`, a set whose trials move no object, with two cubes added to
+    its scene, yawed 30 and 270 degrees."""
+    cubes = tuple(SceneObject(f"cube_{deg}", Shape.cube(0.05, 0.1),
+                              Pose2D(SurfacePoint(0.5, v), math.radians(deg)))
+                  for deg, v in ((30, -0.5), (270, -0.9)))
+    scene = replace(tset.scene, objects=tset.scene.objects + cubes)
+    return replace(tset, scene=scene, trials=tuple(
+        harness.make_trial(scene, t.id, None, t.shown) for t in tset.trials))
+
+
 class TestTrialsV2:
     def test_locating_records_carry_no_scene(self, tmp_path):
         p = tmp_path / "l.jsonl"
@@ -149,6 +161,7 @@ class TestTrialsV2:
         pytest.param(renamed(make_trials(n=4), ["mug-left", "near", "0", "z"]),
                      id="no-shared-prefix"),
         pytest.param(renamed(make_trials(n=4), ["the-only-trial"]), id="one-trial"),
+        pytest.param(with_cubes(make_trials(variant=LOCATING)), id="yawed-cubes"),
         *(pytest.param(cluttered_trials(n=n), id=f"cluttered-{n}")
           for n in (corpus.SPOOL_BATCH, corpus.SPOOL_BATCH + 4, 2 * corpus.SPOOL_BATCH + 4))])
     def test_round_trip_is_equal_and_byte_stable(self, tmp_path, trials):
@@ -165,10 +178,10 @@ class TestTrialsV2:
         corpus.save_trials(loaded, str(p2), seed=7)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_a_loaded_long_position_is_written_at_9_digits(self, tmp_path):
-        # the loader keeps every digit it reads; the writer quantizes again,
-        # a moved object's position, a locating shown point and a natural
-        # shown point alike
+    def test_a_loaded_long_position_is_written_as_read(self, tmp_path):
+        # the loader keeps every digit it reads and the writer writes it
+        # back: a moved object's position, a locating shown point and a
+        # natural shown point alike, so the re-save is byte-identical
         natural = harness.generate_trials(Condition(kind=harness.NATURAL), 3, 7)
         for tset, position_of, loaded_u in (
                 (make_trials(n=4), lambda r: r.get("objects", [None])[0],
@@ -181,16 +194,37 @@ class TestTrialsV2:
             lines = p.read_text().splitlines()
             i = next(i for i, line in enumerate(lines[1:], start=1)
                      if (position_of(json.loads(line)) or [0])[0])
-            written, rec = lines[i], json.loads(lines[i])
+            rec = json.loads(lines[i])
             position = position_of(rec)
-            position[0] += 1e-12
-            assert harness._q(position[0]) != position[0]
-            lines[i] = json.dumps(rec)
+            position[0] += math.pi * 1e-10
+            assert float(f"{position[0]:.15g}") != position[0]  # 16+ digits
+            lines[i] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
             p.write_text("\n".join(lines) + "\n")
             loaded = held(corpus.load_trials(str(p)))
             assert loaded_u(loaded.trials[i - 1]) == position[0]
             corpus.save_trials(loaded, str(q), seed=7)
-            assert q.read_text().splitlines()[i] == written
+            assert q.read_bytes() == p.read_bytes()
+
+    def test_converted_degrees_are_quantized(self, tmp_path):
+        # yaw is held in radians, and math.degrees(math.radians(30)) is
+        # 29.999999999999996; the writer quantizes the degrees it converts
+        p = tmp_path / "c.jsonl"
+        corpus.save_trials(with_cubes(make_trials(variant=LOCATING)), str(p), seed=7)
+        objects = json.loads(p.read_text().splitlines()[0])["context"]["objects"]
+        assert [o["yaw_deg"] for o in objects] == [0.0, 0.0, 30.0, -90.0]
+
+    @pytest.mark.parametrize("n", [8, 4000])
+    @pytest.mark.parametrize("make", [
+        make_trials, lambda n: make_trials(n=n, variant=LOCATING), cluttered_trials],
+        ids=["referential", "locating", "cluttered"])
+    def test_the_writer_rounds_only_what_it_converts(self, tmp_path, monkeypatch,
+                                                     make, n):
+        # a set holds its coordinates quantized already; the writer rounds
+        # each object's degrees and the act's direction, 5 values per set
+        calls = []
+        monkeypatch.setattr(corpus, "_q", lambda x: calls.append(x) or harness._q(x))
+        corpus.save_trials(make(n=n), str(tmp_path / "t.jsonl"), seed=7)
+        assert len(calls) == 5
 
     def test_blank_lines_between_records_are_skipped(self, tmp_path):
         p = tmp_path / "b.jsonl"
@@ -278,9 +312,15 @@ class TestResponsesRoundTrip:
             records += harness.run(harness.TrialSet(
                 tset.condition, act, tset.scene,
                 tuple(harness.make_trial(tset.scene, *case) for case in cases)))
+
+        def quantized(v):  # a meta value: a float, a point, a string or None
+            if isinstance(v, tuple):
+                return tuple(map(quantized, v))
+            return harness._q(v) if isinstance(v, float) else v
+
         p, q = tmp_path / "r.jsonl", tmp_path / "q.jsonl"
         corpus.save_responses(records, str(p))
-        corpus.save_responses([replace(r, meta=corpus._quantize(r.meta))
+        corpus.save_responses([replace(r, meta={k: quantized(v) for k, v in r.meta.items()})
                                for r in records], str(q))
         assert p.read_bytes() == q.read_bytes()
 
@@ -1115,6 +1155,21 @@ class TestStreamedReads:
         bad.write_bytes(lines[0].replace(b'"shared":{', b'"shared":[{', 1) + b"\n" + lines[1])
         with pytest.raises(DeixisError, match=f"^{re.escape(str(bad))}:1: "):
             load(str(bad))
+
+    def test_a_second_pass_over_a_loaded_set_raises(self, tmp_path):
+        p, q = tmp_path / "t.jsonl", tmp_path / "q.jsonl"
+        corpus.save_trials(make_trials(), str(p), seed=7)
+        once = f"^{re.escape(str(p))}: a loaded trial set is read once"
+        loaded = corpus.load_trials(str(p))
+        assert len(harness.run(loaded)) == 8
+        with pytest.raises(DeixisError, match=once):
+            harness.run(loaded)
+        assert len(loaded.trials) == 8
+        loaded = corpus.load_trials(str(p))
+        harness.run(loaded)
+        with pytest.raises(DeixisError, match=once):
+            corpus.save_trials(loaded, str(q), seed=7)
+        assert sorted(os.listdir(tmp_path)) == ["t.jsonl"]
 
     def test_per_trial_types_hold_no_dict(self, sweep_files):
         trial = next(iter(corpus.load_trials(str(sweep_files["trials"])).trials))

@@ -52,6 +52,11 @@ class TestShape:
         with pytest.raises(ValueError):
             Shape("sphere", height=0.1, radius=0.05)
 
+    @pytest.mark.parametrize("height", [0.0, -0.1])
+    def test_height_must_be_positive(self, height):
+        with pytest.raises(ValueError, match="^height must be positive$"):
+            Shape("mug", height=height, radius=0.04)
+
 
 class TestPose:
     def test_yaw_normalized(self):
