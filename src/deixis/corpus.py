@@ -48,10 +48,10 @@ condition and pointing act in one scene whose objects a trial may move.
 The header holds exactly `schema`, `count`, `seed` (null or a
 non-negative integer), `id_prefix`, a `context` object (the set's
 `condition`, `act`, `surface` and `objects`, each holding exactly its
-fields) and `shared`, the shared fields (`_fields`).  The scene's gravity
-is the condition's, so the writer refuses a set whose scene has the
-other.  A record holds a trial's own parts, each as a bare JSON value:
-`id`; `shown`, an object's id (`"mug_object"`) or a point (`[u, v]`), a
+fields) and `shared`, the shared fields (`_fields`).  Gravity is the
+condition's alone; a scene holds none.  A record holds a trial's own
+parts, each as a bare JSON value: `id`; `shown`, an object's id
+(`"mug_object"`) or a point (`[u, v]`), a
 natural trial's included, the JSON type telling them apart; and, when the
 trial moves any, `objects`, one entry per context object, null when the
 object stands where the context's does (`_same`), else its `[u, v]`.  The
@@ -275,15 +275,12 @@ def _position(o: SceneObject, od0: dict) -> list | None:
 
 
 def _parts(d: Any) -> tuple[Condition, Scene, PointingAct]:
-    """Condition, scene and act of a context, whose scene takes the
-    condition's gravity; the context and each object in it hold exactly
-    their fields."""
+    """Condition, scene and act of a context; the context and each object
+    in it hold exactly their fields."""
     _fields(d, "a context", ("condition", "act", "surface", "objects"))
-    condition = _condition_from_json(d["condition"])
-    return (condition,
+    return (_condition_from_json(d["condition"]),
             Scene(_surface_from_json(d["surface"]),
-                  tuple(_object_from_json(od) for od in d["objects"]),
-                  gravity=condition.gravity),
+                  tuple(_object_from_json(od) for od in d["objects"])),
             _act_from_json(d["act"]))
 
 
@@ -404,10 +401,14 @@ def output_mode(path: str) -> int | None:
     """The mode of the file at `path`, or None when there is none yet,
     once `path` is checked as `writing` would find it: a regular file the
     user may not write to, or one whose resolved directory is missing or
-    may not be written, is refused, the error naming `path`.  It makes no
-    file and opens none, a FIFO included, so a command refused here or
-    killed after it leaves nothing.  `_spool` calls it before its first
-    row, and `plot` before it reads its input."""
+    may not be written, is refused, the error naming `path`, and so is a
+    path that names a directory by its form (ending in a separator, `.`
+    or `..`), as `open` would refuse it.  It makes no file and opens
+    none, a FIFO included, so a command refused here or killed after it
+    leaves nothing.  `_spool` calls it before its first row, and `plot`
+    before it reads its input."""
+    if os.path.basename(path) in ("", os.curdir, os.pardir):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
         mode = os.stat(path).st_mode
     except OSError:  # no file yet; a fault in the path is found below
@@ -521,7 +522,6 @@ def _differs_past_positions(scene: Scene, base: Scene) -> bool:
     other part itself, and a tuple compares its items by `is` first, so a
     generated or loaded set's trials pass on identity checks."""
     return not ((scene.surface is base.surface or scene.surface == base.surface)
-                and scene.gravity == base.gravity
                 and len(scene.objects) == len(base.objects)
                 and all(o is o0 or (o.id, o.shape, o.pose.yaw, o.support)
                         == (o0.id, o0.shape, o0.pose.yaw, o0.support)
@@ -541,8 +541,6 @@ def save_trials(tset: TrialSet, path: str, seed: int | None = None) -> None:
     count = len(tset.trials)
     if not count:
         raise DeixisError("a trial set holds at least one trial")
-    if tset.scene.gravity != tset.condition.gravity:
-        raise DeixisError("a trial set's scene takes its condition's gravity")
     ctx = _context(tset.condition, tset.act, tset.scene)
 
     def row(t: Trial) -> tuple[str, dict]:

@@ -28,8 +28,11 @@ def _norm(a: Vec3) -> float:
 
 
 def unit(a: Vec3) -> Vec3:
-    """`a` divided by its length."""
+    """`a` divided by its length; ValueError when the length is 0 (the
+    squared length may underflow to 0)."""
     n = _norm(a)
+    if not n:
+        raise ValueError("a zero-length vector has no direction")
     return (a[0] / n, a[1] / n, a[2] / n)
 
 

@@ -338,14 +338,14 @@ def _natural_trials(cond: Condition) -> tuple:
         return ((label, None, point) for label, point in NATURAL_CONFIGS.items())
 
     return (_aim(cond, NATURAL_X_STAR, LOCATING, plane),
-            Scene(plane, stack, gravity=cond.gravity), cases)
+            Scene(plane, stack), cases)
 
 
-def _predict(trial: Trial, kind: str, act: PointingAct, descriptor: str,
+def _predict(trial: Trial, cond: Condition, act: PointingAct, descriptor: str,
              x_star_q: tuple[float, float], cfg: ResolverConfig) -> tuple[str, dict]:
     x_star = act.target
     meta: dict = {"condition": descriptor, "x_star": x_star_q}
-    if kind == CLUTTERED:
+    if cond.kind == CLUTTERED:
         obj = trial.scene.object_by_id("mug_object").pose.position
         dis = trial.scene.object_by_id("mug_distractor").pose.position
         predicted = predict_cluttered(x_star, obj, dis, cfg)
@@ -358,7 +358,7 @@ def _predict(trial: Trial, kind: str, act: PointingAct, descriptor: str,
     # referential, locating and natural trials
     shown = trial.shown
     cands = candidates(trial.scene, act.intent,
-                       STACK_CUBOID if kind == NATURAL else MUG)
+                       STACK_CUBOID if cond.kind == NATURAL else MUG, cond.gravity)
     res = resolve(cands, x_star, cfg)
     predicted = classify_outcome(res, shown, x_star, cfg)
     probe = (trial.scene.object_by_id(shown).pose.position
@@ -376,12 +376,12 @@ def predict(tset: TrialSet, cfg: ResolverConfig = ResolverConfig()) -> Iterator[
     for locating and natural trials (x* in the stable region, or the
     nearest stable point found by enumeration), `discrete` for referential
     trials and `cluttered` for cluttered ones."""
-    kind, act = tset.condition.kind, tset.act
-    descriptor = tset.condition.descriptor()
+    cond, act = tset.condition, tset.act
+    descriptor = cond.descriptor()
     x_star_q = (_q(act.target.u), _q(act.target.v))
     for trial in tset.trials:
         try:
-            predicted, meta = _predict(trial, kind, act, descriptor, x_star_q, cfg)
+            predicted, meta = _predict(trial, cond, act, descriptor, x_star_q, cfg)
         except DeixisError as exc:
             raise DeixisError(f"trial {trial.id}: {exc}") from exc
         yield ResponseRecord(trial_id=trial.id, predicted=predicted, meta=meta)

@@ -77,8 +77,8 @@ class Resolution:
     region: StableRegion | None = None
 
 
-def candidates(scene: Scene, intent: str, shape_for_placement: Shape | None = None
-               ) -> tuple[tuple[str, SurfacePoint], ...] | StableRegion:
+def candidates(scene: Scene, intent: str, shape_for_placement: Shape | None = None,
+               gravity: bool = True) -> tuple[tuple[str, SurfacePoint], ...] | StableRegion:
     """Candidates for an intent: the objects' (id, position) pairs
     (referential), or the stable region of the placed shape (locating; the
     full surface with gravity off)."""
@@ -87,7 +87,7 @@ def candidates(scene: Scene, intent: str, shape_for_placement: Shape | None = No
     if intent == LOCATING:
         if shape_for_placement is None:
             raise ValueError("locating candidates require the shape being placed")
-        region = stable_region(scene, shape_for_placement)
+        region = stable_region(scene, shape_for_placement, gravity)
         if region.is_empty():
             raise DeixisError("no stable placement for the given shape")
         return region

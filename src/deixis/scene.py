@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import DeixisError
@@ -249,13 +248,20 @@ class SceneObject:
         return self.shape.footprint(self.pose)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scene:
-    """Immutable workspace: a rest surface, objects, and a gravity flag."""
+    """Immutable workspace: a rest surface and the objects on it.  Each
+    object's footprint and height span (low, high), in `objects` order,
+    are kept from the check that builds the scene."""
 
     surface: Plane
     objects: tuple[SceneObject, ...] = ()
-    gravity: bool = True
+    footprints: tuple[Footprint, ...] = field(init=False, repr=False, compare=False)
+    z_spans: tuple[tuple[float, float], ...] = field(init=False, repr=False,
+                                                     compare=False)
+    # the stable regions built on this scene, by placed shape and gravity
+    _regions: dict[tuple[Shape, bool], StableRegion] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         objects = self.objects
@@ -265,16 +271,18 @@ class Scene:
         for o in objects:
             if o.support != TABLE and o.support not in by_id:
                 raise ValueError(f"{o.id} is supported by unknown object {o.support}")
-        # per call: the cached properties, once set, enlarge every later Scene (RSS)
-        spans = [self._z_span(o, by_id) for o in objects]
+        spans = tuple(self._z_span(o, by_id) for o in objects)
         for o in objects:
             if not self.surface.contains_surface_point(o.pose.position):
                 raise ValueError(f"{o.id} lies outside the surface extent")
-        footprints = [o.footprint for o in objects]
+        footprints = tuple(o.footprint for o in objects)
         for i, j in itertools.combinations(range(len(objects)), 2):
             if (_z_overlap(spans[i], spans[j])
                     and _overlaps(footprints[i], footprints[j])):
                 raise ValueError(f"objects {objects[i].id} and {objects[j].id} overlap")
+        object.__setattr__(self, "footprints", footprints)
+        object.__setattr__(self, "z_spans", spans)
+        object.__setattr__(self, "_regions", {})
 
     def moved(self, positions: dict[int, SurfacePoint]) -> "Scene":
         """This scene with the objects at the given indices moved to new
@@ -284,7 +292,7 @@ class Scene:
         for i, p in positions.items():
             o = objects[i]
             objects[i] = SceneObject(o.id, o.shape, Pose2D(p, o.pose.yaw), o.support)
-        return Scene(self.surface, tuple(objects), self.gravity)
+        return Scene(self.surface, tuple(objects))
 
     def _z_span(self, obj: SceneObject,
                 by_id: dict[str, SceneObject]) -> tuple[float, float]:
@@ -303,22 +311,6 @@ class Scene:
             if o.id == oid:
                 return o
         raise DeixisError(f"no object {oid!r} in the scene")
-
-    @cached_property
-    def footprints(self) -> tuple[Footprint, ...]:
-        """Each object's footprint, in `objects` order, built on first use."""
-        return tuple(o.footprint for o in self.objects)
-
-    @cached_property
-    def z_spans(self) -> tuple[tuple[float, float], ...]:
-        """Each object's height span (low, high), in `objects` order."""
-        by_id = {o.id: o for o in self.objects}
-        return tuple(self._z_span(o, by_id) for o in self.objects)
-
-    @cached_property
-    def _regions(self) -> dict[Shape, StableRegion]:
-        """The stable regions built on this scene, by placed shape."""
-        return {}
 
     def support_index(self, position: SurfacePoint) -> int | None:
         """Index of the object whose top face lies directly beneath
@@ -340,40 +332,42 @@ class Scene:
         return covering[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StableRegion:
-    """Set of stable placement positions for a shape in a scene.
+    """Set of stable placement positions for a shape in a scene, under
+    gravity or not.
 
-    Built once per scene and shape (`stable_region`).  Membership reads the
-    scene's cached footprints and the holes below, built once; under
-    gravity the region is the base outside every hole, plus the islands.
+    Built once per scene, shape and gravity (`stable_region`), with the
+    parts below.  Membership reads the scene's footprints and the holes;
+    under gravity the region is the base outside every hole, plus the
+    islands.
     """
 
     scene: Scene
     shape: Shape
+    gravity: bool = True
+    # the table shrunk by the support margin (the full extent with gravity
+    # off); None when nothing is left
+    base: Footprint | None = field(init=False, repr=False, compare=False)
+    # Minkowski differences object - shape: placements there overlap the
+    # object when sd < -COLLISION_TOL
+    holes: tuple[Footprint, ...] = field(init=False, repr=False, compare=False)
+    # footprints of the top faces wider than the margin: stable where
+    # sd <= -SUPPORT_MARGIN, no higher object covers the point and the
+    # placed shape clears the holes of the objects at its height
+    islands: tuple[Footprint, ...] = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def base(self) -> Footprint | None:
-        """The table shrunk by the support margin (the full extent with
-        gravity off); None when nothing is left."""
-        m = SUPPORT_MARGIN if self.scene.gravity else 0.0
-        hu, hv = (e / 2.0 - m for e in self.scene.surface.extent)
-        return Footprint.box(_ORIGIN, hu, hv) if hu > 0.0 and hv > 0.0 else None
-
-    @cached_property
-    def holes(self) -> tuple[Footprint, ...]:
-        """Minkowski differences object - shape: placements there overlap
-        the object when sd < -COLLISION_TOL."""
+    def __post_init__(self) -> None:
+        scene = self.scene
+        m = SUPPORT_MARGIN if self.gravity else 0.0
+        hu, hv = (e / 2.0 - m for e in scene.surface.extent)
         placed = self.shape.footprint(Pose2D(_ORIGIN))
-        return tuple(fp - placed for fp in self.scene.footprints)
-
-    @cached_property
-    def islands(self) -> tuple[Footprint, ...]:
-        """Footprints of the top faces wider than the margin: stable where
-        sd <= -SUPPORT_MARGIN, no higher object covers the point and the
-        placed shape clears the holes of the objects at its height."""
-        return tuple(fp for o, fp in zip(self.scene.objects, self.scene.footprints)
-                     if fp.sd(o.pose.position) < -SUPPORT_MARGIN)
+        object.__setattr__(self, "base", Footprint.box(_ORIGIN, hu, hv)
+                           if hu > 0.0 and hv > 0.0 else None)
+        object.__setattr__(self, "holes", tuple(fp - placed for fp in scene.footprints))
+        object.__setattr__(self, "islands", tuple(
+            fp for o, fp in zip(scene.objects, scene.footprints)
+            if fp.sd(o.pose.position) < -SUPPORT_MARGIN))
 
     def contains(self, p: SurfacePoint) -> bool:
         return (self.scene.surface.contains_surface_point(p)
@@ -389,9 +383,9 @@ class StableRegion:
         top face every object whose height span overlaps the placed shape's,
         the rule the `Scene` invariant applies to its own objects.
         """
-        scene = self.scene
-        if not scene.gravity:
+        if not self.gravity:
             return True
+        scene = self.scene
         i = scene.support_index(p)
         if i is None:
             if not scene.surface.contains_surface_point(p, shrink=SUPPORT_MARGIN):
@@ -442,12 +436,12 @@ class StableRegion:
         raise DeixisError("no stable placement exists for this shape")
 
 
-def stable_region(scene: Scene, shape: Shape) -> StableRegion:
+def stable_region(scene: Scene, shape: Shape, gravity: bool = True) -> StableRegion:
     """All positions where `StableRegion.is_stable` holds; the full extent
-    with gravity off.  Built once per scene object and shape and kept on the
-    scene."""
+    with gravity off.  Built once per scene object, shape and gravity and
+    kept on the scene."""
     regions = scene._regions
-    region = regions.get(shape)
+    region = regions.get((shape, gravity))
     if region is None:
-        region = regions[shape] = StableRegion(scene, shape)
+        region = regions[shape, gravity] = StableRegion(scene, shape, gravity)
     return region

@@ -456,6 +456,24 @@ class TestRun:
                               "surface and objects\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--condition", "ref-vs-loc", "--variant", "locating", "--cone", "90"],
+        ["--condition", "ref-vs-loc", "--cone", "67.5"],
+        ["--condition", "cluttered", "--cone", "67.5"],
+        ["--condition", "natural"]], ids=["locating", "referential", "cluttered", "natural"])
+    def test_a_zero_length_direction_exits_1(self, runner, tmp_path, flags):
+        # the loader renormalizes the act's direction, and a vector of
+        # length 0 has none
+        trials, out = tmp_path / "t.jsonl", tmp_path / "o.jsonl"
+        assert runner.invoke(main, ["gen", *flags, "--out", str(trials)]).exit_code == 0
+        rewrite(trials, 1, lambda h: h["context"]["act"].update(direction=[0, 0, 0]))
+        res = runner.invoke(main, ["run", "--in", str(trials), "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == (f"Error: {trials}:1: bad context: a zero-length "
+                              "vector has no direction\n")
+        assert not out.exists()
+
     OBJECT = ("an object holds only id, kind, height, radius, half_extents, "
               "position, yaw_deg and support")
 
@@ -1221,6 +1239,30 @@ class TestStreamedWrites:
         assert res.output == f"Error: [Errno 2] No such file or directory: '{out}'\n"
         assert calls == []
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, work", [
+        ("gen", (harness, "make_trial")), ("run", (harness, "_predict")),
+        ("plot", (svgplot, "render"))])
+    @pytest.mark.parametrize("name", ["new/", "old.jsonl/", "new/.", "new/..",
+                                      "old.jsonl/.."])
+    def test_an_output_named_as_a_directory_is_refused_first(
+            self, runner, tmp_path, sweep, monkeypatch, command, work, name):
+        # `open` refuses a name that ends in a separator, `.` or `..`, and
+        # so does the output check, before any work: the resolved path
+        # would drop the separator and write a plain file.  (click refuses
+        # an existing directory itself.)
+        args = {"gen": ["gen", "--condition", "natural"],
+                "run": ["run", "--in", str(sweep["trials"])],
+                "plot": ["plot", "--in", str(sweep["responses"])]}[command]
+        (tmp_path / "old.jsonl").write_text("known bytes\n")
+        calls = self.counted(monkeypatch, *work)
+        out = f"{tmp_path}{os.sep}{name}"
+        res = runner.invoke(main, [*args, "--out", out])
+        assert res.exit_code == 1
+        assert res.output == f"Error: [Errno {errno.EISDIR}] Is a directory: '{out}'\n"
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["old.jsonl"]
+        assert (tmp_path / "old.jsonl").read_text() == "known bytes\n"
 
     @pytest.mark.skipif(os.geteuid() == 0, reason="root may write to any directory")
     def test_an_output_in_a_read_only_directory_is_refused_first(self, runner, tmp_path,

@@ -959,6 +959,9 @@ class TestSchemaErrors:
         (("condition", "reverse"), 0), (("condition", "robot"), ["baxter"]),
         (("condition", "cone_deg"), True), (("act", "intent"), 1),
         (("act", "target"), [0.1, None]),
+        # a direction of length 0, or whose squared length underflows to 0
+        (("act", "direction"), [0.0, 0.0, 0.0]), (("act", "direction"), [1e-200, 0.0, 0.0]),
+        (("act", "direction"), [5e-324, 0.0, 0.0]),
         (("surface", "extent"), [1.2, float("inf")]),
         (("objects", 1, "kind"), 7), (("objects", 1, "height"), "0.16"),
         (("objects", 1, "support"), None),
@@ -1222,7 +1225,7 @@ class TestStreamedWrites:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("change", [
-        "surface", "gravity", "count", "id", "shape", "yaw", "support"])
+        "surface", "count", "id", "shape", "yaw", "support"])
     def test_a_trial_from_another_scene_is_refused(self, tmp_path, change):
         # a record holds only positions, so a trial whose scene differs from
         # the set's in anything more would load back with the set's scene
@@ -1231,7 +1234,6 @@ class TestStreamedWrites:
         mug, cube = scene.objects
         other = {
             "surface": replace(scene, surface=replace(scene.surface, extent=(3.0, 3.0))),
-            "gravity": replace(scene, gravity=False),
             "count": replace(scene, objects=(cube,)),
             "id": replace(scene, objects=(mug, replace(cube, id="blue_cube"))),
             "shape": replace(scene, objects=(mug, replace(

@@ -199,18 +199,6 @@ class TestGenerate:
             corpus.save_trials(replace(tset, trials=()), str(out), seed=0)
         assert not out.exists()
 
-    @pytest.mark.parametrize("gravity", [True, False])
-    def test_a_set_whose_scene_has_other_gravity_is_refused(self, tmp_path, gravity):
-        # the file writes gravity once, in the condition, so a set whose
-        # scene has the other gravity would load as a different set
-        tset = generate_trials(cond(kind=NATURAL, gravity=gravity), 3, 0)
-        odd = replace(tset, scene=replace(tset.scene, gravity=not gravity))
-        out = tmp_path / "t.jsonl"
-        with pytest.raises(DeixisError, match="^a trial set's scene takes its "
-                                              "condition's gravity$"):
-            corpus.save_trials(odd, str(out), seed=0)
-        assert not out.exists() and list(tmp_path.iterdir()) == []
-
     def test_robot_changes_ray(self):
         plane = tuple(generate_trials(cond(), 8, 0).trials)[0].scene.surface
         rb = pointer_ray(SurfacePoint(0, 0), plane, "baxter")

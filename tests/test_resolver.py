@@ -9,7 +9,7 @@ from deixis.resolver import (AMBIGUOUS, CORRECT, INCORRECT, LOCATING, NEARER,
                              REFERENTIAL, PointingAct, ResolverConfig,
                              candidates, classify_outcome, predict_cluttered,
                              resolve)
-from deixis.scene import Pose2D, Scene, SceneObject, Shape, StableRegion
+from deixis.scene import Pose2D, Scene, SceneObject, Shape, StableRegion, stable_region
 
 PLANE = Plane.horizontal((1.2, 0.8))
 MUG = Shape.mug(radius=0.04, height=0.10)
@@ -21,12 +21,11 @@ def discrete(*positions):
     return tuple((f"o{i}", SurfacePoint(*p)) for i, p in enumerate(positions))
 
 
-def stack_scene(gravity=True):
+def stack_scene():
     return Scene(PLANE,
                  (SceneObject("base", BOX, Pose2D(SurfacePoint(0.0, 0.0))),
                   SceneObject("top", BOX, Pose2D(SurfacePoint(0.0, 0.0)),
-                              support="base")),
-                 gravity=gravity)
+                              support="base")))
 
 
 class TestPointingAct:
@@ -62,9 +61,16 @@ class TestCandidates:
             resolve(candidates(Scene(PLANE), REFERENTIAL), SurfacePoint(0, 0))
 
     def test_locating_gravity_off_full_surface(self):
-        cs = candidates(stack_scene(gravity=False), LOCATING, MUG)
-        assert isinstance(cs, StableRegion)
-        assert cs.contains(SurfacePoint(0.6, 0.4))
+        scene = stack_scene()
+        off = candidates(scene, LOCATING, MUG, gravity=False)
+        on = candidates(scene, LOCATING, MUG)
+        assert isinstance(off, StableRegion)
+        assert off is stable_region(scene, MUG, gravity=False)
+        assert on is stable_region(scene, MUG)
+        assert candidates(scene, LOCATING, MUG, False) is off
+        for p in (SurfacePoint(0.6, 0.4), SurfacePoint(0.12, 0.0)):
+            assert off.contains(p)
+            assert not on.contains(p)
 
     def test_locating_requires_shape(self):
         with pytest.raises(ValueError):
@@ -91,7 +97,7 @@ class TestResolve:
         assert len(res.selected_ids) > 1
 
     def test_continuous_theta_zero_inside(self):
-        cs = candidates(stack_scene(gravity=False), LOCATING, MUG)
+        cs = candidates(stack_scene(), LOCATING, MUG, gravity=False)
         x = SurfacePoint(0.3, 0.1)
         res = resolve(cs, x, CFG)
         assert res.theta == 0.0
@@ -122,7 +128,7 @@ class TestClassify:
         assert classify_outcome(res, "o2", x, CFG) == INCORRECT
 
     def test_locating_distance_bands(self):
-        cs = candidates(stack_scene(gravity=False), LOCATING, MUG)
+        cs = candidates(stack_scene(), LOCATING, MUG, gravity=False)
         x = SurfacePoint(0.3, 0.0)
         res = resolve(cs, x, CFG)
         assert classify_outcome(res, SurfacePoint(0.38, 0.0), x, CFG) == CORRECT
@@ -143,7 +149,7 @@ class TestClassify:
         res = resolve(discrete((0.0, 0.0)), SurfacePoint(0, 0), CFG)
         with pytest.raises(DeixisError, match="^referential resolution expects an object id$"):
             classify_outcome(res, SurfacePoint(0, 0), SurfacePoint(0, 0), CFG)
-        res2 = resolve(candidates(stack_scene(gravity=False), LOCATING, MUG),
+        res2 = resolve(candidates(stack_scene(), LOCATING, MUG, gravity=False),
                        SurfacePoint(0, 0), CFG)
         with pytest.raises(DeixisError, match="^locating resolution expects a surface point$"):
             classify_outcome(res2, "mug", SurfacePoint(0, 0), CFG)

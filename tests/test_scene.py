@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,12 +18,11 @@ CUBE = Shape.cube(half=0.03, height=0.06)
 BOX = Shape.cuboid(half_extents=(0.10, 0.10), height=0.10)
 
 
-def stack_scene(gravity: bool = True) -> Scene:
+def stack_scene() -> Scene:
     return Scene(PLANE,
                  (SceneObject("base", BOX, Pose2D(SurfacePoint(0.2, 0.0))),
                   SceneObject("top", BOX, Pose2D(SurfacePoint(0.2, 0.0)),
-                              support="base")),
-                 gravity=gravity)
+                              support="base")))
 
 
 MUG = Shape.mug(radius=0.04, height=0.10)
@@ -111,6 +111,21 @@ class TestSceneValidation:
         scene = stack_scene()
         assert scene.z_spans[1] == pytest.approx((0.10, 0.20))
 
+    def test_a_replaced_scene_keeps_its_own_geometry(self):
+        # `replace` builds the scene anew, so its footprints and spans are
+        # those of its own objects, not the original's
+        scene = stack_scene()
+        lone = replace(scene, objects=(SceneObject(
+            "cube", CUBE, Pose2D(SurfacePoint(-0.3, 0.1), yaw=0.5)),))
+        assert lone.footprints == (lone.objects[0].footprint,)
+        assert lone.z_spans == ((0.0, 0.06),)
+        assert scene.footprints == tuple(o.footprint for o in scene.objects)
+        assert scene.z_spans[0] == pytest.approx((0.0, 0.10))
+        with pytest.raises(ValueError, match="objects a and b overlap"):
+            replace(scene, objects=(
+                SceneObject("a", BOX, Pose2D(SurfacePoint(0.0, 0.0))),
+                SceneObject("b", BOX, Pose2D(SurfacePoint(0.1, 0.0)))))
+
     def test_support_tie_is_ambiguous(self):
         # footprints overlap by 0.5 mm, under the collision tolerance
         scene = Scene(PLANE,
@@ -135,9 +150,11 @@ class TestIsStable:
         assert not region.is_stable(SurfacePoint(0.297, 0.0))
 
     def test_gravity_off_everything_stable(self):
-        region = stable_region(stack_scene(gravity=False), CUBE)
-        assert region.is_stable(SurfacePoint(0.31, 0.0))
-        assert region.is_stable(SurfacePoint(-0.59, 0.39))
+        scene = stack_scene()
+        on, off = stable_region(scene, CUBE), stable_region(scene, CUBE, gravity=False)
+        for p in (SurfacePoint(0.31, 0.0), SurfacePoint(-0.598, 0.398)):
+            assert off.is_stable(p)
+            assert not on.is_stable(p)
 
     def test_bare_table(self):
         region = stable_region(Scene(PLANE), CUBE)
@@ -172,9 +189,12 @@ class TestStableRegion:
         assert not region.holes and not region.islands
 
     def test_gravity_off_full_extent(self):
-        region = stable_region(stack_scene(gravity=False), CUBE)
-        assert region.base.sd(SurfacePoint(0.6, 0.0)) == pytest.approx(0.0)
-        assert region.contains(SurfacePoint(0.6, 0.4))
+        scene = stack_scene()
+        on, off = stable_region(scene, CUBE), stable_region(scene, CUBE, gravity=False)
+        assert off.base.sd(SurfacePoint(0.6, 0.0)) == pytest.approx(0.0)
+        assert on.base.sd(SurfacePoint(0.6, 0.0)) == pytest.approx(SUPPORT_MARGIN)
+        assert off.contains(SurfacePoint(0.6, 0.4))
+        assert not on.contains(SurfacePoint(0.6, 0.4))
 
     def test_grid_agreement_with_is_stable(self):
         region = stable_region(stack_scene(), CUBE)
@@ -208,19 +228,27 @@ class TestStableRegion:
 
     def test_one_region_per_scene_and_shape(self):
         scene = stack_scene()
-        region = stable_region(scene, MUG)
-        assert stable_region(scene, Shape.mug(radius=0.04, height=0.10)) is region
-        assert stable_region(scene, CUBE) is not region
-        assert stable_region(stack_scene(), MUG) is not region
+        regions = {(shape, gravity): stable_region(scene, shape, gravity)
+                   for shape in (MUG, CUBE) for gravity in (True, False)}
+        assert len({id(r) for r in regions.values()}) == 4
+        for (shape, gravity), region in regions.items():
+            assert (region.scene, region.shape, region.gravity) == (scene, shape, gravity)
+            assert stable_region(scene, shape, gravity) is region
+        assert stable_region(scene, MUG) is regions[MUG, True]
+        assert stable_region(scene, Shape.mug(radius=0.04, height=0.10),
+                             gravity=False) is regions[MUG, False]
+        assert stable_region(stack_scene(), MUG) is not regions[MUG, True]
 
     def test_gravity_off_superset(self):
-        on = stable_region(stack_scene(True), CUBE)
-        off = stable_region(stack_scene(False), CUBE)
+        scene = stack_scene()
+        on, off = stable_region(scene, CUBE), stable_region(scene, CUBE, gravity=False)
+        differ = 0
         for i in range(-59, 60, 3):
             for j in range(-39, 40, 3):
                 p = SurfacePoint(i / 100.0, j / 100.0)
-                if on.contains(p):
-                    assert off.contains(p)
+                assert off.contains(p)
+                differ += not on.contains(p)
+        assert differ
 
 
 class TestNearestStable:
@@ -230,9 +258,10 @@ class TestNearestStable:
         assert stable_region(scene, CUBE).nearest(p) == p
 
     def test_gravity_off_identity(self):
-        scene = stack_scene(gravity=False)
+        scene = stack_scene()
         p = SurfacePoint(0.31, 0.0)
-        assert stable_region(scene, CUBE).nearest(p) == p
+        assert stable_region(scene, CUBE, gravity=False).nearest(p) == p
+        assert stable_region(scene, CUBE).nearest(p) != p
 
     def grid_oracle(self, scene, shape, x, step=0.001):
         region = stable_region(scene, shape)
@@ -504,8 +533,8 @@ def per_call_z_span(scene, obj):
     return z, z + obj.shape.height
 
 
-def per_call_is_stable(scene, shape, p, eps=1e-12):
-    if not scene.gravity:
+def per_call_is_stable(scene, shape, p, gravity=True, eps=1e-12):
+    if not gravity:
         return True
     covering = [o for o in scene.objects if o.footprint.sd(p) <= eps]
     covering.sort(key=lambda o: per_call_z_span(scene, o)[1], reverse=True)
@@ -557,12 +586,12 @@ class TestMembership:
                                   support=objects[below].id)
             objects.append(obj)
         try:
-            scene = Scene(TABLE, tuple(objects), gravity=gravity)
+            scene = Scene(TABLE, tuple(objects))
         except ValueError:
             assume(False)
         kind, radius, half_extents = placed
         shape = Shape(kind, 0.05, radius=radius, half_extents=half_extents)
-        region = stable_region(scene, shape)
+        region = stable_region(scene, shape, gravity)
         # points anywhere, plus points at each object's center and just past
         # its corners or rim, where support and overlap change
         probes = [SurfacePoint(u, v) for u, v in points]
@@ -571,7 +600,7 @@ class TestMembership:
             probes += [c] + [SurfacePoint(c.u + k * r * math.cos(a), c.v + k * r * math.sin(a))
                              for k in (0.9, 1.02, 1.5) for a in (0.3, 2.0, 4.1)]
         for p in probes:
-            expected = outcome(per_call_is_stable, scene, shape, p)
+            expected = outcome(per_call_is_stable, scene, shape, p, gravity)
             assert outcome(region.is_stable, p) == expected
             assert outcome(region.contains, p) == (
                 expected if scene.surface.contains_surface_point(p) else False)
@@ -604,8 +633,7 @@ def moved_by_hand(scene, positions):
     return Scene(scene.surface,
                  tuple(SceneObject(o.id, o.shape, Pose2D(positions[i], o.pose.yaw),
                                    o.support) if i in positions else o
-                       for i, o in enumerate(scene.objects)),
-                 gravity=scene.gravity)
+                       for i, o in enumerate(scene.objects)))
 
 
 class TestMoved:
@@ -622,6 +650,7 @@ class TestMoved:
         else:
             scene = MOVABLE.moved(positions)
             assert scene == fresh
+            assert (scene.footprints, scene.z_spans) == (fresh.footprints, fresh.z_spans)
             assert all(o is MOVABLE.objects[i] for i, o in enumerate(scene.objects)
                        if i not in positions)
 
